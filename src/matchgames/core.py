@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -21,6 +22,7 @@ from .errors import (
     MatchGamesError,
     NotStrictlyCompetitiveError,
     QuotaOutOfRangeError,
+    UnsupportedClassError,
 )
 
 # Game class tags.
@@ -76,17 +78,25 @@ def parse_rational(value: Union[int, str, Fraction]) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        text = value.strip()
-        try:
-            frac = Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise MalformedRationalError(f"malformed rational literal: {value!r}") from exc
-        if "." in text or "e" in text.lower():
-            raise MalformedRationalError(
-                f"rational literals must be integers or p/q strings, got {value!r}"
-            )
-        return frac
+        return _parse_rational_text(value)
     raise MalformedRationalError(f"not a rational literal: {value!r}")
+
+
+@lru_cache(maxsize=4096)
+def _parse_rational_text(value: str) -> Fraction:
+    # Instances repeat a few distinct literals thousands of times.  Fractions
+    # are immutable, so the parsed value is shared; malformed literals raise
+    # on every call because lru_cache stores no exceptions.
+    text = value.strip()
+    try:
+        frac = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise MalformedRationalError(f"malformed rational literal: {value!r}") from exc
+    if "." in text or "e" in text.lower():
+        raise MalformedRationalError(
+            f"rational literals must be integers or p/q strings, got {value!r}"
+        )
+    return frac
 
 
 def format_rational(value: Fraction) -> str:
@@ -135,27 +145,130 @@ def check_affine_variant(a: Matrix, b: Matrix):
     if a_max == a_min or b_max == b_min:
         if a_max == a_min and b_max == b_min:
             return Fraction(1), a_min - b_min
-        # One matrix constant, the other not: no positive ratio can relate them.
-        rows, cols = len(a), len(a[0])
-        for i in range(rows):
-            for j in range(cols):
-                if a[i][j] != a[0][0] or b[i][j] != b[0][0]:
-                    raise NotStrictlyCompetitiveError(
-                        "one matrix is constant and the other is not",
-                        entry=(i, j, a[i][j], b[i][j]),
-                    )
+        _reject_one_sided_constant(a, b)
     ratio = (a_max - a_min) / (b_max - b_min)
     shift = a_min - b_min * ratio
+    _verify_affine(a, b, ratio, shift)
+    return ratio, shift
+
+
+def _reject_one_sided_constant(a: Matrix, b: Matrix):
+    """Raise for a pair where one matrix is constant and the other is not."""
     for i, row in enumerate(a):
         for j, value in enumerate(row):
-            expected = ratio * b[i][j] + shift
+            if value != a[0][0] or b[i][j] != b[0][0]:
+                raise NotStrictlyCompetitiveError(
+                    "one matrix is constant and the other is not",
+                    entry=(i, j, value, b[i][j]),
+                )
+
+
+def _verify_affine(left: Matrix, right: Matrix, ratio: Fraction, shift: Fraction):
+    for i, row in enumerate(left):
+        for j, value in enumerate(row):
+            expected = ratio * right[i][j] + shift
             if value != expected:
                 raise NotStrictlyCompetitiveError(
-                    f"affine identity fails at entry ({i},{j}): "
-                    f"found {format_rational(value)}, expected {format_rational(expected)}",
+                    f"no affine variant: entry ({i},{j}) is {value}, expected {expected}",
                     entry=(i, j, value, expected),
                 )
-    return ratio, shift
+
+
+@dataclass(frozen=True)
+class AffineTransform:
+    """Affine bridge between a strictly competitive pair and its zero-sum image.
+
+    With B := -M, exactly one orientation has ratio <= 1:
+
+    * direction "doctor":   A == ratio * B + shift * U; image matrix is B and
+      the doctor's payoffs are the rescaled ones.
+    * direction "hospital": B == ratio * A + shift * U; image matrix is A and
+      the hospital's payoffs are the rescaled ones (M-payoff ==
+      ratio * (-A-payoff) - shift).
+    """
+
+    ratio: Fraction
+    shift: Fraction
+    direction: str
+    image: Matrix
+
+    def image_doctor_value(self, f: Fraction) -> Fraction:
+        if self.direction == "doctor":
+            return (f - self.shift) / self.ratio
+        return f
+
+    def original_doctor_value(self, z: Fraction) -> Fraction:
+        if self.direction == "doctor":
+            return self.ratio * z + self.shift
+        return z
+
+    def image_hospital_value(self, g: Fraction) -> Fraction:
+        if self.direction == "doctor":
+            return g
+        return (g + self.shift) / self.ratio
+
+    def original_hospital_value(self, ih: Fraction) -> Fraction:
+        if self.direction == "doctor":
+            return ih
+        return self.ratio * ih - self.shift
+
+
+@dataclass(frozen=True)
+class IdentityTransform(AffineTransform):
+    """The bridge of a zero-sum pair (ratio 1, shift 0, image A): payoffs
+    map to themselves, so the conversions cost no arithmetic."""
+
+    def image_doctor_value(self, f: Fraction) -> Fraction:
+        return f
+
+    def original_doctor_value(self, z: Fraction) -> Fraction:
+        return z
+
+    def image_hospital_value(self, g: Fraction) -> Fraction:
+        return g
+
+    def original_hospital_value(self, ih: Fraction) -> Fraction:
+        return ih
+
+
+def affine_transform(a: Matrix, m: Matrix) -> AffineTransform:
+    """Compute the ratio-<=-1 affine bridge for a strictly competitive pair."""
+    b = negate(m)
+    a_range = matrix_max(a) - matrix_min(a)
+    b_range = matrix_max(b) - matrix_min(b)
+    if a_range <= b_range and b_range > 0:
+        ratio = a_range / b_range
+        shift = matrix_min(a) - matrix_min(b) * ratio
+        _verify_affine(a, b, ratio, shift)
+        return AffineTransform(ratio=ratio, shift=shift, direction="doctor", image=b)
+    if b_range == 0 and a_range == 0:
+        return AffineTransform(
+            ratio=Fraction(1), shift=a[0][0] - b[0][0], direction="doctor", image=b
+        )
+    if b_range == 0 or a_range == 0:
+        _reject_one_sided_constant(a, b)
+    ratio = b_range / a_range
+    shift = matrix_min(b) - matrix_min(a) * ratio
+    _verify_affine(b, a, ratio, shift)
+    return AffineTransform(ratio=ratio, shift=shift, direction="hospital", image=a)
+
+
+@dataclass(frozen=True)
+class Frontier:
+    """Per-game data of the frontier queries, computed once per game object.
+
+    ``transform`` bridges the one-shot classes onto a zero-sum image (the
+    identity for zero-sum pairs) whose entries span [z_min, z_max]; repeated
+    games have none, their frontier being the hull of the stage payoffs.
+    """
+
+    a_min: Fraction
+    a_max: Fraction
+    m_min: Fraction
+    m_max: Fraction
+    transform: Optional[AffineTransform] = None
+    z_min: Optional[Fraction] = None
+    z_max: Optional[Fraction] = None
 
 
 @dataclass(frozen=True)
@@ -188,6 +301,21 @@ class BimatrixGame:
             # -M must be an affine variant of A (checked in both directions
             # implicitly: the relation is symmetric up to inverting the ratio).
             check_affine_variant(a, negate(m))
+
+    @cached_property
+    def frontier(self) -> Frontier:
+        """Matrix bounds and affine bridge, computed on first use and kept."""
+        a, m = self.doctor_matrix, self.hospital_matrix
+        bounds = (matrix_min(a), matrix_max(a), matrix_min(m), matrix_max(m))
+        if self.class_tag == REPEATED:
+            return Frontier(*bounds)
+        if self.class_tag == ZERO_SUM:
+            identity = IdentityTransform(Fraction(1), Fraction(0), "doctor", a)
+            return Frontier(*bounds, identity, bounds[0], bounds[1])
+        if self.class_tag == STRICTLY_COMPETITIVE:
+            tr = affine_transform(a, m)
+            return Frontier(*bounds, tr, matrix_min(tr.image), matrix_max(tr.image))
+        raise UnsupportedClassError(f"no exact frontier solver for class {self.class_tag}")
 
     @property
     def n_rows(self) -> int:

@@ -11,6 +11,7 @@ loser's bid.
 
 from __future__ import annotations
 
+from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -23,7 +24,14 @@ from .core import (
     format_rational,
 )
 from .errors import EpsilonNotPositiveError, MatchGamesError, UnsupportedClassError
-from .qcqp import PairOutcome, max_f_given_g_floor, max_g_given_f_floor
+from .qcqp import (
+    FrontierPoint,
+    PairOutcome,
+    frontier_witness,
+    max_f_given_g_floor,
+    max_f_point,
+    max_g_point,
+)
 
 FREE_SEAT = "__free_seat__"
 
@@ -56,34 +64,81 @@ class DacTrace:
         self.events.append(line)
 
 
+class SeatBook(MutableMapping):
+    """Seat outcomes keyed by (hospital, doctor), indexed per hospital.
+
+    Every write, including a direct ``seats[(h, d)] = outcome``, updates the
+    hospital's member index and drops its cached weakest seat, so queries
+    never rescan the other hospitals' seats.
+    """
+
+    def __init__(self, seats=()):
+        self._seats: Dict[Tuple[str, str], PairOutcome] = {}
+        self._by_hospital: Dict[str, Dict[str, PairOutcome]] = {}
+        self._weakest: Dict[str, Tuple[Fraction, str]] = {}
+        self.update(seats)
+
+    def __getitem__(self, key):
+        return self._seats[key]
+
+    def __setitem__(self, key, outcome):
+        h, d = key
+        self._seats[key] = outcome
+        self._by_hospital.setdefault(h, {})[d] = outcome
+        self._weakest.pop(h, None)
+
+    def __delitem__(self, key):
+        h, d = key
+        del self._seats[key]
+        del self._by_hospital[h][d]
+        self._weakest.pop(h, None)
+
+    def __iter__(self):
+        return iter(self._seats)
+
+    def __len__(self):
+        return len(self._seats)
+
+    def members(self, h: str) -> List[str]:
+        return sorted(self._by_hospital.get(h, ()))
+
+    def occupied(self, h: str) -> int:
+        return len(self._by_hospital.get(h, ()))
+
+    def weakest(self, h: str) -> Tuple[Fraction, str]:
+        """(lowest seat value, its doctor); ties go to the lowest doctor id."""
+        if h not in self._weakest:
+            self._weakest[h] = min((o.g, d) for d, o in self._by_hospital[h].items())
+        return self._weakest[h]
+
+
 @dataclass
 class DacState:
     instance: MatchingGameInstance
     epsilon: Fraction
     matching: Dict[str, Optional[str]] = field(default_factory=dict)
-    seats: Dict[Tuple[str, str], PairOutcome] = field(default_factory=dict)
+    seats: SeatBook = field(default_factory=SeatBook)
     unmatched: List[str] = field(default_factory=list)
     trace: DacTrace = field(default_factory=DacTrace)
 
+    def __post_init__(self):
+        if not isinstance(self.seats, SeatBook):
+            self.seats = SeatBook(self.seats)
+
     def members(self, h: str) -> List[str]:
-        return [d for (hh, d) in sorted(self.seats) if hh == h]
+        return self.seats.members(h)
+
+    def is_full(self, h: str) -> bool:
+        return self.seats.occupied(h) >= self.instance.hospitals[h].quota
 
     def seat_threshold(self, h: str) -> Fraction:
         """Baseline while seats are free, else the weakest seat contribution."""
-        hosp = self.instance.hospitals[h]
-        members = self.members(h)
-        if len(members) < hosp.quota:
-            return hosp.irp
-        return min(self.seats[(h, d)].g for d in members)
+        if not self.is_full(h):
+            return self.instance.hospitals[h].irp
+        return self.seats.weakest(h)[0]
 
     def weakest_incumbent(self, h: str) -> str:
-        members = self.members(h)
-        best = None
-        for d in members:  # sorted id order; ties -> lowest doctor id
-            g = self.seats[(h, d)].g
-            if best is None or g < best[0]:
-                best = (g, d)
-        return best[1]
+        return self.seats.weakest(h)[1]
 
     def to_allocation(self) -> Allocation:
         allocation = Allocation(matching=dict(self.matching))
@@ -96,27 +151,28 @@ class DacState:
         return allocation
 
 
-def hospital_options(state: DacState, d: str, exclude: Tuple[str, ...] = ()) -> List[Tuple[Fraction, int, str, Optional[str], PairOutcome]]:
-    """Feasible (value, hospital_index, hospital, displaced, outcome) options."""
+def hospital_options(state: DacState, d: str, exclude: Tuple[str, ...] = ()) -> List[Tuple[Fraction, int, str, Optional[str], FrontierPoint]]:
+    """Feasible (value, hospital_index, hospital, displaced, point) options.
+
+    Options are priced by value only; the proposal builds the witness
+    profile of the one it takes.
+    """
     instance = state.instance
     eps = state.epsilon
     options = []
     for idx, h in enumerate(instance.hospital_ids):
         if h in exclude or not instance.has_game(d, h):
             continue
-        game = instance.game_for(d, h)
-        hosp = instance.hospitals[h]
-        members = state.members(h)
-        if len(members) < hosp.quota:
-            threshold = hosp.irp + eps
-            displaced = FREE_SEAT
+        if state.is_full(h):
+            weakest_g, displaced = state.seats.weakest(h)
+            threshold = weakest_g + eps
         else:
-            threshold = min(state.seats[(h, dd)].g for dd in members) + eps
-            displaced = state.weakest_incumbent(h)
-        outcome = max_f_given_g_floor(game, threshold)
-        if outcome is None:
+            threshold = instance.hospitals[h].irp + eps
+            displaced = FREE_SEAT
+        point = max_f_point(instance.game_for(d, h), threshold)
+        if point is None:
             continue
-        options.append((outcome.f, idx, h, displaced, outcome))
+        options.append((point.f, idx, h, displaced, point))
     return options
 
 
@@ -131,40 +187,37 @@ def optimal_proposal(state: DacState, d: str, epsilon: Fraction) -> Proposal:
         raise MatchGamesError("proposal epsilon must match the run epsilon")
     irp = state.instance.doctors[d].irp
     options = hospital_options(state, d)
-    options.sort(key=lambda opt: (-opt[0], opt[1]))
-    if options and options[0][0] > irp:
-        value, _, h, displaced, outcome = options[0]
-        return Proposal(hospital=h, displaced=displaced, outcome=outcome, doctor_value=value)
+    if options:
+        # max keeps the first of equal values: the lowest hospital index.
+        value, _, h, displaced, point = max(options, key=lambda opt: opt[0])
+        if value > irp:
+            outcome = frontier_witness(state.instance.game_for(d, h), point)
+            return Proposal(hospital=h, displaced=displaced, outcome=outcome, doctor_value=value)
     return Proposal(hospital=None, displaced=None, outcome=None, doctor_value=irp)
 
 
 def reservation_value(state: DacState, d: str, h: str) -> Fraction:
     """Best value d can secure outside hospital h (including staying single)."""
     irp = state.instance.doctors[d].irp
-    options = hospital_options(state, d, exclude=(h,))
-    best = irp
-    for value, _, _, _, _ in options:
-        if value > best:
-            best = value
-    return best
+    return max([irp] + [opt[0] for opt in hospital_options(state, d, exclude=(h,))])
 
 
 def competition_bid(state: DacState, d: str, h: str, epsilon: Fraction):
     """Reservation payoff and bid of doctor d when competing for h.
 
     The bid is the most per-seat value d can hand to h while keeping her own
-    payoff at or above the reservation.
+    payoff at or above the reservation.  Returns (reservation, bid, point);
+    the bid is priced by value alone, so the point carries no witness.
     """
     if epsilon != state.epsilon:
         raise MatchGamesError("bid epsilon must match the run epsilon")
     beta = reservation_value(state, d, h)
-    game = state.instance.game_for(d, h)
-    outcome = max_g_given_f_floor(game, beta)
-    if outcome is None:
+    point = max_g_point(state.instance.game_for(d, h), beta)
+    if point is None:
         # The doctor cannot reach her reservation inside this game at all;
         # she concedes nothing and effectively bids below any incumbent.
         return beta, None, None
-    return beta, outcome.g, outcome
+    return beta, point.g, point
 
 
 def settle_competition(state: DacState, winner: str, loser_bid: Fraction, h: str,

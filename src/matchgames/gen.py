@@ -17,6 +17,7 @@ from .core import (
     Hospital,
     MatchingGameInstance,
     negate,
+    transpose,
 )
 
 
@@ -85,10 +86,19 @@ def generate_instance(seed: int, model: str = ADDITIVE_SEPARABLE,
         ids = list(doctors)
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
-                games[(a, b)] = random_game(
+                game = random_game(
                     rng, len(doctors[a].strategies), len(doctors[b].strategies),
                     rng.choice(classes), max_denominator,
                 )
+                if a < b:
+                    games[(a, b)] = game
+                else:
+                    # Ids compare as strings ("d10" < "d2"): store the pair
+                    # under its sorted key, rows owned by the smaller id.
+                    games[(b, a)] = BimatrixGame(
+                        transpose(game.hospital_matrix), transpose(game.doctor_matrix),
+                        game.class_tag,
+                    )
         return MatchingGameInstance(model=ROOMMATES, doctors=doctors, hospitals={}, games=games)
 
     h_lo = irp_lo if hospital_irp_lo is None else hospital_irp_lo

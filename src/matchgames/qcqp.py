@@ -23,25 +23,18 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, Optional, Tuple
 
-from .core import (
-    REPEATED,
-    STRICTLY_COMPETITIVE,
-    ZERO_SUM,
+from .core import (  # AffineTransform and affine_transform are re-exported
+    AffineTransform,
     BimatrixGame,
     CycleStrategy,
     Matrix,
+    affine_transform,
     bilinear,
     matrix_max,
     matrix_min,
-    negate,
     pure,
 )
-from .errors import (
-    InfeasibleError,
-    MatchGamesError,
-    NotStrictlyCompetitiveError,
-    UnsupportedClassError,
-)
+from .errors import InfeasibleError, MatchGamesError
 from .lp import EQ, GE, OPTIMAL, LinearProgram, solve_lp
 
 
@@ -184,87 +177,14 @@ def distribution_to_cycle(lam: LambdaDistribution, a: Matrix, m: Matrix) -> Cycl
     return CycleStrategy(cycle=tuple(steps))
 
 
-@dataclass(frozen=True)
-class AffineTransform:
-    """Affine bridge between a strictly competitive pair and its zero-sum image.
-
-    With B := -M, exactly one orientation has ratio <= 1:
-
-    * direction "doctor":   A == ratio * B + shift * U; image matrix is B and
-      the doctor's payoffs are the rescaled ones.
-    * direction "hospital": B == ratio * A + shift * U; image matrix is A and
-      the hospital's payoffs are the rescaled ones (M-payoff ==
-      ratio * (-A-payoff) - shift).
-    """
-
-    ratio: Fraction
-    shift: Fraction
-    direction: str
-    image: Matrix
-
-    def image_doctor_value(self, f: Fraction) -> Fraction:
-        if self.direction == "doctor":
-            return (f - self.shift) / self.ratio
-        return f
-
-    def original_doctor_value(self, z: Fraction) -> Fraction:
-        if self.direction == "doctor":
-            return self.ratio * z + self.shift
-        return z
-
-    def image_hospital_value(self, g: Fraction) -> Fraction:
-        if self.direction == "doctor":
-            return g
-        return (g + self.shift) / self.ratio
-
-    def original_hospital_value(self, ih: Fraction) -> Fraction:
-        if self.direction == "doctor":
-            return ih
-        return self.ratio * ih - self.shift
-
-
-def affine_transform(a: Matrix, m: Matrix) -> AffineTransform:
-    """Compute the ratio-<=-1 affine bridge for a strictly competitive pair."""
-    b = negate(m)
-    a_range = matrix_max(a) - matrix_min(a)
-    b_range = matrix_max(b) - matrix_min(b)
-    if a_range <= b_range and b_range > 0:
-        ratio = a_range / b_range
-        shift = matrix_min(a) - matrix_min(b) * ratio
-        _verify_affine(a, b, ratio, shift)
-        return AffineTransform(ratio=ratio, shift=shift, direction="doctor", image=b)
-    if b_range == 0 and a_range == 0:
-        return AffineTransform(
-            ratio=Fraction(1), shift=a[0][0] - b[0][0], direction="doctor", image=b
-        )
-    if b_range == 0 or a_range == 0:
-        rows, cols = len(a), len(a[0])
-        for i in range(rows):
-            for j in range(cols):
-                if a[i][j] != a[0][0] or b[i][j] != b[0][0]:
-                    raise NotStrictlyCompetitiveError(
-                        "one matrix is constant and the other is not",
-                        entry=(i, j, a[i][j], b[i][j]),
-                    )
-    ratio = b_range / a_range
-    shift = matrix_min(b) - matrix_min(a) * ratio
-    _verify_affine(b, a, ratio, shift)
-    return AffineTransform(ratio=ratio, shift=shift, direction="hospital", image=a)
-
-
-def _verify_affine(left: Matrix, right: Matrix, ratio: Fraction, shift: Fraction):
-    for i, row in enumerate(left):
-        for j, value in enumerate(row):
-            expected = ratio * right[i][j] + shift
-            if value != expected:
-                raise NotStrictlyCompetitiveError(
-                    f"no affine variant: entry ({i},{j}) is {value}, expected {expected}",
-                    entry=(i, j, value, expected),
-                )
-
-
 # ---------------------------------------------------------------------------
-# Class-dispatched frontier queries (original payoff units throughout)
+# Frontier queries (original payoff units throughout)
+#
+# Each query first prices the option by value alone from the game's cached
+# frontier (``BimatrixGame.frontier``), then, only when the caller asks for
+# it, builds a witness profile realising that value.  Zero-sum pairs are the
+# identity case of the affine bridge, so the one-shot classes share one
+# interval computation; repeated pairs query the payoff hull by LP.
 
 
 @dataclass
@@ -278,6 +198,69 @@ class PairOutcome:
     cycle: Optional[CycleStrategy] = None
 
 
+@dataclass(frozen=True)
+class FrontierPoint:
+    """A frontier query's exact payoffs, before any witness is built.
+
+    ``z`` is the zero-sum image value that a one-shot witness must hit;
+    ``lam`` is the hull distribution that a repeated-pair cycle realises.
+    """
+
+    f: Fraction
+    g: Fraction
+    z: Optional[Fraction] = None
+    lam: Optional[LambdaDistribution] = None
+
+
+def max_f_point(game: BimatrixGame, theta: Fraction,
+                strict: bool = False) -> Optional[FrontierPoint]:
+    """Value of :func:`max_f_given_g_floor` without a witness profile."""
+    fr = game.frontier
+    tr = fr.transform
+    if tr is None:
+        if theta > fr.m_max or (strict and theta == fr.m_max):
+            return None
+        lam, (f, g) = _hull_lp(game.doctor_matrix, game.hospital_matrix,
+                               objective=("max_f",), g_floor=theta)
+        return FrontierPoint(f=f, g=g, lam=lam)
+    c = -tr.image_hospital_value(theta)
+    if c < fr.z_min or (strict and c == fr.z_min):
+        return None
+    return _image_point(tr, min(c, fr.z_max))
+
+
+def max_g_point(game: BimatrixGame, beta: Fraction,
+                strict: bool = False) -> Optional[FrontierPoint]:
+    """Value of :func:`max_g_given_f_floor` without a witness profile."""
+    fr = game.frontier
+    tr = fr.transform
+    if tr is None:
+        if beta > fr.a_max or (strict and beta == fr.a_max):
+            return None
+        lam, (f, g) = _hull_lp(game.doctor_matrix, game.hospital_matrix,
+                               objective=("max_g",), f_floor=beta)
+        return FrontierPoint(f=f, g=g, lam=lam)
+    b = tr.image_doctor_value(beta)
+    if b > fr.z_max or (strict and b == fr.z_max):
+        return None
+    return _image_point(tr, max(b, fr.z_min))
+
+
+def _image_point(tr: AffineTransform, z: Fraction) -> FrontierPoint:
+    # Every image profile of value z pays exactly these original payoffs.
+    return FrontierPoint(f=tr.original_doctor_value(z),
+                         g=tr.original_hospital_value(-z), z=z)
+
+
+def frontier_witness(game: BimatrixGame, point: FrontierPoint) -> PairOutcome:
+    """A profile of ``game`` paying exactly the point's payoffs."""
+    if point.lam is not None:
+        cycle = distribution_to_cycle(point.lam, game.doctor_matrix, game.hospital_matrix)
+        return PairOutcome(f=point.f, g=point.g, cycle=cycle)
+    x, y, _ = achieve_value_zero_sum(game.frontier.transform.image, point.z)
+    return PairOutcome(f=point.f, g=point.g, x=x, y=y)
+
+
 def max_f_given_g_floor(game: BimatrixGame, theta: Fraction,
                         strict: bool = False) -> Optional[PairOutcome]:
     """Best doctor payoff while giving the partner at least ``theta``.
@@ -287,32 +270,8 @@ def max_f_given_g_floor(game: BimatrixGame, theta: Fraction,
     value is unchanged where the open set is non-empty, but boundary-only
     options (partner floor equal to her best attainable payoff) disappear.
     """
-    a, m = game.doctor_matrix, game.hospital_matrix
-    if game.class_tag == ZERO_SUM:
-        c = -theta
-        if c < matrix_min(a) or (strict and c == matrix_min(a)):
-            return None
-        sol = solve_qcqp_zero_sum(a, c)
-        return PairOutcome(f=sol.value, g=-sol.value, x=sol.x, y=sol.y)
-    if game.class_tag == STRICTLY_COMPETITIVE:
-        tr = affine_transform(a, m)
-        c = -tr.image_hospital_value(theta)
-        z = tr.image
-        if c < matrix_min(z) or (strict and c == matrix_min(z)):
-            return None
-        sol = solve_qcqp_zero_sum(z, c)
-        return PairOutcome(
-            f=bilinear(sol.x, a, sol.y),
-            g=bilinear(sol.x, m, sol.y),
-            x=sol.x,
-            y=sol.y,
-        )
-    if game.class_tag == REPEATED:
-        if theta > matrix_max(m) or (strict and theta == matrix_max(m)):
-            return None
-        lam, (f, g) = solve_qcqp_repeated(a, m, theta)
-        return PairOutcome(f=f, g=g, cycle=distribution_to_cycle(lam, a, m))
-    raise UnsupportedClassError(f"no exact frontier solver for class {game.class_tag}")
+    point = max_f_point(game, theta, strict)
+    return None if point is None else frontier_witness(game, point)
 
 
 def max_g_given_f_floor(game: BimatrixGame, beta: Fraction,
@@ -323,28 +282,8 @@ def max_g_given_f_floor(game: BimatrixGame, beta: Fraction,
     reported (for the one-shot classes the witness profile then sits at the
     closed boundary, arbitrarily approachable from the strict side).
     """
-    a, m = game.doctor_matrix, game.hospital_matrix
-    if game.class_tag == ZERO_SUM:
-        if beta > matrix_max(a) or (strict and beta == matrix_max(a)):
-            return None
-        target = max(beta, matrix_min(a))
-        x, y, _ = achieve_value_zero_sum(a, target)
-        return PairOutcome(f=target, g=-target, x=x, y=y)
-    if game.class_tag == STRICTLY_COMPETITIVE:
-        tr = affine_transform(a, m)
-        beta_img = tr.image_doctor_value(beta)
-        z = tr.image
-        if beta_img > matrix_max(z) or (strict and beta_img == matrix_max(z)):
-            return None
-        target = max(beta_img, matrix_min(z))
-        x, y, _ = achieve_value_zero_sum(z, target)
-        return PairOutcome(f=bilinear(x, a, y), g=bilinear(x, m, y), x=x, y=y)
-    if game.class_tag == REPEATED:
-        if beta > matrix_max(a) or (strict and beta == matrix_max(a)):
-            return None
-        lam, (f, g) = _hull_lp(a, m, objective=("max_g",), f_floor=beta)
-        return PairOutcome(f=f, g=g, cycle=distribution_to_cycle(lam, a, m))
-    raise UnsupportedClassError(f"no exact frontier solver for class {game.class_tag}")
+    point = max_g_point(game, beta, strict)
+    return None if point is None else frontier_witness(game, point)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .core import (
     MatchingGameInstance,
     Matrix,
     bilinear,
+    _pair_doctor_payoff,
     matrix_max,
     matrix_min,
     negate,
@@ -44,6 +45,7 @@ from .core import (
 )
 from .errors import (
     EpsilonNotPositiveError,
+    InfeasibleError,
     InfeasibleReservationsError,
     InputNotPairwiseStableError,
     MatchGamesError,
@@ -56,8 +58,8 @@ from .qcqp import (
     affine_transform,
     distribution_to_cycle,
     _hull_lp,
-    max_f_given_g_floor,
-    max_g_given_f_floor,
+    max_f_point,
+    max_g_point,
 )
 
 SADDLE_VALUE = "saddle_value"
@@ -100,50 +102,78 @@ def reservation_payoffs(instance: MatchingGameInstance, allocation: Allocation,
     whose constraint can only bind exactly at the game's boundary is no
     outside option at all, exactly as it is no blocking opportunity.
     """
-    from .core import evaluate_payoffs
-
-    payoffs = evaluate_payoffs(instance, allocation)
-    doctor_res = _doctor_outside_value(instance, allocation, payoffs, d, exclude=partner,
-                                       epsilon=epsilon)
-    if instance.model == ROOMMATES:
-        partner_res = _doctor_outside_value(instance, allocation, payoffs, partner,
-                                            exclude=d, epsilon=epsilon)
-        return ReservationPair(doctor_res, partner_res)
-
-    h = partner
-    best = instance.hospitals[h].irp
-    members = set(allocation.hospital_members(h))
-    for k in instance.doctor_ids:
-        if k in members or not instance.has_game(k, h):
-            continue
-        outcome = max_g_given_f_floor(
-            instance.game_for(k, h), payoffs.doctor_payoffs[k] + epsilon, strict=True
-        )
-        if outcome is not None and outcome.g > best:
-            best = outcome.g
-    return ReservationPair(doctor_res, best)
+    return _PayoffLedger(instance, allocation).reservations(d, partner, epsilon)
 
 
-def _doctor_outside_value(instance, allocation, payoffs, d, exclude, epsilon):
-    best = instance.doctors[d].irp
-    for k in instance.partner_options(d):
-        if k == exclude:
-            continue
-        if instance.model == ROOMMATES:
-            threshold = payoffs.doctor_payoffs[k] + epsilon
+class _PayoffLedger:
+    """Doctor payoffs and seat values of an allocation, kept per couple.
+
+    Renegotiation changes profiles but never the matching, so an update to
+    one couple moves only that couple's two entries; ``record`` re-reads them
+    from the installed profile.  In the roommates model the partner's value
+    is her own doctor payoff.
+    """
+
+    def __init__(self, instance: MatchingGameInstance, allocation: Allocation):
+        self.instance = instance
+        self.roommates = instance.model == ROOMMATES
+        self.doctor_payoffs = {d: doc.irp for d, doc in instance.doctors.items()}
+        self.seat_values: Dict[Tuple[str, str], Fraction] = {}
+        self.members: Dict[str, List[str]] = {}
+        for d, partner in _sweep_order(instance, allocation):
+            self.record(allocation, d, partner)
+            if not self.roommates:
+                self.members.setdefault(partner, []).append(d)
+
+    def record(self, allocation: Allocation, d: str, partner: str):
+        self.doctor_payoffs[d] = _pair_doctor_payoff(self.instance, allocation, d, partner)
+        value = seat_contribution(self.instance, allocation, d, partner)
+        if self.roommates:
+            self.doctor_payoffs[partner] = value
         else:
-            hosp = instance.hospitals[k]
-            members = [m for m in allocation.hospital_members(k) if m != d]
-            if len(members) < hosp.quota:
-                threshold = hosp.irp + epsilon
+            self.seat_values[(partner, d)] = value
+
+    def pair_payoffs(self, couples) -> Dict[Tuple[str, str], Tuple[Fraction, Fraction]]:
+        return {(d, p): (self.doctor_payoffs[d], self._partner_value(d, p)) for d, p in couples}
+
+    def _partner_value(self, d, partner):
+        return self.doctor_payoffs[partner] if self.roommates else self.seat_values[(partner, d)]
+
+    def reservations(self, d: str, partner: str, epsilon: Fraction) -> ReservationPair:
+        doctor_res = self._doctor_outside_value(d, partner, epsilon)
+        if self.roommates:
+            return ReservationPair(doctor_res, self._doctor_outside_value(partner, d, epsilon))
+        instance, h = self.instance, partner
+        best = instance.hospitals[h].irp
+        members = self.members.get(h, ())
+        for k in instance.doctor_ids:
+            if k in members or not instance.has_game(k, h):
+                continue
+            point = max_g_point(instance.game_for(k, h), self.doctor_payoffs[k] + epsilon,
+                                strict=True)
+            if point is not None and point.g > best:
+                best = point.g
+        return ReservationPair(doctor_res, best)
+
+    def _doctor_outside_value(self, d, exclude, epsilon):
+        instance = self.instance
+        best = instance.doctors[d].irp
+        for k in instance.partner_options(d):
+            if k == exclude:
+                continue
+            if self.roommates:
+                threshold = self.doctor_payoffs[k] + epsilon
             else:
-                threshold = min(
-                    seat_contribution(instance, allocation, m, k) for m in members
-                ) + epsilon
-        outcome = max_f_given_g_floor(instance.game_for(d, k), threshold, strict=True)
-        if outcome is not None and outcome.f > best:
-            best = outcome.f
-    return best
+                hosp = instance.hospitals[k]
+                others = [m for m in self.members.get(k, ()) if m != d]
+                if len(others) < hosp.quota:
+                    threshold = hosp.irp + epsilon
+                else:
+                    threshold = min(self.seat_values[(k, m)] for m in others) + epsilon
+            point = max_f_point(instance.game_for(d, k), threshold, strict=True)
+            if point is not None and point.f > best:
+                best = point.f
+        return best
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +390,13 @@ def compute_cne_repeated(a: Matrix, m: Matrix, f_res: Fraction, g_res: Fraction,
     """
     try:
         _hull_lp(a, m, objective=("max_f",), f_floor=f_res - epsilon, g_floor=g_res - epsilon)
-    except Exception:
+    except InfeasibleError:
         raise InfeasibleReservationsError("acceptable payoff set is empty")
     alpha, beta, y_alpha, x_beta = punishment_levels(a, m)
 
     try:
         lam, f, g = _uniform_point(a, m, max(alpha, f_res - epsilon), max(beta, g_res - epsilon))
-    except Exception:
+    except InfeasibleError:
         lam = None
     if lam is not None:
         cycle = distribution_to_cycle(lam, a, m)
@@ -412,7 +442,7 @@ def _try_exact_point(a, m, f_target, g_target):
     try:
         lam, _ = _hull_lp(a, m, objective=("max_f",), f_exact=f_target, g_exact=g_target)
         return lam
-    except Exception:
+    except InfeasibleError:
         return None
 
 
@@ -570,19 +600,16 @@ def run_renegotiation(instance: MatchingGameInstance, allocation: Allocation,
         # keeps changing, so payoff spreads over epsilon bound the sweeps.
         spread = Fraction(0)
         for d, partner in couples:
-            game = instance.game_for(d, partner)
-            spread = max(
-                spread,
-                matrix_max(game.doctor_matrix) - matrix_min(game.doctor_matrix),
-                matrix_max(game.hospital_matrix) - matrix_min(game.hospital_matrix),
-            )
+            fr = instance.game_for(d, partner).frontier
+            spread = max(spread, fr.a_max - fr.a_min, fr.m_max - fr.m_min)
         max_sweeps = 4 * int(spread / epsilon) + 100
-    previous = _payoff_pairs(instance, current, couples)
+    ledger = _PayoffLedger(instance, current)
+    previous = ledger.pair_payoffs(couples)
     sweeps = 0
     history = []
     for _ in range(max_sweeps):
         for d, partner in couples:
-            reservations = reservation_payoffs(instance, current, d, partner, epsilon)
+            reservations = ledger.reservations(d, partner, epsilon)
             game = instance.game_for(d, partner)
             still_fine, _ = check_couple_is_cne(
                 instance, current, d, partner, reservations, epsilon
@@ -599,7 +626,8 @@ def run_renegotiation(instance: MatchingGameInstance, allocation: Allocation,
                 # empty; park the couple and let the others move first.
                 continue
             _apply_updates(instance, current, {(d, partner): cne})
-        now = _payoff_pairs(instance, current, couples)
+            ledger.record(current, d, partner)
+        now = ledger.pair_payoffs(couples)
         history.append(now)
         if on_sweep is not None:
             on_sweep(_copy_allocation(current))
@@ -623,27 +651,6 @@ def _sweep_order(instance, allocation):
     else:
         pairs.sort(key=lambda dp: (dp[1], dp[0]))
     return pairs
-
-
-def _payoff_pairs(instance, allocation, couples):
-    out = {}
-    for d, partner in couples:
-        game = instance.game_for(d, partner)
-        if game.class_tag == REPEATED:
-            from .core import _cycle_for
-
-            cycle = _cycle_for(instance, allocation, d, partner)
-            out[(d, partner)] = cycle.average_payoffs(game.doctor_matrix, game.hospital_matrix)
-        else:
-            if instance.model == ROOMMATES:
-                x, y = allocation.doctor_strategies[d], allocation.doctor_strategies[partner]
-            else:
-                x, y = allocation.doctor_strategies[d], allocation.hospital_strategies[(partner, d)]
-            out[(d, partner)] = (
-                bilinear(x, game.doctor_matrix, y),
-                bilinear(x, game.hospital_matrix, y),
-            )
-    return out
 
 
 def _apply_updates(instance, allocation, updates):

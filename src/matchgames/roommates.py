@@ -31,6 +31,7 @@ from .core import (
     matrix_min,
 )
 from .errors import (
+    InfeasibleError,
     MatchGamesError,
     NotAnAspirationError,
     UnsupportedClassError,
@@ -66,7 +67,7 @@ def partnership_value(instance: MatchingGameInstance, d: str, other: str,
         a, m = game.doctor_matrix, game.hospital_matrix
         try:
             _, (f, _) = _hull_lp(a, m, objective=("max_f",), g_exact=partner_value)
-        except Exception:
+        except InfeasibleError:
             return None
         return f
     z, to_f, to_g = _frontier(instance, d, other)
@@ -102,7 +103,7 @@ def demand_set(instance: MatchingGameInstance, profile: PayoffProfile, d: str) -
                 _hull_lp(a, m, objective=("max_f",),
                          f_exact=profile[d], g_exact=profile[other])
                 out.add(other)
-            except Exception:
+            except InfeasibleError:
                 pass
             continue
         z, to_f, to_g = _frontier(instance, d, other)

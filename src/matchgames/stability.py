@@ -34,7 +34,7 @@ from .core import (
     matrix_min,
     seat_contribution,
 )
-from .errors import CapExceededError, MatchGamesError, UnsupportedClassError
+from .errors import CapExceededError, InfeasibleError, MatchGamesError, UnsupportedClassError
 from .lp import GE, OPTIMAL, LinearProgram, solve_lp
 from .qcqp import (
     achieve_value_zero_sum,
@@ -167,7 +167,7 @@ def _pair_block_profile(game: BimatrixGame, f_floor: Fraction, g_floor: Fraction
         try:
             _, (f1, _) = _hull_lp(a, m, objective=("max_f",), g_floor=g_floor)
             lam_g, (f2, g1) = _hull_lp(a, m, objective=("max_g",), f_floor=f_floor)
-        except Exception:
+        except InfeasibleError:
             return None
         if not (f1 > f_floor and g1 > g_floor):
             return None
@@ -290,7 +290,7 @@ def _best_seat_value_above(game: BimatrixGame, f_floor: Fraction):
     if game.class_tag == REPEATED:
         try:
             _, (f_best, _) = _hull_lp(a, m, objective=("max_f",))
-        except Exception:
+        except InfeasibleError:
             return None
         if f_best <= f_floor:
             return None
@@ -403,7 +403,7 @@ def _profile_just_above(game, f_floor, delta):
     if game.class_tag == REPEATED:
         try:
             lam, (f_val, g_val) = _hull_lp(a, m, objective=("max_g",), f_floor=f_floor + delta)
-        except Exception:
+        except InfeasibleError:
             return None
         if f_val <= f_floor:
             return None
