@@ -317,6 +317,17 @@ class BimatrixGame:
             return Frontier(*bounds, tr, matrix_min(tr.image), matrix_max(tr.image))
         raise UnsupportedClassError(f"no exact frontier solver for class {self.class_tag}")
 
+    @cached_property
+    def flipped(self) -> "BimatrixGame":
+        """The game seen from the column player: both matrices transposed and
+        their roles swapped.  Built once per game, so the view keeps its own
+        cached frontier."""
+        return BimatrixGame(
+            doctor_matrix=transpose(self.hospital_matrix),
+            hospital_matrix=transpose(self.doctor_matrix),
+            class_tag=self.class_tag,
+        )
+
     @property
     def n_rows(self) -> int:
         return len(self.doctor_matrix)
@@ -386,16 +397,12 @@ class MatchingGameInstance:
 
         In the roommates model the stored orientation has rows owned by the
         lexicographically smaller doctor; the flipped view transposes both
-        matrices and swaps their roles.
+        matrices and swaps their roles (:attr:`BimatrixGame.flipped`).
         """
         key = self.pair_key(d, other)
         game = self.games[key]
         if self.model == ROOMMATES and key[0] != d:
-            return BimatrixGame(
-                doctor_matrix=transpose(game.hospital_matrix),
-                hospital_matrix=transpose(game.doctor_matrix),
-                class_tag=game.class_tag,
-            )
+            return game.flipped
         return game
 
     def partner_options(self, d: str) -> List[str]:

@@ -11,8 +11,8 @@ The general problem is NP-hard, but each supported game class reduces it:
 * strictly competitive: an affine change of payoff units onto a zero-sum
   image with ratio <= 1, solved there and mapped back.
 
-A grid oracle (floating point scan, never authoritative) cross-checks all of
-them in tests.
+A grid oracle (an exact scan over a rational grid, approximate by
+construction and never authoritative) cross-checks all of them in tests.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Dict, Optional, Tuple
 
 from .core import (  # AffineTransform and affine_transform are re-exported
@@ -311,40 +310,20 @@ def _compositions(total: int, parts: int):
 def solve_qcqp_grid_oracle(a: Matrix, m: Matrix, c: Fraction, grid_resolution: int) -> QcqpSolution:
     """Best grid profile for max{xAy | xMy >= c}; approximate by construction.
 
-    Floating point (numpy) screens the grid; the winning point is re-checked
-    in exact arithmetic and an exact rescan covers the rare boundary miss.
+    Scans every pair of grid points in exact arithmetic; the first best
+    feasible pair in row-major grid order wins.
     """
-    import numpy as np
-
     if grid_resolution < 1:
         raise MatchGamesError("grid_resolution must be >= 1")
-    n_rows, n_cols = len(a), len(a[0])
-    xs = list(simplex_grid(n_rows, grid_resolution))
-    ys = list(simplex_grid(n_cols, grid_resolution))
-    xf = np.array([[float(v) for v in x] for x in xs])
-    yf = np.array([[float(v) for v in y] for y in ys])
-    af = np.array([[float(v) for v in row] for row in a])
-    mf = np.array([[float(v) for v in row] for row in m])
-    g_grid = xf @ mf @ yf.T
-    f_grid = xf @ af @ yf.T
-    feasible = g_grid >= float(c) - 1e-9
-    if not feasible.any():
+    ys = list(simplex_grid(len(a[0]), grid_resolution))
+    best = None
+    for x in simplex_grid(len(a), grid_resolution):
+        for y in ys:
+            if bilinear(x, m, y) >= c:
+                fv = bilinear(x, a, y)
+                if best is None or fv > best[0]:
+                    best = (fv, x, y)
+    if best is None:
         raise InfeasibleError("grid scan found no feasible profile")
-    f_masked = np.where(feasible, f_grid, -np.inf)
-    i, j = np.unravel_index(int(np.argmax(f_masked)), f_masked.shape)
-    x, y = xs[i], ys[j]
-    if bilinear(x, m, y) < c:
-        # The float screen admitted a boundary point; fall back to an exact scan.
-        best = None
-        for x in xs:
-            for y in ys:
-                if bilinear(x, m, y) >= c:
-                    fv = bilinear(x, a, y)
-                    if best is None or fv > best[0]:
-                        best = (fv, x, y)
-        if best is None:
-            raise InfeasibleError("grid scan found no feasible profile")
-        _, x, y = best
-    return QcqpSolution(
-        x=x, y=y, value=bilinear(x, a, y), support_note="grid", approximate=True
-    )
+    fv, x, y = best
+    return QcqpSolution(x=x, y=y, value=fv, support_note="grid", approximate=True)

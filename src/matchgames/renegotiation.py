@@ -15,7 +15,9 @@ Unit conventions, fixed once:
 
 The zero-sum CNE value is median{f_res - 2e, w, g_cap + 2e}; the returned
 profile survives both constrained best-response checks with slack e.  The
-2e-wide feasibility band is what makes the construction always exist.
+2e-wide feasibility band is what makes the construction always exist.  Both
+one-shot classes run it on the pair's zero-sum image (the identity for a
+zero-sum pair) and audit the result in the original game.
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ from .core import (
     Matrix,
     bilinear,
     _pair_doctor_payoff,
-    matrix_max,
-    matrix_min,
     negate,
     pure,
     seat_contribution,
@@ -49,13 +49,10 @@ from .errors import (
     InfeasibleReservationsError,
     InputNotPairwiseStableError,
     MatchGamesError,
-    UnsupportedClassError,
 )
 from .lp import GE, OPTIMAL, LinearProgram, game_value, solve_lp
 from .qcqp import (
-    AffineTransform,
     achieve_value_zero_sum,
-    affine_transform,
     distribution_to_cycle,
     _hull_lp,
     max_f_point,
@@ -224,7 +221,7 @@ def _assert_cne_deviations(a, m, x, y, f_res, g_res, epsilon, where):
 
 
 # ---------------------------------------------------------------------------
-# Zero-sum CNE (median construction)
+# One-shot CNE: median construction on the zero-sum image
 
 
 def compute_cne_zero_sum(a: Matrix, f_res: Fraction, g_cap: Fraction,
@@ -237,27 +234,70 @@ def compute_cne_zero_sum(a: Matrix, f_res: Fraction, g_cap: Fraction,
     reached by sliding a payoff-preserving profile toward the saddle until
     every pure row (column) sits on the safe side.
     """
-    lo = f_res - 2 * epsilon
-    hi = g_cap + 2 * epsilon
-    a_min, a_max = matrix_min(a), matrix_max(a)
-    if lo > hi or hi < a_min or lo > a_max:
+    return _one_shot_cne(BimatrixGame(a, negate(a), ZERO_SUM), f_res, -g_cap, epsilon)
+
+
+def compute_cne_strictly_competitive(a: Matrix, m: Matrix, f_res: Fraction,
+                                     g_res: Fraction, epsilon: Fraction,
+                                     tight: bool = False) -> CneResult:
+    """CNE via the zero-sum image; reservations move with an epsilon correction.
+
+    The correction makes the image's constrained-deviation sets coincide with
+    the original ones, so an image CNE maps back unchanged (the deviation
+    audit runs in the original game).  ``g_res`` is in hospital units.
+
+    ``tight`` raises both image reservations by epsilon *in image units*
+    (the rescaled side's epsilon is worth only ratio * epsilon in original
+    units, so shifting before the transform under-protects when the ratio is
+    small); the binding-side value then sits exactly on the one-epsilon
+    original-unit boundary, which is what the renegotiation sweep needs.
+    """
+    game = BimatrixGame(a, m, STRICTLY_COMPETITIVE)
+    return _one_shot_cne(game, f_res, g_res, epsilon, tight)
+
+
+def _one_shot_cne(game: BimatrixGame, f_res: Fraction, g_res: Fraction,
+                  epsilon: Fraction, tight: bool = False) -> CneResult:
+    """The median construction on the game's zero-sum image, audited in the game.
+
+    A zero-sum pair's bridge is the identity (ratio 1: no correction), so
+    both one-shot classes take this one path; see the two public wrappers
+    above for the value rule and the ``tight`` shift.
+    """
+    fr = game.frontier
+    tr = fr.transform
+    z = tr.image
+    f_img = tr.image_doctor_value(f_res)
+    g_img = tr.image_hospital_value(g_res)
+    correction = epsilon * (1 - tr.ratio) / tr.ratio
+    if tr.direction == "doctor":
+        f_img -= correction
+    else:
+        g_img -= correction
+    if tight:
+        f_img += epsilon
+        g_img += epsilon
+    lo = f_img - 2 * epsilon
+    hi = -g_img + 2 * epsilon
+    if lo > hi or hi < fr.z_min or lo > fr.z_max:
         raise InfeasibleReservationsError(
-            f"reservation band [{lo}, {hi}] misses the attainable interval [{a_min}, {a_max}]"
+            f"reservation band [{lo}, {hi}] misses the attainable interval [{fr.z_min}, {fr.z_max}]"
         )
-    w, x_star, y_star = game_value(a)
+    w, x_star, y_star = game_value(z)
     if lo <= w <= hi:
         x, y, tag, value = x_star, y_star, SADDLE_VALUE, w
     elif w < lo:
-        x, y = _slide_rows_to_value(a, lo, y_star, w)
+        x, y = _slide_rows_to_value(z, lo, y_star, w)
         tag, value = DOCTOR_BINDING, lo
     else:
-        x, y = _slide_cols_to_value(a, hi, x_star, w)
+        x, y = _slide_cols_to_value(z, hi, x_star, w)
         tag, value = HOSPITAL_BINDING, hi
-    if bilinear(x, a, y) != value:
+    if bilinear(x, z, y) != value:
         raise MatchGamesError("CNE construction missed its target value")
-    _assert_cne_deviations(a, negate(a), x, y, f_res, -g_cap, epsilon, "zero-sum CNE")
-    return CneResult(x=x, y=y, cycle=None, doctor_payoff=value,
-                     hospital_payoff=-value, case_tag=tag)
+    _assert_cne_deviations(game.doctor_matrix, game.hospital_matrix, x, y,
+                           f_res, g_res, epsilon, f"{game.class_tag} CNE")
+    return CneResult(x=x, y=y, cycle=None, doctor_payoff=tr.original_doctor_value(value),
+                     hospital_payoff=tr.original_hospital_value(-value), case_tag=tag)
 
 
 def _slide_rows_to_value(a: Matrix, v: Fraction, y_star, w):
@@ -313,45 +353,6 @@ def _slide_cols_to_value(a: Matrix, v: Fraction, x_star, w):
     tau, t = best
     x = tuple((1 - tau) * w0 + tau * w1 for w0, w1 in zip(x0, x_star))
     return x, pure(t, n_cols)
-
-
-# ---------------------------------------------------------------------------
-# Strictly competitive CNE (affine transfer)
-
-
-def compute_cne_strictly_competitive(a: Matrix, m: Matrix, f_res: Fraction,
-                                     g_res: Fraction, epsilon: Fraction,
-                                     tight: bool = False) -> CneResult:
-    """CNE via the zero-sum image; reservations move with an epsilon correction.
-
-    The correction makes the image's constrained-deviation sets coincide with
-    the original ones, so an image CNE maps back unchanged (the deviation
-    audit below runs in the original game).  ``g_res`` is in hospital units.
-
-    ``tight`` raises both image reservations by epsilon *in image units*
-    (the rescaled side's epsilon is worth only ratio * epsilon in original
-    units, so shifting before the transform under-protects when the ratio is
-    small); the binding-side value then sits exactly on the one-epsilon
-    original-unit boundary, which is what the renegotiation sweep needs.
-    """
-    tr = affine_transform(a, m)
-    z = tr.image
-    if tr.direction == "doctor":
-        f_img = tr.image_doctor_value(f_res) - epsilon * (1 - tr.ratio) / tr.ratio
-        g_img = g_res  # hospital payoffs coincide with the image's
-    else:
-        f_img = f_res
-        g_img = tr.image_hospital_value(g_res) - epsilon * (1 - tr.ratio) / tr.ratio
-    if tight:
-        f_img += epsilon
-        g_img += epsilon
-    inner = compute_cne_zero_sum(z, f_img, -g_img, epsilon)
-    x, y = inner.x, inner.y
-    f_val = bilinear(x, a, y)
-    g_val = bilinear(x, m, y)
-    _assert_cne_deviations(a, m, x, y, f_res, g_res, epsilon, "strictly competitive CNE")
-    return CneResult(x=x, y=y, cycle=None, doctor_payoff=f_val,
-                     hospital_payoff=g_val, case_tag=inner.case_tag)
 
 
 # ---------------------------------------------------------------------------
@@ -529,17 +530,11 @@ class RenegotiationResult:
 def compute_cne_for_pair(game: BimatrixGame, reservations: ReservationPair,
                          epsilon: Fraction) -> CneResult:
     f_res, g_res = reservations.doctor_reservation, reservations.hospital_reservation
-    if game.class_tag == ZERO_SUM:
-        return compute_cne_zero_sum(game.doctor_matrix, f_res, -g_res, epsilon)
-    if game.class_tag == STRICTLY_COMPETITIVE:
-        return compute_cne_strictly_competitive(
-            game.doctor_matrix, game.hospital_matrix, f_res, g_res, epsilon
-        )
     if game.class_tag == REPEATED:
         return compute_cne_repeated(
             game.doctor_matrix, game.hospital_matrix, f_res, g_res, epsilon
         )
-    raise UnsupportedClassError(f"no CNE routine for class {game.class_tag}")
+    return _one_shot_cne(game, f_res, g_res, epsilon)
 
 
 def select_process_cne(game: BimatrixGame, reservations: ReservationPair,
@@ -552,22 +547,15 @@ def select_process_cne(game: BimatrixGame, reservations: ReservationPair,
     per the definition and immune to constrained deviations -- and, unlike
     the 2e-wide median point, it cannot reopen an outside blocking pair.  It
     is obtained by running the median construction with both reservations
-    raised by e (in image units for strictly competitive pairs).  When the
-    tight band is empty (free-seat floor corners) the plain median point is
-    the fallback.  Repeated pairs already select inside the 1e acceptable
-    set.
+    raised by e in image units.  When the tight band is empty (free-seat floor
+    corners) the plain median point is the fallback.  Repeated pairs already
+    select inside the 1e acceptable set.
     """
-    f_res, g_res = reservations.doctor_reservation, reservations.hospital_reservation
     if game.class_tag == REPEATED:
         return compute_cne_for_pair(game, reservations, epsilon)
     try:
-        if game.class_tag == ZERO_SUM:
-            return compute_cne_zero_sum(
-                game.doctor_matrix, f_res + epsilon, -(g_res + epsilon), epsilon
-            )
-        return compute_cne_strictly_competitive(
-            game.doctor_matrix, game.hospital_matrix, f_res, g_res, epsilon, tight=True
-        )
+        return _one_shot_cne(game, reservations.doctor_reservation,
+                             reservations.hospital_reservation, epsilon, tight=True)
     except InfeasibleReservationsError:
         return compute_cne_for_pair(game, reservations, epsilon)
 

@@ -16,19 +16,16 @@ on the classical unbounded-transfer theory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Set, Tuple
 
 from .core import (
-    REPEATED,
     ROOMMATES,
     STRICTLY_COMPETITIVE,
     ZERO_SUM,
     Allocation,
     MatchingGameInstance,
-    matrix_max,
-    matrix_min,
 )
 from .errors import (
     InfeasibleError,
@@ -36,23 +33,10 @@ from .errors import (
     NotAnAspirationError,
     UnsupportedClassError,
 )
-from .qcqp import achieve_value_zero_sum, affine_transform, distribution_to_cycle, _hull_lp
+from .qcqp import achieve_value_zero_sum, distribution_to_cycle, _hull_lp
+from .stability import all_matchings
 
 PayoffProfile = Dict[str, Fraction]
-
-
-def _frontier(instance: MatchingGameInstance, d: str, other: str):
-    """(image matrix, to_f, to_g) for the pair's one-dimensional Pareto frontier.
-
-    Any image value z maps to d's payoff to_f(z) and the partner's to_g(z).
-    """
-    game = instance.game_for(d, other)
-    if game.class_tag == ZERO_SUM:
-        return game.doctor_matrix, (lambda z: z), (lambda z: -z)
-    if game.class_tag == STRICTLY_COMPETITIVE:
-        tr = affine_transform(game.doctor_matrix, game.hospital_matrix)
-        return tr.image, tr.original_doctor_value, (lambda z, _tr=tr: _tr.original_hospital_value(-z))
-    raise UnsupportedClassError(f"pair ({d},{other}) has no one-dimensional frontier")
 
 
 def partnership_value(instance: MatchingGameInstance, d: str, other: str,
@@ -63,28 +47,21 @@ def partnership_value(instance: MatchingGameInstance, d: str, other: str,
     pair.  Demands below her worst attainable payoff are lifted to it.
     """
     game = instance.game_for(d, other)
-    if game.class_tag == REPEATED:
-        a, m = game.doctor_matrix, game.hospital_matrix
+    fr = game.frontier
+    tr = fr.transform
+    if tr is None:
         try:
-            _, (f, _) = _hull_lp(a, m, objective=("max_f",), g_exact=partner_value)
+            _, (f, _) = _hull_lp(game.doctor_matrix, game.hospital_matrix,
+                                 objective=("max_f",), g_exact=partner_value)
         except InfeasibleError:
             return None
         return f
-    z, to_f, to_g = _frontier(instance, d, other)
-    z_min, z_max = matrix_min(z), matrix_max(z)
-    # Partner payoff decreases along z; she demands at most to_g(z_min).
-    z_demand = _partner_demand_to_image(instance, d, other, partner_value)
-    if z_demand < z_min:
+    # Partner payoff decreases along the image value z; she demands at most
+    # her payoff at z_min.
+    z_demand = -tr.image_hospital_value(partner_value)
+    if z_demand < fr.z_min:
         return None
-    return to_f(min(z_demand, z_max))
-
-
-def _partner_demand_to_image(instance, d, other, partner_value):
-    game = instance.game_for(d, other)
-    if game.class_tag == ZERO_SUM:
-        return -partner_value
-    tr = affine_transform(game.doctor_matrix, game.hospital_matrix)
-    return -tr.image_hospital_value(partner_value)
+    return tr.original_doctor_value(min(z_demand, fr.z_max))
 
 
 def demand_set(instance: MatchingGameInstance, profile: PayoffProfile, d: str) -> Set[str]:
@@ -97,28 +74,20 @@ def demand_set(instance: MatchingGameInstance, profile: PayoffProfile, d: str) -
     out = set()
     for other in instance.partner_options(d):
         game = instance.game_for(d, other)
-        if game.class_tag == REPEATED:
-            a, m = game.doctor_matrix, game.hospital_matrix
+        fr = game.frontier
+        tr = fr.transform
+        if tr is None:
             try:
-                _hull_lp(a, m, objective=("max_f",),
+                _hull_lp(game.doctor_matrix, game.hospital_matrix, objective=("max_f",),
                          f_exact=profile[d], g_exact=profile[other])
                 out.add(other)
             except InfeasibleError:
                 pass
             continue
-        z, to_f, to_g = _frontier(instance, d, other)
-        z_val = _doctor_value_to_image(instance, d, other, profile[d])
-        if matrix_min(z) <= z_val <= matrix_max(z) and to_g(z_val) == profile[other]:
+        z_val = tr.image_doctor_value(profile[d])
+        if fr.z_min <= z_val <= fr.z_max and tr.original_hospital_value(-z_val) == profile[other]:
             out.add(other)
     return out
-
-
-def _doctor_value_to_image(instance, d, other, value):
-    game = instance.game_for(d, other)
-    if game.class_tag == ZERO_SUM:
-        return value
-    tr = affine_transform(game.doctor_matrix, game.hospital_matrix)
-    return tr.image_doctor_value(value)
 
 
 @dataclass
@@ -253,11 +222,11 @@ def _stable_profile_search(instance) -> Optional[PayoffProfile]:
         critical.add(instance.doctors[d].irp)
         critical.add(-instance.doctors[d].irp)
     for game in instance.games.values():
-        lo, hi = matrix_min(game.doctor_matrix), matrix_max(game.doctor_matrix)
+        lo, hi = game.frontier.a_min, game.frontier.a_max
         critical.update((lo, -lo, hi, -hi))
     levels = sorted(critical)
 
-    for matching in _all_matchings(list(doctors)):
+    for matching in all_matchings(list(doctors)):
         pairs = [(a, b) for a, b in matching if b is not None]
         if any(not instance.has_game(a, b) for a, b in pairs):
             continue
@@ -266,9 +235,9 @@ def _stable_profile_search(instance) -> Optional[PayoffProfile]:
         domains = []
         feasible = True
         for a, b in pairs:
-            game = instance.game_for(a, b)
-            lo = max(matrix_min(game.doctor_matrix), instance.doctors[a].irp)
-            hi = min(matrix_max(game.doctor_matrix), -instance.doctors[b].irp)
+            fr = instance.game_for(a, b).frontier
+            lo = max(fr.a_min, instance.doctors[a].irp)
+            hi = min(fr.a_max, -instance.doctors[b].irp)
             cands = [v for v in levels if lo <= v <= hi]
             cands = [
                 v for v in cands
@@ -327,8 +296,8 @@ def _any_block_against(instance, values, pair, singles):
 
 
 def _blocks(instance, values, u, v):
-    game = instance.game_for(u, v)
-    lo, hi = matrix_min(game.doctor_matrix), matrix_max(game.doctor_matrix)
+    fr = instance.game_for(u, v).frontier
+    lo, hi = fr.a_min, fr.a_max
     f_u, f_v = values[u], values[v]
     # Open interval (f_u, -f_v) must miss the attainable interval [lo, hi].
     left = max(f_u, lo)
@@ -347,19 +316,6 @@ def _singles_mutually_stable(instance, fixed):
             if instance.has_game(u, v) and _blocks(instance, fixed, u, v):
                 return False
     return True
-
-
-def _all_matchings(items):
-    if not items:
-        yield []
-        return
-    head, rest = items[0], items[1:]
-    for sub in _all_matchings(rest):
-        yield [(head, None)] + sub
-    for i, partner in enumerate(rest):
-        remaining = rest[:i] + rest[i + 1:]
-        for sub in _all_matchings(remaining):
-            yield [(head, partner)] + sub
 
 
 def _cycle_restart_candidates(instance, states):
@@ -479,7 +435,8 @@ def _component_of(graph: DemandGraph, start: str):
 
 def _realize_pair(instance, allocation, a, b, profile):
     game = instance.game_for(a, b)
-    if game.class_tag == REPEATED:
+    tr = game.frontier.transform
+    if tr is None:
         lam, _ = _hull_lp(
             game.doctor_matrix, game.hospital_matrix,
             objective=("max_f",), f_exact=profile[a], g_exact=profile[b],
@@ -490,8 +447,6 @@ def _realize_pair(instance, allocation, a, b, profile):
             cycle.cycle = tuple((t, s) for s, t in cycle.cycle)
         allocation.cycles[key] = cycle
         return
-    z, to_f, to_g = _frontier(instance, a, b)
-    z_val = _doctor_value_to_image(instance, a, b, profile[a])
-    x, y, _ = achieve_value_zero_sum(z, z_val)
+    x, y, _ = achieve_value_zero_sum(tr.image, tr.image_doctor_value(profile[a]))
     allocation.doctor_strategies[a] = x
     allocation.doctor_strategies[b] = y

@@ -1,11 +1,20 @@
-"""Independent stability oracles: blocking pairs, coalitions, core enumeration.
+"""Stability oracles: blocking pairs, coalitions, core enumeration.
 
-The checks here never reuse solver internals: zero-sum and strictly
-competitive pairs are audited through exact attainable-interval tests,
-repeated pairs through exact LPs over the feasible payoff hull, and the
-enumerated model through direct table scans.  Grid methods are tagged
-approximate and any witness they produce is replayed exactly before being
-reported.
+Zero-sum and strictly competitive pairs are audited through exact
+attainable-interval tests on the game's zero-sum image, repeated pairs
+through exact LPs over the feasible payoff hull, and the enumerated model
+through direct table scans.  Grid methods are tagged approximate and any
+witness they produce is replayed exactly before being reported.
+
+The oracles share three pieces with the solvers: the cached affine bridge
+``BimatrixGame.frontier`` (a zero-sum pair's bridge is the identity), the
+hull LP ``qcqp._hull_lp`` and the profile builder
+``qcqp.achieve_value_zero_sum``.  Sharing the bridge is sound because
+``core._verify_affine`` checks it entry by entry when it is built, so every
+image value maps back to payoffs the original matrices attain.  Every
+blocking-pair witness is replayed in the original matrices before it is
+reported, and the renegotiation check delegates to the CNE
+characterisation in ``renegotiation``.
 """
 
 from __future__ import annotations
@@ -30,19 +39,10 @@ from .core import (
     PayoffReport,
     bilinear,
     evaluate_payoffs,
-    matrix_max,
-    matrix_min,
     seat_contribution,
 )
 from .errors import CapExceededError, InfeasibleError, MatchGamesError, UnsupportedClassError
-from .lp import GE, OPTIMAL, LinearProgram, solve_lp
-from .qcqp import (
-    achieve_value_zero_sum,
-    affine_transform,
-    distribution_to_cycle,
-    _hull_lp,
-    simplex_grid,
-)
+from .qcqp import achieve_value_zero_sum, _hull_lp, simplex_grid
 
 EXACT_INTERVAL = "exact_interval"
 EXACT_LP = "exact_lp"
@@ -147,51 +147,41 @@ def _pair_block_profile(game: BimatrixGame, f_floor: Fraction, g_floor: Fraction
     Exact for the three structured classes, grid-based otherwise.
     """
     a, m = game.doctor_matrix, game.hospital_matrix
-    if game.class_tag == ZERO_SUM:
-        point = _open_interval_point(f_floor, -g_floor, matrix_min(a), matrix_max(a))
-        if point is None:
-            return None
-        x, y, _ = achieve_value_zero_sum(a, point)
-        return x, y, None, EXACT_INTERVAL
-    if game.class_tag == STRICTLY_COMPETITIVE:
-        tr = affine_transform(a, m)
-        z = tr.image
+    if game.class_tag == GENERAL:
+        # Strategic pair: grid scan, exact arithmetic at every grid point.
+        for x in simplex_grid(game.n_rows, grid_mesh):
+            for y in simplex_grid(game.n_cols, grid_mesh):
+                if bilinear(x, a, y) > f_floor and bilinear(x, m, y) > g_floor:
+                    return x, y, None, grid_method(grid_mesh)
+        return None
+    fr = game.frontier
+    tr = fr.transform
+    if tr is not None:
         z_lo = tr.image_doctor_value(f_floor)
         z_hi = -tr.image_hospital_value(g_floor)
-        point = _open_interval_point(z_lo, z_hi, matrix_min(z), matrix_max(z))
+        point = _open_interval_point(z_lo, z_hi, fr.z_min, fr.z_max)
         if point is None:
             return None
-        x, y, _ = achieve_value_zero_sum(z, point)
+        x, y, _ = achieve_value_zero_sum(tr.image, point)
         return x, y, None, EXACT_INTERVAL
-    if game.class_tag == REPEATED:
-        try:
-            _, (f1, _) = _hull_lp(a, m, objective=("max_f",), g_floor=g_floor)
-            lam_g, (f2, g1) = _hull_lp(a, m, objective=("max_g",), f_floor=f_floor)
-        except InfeasibleError:
-            return None
-        if not (f1 > f_floor and g1 > g_floor):
-            return None
-        lam_f, (ff, gf) = _hull_lp(a, m, objective=("max_f",), g_floor=g_floor)
-        mix = {}
-        for cell, w in lam_f.items():
-            mix[cell] = mix.get(cell, Fraction(0)) + w / 2
-        for cell, w in lam_g.items():
-            mix[cell] = mix.get(cell, Fraction(0)) + w / 2
-        f_mid = sum(a[s][t] * w for (s, t), w in mix.items())
-        g_mid = sum(m[s][t] * w for (s, t), w in mix.items())
-        if f_mid > f_floor and g_mid > g_floor:
-            return None, None, mix, EXACT_LP
+    try:
+        _, (f1, _) = _hull_lp(a, m, objective=("max_f",), g_floor=g_floor)
+        lam_g, (f2, g1) = _hull_lp(a, m, objective=("max_g",), f_floor=f_floor)
+    except InfeasibleError:
         return None
-    # General strategic pair: grid scan, exact arithmetic at every grid point.
-    best = None
-    for x in simplex_grid(game.n_rows, grid_mesh):
-        for y in simplex_grid(game.n_cols, grid_mesh):
-            if bilinear(x, a, y) > f_floor and bilinear(x, m, y) > g_floor:
-                best = (x, y, None, grid_method(grid_mesh))
-                break
-        if best:
-            break
-    return best
+    if not (f1 > f_floor and g1 > g_floor):
+        return None
+    lam_f, (ff, gf) = _hull_lp(a, m, objective=("max_f",), g_floor=g_floor)
+    mix = {}
+    for cell, w in lam_f.items():
+        mix[cell] = mix.get(cell, Fraction(0)) + w / 2
+    for cell, w in lam_g.items():
+        mix[cell] = mix.get(cell, Fraction(0)) + w / 2
+    f_mid = sum(a[s][t] * w for (s, t), w in mix.items())
+    g_mid = sum(m[s][t] * w for (s, t), w in mix.items())
+    if f_mid > f_floor and g_mid > g_floor:
+        return None, None, mix, EXACT_LP
+    return None
 
 
 def _pair_thresholds(instance, allocation, payoffs, d, partner):
@@ -275,28 +265,22 @@ def _best_seat_value_above(game: BimatrixGame, f_floor: Fraction):
     supremum may be unattained; strict-sum comparisons remain valid because
     payoffs approach it arbitrarily closely.
     """
-    a, m = game.doctor_matrix, game.hospital_matrix
-    if game.class_tag == ZERO_SUM:
-        if matrix_max(a) <= f_floor:
-            return None
-        return -max(f_floor, matrix_min(a))
-    if game.class_tag == STRICTLY_COMPETITIVE:
-        tr = affine_transform(a, m)
-        z = tr.image
+    fr = game.frontier
+    tr = fr.transform
+    if tr is not None:
         z_floor = tr.image_doctor_value(f_floor)
-        if matrix_max(z) <= z_floor:
+        if fr.z_max <= z_floor:
             return None
-        return tr.original_hospital_value(-max(z_floor, matrix_min(z)))
-    if game.class_tag == REPEATED:
-        try:
-            _, (f_best, _) = _hull_lp(a, m, objective=("max_f",))
-        except InfeasibleError:
-            return None
-        if f_best <= f_floor:
-            return None
-        _, (_, g_best) = _hull_lp(a, m, objective=("max_g",), f_floor=f_floor)
-        return g_best
-    raise UnsupportedClassError(f"coalition scan lacks an exact method for {game.class_tag}")
+        return tr.original_hospital_value(-max(z_floor, fr.z_min))
+    a, m = game.doctor_matrix, game.hospital_matrix
+    try:
+        _, (f_best, _) = _hull_lp(a, m, objective=("max_f",))
+    except InfeasibleError:
+        return None
+    if f_best <= f_floor:
+        return None
+    _, (_, g_best) = _hull_lp(a, m, objective=("max_g",), f_floor=f_floor)
+    return g_best
 
 
 def find_blocking_coalition(instance, allocation, epsilon: Fraction,
@@ -378,37 +362,25 @@ def _realise_coalition(instance, payoffs, doctors, h, epsilon, threshold):
 def _profile_just_above(game, f_floor, delta):
     """A profile with doctor payoff in (f_floor, f_floor + delta], partner payoff maximal."""
     a, m = game.doctor_matrix, game.hospital_matrix
-    if game.class_tag in (ZERO_SUM, STRICTLY_COMPETITIVE):
-        if game.class_tag == ZERO_SUM:
-            z, tr = a, None
+    fr = game.frontier
+    tr = fr.transform
+    if tr is not None:
+        z_floor = tr.image_doctor_value(f_floor)
+        if fr.z_max <= z_floor:
+            return None
+        if fr.z_min > z_floor:
+            target = fr.z_min
         else:
-            tr = affine_transform(a, m)
-            z = tr.image
-            f_floor = tr.image_doctor_value(f_floor)
-        z_min, z_max = matrix_min(z), matrix_max(z)
-        if z_max <= f_floor:
-            return None
-        if z_min > f_floor:
-            target = z_min
-        else:
-            target = min(f_floor + delta, (f_floor + z_max) / 2)
-        x, y, _ = achieve_value_zero_sum(z, target)
-        return (
-            bilinear(x, a, y),
-            bilinear(x, m, y),
-            x,
-            y,
-            None,
-        )
-    if game.class_tag == REPEATED:
-        try:
-            lam, (f_val, g_val) = _hull_lp(a, m, objective=("max_g",), f_floor=f_floor + delta)
-        except InfeasibleError:
-            return None
-        if f_val <= f_floor:
-            return None
-        return f_val, g_val, None, None, lam
-    raise UnsupportedClassError(game.class_tag)
+            target = min(z_floor + delta, (z_floor + fr.z_max) / 2)
+        x, y, _ = achieve_value_zero_sum(tr.image, target)
+        return bilinear(x, a, y), bilinear(x, m, y), x, y, None
+    try:
+        lam, (f_val, g_val) = _hull_lp(a, m, objective=("max_g",), f_floor=f_floor + delta)
+    except InfeasibleError:
+        return None
+    if f_val <= f_floor:
+        return None
+    return f_val, g_val, None, None, lam
 
 
 def _enumerated_blocking_coalition(instance, allocation, payoffs, epsilon, max_size):
@@ -489,13 +461,18 @@ def enumerate_core(instance: MatchingGameInstance, cap: int = 10_000_000) -> Lis
 
 
 def verify_renegotiation_proof(instance, allocation, epsilon: Fraction):
-    """Every couple must play a CNE for its freshly recomputed reservations."""
-    from .renegotiation import check_couple_is_cne, reservation_payoffs
+    """Every couple must play a CNE for its freshly recomputed reservations.
 
+    The payoff ledger is read from the allocation once; each couple's
+    reservations are then what ``reservation_payoffs`` would return.
+    """
+    from .renegotiation import _PayoffLedger, check_couple_is_cne
+
+    ledger = _PayoffLedger(instance, allocation)
     for d, partner in allocation.matched_pairs():
         if instance.model == ROOMMATES and d > partner:
             continue
-        reservations = reservation_payoffs(instance, allocation, d, partner, epsilon)
+        reservations = ledger.reservations(d, partner, epsilon)
         ok, witness = check_couple_is_cne(instance, allocation, d, partner, reservations, epsilon)
         if not ok:
             return False, f"couple ({d},{partner}): {witness}"
@@ -571,20 +548,13 @@ def grid_stable_roommates_search(instance, mesh: int = 16,
     doctors = instance.doctor_ids
     intervals = {}
     for key, game in instance.games.items():
-        if game.class_tag == ZERO_SUM:
-            z = game.doctor_matrix
-            to_f = lambda v: v
-            to_g = lambda v: -v
-        elif game.class_tag == STRICTLY_COMPETITIVE:
-            tr = affine_transform(game.doctor_matrix, game.hospital_matrix)
-            z = tr.image
-            to_f = tr.original_doctor_value
-            to_g = lambda v, _tr=tr: _tr.original_hospital_value(-v)
-        else:
+        if game.class_tag not in (ZERO_SUM, STRICTLY_COMPETITIVE):
             raise UnsupportedClassError("grid oracle handles zero-sum and strictly competitive pairs")
-        lo, hi = matrix_min(z), matrix_max(z)
+        fr = game.frontier
+        tr, lo, hi = fr.transform, fr.z_min, fr.z_max
         points = [lo + (hi - lo) * Fraction(k, mesh) for k in range(mesh + 1)] if hi > lo else [lo]
-        intervals[key] = [(to_f(v), to_g(v)) for v in points]
+        intervals[key] = [(tr.original_doctor_value(v), tr.original_hospital_value(-v))
+                          for v in points]
 
     for matching in all_matchings(list(doctors)):
         pairs = [(a, b) for a, b in matching if b is not None]

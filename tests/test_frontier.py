@@ -1,15 +1,20 @@
 """Cached frontiers, witness-free value queries and the incremental indexes
-built on them (DAC seat book, renegotiation payoff ledger)."""
+built on them (DAC seat book, renegotiation payoff ledger); the zero-sum class
+as the identity bridge of the one-shot frontier path."""
 
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from matchgames import renegotiation
-from matchgames.core import BimatrixGame, bilinear, parse_rational
+from matchgames import core, renegotiation
+from matchgames.core import BimatrixGame, Doctor, MatchingGameInstance, bilinear, parse_rational
 from matchgames.dac import DacState, run_dac
-from matchgames.errors import MalformedRationalError, UnsupportedClassError
+from matchgames.errors import (
+    InfeasibleReservationsError,
+    MalformedRationalError,
+    UnsupportedClassError,
+)
 from matchgames.gen import generate_instance, random_game
 from matchgames.qcqp import (
     max_f_given_g_floor,
@@ -17,8 +22,24 @@ from matchgames.qcqp import (
     max_g_given_f_floor,
     max_g_point,
 )
-from matchgames.renegotiation import reservation_payoffs, run_renegotiation
-from matchgames.roommates import solve_aspiration_zero_sum
+from matchgames.renegotiation import (
+    ReservationPair,
+    compute_cne_for_pair,
+    reservation_payoffs,
+    run_renegotiation,
+    select_process_cne,
+)
+from matchgames.roommates import (
+    demand_set,
+    partnership_value,
+    realize_aspiration,
+    solve_aspiration_zero_sum,
+)
+from matchgames.stability import (
+    _best_seat_value_above,
+    _pair_block_profile,
+    verify_renegotiation_proof,
+)
 
 CLASSES = ("zero_sum", "strictly_competitive", "repeated")
 
@@ -146,3 +167,96 @@ def test_roommates_generation_past_nine_doctors(n):
     assert ("d10", "d2") in inst.games
     profile = solve_aspiration_zero_sum(inst)
     assert set(profile) == set(inst.doctors)
+
+
+# ---------------------------------------------------------------------------
+# Zero-sum is the identity bridge: a zero-sum game and the same matrices
+# tagged strictly competitive take the same one-shot path and must agree.
+
+
+def _cne_or_infeasible(solve, game, reservations, eps):
+    try:
+        return solve(game, reservations, eps)
+    except InfeasibleReservationsError:
+        return "infeasible"
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_zero_sum_matches_its_strictly_competitive_twin(seed):
+    rng = random.Random(f"identity-bridge-{seed}")
+    for _ in range(8):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        zs = random_game(rng, rows, cols, "zero_sum", max_denominator=2)
+        twin = BimatrixGame(zs.doctor_matrix, zs.hospital_matrix, "strictly_competitive")
+        fr = zs.frontier
+        values = _floors(rng, fr.a_min, fr.a_max)
+        for f_floor in values:
+            assert _best_seat_value_above(zs, f_floor) == _best_seat_value_above(twin, f_floor)
+            for g_floor in _floors(rng, fr.m_min, fr.m_max):
+                assert (_pair_block_profile(zs, f_floor, g_floor)
+                        == _pair_block_profile(twin, f_floor, g_floor))
+        # Roommates lookups: stored orientation and the flipped view.
+        sized = {"a": Doctor("a", F(0), ("s",) * rows), "b": Doctor("b", F(0), ("s",) * cols)}
+        pair = {}
+        for label, game in (("zs", zs), ("twin", twin)):
+            pair[label] = MatchingGameInstance(model="roommates", doctors=sized, hospitals={},
+                                               games={("a", "b"): game})
+        for d, other in (("a", "b"), ("b", "a")):
+            for value in values + [-v for v in values]:
+                assert (partnership_value(pair["zs"], d, other, value)
+                        == partnership_value(pair["twin"], d, other, value))
+                profile = {d: value, other: -value}
+                assert demand_set(pair["zs"], profile, d) == demand_set(pair["twin"], profile, d)
+        for _ in range(6):
+            reservations = ReservationPair(rng.choice(values), rng.choice(values) * -1)
+            eps = F(1, rng.choice((10, 4, 2)))
+            for solve in (compute_cne_for_pair, select_process_cne):
+                assert (_cne_or_infeasible(solve, zs, reservations, eps)
+                        == _cne_or_infeasible(solve, twin, reservations, eps))
+
+
+def test_roommates_flipped_view_is_built_once():
+    inst = generate_instance(seed=5, model="roommates", n_doctors=5,
+                             classes=["zero_sum", "strictly_competitive"])
+    key = sorted(inst.games)[0]
+    flipped = inst.game_for(key[1], key[0])
+    assert inst.game_for(key[1], key[0]) is flipped
+    assert flipped.frontier is inst.game_for(key[1], key[0]).frontier
+    assert flipped.doctor_matrix == tuple(zip(*inst.games[key].hospital_matrix))
+    assert inst.game_for(*key) is inst.games[key]
+
+
+def test_roommates_solve_and_realize_build_one_view_per_game(monkeypatch):
+    inst = generate_instance(seed=2, model="roommates", n_doctors=9,
+                             classes=["zero_sum", "strictly_competitive"])
+    built = []
+    original_init = core.BimatrixGame.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original_init(self)
+
+    monkeypatch.setattr(core.BimatrixGame, "__post_init__", counting)
+    profile = solve_aspiration_zero_sum(inst)
+    realize_aspiration(inst, profile)
+    assert 0 < len(built) <= len(inst.games)
+
+
+def test_renegotiation_proof_check_reads_each_couple_once(monkeypatch):
+    eps = F(1, 2)
+    inst = generate_instance(seed=7, n_doctors=12, n_hospitals=4, max_strategies=3,
+                             max_quota=3, classes=["zero_sum", "strictly_competitive"])
+    allocation, _ = run_dac(inst, eps)
+    final = run_renegotiation(inst, allocation, eps).allocation
+    couples = final.matched_pairs()
+    calls = []
+    seat_contribution = renegotiation.seat_contribution
+
+    def counting(instance, allocation, d, h):
+        calls.append((d, h))
+        return seat_contribution(instance, allocation, d, h)
+
+    monkeypatch.setattr(renegotiation, "seat_contribution", counting)
+    assert verify_renegotiation_proof(inst, final, eps) == (True, None)
+    assert len(couples) > 4
+    assert sorted(calls) == sorted(couples)
