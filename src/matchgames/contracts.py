@@ -10,6 +10,7 @@ form; tables can break anything.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
@@ -93,15 +94,52 @@ def choice_doctor(model: ContractModel, d: str, subset: Sequence[str]) -> Option
 
 def choice_hospital(model: ContractModel, h: str, subset: Sequence[str]) -> FrozenSet[str]:
     """The hospital's favourite admissible subset of its contracts in
-    ``subset``; ties break to the lexicographically smallest id tuple."""
+    ``subset``; ties break to the lexicographically smallest sorted id tuple,
+    and the empty set wins at value 0.  Additive hospitals choose greedily
+    (exact, same tie-break); table hospitals by an exhaustive scan."""
     own = frozenset(cid for cid in subset if model.contracts[cid].hospital == h)
-    cache = getattr(model, "_choice_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(model, "_choice_cache", cache)
-    hit = cache.get((h, own))
-    if hit is not None:
-        return hit
+    if h in model.hospital_tables:
+        return _choice_by_scan(model, h, own)
+    return _additive_choice(model, h, own)
+
+
+def _additive_choice(model: ContractModel, h: str, own: FrozenSet[str]) -> FrozenSet[str]:
+    """The scan's choice for an additive hospital, greedily in O(k log k).
+
+    Only contracts of non-negative weight can be in a best subset.  Each
+    doctor competes with her highest weight (smallest id among equal
+    weights), and the quota highest doctors win, ties going to the smallest
+    ids.  When fewer than quota doctors have a positive weight, a best subset
+    holds all of them, and a zero-weight contract keeps its value; one whose
+    id sorts below the largest id kept makes the sorted id tuple smaller, so
+    such contracts join, smallest first, while places remain.  Weights are
+    compared as integers over their common denominator.
+    """
+    quota = model.hospital_quotas.get(h, 1)
+    weights = model.hospital_additive.get(h, {})
+    offered = [(cid, weights[cid]) for cid in own if cid in weights and weights[cid].numerator >= 0]
+    if quota < 1 or not offered:
+        return frozenset()
+    scale = math.lcm(*(w.denominator for _, w in offered))
+    best: Dict[str, Tuple[int, str]] = {}  # doctor -> (negated scaled weight, id)
+    for cid, w in offered:
+        key = (-w.numerator * (scale // w.denominator), cid)
+        d = model.contracts[cid].doctor
+        if d not in best or key < best[d]:
+            best[d] = key
+    ranked = sorted(best.values())
+    chosen = [cid for neg, cid in ranked[:quota] if neg < 0]
+    if not chosen:
+        return frozenset()
+    if len(chosen) < quota:
+        top = max(chosen)
+        zeros = [cid for neg, cid in ranked if neg == 0 and cid < top]
+        chosen += zeros[:quota - len(chosen)]
+    return frozenset(chosen)
+
+
+def _choice_by_scan(model: ContractModel, h: str, own: FrozenSet[str]) -> FrozenSet[str]:
+    """The choice by brute force over every subset of ``own``."""
     best = (Fraction(0), frozenset())  # the empty set is always admissible at 0
     ordered = sorted(own)
     for size in range(1, len(ordered) + 1):
@@ -111,7 +149,6 @@ def choice_hospital(model: ContractModel, h: str, subset: Sequence[str]) -> Froz
                 continue
             if value > best[0] or (value == best[0] and best[1] and tuple(sorted(combo)) < tuple(sorted(best[1]))):
                 best = (value, frozenset(combo))
-    cache[(h, own)] = best[1]
     return best[1]
 
 
@@ -158,21 +195,36 @@ def _powerset(items):
     return chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))
 
 
+def _subsets(own: Sequence[str]):
+    """Every subset of ``own`` in ``_powerset`` order, paired with its bit
+    mask (bit i stands for ``own[i]``)."""
+    return zip(_powerset(own), map(sum, _powerset([1 << i for i in range(len(own))])))
+
+
+def _choice_table(model: ContractModel, h: str, own: Sequence[str]) -> List[FrozenSet[str]]:
+    """The hospital's choice out of every subset of its own contracts ``own``,
+    indexed by the subset's bit mask."""
+    table: List[FrozenSet[str]] = [frozenset()] * (1 << len(own))
+    for subset, mask in _subsets(own):
+        table[mask] = choice_hospital(model, h, subset)
+    return table
+
+
 def check_substitutability(model: ContractModel, h: str, cap: int = 12):
     """Exhaustive: a rejected contract must stay rejected as the pool grows."""
     own = model.contracts_of_hospital(h)
     if len(own) > cap:
         raise ScanCapExceededError(f"{len(own)} contracts at {h} exceed the scan cap {cap}")
-    for subset in _powerset(own):
-        chosen = choice_hospital(model, h, subset)
-        outside = [cid for cid in own if cid not in subset]
+    table = _choice_table(model, h, own)
+    for subset, mask in _subsets(own):
+        chosen = table[mask]
+        grown = [(x_new, table[mask | 1 << i]) for i, x_new in enumerate(own) if not mask >> i & 1]
         for x in subset:
             if x in chosen:
                 continue
-            for x_new in outside:
-                bigger = choice_hospital(model, h, list(subset) + [x_new])
+            for x_new, bigger in grown:
                 if x in bigger:
-                    return False, (tuple(subset), x, x_new)
+                    return False, (subset, x, x_new)
     return True, None
 
 
@@ -181,14 +233,14 @@ def check_irc(model: ContractModel, h: str, cap: int = 12):
     own = model.contracts_of_hospital(h)
     if len(own) > cap:
         raise ScanCapExceededError(f"{len(own)} contracts at {h} exceed the scan cap {cap}")
-    for subset in _powerset(own):
-        subset = list(subset)
-        for z in own:
-            if z in subset:
+    table = _choice_table(model, h, own)
+    for subset, mask in _subsets(own):
+        for i, z in enumerate(own):
+            if mask >> i & 1:
                 continue
-            with_z = choice_hospital(model, h, subset + [z])
-            if z not in with_z and with_z != choice_hospital(model, h, subset):
-                return False, (tuple(subset), z)
+            with_z = table[mask | 1 << i]
+            if z not in with_z and with_z != table[mask]:
+                return False, (subset, z)
     return True, None
 
 
@@ -239,14 +291,14 @@ def check_hm_stability(model: ContractModel, allocation: FrozenSet[str], cap: in
         return False, "individual rationality fails"
     for h in model.hospitals:
         own = model.contracts_of_hospital(h)
-        current = frozenset(c for c in allocation if model.contracts[c].hospital == h)
-        for candidate in _powerset(own):
+        table = _choice_table(model, h, own)
+        current = sum(1 << i for i, cid in enumerate(own) if cid in allocation)
+        kept = table[current]
+        for candidate, mask in _subsets(own):
             block = frozenset(candidate)
-            if block == choice_hospital(model, h, sorted(current)):
+            if block == kept or table[current | mask] != block:
                 continue
             pool = sorted(set(allocation) | block)
-            if choice_hospital(model, h, pool) != block:
-                continue
             good_for_doctors = True
             for cid in block:
                 d = model.contracts[cid].doctor

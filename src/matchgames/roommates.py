@@ -147,7 +147,10 @@ def solve_aspiration_zero_sum(instance: MatchingGameInstance,
     If the sweep's fixed point does not realize, an exact search over all
     matchings and critical payoff levels looks for a stable profile; by the
     equivalence of stable payoff profiles and realizable aspirations, finding
-    none certifies the sweep result was as good as any.
+    none certifies the sweep result was as good as any.  The search covers
+    zero-sum pairs only; with a strictly competitive pair the sweep's result
+    is returned unsearched, and when the sweep finds none either, the answer
+    is ``UnsupportedClassError`` rather than a claim that none exists.
     """
     if instance.model != ROOMMATES:
         raise UnsupportedClassError("aspiration solving applies to roommates instances")
@@ -161,11 +164,18 @@ def solve_aspiration_zero_sum(instance: MatchingGameInstance,
         candidate = realize_aspiration(instance, profile)
         if not isinstance(candidate, UnrealizableReport):
             return profile
-    stable = _stable_profile_search(instance)
-    if stable is not None:
-        return stable
+    zero_sum_only = classes <= {ZERO_SUM}
+    if zero_sum_only:
+        stable = _stable_profile_search(instance)
+        if stable is not None:
+            return stable
     if profile is not None:
         return profile
+    if not zero_sum_only:
+        raise UnsupportedClassError(
+            "the aspiration sweep found no fixed point, and the exact "
+            "stable-profile search covers zero-sum pairs only"
+        )
     # Degenerate constant-frontier pairs can empty the aspiration set
     # outright: values bounce between two anchor patterns forever.  The
     # classical equivalence of stable profiles and aspirations needs
@@ -214,8 +224,6 @@ def _stable_profile_search(instance) -> Optional[PayoffProfile]:
     whose boundaries all sit on a finite, negation-closed critical set, so a
     solvable matching has a solution with every share on that set.
     """
-    if any(g.class_tag != ZERO_SUM for g in instance.games.values()):
-        return None  # search is specialised to the pure zero-sum class
     doctors = instance.doctor_ids
     critical = {Fraction(0)}
     for d in doctors:

@@ -5,6 +5,8 @@ from itertools import chain, combinations
 import pytest
 
 from matchgames.contracts import (
+    _choice_by_scan,
+    _choice_table,
     Contract,
     ContractModel,
     check_hm_stability,
@@ -69,6 +71,31 @@ class TestChoices:
             "y": ("d2", "h1", 1, 7),
         }, {"h1": 1})
         assert choice_hospital(m, "h1", ["x", "y"]) == frozenset({"y"})
+
+    def test_choice_reflects_a_changed_weight(self):
+        m = additive_model(None, {
+            "x": ("d1", "h1", 1, 5),
+            "y": ("d2", "h1", 1, 7),
+        }, {"h1": 1})
+        assert choice_hospital(m, "h1", ["x", "y"]) == frozenset({"y"})
+        m.hospital_additive["h1"]["x"] = F(9)
+        assert choice_hospital(m, "h1", ["x", "y"]) == frozenset({"x"})
+
+    def test_additive_tie_break_matches_the_scan_rule(self):
+        # Equal weights go to the smallest ids; with places to spare a
+        # zero-weight contract joins only if it sorts below the largest id
+        # kept (it then makes the id tuple smaller), and never at value 0.
+        m = additive_model(None, {
+            "a": ("d1", "h1", 1, 0),
+            "b": ("d2", "h1", 1, 2),
+            "c": ("d3", "h1", 1, 2),
+            "d": ("d4", "h1", 1, 0),
+            "e": ("d5", "h1", 1, 2),
+        }, {"h1": 2})
+        assert choice_hospital(m, "h1", ["a", "b", "c", "d", "e"]) == frozenset({"b", "c"})
+        m.hospital_quotas["h1"] = 4
+        assert choice_hospital(m, "h1", ["a", "c", "d"]) == frozenset({"a", "c"})
+        assert choice_hospital(m, "h1", ["a", "d"]) == frozenset()
 
     def test_complementary_table_choice(self):
         m = complementarity_model()
@@ -171,6 +198,10 @@ class TestAudits:
         m = additive_model(None, utilities, {"h1": 3})
         with pytest.raises(ScanCapExceededError):
             check_substitutability(m, "h1", cap=12)
+        with pytest.raises(ScanCapExceededError):
+            check_irc(m, "h1", cap=12)
+        with pytest.raises(ScanCapExceededError):
+            check_hm_stability(m, frozenset(), cap=12)
 
 
 def _powerset(items):
@@ -215,6 +246,108 @@ def _random_table_model(rng):
         hospital_quotas={"h1": len(ids)},
         hospital_tables=tables,
     )
+
+
+def _rich_additive_model(rng):
+    """Zero, negative, missing and fractional weights, ties, several
+    contracts per doctor, and quotas 0-4 at two hospitals."""
+    contracts, utilities, weights = {}, {}, {"h0": {}, "h1": {}}
+    n_doctors = rng.randint(1, 4)
+    for cid in rng.sample([f"{c}{i}" for c in "abxy" for i in range(3)], rng.randint(1, 7)):
+        d, h = f"d{rng.randrange(n_doctors)}", rng.choice(("h0", "h1"))
+        contracts[cid] = Contract(cid, d, h)
+        utilities[(d, cid)] = F(rng.randint(-1, 3))
+        if rng.random() < 0.85:
+            weights[h][cid] = F(rng.randint(-1, 3), rng.choice((1, 2)))
+    return ContractModel(
+        contracts=contracts,
+        doctor_utilities=utilities,
+        hospital_additive=weights,
+        hospital_quotas={"h0": rng.randint(0, 4), "h1": rng.randint(0, 4)},
+    )
+
+
+# Reference audits: the same exhaustive visits, each choice by the scan.
+
+def _scan_substitutability(m, h):
+    own = m.contracts_of_hospital(h)
+    for subset in _powerset(own):
+        chosen = _choice_by_scan(m, h, frozenset(subset))
+        for x in subset:
+            if x in chosen:
+                continue
+            for x_new in own:
+                if x_new not in subset and x in _choice_by_scan(m, h, frozenset(subset) | {x_new}):
+                    return False, (subset, x, x_new)
+    return True, None
+
+
+def _scan_irc(m, h):
+    own = m.contracts_of_hospital(h)
+    for subset in _powerset(own):
+        for z in own:
+            if z in subset:
+                continue
+            with_z = _choice_by_scan(m, h, frozenset(subset) | {z})
+            if z not in with_z and with_z != _choice_by_scan(m, h, frozenset(subset)):
+                return False, (subset, z)
+    return True, None
+
+
+def _scan_hm_stability(m, allocation):
+    if not is_individually_rational(m, allocation):
+        return False, "individual rationality fails"
+    for h in m.hospitals:
+        current = frozenset(c for c in allocation if m.contracts[c].hospital == h)
+        for candidate in _powerset(m.contracts_of_hospital(h)):
+            block = frozenset(candidate)
+            if block == _choice_by_scan(m, h, current) or _choice_by_scan(m, h, current | block) != block:
+                continue
+            pool = set(allocation) | block
+            if all(choice_doctor(m, m.contracts[c].doctor,
+                                 [x for x in pool if m.contracts[x].doctor == m.contracts[c].doctor]) == c
+                   for c in block):
+                return False, (h, tuple(sorted(block)))
+    return True, None
+
+
+class TestChoiceAgainstScan:
+    def test_additive_greedy_equals_scan_on_every_pool(self):
+        rng = random.Random(5)
+        cases = 0
+        for _ in range(300):
+            m = _rich_additive_model(rng)
+            for pool in _powerset(m.contracts):
+                for h in ("h0", "h1"):
+                    own = frozenset(c for c in pool if m.contracts[c].hospital == h)
+                    assert choice_hospital(m, h, pool) == _choice_by_scan(m, h, own), (pool, h)
+                    cases += 1
+        assert cases > 10000
+
+    def test_audit_choice_tables_equal_scan(self):
+        rng = random.Random(6)
+        models = [_rich_additive_model(rng) for _ in range(40)]
+        models += [_random_table_model(rng) for _ in range(10)]
+        for m in models:
+            for h in m.hospitals:
+                own = m.contracts_of_hospital(h)
+                table = _choice_table(m, h, own)
+                assert len(table) == 2 ** len(own)
+                for subset in _powerset(own):
+                    mask = sum(1 << own.index(c) for c in subset)
+                    assert table[mask] == _choice_by_scan(m, h, frozenset(subset))
+
+    def test_audits_equal_scan_audits(self):
+        rng = random.Random(7)
+        models = [_rich_additive_model(rng) for _ in range(40)]
+        models += [_random_table_model(rng) for _ in range(20)]
+        for m in models:
+            for h in m.hospitals:
+                assert check_substitutability(m, h) == _scan_substitutability(m, h)
+                assert check_irc(m, h) == _scan_irc(m, h)
+            for sub in _powerset(m.contracts):
+                allocation = frozenset(sub)
+                assert check_hm_stability(m, allocation) == _scan_hm_stability(m, allocation)
 
 
 class TestPropOneEquivalence:

@@ -11,7 +11,7 @@ from matchgames.core import (
     evaluate_payoffs,
     negate,
 )
-from matchgames.errors import NotAnAspirationError, UnsupportedClassError
+from matchgames.errors import MatchGamesError, NotAnAspirationError, UnsupportedClassError
 from matchgames.gen import generate_instance
 from matchgames.roommates import (
     UnrealizableReport,
@@ -128,6 +128,20 @@ class TestSolveAspiration:
         )
         with pytest.raises(UnsupportedClassError):
             solve_aspiration_zero_sum(inst)
+
+    def test_unsearched_failure_is_unsupported_not_nonexistence(self):
+        # The sweep finds no aspiration here and the exact search covers
+        # zero-sum pairs only, so nothing backs a claim that none exists.
+        inst = generate_instance(seed=428710840, n_doctors=9, model="roommates",
+                                 classes=["zero_sum", "strictly_competitive"])
+        with pytest.raises(UnsupportedClassError, match="zero-sum pairs only"):
+            solve_aspiration_zero_sum(inst)
+
+    def test_searched_failure_reports_no_fixed_point(self):
+        inst = generate_instance(seed=182423442, n_doctors=8, model="roommates")
+        with pytest.raises(MatchGamesError, match="no aspiration fixed point exists") as info:
+            solve_aspiration_zero_sum(inst)
+        assert not isinstance(info.value, UnsupportedClassError)
 
     def test_output_is_always_an_aspiration(self):
         for seed in range(20):
