@@ -119,11 +119,11 @@ def parse_matrix(rows: Sequence[Sequence[object]]) -> Matrix:
 
 
 def matrix_min(m: Matrix) -> Fraction:
-    return min(v for row in m for v in row)
+    return min(map(min, m))
 
 
 def matrix_max(m: Matrix) -> Fraction:
-    return max(v for row in m for v in row)
+    return max(map(max, m))
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -132,24 +132,6 @@ def transpose(m: Matrix) -> Matrix:
 
 def negate(m: Matrix) -> Matrix:
     return tuple(tuple(-v for v in row) for row in m)
-
-
-def check_affine_variant(a: Matrix, b: Matrix):
-    """Find (ratio, shift) with ``A == ratio*B + shift*U`` or raise.
-
-    Returns the pair for the A-from-B direction; the ratio may exceed 1 here,
-    callers pick the orientation they need.  Constant pairs return ratio 1.
-    """
-    a_min, a_max = matrix_min(a), matrix_max(a)
-    b_min, b_max = matrix_min(b), matrix_max(b)
-    if a_max == a_min or b_max == b_min:
-        if a_max == a_min and b_max == b_min:
-            return Fraction(1), a_min - b_min
-        _reject_one_sided_constant(a, b)
-    ratio = (a_max - a_min) / (b_max - b_min)
-    shift = a_min - b_min * ratio
-    _verify_affine(a, b, ratio, shift)
-    return ratio, shift
 
 
 def _reject_one_sided_constant(a: Matrix, b: Matrix):
@@ -233,22 +215,29 @@ class IdentityTransform(AffineTransform):
 
 def affine_transform(a: Matrix, m: Matrix) -> AffineTransform:
     """Compute the ratio-<=-1 affine bridge for a strictly competitive pair."""
+    return _affine_bridge(a, m, matrix_min(a), matrix_max(a), matrix_min(m), matrix_max(m))
+
+
+def _affine_bridge(a: Matrix, m: Matrix, a_min: Fraction, a_max: Fraction,
+                   m_min: Fraction, m_max: Fraction) -> AffineTransform:
+    """``affine_transform`` given the bounds of A and M, which a game's
+    frontier already holds, so building it scans each matrix once."""
     b = negate(m)
-    a_range = matrix_max(a) - matrix_min(a)
-    b_range = matrix_max(b) - matrix_min(b)
-    if a_range <= b_range and b_range > 0:
-        ratio = a_range / b_range
-        shift = matrix_min(a) - matrix_min(b) * ratio
-        _verify_affine(a, b, ratio, shift)
-        return AffineTransform(ratio=ratio, shift=shift, direction="doctor", image=b)
+    b_min, b_max = -m_max, -m_min
+    a_range, b_range = a_max - a_min, b_max - b_min
     if b_range == 0 and a_range == 0:
         return AffineTransform(
             ratio=Fraction(1), shift=a[0][0] - b[0][0], direction="doctor", image=b
         )
     if b_range == 0 or a_range == 0:
         _reject_one_sided_constant(a, b)
+    if a_range <= b_range:
+        ratio = a_range / b_range
+        shift = a_min - b_min * ratio
+        _verify_affine(a, b, ratio, shift)
+        return AffineTransform(ratio=ratio, shift=shift, direction="doctor", image=b)
     ratio = b_range / a_range
-    shift = matrix_min(b) - matrix_min(a) * ratio
+    shift = b_min - a_min * ratio
     _verify_affine(b, a, ratio, shift)
     return AffineTransform(ratio=ratio, shift=shift, direction="hospital", image=a)
 
@@ -298,9 +287,8 @@ class BimatrixGame:
                             entry=(i, j, m[i][j], -value),
                         )
         elif self.class_tag == STRICTLY_COMPETITIVE:
-            # -M must be an affine variant of A (checked in both directions
-            # implicitly: the relation is symmetric up to inverting the ratio).
-            check_affine_variant(a, negate(m))
+            # -M must be an affine variant of A: building the bridge checks it.
+            self.frontier
 
     @cached_property
     def frontier(self) -> Frontier:
@@ -313,8 +301,9 @@ class BimatrixGame:
             identity = IdentityTransform(Fraction(1), Fraction(0), "doctor", a)
             return Frontier(*bounds, identity, bounds[0], bounds[1])
         if self.class_tag == STRICTLY_COMPETITIVE:
-            tr = affine_transform(a, m)
-            return Frontier(*bounds, tr, matrix_min(tr.image), matrix_max(tr.image))
+            tr = _affine_bridge(a, m, *bounds)
+            image_bounds = bounds[:2] if tr.direction == "hospital" else (-bounds[3], -bounds[2])
+            return Frontier(*bounds, tr, *image_bounds)
         raise UnsupportedClassError(f"no exact frontier solver for class {self.class_tag}")
 
     @cached_property
@@ -532,8 +521,18 @@ class Allocation:
 
 @dataclass
 class PayoffReport:
+    """Exact payoffs of an allocation.
+
+    For the game-based hospital models, ``seat_values`` maps (hospital,
+    doctor) to the value of every matched seat, seats at an over-quota
+    hospital included, and ``members`` lists each hospital's doctors in id
+    order.  Both stay empty for the roommates and enumerated models.
+    """
+
     doctor_payoffs: Dict[str, Fraction]
     hospital_payoffs: Dict[str, object]  # Fraction or NEG_INF
+    seat_values: Dict[Tuple[str, str], Fraction] = field(default_factory=dict)
+    members: Dict[str, List[str]] = field(default_factory=dict)
 
 
 def evaluate_payoffs(instance: MatchingGameInstance, allocation: Allocation) -> PayoffReport:
@@ -542,35 +541,33 @@ def evaluate_payoffs(instance: MatchingGameInstance, allocation: Allocation) -> 
     Unmatched agents receive their IRP.  Additive separable hospitals earn the
     sum of per-seat contributions, or the -inf sentinel when over quota.
     """
-    doctor_payoffs: Dict[str, Fraction] = {}
-    hospital_payoffs: Dict[str, object] = {}
-
     if instance.model == GENERAL_ENUMERATED:
         return _evaluate_enumerated(instance, allocation)
 
+    report = PayoffReport({}, {})
     for d, doc in instance.doctors.items():
         partner = allocation.matching.get(d)
         if partner is None:
-            doctor_payoffs[d] = doc.irp
+            report.doctor_payoffs[d] = doc.irp
             continue
-        doctor_payoffs[d] = _pair_doctor_payoff(instance, allocation, d, partner)
+        report.doctor_payoffs[d] = _pair_doctor_payoff(instance, allocation, d, partner)
 
     if instance.model == ROOMMATES:
-        return PayoffReport(doctor_payoffs, hospital_payoffs)
+        return report
 
+    for d, h in allocation.matched_pairs():
+        report.members.setdefault(h, []).append(d)
+        report.seat_values[(h, d)] = seat_contribution(instance, allocation, d, h)
     for h, hosp in instance.hospitals.items():
-        members = allocation.hospital_members(h)
+        members = report.members.get(h)
         if not members:
-            hospital_payoffs[h] = hosp.irp
-            continue
-        if len(members) > hosp.quota:
-            hospital_payoffs[h] = NEG_INF
-            continue
-        total = Fraction(0)
-        for d in members:
-            total += seat_contribution(instance, allocation, d, h)
-        hospital_payoffs[h] = total
-    return PayoffReport(doctor_payoffs, hospital_payoffs)
+            report.hospital_payoffs[h] = hosp.irp
+        elif len(members) > hosp.quota:
+            report.hospital_payoffs[h] = NEG_INF
+        else:
+            report.hospital_payoffs[h] = sum(
+                (report.seat_values[(h, d)] for d in members), Fraction(0))
+    return report
 
 
 def _profile_for(instance, allocation, d, partner):

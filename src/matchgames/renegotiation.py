@@ -38,10 +38,12 @@ from .core import (
     MatchingGameInstance,
     Matrix,
     bilinear,
+    evaluate_payoffs,
     _pair_doctor_payoff,
     negate,
     pure,
     seat_contribution,
+    transpose,
 )
 from .errors import (
     EpsilonNotPositiveError,
@@ -50,7 +52,7 @@ from .errors import (
     InputNotPairwiseStableError,
     MatchGamesError,
 )
-from .lp import GE, OPTIMAL, LinearProgram, game_value, solve_lp
+from .lp import game_value
 from .qcqp import (
     achieve_value_zero_sum,
     distribution_to_cycle,
@@ -114,13 +116,10 @@ class _PayoffLedger:
     def __init__(self, instance: MatchingGameInstance, allocation: Allocation):
         self.instance = instance
         self.roommates = instance.model == ROOMMATES
-        self.doctor_payoffs = {d: doc.irp for d, doc in instance.doctors.items()}
-        self.seat_values: Dict[Tuple[str, str], Fraction] = {}
-        self.members: Dict[str, List[str]] = {}
-        for d, partner in _sweep_order(instance, allocation):
-            self.record(allocation, d, partner)
-            if not self.roommates:
-                self.members.setdefault(partner, []).append(d)
+        report = evaluate_payoffs(instance, allocation)
+        self.doctor_payoffs = report.doctor_payoffs
+        self.seat_values = report.seat_values
+        self.members = report.members
 
     def record(self, allocation: Allocation, d: str, partner: str):
         self.doctor_payoffs[d] = _pair_doctor_payoff(self.instance, allocation, d, partner)
@@ -181,43 +180,54 @@ def constrained_best_response_doctor(a: Matrix, m: Matrix,
                                      y0: Tuple[Fraction, ...],
                                      g_res: Fraction, epsilon: Fraction):
     """max x.A.y0 over x in the simplex with x.M.y0 + epsilon >= g_res, or None."""
-    n = len(a)
-    a_col = [bilinear(pure(i, n), a, y0) for i in range(n)]
-    m_col = [bilinear(pure(i, n), m, y0) for i in range(n)]
-    lp = LinearProgram(objective=a_col)
-    lp.add([Fraction(1)] * n, "==", Fraction(1))
-    lp.add(m_col, GE, g_res - epsilon)
-    result = solve_lp(lp)
-    if result.status != OPTIMAL:
-        return None
-    return result.value
+    return _best_guarded_mix(_pure_payoffs(a, y0), _pure_payoffs(m, y0), g_res - epsilon)
 
 
 def constrained_best_response_hospital(a: Matrix, m: Matrix,
                                        x0: Tuple[Fraction, ...],
                                        f_res: Fraction, epsilon: Fraction):
     """max x0.M.y over y in the simplex with x0.A.y + epsilon >= f_res, or None."""
-    n = len(a[0])
-    a_row = [bilinear(x0, a, pure(j, n)) for j in range(n)]
-    m_row = [bilinear(x0, m, pure(j, n)) for j in range(n)]
-    lp = LinearProgram(objective=m_row)
-    lp.add([Fraction(1)] * n, "==", Fraction(1))
-    lp.add(a_row, GE, f_res - epsilon)
-    result = solve_lp(lp)
-    if result.status != OPTIMAL:
+    return _best_guarded_mix(_pure_payoffs(transpose(m), x0),
+                             _pure_payoffs(transpose(a), x0), f_res - epsilon)
+
+
+def _pure_payoffs(a: Matrix, y: Tuple[Fraction, ...]) -> List[Fraction]:
+    """Each pure row's payoff against the column mix y."""
+    return [sum((v * w for v, w in zip(row, y) if w), Fraction(0)) for row in a]
+
+
+def _best_guarded_mix(gain: List[Fraction], guard: List[Fraction], floor: Fraction):
+    """max p.gain over distributions p with p.guard >= floor, or None if none.
+
+    A linear program over the simplex with one side constraint has an optimal
+    vertex of support at most 2: a feasible pure strategy, or a feasible and
+    an infeasible one mixed so that the side constraint holds with equality.
+    """
+    feasible = [i for i, g in enumerate(guard) if g >= floor]
+    if not feasible:
         return None
-    return result.value
+    best = max(gain[i] for i in feasible)
+    for i in feasible:
+        for j, g in enumerate(guard):
+            if g < floor and gain[j] > gain[i]:
+                t = (guard[i] - floor) / (guard[i] - g)
+                best = max(best, gain[i] + t * (gain[j] - gain[i]))
+    return best
 
 
-def _assert_cne_deviations(a, m, x, y, f_res, g_res, epsilon, where):
+def _deviation_fault(a: Matrix, m: Matrix, x, y, f_res: Fraction, g_res: Fraction,
+                     epsilon: Fraction) -> Optional[str]:
+    """Why one side of the profile (x, y) has a profitable constrained
+    deviation, or None when neither side has one."""
     f_now = bilinear(x, a, y)
-    g_now = bilinear(x, m, y)
     best_d = constrained_best_response_doctor(a, m, y, g_res, epsilon)
     if best_d is not None and best_d > f_now + epsilon:
-        raise MatchGamesError(f"{where}: doctor retains a profitable constrained deviation")
+        return f"doctor deviation worth {best_d} > {f_now} + eps"
+    g_now = bilinear(x, m, y)
     best_h = constrained_best_response_hospital(a, m, x, f_res, epsilon)
     if best_h is not None and best_h > g_now + epsilon:
-        raise MatchGamesError(f"{where}: hospital retains a profitable constrained deviation")
+        return f"hospital deviation worth {best_h} > {g_now} + eps"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -286,33 +296,38 @@ def _one_shot_cne(game: BimatrixGame, f_res: Fraction, g_res: Fraction,
     w, x_star, y_star = game_value(z)
     if lo <= w <= hi:
         x, y, tag, value = x_star, y_star, SADDLE_VALUE, w
-    elif w < lo:
-        x, y = _slide_rows_to_value(z, lo, y_star, w)
-        tag, value = DOCTOR_BINDING, lo
     else:
-        x, y = _slide_cols_to_value(z, hi, x_star, w)
-        tag, value = HOSPITAL_BINDING, hi
+        value = lo if w < lo else hi
+        x0, y0, _ = achieve_value_zero_sum(z, value)
+        if w < lo:
+            s, y = _slide(z, value, y0, y_star)
+            x, tag = pure(s, len(z)), DOCTOR_BINDING
+        else:
+            # The hospital's columns are the rows of -z^T, to be held at -value.
+            t, x = _slide(negate(transpose(z)), -value, x0, x_star)
+            y, tag = pure(t, len(z[0])), HOSPITAL_BINDING
     if bilinear(x, z, y) != value:
         raise MatchGamesError("CNE construction missed its target value")
-    _assert_cne_deviations(game.doctor_matrix, game.hospital_matrix, x, y,
-                           f_res, g_res, epsilon, f"{game.class_tag} CNE")
+    fault = _deviation_fault(game.doctor_matrix, game.hospital_matrix, x, y,
+                             f_res, g_res, epsilon)
+    if fault is not None:
+        raise MatchGamesError(f"{game.class_tag} CNE: {fault}")
     return CneResult(x=x, y=y, cycle=None, doctor_payoff=tr.original_doctor_value(value),
                      hospital_payoff=tr.original_hospital_value(-value), case_tag=tag)
 
 
-def _slide_rows_to_value(a: Matrix, v: Fraction, y_star, w):
-    """Profile of value v > w: pure row against a column mix pushed toward y*.
+def _slide(a: Matrix, v: Fraction, y0, y_star):
+    """A pure row s and a column mix y with every pure row paying at most v
+    against y, and row s exactly v.
 
-    Along y_tau = (1-tau).y0 + tau.y*, each pure row's payoff is affine and
-    ends below w < v; the largest tau at which some row still attains v
-    leaves every row at or below v, killing all doctor deviations.
+    y0 is a column mix some row plays to value v; y_star a minimax mix, held
+    below v by every row.  Along y_tau = (1-tau).y0 + tau.y*, each pure row's
+    payoff is affine; the largest tau at which some row still attains v
+    leaves every row at or below v, killing all deviations of the row side.
+    Ties go to the smallest row index.
     """
-    x0, y0, _ = achieve_value_zero_sum(a, v)
-    n_rows, n_cols = len(a), len(a[0])
     best = None
-    for s in range(n_rows):
-        a_s = bilinear(pure(s, n_rows), a, y0)
-        b_s = bilinear(pure(s, n_rows), a, y_star)
+    for s, (a_s, b_s) in enumerate(zip(_pure_payoffs(a, y0), _pure_payoffs(a, y_star))):
         if a_s < v:
             continue  # starts below and ends below: never attains v
         if a_s == b_s:
@@ -321,38 +336,12 @@ def _slide_rows_to_value(a: Matrix, v: Fraction, y_star, w):
             tau = (v - a_s) / (b_s - a_s)
         if tau is None or tau < 0 or tau > 1:
             continue
-        if best is None or tau > best[0] or (tau == best[0] and s < best[1]):
+        if best is None or tau > best[0]:
             best = (tau, s)
     if best is None:
-        raise MatchGamesError("no pure row attains the target value on the segment")
+        raise MatchGamesError("no pure strategy attains the target value on the segment")
     tau, s = best
-    y = tuple((1 - tau) * w0 + tau * w1 for w0, w1 in zip(y0, y_star))
-    return pure(s, n_rows), y
-
-
-def _slide_cols_to_value(a: Matrix, v: Fraction, x_star, w):
-    """Mirror of _slide_rows_to_value for the hospital-binding case (v < w)."""
-    x0, y0, _ = achieve_value_zero_sum(a, v)
-    n_rows, n_cols = len(a), len(a[0])
-    best = None
-    for t in range(n_cols):
-        a_t = bilinear(x0, a, pure(t, n_cols))
-        b_t = bilinear(x_star, a, pure(t, n_cols))
-        if a_t > v:
-            continue
-        if a_t == b_t:
-            tau = Fraction(0) if a_t == v else None
-        else:
-            tau = (v - a_t) / (b_t - a_t)
-        if tau is None or tau < 0 or tau > 1:
-            continue
-        if best is None or tau > best[0] or (tau == best[0] and t < best[1]):
-            best = (tau, t)
-    if best is None:
-        raise MatchGamesError("no pure column attains the target value on the segment")
-    tau, t = best
-    x = tuple((1 - tau) * w0 + tau * w1 for w0, w1 in zip(x0, x_star))
-    return x, pure(t, n_cols)
+    return s, tuple((1 - tau) * w0 + tau * w1 for w0, w1 in zip(y0, y_star))
 
 
 # ---------------------------------------------------------------------------
@@ -474,13 +463,8 @@ def check_couple_is_cne(instance, allocation, d, partner, reservations: Reservat
         return False, f"doctor payoff {f_now} not feasible against reservation {f_res}"
     if g_now + epsilon < g_res:
         return False, f"hospital payoff {g_now} not feasible against reservation {g_res}"
-    best_d = constrained_best_response_doctor(a, m, y, g_res, epsilon)
-    if best_d is not None and best_d > f_now + epsilon:
-        return False, f"doctor deviation worth {best_d} > {f_now} + eps"
-    best_h = constrained_best_response_hospital(a, m, x, f_res, epsilon)
-    if best_h is not None and best_h > g_now + epsilon:
-        return False, f"hospital deviation worth {best_h} > {g_now} + eps"
-    return True, None
+    fault = _deviation_fault(a, m, x, y, f_res, g_res, epsilon)
+    return fault is None, fault
 
 
 def _check_repeated_cne(instance, allocation, d, partner, a, m, f_res, g_res, epsilon):

@@ -114,12 +114,7 @@ def build_demand_graph(instance: MatchingGameInstance, profile: PayoffProfile) -
 def is_aspiration(instance: MatchingGameInstance, profile: PayoffProfile):
     """Check the per-doctor max equation; returns (verdict, witness doctor)."""
     for d in instance.doctor_ids:
-        best = instance.doctors[d].irp
-        for other in instance.partner_options(d):
-            u = partnership_value(instance, d, other, profile[other])
-            if u is not None and u > best:
-                best = u
-        if profile[d] != best:
+        if profile[d] != _aspiration_rhs(instance, profile, d):
             return False, d
     return True, None
 

@@ -39,7 +39,6 @@ from .core import (
     PayoffReport,
     bilinear,
     evaluate_payoffs,
-    seat_contribution,
 )
 from .errors import CapExceededError, InfeasibleError, MatchGamesError, UnsupportedClassError
 from .qcqp import achieve_value_zero_sum, _hull_lp, simplex_grid
@@ -109,8 +108,8 @@ def check_individual_rationality(instance, allocation, epsilon: Fraction,
             if allocation.hospital_members(h) and value < hosp.irp - epsilon:
                 return False, f"hospital {h} below IRP"
             continue
-        for d in allocation.hospital_members(h):
-            if seat_contribution(instance, allocation, d, h) < hosp.irp - epsilon:
+        for d in report.members.get(h, ()):
+            if report.seat_values[(h, d)] < hosp.irp - epsilon:
                 return False, f"hospital {h} seat {d} below the per-seat baseline"
     return True, None
 
@@ -165,13 +164,12 @@ def _pair_block_profile(game: BimatrixGame, f_floor: Fraction, g_floor: Fraction
         x, y, _ = achieve_value_zero_sum(tr.image, point)
         return x, y, None, EXACT_INTERVAL
     try:
-        _, (f1, _) = _hull_lp(a, m, objective=("max_f",), g_floor=g_floor)
-        lam_g, (f2, g1) = _hull_lp(a, m, objective=("max_g",), f_floor=f_floor)
+        lam_f, (f1, _) = _hull_lp(a, m, objective=("max_f",), g_floor=g_floor)
+        lam_g, (_, g1) = _hull_lp(a, m, objective=("max_g",), f_floor=f_floor)
     except InfeasibleError:
         return None
     if not (f1 > f_floor and g1 > g_floor):
         return None
-    lam_f, (ff, gf) = _hull_lp(a, m, objective=("max_f",), g_floor=g_floor)
     mix = {}
     for cell, w in lam_f.items():
         mix[cell] = mix.get(cell, Fraction(0)) + w / 2
@@ -190,11 +188,11 @@ def _pair_thresholds(instance, allocation, payoffs, d, partner):
     if instance.model == ROOMMATES:
         return f_floor, payoffs.doctor_payoffs[partner]
     hosp = instance.hospitals[partner]
-    members = allocation.hospital_members(partner)
+    members = payoffs.members.get(partner, ())
     if allocation.matching.get(d) == partner:
-        g_floor = seat_contribution(instance, allocation, d, partner)
+        g_floor = payoffs.seat_values[(partner, d)]
     elif len(members) >= hosp.quota:
-        g_floor = min(seat_contribution(instance, allocation, dd, partner) for dd in members)
+        g_floor = min(payoffs.seat_values[(partner, dd)] for dd in members)
     else:
         g_floor = hosp.irp
     return f_floor, g_floor

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from matchgames import core
 from matchgames.core import (
     Allocation,
     BimatrixGame,
@@ -18,6 +19,7 @@ from matchgames.errors import (
     ClassTagViolationError,
     MalformedRationalError,
     MatchGamesError,
+    NotStrictlyCompetitiveError,
     QuotaOutOfRangeError,
 )
 
@@ -159,3 +161,32 @@ def test_strictly_competitive_load_check():
     doc["games"][0]["M"] = [["-2", "0"], ["0", "-2"]]
     with pytest.raises(ClassTagViolationError):
         load_instance(doc)
+
+
+def test_strictly_competitive_bridge_is_verified_once(monkeypatch):
+    calls = []
+    verify = core._verify_affine
+
+    def counting(*args):
+        calls.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(core, "_verify_affine", counting)
+    a = ((F(5), F(1)), (F(1), F(3)))
+    m = ((F(-2), F(0)), (F(0), F(-1)))
+    game = BimatrixGame(a, m, "strictly_competitive")
+    tr = game.frontier.transform
+    assert (tr.ratio, tr.shift, tr.direction) == (F(1, 2), F(-1, 2), "hospital")
+    assert game.frontier is game.frontier
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("a, m", [
+    (((F(1), F(0)), (F(0), F(1))), ((F(-1), F(0)), (F(0), F(-2)))),  # not affine
+    (((F(3), F(3)),), ((F(-7), F(-6)),)),  # constant A, varying M
+    (((F(3), F(4)),), ((F(-7), F(-7)),)),  # varying A, constant M
+])
+def test_malformed_strictly_competitive_game_names_entry(a, m):
+    with pytest.raises(NotStrictlyCompetitiveError) as err:
+        BimatrixGame(a, m, "strictly_competitive")
+    assert err.value.entry is not None

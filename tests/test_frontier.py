@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from matchgames import core, renegotiation
+from matchgames import core, renegotiation, stability
 from matchgames.core import BimatrixGame, Doctor, MatchingGameInstance, bilinear, parse_rational
 from matchgames.dac import DacState, run_dac
 from matchgames.errors import (
@@ -38,6 +38,7 @@ from matchgames.roommates import (
 from matchgames.stability import (
     _best_seat_value_above,
     _pair_block_profile,
+    find_blocking_pair,
     verify_renegotiation_proof,
 )
 
@@ -242,21 +243,44 @@ def test_roommates_solve_and_realize_build_one_view_per_game(monkeypatch):
     assert 0 < len(built) <= len(inst.games)
 
 
-def test_renegotiation_proof_check_reads_each_couple_once(monkeypatch):
-    eps = F(1, 2)
-    inst = generate_instance(seed=7, n_doctors=12, n_hospitals=4, max_strategies=3,
-                             max_quota=3, classes=["zero_sum", "strictly_competitive"])
-    allocation, _ = run_dac(inst, eps)
-    final = run_renegotiation(inst, allocation, eps).allocation
-    couples = final.matched_pairs()
+def _count_seat_reads(monkeypatch):
+    """Count seat_contribution calls under every module name bound to it."""
     calls = []
-    seat_contribution = renegotiation.seat_contribution
+    seat_contribution = core.seat_contribution
 
     def counting(instance, allocation, d, h):
         calls.append((d, h))
         return seat_contribution(instance, allocation, d, h)
 
-    monkeypatch.setattr(renegotiation, "seat_contribution", counting)
+    for module in (core, renegotiation, stability):
+        if getattr(module, "seat_contribution", None) is seat_contribution:
+            monkeypatch.setattr(module, "seat_contribution", counting)
+    return calls
+
+
+def _seeded_market(eps):
+    inst = generate_instance(seed=7, n_doctors=12, n_hospitals=4, max_strategies=3,
+                             max_quota=3, classes=["zero_sum", "strictly_competitive"])
+    allocation, _ = run_dac(inst, eps)
+    return inst, allocation
+
+
+def test_renegotiation_proof_check_reads_each_couple_once(monkeypatch):
+    eps = F(1, 2)
+    inst, allocation = _seeded_market(eps)
+    final = run_renegotiation(inst, allocation, eps).allocation
+    couples = final.matched_pairs()
+    calls = _count_seat_reads(monkeypatch)
     assert verify_renegotiation_proof(inst, final, eps) == (True, None)
     assert len(couples) > 4
     assert sorted(calls) == sorted(couples)
+
+
+def test_blocking_pair_search_reads_each_seat_once(monkeypatch):
+    eps = F(1, 2)
+    inst, allocation = _seeded_market(eps)
+    seats = allocation.matched_pairs()
+    calls = _count_seat_reads(monkeypatch)
+    assert find_blocking_pair(inst, allocation, eps) is None
+    assert len(seats) > 4
+    assert sorted(calls) == sorted(seats)

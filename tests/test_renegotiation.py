@@ -11,12 +11,14 @@ from matchgames.core import (
     MatchingGameInstance,
     bilinear,
     negate,
+    pure,
 )
 from matchgames.errors import InfeasibleReservationsError, InputNotPairwiseStableError
-from matchgames.gen import generate_instance, random_matrix
-from matchgames.lp import game_value
+from matchgames.gen import generate_instance, random_game, random_matrix
+from matchgames.lp import GE, OPTIMAL, LinearProgram, game_value, solve_lp
 from matchgames.dac import run_dac
 from matchgames.renegotiation import (
+    _one_shot_cne,
     compute_cne_repeated,
     compute_cne_strictly_competitive,
     compute_cne_zero_sum,
@@ -380,3 +382,164 @@ class TestRenegotiationProcess:
                             w - (-res.hospital_reservation))
             result = run_renegotiation(inst, alloc, eps)
             assert result.sweeps <= max(bound / eps, 1)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form constrained best responses against an LP reference
+
+
+def _lp_best_response(gain, guard, floor):
+    """max p.gain over the simplex with p.guard >= floor, by the simplex LP."""
+    lp = LinearProgram(objective=list(gain))
+    lp.add([F(1)] * len(gain), "==", F(1))
+    lp.add(list(guard), GE, floor)
+    result = solve_lp(lp)
+    return result.value if result.status == OPTIMAL else None
+
+
+def _random_mix(rng, n):
+    if rng.random() < 0.3:
+        return pure(rng.randrange(n), n)
+    weights = [rng.randint(0, 4) for _ in range(n)]
+    if not any(weights):
+        weights[rng.randrange(n)] = 1
+    return tuple(F(w, sum(weights)) for w in weights)
+
+
+def _guard_floors(rng, guard):
+    """Floors below the attainable range, inside it, at its maximum, above it."""
+    lo, hi = min(guard), max(guard)
+    inside = lo + (hi - lo) * F(rng.randint(0, 12), 12)
+    return [lo - 1, inside, hi, hi + F(1, 3)]
+
+
+def test_closed_form_best_responses_match_lp():
+    rng = random.Random(2024)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        den = rng.choice((1, 3))
+        a = random_matrix(rng, rows, cols, max_denominator=den)
+        m = random_matrix(rng, rows, cols, max_denominator=den)
+        eps = F(1, rng.choice((10, 4)))
+        y0, x0 = _random_mix(rng, cols), _random_mix(rng, rows)
+
+        gain = [bilinear(pure(i, rows), a, y0) for i in range(rows)]
+        guard = [bilinear(pure(i, rows), m, y0) for i in range(rows)]
+        for floor in _guard_floors(rng, guard):
+            want = _lp_best_response(gain, guard, floor)
+            assert constrained_best_response_doctor(a, m, y0, floor + eps, eps) == want
+            assert floor <= max(guard) or want is None
+
+        gain = [bilinear(x0, m, pure(j, cols)) for j in range(cols)]
+        guard = [bilinear(x0, a, pure(j, cols)) for j in range(cols)]
+        for floor in _guard_floors(rng, guard):
+            want = _lp_best_response(gain, guard, floor)
+            assert constrained_best_response_hospital(a, m, x0, floor + eps, eps) == want
+            assert floor <= max(guard) or want is None
+
+
+# ---------------------------------------------------------------------------
+# Binding-case witnesses, pinned
+
+
+def _binding_reservations(game):
+    """(f_res, g_res) putting the doctor, then the hospital, on the binding side."""
+    fr = game.frontier
+    tr = fr.transform
+    w = game_value(tr.image)[0]
+    return [
+        (tr.original_doctor_value((w + fr.z_max) / 2), tr.original_hospital_value(-fr.z_max)),
+        (tr.original_doctor_value(fr.z_min), tr.original_hospital_value(-(w + fr.z_min) / 2)),
+    ]
+
+
+PINNED_WITNESSES = [  # (seed, tight, case tag, x, y)
+    (1, False, "doctor_binding", (F(1), F(0)),
+     (F(389, 735), F(346, 735), F(0), F(0))),
+    (1, True, "doctor_binding", (F(1), F(0)),
+     (F(382, 735), F(353, 735), F(0), F(0))),
+    (1, False, "hospital_binding", (F(223, 420), F(197, 420)),
+     (F(1), F(0), F(0), F(0))),
+    (1, True, "hospital_binding", (F(209, 420), F(211, 420)),
+     (F(1), F(0), F(0), F(0))),
+    (2, False, "doctor_binding", (F(0), F(1)),
+     (F(3, 10), F(7, 10))),
+    (2, True, "doctor_binding", (F(0), F(1)),
+     (F(2, 5), F(3, 5))),
+    (2, False, "hospital_binding", (F(73, 140), F(67, 140)),
+     (F(1), F(0))),
+    (2, True, "hospital_binding", (F(37, 70), F(33, 70)),
+     (F(1), F(0))),
+    (3, False, "doctor_binding", (F(1), F(0)),
+     (F(23, 40), F(0), F(0), F(17, 40))),
+    (3, True, "doctor_binding", (F(1), F(0)),
+     (F(3, 5), F(0), F(0), F(2, 5))),
+    (3, False, "hospital_binding", (F(47, 140), F(93, 140)),
+     (F(0), F(1), F(0), F(0))),
+    (3, True, "hospital_binding", (F(23, 70), F(47, 70)),
+     (F(0), F(1), F(0), F(0))),
+    (5, False, "doctor_binding", (F(1), F(0), F(0), F(0)),
+     (F(6547, 9660), F(3113, 9660), F(0))),
+    (5, True, "doctor_binding", (F(1), F(0), F(0), F(0)),
+     (F(3193, 4830), F(1637, 4830), F(0))),
+    (5, False, "hospital_binding", (F(2230343, 2511600), F(17176, 156975), F(2147, 837200), F(0)),
+     (F(0), F(0), F(1))),
+    (5, True, "hospital_binding", (F(375239, 418600), F(5296, 52325), F(993, 418600), F(0)),
+     (F(0), F(0), F(1))),
+    (7, False, "doctor_binding", (F(0), F(1), F(0)),
+     (F(413, 600), F(187, 600))),
+    (7, True, "doctor_binding", (F(0), F(1), F(0)),
+     (F(139, 200), F(61, 200))),
+    (7, False, "hospital_binding", (F(467, 560), F(93, 560), F(0)),
+     (F(1), F(0))),
+    (7, True, "hospital_binding", (F(471, 560), F(89, 560), F(0)),
+     (F(1), F(0))),
+    (8, False, "doctor_binding", (F(0), F(1)),
+     (F(19, 40), F(21, 40), F(0))),
+    (8, True, "doctor_binding", (F(0), F(1)),
+     (F(17, 40), F(23, 40), F(0))),
+    (8, False, "hospital_binding", (F(17, 30), F(13, 30)),
+     (F(0), F(1), F(0))),
+    (8, True, "hospital_binding", (F(23, 40), F(17, 40)),
+     (F(0), F(1), F(0))),
+    (10, False, "doctor_binding", (F(0), F(0), F(1), F(0)),
+     (F(19, 30), F(11, 30))),
+    (10, True, "doctor_binding", (F(0), F(0), F(1), F(0)),
+     (F(13, 20), F(7, 20))),
+    (10, False, "hospital_binding", (F(0), F(43, 50), F(7, 50), F(0)),
+     (F(0), F(1))),
+    (10, True, "hospital_binding", (F(0), F(22, 25), F(3, 25), F(0)),
+     (F(0), F(1))),
+    # Seeds 134 and 219 tie at the largest slide step; the smallest index wins.
+    (134, False, "doctor_binding", (F(0), F(0), F(1)),
+     (F(1161, 9830), F(0), F(461, 1966), F(3182, 4915))),
+    (134, True, "doctor_binding", (F(0), F(0), F(1)),
+     (F(52, 445), F(0), F(19, 89), F(298, 445))),
+    (134, False, "hospital_binding", (F(53, 75), F(0), F(22, 75)),
+     (F(0), F(1), F(0), F(0))),
+    (134, True, "hospital_binding", (F(18, 25), F(0), F(7, 25)),
+     (F(1), F(0), F(0), F(0))),
+    (219, False, "doctor_binding", (F(0), F(1), F(0), F(0)),
+     (F(5299, 17120), F(11821, 17120), F(0), F(0))),
+    (219, True, "doctor_binding", (F(0), F(1), F(0), F(0)),
+     (F(649, 2140), F(1491, 2140), F(0), F(0))),
+    (219, False, "hospital_binding",
+     (F(3367, 14873), F(20607, 29746), F(0), F(2405, 29746)),
+     (F(1), F(0), F(0), F(0))),
+    (219, True, "hospital_binding",
+     (F(16086, 74365), F(52534, 74365), F(0), F(1149, 14873)),
+     (F(1), F(0), F(0), F(0))),
+]
+
+
+@pytest.mark.parametrize("seed", sorted({case[0] for case in PINNED_WITNESSES}))
+def test_binding_case_witnesses_are_pinned(seed):
+    rng = random.Random(seed)
+    game = random_game(rng, rng.randint(2, 4), rng.randint(2, 4),
+                       rng.choice(["zero_sum", "strictly_competitive"]), max_denominator=2)
+    got = []
+    for f_res, g_res in _binding_reservations(game):
+        for tight in (False, True):
+            cne = _one_shot_cne(game, f_res, g_res, F(1, 10), tight)
+            got.append((seed, tight, cne.case_tag, cne.x, cne.y))
+    assert got == [case for case in PINNED_WITNESSES if case[0] == seed]
