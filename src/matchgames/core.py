@@ -294,12 +294,14 @@ class BimatrixGame:
     def frontier(self) -> Frontier:
         """Matrix bounds and affine bridge, computed on first use and kept."""
         a, m = self.doctor_matrix, self.hospital_matrix
+        if self.class_tag == ZERO_SUM:
+            # M == -A was checked entry by entry on construction.
+            a_min, a_max = matrix_min(a), matrix_max(a)
+            identity = IdentityTransform(Fraction(1), Fraction(0), "doctor", a)
+            return Frontier(a_min, a_max, -a_max, -a_min, identity, a_min, a_max)
         bounds = (matrix_min(a), matrix_max(a), matrix_min(m), matrix_max(m))
         if self.class_tag == REPEATED:
             return Frontier(*bounds)
-        if self.class_tag == ZERO_SUM:
-            identity = IdentityTransform(Fraction(1), Fraction(0), "doctor", a)
-            return Frontier(*bounds, identity, bounds[0], bounds[1])
         if self.class_tag == STRICTLY_COMPETITIVE:
             tr = _affine_bridge(a, m, *bounds)
             image_bounds = bounds[:2] if tr.direction == "hospital" else (-bounds[3], -bounds[2])

@@ -7,6 +7,18 @@ auction between proposer and weakest incumbent: each side's bid is the most
 it can concede while staying above its reservation (best option elsewhere),
 the higher bid wins, ties keep the incumbent, and the winner settles at the
 loser's bid.
+
+Options are repriced only when their hospital's seats move.  A doctor's
+option at hospital h is a function of the instance, epsilon and h's seats
+alone: whether h is full, its weakest seat value and that seat's doctor.
+``SeatBook`` counts the writes to each hospital's seats (direct
+``seats[(h, d)] = ...`` writes and ``del`` included), and ``DacState`` keeps
+each doctor's last option at h with the count it was priced under.
+``hospital_options`` (and through it ``reservation_value`` and
+``competition_bid``) calls ``qcqp.max_f_point`` again only for hospitals
+whose count moved since that doctor last looked.  A reused option is the
+value the same call would return on the unchanged seats, so the memo cannot
+change an answer.
 """
 
 from __future__ import annotations
@@ -14,12 +26,13 @@ from __future__ import annotations
 from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .core import (
     ADDITIVE_SEPARABLE,
-    REPEATED,
     Allocation,
+    BimatrixGame,
     MatchingGameInstance,
     format_rational,
 )
@@ -38,12 +51,22 @@ FREE_SEAT = "__free_seat__"
 
 @dataclass
 class Proposal:
-    """A doctor's best admissible option; hospital None means stay unmatched."""
+    """A doctor's best admissible option; hospital None means stay unmatched.
+
+    ``outcome``, the witness profile of ``point`` in ``game``, is built on
+    first read: a proposal that goes to an auction settles at the loser's
+    bid and usually never needs it.
+    """
 
     hospital: Optional[str]
     displaced: Optional[str]  # FREE_SEAT or an incumbent doctor id
-    outcome: Optional[PairOutcome]
     doctor_value: Fraction
+    point: Optional[FrontierPoint] = None
+    game: Optional[BimatrixGame] = None
+
+    @cached_property
+    def outcome(self) -> Optional[PairOutcome]:
+        return None if self.point is None else frontier_witness(self.game, self.point)
 
 
 @dataclass
@@ -67,15 +90,17 @@ class DacTrace:
 class SeatBook(MutableMapping):
     """Seat outcomes keyed by (hospital, doctor), indexed per hospital.
 
-    Every write, including a direct ``seats[(h, d)] = outcome``, updates the
-    hospital's member index and drops its cached weakest seat, so queries
-    never rescan the other hospitals' seats.
+    Every write, including a direct ``seats[(h, d)] = outcome`` or a
+    ``del``, updates the hospital's member index, drops its cached weakest
+    seat and counts one more write to the hospital, so queries never rescan
+    the other hospitals' seats and option memos see which hospitals moved.
     """
 
     def __init__(self, seats=()):
         self._seats: Dict[Tuple[str, str], PairOutcome] = {}
         self._by_hospital: Dict[str, Dict[str, PairOutcome]] = {}
         self._weakest: Dict[str, Tuple[Fraction, str]] = {}
+        self._writes: Dict[str, int] = {}
         self.update(seats)
 
     def __getitem__(self, key):
@@ -85,13 +110,21 @@ class SeatBook(MutableMapping):
         h, d = key
         self._seats[key] = outcome
         self._by_hospital.setdefault(h, {})[d] = outcome
-        self._weakest.pop(h, None)
+        self._touch(h)
 
     def __delitem__(self, key):
         h, d = key
         del self._seats[key]
         del self._by_hospital[h][d]
+        self._touch(h)
+
+    def _touch(self, h: str):
         self._weakest.pop(h, None)
+        self._writes[h] = self._writes.get(h, 0) + 1
+
+    def writes(self, h: str) -> int:
+        """How many writes h's seats have had."""
+        return self._writes.get(h, 0)
 
     def __iter__(self):
         return iter(self._seats)
@@ -112,14 +145,28 @@ class SeatBook(MutableMapping):
         return self._weakest[h]
 
 
+Option = Tuple[Fraction, int, str, Optional[str], FrontierPoint]
+
+
 @dataclass
 class DacState:
+    """One DAC run's seats and matching.
+
+    Instance, epsilon and the seat book stay the same objects for the
+    state's life.  ``priced[d][h]`` is (index of h, write count of h's seats
+    when last priced, doctor d's option at h or None when h is out of
+    reach), for every h that d has a game with; the count is -1 until d
+    first prices h.
+    """
+
     instance: MatchingGameInstance
     epsilon: Fraction
     matching: Dict[str, Optional[str]] = field(default_factory=dict)
     seats: SeatBook = field(default_factory=SeatBook)
     unmatched: List[str] = field(default_factory=list)
     trace: DacTrace = field(default_factory=DacTrace)
+    priced: Dict[str, Dict[str, Tuple[int, int, Optional[Option]]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.seats, SeatBook):
@@ -151,29 +198,42 @@ class DacState:
         return allocation
 
 
-def hospital_options(state: DacState, d: str, exclude: Tuple[str, ...] = ()) -> List[Tuple[Fraction, int, str, Optional[str], FrontierPoint]]:
+def hospital_options(state: DacState, d: str, exclude: Tuple[str, ...] = ()) -> List[Option]:
     """Feasible (value, hospital_index, hospital, displaced, point) options.
 
     Options are priced by value only; the proposal builds the witness
-    profile of the one it takes.
+    profile of the one it takes.  Each option is repriced only when its
+    hospital's seats have been written since d last looked.
     """
-    instance = state.instance
-    eps = state.epsilon
+    priced = state.priced.get(d)
+    if priced is None:
+        instance = state.instance
+        priced = state.priced[d] = {h: (idx, -1, None)
+                                    for idx, h in enumerate(instance.hospital_ids)
+                                    if instance.has_game(d, h)}
+    writes = state.seats.writes
     options = []
-    for idx, h in enumerate(instance.hospital_ids):
-        if h in exclude or not instance.has_game(d, h):
+    for h, (idx, priced_at, option) in priced.items():
+        if h in exclude:
             continue
-        if state.is_full(h):
-            weakest_g, displaced = state.seats.weakest(h)
-            threshold = weakest_g + eps
-        else:
-            threshold = instance.hospitals[h].irp + eps
-            displaced = FREE_SEAT
-        point = max_f_point(instance.game_for(d, h), threshold)
-        if point is None:
-            continue
-        options.append((point.f, idx, h, displaced, point))
+        now = writes(h)
+        if priced_at != now:
+            option = _price_option(state, d, idx, h)
+            priced[h] = (idx, now, option)
+        if option is not None:
+            options.append(option)
     return options
+
+
+def _price_option(state: DacState, d: str, idx: int, h: str) -> Optional[Option]:
+    if state.is_full(h):
+        weakest_g, displaced = state.seats.weakest(h)
+        threshold = weakest_g + state.epsilon
+    else:
+        threshold = state.instance.hospitals[h].irp + state.epsilon
+        displaced = FREE_SEAT
+    point = max_f_point(state.instance.game_for(d, h), threshold)
+    return None if point is None else (point.f, idx, h, displaced, point)
 
 
 def optimal_proposal(state: DacState, d: str, epsilon: Fraction) -> Proposal:
@@ -191,9 +251,9 @@ def optimal_proposal(state: DacState, d: str, epsilon: Fraction) -> Proposal:
         # max keeps the first of equal values: the lowest hospital index.
         value, _, h, displaced, point = max(options, key=lambda opt: opt[0])
         if value > irp:
-            outcome = frontier_witness(state.instance.game_for(d, h), point)
-            return Proposal(hospital=h, displaced=displaced, outcome=outcome, doctor_value=value)
-    return Proposal(hospital=None, displaced=None, outcome=None, doctor_value=irp)
+            return Proposal(hospital=h, displaced=displaced, doctor_value=value,
+                            point=point, game=state.instance.game_for(d, h))
+    return Proposal(hospital=None, displaced=None, doctor_value=irp)
 
 
 def reservation_value(state: DacState, d: str, h: str) -> Fraction:
@@ -275,8 +335,8 @@ def run_dac(instance: MatchingGameInstance, epsilon: Fraction,
             settled_out.add(d)
             continue
         h = proposal.hospital
-        out = proposal.outcome
         if proposal.displaced == FREE_SEAT:
+            out = proposal.outcome
             state.trace.log(
                 f"accept d={d} h={h} f={format_rational(out.f)} g={format_rational(out.g)}"
             )
@@ -302,7 +362,7 @@ def run_dac(instance: MatchingGameInstance, epsilon: Fraction,
         if loser_bid is None:
             # The loser could not bid at all; the winner keeps the pressure of
             # the proposal threshold instead of an unbounded concession.
-            settled = out if winner == d else state.seats[(h, incumbent)]
+            settled = proposal.outcome if winner == d else state.seats[(h, incumbent)]
         else:
             settled = settle_competition(state, winner, loser_bid, h, epsilon)
         state.trace.log(

@@ -37,6 +37,7 @@ from .core import (
     CycleStrategy,
     MatchingGameInstance,
     Matrix,
+    PayoffReport,
     bilinear,
     evaluate_payoffs,
     _pair_doctor_payoff,
@@ -66,6 +67,10 @@ DOCTOR_BINDING = "doctor_binding"
 HOSPITAL_BINDING = "hospital_binding"
 UNIFORM_EQUILIBRIUM = "uniform_equilibrium"
 PUNISHMENT_SUPPORTED = "punishment_supported"
+
+# Sides of the payoff ledger's per-agent write counters.
+DOCTOR = "doctor"
+HOSPITAL = "hospital"
 
 
 @dataclass
@@ -101,7 +106,7 @@ def reservation_payoffs(instance: MatchingGameInstance, allocation: Allocation,
     whose constraint can only bind exactly at the game's boundary is no
     outside option at all, exactly as it is no blocking opportunity.
     """
-    return _PayoffLedger(instance, allocation).reservations(d, partner, epsilon)
+    return _PayoffLedger(instance, allocation, epsilon).reservations(d, partner)
 
 
 class _PayoffLedger:
@@ -111,23 +116,40 @@ class _PayoffLedger:
     one couple moves only that couple's two entries; ``record`` re-reads them
     from the installed profile.  In the roommates model the partner's value
     is her own doctor payoff.
+
+    Outside options are memoised.  An option of d at hospital k depends only
+    on the seat values at k (in the roommates model, on k's payoff), and an
+    option of hospital h for outside doctor k only on k's payoff.  ``record``
+    bumps a write counter per agent it touches, keyed by side so that a
+    doctor and a hospital sharing an id string stay apart, and an option is
+    repriced only when the counter of the agent it depends on has moved.
+    A shared ``payoffs`` report is copied, never written.
     """
 
-    def __init__(self, instance: MatchingGameInstance, allocation: Allocation):
+    def __init__(self, instance: MatchingGameInstance, allocation: Allocation,
+                 epsilon: Fraction, payoffs: Optional[PayoffReport] = None):
         self.instance = instance
+        self.epsilon = epsilon
         self.roommates = instance.model == ROOMMATES
-        report = evaluate_payoffs(instance, allocation)
-        self.doctor_payoffs = report.doctor_payoffs
-        self.seat_values = report.seat_values
+        report = payoffs or evaluate_payoffs(instance, allocation)
+        self.doctor_payoffs = dict(report.doctor_payoffs)
+        self.seat_values = dict(report.seat_values)
         self.members = report.members
+        self._writes: Dict[Tuple[str, str], int] = {}
+        self._doctor_priced: Dict[Tuple[str, str], Tuple[int, Optional[Fraction]]] = {}
+        self._hospital_priced: Dict[Tuple[str, str], Tuple[int, Optional[Fraction]]] = {}
 
     def record(self, allocation: Allocation, d: str, partner: str):
         self.doctor_payoffs[d] = _pair_doctor_payoff(self.instance, allocation, d, partner)
         value = seat_contribution(self.instance, allocation, d, partner)
         if self.roommates:
             self.doctor_payoffs[partner] = value
+            moved = ((DOCTOR, d), (DOCTOR, partner))
         else:
             self.seat_values[(partner, d)] = value
+            moved = ((DOCTOR, d), (HOSPITAL, partner))
+        for agent in moved:
+            self._writes[agent] = self._writes.get(agent, 0) + 1
 
     def pair_payoffs(self, couples) -> Dict[Tuple[str, str], Tuple[Fraction, Fraction]]:
         return {(d, p): (self.doctor_payoffs[d], self._partner_value(d, p)) for d, p in couples}
@@ -135,41 +157,61 @@ class _PayoffLedger:
     def _partner_value(self, d, partner):
         return self.doctor_payoffs[partner] if self.roommates else self.seat_values[(partner, d)]
 
-    def reservations(self, d: str, partner: str, epsilon: Fraction) -> ReservationPair:
-        doctor_res = self._doctor_outside_value(d, partner, epsilon)
+    def reservations(self, d: str, partner: str) -> ReservationPair:
+        doctor_res = self._doctor_outside_value(d, partner)
         if self.roommates:
-            return ReservationPair(doctor_res, self._doctor_outside_value(partner, d, epsilon))
+            return ReservationPair(doctor_res, self._doctor_outside_value(partner, d))
         instance, h = self.instance, partner
         best = instance.hospitals[h].irp
         members = self.members.get(h, ())
         for k in instance.doctor_ids:
             if k in members or not instance.has_game(k, h):
                 continue
-            point = max_g_point(instance.game_for(k, h), self.doctor_payoffs[k] + epsilon,
-                                strict=True)
-            if point is not None and point.g > best:
-                best = point.g
+            g = self._memo(self._hospital_priced, (k, h), (DOCTOR, k), self._hospital_option)
+            if g is not None and g > best:
+                best = g
         return ReservationPair(doctor_res, best)
 
-    def _doctor_outside_value(self, d, exclude, epsilon):
-        instance = self.instance
-        best = instance.doctors[d].irp
-        for k in instance.partner_options(d):
+    def _doctor_outside_value(self, d, exclude):
+        best = self.instance.doctors[d].irp
+        side = DOCTOR if self.roommates else HOSPITAL
+        for k in self.instance.partner_options(d):
             if k == exclude:
                 continue
-            if self.roommates:
-                threshold = self.doctor_payoffs[k] + epsilon
-            else:
-                hosp = instance.hospitals[k]
-                others = [m for m in self.members.get(k, ()) if m != d]
-                if len(others) < hosp.quota:
-                    threshold = hosp.irp + epsilon
-                else:
-                    threshold = min(self.seat_values[(k, m)] for m in others) + epsilon
-            point = max_f_point(instance.game_for(d, k), threshold, strict=True)
-            if point is not None and point.f > best:
-                best = point.f
+            f = self._memo(self._doctor_priced, (d, k), (side, k), self._doctor_option)
+            if f is not None and f > best:
+                best = f
         return best
+
+    def _memo(self, priced, key, agent, price):
+        """``price(*key)``, reused while the agent it depends on is unwritten."""
+        now = self._writes.get(agent, 0)
+        memo = priced.get(key)
+        if memo is None or memo[0] != now:
+            memo = priced[key] = (now, price(*key))
+        return memo[1]
+
+    def _doctor_option(self, d, k):
+        """d's best payoff at partner k, strictly beating k's bar by epsilon."""
+        instance, epsilon = self.instance, self.epsilon
+        if self.roommates:
+            threshold = self.doctor_payoffs[k] + epsilon
+        else:
+            hosp = instance.hospitals[k]
+            others = [m for m in self.members.get(k, ()) if m != d]
+            if len(others) < hosp.quota:
+                threshold = hosp.irp + epsilon
+            else:
+                threshold = min(self.seat_values[(k, m)] for m in others) + epsilon
+        point = max_f_point(instance.game_for(d, k), threshold, strict=True)
+        return None if point is None else point.f
+
+    def _hospital_option(self, k, h):
+        """h's best seat value with outside doctor k, granting k strictly more
+        than her payoff plus epsilon."""
+        point = max_g_point(self.instance.game_for(k, h), self.doctor_payoffs[k] + self.epsilon,
+                            strict=True)
+        return None if point is None else point.g
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +601,8 @@ def run_renegotiation(instance: MatchingGameInstance, allocation: Allocation,
 
     if epsilon <= 0:
         raise EpsilonNotPositiveError("epsilon must be strictly positive")
-    witness = find_blocking_pair(instance, allocation, epsilon)
+    payoffs = evaluate_payoffs(instance, allocation)
+    witness = find_blocking_pair(instance, allocation, epsilon, payoffs=payoffs)
     if witness is not None:
         raise InputNotPairwiseStableError(
             f"input allocation is blocked by ({witness.doctor},{witness.partner})"
@@ -575,13 +618,13 @@ def run_renegotiation(instance: MatchingGameInstance, allocation: Allocation,
             fr = instance.game_for(d, partner).frontier
             spread = max(spread, fr.a_max - fr.a_min, fr.m_max - fr.m_min)
         max_sweeps = 4 * int(spread / epsilon) + 100
-    ledger = _PayoffLedger(instance, current)
+    ledger = _PayoffLedger(instance, current, epsilon, payoffs)
     previous = ledger.pair_payoffs(couples)
     sweeps = 0
     history = []
     for _ in range(max_sweeps):
         for d, partner in couples:
-            reservations = ledger.reservations(d, partner, epsilon)
+            reservations = ledger.reservations(d, partner)
             game = instance.game_for(d, partner)
             still_fine, _ = check_couple_is_cne(
                 instance, current, d, partner, reservations, epsilon

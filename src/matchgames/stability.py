@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
+from math import comb
 from typing import Dict, List, Optional, Tuple
 
 from .core import (
@@ -198,10 +199,10 @@ def _pair_thresholds(instance, allocation, payoffs, d, partner):
     return f_floor, g_floor
 
 
-def find_blocking_pair(instance, allocation, epsilon: Fraction,
-                       grid_mesh: int = 8) -> Optional[BlockingPairWitness]:
+def find_blocking_pair(instance, allocation, epsilon: Fraction, grid_mesh: int = 8,
+                       payoffs: Optional[PayoffReport] = None) -> Optional[BlockingPairWitness]:
     """First pair able to rematch with both sides gaining strictly more than epsilon."""
-    payoffs = evaluate_payoffs(instance, allocation)
+    payoffs = payoffs or evaluate_payoffs(instance, allocation)
     if instance.model == GENERAL_ENUMERATED:
         witness = _enumerated_blocking_coalition(instance, allocation, payoffs, epsilon, max_size=1)
         if witness is None:
@@ -283,13 +284,19 @@ def _best_seat_value_above(game: BimatrixGame, f_floor: Fraction):
 
 def find_blocking_coalition(instance, allocation, epsilon: Fraction,
                             max_coalition_size: int = 5,
-                            cap: int = 1 << 16) -> Optional[BlockingCoalitionWitness]:
+                            cap: int = 1 << 16,
+                            payoffs: Optional[PayoffReport] = None,
+                            ) -> Optional[BlockingCoalitionWitness]:
     """Exhaustive scan for a coalition (I, h) all of whose members gain > epsilon.
 
     Additive separability reduces the scan to per-doctor frontier suprema;
-    the enumerated model scans its explicit tables.
+    the enumerated model scans its explicit tables.  A coalition size whose
+    ``size`` largest suprema cannot beat the hospital's current payoff plus
+    epsilon holds no candidate and is skipped; its ``comb(n, size)``
+    coalitions still count against ``cap``, so the cap and the first witness
+    in scan order are those of the full scan.
     """
-    payoffs = evaluate_payoffs(instance, allocation)
+    payoffs = payoffs or evaluate_payoffs(instance, allocation)
     if instance.model == GENERAL_ENUMERATED:
         return _enumerated_blocking_coalition(
             instance, allocation, payoffs, epsilon, max_size=max_coalition_size
@@ -310,14 +317,22 @@ def find_blocking_coalition(instance, allocation, epsilon: Fraction,
             if sup_g is not None:
                 eligible.append((d, sup_g))
         max_size = min(max_coalition_size, hosp.quota, len(eligible))
+        threshold = current + epsilon if current is not NEG_INF else None
+        # bests[size]: the largest total any coalition of that size can reach.
+        sups = sorted((g for _, g in eligible), reverse=True)
+        bests = list(accumulate(sups, initial=Fraction(0)))
         count = 0
         for size in range(1, max_size + 1):
+            if threshold is not None and bests[size] <= threshold:
+                count += comb(len(eligible), size)
+                if count > cap:
+                    raise CapExceededError("coalition scan exceeded its cap")
+                continue
             for combo in combinations(eligible, size):
                 count += 1
                 if count > cap:
                     raise CapExceededError("coalition scan exceeded its cap")
                 total = sum((g for _, g in combo), Fraction(0))
-                threshold = current + epsilon if current is not NEG_INF else None
                 if threshold is None or total > threshold:
                     witness = _realise_coalition(
                         instance, payoffs, [d for d, _ in combo], h, epsilon, threshold
@@ -458,19 +473,21 @@ def enumerate_core(instance: MatchingGameInstance, cap: int = 10_000_000) -> Lis
 # Renegotiation proofness (delegates the CNE characterisation checks)
 
 
-def verify_renegotiation_proof(instance, allocation, epsilon: Fraction):
+def verify_renegotiation_proof(instance, allocation, epsilon: Fraction,
+                               payoffs: Optional[PayoffReport] = None):
     """Every couple must play a CNE for its freshly recomputed reservations.
 
-    The payoff ledger is read from the allocation once; each couple's
-    reservations are then what ``reservation_payoffs`` would return.
+    The payoff ledger is read from the allocation once (or from ``payoffs``,
+    a report of this allocation); each couple's reservations are then what
+    ``reservation_payoffs`` would return.
     """
     from .renegotiation import _PayoffLedger, check_couple_is_cne
 
-    ledger = _PayoffLedger(instance, allocation)
+    ledger = _PayoffLedger(instance, allocation, epsilon, payoffs)
     for d, partner in allocation.matched_pairs():
         if instance.model == ROOMMATES and d > partner:
             continue
-        reservations = ledger.reservations(d, partner, epsilon)
+        reservations = ledger.reservations(d, partner)
         ok, witness = check_couple_is_cne(instance, allocation, d, partner, reservations, epsilon)
         if not ok:
             return False, f"couple ({d},{partner}): {witness}"
@@ -481,15 +498,19 @@ def full_report(instance, allocation, epsilon: Fraction,
                 coalition_size: Optional[int] = None,
                 grid_mesh: int = 8,
                 check_renegotiation: bool = True) -> StabilityReport:
-    ir_ok, ir_witness = check_individual_rationality(instance, allocation, epsilon)
-    pair = find_blocking_pair(instance, allocation, epsilon, grid_mesh=grid_mesh)
+    """Every requested check, all reading one evaluation of the payoffs."""
+    payoffs = evaluate_payoffs(instance, allocation)
+    ir_ok, ir_witness = check_individual_rationality(instance, allocation, epsilon, payoffs)
+    pair = find_blocking_pair(instance, allocation, epsilon, grid_mesh=grid_mesh, payoffs=payoffs)
     coalition = None
     if coalition_size and instance.model in (ADDITIVE_SEPARABLE, GENERAL_ENUMERATED):
-        coalition = find_blocking_coalition(instance, allocation, epsilon, coalition_size)
+        coalition = find_blocking_coalition(instance, allocation, epsilon, coalition_size,
+                                            payoffs=payoffs)
     reneg_ok = reneg_witness = None
     if check_renegotiation and instance.model != GENERAL_ENUMERATED:
         try:
-            reneg_ok, reneg_witness = verify_renegotiation_proof(instance, allocation, epsilon)
+            reneg_ok, reneg_witness = verify_renegotiation_proof(instance, allocation, epsilon,
+                                                                 payoffs)
         except UnsupportedClassError as exc:
             reneg_ok, reneg_witness = None, f"unsupported: {exc}"
     tags = {ZERO_SUM: EXACT_INTERVAL, STRICTLY_COMPETITIVE: EXACT_INTERVAL,

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
@@ -9,21 +11,26 @@ from matchgames.core import (
     Doctor,
     Hospital,
     MatchingGameInstance,
+    bilinear,
     evaluate_payoffs,
     matrix_max,
     negate,
+    serialize_allocation,
 )
+from matchgames import dac
 from matchgames.dac import (
     DacState,
     FREE_SEAT,
     competition_bid,
+    hospital_options,
     optimal_proposal,
+    reservation_value,
     run_dac,
     settle_competition,
 )
 from matchgames.errors import EpsilonNotPositiveError
 from matchgames.gen import generate_instance
-from matchgames.qcqp import PairOutcome
+from matchgames.qcqp import PairOutcome, max_f_given_g_floor, max_f_point
 from matchgames.stability import check_individual_rationality, find_blocking_pair
 
 from fixtures import multi_auction_instance
@@ -93,6 +100,19 @@ class TestOptimalProposal:
         proposal = optimal_proposal(state, "d3", F(1))
         assert proposal.displaced == "d2"
         assert proposal.outcome.g >= F(4)
+
+    def test_lazy_outcome_is_the_priced_witness(self):
+        inst = one_hospital_instance([[-4, 4], [2, -1]], doctor_irp=F(-5))
+        state = fresh_state(inst, F(1, 2))
+        proposal = optimal_proposal(state, "d1", F(1, 2))
+        outcome = proposal.outcome
+        assert outcome is proposal.outcome  # built once
+        assert (outcome.f, outcome.g) == (proposal.doctor_value, proposal.point.g)
+        game = inst.game_for("d1", "h1")
+        assert bilinear(outcome.x, game.doctor_matrix, outcome.y) == outcome.f
+        assert bilinear(outcome.x, game.hospital_matrix, outcome.y) == outcome.g
+        assert optimal_proposal(fresh_state(one_hospital_instance([[0, 4]]), F(1, 2)),
+                                "d1", F(1, 2)).outcome is None
 
 
 class TestCompetitionBid:
@@ -226,6 +246,97 @@ class TestRunDac:
                     if h in last_threshold:
                         assert threshold >= last_threshold[h]
                     last_threshold[h] = threshold
+
+
+# ---------------------------------------------------------------------------
+# Option memos: repricing only the hospitals whose seats moved must leave
+# every run byte-identical and every price equal to a fresh computation.
+
+
+def _dac_digest(instance, eps):
+    allocation, trace = run_dac(instance, eps)
+    blob = (json.dumps(serialize_allocation(allocation), sort_keys=True) + "\n"
+            + "\n".join(trace.events)
+            + f"\n{trace.iterations} {trace.loop_passes} {trace.competitions}")
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+# Digests of runs made before the option memos existed (full repricing on
+# every call, witness built for every proposal).
+PINNED_ZERO_SUM_40X10 = [
+    "d3c345f1fa438cf1", "4d730a7252f68c19", "a356d8a77d2957ad", "ec40301068c8d85e",
+    "3b3b1e9c5fb9b220", "b86c6603839b5ae9", "9ed65ebec54fdb32", "8de525f3b0b821c3",
+    "13673a45ddc6e4c1", "27ee8d94aef51e2a", "ec5cf9313d40d272", "06a38498f3d0c453",
+]
+PINNED_MIXED_20X6 = [
+    "c90768ae66af1663", "ba062be91677da3c", "562076bd5ac36d55", "edc4c586a98fdab5",
+    "e17dfc055267c829", "3f696779397dd4b6", "6d14fc82262b3c97", "d90f9bf1d5f5e307",
+    "3ed996150c5a3c3a", "fe04b601c0c6e3e2", "74bcf06bbc73bc5c", "4a96c4bf1b405488",
+]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_memoised_runs_match_pinned_digests(seed):
+    eps = F(1, 2)
+    zs = generate_instance(seed=seed, n_doctors=40, n_hospitals=10, classes=["zero_sum"])
+    assert _dac_digest(zs, eps) == PINNED_ZERO_SUM_40X10[seed]
+    mixed = generate_instance(seed=seed, n_doctors=20, n_hospitals=6,
+                              classes=["zero_sum", "strictly_competitive", "repeated"])
+    assert _dac_digest(mixed, eps) == PINNED_MIXED_20X6[seed]
+
+
+def _fresh_options(state, d, exclude=()):
+    """Every option priced anew from the raw seats, with no index or memo."""
+    inst, eps = state.instance, state.epsilon
+    options = []
+    for idx, h in enumerate(inst.hospital_ids):
+        if h in exclude or not inst.has_game(d, h):
+            continue
+        held = sorted((o.g, dd) for (hh, dd), o in state.seats.items() if hh == h)
+        if len(held) >= inst.hospitals[h].quota:
+            threshold, displaced = held[0][0] + eps, held[0][1]
+        else:
+            threshold, displaced = inst.hospitals[h].irp + eps, FREE_SEAT
+        point = max_f_point(inst.game_for(d, h), threshold)
+        if point is not None:
+            options.append((point.f, idx, h, displaced, point))
+    return options
+
+
+def test_direct_seat_writes_reprice_options(monkeypatch):
+    eps = F(1, 2)
+    inst = generate_instance(seed=4, n_doctors=6, n_hospitals=3, max_quota=1,
+                             classes=["zero_sum", "strictly_competitive"])
+    state = fresh_state(inst, eps)
+    priced = []
+
+    def counting(game, theta):
+        priced.append(theta)
+        return max_f_point(game, theta)
+
+    monkeypatch.setattr(dac, "max_f_point", counting)
+
+    def agree():
+        for d in inst.doctor_ids:
+            assert hospital_options(state, d) == _fresh_options(state, d)
+            for h in inst.hospital_ids:
+                expected = max([inst.doctors[d].irp]
+                               + [o[0] for o in _fresh_options(state, d, exclude=(h,))])
+                assert reservation_value(state, d, h) == expected
+
+    agree()
+    # A seat some doctor could take at the free-seat baseline.
+    h, holder, first = next(
+        (h, d, seat) for h in inst.hospital_ids for d in inst.doctor_ids
+        if (seat := max_f_given_g_floor(inst.game_for(d, h), inst.hospitals[h].irp + eps)))
+    for seat in (first, PairOutcome(f=first.f - 1, g=first.g + 1)):
+        priced.clear()
+        state.seats[(h, holder)] = seat  # a direct write: h is now full
+        agree()
+        # Only the options at the written hospital were priced again.
+        assert len(priced) == sum(inst.has_game(d, h) for d in inst.doctor_ids)
+    del state.seats[(h, holder)]
+    agree()
 
 
 def _reference_one_to_one_dac(instance, eps):

@@ -8,7 +8,17 @@ from fractions import Fraction as F
 import pytest
 
 from matchgames import core, renegotiation, stability
-from matchgames.core import BimatrixGame, Doctor, MatchingGameInstance, bilinear, parse_rational
+from matchgames.core import (
+    Allocation,
+    BimatrixGame,
+    Doctor,
+    Hospital,
+    MatchingGameInstance,
+    bilinear,
+    evaluate_payoffs,
+    negate,
+    parse_rational,
+)
 from matchgames.dac import DacState, run_dac
 from matchgames.errors import (
     InfeasibleReservationsError,
@@ -86,6 +96,18 @@ class TestValueQueries:
                     assert bilinear(outcome.x, game.doctor_matrix, outcome.y) == outcome.f
                     assert bilinear(outcome.x, game.hospital_matrix, outcome.y) == outcome.g
                     assert outcome.g >= theta
+
+    @pytest.mark.parametrize("game_class", CLASSES)
+    def test_frontier_bounds_are_the_matrix_bounds(self, game_class):
+        # Zero-sum bounds of M are read off A (M == -A); all must be exact.
+        rng = random.Random(f"bounds-{game_class}")
+        for _ in range(30):
+            game = random_game(rng, rng.randint(1, 4), rng.randint(1, 4), game_class,
+                               max_denominator=3)
+            a, m = game.doctor_matrix, game.hospital_matrix
+            fr = game.frontier
+            assert (fr.a_min, fr.a_max) == (core.matrix_min(a), core.matrix_max(a))
+            assert (fr.m_min, fr.m_max) == (core.matrix_min(m), core.matrix_max(m))
 
     def test_frontier_is_computed_once_per_game(self):
         game = random_game(random.Random(1), 3, 3, "strictly_competitive")
@@ -284,3 +306,67 @@ def test_blocking_pair_search_reads_each_seat_once(monkeypatch):
     assert find_blocking_pair(inst, allocation, eps) is None
     assert len(seats) > 4
     assert sorted(calls) == sorted(seats)
+
+
+def test_ledger_reprices_only_options_of_moved_agents(monkeypatch):
+    # Doctor "a" and hospital "a" share an id string; writing hospital a's
+    # seat must not reprice the options that depend on doctor a's payoff.
+    eps = F(1, 2)
+
+    def zero_sum(*rows):
+        a = tuple(tuple(F(v) for v in row) for row in rows)
+        return BimatrixGame(a, negate(a), "zero_sum")
+
+    inst = MatchingGameInstance(
+        model="additive_separable",
+        doctors={d: Doctor(d, F(-6), ("s1", "s2")) for d in "abc"},
+        hospitals={h: Hospital(h, F(-4), 1, ("t1", "t2")) for h in ("a", "h")},
+        games={
+            ("a", "a"): zero_sum((-3, 3), (1, -1)), ("a", "h"): zero_sum((-2, 4), (0, -2)),
+            ("b", "a"): zero_sum((-4, 2), (2, 0)), ("b", "h"): zero_sum((-1, 3), (1, -3)),
+            ("c", "a"): zero_sum((-2, 2), (3, -1)), ("c", "h"): zero_sum((-3, 1), (2, -2)),
+        },
+    )
+    half = (F(1, 2), F(1, 2))
+    alloc = Allocation(matching={"a": "h", "b": "a", "c": None},
+                       doctor_strategies={"a": (F(1), F(0)), "b": (F(1), F(0))},
+                       hospital_strategies={("h", "a"): half, ("a", "b"): half})
+    shared = evaluate_payoffs(inst, alloc)
+    before = (dict(shared.doctor_payoffs), dict(shared.seat_values))
+    ledger = renegotiation._PayoffLedger(inst, alloc, eps, shared)
+    couples = (("a", "h"), ("b", "a"))
+    for d, p in couples:
+        assert ledger.reservations(d, p) == reservation_payoffs(inst, alloc, d, p, eps)
+
+    alloc.doctor_strategies["b"] = (F(0), F(1))
+    ledger.record(alloc, "b", "a")
+    assert (shared.doctor_payoffs, shared.seat_values) == before
+    # Couple (b, hospital a): b's option at h and h's outside doctors a and c
+    # depend on nothing that moved.
+    calls = _count_ledger_queries(monkeypatch)
+    got = ledger.reservations("b", "a")
+    assert calls == []
+    monkeypatch.undo()
+    assert got == reservation_payoffs(inst, alloc, "b", "a", eps)
+    # Couple (a, h): a's option at hospital a (its seat moved) and h's option
+    # with doctor b (her payoff moved) are priced again; c's is reused.
+    calls = _count_ledger_queries(monkeypatch)
+    got = ledger.reservations("a", "h")
+    assert sorted(calls) == ["max_f_point", "max_g_point"]
+    monkeypatch.undo()
+    assert got == reservation_payoffs(inst, alloc, "a", "h", eps)
+
+
+def _count_ledger_queries(monkeypatch):
+    """Record the name of every frontier query the ledger makes."""
+    calls = []
+
+    def counting(name, query):
+        def wrapped(game, value, strict):
+            calls.append(name)
+            return query(game, value, strict)
+        return wrapped
+
+    for name in ("max_f_point", "max_g_point"):
+        monkeypatch.setattr(renegotiation, name, counting(name, getattr(renegotiation, name)))
+    return calls

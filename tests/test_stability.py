@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -9,14 +10,18 @@ from matchgames.core import (
     Doctor,
     Hospital,
     MatchingGameInstance,
+    NEG_INF,
     bilinear,
     evaluate_payoffs,
     negate,
+    pure,
 )
 from matchgames.dac import run_dac
 from matchgames.errors import CapExceededError
 from matchgames.gen import generate_instance
 from matchgames.stability import (
+    _best_seat_value_above,
+    _realise_coalition,
     check_individual_rationality,
     enumerate_core,
     find_blocking_coalition,
@@ -164,6 +169,108 @@ class TestCoalitions:
                     x, y = witness.profiles[d]
                     game = inst.game_for(d, witness.hospital)
                     assert bilinear(x, game.doctor_matrix, y) > payoffs.doctor_payoffs[d] + eps
+
+
+def _unpruned_coalition_scan(inst, alloc, eps, max_size, cap):
+    """The coalition scan without the size bound: every combination of every
+    size is summed and compared.  Returns the witness, or "cap"."""
+    payoffs = evaluate_payoffs(inst, alloc)
+    for h in inst.hospital_ids:
+        eligible = []
+        for d in inst.doctor_ids:
+            if inst.has_game(d, h):
+                sup_g = _best_seat_value_above(inst.game_for(d, h), payoffs.doctor_payoffs[d] + eps)
+                if sup_g is not None:
+                    eligible.append((d, sup_g))
+        current = payoffs.hospital_payoffs[h]
+        threshold = None if current is NEG_INF else current + eps
+        count = 0
+        for size in range(1, min(max_size, inst.hospitals[h].quota, len(eligible)) + 1):
+            for combo in combinations(eligible, size):
+                count += 1
+                if count > cap:
+                    return "cap"
+                if threshold is None or sum(g for _, g in combo) > threshold:
+                    witness = _realise_coalition(inst, payoffs, [d for d, _ in combo], h, eps,
+                                                 threshold)
+                    if witness is not None:
+                        return witness
+    return None
+
+
+def _pruned_coalition_scan(inst, alloc, eps, max_size, cap):
+    try:
+        return find_blocking_coalition(inst, alloc, eps, max_coalition_size=max_size, cap=cap)
+    except CapExceededError:
+        return "cap"
+
+
+def _scrambled_allocation(inst, rng):
+    """Random hospitals (quotas ignored) and pure profiles: many blocked
+    teams, and over-quota hospitals whose payoff is -inf."""
+    alloc = Allocation(matching={})
+    for d in inst.doctor_ids:
+        h = rng.choice(inst.hospital_ids + [None])
+        alloc.matching[d] = h
+        if h is not None:
+            game = inst.game_for(d, h)
+            alloc.doctor_strategies[d] = pure(rng.randrange(game.n_rows), game.n_rows)
+            alloc.hospital_strategies[(h, d)] = pure(rng.randrange(game.n_cols), game.n_cols)
+    return alloc
+
+
+class TestCoalitionBound:
+    def test_known_team_replacement_witness(self):
+        eps = F(1, 10)
+        inst = generate_instance(seed=1696459287, n_doctors=20, n_hospitals=6,
+                                 classes=["zero_sum", "strictly_competitive", "repeated"])
+        alloc, _ = run_dac(inst, eps)
+        witness = find_blocking_coalition(inst, alloc, eps, max_coalition_size=4)
+        assert (witness.doctors, witness.hospital) == (("d12", "d17"), "h3")
+        assert witness == _unpruned_coalition_scan(inst, alloc, eps, 4, 1 << 16)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dac_outputs_match_unpruned_scan(self, seed):
+        classes = ["zero_sum", "strictly_competitive"] + (["repeated"] if seed % 2 else [])
+        inst = generate_instance(seed=seed, n_doctors=20, n_hospitals=6, max_quota=4,
+                                 classes=classes)
+        for eps in (F(1, 2), F(1, 10)):
+            alloc, _ = run_dac(inst, eps)
+            for cap in (1, 7, 2000, 1 << 16):
+                assert (_pruned_coalition_scan(inst, alloc, eps, 4, cap)
+                        == _unpruned_coalition_scan(inst, alloc, eps, 4, cap))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_scrambled_allocations_match_unpruned_scan(self, seed):
+        rng = random.Random(f"coalition-bound-{seed}")
+        inst = generate_instance(seed=seed, n_doctors=10, n_hospitals=3, max_quota=4,
+                                 classes=["zero_sum", "strictly_competitive"])
+        for _ in range(4):
+            alloc = _scrambled_allocation(inst, rng)
+            eps = F(1, rng.choice((1, 2, 10)))
+            for cap in (3, 40, 1 << 16):
+                assert (_pruned_coalition_scan(inst, alloc, eps, 4, cap)
+                        == _unpruned_coalition_scan(inst, alloc, eps, 4, cap))
+
+    def test_cap_counts_pruned_sizes(self):
+        eps = F(1, 2)
+        inst = generate_instance(seed=3, n_doctors=20, n_hospitals=6, max_quota=4,
+                                 classes=["zero_sum", "strictly_competitive"])
+        alloc, _ = run_dac(inst, eps)
+        assert find_blocking_coalition(inst, alloc, eps, max_coalition_size=4) is None
+        # At the first hospital no size holds a candidate: every size is
+        # skipped, and its combinations alone must trip a small cap.
+        payoffs = evaluate_payoffs(inst, alloc)
+        h = inst.hospital_ids[0]
+        sups = sorted((g for d in inst.doctor_ids
+                       if (g := _best_seat_value_above(inst.game_for(d, h),
+                                                      payoffs.doctor_payoffs[d] + eps))
+                       is not None), reverse=True)
+        sizes = min(4, inst.hospitals[h].quota, len(sups))
+        assert sizes >= 2
+        assert all(sum(sups[:k]) <= payoffs.hospital_payoffs[h] + eps for k in range(1, sizes + 1))
+        with pytest.raises(CapExceededError):
+            find_blocking_coalition(inst, alloc, eps, max_coalition_size=4, cap=len(sups))
 
 
 class TestEnumerateCore:
