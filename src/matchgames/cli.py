@@ -9,6 +9,7 @@ identical inputs and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -174,9 +175,11 @@ def cmd_contracts_da(args) -> int:
     status = EXIT_OK
     if args.audit:
         audit = {}
+        tables = {}  # one choice table per hospital, shared by the three audits
         for h in model.hospitals:
-            subs_ok, subs_witness = contracts_mod.check_substitutability(model, h, cap=args.scan_cap)
-            irc_ok, irc_witness = contracts_mod.check_irc(model, h, cap=args.scan_cap)
+            subs_ok, subs_witness = contracts_mod.check_substitutability(
+                model, h, cap=args.scan_cap, tables=tables)
+            irc_ok, irc_witness = contracts_mod.check_irc(model, h, cap=args.scan_cap, tables=tables)
             audit[h] = {
                 "substitutable": subs_ok,
                 "irc": irc_ok,
@@ -185,7 +188,8 @@ def cmd_contracts_da(args) -> int:
                 audit[h]["substitutability_witness"] = [list(subs_witness[0]), subs_witness[1], subs_witness[2]]
             if not irc_ok:
                 audit[h]["irc_witness"] = [list(irc_witness[0]), irc_witness[1]]
-        stable, witness = contracts_mod.check_hm_stability(model, allocation, cap=args.scan_cap)
+        stable, witness = contracts_mod.check_hm_stability(
+            model, allocation, cap=args.scan_cap, tables=tables)
         audit["stable"] = stable
         audit["pairwise_stable"] = contracts_mod.is_pairwise_stable(model, allocation)
         if not stable:
@@ -240,7 +244,10 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every call to :func:`main` can share it."""
     parser = argparse.ArgumentParser(prog="matchgames")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -210,12 +210,31 @@ def _choice_table(model: ContractModel, h: str, own: Sequence[str]) -> List[Froz
     return table
 
 
-def check_substitutability(model: ContractModel, h: str, cap: int = 12):
+ChoiceTables = Dict[str, List[FrozenSet[str]]]
+
+
+def _shared_table(model: ContractModel, h: str, own: Sequence[str],
+                  tables: Optional[ChoiceTables]) -> List[FrozenSet[str]]:
+    """``h``'s choice table, taken from ``tables`` or built and stored there.
+
+    ``tables`` (hospital -> table) belongs to one model: it lets the audits
+    of one command share a table per hospital, and it must not outlive a
+    change to the model.  Each audit asks only after its own cap check, so a
+    cap trip builds no table."""
+    if tables is None:
+        return _choice_table(model, h, own)
+    if h not in tables:
+        tables[h] = _choice_table(model, h, own)
+    return tables[h]
+
+
+def check_substitutability(model: ContractModel, h: str, cap: int = 12,
+                           tables: Optional[ChoiceTables] = None):
     """Exhaustive: a rejected contract must stay rejected as the pool grows."""
     own = model.contracts_of_hospital(h)
     if len(own) > cap:
         raise ScanCapExceededError(f"{len(own)} contracts at {h} exceed the scan cap {cap}")
-    table = _choice_table(model, h, own)
+    table = _shared_table(model, h, own, tables)
     for subset, mask in _subsets(own):
         chosen = table[mask]
         grown = [(x_new, table[mask | 1 << i]) for i, x_new in enumerate(own) if not mask >> i & 1]
@@ -228,12 +247,13 @@ def check_substitutability(model: ContractModel, h: str, cap: int = 12):
     return True, None
 
 
-def check_irc(model: ContractModel, h: str, cap: int = 12):
+def check_irc(model: ContractModel, h: str, cap: int = 12,
+              tables: Optional[ChoiceTables] = None):
     """Exhaustive: dropping a contract the hospital rejects changes nothing."""
     own = model.contracts_of_hospital(h)
     if len(own) > cap:
         raise ScanCapExceededError(f"{len(own)} contracts at {h} exceed the scan cap {cap}")
-    table = _choice_table(model, h, own)
+    table = _shared_table(model, h, own, tables)
     for subset, mask in _subsets(own):
         for i, z in enumerate(own):
             if mask >> i & 1:
@@ -278,7 +298,8 @@ def is_pairwise_stable(model: ContractModel, allocation: FrozenSet[str]) -> bool
     return True
 
 
-def check_hm_stability(model: ContractModel, allocation: FrozenSet[str], cap: int = 12):
+def check_hm_stability(model: ContractModel, allocation: FrozenSet[str], cap: int = 12,
+                       tables: Optional[ChoiceTables] = None):
     """Full stability: individual rationality plus no blocking subset X''.
 
     Exhaustive over candidate subsets per hospital; a blocking X'' must be the
@@ -291,7 +312,7 @@ def check_hm_stability(model: ContractModel, allocation: FrozenSet[str], cap: in
         return False, "individual rationality fails"
     for h in model.hospitals:
         own = model.contracts_of_hospital(h)
-        table = _choice_table(model, h, own)
+        table = _shared_table(model, h, own, tables)
         current = sum(1 << i for i, cid in enumerate(own) if cid in allocation)
         kept = table[current]
         for candidate, mask in _subsets(own):

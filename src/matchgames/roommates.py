@@ -34,7 +34,6 @@ from .errors import (
     UnsupportedClassError,
 )
 from .qcqp import achieve_value_zero_sum, distribution_to_cycle, _hull_lp
-from .stability import all_matchings
 
 PayoffProfile = Dict[str, Fraction]
 
@@ -213,112 +212,157 @@ def _sweep_aspiration(instance, max_sweeps):
 def _stable_profile_search(instance) -> Optional[PayoffProfile]:
     """Exact search for a stable payoff profile of a zero-sum roommates instance.
 
-    Enumerates matchings; each matched pair contributes one share variable
-    (the first member's payoff, the partner takes its negation).  Feasible
-    regions are cut out by interval bounds and open blocking constraints
-    whose boundaries all sit on a finite, negation-closed critical set, so a
-    solvable matching has a solution with every share on that set.
+    Each matched pair contributes one share variable (its earlier member's
+    payoff; the partner takes its negation).  Feasible regions are cut out by
+    interval bounds and open blocking constraints whose boundaries all sit on
+    a finite, negation-closed critical set, so a solvable matching has a
+    solution with every share on that set.
+
+    The search runs on ranks: level ``i`` is the i-th smallest critical
+    value, and the rank of its negation is ``top - i``.  The set holds every
+    IRP and every stored game's bounds with their negations, hence also the
+    bounds of flipped views, and ranking preserves order, so each blocking
+    test gives the verdict it gives on the values.  A share domain is a bit
+    mask over ranks.  The mask of a pair (a, b) against a single s holds the
+    shares v at which neither a at v nor b at -v blocks with s; a pair's
+    domain is its interval mask ANDed with its masks against every single.
+
+    Doctors are decided in ``doctor_ids`` order, the head first single, then
+    paired with each later doctor in turn, which visits matchings in the
+    order of :func:`~matchgames.stability.all_matchings`.  A new single must
+    not block with an earlier one and narrows every placed pair's domain; a
+    new pair starts from its interval and is narrowed by the singles so far.
+    A branch is cut as soon as a domain is empty, which drops only matchings
+    with no stable share assignment.  The matchings that survive are visited
+    in enumeration order, each with the domains an enumeration would compute,
+    and shares are assigned in the same order, so the first profile found is
+    the one the full enumeration finds first.  (A blocking pair already fails
+    the aspiration equation tested at each leaf, so blocking tests only
+    prune; but domain sizes set the assignment order, so the masks must be
+    exactly the enumeration's.)
     """
-    doctors = instance.doctor_ids
-    critical = {Fraction(0)}
-    for d in doctors:
-        critical.add(instance.doctors[d].irp)
-        critical.add(-instance.doctors[d].irp)
-    for game in instance.games.values():
-        lo, hi = game.frontier.a_min, game.frontier.a_max
-        critical.update((lo, -lo, hi, -hi))
-    levels = sorted(critical)
-
-    for matching in all_matchings(list(doctors)):
-        pairs = [(a, b) for a, b in matching if b is not None]
-        if any(not instance.has_game(a, b) for a, b in pairs):
-            continue
-        singles = [a for a, b in matching if b is None]
-        fixed = {d: instance.doctors[d].irp for d in singles}
-        domains = []
-        feasible = True
-        for a, b in pairs:
-            fr = instance.game_for(a, b).frontier
-            lo = max(fr.a_min, instance.doctors[a].irp)
-            hi = min(fr.a_max, -instance.doctors[b].irp)
-            cands = [v for v in levels if lo <= v <= hi]
-            cands = [
-                v for v in cands
-                if not _any_block_against(instance, {a: v, b: -v, **fixed}, (a, b), singles)
-            ]
-            if not cands:
-                feasible = False
-                break
-            domains.append(((a, b), cands))
-        if not feasible:
-            continue
-        if not _singles_mutually_stable(instance, fixed):
-            continue
-        domains.sort(key=lambda item: len(item[1]))
-        hit = _assign_shares(instance, domains, dict(fixed), [])
-        if hit is not None:
-            return hit
-    return None
+    return _LevelSearch(instance).place(instance.doctor_ids, [], [])
 
 
-def _assign_shares(instance, domains, values, placed):
-    if not domains:
-        # Stability alone can leave boundary slack (a doctor could match a
-        # zero-gain partner for strictly more); insist on the tight equation.
-        ok, _ = is_aspiration(instance, values)
-        return dict(values) if ok else None
-    (a, b), cands = domains[0]
-    for v in cands:
-        values[a], values[b] = v, -v
-        if _pair_consistent(instance, values, (a, b), placed):
-            hit = _assign_shares(instance, domains[1:], values, placed + [(a, b)])
-            if hit is not None:
-                return hit
-    del values[a], values[b]
-    return None
+class _LevelSearch:
+    """Rank tables and masks of one stable-profile search.
 
+    ``free(u, s)`` is memoised per (doctor, single); the mask of a pair
+    (a, b) against s is a's mask at v ANDed with b's at -v.
+    """
 
-def _pair_consistent(instance, values, new_pair, placed):
-    a, b = new_pair
-    others = [d for p in placed for d in p]
-    for u in (a, b):
-        for v in others:
-            if instance.has_game(u, v) and _blocks(instance, values, u, v):
-                return False
-    return True
+    def __init__(self, instance):
+        self.instance = instance
+        critical = {Fraction(0)}
+        for d in instance.doctor_ids:
+            critical.update((instance.doctors[d].irp, -instance.doctors[d].irp))
+        for game in instance.games.values():
+            lo, hi = game.frontier.a_min, game.frontier.a_max
+            critical.update((lo, -lo, hi, -hi))
+        self.levels = sorted(critical)
+        rank = {v: i for i, v in enumerate(self.levels)}
+        self.top = len(self.levels) - 1
+        self.irp = {d: rank[instance.doctors[d].irp] for d in instance.doctor_ids}
+        # (u, v) -> rank bounds of u's payoff in the game oriented to u; absent
+        # when u and v have no game.
+        self.bounds = {}
+        for d in instance.doctor_ids:
+            for other in instance.partner_options(d):
+                fr = instance.game_for(d, other).frontier
+                self.bounds[d, other] = (rank[fr.a_min], rank[fr.a_max])
+        self._free = {}
 
+    def blocks(self, u, f_u, v, f_v):
+        """Do u at rank ``f_u`` and v at rank ``f_v`` block together?"""
+        bounds = self.bounds.get((u, v))
+        if bounds is None:
+            return False
+        lo, hi = bounds
+        # They block when the open interval (f_u, -f_v) meets u's [lo, hi].
+        left = max(f_u, lo)
+        right = min(self.top - f_v, hi)
+        return left < right or (left == right and f_u < left < self.top - f_v)
 
-def _any_block_against(instance, values, pair, singles):
-    """Does any member of ``pair`` form a blocking pair with a single?"""
-    for u in pair:
-        for s in singles:
-            if instance.has_game(u, s) and _blocks(instance, values, u, s):
-                return True
-    # The matched pair itself sits on the frontier: no internal block.
-    return False
+    def free(self, u, s):
+        """Masks of the ranks v at which u at v, and u at -v, does not block
+        with the single s."""
+        masks = self._free.get((u, s))
+        if masks is None:
+            at, at_neg = 0, 0
+            for v in range(self.top + 1):
+                if not self.blocks(u, v, s, self.irp[s]):
+                    at |= 1 << v
+                    at_neg |= 1 << (self.top - v)
+            masks = self._free[u, s] = (at, at_neg)
+        return masks
 
+    def pair_mask(self, a, b, s):
+        """Shares of a (b takes the negation) at which neither blocks with s."""
+        return self.free(a, s)[0] & self.free(b, s)[1]
 
-def _blocks(instance, values, u, v):
-    fr = instance.game_for(u, v).frontier
-    lo, hi = fr.a_min, fr.a_max
-    f_u, f_v = values[u], values[v]
-    # Open interval (f_u, -f_v) must miss the attainable interval [lo, hi].
-    left = max(f_u, lo)
-    right = min(-f_v, hi)
-    if left < right:
-        return True
-    if left == right and f_u < left < -f_v:
-        return True
-    return False
+    def interval(self, a, b):
+        """Shares of a inside the pair's attainable interval and both IRPs;
+        0 when a and b have no game."""
+        bounds = self.bounds.get((a, b))
+        if bounds is None:
+            return 0
+        lo = max(bounds[0], self.irp[a])
+        hi = min(bounds[1], self.top - self.irp[b])
+        return (1 << (hi + 1)) - (1 << lo) if lo <= hi else 0
 
+    def place(self, undecided, singles, pairs):
+        """Decide ``undecided`` in order; ``pairs`` holds (a, b, domain)."""
+        if not undecided:
+            # Smallest domains first; the sort is stable, so ties keep the
+            # order in which the pairs were placed.
+            domains = sorted(pairs, key=lambda item: item[2].bit_count())
+            return self.assign(domains, {d: self.irp[d] for d in singles}, [])
+        head, rest = undecided[0], undecided[1:]
+        if not any(self.blocks(head, self.irp[head], s, self.irp[s]) for s in singles):
+            narrowed = []
+            for a, b, domain in pairs:
+                domain &= self.pair_mask(a, b, head)
+                if not domain:
+                    break
+                narrowed.append((a, b, domain))
+            else:
+                hit = self.place(rest, singles + [head], narrowed)
+                if hit is not None:
+                    return hit
+        for i, partner in enumerate(rest):
+            domain = self.interval(head, partner)
+            for s in singles:
+                if not domain:
+                    break
+                domain &= self.pair_mask(head, partner, s)
+            if domain:
+                hit = self.place(rest[:i] + rest[i + 1:], singles, pairs + [(head, partner, domain)])
+                if hit is not None:
+                    return hit
+        return None
 
-def _singles_mutually_stable(instance, fixed):
-    singles = sorted(fixed)
-    for i, u in enumerate(singles):
-        for v in singles[i + 1:]:
-            if instance.has_game(u, v) and _blocks(instance, fixed, u, v):
-                return False
-    return True
+    def assign(self, domains, values, placed):
+        """Give each pair in ``domains`` a share, smallest rank first, such
+        that no two placed pairs block; ``values`` holds ranks."""
+        if not domains:
+            # Stability alone can leave boundary slack (a doctor could match a
+            # zero-gain partner for strictly more); insist on the tight equation.
+            profile = {d: self.levels[r] for d, r in values.items()}
+            ok, _ = is_aspiration(self.instance, profile)
+            return profile if ok else None
+        a, b, domain = domains[0]
+        while domain:
+            low = domain & -domain
+            domain ^= low
+            values[a] = v = low.bit_length() - 1
+            values[b] = self.top - v
+            if not any(self.blocks(u, values[u], w, values[w])
+                       for u in (a, b) for w in placed):
+                hit = self.assign(domains[1:], values, placed + [a, b])
+                if hit is not None:
+                    return hit
+        del values[a], values[b]
+        return None
 
 
 def _cycle_restart_candidates(instance, states):

@@ -185,3 +185,30 @@ def test_gen_repeated_denominator_bound(tmp_path):
 def test_missing_file_is_input_error(tmp_path):
     assert run(["solve-dac", "--input", str(tmp_path / "nope.json"),
                 "--epsilon", "1/2"]) == 1
+
+
+def test_shared_parser_gives_each_command_its_own_defaults(tmp_path, monkeypatch):
+    from matchgames import cli, stability
+    assert cli.build_parser() is cli.build_parser()
+    alloc_path = tmp_path / "alloc.json"
+    assert run(["solve-dac", "--input", EX4, "--epsilon", "1/2", "--output", str(alloc_path)]) == 0
+
+    coalition_sizes = []
+    real_report = stability.full_report
+    monkeypatch.setattr(stability, "full_report", lambda *args, **kwargs: (
+        coalition_sizes.append(kwargs["coalition_size"]) or real_report(*args, **kwargs)))
+    verify = ["verify", "--input", EX4, "--allocation", str(alloc_path), "--epsilon", "1/2",
+              "--output", str(tmp_path / "report.json")]
+    assert run(verify + ["--coalitions", "4"]) == 0
+    assert run(verify) == 0
+    assert coalition_sizes == [4, None]
+
+    oracle_calls = []
+    real_oracle = stability.find_blocking_pair
+    monkeypatch.setattr(stability, "find_blocking_pair", lambda *args, **kwargs: (
+        oracle_calls.append(kwargs["grid_mesh"]) or real_oracle(*args, **kwargs)))
+    solve = ["solve-dac", "--input", EX4, "--epsilon", "1/2", "--output", str(alloc_path)]
+    assert run(solve + ["--oracle", "--grid", "4"]) == 0
+    assert run(solve) == 0
+    assert run(solve + ["--oracle"]) == 0
+    assert oracle_calls == [4, 8]

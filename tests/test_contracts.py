@@ -1,9 +1,12 @@
+import json
 import random
 from fractions import Fraction as F
 from itertools import chain, combinations
 
 import pytest
 
+from matchgames import contracts
+from matchgames.cli import main
 from matchgames.contracts import (
     _choice_by_scan,
     _choice_table,
@@ -348,6 +351,68 @@ class TestChoiceAgainstScan:
             for sub in _powerset(m.contracts):
                 allocation = frozenset(sub)
                 assert check_hm_stability(m, allocation) == _scan_hm_stability(m, allocation)
+
+
+class TestSharedChoiceTables:
+    def test_shared_tables_give_the_same_audits(self):
+        rng = random.Random(11)
+        models = [_rich_additive_model(rng) for _ in range(30)]
+        models += [_random_additive_model(rng) for _ in range(10)]
+        models += [_random_table_model(rng) for _ in range(15)]
+        for m in models:
+            tables = {}
+            for h in m.hospitals:
+                assert check_substitutability(m, h, tables=tables) == check_substitutability(m, h)
+                assert check_irc(m, h, tables=tables) == check_irc(m, h)
+            assert set(tables) == set(m.hospitals)
+            for sub in _powerset(m.contracts):
+                allocation = frozenset(sub)
+                assert (check_hm_stability(m, allocation, tables=tables)
+                        == check_hm_stability(m, allocation))
+            for h, table in tables.items():
+                assert table == _choice_table(m, h, m.contracts_of_hospital(h))
+
+    def test_cap_trips_before_any_table_is_built(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(contracts, "_choice_table",
+                            lambda *args: built.append(args) or [])
+        utilities = {f"c{i}": ("d%d" % i, "h1", 1, i) for i in range(5)}
+        m = additive_model(None, utilities, {"h1": 3})
+        tables = {}
+        for audit in (lambda: check_substitutability(m, "h1", cap=4, tables=tables),
+                      lambda: check_irc(m, "h1", cap=4, tables=tables),
+                      lambda: check_hm_stability(m, frozenset(), cap=4, tables=tables)):
+            with pytest.raises(ScanCapExceededError):
+                audit()
+        assert built == [] and tables == {}
+
+    def test_audit_command_builds_one_table_per_hospital(self, tmp_path, monkeypatch):
+        model_path = tmp_path / "contracts.json"
+        model_path.write_text(json.dumps({
+            "contracts": [
+                {"id": "c1", "doctor": "d1", "hospital": "h1"},
+                {"id": "c2", "doctor": "d2", "hospital": "h1"},
+                {"id": "c3", "doctor": "d1", "hospital": "h2"},
+                {"id": "c4", "doctor": "d3", "hospital": "h2"},
+            ],
+            "doctor_utilities": {"d1": {"c1": "3", "c3": "4"}, "d2": {"c2": "2"}, "d3": {"c4": "1"}},
+            "hospitals": {
+                "h1": {"weights": {"c1": "5", "c2": "7"}, "quota": 1},
+                "h2": {"table": {"": "0", "c3": "0", "c4": "0", "c3+c4": "3"}},
+            },
+        }))
+        built = []
+        real = contracts._choice_table
+        monkeypatch.setattr(contracts, "_choice_table",
+                            lambda m, h, own: built.append(h) or real(m, h, own))
+        out_path = tmp_path / "out.json"
+        assert main(["contracts-da", "--input", str(model_path), "--audit",
+                     "--output", str(out_path)]) == 2
+        assert sorted(built) == ["h1", "h2"]
+        audit = json.loads(out_path.read_text())["audit"]
+        assert audit["h1"] == {"substitutable": True, "irc": True}
+        assert audit["h2"]["substitutability_witness"] == [["c3"], "c3", "c4"]
+        assert audit["stability_witness"] == "('h2', ('c3', 'c4'))"
 
 
 class TestPropOneEquivalence:

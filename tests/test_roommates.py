@@ -15,6 +15,8 @@ from matchgames.errors import MatchGamesError, NotAnAspirationError, Unsupported
 from matchgames.gen import generate_instance
 from matchgames.roommates import (
     UnrealizableReport,
+    _LevelSearch,
+    _stable_profile_search,
     build_demand_graph,
     demand_set,
     is_aspiration,
@@ -22,7 +24,7 @@ from matchgames.roommates import (
     realize_aspiration,
     solve_aspiration_zero_sum,
 )
-from matchgames.stability import find_blocking_pair, grid_stable_roommates_search
+from matchgames.stability import all_matchings, find_blocking_pair, grid_stable_roommates_search
 
 from fixtures import PD_A, PD_M
 
@@ -285,3 +287,136 @@ class TestEndToEnd:
                 payoffs = evaluate_payoffs(inst, result)
                 assert payoffs.doctor_payoffs == profile
                 assert find_blocking_pair(inst, result, eps0) is None
+
+
+# Reference search: every matching in enumeration order, each pair's share
+# domain filtered value by value against every single, in Fractions.
+
+def _enumeration_search(instance):
+    critical = {F(0)}
+    for d in instance.doctor_ids:
+        critical.update((instance.doctors[d].irp, -instance.doctors[d].irp))
+    for game in instance.games.values():
+        lo, hi = game.frontier.a_min, game.frontier.a_max
+        critical.update((lo, -lo, hi, -hi))
+    levels = sorted(critical)
+    for matching in all_matchings(instance.doctor_ids):
+        pairs = [(a, b) for a, b in matching if b is not None]
+        if any(not instance.has_game(a, b) for a, b in pairs):
+            continue
+        singles = [a for a, b in matching if b is None]
+        fixed = {d: instance.doctors[d].irp for d in singles}
+        if any(_blocks(instance, fixed, u, v) for u in singles for v in singles if u < v):
+            continue
+        domains = []
+        for a, b in pairs:
+            fr = instance.game_for(a, b).frontier
+            lo = max(fr.a_min, instance.doctors[a].irp)
+            hi = min(fr.a_max, -instance.doctors[b].irp)
+            cands = [v for v in levels if lo <= v <= hi and not any(
+                _blocks(instance, {a: v, b: -v, **fixed}, u, s) for u in (a, b) for s in singles)]
+            domains.append(((a, b), cands))
+        if not all(cands for _, cands in domains):
+            continue
+        domains.sort(key=lambda item: len(item[1]))
+        hit = _assign_shares(instance, domains, dict(fixed), [])
+        if hit is not None:
+            return hit
+    return None
+
+
+def _assign_shares(instance, domains, values, placed):
+    if not domains:
+        ok, _ = is_aspiration(instance, values)
+        return dict(values) if ok else None
+    (a, b), cands = domains[0]
+    for v in cands:
+        values[a], values[b] = v, -v
+        if not any(_blocks(instance, values, u, w) for u in (a, b) for w in placed):
+            hit = _assign_shares(instance, domains[1:], values, placed + [a, b])
+            if hit is not None:
+                return hit
+    del values[a], values[b]
+    return None
+
+
+def _blocks(instance, values, u, v):
+    """The open interval (values[u], -values[v]) meets u's attainable range."""
+    if not instance.has_game(u, v):
+        return False
+    fr = instance.game_for(u, v).frontier
+    left = max(values[u], fr.a_min)
+    right = min(-values[v], fr.a_max)
+    return left < right or (left == right and values[u] < left < -values[v])
+
+
+# Generator settings: defaults (mostly all-zero profiles), positive IRPs with
+# two strategies, and half-integer payoffs.
+SEARCH_VARIANTS = (
+    {},
+    {"irp_lo": -2, "irp_hi": 3, "max_strategies": 2},
+    {"irp_lo": -4, "irp_hi": 2, "max_denominator": 2},
+)
+
+# The search's first profile (in insertion order) on generator seeds 1 and 2
+# at n = 12, computed with the exhaustive enumeration.
+PINNED_N12 = {
+    1: ["d6", "d10", "d1", "d3", "d8", "d11", "d4", "d7", "d9", "d12", "d2", "d5"],
+    2: ["d5", "d6", "d11", "d12", "d2", "d4", "d7", "d8", "d9", "d10", "d1", "d3"],
+}
+
+
+class TestStableProfileSearch:
+    def test_equals_the_enumeration_search(self):
+        cases = [(n, k) for n in range(4, 9) for k in range(4)] + [(9, 0), (10, 0)]
+        found = missing = nonzero = 0
+        for n, k in cases:
+            for variant, kwargs in enumerate(SEARCH_VARIANTS):
+                inst = generate_instance(seed=1000 * n + k, model="roommates",
+                                         n_doctors=n, **kwargs)
+                expected = _enumeration_search(inst)
+                got = _stable_profile_search(inst)
+                assert got == expected, (n, k, variant)
+                if expected is None:
+                    missing += 1
+                    continue
+                found += 1
+                nonzero += any(expected.values())
+                assert list(got) == list(expected)
+        assert found + missing >= 60
+        assert missing >= 10 and nonzero >= 20
+
+    def test_rank_verdicts_equal_value_verdicts(self):
+        for variant, kwargs in enumerate(SEARCH_VARIANTS):
+            inst = generate_instance(seed=77, model="roommates", n_doctors=5, **kwargs)
+            search = _LevelSearch(inst)
+            levels = search.levels
+            assert [-v for v in reversed(levels)] == levels
+            for u in inst.doctor_ids:
+                for s in inst.doctor_ids:
+                    if s == u:
+                        continue
+                    for i, x in enumerate(levels):
+                        for j, y in enumerate(levels):
+                            assert search.blocks(u, i, s, j) == _blocks(inst, {u: x, s: y}, u, s)
+                    at, at_neg = search.free(u, s)
+                    single = {s: inst.doctors[s].irp}
+                    for i, x in enumerate(levels):
+                        assert (at >> i & 1) == (not _blocks(inst, {u: x, **single}, u, s))
+                        assert (at_neg >> i & 1) == (not _blocks(inst, {u: -x, **single}, u, s))
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_N12))
+    def test_pinned_profiles_at_twelve(self, seed):
+        inst = generate_instance(seed=seed, model="roommates", n_doctors=12)
+        got = _stable_profile_search(inst)
+        assert list(got.items()) == [(d, F(0)) for d in PINNED_N12[seed]]
+
+    @pytest.mark.parametrize("n,seed", [(14, 1), (14, 2), (16, 1), (16, 2)])
+    def test_solves_and_realizes_large_instances(self, n, seed):
+        inst = generate_instance(seed=seed, model="roommates", n_doctors=n)
+        profile = solve_aspiration_zero_sum(inst)
+        assert is_aspiration(inst, profile) == (True, None)
+        alloc = realize_aspiration(inst, profile)
+        assert not isinstance(alloc, UnrealizableReport)
+        assert evaluate_payoffs(inst, alloc).doctor_payoffs == profile
+        assert find_blocking_pair(inst, alloc, F(0)) is None
