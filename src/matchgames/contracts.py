@@ -13,11 +13,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations
+from functools import lru_cache
+from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .core import MatchingGameInstance, bilinear, format_rational, parse_rational
-from .errors import MatchGamesError, ScanCapExceededError
+from .errors import (
+    ForeignContractError,
+    MatchGamesError,
+    ScanCapExceededError,
+    UndeclaredHospitalError,
+    UnknownContractError,
+)
 from .qcqp import simplex_grid
 
 
@@ -39,10 +46,29 @@ class ContractModel:
     def __post_init__(self):
         for (d, cid) in self.doctor_utilities:
             if cid not in self.contracts:
-                raise MatchGamesError(f"utility names unknown contract {cid!r}")
+                raise UnknownContractError(f"utility names unknown contract {cid!r}")
+        declared = set(self.hospital_additive) | set(self.hospital_tables)
         for cid, contract in self.contracts.items():
             if (contract.doctor, cid) not in self.doctor_utilities:
                 raise MatchGamesError(f"contract {cid} lacks a doctor utility")
+            if contract.hospital not in declared:
+                raise UndeclaredHospitalError(
+                    f"contract {cid} names hospital {contract.hospital!r}, which has no weights or table")
+        for h, weights in self.hospital_additive.items():
+            for cid in weights:
+                self._check_own(h, cid, "weights")
+        for h, table in self.hospital_tables.items():
+            for key in table:
+                for cid in sorted(key):
+                    self._check_own(h, cid, "table key")
+
+    def _check_own(self, h: str, cid: str, where: str):
+        contract = self.contracts.get(cid)
+        if contract is None:
+            raise UnknownContractError(f"{where} of hospital {h} names unknown contract {cid!r}")
+        if contract.hospital != h:
+            raise ForeignContractError(
+                f"{where} of hospital {h} names contract {cid} of hospital {contract.hospital}")
 
     @property
     def doctors(self) -> List[str]:
@@ -95,61 +121,94 @@ def choice_doctor(model: ContractModel, d: str, subset: Sequence[str]) -> Option
 def choice_hospital(model: ContractModel, h: str, subset: Sequence[str]) -> FrozenSet[str]:
     """The hospital's favourite admissible subset of its contracts in
     ``subset``; ties break to the lexicographically smallest sorted id tuple,
-    and the empty set wins at value 0.  Additive hospitals choose greedily
-    (exact, same tie-break); table hospitals by an exhaustive scan."""
-    own = frozenset(cid for cid in subset if model.contracts[cid].hospital == h)
+    and the empty set wins at value 0.  One pool is chosen by the rules that
+    fill ``_choice_table``: one greedy walk for an additive hospital, the best
+    ranked admissible subset for a table hospital."""
+    own = sorted({cid for cid in subset if model.contracts[cid].hospital == h})
     if h in model.hospital_tables:
-        return _choice_by_scan(model, h, own)
-    return _additive_choice(model, h, own)
-
-
-def _additive_choice(model: ContractModel, h: str, own: FrozenSet[str]) -> FrozenSet[str]:
-    """The scan's choice for an additive hospital, greedily in O(k log k).
-
-    Only contracts of non-negative weight can be in a best subset.  Each
-    doctor competes with her highest weight (smallest id among equal
-    weights), and the quota highest doctors win, ties going to the smallest
-    ids.  When fewer than quota doctors have a positive weight, a best subset
-    holds all of them, and a zero-weight contract keeps its value; one whose
-    id sorts below the largest id kept makes the sorted id tuple smaller, so
-    such contracts join, smallest first, while places remain.  Weights are
-    compared as integers over their common denominator.
-    """
+        ranked = _table_ranking(model, h, own)
+        return _decode(own, ranked[-1] if ranked else 0)
+    chosen = prior = 0
     quota = model.hospital_quotas.get(h, 1)
+    for step in _walk_order(model, h, own):
+        chosen = _join(chosen, prior, step, quota)
+        prior |= step[0]
+    return _decode(own, chosen)
+
+
+def _decode(own: Sequence[str], mask: int) -> FrozenSet[str]:
+    return frozenset(_ids(own, mask))
+
+
+def _ids(own: Sequence[str], mask: int) -> Tuple[str, ...]:
+    """The contracts of ``own`` named by the bit mask, in ``own`` order."""
+    return tuple(cid for i, cid in enumerate(own) if mask >> i & 1)
+
+
+# Choice rules on bit masks.  ``own`` is a sorted list of one hospital's
+# contracts and bit i stands for ``own[i]``, so comparing two single bits
+# compares two ids.
+
+
+def _walk_order(model: ContractModel, h: str, own: Sequence[str]) -> List[Tuple[int, int, bool]]:
+    """The contracts of ``own`` an additive hospital can take, in the order of
+    its greedy walk: highest weight first, smallest id among equal weights.
+
+    Each step is ``(bit, rivals, positive)``: the contract's bit, the bits of
+    its doctor's contracts, and whether its weight is above 0.  Negative and
+    missing weights never enter a best subset, so they take no step; the
+    weights are compared as integers over their common denominator.
+    """
     weights = model.hospital_additive.get(h, {})
-    offered = [(cid, weights[cid]) for cid in own if cid in weights and weights[cid].numerator >= 0]
-    if quota < 1 or not offered:
-        return frozenset()
+    offered = [(i, weights[cid]) for i, cid in enumerate(own)
+               if cid in weights and weights[cid].numerator >= 0]
+    if not offered:
+        return []
     scale = math.lcm(*(w.denominator for _, w in offered))
-    best: Dict[str, Tuple[int, str]] = {}  # doctor -> (negated scaled weight, id)
-    for cid, w in offered:
-        key = (-w.numerator * (scale // w.denominator), cid)
-        d = model.contracts[cid].doctor
-        if d not in best or key < best[d]:
-            best[d] = key
-    ranked = sorted(best.values())
-    chosen = [cid for neg, cid in ranked[:quota] if neg < 0]
-    if not chosen:
-        return frozenset()
-    if len(chosen) < quota:
-        top = max(chosen)
-        zeros = [cid for neg, cid in ranked if neg == 0 and cid < top]
-        chosen += zeros[:quota - len(chosen)]
-    return frozenset(chosen)
+    rivals: Dict[str, int] = {}
+    for i, _ in offered:
+        d = model.contracts[own[i]].doctor
+        rivals[d] = rivals.get(d, 0) | 1 << i
+    offered.sort(key=lambda e: (-e[1].numerator * (scale // e[1].denominator), e[0]))
+    return [(1 << i, rivals[model.contracts[own[i]].doctor], w.numerator > 0) for i, w in offered]
 
 
-def _choice_by_scan(model: ContractModel, h: str, own: FrozenSet[str]) -> FrozenSet[str]:
-    """The choice by brute force over every subset of ``own``."""
-    best = (Fraction(0), frozenset())  # the empty set is always admissible at 0
-    ordered = sorted(own)
-    for size in range(1, len(ordered) + 1):
-        for combo in combinations(ordered, size):
-            value = model.hospital_value(h, frozenset(combo))
-            if value is None:
-                continue
-            if value > best[0] or (value == best[0] and best[1] and tuple(sorted(combo)) < tuple(sorted(best[1]))):
-                best = (value, frozenset(combo))
-    return best[1]
+def _join(chosen: int, prior: int, step: Tuple[int, int, bool], quota: int) -> int:
+    """The greedy's choice once its walk reaches one more contract.
+
+    ``chosen`` is the choice out of ``prior``, the contracts of the pool met
+    earlier on the walk.  The contract joins unless a contract of its
+    doctor was met before (that one is the doctor's best), the quota is
+    full, or it weighs 0 and its id does not sort below the largest id kept.  That last
+    rule is the scan's tie-break: a zero-weight contract keeps the value, and
+    one below the largest id kept makes the sorted id tuple smaller; with
+    nothing kept it cannot join, since the empty set wins at value 0.
+    """
+    bit, rivals, positive = step
+    if prior & rivals or chosen.bit_count() >= quota or not (positive or bit < chosen):
+        return chosen
+    return chosen | bit
+
+
+def _table_ranking(model: ContractModel, h: str, own: Sequence[str]) -> List[int]:
+    """The bit masks of the table hospital's admissible subsets of ``own``
+    worth more than 0, least preferred first.
+
+    The scan's tie-break makes its preference a total order: higher value
+    first, and among equal values the smaller sorted id tuple.  Every subset
+    worth 0 or less loses to the empty set, so only these can be chosen.
+    """
+    index = {cid: 1 << i for i, cid in enumerate(own)}
+    entries = []
+    for key, value in model.hospital_tables[h].items():
+        if value <= 0 or not key or not all(cid in index for cid in key):
+            continue
+        if len({model.contracts[cid].doctor for cid in key}) < len(key):
+            continue  # at most one contract per doctor
+        entries.append((value, sorted(key), sum(index[cid] for cid in key)))
+    entries.sort(key=lambda e: e[1], reverse=True)
+    entries.sort(key=lambda e: e[0])
+    return [mask for _, _, mask in entries]
 
 
 def run_da_contracts(model: ContractModel) -> FrozenSet[str]:
@@ -191,30 +250,56 @@ def run_da_contracts(model: ContractModel) -> FrozenSet[str]:
 # Audits
 
 
-def _powerset(items):
-    return chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))
+@lru_cache(maxsize=None)
+def _visit_order(n: int) -> Tuple[int, ...]:
+    """The bit masks of every subset of n contracts in the audits' visit
+    order: by size, then lexicographically by position."""
+    bits = [1 << i for i in range(n)]
+    return tuple(sum(combo) for size in range(n + 1) for combo in combinations(bits, size))
 
 
-def _subsets(own: Sequence[str]):
-    """Every subset of ``own`` in ``_powerset`` order, paired with its bit
-    mask (bit i stands for ``own[i]``)."""
-    return zip(_powerset(own), map(sum, _powerset([1 << i for i in range(len(own))])))
+def _choice_table(model: ContractModel, h: str, own: Sequence[str]) -> List[int]:
+    """The hospital's choice out of every subset of its own contracts ``own``
+    (sorted), as bit masks indexed by the subset's bit mask.
 
-
-def _choice_table(model: ContractModel, h: str, own: Sequence[str]) -> List[FrozenSet[str]]:
-    """The hospital's choice out of every subset of its own contracts ``own``,
-    indexed by the subset's bit mask."""
-    table: List[FrozenSet[str]] = [frozenset()] * (1 << len(own))
-    for subset, mask in _subsets(own):
-        table[mask] = choice_hospital(model, h, subset)
+    An additive hospital's table grows one walk step at a time: the subsets
+    whose last contract on the walk is x are x added to each subset of the
+    contracts before it, and each choice is one ``_join`` on that subset's.
+    Contracts off the walk change no choice.  A table hospital's choice out
+    of S is the best ranked admissible subset of S, which the subset DP
+    best[S] = max(rank of S, best[S - {x}] for x in S) finds; it runs one
+    bit at a time, in O(n 2^n) steps.
+    """
+    n = len(own)
+    if h in model.hospital_tables:
+        ranked = [0] + _table_ranking(model, h, own)
+        best = [0] * (1 << n)
+        for rank, mask in enumerate(ranked):
+            best[mask] = rank
+        for i in range(n):
+            keep = ~(1 << i)
+            best = [max(rank, best[m & keep]) for m, rank in enumerate(best)]
+        return [ranked[rank] for rank in best]
+    table = [0] * (1 << n)
+    quota = model.hospital_quotas.get(h, 1)
+    order = _walk_order(model, h, own)
+    walked = [0]
+    for step in order:
+        bit = step[0]
+        for sub in walked:
+            table[sub | bit] = _join(table[sub], sub, step, quota)
+        walked += [sub | bit for sub in walked]
+    offered = sum(step[0] for step in order)
+    if offered != (1 << n) - 1:
+        table = [table[m & offered] for m in range(1 << n)]
     return table
 
 
-ChoiceTables = Dict[str, List[FrozenSet[str]]]
+ChoiceTables = Dict[str, List[int]]
 
 
 def _shared_table(model: ContractModel, h: str, own: Sequence[str],
-                  tables: Optional[ChoiceTables]) -> List[FrozenSet[str]]:
+                  tables: Optional[ChoiceTables]) -> List[int]:
     """``h``'s choice table, taken from ``tables`` or built and stored there.
 
     ``tables`` (hospital -> table) belongs to one model: it lets the audits
@@ -235,15 +320,19 @@ def check_substitutability(model: ContractModel, h: str, cap: int = 12,
     if len(own) > cap:
         raise ScanCapExceededError(f"{len(own)} contracts at {h} exceed the scan cap {cap}")
     table = _shared_table(model, h, own, tables)
-    for subset, mask in _subsets(own):
-        chosen = table[mask]
-        grown = [(x_new, table[mask | 1 << i]) for i, x_new in enumerate(own) if not mask >> i & 1]
-        for x in subset:
-            if x in chosen:
-                continue
-            for x_new, bigger in grown:
-                if x in bigger:
-                    return False, (subset, x, x_new)
+    bits = [1 << i for i in range(len(own))]
+    for mask in _visit_order(len(own)):
+        rejected = mask & ~table[mask]
+        if not rejected:
+            continue
+        regained = 0
+        for b in bits:  # a bit already in mask adds table[mask], which holds no rejected bit
+            regained |= table[mask | b]
+        regained &= rejected
+        if regained:
+            x = regained & -regained
+            x_new = next(b for b in bits if not mask & b and table[mask | b] & x)
+            return False, (_ids(own, mask), own[x.bit_length() - 1], own[x_new.bit_length() - 1])
     return True, None
 
 
@@ -254,13 +343,15 @@ def check_irc(model: ContractModel, h: str, cap: int = 12,
     if len(own) > cap:
         raise ScanCapExceededError(f"{len(own)} contracts at {h} exceed the scan cap {cap}")
     table = _shared_table(model, h, own, tables)
-    for subset, mask in _subsets(own):
-        for i, z in enumerate(own):
-            if mask >> i & 1:
+    bits = [1 << i for i in range(len(own))]
+    for mask in _visit_order(len(own)):
+        chosen = table[mask]
+        for b in bits:
+            if mask & b:
                 continue
-            with_z = table[mask | 1 << i]
-            if z not in with_z and with_z != table[mask]:
-                return False, (subset, z)
+            with_z = table[mask | b]
+            if with_z != chosen and not with_z & b:
+                return False, (_ids(own, mask), own[b.bit_length() - 1])
     return True, None
 
 
@@ -315,11 +406,11 @@ def check_hm_stability(model: ContractModel, allocation: FrozenSet[str], cap: in
         table = _shared_table(model, h, own, tables)
         current = sum(1 << i for i, cid in enumerate(own) if cid in allocation)
         kept = table[current]
-        for candidate, mask in _subsets(own):
-            block = frozenset(candidate)
-            if block == kept or table[current | mask] != block:
+        for mask in _visit_order(len(own)):
+            if mask == kept or table[current | mask] != mask:
                 continue
-            pool = sorted(set(allocation) | block)
+            block = _ids(own, mask)
+            pool = sorted(set(allocation).union(block))
             good_for_doctors = True
             for cid in block:
                 d = model.contracts[cid].doctor
@@ -328,7 +419,7 @@ def check_hm_stability(model: ContractModel, allocation: FrozenSet[str], cap: in
                     good_for_doctors = False
                     break
             if good_for_doctors:
-                return False, (h, tuple(sorted(block)))
+                return False, (h, block)
     return True, None
 
 

@@ -56,6 +56,22 @@ class ScanCapExceededError(MatchGamesError):
     """An exhaustive audit would exceed its configured size cap."""
 
 
+class MalformedContractModelError(MatchGamesError):
+    """A contract model refers to something it does not declare."""
+
+
+class UnknownContractError(MalformedContractModelError):
+    """A utility, weight or table key names a contract the model lacks."""
+
+
+class UndeclaredHospitalError(MalformedContractModelError):
+    """A contract sits at a hospital with neither weights nor a table."""
+
+
+class ForeignContractError(MalformedContractModelError):
+    """A hospital's weights or table key name another hospital's contract."""
+
+
 class CapExceededError(MatchGamesError):
     """An enumeration would exceed its configured cap."""
 

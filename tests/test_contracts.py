@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction as F
@@ -8,7 +9,6 @@ import pytest
 from matchgames import contracts
 from matchgames.cli import main
 from matchgames.contracts import (
-    _choice_by_scan,
     _choice_table,
     Contract,
     ContractModel,
@@ -21,9 +21,15 @@ from matchgames.contracts import (
     game_to_contracts,
     is_individually_rational,
     is_pairwise_stable,
+    load_contract_model,
     run_da_contracts,
 )
-from matchgames.errors import ScanCapExceededError
+from matchgames.errors import (
+    ForeignContractError,
+    ScanCapExceededError,
+    UndeclaredHospitalError,
+    UnknownContractError,
+)
 from matchgames.gen import generate_instance
 
 
@@ -196,6 +202,24 @@ class TestAudits:
         assert not ok
         assert x in ("x", "y") and x_new in ("x", "y")
 
+    def test_substitutability_witness_is_the_first_regained_contract(self):
+        # {a, b, c} chooses {a}; adding d makes {b, c, d} the choice, which
+        # takes back both b and c.  Smaller pools reject nothing that returns.
+        ids = "abcd"
+        m = ContractModel(
+            contracts={c: Contract(c, f"d{i}", "h1") for i, c in enumerate(ids)},
+            doctor_utilities={(f"d{i}", c): F(1) for i, c in enumerate(ids)},
+            hospital_additive={"h1": {}},
+            hospital_quotas={"h1": 4},
+            hospital_tables={"h1": {
+                frozenset("a"): F(5), frozenset("b"): F(1), frozenset("c"): F(1), frozenset("d"): F(1),
+                frozenset("bc"): F(2), frozenset("bd"): F(3), frozenset("cd"): F(3),
+                frozenset("bcd"): F(20),
+            }},
+        )
+        witness = (False, (("a", "b", "c"), "b", "d"))
+        assert check_substitutability(m, "h1") == witness == _scan_substitutability(m, "h1")
+
     def test_scan_cap(self):
         utilities = {f"c{i}": ("d%d" % i, "h1", 1, i) for i in range(14)}
         m = additive_model(None, utilities, {"h1": 3})
@@ -270,6 +294,45 @@ def _rich_additive_model(rng):
     )
 
 
+def _varied_table_model(rng):
+    """A table hospital h1 beside an additive h2.  h1's table has equal
+    values, nonempty subsets worth 0 or less, keys holding two contracts of
+    one doctor, a random value for the empty key, and missing keys."""
+    contracts, utilities = {}, {}
+    n_doctors = rng.randint(1, 4)
+    for i in range(rng.randint(1, 6)):
+        cid, d = f"c{i}", f"d{rng.randrange(n_doctors)}"
+        contracts[cid] = Contract(cid, d, rng.choice(("h1", "h1", "h2")))
+        utilities[(d, cid)] = F(rng.randint(-1, 3))
+    h1 = [c for c in sorted(contracts) if contracts[c].hospital == "h1"]
+    table = {frozenset(sub): F(rng.choice((-1, 0, 0, 1, 2, 2, 3)), rng.choice((1, 1, 2)))
+             for sub in _powerset(h1) if rng.random() < 0.8}
+    weights = {c: F(rng.randint(-1, 3)) for c in contracts if contracts[c].hospital == "h2"}
+    return ContractModel(
+        contracts=contracts,
+        doctor_utilities=utilities,
+        hospital_additive={"h1": {}, "h2": weights},
+        hospital_quotas={"h1": len(h1), "h2": rng.randint(0, 3)},
+        hospital_tables={"h1": table},
+    )
+
+
+def _choice_by_scan(model, h, own):
+    """The reference choice: brute force over every subset of ``own``, the
+    first of a value kept unless a later one has a smaller sorted id tuple;
+    the empty set is admissible at 0 and wins every tie."""
+    best = (F(0), frozenset())
+    ordered = sorted(own)
+    for size in range(1, len(ordered) + 1):
+        for combo in combinations(ordered, size):
+            value = model.hospital_value(h, frozenset(combo))
+            if value is None:
+                continue
+            if value > best[0] or (value == best[0] and best[1] and tuple(sorted(combo)) < tuple(sorted(best[1]))):
+                best = (value, frozenset(combo))
+    return best[1]
+
+
 # Reference audits: the same exhaustive visits, each choice by the scan.
 
 def _scan_substitutability(m, h):
@@ -329,16 +392,22 @@ class TestChoiceAgainstScan:
 
     def test_audit_choice_tables_equal_scan(self):
         rng = random.Random(6)
-        models = [_rich_additive_model(rng) for _ in range(40)]
+        models = [_rich_additive_model(rng) for _ in range(150)]
         models += [_random_table_model(rng) for _ in range(10)]
+        models += [_varied_table_model(rng) for _ in range(300)]
+        table_hospitals = 0
         for m in models:
             for h in m.hospitals:
                 own = m.contracts_of_hospital(h)
                 table = _choice_table(m, h, own)
                 assert len(table) == 2 ** len(own)
+                table_hospitals += h in m.hospital_tables
                 for subset in _powerset(own):
                     mask = sum(1 << own.index(c) for c in subset)
-                    assert table[mask] == _choice_by_scan(m, h, frozenset(subset))
+                    expected = _choice_by_scan(m, h, frozenset(subset))
+                    assert frozenset(c for i, c in enumerate(own) if table[mask] >> i & 1) == expected
+                    assert choice_hospital(m, h, subset) == expected
+        assert table_hospitals > 250
 
     def test_audits_equal_scan_audits(self):
         rng = random.Random(7)
@@ -351,6 +420,29 @@ class TestChoiceAgainstScan:
             for sub in _powerset(m.contracts):
                 allocation = frozenset(sub)
                 assert check_hm_stability(m, allocation) == _scan_hm_stability(m, allocation)
+
+
+    def test_audits_equal_scan_audits_on_varied_tables(self):
+        rng = random.Random(9)
+        for _ in range(80):
+            m = _varied_table_model(rng)
+            for h in m.hospitals:
+                assert check_substitutability(m, h) == _scan_substitutability(m, h)
+                assert check_irc(m, h) == _scan_irc(m, h)
+            for sub in _powerset(m.contracts):
+                allocation = frozenset(sub)
+                assert check_hm_stability(m, allocation) == _scan_hm_stability(m, allocation)
+
+    def test_audits_make_no_choice_calls(self, monkeypatch):
+        calls = []
+        real = contracts.choice_hospital
+        monkeypatch.setattr(contracts, "choice_hospital", lambda *args: calls.append(args) or real(*args))
+        rng = random.Random(10)
+        for m in [_rich_additive_model(rng) for _ in range(10)] + [_varied_table_model(rng) for _ in range(10)]:
+            for h in m.hospitals:
+                check_substitutability(m, h)
+                check_irc(m, h)
+        assert calls == []
 
 
 class TestSharedChoiceTables:
@@ -484,3 +576,173 @@ class TestGameMapping:
         assert f_table[("x", "x")] == F(2)
         assert g_table[("x", "x")] == F(3)
         assert f_table[("y", "x")] == F(-1)
+
+
+# ---------------------------------------------------------------------------
+# Model validation and pinned audit documents
+
+
+def _small_model_doc():
+    return {
+        "contracts": [
+            {"id": "c1", "doctor": "d1", "hospital": "h1"},
+            {"id": "c2", "doctor": "d2", "hospital": "h1"},
+            {"id": "c3", "doctor": "d1", "hospital": "h2"},
+        ],
+        "doctor_utilities": {"d1": {"c1": "3", "c3": "4"}, "d2": {"c2": "2"}},
+        "hospitals": {
+            "h1": {"weights": {"c1": "5", "c2": "7"}, "quota": 1},
+            "h2": {"table": {"": "0", "c3": "2"}},
+        },
+    }
+
+
+def _unknown_in_table_key(doc):
+    doc["hospitals"]["h2"]["table"]["c3+zz"] = "5"
+
+
+def _unknown_in_weights(doc):
+    doc["hospitals"]["h1"]["weights"]["c9"] = "1"
+
+
+def _undeclared_hospital(doc):
+    doc["contracts"].append({"id": "c4", "doctor": "d2", "hospital": "h3"})
+    doc["doctor_utilities"]["d2"]["c4"] = "9"
+
+
+def _foreign_table_key(doc):
+    doc["hospitals"]["h2"]["table"]["c2+c3"] = "5"
+
+
+def _foreign_weight(doc):
+    doc["hospitals"]["h1"]["weights"]["c3"] = "1"
+
+
+class TestMalformedModels:
+    def test_the_base_document_loads(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(_small_model_doc()))
+        assert main(["contracts-da", "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
+
+    @pytest.mark.parametrize("corrupt, error", [
+        (_unknown_in_table_key, UnknownContractError),
+        (_unknown_in_weights, UnknownContractError),
+        (_undeclared_hospital, UndeclaredHospitalError),
+        (_foreign_table_key, ForeignContractError),
+        (_foreign_weight, ForeignContractError),
+    ])
+    def test_named_error_and_cli_exit_1(self, corrupt, error, tmp_path, capsys):
+        doc = _small_model_doc()
+        corrupt(doc)
+        with pytest.raises(error):
+            load_contract_model(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert main(["contracts-da", "--input", str(path), "--audit"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def _rational_text(value):
+    return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+
+
+def _game_audit_doc(rng, n_doctors):
+    """A model discretised from a random 3-4 x 2 market at mesh 1, redrawn
+    until its largest hospital holds exactly 10 contracts."""
+    while True:
+        instance = generate_instance(seed=rng.randrange(1 << 31), n_doctors=n_doctors,
+                                     n_hospitals=2, max_strategies=2,
+                                     classes=["zero_sum", "strictly_competitive", "repeated"])
+        model = game_to_contracts(instance, 1)
+        if max(len(model.contracts_of_hospital(h)) for h in model.hospitals) == 10:
+            break
+    return {
+        "contracts": [{"id": c.id, "doctor": c.doctor, "hospital": c.hospital}
+                      for c in model.contracts.values()],
+        "doctor_utilities": {d: {cid: _rational_text(model.doctor_utilities[(d, cid)])
+                                 for cid in model.contracts_of_doctor(d)}
+                             for d in model.doctors},
+        "hospitals": {h: {"weights": {cid: _rational_text(w)
+                                      for cid, w in sorted(model.hospital_additive[h].items())},
+                          "quota": model.hospital_quotas[h]}
+                      for h in model.hospitals},
+    }
+
+
+def _table_audit_doc(rng, n_doctors):
+    """h1 values subsets through a table: per-contract weights plus pairwise
+    bonuses, with some keys left out (inadmissible) and some forced equal;
+    h2 is additive with quota 2.  Each hospital gets 1-2 contracts per doctor."""
+    doctors = [f"d{i + 1}" for i in range(n_doctors)]
+    contracts, utilities = [], {d: {} for d in doctors}
+    for d in doctors:
+        for h in ("h1", "h2"):
+            for k in range(rng.randint(1, 2)):
+                cid = f"{d}~{h}~{k}"
+                contracts.append({"id": cid, "doctor": d, "hospital": h})
+                utilities[d][cid] = str(rng.randint(-2, 8))
+    own = {h: [c["id"] for c in contracts if c["hospital"] == h] for h in ("h1", "h2")}
+    weight = {cid: rng.randint(-3, 4) for cid in own["h1"]}
+    bonus = {(a, b): rng.choice((0, 0, rng.randint(2, 6)))
+             for i, a in enumerate(doctors) for b in doctors[i + 1:]}
+    table = {}
+    for size in range(1, len(own["h1"]) + 1):
+        for subset in combinations(own["h1"], size):
+            ds = [cid.split("~")[0] for cid in subset]
+            if len(set(ds)) < len(ds) or rng.random() < 0.15:
+                continue
+            value = sum(weight[cid] for cid in subset)
+            value += sum(bonus[(a, b)] for i, a in enumerate(ds) for b in ds[i + 1:])
+            table["+".join(subset)] = str(rng.choice((value, value, 3)))
+    return {
+        "contracts": contracts,
+        "doctor_utilities": utilities,
+        "hospitals": {"h1": {"table": table},
+                      "h2": {"weights": {cid: str(rng.randint(-3, 7)) for cid in own["h2"]},
+                             "quota": 2}},
+    }
+
+
+def _audit_digests(tmp_path):
+    rng = random.Random(2005)
+    docs = [_game_audit_doc(rng, 3 + i % 2) for i in range(10)]
+    docs += [_table_audit_doc(rng, 3 + i % 2) for i in range(10)]
+    digests = []
+    for i, doc in enumerate(docs):
+        model_path, out_path = tmp_path / f"model{i}.json", tmp_path / f"audit{i}.json"
+        model_path.write_text(json.dumps(doc, indent=1, sort_keys=True))
+        code = main(["contracts-da", "--input", str(model_path), "--audit",
+                     "--scan-cap", str(len(doc["contracts"])), "--output", str(out_path)])
+        digests.append((code, hashlib.sha256(out_path.read_bytes()).hexdigest()))
+    return digests
+
+
+# (exit code, sha256 of the audit document) for each model of
+# ``_audit_digests``, computed by the audits that chose out of every subset
+# with one ``choice_hospital`` call each
+PINNED_AUDIT_DIGESTS = [
+    (0, "47ea1b9a46bb8adad570bdc9a4307175579111d39f98ac134351e27ed58ddc26"),
+    (0, "d871b739384ec8663c3c85645050f9f1b2f4d0a1af32bc1ef2f40173fe1c1929"),
+    (0, "7007912f3adaaba704c93e1dd24a250a7360df811b38f8039bdf095401eafa14"),
+    (0, "2b0babd583621ce370a4f2342aedbfb2aab5196579f492912e32e21dafe1d5b5"),
+    (0, "7c0090dace6e97b547c30312e48cb085c80cbc7e0b2517226348567cb00a0eb2"),
+    (0, "6e244db97499aeea9471802da5640e88d9fc41f197e5a1401d4ff59991bc3265"),
+    (0, "2fb5e71103be2013649276fe0d51ad681d288da58bebf2d547792c8edaaa3250"),
+    (0, "d5ccb6c0c0c6f0259b0173d0e66a0f30a3a4dbe0a6d05262ae9ba089da77e9e5"),
+    (0, "f74995c5bf62d2ed389f5a892998547cec72f72daa5d91a0223bc0f1259c8caa"),
+    (0, "49bd2f5fca938ed1aeda6d0e70bc4a42607f4b83f6307ba74949f1cc5f08df77"),
+    (0, "f6fc62ab5d68c2b275d57c6c1b36734dd79697e1499c75fff3e7c44f3e0e43c1"),
+    (0, "721655002ee3b37412186ead817447b1532834411a89ca41d8802220097c6fa1"),
+    (2, "687226bae552b64ab81eda5124e4207e146f13d53753fb6de1c36baf37061df9"),
+    (0, "1387ce9c944e6b4a67e5a00b76fdc5178de5d84056968459ca233902c0eb9bd0"),
+    (0, "b981bb24914033773867664510b397a0c60ee4e1d2ba0812d38a3ca44b4b87d3"),
+    (2, "8c3fcae54f8773ced0cea14e826236ad655836d07eea1759566538ddbfd3171f"),
+    (2, "c52bf71dac8b7dc0d1c2f2cde6f33e9d7d1070d1ea706064a8b88bdb90dc4cd9"),
+    (0, "8ceb5ea7e8f638ac7dcae6d4aab058411686226acced10e484deca6ba0ebb2ea"),
+    (0, "a928357786f1603e1eeb8d77593ba68aed534aae6dfe8387501bfd4b90431d60"),
+    (2, "4be1344ef3bc818ba4b91fff8b52506e5e5eed5229c23b353b67694b5111d842"),
+]
+
+
+def test_audit_documents_are_pinned(tmp_path):
+    assert _audit_digests(tmp_path) == PINNED_AUDIT_DIGESTS
