@@ -19,6 +19,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .core import MatchingGameInstance, bilinear, format_rational, parse_rational
 from .errors import (
+    EmptySetValueError,
     ForeignContractError,
     MatchGamesError,
     ScanCapExceededError,
@@ -61,6 +62,11 @@ class ContractModel:
             for key in table:
                 for cid in sorted(key):
                     self._check_own(h, cid, "table key")
+            empty = table.get(frozenset(), 0)
+            if empty != 0:
+                raise EmptySetValueError(
+                    f"table of hospital {h} values the empty set at {format_rational(empty)};"
+                    " the empty set is always worth 0")
 
     def _check_own(self, h: str, cid: str, where: str):
         contract = self.contracts.get(cid)

@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import neg
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -73,12 +74,12 @@ Matrix = Tuple[Tuple[Fraction, ...], ...]
 
 def parse_rational(value: Union[int, str, Fraction]) -> Fraction:
     """Parse an exact rational from an int, a Fraction, or a "p/q" string."""
+    if isinstance(value, str):  # documents hold strings: the cached path first
+        return _parse_rational_text(value)
     if isinstance(value, bool):
         raise MalformedRationalError(f"not a rational literal: {value!r}")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
-    if isinstance(value, str):
-        return _parse_rational_text(value)
     raise MalformedRationalError(f"not a rational literal: {value!r}")
 
 
@@ -114,16 +115,36 @@ def parse_matrix(rows: Sequence[Sequence[object]]) -> Matrix:
     for row in rows:
         if len(row) != width:
             raise DimensionMismatchError("ragged matrix rows")
-        out.append(tuple(parse_rational(v) for v in row))
+        out.append(tuple(map(parse_rational, row)))
     return tuple(out)
 
 
+def matrix_bounds(m: Matrix) -> Tuple[Fraction, Fraction]:
+    """(min, max) of a matrix in one scan.
+
+    Compares by integer cross-multiplication, which orders normalised
+    Fractions exactly (denominators are positive), and keeps the first
+    extreme entry, as the builtin ``min`` and ``max`` do.
+    """
+    lo = hi = m[0][0]
+    lo_n = hi_n = lo.numerator
+    lo_d = hi_d = lo.denominator
+    for row in m:
+        for v in row:
+            n, d = v.numerator, v.denominator
+            if n * lo_d < lo_n * d:
+                lo, lo_n, lo_d = v, n, d
+            elif n * hi_d > hi_n * d:
+                hi, hi_n, hi_d = v, n, d
+    return lo, hi
+
+
 def matrix_min(m: Matrix) -> Fraction:
-    return min(map(min, m))
+    return matrix_bounds(m)[0]
 
 
 def matrix_max(m: Matrix) -> Fraction:
-    return max(map(max, m))
+    return matrix_bounds(m)[1]
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -131,7 +152,7 @@ def transpose(m: Matrix) -> Matrix:
 
 
 def negate(m: Matrix) -> Matrix:
-    return tuple(tuple(-v for v in row) for row in m)
+    return tuple(tuple(map(neg, row)) for row in m)
 
 
 def _reject_one_sided_constant(a: Matrix, b: Matrix):
@@ -145,14 +166,27 @@ def _reject_one_sided_constant(a: Matrix, b: Matrix):
                 )
 
 
-def _verify_affine(left: Matrix, right: Matrix, ratio: Fraction, shift: Fraction):
-    for i, row in enumerate(left):
-        for j, value in enumerate(row):
-            expected = ratio * right[i][j] + shift
-            if value != expected:
+def _verify_affine(left: Matrix, right: Matrix, ratio: Fraction, shift: Fraction,
+                   negate_left: bool = False):
+    """Check left == ratio * right + shift entrywise (-left with ``negate_left``).
+
+    With value = n/d, right entry = p/q, ratio = rn/rd and shift = sn/sd the
+    test is n * q * rd * sd == d * (rn * sd * p + sn * rd * q): integer
+    products, exact, with no Fraction built unless an entry fails.
+    """
+    rn, rd, sn, sd = ratio.numerator, ratio.denominator, shift.numerator, shift.denominator
+    scale, coef, offset = rd * sd, rn * sd, sn * rd
+    if negate_left:
+        scale = -scale
+    for i, (row, right_row) in enumerate(zip(left, right)):
+        for j, (value, r) in enumerate(zip(row, right_row)):
+            q = r.denominator
+            if value.numerator * q * scale != value.denominator * (coef * r.numerator + offset * q):
+                found = -value if negate_left else value
+                expected = ratio * r + shift
                 raise NotStrictlyCompetitiveError(
-                    f"no affine variant: entry ({i},{j}) is {value}, expected {expected}",
-                    entry=(i, j, value, expected),
+                    f"no affine variant: entry ({i},{j}) is {found}, expected {expected}",
+                    entry=(i, j, found, expected),
                 )
 
 
@@ -195,6 +229,9 @@ class AffineTransform:
         return self.ratio * ih - self.shift
 
 
+_ONE, _ZERO = Fraction(1), Fraction(0)  # shared by the bridges of ratio 1
+
+
 @dataclass(frozen=True)
 class IdentityTransform(AffineTransform):
     """The bridge of a zero-sum pair (ratio 1, shift 0, image A): payoffs
@@ -215,30 +252,31 @@ class IdentityTransform(AffineTransform):
 
 def affine_transform(a: Matrix, m: Matrix) -> AffineTransform:
     """Compute the ratio-<=-1 affine bridge for a strictly competitive pair."""
-    return _affine_bridge(a, m, matrix_min(a), matrix_max(a), matrix_min(m), matrix_max(m))
+    return _affine_bridge(a, m, *matrix_bounds(a), *matrix_bounds(m))
 
 
 def _affine_bridge(a: Matrix, m: Matrix, a_min: Fraction, a_max: Fraction,
                    m_min: Fraction, m_max: Fraction) -> AffineTransform:
     """``affine_transform`` given the bounds of A and M, which a game's
     frontier already holds, so building it scans each matrix once."""
-    b = negate(m)
     b_min, b_max = -m_max, -m_min
     a_range, b_range = a_max - a_min, b_max - b_min
     if b_range == 0 and a_range == 0:
         return AffineTransform(
-            ratio=Fraction(1), shift=a[0][0] - b[0][0], direction="doctor", image=b
+            ratio=_ONE, shift=a[0][0] + m[0][0], direction="doctor", image=negate(m)
         )
     if b_range == 0 or a_range == 0:
-        _reject_one_sided_constant(a, b)
+        _reject_one_sided_constant(a, negate(m))
     if a_range <= b_range:
         ratio = a_range / b_range
         shift = a_min - b_min * ratio
+        b = negate(m)
         _verify_affine(a, b, ratio, shift)
         return AffineTransform(ratio=ratio, shift=shift, direction="doctor", image=b)
+    # B == ratio * A + shift with B = -M, checked on M itself: B is not the image.
     ratio = b_range / a_range
     shift = b_min - a_min * ratio
-    _verify_affine(b, a, ratio, shift)
+    _verify_affine(m, a, ratio, shift, True)
     return AffineTransform(ratio=ratio, shift=shift, direction="hospital", image=a)
 
 
@@ -279,12 +317,14 @@ class BimatrixGame:
         if len(a) != len(m) or len(a[0]) != len(m[0]):
             raise DimensionMismatchError("A and M must have identical shape")
         if self.class_tag == ZERO_SUM:
-            for i, row in enumerate(a):
-                for j, value in enumerate(row):
-                    if m[i][j] != -value:
+            # Normalised Fractions are equal iff numerators and denominators are.
+            for i, (row_a, row_m) in enumerate(zip(a, m)):
+                for j, (value, other) in enumerate(zip(row_a, row_m)):
+                    if (other.numerator != -value.numerator
+                            or other.denominator != value.denominator):
                         raise ClassTagViolationError(
                             f"zero_sum game has M != -A at entry ({i},{j})",
-                            entry=(i, j, m[i][j], -value),
+                            entry=(i, j, other, -value),
                         )
         elif self.class_tag == STRICTLY_COMPETITIVE:
             # -M must be an affine variant of A: building the bridge checks it.
@@ -296,10 +336,10 @@ class BimatrixGame:
         a, m = self.doctor_matrix, self.hospital_matrix
         if self.class_tag == ZERO_SUM:
             # M == -A was checked entry by entry on construction.
-            a_min, a_max = matrix_min(a), matrix_max(a)
-            identity = IdentityTransform(Fraction(1), Fraction(0), "doctor", a)
+            a_min, a_max = matrix_bounds(a)
+            identity = IdentityTransform(_ONE, _ZERO, "doctor", a)
             return Frontier(a_min, a_max, -a_max, -a_min, identity, a_min, a_max)
-        bounds = (matrix_min(a), matrix_max(a), matrix_min(m), matrix_max(m))
+        bounds = (*matrix_bounds(a), *matrix_bounds(m))
         if self.class_tag == REPEATED:
             return Frontier(*bounds)
         if self.class_tag == STRICTLY_COMPETITIVE:

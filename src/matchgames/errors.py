@@ -72,6 +72,11 @@ class ForeignContractError(MalformedContractModelError):
     """A hospital's weights or table key name another hospital's contract."""
 
 
+class EmptySetValueError(MalformedContractModelError):
+    """A hospital's table gives the empty contract set a nonzero value; being
+    unmatched is always worth 0."""
+
+
 class CapExceededError(MatchGamesError):
     """An enumeration would exceed its configured cap."""
 

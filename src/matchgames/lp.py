@@ -243,10 +243,14 @@ def game_value(a: Matrix) -> Tuple[Fraction, Tuple[Fraction, ...], Tuple[Fractio
 
     The row player maximises x.A.y, the column player minimises.  Returns
     (w, x*, y*) satisfying the saddle property min_t x*.A.t = w = max_s s.A.y*.
+    A strict pure saddle point is answered in closed form; every other game
+    solves two LPs.
     """
     n_rows, n_cols = len(a), len(a[0])
-    if n_rows == 1 and n_cols == 1:
-        return a[0][0], pure(0, 1), pure(0, 1)
+    saddle = _strict_saddle(a)
+    if saddle is not None:
+        i, j = saddle
+        return a[i][j], pure(i, n_rows), pure(j, n_cols)
 
     # Row side: max v s.t. sum_i x_i a[i][j] >= v for all j, x in simplex.
     lp = LinearProgram(
@@ -279,3 +283,33 @@ def game_value(a: Matrix) -> Tuple[Fraction, Tuple[Fraction, ...], Tuple[Fractio
         raise MatchGamesError("primal and dual game values disagree")
     y_star = tuple(col_result.solution[:n_cols])
     return value, x_star, y_star
+
+
+def _strict_saddle(a: Matrix) -> Optional[Tuple[int, int]]:
+    """The entry (i, j) strictly below the rest of its row and strictly above
+    the rest of its column, or None.
+
+    Such an entry is the value, and e_i, e_j are the only optimal strategies:
+    against any column mix with weight off j, row i pays more than a[i][j],
+    and any row mix with weight off i pays less against column j.  So the
+    check itself certifies the answer, and the LPs would return the same one.
+    A game has at most one strict saddle.  Entries are compared by integer
+    cross-multiplication, exact on normalised Fractions.
+    """
+    for i, row in enumerate(a):
+        # The unique minimum of row i, if it has one.
+        j, lo_n, lo_d, unique = 0, row[0].numerator, row[0].denominator, True
+        for t in range(1, len(row)):
+            n, d = row[t].numerator, row[t].denominator
+            if n * lo_d < lo_n * d:
+                j, lo_n, lo_d, unique = t, n, d, True
+            elif n * lo_d == lo_n * d:
+                unique = False
+        if not unique:
+            continue
+        for s, other in enumerate(a):
+            if s != i and other[j].numerator * lo_d >= lo_n * other[j].denominator:
+                break
+        else:
+            return i, j
+    return None

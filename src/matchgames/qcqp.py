@@ -29,8 +29,8 @@ from .core import (  # AffineTransform and affine_transform are re-exported
     Matrix,
     affine_transform,
     bilinear,
+    matrix_bounds,
     matrix_max,
-    matrix_min,
     pure,
 )
 from .errors import InfeasibleError, MatchGamesError
@@ -83,7 +83,7 @@ def achieve_value_zero_sum(a: Matrix, target: Fraction) -> Tuple[Tuple[Fraction,
 
 def solve_qcqp_zero_sum(a: Matrix, c: Fraction) -> QcqpSolution:
     """max{xAy | xAy <= c}: value min(c, max A), infeasible when c < min A."""
-    a_min, a_max = matrix_min(a), matrix_max(a)
+    a_min, a_max = matrix_bounds(a)
     if c < a_min:
         raise InfeasibleError(
             f"no profile satisfies xAy <= {c} when min A = {a_min}"
@@ -103,8 +103,9 @@ def solve_qcqp_repeated(a: Matrix, m: Matrix, c: Fraction):
     Returns ``(lambda, (f, g))`` where ``lambda`` maps pure profiles to
     weights.  Infeasible when c > max M.
     """
-    if c > matrix_max(m):
-        raise InfeasibleError(f"M-average >= {c} unattainable (max M = {matrix_max(m)})")
+    m_max = matrix_max(m)
+    if c > m_max:
+        raise InfeasibleError(f"M-average >= {c} unattainable (max M = {m_max})")
     lam, values = _hull_lp(a, m, objective=("max_f",), f_floor=None, g_floor=c)
     return lam, values
 

@@ -25,7 +25,9 @@ from matchgames.contracts import (
     run_da_contracts,
 )
 from matchgames.errors import (
+    EmptySetValueError,
     ForeignContractError,
+    MalformedContractModelError,
     ScanCapExceededError,
     UndeclaredHospitalError,
     UnknownContractError,
@@ -297,7 +299,8 @@ def _rich_additive_model(rng):
 def _varied_table_model(rng):
     """A table hospital h1 beside an additive h2.  h1's table has equal
     values, nonempty subsets worth 0 or less, keys holding two contracts of
-    one doctor, a random value for the empty key, and missing keys."""
+    one doctor, missing keys, and sometimes the empty key, at 0: a model
+    rejects any other value for it."""
     contracts, utilities = {}, {}
     n_doctors = rng.randint(1, 4)
     for i in range(rng.randint(1, 6)):
@@ -307,6 +310,8 @@ def _varied_table_model(rng):
     h1 = [c for c in sorted(contracts) if contracts[c].hospital == "h1"]
     table = {frozenset(sub): F(rng.choice((-1, 0, 0, 1, 2, 2, 3)), rng.choice((1, 1, 2)))
              for sub in _powerset(h1) if rng.random() < 0.8}
+    if frozenset() in table:
+        table[frozenset()] = F(0)
     weights = {c: F(rng.randint(-1, 3)) for c in contracts if contracts[c].hospital == "h2"}
     return ContractModel(
         contracts=contracts,
@@ -640,6 +645,38 @@ class TestMalformedModels:
         path.write_text(json.dumps(doc))
         assert main(["contracts-da", "--input", str(path), "--audit"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def _empty_set_doc(value):
+    """h1 values the empty set at ``value``, though taking c1 alone is worth 3."""
+    return {
+        "contracts": [{"id": "c1", "doctor": "d1", "hospital": "h1"}],
+        "doctor_utilities": {"d1": {"c1": "1"}},
+        "hospitals": {"h1": {"table": {"": value, "c1": "3"}}},
+    }
+
+
+class TestEmptySetValue:
+    def test_nonzero_empty_set_value_is_rejected(self):
+        with pytest.raises(EmptySetValueError) as err:
+            load_contract_model(_empty_set_doc("5"))
+        assert isinstance(err.value, MalformedContractModelError)
+        assert "empty set at 5" in str(err.value)
+
+    def test_zero_empty_set_value_is_accepted(self):
+        model = load_contract_model(_empty_set_doc("0"))
+        assert model.hospital_value("h1", frozenset()) == 0
+        assert model.hospital_value("h1", frozenset({"c1"})) == 3
+
+    @pytest.mark.parametrize("value, code", [("5", 1), ("-1/2", 1), ("0", 0)])
+    def test_contracts_da_exit_code(self, value, code, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(_empty_set_doc(value)))
+        assert main(["contracts-da", "--input", str(path), "--audit",
+                     "--output", str(tmp_path / "out.json")]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: ") and "empty set" in err
 
 
 def _rational_text(value):

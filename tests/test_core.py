@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -190,3 +191,124 @@ def test_malformed_strictly_competitive_game_names_entry(a, m):
     with pytest.raises(NotStrictlyCompetitiveError) as err:
         BimatrixGame(a, m, "strictly_competitive")
     assert err.value.entry is not None
+
+
+# ---------------------------------------------------------------------------
+# Integer class checks and bounds, against Fraction references
+
+
+def _fresh_matrix(rng, rows, cols):
+    """Negative, fractional and equal entries, each a distinct Fraction object."""
+    return tuple(tuple(F(rng.randint(-4, 4), rng.choice((1, 2, 3, 6))) for _ in range(cols))
+                 for _ in range(rows))
+
+
+def test_matrix_bounds_match_builtin_min_and_max():
+    rng = random.Random(5)
+    for _ in range(400):
+        m = _fresh_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
+        lo, hi = core.matrix_bounds(m)
+        entries = [v for row in m for v in row]
+        assert lo is min(entries) and hi is max(entries)
+        assert core.matrix_min(m) is min(map(min, m))
+        assert core.matrix_max(m) is max(map(max, m))
+
+
+def _is_zero_sum_reference(a, m):
+    return all(m[i][j] == -a[i][j] for i in range(len(a)) for j in range(len(a[0])))
+
+
+def _is_strictly_competitive_reference(a, m):
+    """-M is an increasing affine image of A, or both matrices are constant."""
+    b = [[-v for v in row] for row in m]
+    cells = [(i, j) for i in range(len(a)) for j in range(len(a[0]))]
+    a_constant = all(a[i][j] == a[0][0] for i, j in cells)
+    b_constant = all(b[i][j] == b[0][0] for i, j in cells)
+    if a_constant or b_constant:
+        return a_constant and b_constant
+    p, q = next((i, j) for i, j in cells if a[i][j] != a[0][0])
+    ratio = (b[p][q] - b[0][0]) / (a[p][q] - a[0][0])
+    return ratio > 0 and all(b[i][j] == b[0][0] + ratio * (a[i][j] - a[0][0]) for i, j in cells)
+
+
+def _accepts(a, m, tag):
+    try:
+        BimatrixGame(a, m, tag)
+    except ClassTagViolationError:
+        return False
+    return True
+
+
+def _perturb(rng, m):
+    """m with one entry moved: its sign flipped, its denominator changed, or shifted."""
+    rows = [list(row) for row in m]
+    i, j = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+    v = rows[i][j]
+    rows[i][j] = rng.choice((-v, F(v.numerator, v.denominator + 1), v + F(1, 3)))
+    return tuple(map(tuple, rows))
+
+
+def test_zero_sum_check_agrees_with_fraction_reference():
+    rng = random.Random(11)
+    verdicts = set()
+    for _ in range(400):
+        a = _fresh_matrix(rng, rng.randint(1, 3), rng.randint(1, 3))
+        m = tuple(tuple(-v for v in row) for row in a)
+        if rng.random() < 0.5:
+            m = _perturb(rng, m)
+        expected = _is_zero_sum_reference(a, m)
+        assert _accepts(a, m, "zero_sum") == expected, (a, m)
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_strictly_competitive_check_agrees_with_fraction_reference():
+    rng = random.Random(12)
+    verdicts = set()
+    for _ in range(400):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        a = _fresh_matrix(rng, rows, cols)
+        kind = rng.random()
+        if kind < 0.15:
+            a = tuple(tuple(a[0][0] for _ in range(cols)) for _ in range(rows))
+        if kind < 0.3 and rng.random() < 0.5:
+            m = tuple(tuple(F(rng.randint(-2, 2)) for _ in range(cols)) for _ in range(rows))
+        else:
+            ratio = rng.choice((F(1, 3), F(1, 2), F(1), F(2), F(3), F(-1)))
+            shift = F(rng.randint(-6, 6), rng.choice((1, 2)))
+            m = tuple(tuple(-(ratio * v + shift) for v in row) for row in a)
+            if rng.random() < 0.4:
+                m = _perturb(rng, m)
+        expected = _is_strictly_competitive_reference(a, m)
+        assert _accepts(a, m, "strictly_competitive") == expected, (a, m)
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("m, message, entry", [
+    (((F(-1), F(-1, 2)), (F(-2, 3), F(5, 4))),
+     "zero_sum game has M != -A at entry (1,1)", (1, 1, F(5, 4), F(5, 3))),
+    (((F(-1), F(-1, 3)), (F(-2, 3), F(5, 3))),  # same numerator, other denominator
+     "zero_sum game has M != -A at entry (0,1)", (0, 1, F(-1, 3), F(-1, 2))),
+    (((F(-1), F(1, 2)), (F(-2, 3), F(5, 3))),  # same denominator, wrong sign
+     "zero_sum game has M != -A at entry (0,1)", (0, 1, F(1, 2), F(-1, 2))),
+])
+def test_zero_sum_violation_message_is_pinned(m, message, entry):
+    a = ((F(1), F(1, 2)), (F(2, 3), F(-5, 3)))
+    with pytest.raises(ClassTagViolationError) as err:
+        BimatrixGame(a, m, "zero_sum")
+    assert str(err.value) == message
+    assert err.value.entry == entry
+
+
+@pytest.mark.parametrize("a, m", [
+    # A has the smaller range: A == ratio * (-M) + shift is checked.
+    (((F(0), F(1)), (F(1, 2), F(1))), ((F(-1), F(-3)), (F(-5, 2), F(-3)))),
+    # -M has the smaller range: -M == ratio * A + shift is checked.
+    (((F(1), F(3)), (F(5, 2), F(3))), ((F(0), F(-1)), (F(-1, 2), F(-1)))),
+])
+def test_non_affine_message_names_the_first_bad_entry(a, m):
+    with pytest.raises(NotStrictlyCompetitiveError) as err:
+        BimatrixGame(a, m, "strictly_competitive")
+    assert str(err.value) == "no affine variant: entry (1,0) is 1/2, expected 3/4"
+    assert err.value.entry == (1, 0, F(1, 2), F(3, 4))

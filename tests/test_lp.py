@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
+from matchgames import core
 from matchgames.lp import EQ, GE, LE, LinearProgram, game_value, solve_lp
 from matchgames.gen import random_matrix
 
@@ -81,3 +84,113 @@ def test_saddle_inequalities_random():
             assert sum(x[i] * a[i][j] for i in range(rows)) >= w
         for i in range(rows):  # max_s s.A.y* == w
             assert sum(a[i][j] * y[j] for j in range(cols)) <= w
+
+
+# ---------------------------------------------------------------------------
+# Strict saddle points in closed form, against the two-LP reference
+
+
+def _two_lp_game_value(a):
+    """The value and optimal strategies from the row LP and the column LP,
+    built here on ``solve_lp`` alone."""
+    n_rows, n_cols = len(a), len(a[0])
+    row_lp = LinearProgram(objective=[F(0)] * n_rows + [F(1)], sense="max",
+                           lower_bounds=[F(0)] * n_rows + [None])
+    for j in range(n_cols):
+        row_lp.add([a[i][j] for i in range(n_rows)] + [F(-1)], GE, F(0))
+    row_lp.add([F(1)] * n_rows + [F(0)], EQ, F(1))
+    col_lp = LinearProgram(objective=[F(0)] * n_cols + [F(1)], sense="min",
+                           lower_bounds=[F(0)] * n_cols + [None])
+    for i in range(n_rows):
+        col_lp.add([a[i][j] for j in range(n_cols)] + [F(-1)], LE, F(0))
+    col_lp.add([F(1)] * n_cols + [F(0)], EQ, F(1))
+    row, col = solve_lp(row_lp), solve_lp(col_lp)
+    assert row.value == col.value
+    return row.value, tuple(row.solution[:n_rows]), tuple(col.solution[:n_cols])
+
+
+def _reference_strict_saddle(a):
+    cells = [(i, j) for i in range(len(a)) for j in range(len(a[0]))]
+    for i, j in cells:
+        if (all(a[i][t] > a[i][j] for t in range(len(a[0])) if t != j)
+                and all(a[s][j] < a[i][j] for s in range(len(a)) if s != i)):
+            return i, j
+    return None
+
+
+def _random_game_matrix(rng):
+    rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+    kind = rng.choice(("small_ints", "thirds", "constant", "tied_saddle", "ints"))
+    if kind == "constant":
+        value = F(rng.randint(-6, 6), rng.choice((1, 3)))
+        return tuple(tuple(value for _ in range(cols)) for _ in range(rows))
+    if kind == "small_ints":  # many tied rows and columns
+        return tuple(tuple(F(rng.randint(-1, 1)) for _ in range(cols)) for _ in range(rows))
+    if kind == "thirds":
+        return tuple(tuple(F(rng.randint(-6, 6), 3) for _ in range(cols)) for _ in range(rows))
+    a = [[F(rng.randint(-9, 9)) for _ in range(cols)] for _ in range(rows)]
+    if kind == "tied_saddle":
+        # A pure saddle at (i, j) that ties with another entry of its row or column.
+        i, j = rng.randrange(rows), rng.randrange(cols)
+        v = F(rng.randint(-3, 3), rng.choice((1, 3)))
+        for t in range(cols):
+            a[i][t] = v + rng.randint(0, 3)
+        for s in range(rows):
+            a[s][j] = v - rng.randint(0, 3)
+        a[i][j] = v
+        if cols > 1 and rng.random() < 0.5:
+            a[i][rng.choice([t for t in range(cols) if t != j])] = v
+        elif rows > 1:
+            a[rng.choice([s for s in range(rows) if s != i])][j] = v
+    return tuple(map(tuple, a))
+
+
+def _count_lp_solves(monkeypatch):
+    import matchgames.lp as lp_module
+    calls = []
+    solve = lp_module.solve_lp
+
+    def counting(program):
+        calls.append(program)
+        return solve(program)
+
+    monkeypatch.setattr(lp_module, "solve_lp", counting)
+    return calls
+
+
+def test_game_value_equals_the_two_lp_reference(monkeypatch):
+    rng = random.Random(20261018)
+    strict = simplex = 0
+    for _ in range(600):
+        a = _random_game_matrix(rng)
+        expected = _two_lp_game_value(a)
+        calls = _count_lp_solves(monkeypatch)
+        assert game_value(a) == expected, a
+        monkeypatch.undo()
+        saddle = _reference_strict_saddle(a)
+        if saddle is None:
+            assert len(calls) == 2, a
+            simplex += 1
+        else:
+            assert len(calls) == 0, a
+            i, j = saddle
+            assert expected == (a[i][j], core.pure(i, len(a)), core.pure(j, len(a[0])))
+            strict += 1
+    assert strict >= 150 and simplex >= 150
+
+
+@pytest.mark.parametrize("a, lp_solves", [
+    (((F(1), F(2)), (F(0), F(3))), 0),             # strict saddle at (0, 0)
+    (((F(5, 3), F(1, 3), F(2)),), 0),               # 1 x n with a unique minimum
+    (((F(7),),), 0),                                # 1 x 1
+    (((F(1), F(1)), (F(0), F(0))), 2),              # saddle value 1, tied in its row
+    (((F(2), F(2), F(3)),), 2),                     # 1 x n with a tied minimum
+    (((F(4),), (F(4),), (F(1),)), 2),               # n x 1 with a tied maximum
+    (((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))), 2),  # constant
+    (((F(1), F(-1)), (F(-1), F(1))), 2),            # no pure saddle
+])
+def test_strict_saddles_solve_no_lp(monkeypatch, a, lp_solves):
+    expected = _two_lp_game_value(a)
+    calls = _count_lp_solves(monkeypatch)
+    assert game_value(a) == expected
+    assert len(calls) == lp_solves

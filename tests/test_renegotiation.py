@@ -1,8 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from matchgames.cli import main
 from matchgames.core import (
     Allocation,
     BimatrixGame,
@@ -543,3 +545,70 @@ def test_binding_case_witnesses_are_pinned(seed):
             cne = _one_shot_cne(game, f_res, g_res, F(1, 10), tight)
             got.append((seed, tight, cne.case_tag, cne.x, cne.y))
     assert got == [case for case in PINNED_WITNESSES if case[0] == seed]
+
+
+# ---------------------------------------------------------------------------
+# Renegotiation witnesses on generated markets, pinned byte for byte
+
+# (generator seed, doctors, hospitals, classes) -> sha256 of the renegotiate
+# document followed by the verify --renegotiation document, at epsilon 1/2.
+PINNED_MARKET_DIGESTS = {
+    (1, 40, 10, 'zero_sum'): '6bd99f73200513315ad62b0d7f15459e568a49449edbe0fdb7e4837d7ace6aa9',
+    (2, 40, 10, 'zero_sum'): '13382072307b9b822d7d427eddeb3e249bc53f9f185a8e871d86a99aac06fb3f',
+    (3, 40, 10, 'zero_sum'): 'c276e8720d05f88ba7390fca4bb6d535c5ce9d9e70a4d34ed7d99f86f79a38f0',
+    (4, 40, 10, 'zero_sum'): 'f590bb73989aa703179b97e4a529af42c598254b8c80280c31831ef0c9e82da6',
+    (1, 20, 6, 'zero_sum,strictly_competitive'): '07df32338eec1b64c9d1255230255d49030cb76518b08adcfa9e67ea9442ba39',
+    (2, 20, 6, 'zero_sum,strictly_competitive'): '427a95fd9b298b69de62c0ef70797c27a013b21134bf1d0ac5d60bbfd319e0ad',
+    (3, 20, 6, 'zero_sum,strictly_competitive'): '527a7dfb87f3fb67d0a69d6a88f7b289c4fca982389d39072bcdba9f165c9e24',
+    (4, 20, 6, 'zero_sum,strictly_competitive'): '8f92d4c65e3db266f3962172b453ed3a81592dcceaa8d4f1ee9eeb3768fe9261',
+    (5, 20, 6, 'zero_sum,strictly_competitive'): '9124bcd54669132aa446ab50000dd297b36fc551ecb779f4700da1d6c0b387d2',
+    (6, 20, 6, 'zero_sum,strictly_competitive'): '047faa65d37e28bb9075d09a90737a8a9edf64ada42bf46ac136c5648e701d96',
+    (7, 20, 6, 'zero_sum,strictly_competitive'): '56c5a420aa0a4e9bc3285bc5d5835e1a22696451ce8f0f8656adcc4d22a83e7b',
+    (8, 20, 6, 'zero_sum,strictly_competitive'): '7c600f8d2057cd5e6b776f28f39b60114f4a7e076829f487ffa44b4d75a26734',
+}
+
+
+def _market_documents(tmp_path, seed, doctors, hospitals, classes):
+    inst, alloc, reneg, report = (tmp_path / name for name in
+                                  ("inst.json", "alloc.json", "reneg.json", "report.json"))
+    assert main(["gen", "--seed", str(seed), "--doctors", str(doctors), "--hospitals",
+                 str(hospitals), "--classes", classes, "--output", str(inst)]) == 0
+    common = ["--input", str(inst), "--epsilon", "1/2"]
+    assert main(["solve-dac", *common, "--output", str(alloc)]) == 0
+    assert main(["renegotiate", *common, "--allocation", str(alloc), "--output", str(reneg)]) == 0
+    assert main(["verify", *common, "--allocation", str(reneg), "--renegotiation",
+                 "--output", str(report)]) == 0
+    return reneg.read_bytes() + report.read_bytes()
+
+
+@pytest.mark.parametrize("market", sorted(PINNED_MARKET_DIGESTS))
+def test_market_renegotiation_witnesses_are_pinned(market, tmp_path):
+    digest = hashlib.sha256(_market_documents(tmp_path, *market)).hexdigest()
+    assert digest == PINNED_MARKET_DIGESTS[market]
+
+
+def test_pinned_markets_take_both_game_value_paths(monkeypatch, tmp_path):
+    """The pinned markets reach strict saddles (closed form, no LP) and tied
+    ones, a 1 x n or n x 1 game among them, which the simplex decides."""
+    import matchgames.lp as lp_module
+    import matchgames.renegotiation as renegotiation_module
+
+    solves, paths = [], []
+    solve, value = lp_module.solve_lp, lp_module.game_value
+
+    def counting_solve(program):
+        solves.append(program)
+        return solve(program)
+
+    def recording_value(a):
+        before = len(solves)
+        result = value(a)
+        paths.append((len(a), len(a[0]), len(solves) - before))
+        return result
+
+    monkeypatch.setattr(lp_module, "solve_lp", counting_solve)
+    monkeypatch.setattr(renegotiation_module, "game_value", recording_value)
+    for market in ((1, 40, 10, "zero_sum"), (7, 20, 6, "zero_sum,strictly_competitive")):
+        _market_documents(tmp_path, *market)
+    assert {lp_solves for _, _, lp_solves in paths} == {0, 2}
+    assert any(lp_solves == 2 and 1 in (rows, cols) for rows, cols, lp_solves in paths)
