@@ -155,20 +155,22 @@ def negate(m: Matrix) -> Matrix:
     return tuple(tuple(map(neg, row)) for row in m)
 
 
-def _reject_one_sided_constant(a: Matrix, b: Matrix):
-    """Raise for a pair where one matrix is constant and the other is not."""
+def _reject_one_sided_constant(a: Matrix, m: Matrix):
+    """Raise for a pair where one of A and B = -M is constant and the other
+    is not; the error's entry holds B's value, negated from M's."""
     for i, row in enumerate(a):
         for j, value in enumerate(row):
-            if value != a[0][0] or b[i][j] != b[0][0]:
+            if value != a[0][0] or m[i][j] != m[0][0]:
                 raise NotStrictlyCompetitiveError(
                     "one matrix is constant and the other is not",
-                    entry=(i, j, value, b[i][j]),
+                    entry=(i, j, value, -m[i][j]),
                 )
 
 
 def _verify_affine(left: Matrix, right: Matrix, ratio: Fraction, shift: Fraction,
-                   negate_left: bool = False):
-    """Check left == ratio * right + shift entrywise (-left with ``negate_left``).
+                   negate_left: bool = False, negate_right: bool = False):
+    """Check left == ratio * right + shift entrywise, with -left for
+    ``negate_left`` and -right for ``negate_right``.
 
     With value = n/d, right entry = p/q, ratio = rn/rd and shift = sn/sd the
     test is n * q * rd * sd == d * (rn * sd * p + sn * rd * q): integer
@@ -178,12 +180,14 @@ def _verify_affine(left: Matrix, right: Matrix, ratio: Fraction, shift: Fraction
     scale, coef, offset = rd * sd, rn * sd, sn * rd
     if negate_left:
         scale = -scale
+    if negate_right:
+        coef = -coef
     for i, (row, right_row) in enumerate(zip(left, right)):
         for j, (value, r) in enumerate(zip(row, right_row)):
             q = r.denominator
             if value.numerator * q * scale != value.denominator * (coef * r.numerator + offset * q):
                 found = -value if negate_left else value
-                expected = ratio * r + shift
+                expected = ratio * (-r if negate_right else r) + shift
                 raise NotStrictlyCompetitiveError(
                     f"no affine variant: entry ({i},{j}) is {found}, expected {expected}",
                     entry=(i, j, found, expected),
@@ -201,12 +205,21 @@ class AffineTransform:
     * direction "hospital": B == ratio * A + shift * U; image matrix is A and
       the hospital's payoffs are the rescaled ones (M-payoff ==
       ratio * (-A-payoff) - shift).
+
+    ``source`` is M in the doctor direction and A in the hospital direction.
+    ``image`` is built from it on first read: pricing by value needs only
+    ratio and shift, and only profile builders (witnesses, CNEs, the
+    stability oracle, roommates realization) read the image's entries.
     """
 
     ratio: Fraction
     shift: Fraction
     direction: str
-    image: Matrix
+    source: Matrix
+
+    @cached_property
+    def image(self) -> Matrix:
+        return negate(self.source) if self.direction == "doctor" else self.source
 
     def image_doctor_value(self, f: Fraction) -> Fraction:
         if self.direction == "doctor":
@@ -234,8 +247,12 @@ _ONE, _ZERO = Fraction(1), Fraction(0)  # shared by the bridges of ratio 1
 
 @dataclass(frozen=True)
 class IdentityTransform(AffineTransform):
-    """The bridge of a zero-sum pair (ratio 1, shift 0, image A): payoffs
-    map to themselves, so the conversions cost no arithmetic."""
+    """The bridge of a zero-sum pair (ratio 1, shift 0, image A = source):
+    payoffs map to themselves, so the conversions cost no arithmetic."""
+
+    @property
+    def image(self) -> Matrix:
+        return self.source
 
     def image_doctor_value(self, f: Fraction) -> Fraction:
         return f
@@ -258,26 +275,34 @@ def affine_transform(a: Matrix, m: Matrix) -> AffineTransform:
 def _affine_bridge(a: Matrix, m: Matrix, a_min: Fraction, a_max: Fraction,
                    m_min: Fraction, m_max: Fraction) -> AffineTransform:
     """``affine_transform`` given the bounds of A and M, which a game's
-    frontier already holds, so building it scans each matrix once."""
-    b_min, b_max = -m_max, -m_min
-    a_range, b_range = a_max - a_min, b_max - b_min
-    if b_range == 0 and a_range == 0:
-        return AffineTransform(
-            ratio=_ONE, shift=a[0][0] + m[0][0], direction="doctor", image=negate(m)
-        )
-    if b_range == 0 or a_range == 0:
-        _reject_one_sided_constant(a, negate(m))
-    if a_range <= b_range:
-        ratio = a_range / b_range
-        shift = a_min - b_min * ratio
-        b = negate(m)
-        _verify_affine(a, b, ratio, shift)
-        return AffineTransform(ratio=ratio, shift=shift, direction="doctor", image=b)
-    # B == ratio * A + shift with B = -M, checked on M itself: B is not the image.
-    ratio = b_range / a_range
-    shift = b_min - a_min * ratio
-    _verify_affine(m, a, ratio, shift, True)
-    return AffineTransform(ratio=ratio, shift=shift, direction="hospital", image=a)
+    frontier already holds, so building it scans each matrix once.
+
+    The ranges of A and B = -M, the ratio and the shift are worked out on
+    integer numerators and denominators (denominators stay positive, so
+    comparing cross products orders them); the only Fractions built are
+    ratio and shift.  Neither direction builds B: the check runs on M.
+    """
+    p1, q1, p2, q2 = a_min.numerator, a_min.denominator, a_max.numerator, a_max.denominator
+    p3, q3, p4, q4 = m_min.numerator, m_min.denominator, m_max.numerator, m_max.denominator
+    an, ad = p2 * q1 - p1 * q2, q1 * q2  # range of A
+    bn, bd = p4 * q3 - p3 * q4, q3 * q4  # range of B, which is the range of M
+    if an == 0 and bn == 0:
+        return AffineTransform(_ONE, a[0][0] + m[0][0], "doctor", m)
+    if an == 0 or bn == 0:
+        _reject_one_sided_constant(a, m)
+    if an * bd <= bn * ad:
+        # ratio = a_range / b_range; shift = a_min - b_min * ratio, b_min = -m_max.
+        rn, rd = an * bd, ad * bn
+        ratio = Fraction(rn, rd)
+        shift = Fraction(p1 * q4 * rd + p4 * q1 * rn, q1 * q4 * rd)
+        _verify_affine(a, m, ratio, shift, False, True)  # A == ratio * (-M) + shift
+        return AffineTransform(ratio, shift, "doctor", m)
+    # ratio = b_range / a_range; shift = b_min - a_min * ratio.
+    rn, rd = bn * ad, bd * an
+    ratio = Fraction(rn, rd)
+    shift = Fraction(-(p4 * q1 * rd + p1 * q4 * rn), q1 * q4 * rd)
+    _verify_affine(m, a, ratio, shift, True)  # -M == ratio * A + shift
+    return AffineTransform(ratio, shift, "hospital", a)
 
 
 @dataclass(frozen=True)
@@ -314,7 +339,9 @@ class BimatrixGame:
         if self.class_tag not in GAME_CLASSES:
             raise ClassTagViolationError(f"unknown game class {self.class_tag!r}")
         a, m = self.doctor_matrix, self.hospital_matrix
-        if len(a) != len(m) or len(a[0]) != len(m[0]):
+        width = len(a[0])
+        if (len(a) != len(m) or any(len(row) != width for row in a)
+                or any(len(row) != width for row in m)):
             raise DimensionMismatchError("A and M must have identical shape")
         if self.class_tag == ZERO_SUM:
             # Normalised Fractions are equal iff numerators and denominators are.

@@ -19,6 +19,12 @@ each doctor's last option at h with the count it was priced under.
 whose count moved since that doctor last looked.  A reused option is the
 value the same call would return on the unchanged seats, so the memo cannot
 change an answer.
+
+Only what an answer reads is built.  A seat holds its ``FrontierPoint``, the
+exact payoffs of the seat, and ``DacState.to_allocation`` builds the witness
+profile of each final seat once; accepts and settlements price by value.
+The trace keeps one typed record per event and renders its text lines only
+when ``DacTrace.events`` is read.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .core import (
     ADDITIVE_SEPARABLE,
@@ -41,7 +47,6 @@ from .qcqp import (
     FrontierPoint,
     PairOutcome,
     frontier_witness,
-    max_f_given_g_floor,
     max_f_point,
     max_g_point,
 )
@@ -54,8 +59,7 @@ class Proposal:
     """A doctor's best admissible option; hospital None means stay unmatched.
 
     ``outcome``, the witness profile of ``point`` in ``game``, is built on
-    first read: a proposal that goes to an auction settles at the loser's
-    bid and usually never needs it.
+    first read.  DAC itself seats the point and never reads it.
     """
 
     hospital: Optional[str]
@@ -69,36 +73,75 @@ class Proposal:
         return None if self.point is None else frontier_witness(self.game, self.point)
 
 
+# Event kind -> its line in the text trace; the fields fill the slots in order.
+_EVENT_TEXT = {
+    "baseline": "baseline h={} g={}",
+    "propose": "propose d={} h={} displace={} value={}",
+    "exit": "exit d={} value={}",
+    "accept": "accept d={} h={} f={} g={}",
+    "compete": "compete h={} proposer={} bid={} incumbent={} bid={}",
+    "settle": "settle winner={} h={} f={} g={} out={}",
+}
+
+
+class DacEvent(NamedTuple):
+    """One DAC event: its kind and its fields (ids, exact values, or None
+    for a bid that could not be made)."""
+
+    kind: str
+    fields: tuple
+
+    def text(self) -> str:
+        return _EVENT_TEXT[self.kind].format(*map(_field_text, self.fields))
+
+
+def _field_text(value) -> str:
+    if isinstance(value, str):
+        return value
+    return "none" if value is None else format_rational(value)
+
+
 @dataclass
 class DacTrace:
-    """Event log and counters.
+    """Event records and counters.
 
+    ``records`` holds one :class:`DacEvent` per event, in order; ``events``
+    renders them as the text trace, one line per event, on each read.
     ``iterations`` counts seat-binding events (acceptances and competition
     settlements), the quantity whose epsilon-sized payoff increases drive the
     termination bound; ``loop_passes`` counts raw proposer turns.
     """
 
-    events: List[str] = field(default_factory=list)
+    records: List[DacEvent] = field(default_factory=list)
     iterations: int = 0
     loop_passes: int = 0
     competitions: int = 0
 
-    def log(self, line: str):
-        self.events.append(line)
+    def log(self, kind: str, *fields):
+        self.records.append(DacEvent(kind, fields))
+
+    @property
+    def events(self) -> List[str]:
+        return [event.text() for event in self.records]
+
+
+# A seat's exact payoffs: DAC writes frontier points; a direct write may hold
+# a full profile.  Either way the seat's value is its ``g``.
+Seat = Union[FrontierPoint, PairOutcome]
 
 
 class SeatBook(MutableMapping):
-    """Seat outcomes keyed by (hospital, doctor), indexed per hospital.
+    """Seats keyed by (hospital, doctor), indexed per hospital.
 
-    Every write, including a direct ``seats[(h, d)] = outcome`` or a
+    Every write, including a direct ``seats[(h, d)] = seat`` or a
     ``del``, updates the hospital's member index, drops its cached weakest
     seat and counts one more write to the hospital, so queries never rescan
     the other hospitals' seats and option memos see which hospitals moved.
     """
 
     def __init__(self, seats=()):
-        self._seats: Dict[Tuple[str, str], PairOutcome] = {}
-        self._by_hospital: Dict[str, Dict[str, PairOutcome]] = {}
+        self._seats: Dict[Tuple[str, str], Seat] = {}
+        self._by_hospital: Dict[str, Dict[str, Seat]] = {}
         self._weakest: Dict[str, Tuple[Fraction, str]] = {}
         self._writes: Dict[str, int] = {}
         self.update(seats)
@@ -106,10 +149,10 @@ class SeatBook(MutableMapping):
     def __getitem__(self, key):
         return self._seats[key]
 
-    def __setitem__(self, key, outcome):
+    def __setitem__(self, key, seat):
         h, d = key
-        self._seats[key] = outcome
-        self._by_hospital.setdefault(h, {})[d] = outcome
+        self._seats[key] = seat
+        self._by_hospital.setdefault(h, {})[d] = seat
         self._touch(h)
 
     def __delitem__(self, key):
@@ -156,7 +199,8 @@ class DacState:
     state's life.  ``priced[d][h]`` is (index of h, write count of h's seats
     when last priced, doctor d's option at h or None when h is out of
     reach), for every h that d has a game with; the count is -1 until d
-    first prices h.
+    first prices h.  ``bars[h]`` is (write count, threshold, displaced) of
+    :meth:`bar`.
     """
 
     instance: MatchingGameInstance
@@ -166,6 +210,8 @@ class DacState:
     unmatched: List[str] = field(default_factory=list)
     trace: DacTrace = field(default_factory=DacTrace)
     priced: Dict[str, Dict[str, Tuple[int, int, Optional[Option]]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    bars: Dict[str, Tuple[int, Fraction, str]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -187,9 +233,32 @@ class DacState:
     def weakest_incumbent(self, h: str) -> str:
         return self.seats.weakest(h)[1]
 
+    def bar(self, h: str) -> Tuple[Fraction, str]:
+        """(threshold, displaced) that a proposal to h must meet.
+
+        A full hospital asks for its weakest seat value plus epsilon and
+        displaces that seat's doctor; otherwise the baseline plus epsilon
+        takes a free seat.  Computed once per write to h's seats.
+        """
+        now = self.seats.writes(h)
+        held = self.bars.get(h)
+        if held is None or held[0] != now:
+            if self.is_full(h):
+                weakest_g, displaced = self.seats.weakest(h)
+                held = (now, weakest_g + self.epsilon, displaced)
+            else:
+                held = (now, self.instance.hospitals[h].irp + self.epsilon, FREE_SEAT)
+            self.bars[h] = held
+        return held[1], held[2]
+
     def to_allocation(self) -> Allocation:
+        """The matching and one witness profile per final seat, built here."""
         allocation = Allocation(matching=dict(self.matching))
-        for (h, d), outcome in self.seats.items():
+        for (h, d), seat in self.seats.items():
+            if isinstance(seat, PairOutcome):
+                outcome = seat
+            else:
+                outcome = frontier_witness(self.instance.game_for(d, h), seat)
             if outcome.cycle is not None:
                 allocation.cycles[(h, d)] = outcome.cycle
             else:
@@ -201,8 +270,7 @@ class DacState:
 def hospital_options(state: DacState, d: str, exclude: Tuple[str, ...] = ()) -> List[Option]:
     """Feasible (value, hospital_index, hospital, displaced, point) options.
 
-    Options are priced by value only; the proposal builds the witness
-    profile of the one it takes.  Each option is repriced only when its
+    Options are priced by value only.  Each option is repriced only when its
     hospital's seats have been written since d last looked.
     """
     priced = state.priced.get(d)
@@ -226,12 +294,7 @@ def hospital_options(state: DacState, d: str, exclude: Tuple[str, ...] = ()) -> 
 
 
 def _price_option(state: DacState, d: str, idx: int, h: str) -> Optional[Option]:
-    if state.is_full(h):
-        weakest_g, displaced = state.seats.weakest(h)
-        threshold = weakest_g + state.epsilon
-    else:
-        threshold = state.instance.hospitals[h].irp + state.epsilon
-        displaced = FREE_SEAT
+    threshold, displaced = state.bar(h)
     point = max_f_point(state.instance.game_for(d, h), threshold)
     return None if point is None else (point.f, idx, h, displaced, point)
 
@@ -281,15 +344,17 @@ def competition_bid(state: DacState, d: str, h: str, epsilon: Fraction):
 
 
 def settle_competition(state: DacState, winner: str, loser_bid: Fraction, h: str,
-                       epsilon: Fraction) -> PairOutcome:
-    """Winner's final profile: best own payoff with per-seat value >= loser's bid."""
+                       epsilon: Fraction) -> FrontierPoint:
+    """Winner's seat: best own payoff with per-seat value >= loser's bid.
+
+    Priced by value alone; the witness is built only if the seat is final.
+    """
     if epsilon != state.epsilon:
         raise MatchGamesError("settle epsilon must match the run epsilon")
-    game = state.instance.game_for(winner, h)
-    outcome = max_f_given_g_floor(game, loser_bid)
-    if outcome is None:
+    point = max_f_point(state.instance.game_for(winner, h), loser_bid)
+    if point is None:
         raise MatchGamesError("winner cannot match the losing bid; auction invariant broken")
-    return outcome
+    return point
 
 
 def run_dac(instance: MatchingGameInstance, epsilon: Fraction,
@@ -309,8 +374,9 @@ def run_dac(instance: MatchingGameInstance, epsilon: Fraction,
         matching={d: None for d in instance.doctors},
         unmatched=list(instance.doctor_ids),
     )
+    log = state.trace.log
     for h, hosp in instance.hospitals.items():
-        state.trace.log(f"baseline h={h} g={format_rational(hosp.irp)}")
+        log("baseline", h, hosp.irp)
 
     if max_iterations is None:
         max_iterations = _default_iteration_cap(instance, epsilon)
@@ -323,25 +389,19 @@ def run_dac(instance: MatchingGameInstance, epsilon: Fraction,
         state.trace.loop_passes += 1
         d = min(state.unmatched, key=doctor_order.__getitem__)
         proposal = optimal_proposal(state, d, epsilon)
-        target = proposal.hospital or "unmatched"
         displaced = "free" if proposal.displaced == FREE_SEAT else (proposal.displaced or "-")
-        state.trace.log(
-            f"propose d={d} h={target} displace={displaced} "
-            f"value={format_rational(proposal.doctor_value)}"
-        )
+        log("propose", d, proposal.hospital or "unmatched", displaced, proposal.doctor_value)
         if proposal.hospital is None:
-            state.trace.log(f"exit d={d} value={format_rational(proposal.doctor_value)}")
+            log("exit", d, proposal.doctor_value)
             state.unmatched.remove(d)
             settled_out.add(d)
             continue
         h = proposal.hospital
         if proposal.displaced == FREE_SEAT:
-            out = proposal.outcome
-            state.trace.log(
-                f"accept d={d} h={h} f={format_rational(out.f)} g={format_rational(out.g)}"
-            )
+            point = proposal.point
+            log("accept", d, h, point.f, point.g)
             state.trace.iterations += 1
-            state.seats[(h, d)] = out
+            state.seats[(h, d)] = point
             state.matching[d] = h
             state.unmatched.remove(d)
             continue
@@ -350,10 +410,7 @@ def run_dac(instance: MatchingGameInstance, epsilon: Fraction,
         state.trace.competitions += 1
         beta_p, bid_p, _ = competition_bid(state, d, h, epsilon)
         beta_i, bid_i, _ = competition_bid(state, incumbent, h, epsilon)
-        state.trace.log(
-            f"compete h={h} proposer={d} bid={_fmt_bid(bid_p)} "
-            f"incumbent={incumbent} bid={_fmt_bid(bid_i)}"
-        )
+        log("compete", h, d, bid_p, incumbent, bid_i)
         proposer_wins = _bid_beats(bid_p, bid_i)
         if proposer_wins:
             winner, loser, loser_bid = d, incumbent, bid_i
@@ -362,13 +419,10 @@ def run_dac(instance: MatchingGameInstance, epsilon: Fraction,
         if loser_bid is None:
             # The loser could not bid at all; the winner keeps the pressure of
             # the proposal threshold instead of an unbounded concession.
-            settled = proposal.outcome if winner == d else state.seats[(h, incumbent)]
+            settled = proposal.point if winner == d else state.seats[(h, incumbent)]
         else:
             settled = settle_competition(state, winner, loser_bid, h, epsilon)
-        state.trace.log(
-            f"settle winner={winner} h={h} f={format_rational(settled.f)} "
-            f"g={format_rational(settled.g)} out={loser if winner == d else 'none'}"
-        )
+        log("settle", winner, h, settled.f, settled.g, loser if winner == d else "none")
         state.trace.iterations += 1
         if winner == d:
             del state.seats[(h, incumbent)]
@@ -394,16 +448,10 @@ def _bid_beats(bid_proposer, bid_incumbent) -> bool:
     return bid_proposer > bid_incumbent
 
 
-def _fmt_bid(bid) -> str:
-    return format_rational(bid) if bid is not None else "none"
-
-
 def _default_iteration_cap(instance: MatchingGameInstance, epsilon: Fraction) -> int:
-    from .core import matrix_max
-
     g_max = Fraction(0)
     for (d, h), game in instance.games.items():
-        spread = matrix_max(game.hospital_matrix) - instance.hospitals[h].irp
+        spread = game.frontier.m_max - instance.hospitals[h].irp
         if spread > g_max:
             g_max = spread
     bound = g_max / epsilon

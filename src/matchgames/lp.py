@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .core import Matrix, pure
@@ -243,14 +245,14 @@ def game_value(a: Matrix) -> Tuple[Fraction, Tuple[Fraction, ...], Tuple[Fractio
 
     The row player maximises x.A.y, the column player minimises.  Returns
     (w, x*, y*) satisfying the saddle property min_t x*.A.t = w = max_s s.A.y*.
-    A strict pure saddle point is answered in closed form; every other game
+    A game whose unique optimum a 1 x 1 or 2 x 2 kernel certifies
+    (:func:`_kernel_solution`) is answered in closed form; every other game
     solves two LPs.
     """
     n_rows, n_cols = len(a), len(a[0])
-    saddle = _strict_saddle(a)
-    if saddle is not None:
-        i, j = saddle
-        return a[i][j], pure(i, n_rows), pure(j, n_cols)
+    solved = _kernel_solution(a)
+    if solved is not None:
+        return solved
 
     # Row side: max v s.t. sum_i x_i a[i][j] >= v for all j, x in simplex.
     lp = LinearProgram(
@@ -285,31 +287,63 @@ def game_value(a: Matrix) -> Tuple[Fraction, Tuple[Fraction, ...], Tuple[Fractio
     return value, x_star, y_star
 
 
-def _strict_saddle(a: Matrix) -> Optional[Tuple[int, int]]:
-    """The entry (i, j) strictly below the rest of its row and strictly above
-    the rest of its column, or None.
+def _kernel_solution(a: Matrix) -> Optional[tuple]:
+    """(value, x*, y*) when a square kernel of size 1 or 2 certifies the
+    game's unique optimum, else None (Shapley and Snow, 1950).
 
-    Such an entry is the value, and e_i, e_j are the only optimal strategies:
-    against any column mix with weight off j, row i pays more than a[i][j],
-    and any row mix with weight off i pays less against column j.  So the
-    check itself certifies the answer, and the LPs would return the same one.
-    A game has at most one strict saddle.  Entries are compared by integer
-    cross-multiplication, exact on normalised Fractions.
+    The matrix is scaled to integers over the lcm L of its denominators.
+    Kernels are tried by size, then rows i1 < i2 and columns j1 < j2 in
+    lexicographic order.  A kernel (rows I, columns J) certifies when its
+    equalising strategies x on I and y on J are strictly positive and every
+    row outside I pays strictly less than the kernel value v against y, and
+    every column outside J strictly more against x:
+
+    * size 1, entry p: p is strictly below the rest of its row and strictly
+      above the rest of its column (a strict saddle point);
+    * size 2, entries p q / r s with d = p + s - q - r != 0:
+      x = (s - r, p - q) / d, y = (s - q, p - r) / d and v = (ps - qr) / d.
+
+    Then (x, y) is a saddle point, and it is the only one: by complementary
+    slackness any optimal y' lives on J and equalises the rows of I (and
+    likewise any x'), and that bordered system is nonsingular (for size 2 its
+    determinant is d).  So the answer is exactly the simplex's, and the test
+    is its own certificate.  The search costs O(m^2 n^2 (m + n)).
     """
-    for i, row in enumerate(a):
-        # The unique minimum of row i, if it has one.
-        j, lo_n, lo_d, unique = 0, row[0].numerator, row[0].denominator, True
-        for t in range(1, len(row)):
-            n, d = row[t].numerator, row[t].denominator
-            if n * lo_d < lo_n * d:
-                j, lo_n, lo_d, unique = t, n, d, True
-            elif n * lo_d == lo_n * d:
-                unique = False
-        if not unique:
+    n_rows, n_cols = len(a), len(a[0])
+    scale = lcm(*(v.denominator for row in a for v in row))
+    k = [[v.numerator * (scale // v.denominator) for v in row] for row in a]
+
+    for i, row in enumerate(k):
+        lo = min(row)
+        if row.count(lo) != 1:
             continue
-        for s, other in enumerate(a):
-            if s != i and other[j].numerator * lo_d >= lo_n * other[j].denominator:
-                break
-        else:
-            return i, j
+        j = row.index(lo)
+        if all(other[j] < lo for s, other in enumerate(k) if s != i):
+            return a[i][j], pure(i, n_rows), pure(j, n_cols)
+
+    for i1, i2 in combinations(range(n_rows), 2):
+        row1, row2 = k[i1], k[i2]
+        for j1, j2 in combinations(range(n_cols), 2):
+            p, q, r, s = row1[j1], row1[j2], row2[j1], row2[j2]
+            d = p + s - q - r
+            if d == 0:
+                continue
+            sign = 1 if d > 0 else -1
+            # x, y and v over the common positive denominator |d|.
+            x1, x2, y1, y2 = sign * (s - r), sign * (p - q), sign * (s - q), sign * (p - r)
+            if x1 <= 0 or x2 <= 0 or y1 <= 0 or y2 <= 0:
+                continue
+            v = sign * (p * s - q * r)
+            if any(other[j1] * y1 + other[j2] * y2 >= v
+                   for t, other in enumerate(k) if t != i1 and t != i2):
+                continue
+            if any(row1[t] * x1 + row2[t] * x2 <= v
+                   for t in range(n_cols) if t != j1 and t != j2):
+                continue
+            den = sign * d
+            x = [Fraction(0)] * n_rows
+            x[i1], x[i2] = Fraction(x1, den), Fraction(x2, den)
+            y = [Fraction(0)] * n_cols
+            y[j1], y[j2] = Fraction(y1, den), Fraction(y2, den)
+            return Fraction(v, den * scale), tuple(x), tuple(y)
     return None

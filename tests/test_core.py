@@ -18,6 +18,7 @@ from matchgames.core import (
 )
 from matchgames.errors import (
     ClassTagViolationError,
+    DimensionMismatchError,
     MalformedRationalError,
     MatchGamesError,
     NotStrictlyCompetitiveError,
@@ -312,3 +313,110 @@ def test_non_affine_message_names_the_first_bad_entry(a, m):
         BimatrixGame(a, m, "strictly_competitive")
     assert str(err.value) == "no affine variant: entry (1,0) is 1/2, expected 3/4"
     assert err.value.entry == (1, 0, F(1, 2), F(3, 4))
+
+
+# ---------------------------------------------------------------------------
+# The strictly competitive bridge on integers, with an image built on read
+
+
+def _reference_bridge(a, m):
+    """(ratio, shift, direction) of the ratio-<=-1 bridge in Fraction
+    arithmetic, or the (message, entry) of the one-sided-constant error."""
+    b = tuple(tuple(-v for v in row) for row in m)
+    a_min, a_max = min(map(min, a)), max(map(max, a))
+    b_min, b_max = min(map(min, b)), max(map(max, b))
+    a_range, b_range = a_max - a_min, b_max - b_min
+    if a_range == 0 and b_range == 0:
+        return F(1), a[0][0] + m[0][0], "doctor"
+    if a_range == 0 or b_range == 0:
+        i, j = next((i, j) for i in range(len(a)) for j in range(len(a[0]))
+                    if a[i][j] != a[0][0] or b[i][j] != b[0][0])
+        return "one matrix is constant and the other is not", (i, j, a[i][j], b[i][j])
+    if a_range <= b_range:
+        ratio = a_range / b_range
+        return ratio, a_min - b_min * ratio, "doctor"
+    ratio = b_range / a_range
+    return ratio, b_min - a_min * ratio, "hospital"
+
+
+def _random_sc_pair(rng):
+    """A = alpha * C + s1 and M = -(beta * C + s2) for a random base C with
+    fractional entries: both directions, equal ranges, constant pairs, and
+    one-sided-constant pairs."""
+    rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+    base = _fresh_matrix(rng, rows, cols)
+    if rng.random() < 0.1:
+        base = tuple(tuple(base[0][0] for _ in range(cols)) for _ in range(rows))
+    alpha = F(rng.randint(1, 9), rng.choice((1, 2, 5, 7)))
+    beta = alpha if rng.random() < 0.15 else F(rng.randint(1, 9), rng.choice((1, 3, 4)))
+    s1, s2 = F(rng.randint(-9, 9), rng.choice((1, 2, 3))), F(rng.randint(-9, 9), rng.choice((1, 5)))
+    a = tuple(tuple(alpha * v + s1 for v in row) for row in base)
+    m = tuple(tuple(-(beta * v + s2) for v in row) for row in base)
+    kind = rng.random()
+    if kind < 0.08:
+        a = tuple(tuple(s1 for _ in range(cols)) for _ in range(rows))
+    elif kind < 0.16:
+        m = tuple(tuple(-s2 for _ in range(cols)) for _ in range(rows))
+    return a, m
+
+
+def test_integer_bridge_equals_the_fraction_reference():
+    rng = random.Random(33)
+    seen = set()
+    for _ in range(500):
+        a, m = _random_sc_pair(rng)
+        expected = _reference_bridge(a, m)
+        if isinstance(expected[0], str):
+            with pytest.raises(NotStrictlyCompetitiveError) as err:
+                core.affine_transform(a, m)
+            assert (str(err.value), err.value.entry) == expected
+            seen.add("one-sided constant")
+            continue
+        tr = core.affine_transform(a, m)
+        assert (tr.ratio, tr.shift, tr.direction) == expected, (a, m)
+        game_tr = BimatrixGame(a, m, "strictly_competitive").frontier.transform
+        assert (game_tr.ratio, game_tr.shift, game_tr.direction) == expected
+        assert "image" not in vars(tr) and "image" not in vars(game_tr)
+        if tr.direction == "doctor":
+            assert tr.image == core.negate(m)
+        else:
+            assert tr.image is a
+        assert vars(tr)["image"] is tr.image  # built once
+        seen.add(tr.direction)
+        if all(v == a[0][0] for row in a for v in row):
+            seen.add("constant")
+        elif any(v.denominator > 1 for v in (tr.ratio, tr.shift)):
+            seen.add("fractional")
+    assert seen == {"doctor", "hospital", "constant", "one-sided constant", "fractional"}
+
+
+def test_loading_a_strictly_competitive_market_builds_no_image(monkeypatch):
+    from matchgames.gen import generate_instance
+    from matchgames.qcqp import max_f_point, max_g_point
+
+    doc = serialize_instance(generate_instance(seed=2, n_doctors=20, n_hospitals=6,
+                                               classes=["strictly_competitive"]))
+    negations = []
+    negate = core.negate
+    monkeypatch.setattr(core, "negate", lambda m: negations.append(m) or negate(m))
+    inst = load_instance(doc)
+    directions = set()
+    for (d, h), game in inst.games.items():
+        fr = game.frontier
+        for theta in (inst.hospitals[h].irp + F(1, 2), fr.m_min, fr.m_max):
+            max_f_point(game, theta)
+            max_g_point(game, theta)
+        assert "image" not in vars(fr.transform)
+        directions.add(fr.transform.direction)
+    assert negations == [] and directions == {"doctor", "hospital"}
+
+
+@pytest.mark.parametrize("a, m", [
+    (((1, 2), (3,)), ((-1, -2), (-3,))),
+    (((F(1), F(2)), (F(3),)), ((F(-1), F(-2)), (F(-3),))),
+    (((F(1), F(2)), (F(3), F(4))), ((F(-1), F(-2)), (F(-3),))),
+    (((F(1), F(2)), (F(3),)), ((F(-1), F(-2)), (F(-3), F(-4)))),
+])
+def test_ragged_game_matrices_are_rejected(a, m):
+    with pytest.raises(DimensionMismatchError):
+        BimatrixGame(a, m, "zero_sum")

@@ -396,3 +396,116 @@ def _reference_one_to_one_dac(instance, eps):
             settle = max_f_given_g_floor(instance.game_for(winner, h), loser_bid)
         seats[h] = settle.g
     return matching
+
+
+# ---------------------------------------------------------------------------
+# Built on demand: seats hold frontier points, witnesses are built once per
+# final seat, and the trace renders its text from typed records when read.
+
+
+def _count_witnesses(monkeypatch):
+    """Count ``frontier_witness`` calls under every module name bound to it."""
+    import sys
+    from matchgames import qcqp
+
+    calls = []
+    original = qcqp.frontier_witness
+
+    def counting(game, point):
+        calls.append(point)
+        return original(game, point)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("matchgames") and module is not None:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+@pytest.mark.parametrize("seed, size, classes", [
+    (0, (40, 10), ["zero_sum"]),
+    (1, (20, 6), ["zero_sum", "strictly_competitive", "repeated"]),
+    (2, (20, 6), ["strictly_competitive"]),
+])
+def test_run_dac_builds_one_witness_per_final_seat(monkeypatch, seed, size, classes):
+    inst = generate_instance(seed=seed, n_doctors=size[0], n_hospitals=size[1], classes=classes)
+    calls = _count_witnesses(monkeypatch)
+    allocation, trace = run_dac(inst, F(1, 2))
+    seats = len(allocation.matched_pairs())
+    assert seats > 0 and trace.iterations > seats
+    assert len(calls) == seats
+
+
+def test_direct_pair_outcome_seat_prices_and_serializes_as_its_point(monkeypatch):
+    eps = F(1, 2)
+    inst = generate_instance(seed=4, n_doctors=6, n_hospitals=3, max_quota=1,
+                             classes=["zero_sum", "strictly_competitive"])
+    h, holder, point = next(
+        (h, d, point) for h in inst.hospital_ids for d in inst.doctor_ids
+        if inst.has_game(d, h)
+        and (point := max_f_point(inst.game_for(d, h), inst.hospitals[h].irp + eps)))
+    outcome = dac.frontier_witness(inst.game_for(holder, h), point)
+    by_point, by_outcome = fresh_state(inst, eps), fresh_state(inst, eps)
+    for state, seat in ((by_point, point), (by_outcome, outcome)):
+        state.seats[(h, holder)] = seat
+        state.matching[holder] = h
+        state.unmatched.remove(holder)
+    for d in inst.doctor_ids:
+        assert hospital_options(by_point, d) == hospital_options(by_outcome, d)
+    calls = _count_witnesses(monkeypatch)
+    assert (serialize_allocation(by_outcome.to_allocation())
+            == serialize_allocation(by_point.to_allocation()))
+    assert calls == [point]  # the PairOutcome seat is its own witness
+
+
+# sha256 of the ``solve-dac --trace`` files written by the code that built a
+# witness and formatted a trace line for every event.
+PINNED_TRACE_FILES = {
+    ("40", "10", "zero_sum", "3"):
+        "67d22443aeb36e18006baa1edeb5c6a7c1b136928f5895da49d13a0c015a8899",
+    ("20", "6", "zero_sum,strictly_competitive,repeated", "5"):
+        "662b6b8cdb4af1d10b35b84fcb97c0b08f586de7f98285618b0fb21890efdf0d",
+}
+
+
+@pytest.mark.parametrize("doctors, hospitals, classes, seed", sorted(PINNED_TRACE_FILES))
+def test_trace_files_match_pinned_digests(tmp_path, doctors, hospitals, classes, seed):
+    from matchgames.cli import main
+
+    inst, alloc, log = tmp_path / "inst.json", tmp_path / "alloc.json", tmp_path / "trace.log"
+    assert main(["gen", "--doctors", doctors, "--hospitals", hospitals, "--classes", classes,
+                 "--seed", seed, "--output", str(inst)]) == 0
+    assert main(["solve-dac", "--input", str(inst), "--epsilon", "1/2",
+                 "--output", str(alloc), "--trace", str(log)]) == 0
+    digest = hashlib.sha256(log.read_bytes()).hexdigest()
+    assert digest == PINNED_TRACE_FILES[(doctors, hospitals, classes, seed)]
+
+
+def test_trace_records_are_typed_events():
+    inst = generate_instance(seed=1, n_doctors=8, n_hospitals=3,
+                             classes=["zero_sum", "strictly_competitive"])
+    _, trace = run_dac(inst, F(1, 2))
+    kinds = {event.kind for event in trace.records}
+    assert {"baseline", "propose", "accept", "compete", "settle"} <= kinds
+    for event in trace.records:
+        if event.kind in ("accept", "settle"):
+            assert all(isinstance(v, F) for v in event.fields[2:4])
+    h = inst.hospital_ids[0]
+    irp = inst.hospitals[h].irp
+    assert trace.records[0] == ("baseline", (h, irp))
+    lines = trace.events
+    assert len(lines) == len(trace.records)
+    assert lines[0] == f"baseline h={h} g={dac.format_rational(irp)}"
+
+
+def test_iteration_cap_reads_the_frontier_bound():
+    from matchgames.core import matrix_max
+
+    for seed in range(4):
+        inst = generate_instance(seed=seed, n_doctors=10, n_hospitals=4,
+                                 classes=["zero_sum", "strictly_competitive", "repeated"])
+        g_max = max([F(0)] + [matrix_max(g.hospital_matrix) - inst.hospitals[h].irp
+                              for (d, h), g in inst.games.items()])
+        expected = int(g_max / F(1, 2)) + 10 * (len(inst.doctors) + 1) + 100
+        assert dac._default_iteration_cap(inst, F(1, 2)) == expected

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -118,6 +119,35 @@ def _reference_strict_saddle(a):
     return None
 
 
+def _reference_kernel(a):
+    """(value, x, y) from a 1 x 1 or 2 x 2 kernel that certifies the game's
+    unique optimum, in Fraction arithmetic, or None."""
+    rows, cols = len(a), len(a[0])
+    saddle = _reference_strict_saddle(a)
+    if saddle is not None:
+        i, j = saddle
+        return a[i][j], core.pure(i, rows), core.pure(j, cols)
+    for i1, i2 in combinations(range(rows), 2):
+        for j1, j2 in combinations(range(cols), 2):
+            p, q, r, s = a[i1][j1], a[i1][j2], a[i2][j1], a[i2][j2]
+            d = p + s - q - r
+            if d == 0:
+                continue
+            x, y = [F(0)] * rows, [F(0)] * cols
+            x[i1], x[i2] = (s - r) / d, (p - q) / d
+            y[j1], y[j2] = (s - q) / d, (p - r) / d
+            v = (p * s - q * r) / d
+            if min(x[i1], x[i2], y[j1], y[j2]) <= 0:
+                continue
+            rows_below = all(sum(a[t][j] * y[j] for j in range(cols)) < v
+                             for t in range(rows) if t not in (i1, i2))
+            cols_above = all(sum(x[i] * a[i][t] for i in range(rows)) > v
+                             for t in range(cols) if t not in (j1, j2))
+            if rows_below and cols_above:
+                return v, tuple(x), tuple(y)
+    return None
+
+
 def _random_game_matrix(rng):
     rows, cols = rng.randint(1, 4), rng.randint(1, 4)
     kind = rng.choice(("small_ints", "thirds", "constant", "tied_saddle", "ints"))
@@ -160,23 +190,25 @@ def _count_lp_solves(monkeypatch):
 
 def test_game_value_equals_the_two_lp_reference(monkeypatch):
     rng = random.Random(20261018)
-    strict = simplex = 0
+    strict = kernel = simplex = 0
     for _ in range(600):
         a = _random_game_matrix(rng)
         expected = _two_lp_game_value(a)
         calls = _count_lp_solves(monkeypatch)
         assert game_value(a) == expected, a
         monkeypatch.undo()
-        saddle = _reference_strict_saddle(a)
-        if saddle is None:
+        certified = _reference_kernel(a)
+        if certified is None:
             assert len(calls) == 2, a
             simplex += 1
         else:
             assert len(calls) == 0, a
-            i, j = saddle
-            assert expected == (a[i][j], core.pure(i, len(a)), core.pure(j, len(a[0])))
-            strict += 1
-    assert strict >= 150 and simplex >= 150
+            assert expected == certified
+            if _reference_strict_saddle(a) is None:
+                kernel += 1
+            else:
+                strict += 1
+    assert strict >= 150 and kernel >= 50 and simplex >= 150
 
 
 @pytest.mark.parametrize("a, lp_solves", [
@@ -187,10 +219,31 @@ def test_game_value_equals_the_two_lp_reference(monkeypatch):
     (((F(2), F(2), F(3)),), 2),                     # 1 x n with a tied minimum
     (((F(4),), (F(4),), (F(1),)), 2),               # n x 1 with a tied maximum
     (((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))), 2),  # constant
-    (((F(1), F(-1)), (F(-1), F(1))), 2),            # no pure saddle
+    (((F(1), F(-1)), (F(-1), F(1))), 0),            # no pure saddle: a 2 x 2 kernel
+    (((F(3), F(1)), (F(3), F(1))), 2),              # d = 0, equal rows
+    (((F(3), F(1)), (F(2), F(0))), 0),              # d = 0, a strict saddle at (0, 1)
+    (((F(1), F(-1)), (F(-1), F(1)), (F(2), F(-2))), 2),  # an outside row ties v
+    (((F(0), F(-1), F(1)), (F(1), F(0), F(-1)), (F(-1), F(1), F(0))), 2),  # completely mixed
 ])
 def test_strict_saddles_solve_no_lp(monkeypatch, a, lp_solves):
     expected = _two_lp_game_value(a)
     calls = _count_lp_solves(monkeypatch)
     assert game_value(a) == expected
-    assert len(calls) == lp_solves
+    assert len(calls) == lp_solves == (0 if _reference_kernel(a) else 2)
+
+
+@pytest.mark.parametrize("a, answer", [
+    # Matching pennies: the 2 x 2 kernel is the whole game.
+    (((F(1), F(-1)), (F(-1), F(1))), (F(0), (F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)))),
+    # Fractional entries, and a dominated third column outside the kernel.
+    (((F(2, 3), F(0), F(1)), (F(0), F(1, 3), F(1))),
+     (F(2, 9), (F(1, 3), F(2, 3)), (F(1, 3), F(2, 3), F(0)))),
+    # A third row strictly below v against y, and a kernel on rows 1 and 2.
+    (((F(-1), F(-1)), (F(3), F(0)), (F(0), F(2))),
+     (F(6, 5), (F(0), F(2, 5), F(3, 5)), (F(2, 5), F(3, 5)))),
+])
+def test_two_by_two_kernels_are_closed_forms(monkeypatch, a, answer):
+    assert _two_lp_game_value(a) == answer
+    calls = _count_lp_solves(monkeypatch)
+    assert game_value(a) == answer
+    assert calls == []
