@@ -587,6 +587,38 @@ def test_market_renegotiation_witnesses_are_pinned(market, tmp_path):
     assert digest == PINNED_MARKET_DIGESTS[market]
 
 
+# Generator seed of an 8 x 3 market mixing all three exact classes -> sha256
+# of its solve-dac, verify --coalitions 4 and renegotiate documents, at
+# epsilon 1/2.  Every one holds repeated couples, so these pin the repeated
+# class's witnesses, cycles and frontier queries end to end.
+PINNED_REPEATED_MARKET_DIGESTS = {
+    3: 'cec7c4ba6a34b19fcec1b2290a0d68ee66c9a93e53a30e9a825ae5620c67d243',
+    6: 'ccd92b4b61e783ad1fbeabc000e9bf5b9c218cba9a0b139d8ae221945dedac35',
+    8: '0c8bdb5770ea12f8aba6e3191af5ff928c1970026d65aa1df09f793c0a3db016',
+    10: '84da71355d7bfce4f75a1dfa1f209d77040c4e1608d0f4ae504842ec20da3589',
+}
+
+
+def _repeated_market_documents(tmp_path, seed):
+    inst, alloc, report, reneg = (tmp_path / name for name in
+                                  ("inst.json", "alloc.json", "report.json", "reneg.json"))
+    assert main(["gen", "--seed", str(seed), "--doctors", "8", "--hospitals", "3", "--classes",
+                 "zero_sum,strictly_competitive,repeated", "--output", str(inst)]) == 0
+    common = ["--input", str(inst), "--epsilon", "1/2"]
+    assert main(["solve-dac", *common, "--output", str(alloc)]) == 0
+    assert main(["verify", *common, "--allocation", str(alloc), "--coalitions", "4",
+                 "--output", str(report)]) == 0
+    assert main(["renegotiate", *common, "--allocation", str(alloc), "--output", str(reneg)]) == 0
+    assert b'"cycles"' in reneg.read_bytes()
+    return alloc.read_bytes() + report.read_bytes() + reneg.read_bytes()
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_REPEATED_MARKET_DIGESTS))
+def test_repeated_market_documents_are_pinned(seed, tmp_path):
+    digest = hashlib.sha256(_repeated_market_documents(tmp_path, seed)).hexdigest()
+    assert digest == PINNED_REPEATED_MARKET_DIGESTS[seed]
+
+
 def test_pinned_markets_take_both_game_value_paths(monkeypatch, tmp_path):
     """The pinned markets reach strict saddles (closed form, no LP) and tied
     ones, a 1 x n or n x 1 game among them, which the simplex decides."""

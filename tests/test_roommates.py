@@ -1,15 +1,20 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from matchgames.cli import main
 from matchgames.core import (
     Allocation,
     BimatrixGame,
     Doctor,
     MatchingGameInstance,
+    dump_json,
     evaluate_payoffs,
     negate,
+    serialize_instance,
 )
 from matchgames.errors import MatchGamesError, NotAnAspirationError, UnsupportedClassError
 from matchgames.gen import generate_instance
@@ -223,6 +228,30 @@ class TestRepeatedPairs:
         assert not isinstance(alloc, UnrealizableReport)
         payoffs = evaluate_payoffs(inst, alloc)
         assert payoffs.doctor_payoffs == profile
+
+
+    # Profile -> sha256 of the roommates-realize document of the repeated
+    # prisoners' dilemma pair above.
+    PINNED_REALIZE_DIGESTS = {
+        ("2", "2"): "a1f8c2b9d62b064835c7888d511e48786267689ef8470227bba65b094b4daa34",
+        ("5/2", "1/2"): "e385167a1fa2a861b4ac793c918e7cb6fe94786d4d139c0059eef40ce9e42fd5",
+    }
+
+    @pytest.mark.parametrize("values", sorted(PINNED_REALIZE_DIGESTS))
+    def test_realize_documents_are_pinned(self, values, tmp_path):
+        doctors = {d: Doctor(d, F(0), ("c", "b")) for d in ("a", "b")}
+        inst = MatchingGameInstance(
+            model="roommates", doctors=doctors, hospitals={},
+            games={("a", "b"): BimatrixGame(PD_A, PD_M, "repeated")},
+        )
+        inst_path, profile_path, out = (tmp_path / name for name in
+                                        ("inst.json", "profile.json", "out.json"))
+        dump_json(serialize_instance(inst), str(inst_path))
+        profile_path.write_text(json.dumps(dict(zip(("a", "b"), values))))
+        assert main(["roommates-realize", "--input", str(inst_path), "--profile",
+                     str(profile_path), "--output", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.PINNED_REALIZE_DIGESTS[values]
 
 
 class TestDegenerateFrontiers:
