@@ -130,6 +130,8 @@ def cmd_renegotiate(args) -> int:
     doc = core.serialize_allocation(result.allocation)
     doc["sweeps"] = result.sweeps
     _emit(doc, args.output)
+    # The certificate evaluates the payoffs afresh instead of reading the
+    # sweep's ledger, so it shares no state with the code it checks.
     ok, witness = stability.verify_renegotiation_proof(instance, result.allocation, epsilon)
     if not ok:
         print(f"verification failed: {witness}", file=sys.stderr)

@@ -19,6 +19,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 from .errors import (
     ClassTagViolationError,
     DimensionMismatchError,
+    MalformedCycleError,
     MalformedRationalError,
     MatchGamesError,
     NotStrictlyCompetitiveError,
@@ -68,7 +69,6 @@ class NegInfinity:
 
 NEG_INF = NegInfinity()
 
-Rational = Fraction
 Matrix = Tuple[Tuple[Fraction, ...], ...]
 
 
@@ -654,19 +654,49 @@ def _profile_for(instance, allocation, d, partner):
 
 
 def _cycle_for(instance, allocation, d, partner):
-    if instance.model == ROOMMATES:
-        key_pair = instance.pair_key(d, partner)
-        cycle = allocation.cycles.get((key_pair[0], key_pair[1]))
-        if cycle is None:
-            raise MatchGamesError(f"repeated pair {key_pair} has no cycle strategy")
-        if key_pair[0] != d:
-            flipped = tuple((t, s) for s, t in cycle.cycle)
-            return CycleStrategy(flipped, cycle.punishment)
-        return cycle
-    cycle = allocation.cycles.get((partner, d))
+    """The couple's cycle over the profiles of ``game_for(d, partner)``.
+
+    The stored cycle is checked against the stored game: it must be
+    non-empty and every step a (row, column) index pair inside it.
+    """
+    key = instance.pair_key(d, partner)
+    roommates = instance.model == ROOMMATES
+    cycle = allocation.cycles.get(key if roommates else (partner, d))
     if cycle is None:
-        raise MatchGamesError(f"repeated pair ({d},{partner}) has no cycle strategy")
+        pair = key if roommates else f"({d},{partner})"
+        raise MatchGamesError(f"repeated pair {pair} has no cycle strategy")
+    game = instance.games[key]
+    rows, cols = game.n_rows, game.n_cols
+    if not cycle.cycle:
+        raise MalformedCycleError(f"repeated pair ({d},{partner}) has an empty cycle")
+    for s, t in cycle.cycle:
+        if not (0 <= s < rows and 0 <= t < cols):
+            raise MalformedCycleError(
+                f"repeated pair ({d},{partner}) cycle step [{s}, {t}] is outside "
+                f"its {rows}x{cols} game")
+    if key[0] != d:
+        return CycleStrategy(tuple((t, s) for s, t in cycle.cycle), cycle.punishment)
     return cycle
+
+
+def store_witness(instance, allocation, d, partner, witness):
+    """Store a couple's witness under the model's keys: a profile ``x``,
+    ``y`` or a ``cycle`` over ``game_for(d, partner)``, as a ``PairOutcome``
+    or a ``CneResult`` holds it.  The couple's entries of the other kind go.
+    In the roommates model ``d`` is the pair's smaller id, whose rows the
+    stored game and cycle use."""
+    roommates = instance.model == ROOMMATES
+    key = instance.pair_key(d, partner) if roommates else (partner, d)
+    partners = allocation.doctor_strategies if roommates else allocation.hospital_strategies
+    partner_key = partner if roommates else key
+    if witness.cycle is None:
+        allocation.doctor_strategies[d] = witness.x
+        partners[partner_key] = witness.y
+        allocation.cycles.pop(key, None)
+        return
+    allocation.cycles[key] = witness.cycle
+    allocation.doctor_strategies.pop(d, None)
+    partners.pop(partner_key, None)
 
 
 def _pair_doctor_payoff(instance, allocation, d, partner) -> Fraction:
@@ -891,16 +921,23 @@ def load_allocation(source: Union[str, dict]) -> Allocation:
                 hospital_strategy=tuple(parse_rational(w) for w in p["hospital_strategy"]) if "hospital_strategy" in p else None,
                 trigger=p.get("trigger", "first_off_cycle_action"),
             )
-        cycles[(h, d)] = CycleStrategy(
-            cycle=tuple((int(s), int(t)) for s, t in entry["cycle"]),
-            punishment=punishment,
-        )
+        cycles[(h, d)] = CycleStrategy(cycle=_parse_cycle(entry["cycle"], key),
+                                       punishment=punishment)
     return Allocation(
         matching=matching,
         doctor_strategies=doctor_strategies,
         hospital_strategies=hospital_strategies,
         cycles=cycles,
     )
+
+
+def _parse_cycle(steps, key: str) -> Tuple[Tuple[int, int], ...]:
+    """A document's cycle; its range is checked when the cycle is read."""
+    if isinstance(steps, list) and all(
+            isinstance(step, list) and len(step) == 2 and type(step[0]) is int
+            and type(step[1]) is int for step in steps):
+        return tuple(map(tuple, steps))
+    raise MalformedCycleError(f"cycle {key} is not a list of [row, column] integer pairs")
 
 
 def dump_json(doc: dict, path: str):

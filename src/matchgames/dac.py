@@ -32,15 +32,14 @@ from __future__ import annotations
 from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .core import (
     ADDITIVE_SEPARABLE,
     Allocation,
-    BimatrixGame,
     MatchingGameInstance,
     format_rational,
+    store_witness,
 )
 from .errors import EpsilonNotPositiveError, MatchGamesError, UnsupportedClassError
 from .qcqp import (
@@ -58,19 +57,13 @@ FREE_SEAT = "__free_seat__"
 class Proposal:
     """A doctor's best admissible option; hospital None means stay unmatched.
 
-    ``outcome``, the witness profile of ``point`` in ``game``, is built on
-    first read.  DAC itself seats the point and never reads it.
+    ``point`` holds the option's exact payoffs; DAC seats it as it is.
     """
 
     hospital: Optional[str]
     displaced: Optional[str]  # FREE_SEAT or an incumbent doctor id
     doctor_value: Fraction
     point: Optional[FrontierPoint] = None
-    game: Optional[BimatrixGame] = None
-
-    @cached_property
-    def outcome(self) -> Optional[PairOutcome]:
-        return None if self.point is None else frontier_witness(self.game, self.point)
 
 
 # Event kind -> its line in the text trace; the fields fill the slots in order.
@@ -255,15 +248,9 @@ class DacState:
         """The matching and one witness profile per final seat, built here."""
         allocation = Allocation(matching=dict(self.matching))
         for (h, d), seat in self.seats.items():
-            if isinstance(seat, PairOutcome):
-                outcome = seat
-            else:
-                outcome = frontier_witness(self.instance.game_for(d, h), seat)
-            if outcome.cycle is not None:
-                allocation.cycles[(h, d)] = outcome.cycle
-            else:
-                allocation.doctor_strategies[d] = outcome.x
-                allocation.hospital_strategies[(h, d)] = outcome.y
+            if not isinstance(seat, PairOutcome):
+                seat = frontier_witness(self.instance.game_for(d, h), seat)
+            store_witness(self.instance, allocation, d, h, seat)
         return allocation
 
 
@@ -299,23 +286,20 @@ def _price_option(state: DacState, d: str, idx: int, h: str) -> Optional[Option]
     return None if point is None else (point.f, idx, h, displaced, point)
 
 
-def optimal_proposal(state: DacState, d: str, epsilon: Fraction) -> Proposal:
+def optimal_proposal(state: DacState, d: str) -> Proposal:
     """Doctor d's best proposal given the current seats.
 
     The unmatched option always competes; a hospital is chosen only when it
     beats the doctor's IRP strictly.  Value ties across hospitals go to the
     lowest hospital index.
     """
-    if epsilon != state.epsilon:
-        raise MatchGamesError("proposal epsilon must match the run epsilon")
     irp = state.instance.doctors[d].irp
     options = hospital_options(state, d)
     if options:
         # max keeps the first of equal values: the lowest hospital index.
         value, _, h, displaced, point = max(options, key=lambda opt: opt[0])
         if value > irp:
-            return Proposal(hospital=h, displaced=displaced, doctor_value=value,
-                            point=point, game=state.instance.game_for(d, h))
+            return Proposal(hospital=h, displaced=displaced, doctor_value=value, point=point)
     return Proposal(hospital=None, displaced=None, doctor_value=irp)
 
 
@@ -325,15 +309,13 @@ def reservation_value(state: DacState, d: str, h: str) -> Fraction:
     return max([irp] + [opt[0] for opt in hospital_options(state, d, exclude=(h,))])
 
 
-def competition_bid(state: DacState, d: str, h: str, epsilon: Fraction):
+def competition_bid(state: DacState, d: str, h: str):
     """Reservation payoff and bid of doctor d when competing for h.
 
     The bid is the most per-seat value d can hand to h while keeping her own
     payoff at or above the reservation.  Returns (reservation, bid, point);
     the bid is priced by value alone, so the point carries no witness.
     """
-    if epsilon != state.epsilon:
-        raise MatchGamesError("bid epsilon must match the run epsilon")
     beta = reservation_value(state, d, h)
     point = max_g_point(state.instance.game_for(d, h), beta)
     if point is None:
@@ -343,14 +325,12 @@ def competition_bid(state: DacState, d: str, h: str, epsilon: Fraction):
     return beta, point.g, point
 
 
-def settle_competition(state: DacState, winner: str, loser_bid: Fraction, h: str,
-                       epsilon: Fraction) -> FrontierPoint:
+def settle_competition(state: DacState, winner: str, loser_bid: Fraction,
+                       h: str) -> FrontierPoint:
     """Winner's seat: best own payoff with per-seat value >= loser's bid.
 
     Priced by value alone; the witness is built only if the seat is final.
     """
-    if epsilon != state.epsilon:
-        raise MatchGamesError("settle epsilon must match the run epsilon")
     point = max_f_point(state.instance.game_for(winner, h), loser_bid)
     if point is None:
         raise MatchGamesError("winner cannot match the losing bid; auction invariant broken")
@@ -388,7 +368,7 @@ def run_dac(instance: MatchingGameInstance, epsilon: Fraction,
             raise MatchGamesError("iteration cap exceeded; monotonicity invariant broken")
         state.trace.loop_passes += 1
         d = min(state.unmatched, key=doctor_order.__getitem__)
-        proposal = optimal_proposal(state, d, epsilon)
+        proposal = optimal_proposal(state, d)
         displaced = "free" if proposal.displaced == FREE_SEAT else (proposal.displaced or "-")
         log("propose", d, proposal.hospital or "unmatched", displaced, proposal.doctor_value)
         if proposal.hospital is None:
@@ -408,8 +388,8 @@ def run_dac(instance: MatchingGameInstance, epsilon: Fraction,
 
         incumbent = proposal.displaced
         state.trace.competitions += 1
-        beta_p, bid_p, _ = competition_bid(state, d, h, epsilon)
-        beta_i, bid_i, _ = competition_bid(state, incumbent, h, epsilon)
+        beta_p, bid_p, _ = competition_bid(state, d, h)
+        beta_i, bid_i, _ = competition_bid(state, incumbent, h)
         log("compete", h, d, bid_p, incumbent, bid_i)
         proposer_wins = _bid_beats(bid_p, bid_i)
         if proposer_wins:
@@ -421,7 +401,7 @@ def run_dac(instance: MatchingGameInstance, epsilon: Fraction,
             # the proposal threshold instead of an unbounded concession.
             settled = proposal.point if winner == d else state.seats[(h, incumbent)]
         else:
-            settled = settle_competition(state, winner, loser_bid, h, epsilon)
+            settled = settle_competition(state, winner, loser_bid, h)
         log("settle", winner, h, settled.f, settled.g, loser if winner == d else "none")
         state.trace.iterations += 1
         if winner == d:

@@ -13,6 +13,10 @@ class DimensionMismatchError(MatchGamesError):
     """A payoff matrix does not match the owning agents' strategy counts."""
 
 
+class MalformedCycleError(MatchGamesError):
+    """A repeated pair's cycle is empty or steps outside its game's profiles."""
+
+
 class QuotaOutOfRangeError(MatchGamesError):
     """A hospital quota is below 1."""
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .core import (  # AffineTransform and affine_transform are re-exported
     AffineTransform,
@@ -180,11 +180,16 @@ def distribution_to_cycle(lam: LambdaDistribution, a: Matrix, m: Matrix) -> Cycl
 # ---------------------------------------------------------------------------
 # Frontier queries (original payoff units throughout)
 #
+# Every question about a couple's frontier, from DAC, the renegotiation
+# ledger and CNE audits, the stability oracles and roommates, is asked here.
 # Each query first prices the option by value alone from the game's cached
 # frontier (``BimatrixGame.frontier``), then, only when the caller asks for
 # it, builds a witness profile realising that value.  Zero-sum pairs are the
 # identity case of the affine bridge, so the one-shot classes share one
-# interval computation; repeated pairs query the payoff hull by LP.
+# interval computation; repeated pairs query the payoff hull by LP.  On a
+# one-shot pair's image the doctor's payoff rises with the value z and the
+# partner's falls, so z_max pays (a_max, m_min), z_min pays (a_min, m_max),
+# and a floor that binds is paid exactly.
 
 
 @dataclass
@@ -198,8 +203,7 @@ class PairOutcome:
     cycle: Optional[CycleStrategy] = None
 
 
-@dataclass(frozen=True)
-class FrontierPoint:
+class FrontierPoint(NamedTuple):
     """A frontier query's exact payoffs, before any witness is built.
 
     ``z`` is the zero-sum image value that a one-shot witness must hit;
@@ -222,11 +226,13 @@ def max_f_point(game: BimatrixGame, theta: Fraction,
             return None
         lam, (f, g) = _hull_lp(game.doctor_matrix, game.hospital_matrix,
                                objective=("max_f",), g_floor=theta)
-        return FrontierPoint(f=f, g=g, lam=lam)
+        return FrontierPoint(f, g, lam=lam)
     c = -tr.image_hospital_value(theta)
     if c < fr.z_min or (strict and c == fr.z_min):
         return None
-    return _image_point(tr, min(c, fr.z_max))
+    if c >= fr.z_max:  # a slack floor: the doctor's best payoff
+        return FrontierPoint(fr.a_max, fr.m_min, fr.z_max)
+    return FrontierPoint(tr.original_doctor_value(c), theta, c)
 
 
 def max_g_point(game: BimatrixGame, beta: Fraction,
@@ -239,17 +245,31 @@ def max_g_point(game: BimatrixGame, beta: Fraction,
             return None
         lam, (f, g) = _hull_lp(game.doctor_matrix, game.hospital_matrix,
                                objective=("max_g",), f_floor=beta)
-        return FrontierPoint(f=f, g=g, lam=lam)
+        return FrontierPoint(f, g, lam=lam)
     b = tr.image_doctor_value(beta)
     if b > fr.z_max or (strict and b == fr.z_max):
         return None
-    return _image_point(tr, max(b, fr.z_min))
+    if b <= fr.z_min:  # a slack floor: the partner's best payoff
+        return FrontierPoint(fr.a_min, fr.m_max, fr.z_min)
+    return FrontierPoint(beta, tr.original_hospital_value(-b), b)
 
 
-def _image_point(tr: AffineTransform, z: Fraction) -> FrontierPoint:
-    # Every image profile of value z pays exactly these original payoffs.
-    return FrontierPoint(f=tr.original_doctor_value(z),
-                         g=tr.original_hospital_value(-z), z=z)
+def exact_point(game: BimatrixGame, f: Fraction, g: Fraction) -> Optional[FrontierPoint]:
+    """The point paying the doctor exactly ``f`` and the partner exactly
+    ``g``, or None when no profile of ``game`` does."""
+    fr = game.frontier
+    tr = fr.transform
+    if tr is None:
+        try:
+            lam, _ = _hull_lp(game.doctor_matrix, game.hospital_matrix,
+                              objective=("max_f",), f_exact=f, g_exact=g)
+        except InfeasibleError:
+            return None
+        return FrontierPoint(f, g, lam=lam)
+    z = tr.image_doctor_value(f)
+    if fr.z_min <= z <= fr.z_max and tr.original_hospital_value(-z) == g:
+        return FrontierPoint(f, g, z)
+    return None
 
 
 def frontier_witness(game: BimatrixGame, point: FrontierPoint) -> PairOutcome:

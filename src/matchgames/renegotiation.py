@@ -22,7 +22,7 @@ zero-sum pair) and audit the result in the original game.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -40,10 +40,12 @@ from .core import (
     PayoffReport,
     bilinear,
     evaluate_payoffs,
+    _cycle_for,
     _pair_doctor_payoff,
     negate,
     pure,
     seat_contribution,
+    store_witness,
     transpose,
 )
 from .errors import (
@@ -55,9 +57,11 @@ from .errors import (
 )
 from .lp import game_value
 from .qcqp import (
+    FrontierPoint,
     achieve_value_zero_sum,
     distribution_to_cycle,
     _hull_lp,
+    exact_point,
     max_f_point,
     max_g_point,
 )
@@ -425,6 +429,7 @@ def compute_cne_repeated(a: Matrix, m: Matrix, f_res: Fraction, g_res: Fraction,
     except InfeasibleError:
         raise InfeasibleReservationsError("acceptable payoff set is empty")
     alpha, beta, y_alpha, x_beta = punishment_levels(a, m)
+    game = BimatrixGame(a, m, REPEATED)
 
     try:
         lam, f, g = _uniform_point(a, m, max(alpha, f_res - epsilon), max(beta, g_res - epsilon))
@@ -444,38 +449,23 @@ def compute_cne_repeated(a: Matrix, m: Matrix, f_res: Fraction, g_res: Fraction,
                                  f_floor=f_res - epsilon, g_floor=g_res - epsilon)
         lam, (f_bar, _) = _hull_lp(a, m, objective=("max_f",),
                                    f_floor=f_res - epsilon, g_exact=g_bar)
-        target = _try_exact_point(a, m, f_bar, g_bar + epsilon)
-        if target is None:
-            target = lam
-        cycle = distribution_to_cycle(target, a, m)
-        cycle.punishment = CyclePunishment(punisher="hospital", hospital_strategy=y_alpha)
-        f_out = sum(a[s][t] * wgt for (s, t), wgt in target.items())
-        g_out = sum(m[s][t] * wgt for (s, t), wgt in target.items())
-        return CneResult(x=None, y=None, cycle=cycle, doctor_payoff=f_out,
-                         hospital_payoff=g_out, case_tag=PUNISHMENT_SUPPORTED)
-    if g_res - epsilon >= beta:
+        point = exact_point(game, f_bar, g_bar + epsilon)
+        punishment = CyclePunishment(punisher="hospital", hospital_strategy=y_alpha)
+    elif g_res - epsilon >= beta:
         _, (f_bar, _) = _hull_lp(a, m, objective=("max_f",),
                                  f_floor=f_res - epsilon, g_floor=g_res - epsilon)
         lam, (_, g_bar) = _hull_lp(a, m, objective=("max_g",),
                                    g_floor=g_res - epsilon, f_exact=f_bar)
-        target = _try_exact_point(a, m, f_bar + epsilon, g_bar)
-        if target is None:
-            target = lam
-        cycle = distribution_to_cycle(target, a, m)
-        cycle.punishment = CyclePunishment(punisher="doctor", doctor_strategy=x_beta)
-        f_out = sum(a[s][t] * wgt for (s, t), wgt in target.items())
-        g_out = sum(m[s][t] * wgt for (s, t), wgt in target.items())
-        return CneResult(x=None, y=None, cycle=cycle, doctor_payoff=f_out,
-                         hospital_payoff=g_out, case_tag=PUNISHMENT_SUPPORTED)
-    raise MatchGamesError("unreachable: both sides below punishment levels implies a uniform point")
-
-
-def _try_exact_point(a, m, f_target, g_target):
-    try:
-        lam, _ = _hull_lp(a, m, objective=("max_f",), f_exact=f_target, g_exact=g_target)
-        return lam
-    except InfeasibleError:
-        return None
+        point = exact_point(game, f_bar + epsilon, g_bar)
+        punishment = CyclePunishment(punisher="doctor", doctor_strategy=x_beta)
+    else:
+        raise MatchGamesError("unreachable: both sides below punishment levels implies a uniform point")
+    if point is None:  # the hull allows no epsilon bump
+        point = FrontierPoint(f_bar, g_bar, lam=lam)
+    cycle = distribution_to_cycle(point.lam, a, m)
+    cycle.punishment = punishment
+    return CneResult(x=None, y=None, cycle=cycle, doctor_payoff=point.f,
+                     hospital_payoff=point.g, case_tag=PUNISHMENT_SUPPORTED)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +480,7 @@ def check_couple_is_cne(instance, allocation, d, partner, reservations: Reservat
     f_res, g_res = reservations.doctor_reservation, reservations.hospital_reservation
 
     if game.class_tag == REPEATED:
-        return _check_repeated_cne(instance, allocation, d, partner, a, m,
+        return _check_repeated_cne(instance, allocation, d, partner, game,
                                    f_res, g_res, epsilon)
 
     if instance.model == ROOMMATES:
@@ -509,9 +499,8 @@ def check_couple_is_cne(instance, allocation, d, partner, reservations: Reservat
     return fault is None, fault
 
 
-def _check_repeated_cne(instance, allocation, d, partner, a, m, f_res, g_res, epsilon):
-    from .core import _cycle_for
-
+def _check_repeated_cne(instance, allocation, d, partner, game, f_res, g_res, epsilon):
+    a, m = game.doctor_matrix, game.hospital_matrix
     cycle = _cycle_for(instance, allocation, d, partner)
     f_bar, g_bar = cycle.average_payoffs(a, m)
     if f_bar + epsilon < f_res:
@@ -529,15 +518,14 @@ def _check_repeated_cne(instance, allocation, d, partner, a, m, f_res, g_res, ep
             return False, "cycle pays the doctor below her punishment level"
     else:
         # Doctor deviations unpunished: any f-gain > eps must break feasibility.
-        _, (f_cap, _) = _hull_lp(a, m, objective=("max_f",), g_floor=g_res - epsilon)
-        if f_cap > f_bar + epsilon:
+        # The cycle's own average meets the floor, so the cap exists.
+        if max_f_point(game, g_res - epsilon).f > f_bar + epsilon:
             return False, "doctor could gain within the hospital's acceptable set"
     if hospital_guarded:
         if g_bar < beta:
             return False, "cycle pays the hospital below its punishment level"
     else:
-        _, (_, g_cap) = _hull_lp(a, m, objective=("max_g",), f_floor=f_res - epsilon)
-        if g_cap > g_bar + epsilon:
+        if max_g_point(game, f_res - epsilon).g > g_bar + epsilon:
             return False, "hospital could gain within the doctor's acceptable set"
     return True, None
 
@@ -550,7 +538,6 @@ def _check_repeated_cne(instance, allocation, d, partner, a, m, f_res, g_res, ep
 class RenegotiationResult:
     allocation: Allocation
     sweeps: int  # sweeps that changed at least one payoff pair
-    payoff_history: List[Dict[Tuple[str, str], Tuple[Fraction, Fraction]]] = field(default_factory=list)
 
 
 def compute_cne_for_pair(game: BimatrixGame, reservations: ReservationPair,
@@ -621,7 +608,6 @@ def run_renegotiation(instance: MatchingGameInstance, allocation: Allocation,
     ledger = _PayoffLedger(instance, current, epsilon, payoffs)
     previous = ledger.pair_payoffs(couples)
     sweeps = 0
-    history = []
     for _ in range(max_sweeps):
         for d, partner in couples:
             reservations = ledger.reservations(d, partner)
@@ -640,48 +626,23 @@ def run_renegotiation(instance: MatchingGameInstance, allocation: Allocation,
                 # Mid-sweep states can transiently squeeze a couple's band
                 # empty; park the couple and let the others move first.
                 continue
-            _apply_updates(instance, current, {(d, partner): cne})
+            store_witness(instance, current, d, partner, cne)
             ledger.record(current, d, partner)
         now = ledger.pair_payoffs(couples)
-        history.append(now)
         if on_sweep is not None:
             on_sweep(_copy_allocation(current))
         if now == previous:
-            return RenegotiationResult(allocation=current, sweeps=sweeps, payoff_history=history)
+            return RenegotiationResult(allocation=current, sweeps=sweeps)
         previous = now
         sweeps += 1
     raise MatchGamesError("renegotiation did not converge within the sweep cap")
 
 
 def _sweep_order(instance, allocation):
-    pairs = []
-    for d, partner in allocation.matched_pairs():
-        if instance.model == ROOMMATES:
-            if d < partner:
-                pairs.append((d, partner))
-        else:
-            pairs.append((d, partner))
+    pairs = allocation.matched_pairs()  # sorted by doctor id
     if instance.model == ROOMMATES:
-        pairs.sort()
-    else:
-        pairs.sort(key=lambda dp: (dp[1], dp[0]))
-    return pairs
-
-
-def _apply_updates(instance, allocation, updates):
-    for (d, partner), cne in updates.items():
-        if cne.cycle is not None:
-            key = (partner, d) if instance.model != ROOMMATES else instance.pair_key(d, partner)
-            allocation.cycles[key] = cne.cycle
-            allocation.doctor_strategies.pop(d, None)
-            if instance.model != ROOMMATES:
-                allocation.hospital_strategies.pop((partner, d), None)
-        else:
-            allocation.doctor_strategies[d] = cne.x
-            if instance.model == ROOMMATES:
-                allocation.doctor_strategies[partner] = cne.y
-            else:
-                allocation.hospital_strategies[(partner, d)] = cne.y
+        return [(d, partner) for d, partner in pairs if d < partner]
+    return sorted(pairs, key=lambda dp: (dp[1], dp[0]))
 
 
 def _copy_allocation(allocation: Allocation) -> Allocation:

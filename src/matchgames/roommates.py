@@ -11,7 +11,8 @@ Partnership values here are partial: bimatrix frontiers are bounded, so a
 partner demanding more than her best attainable value supports nothing, and
 one demanding less than her worst attainable value is lifted to it (the
 demander keeps the surplus).  This clip is what bounded payoff matrices force
-on the classical unbounded-transfer theory.
+on the classical unbounded-transfer theory.  Every frontier question goes to
+the queries of ``qcqp``, which answer it for each game class.
 """
 
 from __future__ import annotations
@@ -26,67 +27,42 @@ from .core import (
     ZERO_SUM,
     Allocation,
     MatchingGameInstance,
+    store_witness,
 )
 from .errors import (
-    InfeasibleError,
     MatchGamesError,
     NotAnAspirationError,
     UnsupportedClassError,
 )
-from .qcqp import achieve_value_zero_sum, distribution_to_cycle, _hull_lp
+from .qcqp import exact_point, frontier_witness, max_f_point
 
 PayoffProfile = Dict[str, Fraction]
 
 
 def partnership_value(instance: MatchingGameInstance, d: str, other: str,
                       partner_value: Fraction) -> Optional[Fraction]:
-    """Best payoff d can reach while the partner gets (at least) her value.
+    """Best payoff d can reach while the partner gets at least her value.
 
-    None when the partner's demand exceeds her best attainable payoff in this
-    pair.  Demands below her worst attainable payoff are lifted to it.
+    The partner's value is a floor for every game class.  None when it
+    exceeds her best attainable payoff in this pair; a value below her
+    worst attainable payoff binds nothing, so d keeps the surplus.
     """
-    game = instance.game_for(d, other)
-    fr = game.frontier
-    tr = fr.transform
-    if tr is None:
-        try:
-            _, (f, _) = _hull_lp(game.doctor_matrix, game.hospital_matrix,
-                                 objective=("max_f",), g_exact=partner_value)
-        except InfeasibleError:
-            return None
-        return f
-    # Partner payoff decreases along the image value z; she demands at most
-    # her payoff at z_min.
-    z_demand = -tr.image_hospital_value(partner_value)
-    if z_demand < fr.z_min:
-        return None
-    return tr.original_doctor_value(min(z_demand, fr.z_max))
+    point = max_f_point(instance.game_for(d, other), partner_value)
+    return None if point is None else point.f
 
 
 def demand_set(instance: MatchingGameInstance, profile: PayoffProfile, d: str) -> Set[str]:
     """Partners with whom d can realise exactly her profile value.
 
-    Zero-sum: values must sum to zero and lie in the attainable interval;
-    strictly competitive pairs test the same through the affine image;
-    repeated pairs test hull membership by an exact LP.
+    A partner qualifies when some profile of the pair pays d exactly her
+    value and the partner exactly hers (:func:`qcqp.exact_point`): an
+    interval test on the zero-sum image for the one-shot classes, an exact
+    hull LP for the repeated class.  Partner values are floors in
+    :func:`partnership_value` but exact here, since a realized pair pays
+    both members their profile values.
     """
-    out = set()
-    for other in instance.partner_options(d):
-        game = instance.game_for(d, other)
-        fr = game.frontier
-        tr = fr.transform
-        if tr is None:
-            try:
-                _hull_lp(game.doctor_matrix, game.hospital_matrix, objective=("max_f",),
-                         f_exact=profile[d], g_exact=profile[other])
-                out.add(other)
-            except InfeasibleError:
-                pass
-            continue
-        z_val = tr.image_doctor_value(profile[d])
-        if fr.z_min <= z_val <= fr.z_max and tr.original_hospital_value(-z_val) == profile[other]:
-            out.add(other)
-    return out
+    return {other for other in instance.partner_options(d)
+            if exact_point(instance.game_for(d, other), profile[d], profile[other]) is not None}
 
 
 @dataclass
@@ -482,18 +458,6 @@ def _component_of(graph: DemandGraph, start: str):
 
 def _realize_pair(instance, allocation, a, b, profile):
     game = instance.game_for(a, b)
-    tr = game.frontier.transform
-    if tr is None:
-        lam, _ = _hull_lp(
-            game.doctor_matrix, game.hospital_matrix,
-            objective=("max_f",), f_exact=profile[a], g_exact=profile[b],
-        )
-        key = instance.pair_key(a, b)
-        cycle = distribution_to_cycle(lam, game.doctor_matrix, game.hospital_matrix)
-        if key[0] != a:
-            cycle.cycle = tuple((t, s) for s, t in cycle.cycle)
-        allocation.cycles[key] = cycle
-        return
-    x, y, _ = achieve_value_zero_sum(tr.image, tr.image_doctor_value(profile[a]))
-    allocation.doctor_strategies[a] = x
-    allocation.doctor_strategies[b] = y
+    # (a, b) is a demand-graph edge, so the exact point exists.
+    point = exact_point(game, profile[a], profile[b])
+    store_witness(instance, allocation, a, b, frontier_witness(game, point))

@@ -6,14 +6,15 @@ through exact LPs over the feasible payoff hull, and the enumerated model
 through direct table scans.  Grid methods are tagged approximate and any
 witness they produce is replayed exactly before being reported.
 
-The oracles share three pieces with the solvers: the cached affine bridge
-``BimatrixGame.frontier`` (a zero-sum pair's bridge is the identity), the
-hull LP ``qcqp._hull_lp`` and the profile builder
-``qcqp.achieve_value_zero_sum``.  Sharing the bridge is sound because
-``core._verify_affine`` checks it entry by entry when it is built, so every
-image value maps back to payoffs the original matrices attain.  Every
-blocking-pair witness is replayed in the original matrices before it is
-reported, and the renegotiation check delegates to the CNE
+The oracles share two pieces with the solvers: the frontier queries of
+``qcqp`` (``max_f_point`` and ``max_g_point``, over the cached affine bridge
+``BimatrixGame.frontier`` for the one-shot classes, where a zero-sum pair's
+bridge is the identity, and over the hull LP for the repeated class) and the
+profile builder ``qcqp.achieve_value_zero_sum``.  Sharing the bridge is
+sound because ``core._verify_affine`` checks it entry by entry when it is
+built, so every image value maps back to payoffs the original matrices
+attain.  Every blocking-pair witness is replayed in the original matrices
+before it is reported, and the renegotiation check delegates to the CNE
 characterisation in ``renegotiation``.
 """
 
@@ -41,12 +42,15 @@ from .core import (
     bilinear,
     evaluate_payoffs,
 )
-from .errors import CapExceededError, InfeasibleError, MatchGamesError, UnsupportedClassError
-from .qcqp import achieve_value_zero_sum, _hull_lp, simplex_grid
+from .errors import CapExceededError, MatchGamesError, UnsupportedClassError
+from .qcqp import achieve_value_zero_sum, max_f_point, max_g_point, simplex_grid
 
 EXACT_INTERVAL = "exact_interval"
 EXACT_LP = "exact_lp"
 EXACT_TABLE = "exact_table"
+
+# The exact method deciding a pair of each class.
+CLASS_METHODS = {ZERO_SUM: EXACT_INTERVAL, STRICTLY_COMPETITIVE: EXACT_INTERVAL, REPEATED: EXACT_LP}
 
 
 def grid_method(mesh: int) -> str:
@@ -164,17 +168,14 @@ def _pair_block_profile(game: BimatrixGame, f_floor: Fraction, g_floor: Fraction
             return None
         x, y, _ = achieve_value_zero_sum(tr.image, point)
         return x, y, None, EXACT_INTERVAL
-    try:
-        lam_f, (f1, _) = _hull_lp(a, m, objective=("max_f",), g_floor=g_floor)
-        lam_g, (_, g1) = _hull_lp(a, m, objective=("max_g",), f_floor=f_floor)
-    except InfeasibleError:
+    best_f = max_f_point(game, g_floor)
+    if best_f is None or best_f.f <= f_floor:
         return None
-    if not (f1 > f_floor and g1 > g_floor):
+    best_g = max_g_point(game, f_floor)
+    if best_g is None or best_g.g <= g_floor:
         return None
     mix = {}
-    for cell, w in lam_f.items():
-        mix[cell] = mix.get(cell, Fraction(0)) + w / 2
-    for cell, w in lam_g.items():
+    for cell, w in (*best_f.lam.items(), *best_g.lam.items()):
         mix[cell] = mix.get(cell, Fraction(0)) + w / 2
     f_mid = sum(a[s][t] * w for (s, t), w in mix.items())
     g_mid = sum(m[s][t] * w for (s, t), w in mix.items())
@@ -257,31 +258,6 @@ def find_blocking_pair(instance, allocation, epsilon: Fraction, grid_mesh: int =
 # Coalition blocking
 
 
-def _best_seat_value_above(game: BimatrixGame, f_floor: Fraction):
-    """sup of the partner's payoff over profiles with doctor payoff > f_floor.
-
-    Returns None when the doctor cannot strictly beat the floor at all.  The
-    supremum may be unattained; strict-sum comparisons remain valid because
-    payoffs approach it arbitrarily closely.
-    """
-    fr = game.frontier
-    tr = fr.transform
-    if tr is not None:
-        z_floor = tr.image_doctor_value(f_floor)
-        if fr.z_max <= z_floor:
-            return None
-        return tr.original_hospital_value(-max(z_floor, fr.z_min))
-    a, m = game.doctor_matrix, game.hospital_matrix
-    try:
-        _, (f_best, _) = _hull_lp(a, m, objective=("max_f",))
-    except InfeasibleError:
-        return None
-    if f_best <= f_floor:
-        return None
-    _, (_, g_best) = _hull_lp(a, m, objective=("max_g",), f_floor=f_floor)
-    return g_best
-
-
 def find_blocking_coalition(instance, allocation, epsilon: Fraction,
                             max_coalition_size: int = 5,
                             cap: int = 1 << 16,
@@ -311,11 +287,12 @@ def find_blocking_coalition(instance, allocation, epsilon: Fraction,
         for d in instance.doctor_ids:
             if not instance.has_game(d, h):
                 continue
-            sup_g = _best_seat_value_above(
-                instance.game_for(d, h), payoffs.doctor_payoffs[d] + epsilon
-            )
-            if sup_g is not None:
-                eligible.append((d, sup_g))
+            # sup of h's seat value over profiles paying d strictly above
+            # her floor; unattained sups still decide strict sums.
+            best = max_g_point(instance.game_for(d, h), payoffs.doctor_payoffs[d] + epsilon,
+                               strict=True)
+            if best is not None:
+                eligible.append((d, best.g))
         max_size = min(max_coalition_size, hosp.quota, len(eligible))
         threshold = current + epsilon if current is not NEG_INF else None
         # bests[size]: the largest total any coalition of that size can reach.
@@ -374,10 +351,10 @@ def _realise_coalition(instance, payoffs, doctors, h, epsilon, threshold):
 
 def _profile_just_above(game, f_floor, delta):
     """A profile with doctor payoff in (f_floor, f_floor + delta], partner payoff maximal."""
-    a, m = game.doctor_matrix, game.hospital_matrix
     fr = game.frontier
     tr = fr.transform
     if tr is not None:
+        a, m = game.doctor_matrix, game.hospital_matrix
         z_floor = tr.image_doctor_value(f_floor)
         if fr.z_max <= z_floor:
             return None
@@ -387,13 +364,10 @@ def _profile_just_above(game, f_floor, delta):
             target = min(z_floor + delta, (z_floor + fr.z_max) / 2)
         x, y, _ = achieve_value_zero_sum(tr.image, target)
         return bilinear(x, a, y), bilinear(x, m, y), x, y, None
-    try:
-        lam, (f_val, g_val) = _hull_lp(a, m, objective=("max_g",), f_floor=f_floor + delta)
-    except InfeasibleError:
+    point = max_g_point(game, f_floor + delta)
+    if point is None or point.f <= f_floor:
         return None
-    if f_val <= f_floor:
-        return None
-    return f_val, g_val, None, None, lam
+    return point.f, point.g, None, None, point.lam
 
 
 def _enumerated_blocking_coalition(instance, allocation, payoffs, epsilon, max_size):
@@ -513,17 +487,18 @@ def full_report(instance, allocation, epsilon: Fraction,
                                                                  payoffs)
         except UnsupportedClassError as exc:
             reneg_ok, reneg_witness = None, f"unsupported: {exc}"
-    tags = {ZERO_SUM: EXACT_INTERVAL, STRICTLY_COMPETITIVE: EXACT_INTERVAL,
-            REPEATED: EXACT_LP, GENERAL: grid_method(grid_mesh)}
-    methods = {"pair": pair.method if pair else "/".join(sorted(
-        {tags[g.class_tag] for g in instance.games.values()} or {EXACT_TABLE}
-    ))}
+    grid = grid_method(grid_mesh)
+    methods = {"pair": pair.method if pair else _label(
+        (CLASS_METHODS.get(g.class_tag, grid) for g in instance.games.values()), EXACT_TABLE)}
     if coalition is not None:
         methods["coalition"] = coalition.method
     elif coalition_size:
         methods["coalition"] = EXACT_TABLE if instance.model == GENERAL_ENUMERATED else EXACT_INTERVAL
     if reneg_ok is not None:
-        methods["renegotiation"] = EXACT_LP
+        # A one-shot couple's CNE check is closed form; a repeated one's solves LPs.
+        methods["renegotiation"] = _label(
+            (CLASS_METHODS.get(instance.game_for(d, p).class_tag, EXACT_INTERVAL)
+             for d, p in allocation.matched_pairs()), EXACT_INTERVAL)
     return StabilityReport(
         individually_rational=ir_ok,
         ir_witness=ir_witness,
@@ -533,6 +508,11 @@ def full_report(instance, allocation, epsilon: Fraction,
         renegotiation_witness=reneg_witness,
         methods=methods,
     )
+
+
+def _label(methods, default: str) -> str:
+    """The distinct methods, sorted and joined by "/", or ``default`` if none."""
+    return "/".join(sorted(set(methods))) or default
 
 
 # ---------------------------------------------------------------------------

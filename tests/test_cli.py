@@ -212,3 +212,48 @@ def test_shared_parser_gives_each_command_its_own_defaults(tmp_path, monkeypatch
     assert run(solve) == 0
     assert run(solve + ["--oracle"]) == 0
     assert oracle_calls == [4, 8]
+
+
+@pytest.mark.parametrize("cycle, message", [
+    ([], "empty cycle"),
+    ([[7, 0]], "cycle step [7, 0] is outside its 2x2 game"),
+    ([[-1, 0]], "cycle step [-1, 0] is outside its 2x2 game"),
+    ([[0.5, 0]], "is not a list of [row, column] integer pairs"),
+    ([["0", 0]], "is not a list of [row, column] integer pairs"),
+    ([[0, 0, 0]], "is not a list of [row, column] integer pairs"),
+])
+def test_malformed_cycles_are_input_errors(tmp_path, capsys, cycle, message):
+    inst_path, alloc_path = tmp_path / "inst.json", tmp_path / "alloc.json"
+    assert run(["gen", "--seed", "1", "--doctors", "3", "--hospitals", "2",
+                "--classes", "repeated", "--output", str(inst_path)]) == 0
+    common = ["--input", str(inst_path), "--epsilon", "1/2"]
+    assert run(["solve-dac", *common, "--output", str(alloc_path)]) == 0
+    doc = json.loads(alloc_path.read_text())
+    assert doc["cycles"]["h2|d2"]["cycle"] == [[0, 1]]  # a 2 x 2 game
+    doc["cycles"]["h2|d2"]["cycle"] = cycle
+    alloc_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", *common, "--allocation", str(alloc_path),
+                "--output", str(tmp_path / "report.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_renegotiation_label_names_the_classes_checked(tmp_path):
+    labels = {}
+    for classes in ("zero_sum", "repeated", "zero_sum,strictly_competitive,repeated"):
+        inst_path, alloc_path, report_path = (tmp_path / f"{name}.json" for name in
+                                              ("inst", "alloc", "report"))
+        assert run(["gen", "--seed", "3", "--doctors", "8", "--hospitals", "3",
+                    "--classes", classes, "--output", str(inst_path)]) == 0
+        common = ["--input", str(inst_path), "--epsilon", "1/2"]
+        assert run(["solve-dac", *common, "--output", str(alloc_path)]) == 0
+        run(["verify", *common, "--allocation", str(alloc_path), "--renegotiation",
+             "--output", str(report_path)])
+        labels[classes] = json.loads(report_path.read_text())["methods"]["renegotiation"]
+    assert labels == {
+        "zero_sum": "exact_interval",
+        "repeated": "exact_lp",
+        "zero_sum,strictly_competitive,repeated": "exact_interval/exact_lp",
+    }

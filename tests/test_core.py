@@ -420,3 +420,40 @@ def test_loading_a_strictly_competitive_market_builds_no_image(monkeypatch):
 def test_ragged_game_matrices_are_rejected(a, m):
     with pytest.raises(DimensionMismatchError):
         BimatrixGame(a, m, "zero_sum")
+
+
+def test_store_witness_writes_what_the_readers_read():
+    from matchgames.core import CycleStrategy, _cycle_for, store_witness
+    from matchgames.qcqp import PairOutcome
+
+    # Roommates: a cycle over the sorted pair's game, read back from either side.
+    rows = ((F(0), F(3)), (F(1), F(2)), (F(2), F(0)))  # a has 3 strategies, b 2
+    inst = MatchingGameInstance(
+        model="roommates", hospitals={},
+        doctors={"a": Doctor("a", F(0), ("s1", "s2", "s3")), "b": Doctor("b", F(0), ("t1", "t2"))},
+        games={("a", "b"): BimatrixGame(rows, rows, "repeated")},
+    )
+    alloc = Allocation(matching={"a": "b", "b": "a"}, doctor_strategies={"b": (F(1), F(0))})
+    steps = ((2, 0), (0, 1))  # (a's row, b's column)
+    store_witness(inst, alloc, "a", "b", PairOutcome(F(0), F(0), cycle=CycleStrategy(steps)))
+    assert alloc.cycles[("a", "b")].cycle == steps
+    assert _cycle_for(inst, alloc, "b", "a").cycle == ((0, 2), (1, 0))
+    assert alloc.doctor_strategies == {}
+
+    # Two-sided: a profile and a cycle replace each other under (h, d) keys.
+    one = ((F(1),),)
+    inst = MatchingGameInstance(
+        model="additive_separable",
+        doctors={"d": Doctor("d", F(0), ("s",))},
+        hospitals={"h": Hospital("h", F(0), 1, ("t",))},
+        games={("d", "h"): BimatrixGame(one, one, "repeated")},
+    )
+    alloc = Allocation(matching={"d": "h"})
+    store_witness(inst, alloc, "d", "h", PairOutcome(F(1), F(1), x=(F(1),), y=(F(1),)))
+    assert (alloc.doctor_strategies, alloc.hospital_strategies) == ({"d": (F(1),)},
+                                                                     {("h", "d"): (F(1),)})
+    store_witness(inst, alloc, "d", "h", PairOutcome(F(1), F(1), cycle=CycleStrategy(((0, 0),))))
+    assert (alloc.doctor_strategies, alloc.hospital_strategies) == ({}, {})
+    assert evaluate_payoffs(inst, alloc).seat_values == {("h", "d"): F(1)}
+    store_witness(inst, alloc, "d", "h", PairOutcome(F(1), F(1), x=(F(1),), y=(F(1),)))
+    assert alloc.cycles == {}

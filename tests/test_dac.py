@@ -61,7 +61,7 @@ class TestOptimalProposal:
         # never pays the hospital more than 0: the doctor stays unmatched.
         inst = one_hospital_instance([[0, 4], [2, 2]], doctor_irp=F(-1))
         state = fresh_state(inst, F(1, 2))
-        proposal = optimal_proposal(state, "d1", F(1, 2))
+        proposal = optimal_proposal(state, "d1")
         assert proposal.hospital is None
         assert proposal.doctor_value == F(-1)
 
@@ -70,7 +70,7 @@ class TestOptimalProposal:
         # doctor at -(0 + 1/2).
         inst = one_hospital_instance([[-4, 4]], doctor_irp=F(-1))
         state = fresh_state(inst, F(1, 2))
-        proposal = optimal_proposal(state, "d1", F(1, 2))
+        proposal = optimal_proposal(state, "d1")
         assert proposal.hospital == "h1"
         assert proposal.displaced == FREE_SEAT
         assert proposal.doctor_value == F(-1, 2)
@@ -97,36 +97,23 @@ class TestOptimalProposal:
         state.seats[("h1", "d1")] = PairOutcome(f=F(-5), g=F(5), x=(F(1),), y=None)
         state.seats[("h1", "d2")] = PairOutcome(f=F(-3), g=F(3), x=(F(1),), y=None)
         assert state.seat_threshold("h1") == F(3)
-        proposal = optimal_proposal(state, "d3", F(1))
+        proposal = optimal_proposal(state, "d3")
         assert proposal.displaced == "d2"
-        assert proposal.outcome.g >= F(4)
-
-    def test_lazy_outcome_is_the_priced_witness(self):
-        inst = one_hospital_instance([[-4, 4], [2, -1]], doctor_irp=F(-5))
-        state = fresh_state(inst, F(1, 2))
-        proposal = optimal_proposal(state, "d1", F(1, 2))
-        outcome = proposal.outcome
-        assert outcome is proposal.outcome  # built once
-        assert (outcome.f, outcome.g) == (proposal.doctor_value, proposal.point.g)
-        game = inst.game_for("d1", "h1")
-        assert bilinear(outcome.x, game.doctor_matrix, outcome.y) == outcome.f
-        assert bilinear(outcome.x, game.hospital_matrix, outcome.y) == outcome.g
-        assert optimal_proposal(fresh_state(one_hospital_instance([[0, 4]]), F(1, 2)),
-                                "d1", F(1, 2)).outcome is None
+        assert proposal.point.g >= F(4)
 
 
 class TestCompetitionBid:
     def test_no_outside_option_bids_everything(self):
         inst = one_hospital_instance([[1, -1], [-1, 1]], doctor_irp=F(-2))
         state = fresh_state(inst, F(1, 10))
-        beta, bid, _ = competition_bid(state, "d1", "h1", F(1, 10))
+        beta, bid, _ = competition_bid(state, "d1", "h1")
         assert beta == F(-2)
         assert bid == F(1)  # -min A: the doctor concedes down to her floor
 
     def test_reservation_at_max_bids_negated_max(self):
         inst = one_hospital_instance([[1, -1], [-1, 1]], doctor_irp=F(1))
         state = fresh_state(inst, F(1, 10))
-        beta, bid, _ = competition_bid(state, "d1", "h1", F(1, 10))
+        beta, bid, _ = competition_bid(state, "d1", "h1")
         assert beta == F(1)
         assert bid == F(-1)
 
@@ -135,13 +122,13 @@ class TestSettle:
     def test_winner_matches_losing_bid_exactly(self):
         inst = one_hospital_instance([[1, -1], [-1, 1]])
         state = fresh_state(inst, F(1, 10))
-        outcome = settle_competition(state, "d1", F(1, 2), "h1", F(1, 10))
+        outcome = settle_competition(state, "d1", F(1, 2), "h1")
         assert outcome.f == F(-1, 2) and outcome.g == F(1, 2)
 
     def test_slack_bid_frees_the_winner(self):
         inst = one_hospital_instance([[1, -1], [-1, 1]])
         state = fresh_state(inst, F(1, 10))
-        outcome = settle_competition(state, "d1", F(-5), "h1", F(1, 10))
+        outcome = settle_competition(state, "d1", F(-5), "h1")
         assert outcome.f == F(1)  # unconstrained maximum
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from matchgames import core, renegotiation, stability
+from matchgames import core, qcqp, renegotiation, stability
 from matchgames.core import (
     Allocation,
     BimatrixGame,
@@ -21,12 +21,15 @@ from matchgames.core import (
 )
 from matchgames.dac import DacState, run_dac
 from matchgames.errors import (
+    InfeasibleError,
     InfeasibleReservationsError,
     MalformedRationalError,
     UnsupportedClassError,
 )
 from matchgames.gen import generate_instance, random_game
 from matchgames.qcqp import (
+    exact_point,
+    frontier_witness,
     max_f_given_g_floor,
     max_f_point,
     max_g_given_f_floor,
@@ -46,7 +49,6 @@ from matchgames.roommates import (
     solve_aspiration_zero_sum,
 )
 from matchgames.stability import (
-    _best_seat_value_above,
     _pair_block_profile,
     find_blocking_pair,
     verify_renegotiation_proof,
@@ -59,6 +61,13 @@ def _floors(rng, lo, hi):
     """Thresholds around and exactly at the attainable bounds [lo, hi]."""
     inner = [lo + (hi - lo) * F(rng.randint(0, 8), 8) for _ in range(3)]
     return [lo - 1, lo, hi, hi + 1] + inner
+
+
+def _seat_sup(game, f_floor):
+    """sup of the partner's payoff over profiles paying the doctor strictly
+    above ``f_floor``, or None when she cannot beat it."""
+    point = max_g_point(game, f_floor, strict=True)
+    return None if point is None else point.g
 
 
 class TestValueQueries:
@@ -83,6 +92,46 @@ class TestValueQueries:
                     if point is not None:
                         assert (point.f, point.g) == (outcome.f, outcome.g)
 
+    @pytest.mark.parametrize("game_class", CLASSES)
+    def test_exact_point_matches_a_reference(self, game_class):
+        # Repeated: hull membership by the LP.  One-shot: the payoff pairs lie
+        # on one segment, so (f, g) is attainable iff the best f at partner
+        # floor g pays exactly (f, g).
+        rng = random.Random(f"exact-{game_class}")
+        found = missed = 0
+        for _ in range(30 if game_class != "repeated" else 10):
+            game = random_game(rng, rng.randint(1, 3), rng.randint(1, 3), game_class,
+                               max_denominator=2)
+            a, m, fr = game.doctor_matrix, game.hospital_matrix, game.frontier
+            cells = [(a[s][t], m[s][t]) for s in range(game.n_rows) for t in range(game.n_cols)]
+            candidates = cells + [((f0 + f1) / 2, (g0 + g1) / 2)
+                                  for (f0, g0), (f1, g1) in zip(cells, reversed(cells))]
+            candidates += [(f, g) for f in _floors(rng, fr.a_min, fr.a_max)[:3]
+                           for g in _floors(rng, fr.m_min, fr.m_max)[:3]]
+            for f, g in candidates:
+                if game_class == "repeated":
+                    try:
+                        qcqp._hull_lp(a, m, ("max_f",), f_exact=f, g_exact=g)
+                        expected = True
+                    except InfeasibleError:
+                        expected = False
+                else:
+                    best = max_f_point(game, g)
+                    expected = best is not None and (best.f, best.g) == (f, g)
+                point = exact_point(game, f, g)
+                assert (point is not None) == expected, (game, f, g)
+                if point is None:
+                    missed += 1
+                    continue
+                found += 1
+                outcome = frontier_witness(game, point)
+                if outcome.cycle is not None:
+                    assert outcome.cycle.average_payoffs(a, m) == (f, g)
+                else:
+                    assert bilinear(outcome.x, a, outcome.y) == f
+                    assert bilinear(outcome.x, m, outcome.y) == g
+        assert found and missed
+
     @pytest.mark.parametrize("game_class", ("zero_sum", "strictly_competitive"))
     def test_witness_pays_the_value(self, game_class):
         rng = random.Random(f"witness-{game_class}")
@@ -96,6 +145,12 @@ class TestValueQueries:
                     assert bilinear(outcome.x, game.doctor_matrix, outcome.y) == outcome.f
                     assert bilinear(outcome.x, game.hospital_matrix, outcome.y) == outcome.g
                     assert outcome.g >= theta
+            for beta in _floors(rng, fr.a_min, fr.a_max):
+                outcome = max_g_given_f_floor(game, beta)
+                if outcome is not None:
+                    assert bilinear(outcome.x, game.doctor_matrix, outcome.y) == outcome.f
+                    assert bilinear(outcome.x, game.hospital_matrix, outcome.y) == outcome.g
+                    assert outcome.f >= beta
 
     @pytest.mark.parametrize("game_class", CLASSES)
     def test_frontier_bounds_are_the_matrix_bounds(self, game_class):
@@ -214,7 +269,7 @@ def test_zero_sum_matches_its_strictly_competitive_twin(seed):
         fr = zs.frontier
         values = _floors(rng, fr.a_min, fr.a_max)
         for f_floor in values:
-            assert _best_seat_value_above(zs, f_floor) == _best_seat_value_above(twin, f_floor)
+            assert _seat_sup(zs, f_floor) == _seat_sup(twin, f_floor)
             for g_floor in _floors(rng, fr.m_min, fr.m_max):
                 assert (_pair_block_profile(zs, f_floor, g_floor)
                         == _pair_block_profile(twin, f_floor, g_floor))

@@ -553,18 +553,18 @@ def test_binding_case_witnesses_are_pinned(seed):
 # (generator seed, doctors, hospitals, classes) -> sha256 of the renegotiate
 # document followed by the verify --renegotiation document, at epsilon 1/2.
 PINNED_MARKET_DIGESTS = {
-    (1, 40, 10, 'zero_sum'): '6bd99f73200513315ad62b0d7f15459e568a49449edbe0fdb7e4837d7ace6aa9',
-    (2, 40, 10, 'zero_sum'): '13382072307b9b822d7d427eddeb3e249bc53f9f185a8e871d86a99aac06fb3f',
-    (3, 40, 10, 'zero_sum'): 'c276e8720d05f88ba7390fca4bb6d535c5ce9d9e70a4d34ed7d99f86f79a38f0',
-    (4, 40, 10, 'zero_sum'): 'f590bb73989aa703179b97e4a529af42c598254b8c80280c31831ef0c9e82da6',
-    (1, 20, 6, 'zero_sum,strictly_competitive'): '07df32338eec1b64c9d1255230255d49030cb76518b08adcfa9e67ea9442ba39',
-    (2, 20, 6, 'zero_sum,strictly_competitive'): '427a95fd9b298b69de62c0ef70797c27a013b21134bf1d0ac5d60bbfd319e0ad',
-    (3, 20, 6, 'zero_sum,strictly_competitive'): '527a7dfb87f3fb67d0a69d6a88f7b289c4fca982389d39072bcdba9f165c9e24',
-    (4, 20, 6, 'zero_sum,strictly_competitive'): '8f92d4c65e3db266f3962172b453ed3a81592dcceaa8d4f1ee9eeb3768fe9261',
-    (5, 20, 6, 'zero_sum,strictly_competitive'): '9124bcd54669132aa446ab50000dd297b36fc551ecb779f4700da1d6c0b387d2',
-    (6, 20, 6, 'zero_sum,strictly_competitive'): '047faa65d37e28bb9075d09a90737a8a9edf64ada42bf46ac136c5648e701d96',
-    (7, 20, 6, 'zero_sum,strictly_competitive'): '56c5a420aa0a4e9bc3285bc5d5835e1a22696451ce8f0f8656adcc4d22a83e7b',
-    (8, 20, 6, 'zero_sum,strictly_competitive'): '7c600f8d2057cd5e6b776f28f39b60114f4a7e076829f487ffa44b4d75a26734',
+    (1, 40, 10, 'zero_sum'): '3a4e7e982ef3f927f2f125dd21b34ed8693e3b46b7eeeb1e4b9c890763e2f318',
+    (2, 40, 10, 'zero_sum'): 'f79d3407f6ccb46cad8c11c779614e84eb3bf973b93591d6dd5d3e78b9aa5ac2',
+    (3, 40, 10, 'zero_sum'): '27bce867ec97477b0c57f64da4e185b88fd104ef1932b1ff502d9d2eeceb9786',
+    (4, 40, 10, 'zero_sum'): 'd2a7f4439849635ca8c3ca4cbc753f44dcfef85689d6cf6aeac11bb5bad949ed',
+    (1, 20, 6, 'zero_sum,strictly_competitive'): '72caf9da91e9a791f3262d247106c6d3ce2e5a4a57c7d1a0e386a16614c06e14',
+    (2, 20, 6, 'zero_sum,strictly_competitive'): '33c37116074e04ec365aceb16f729dcf489bf13f99383c310bc94584c005f4cb',
+    (3, 20, 6, 'zero_sum,strictly_competitive'): 'fcc04e87bb9caaf7885cafb12945d514940510cdad66d8b9f996ef44a89f014a',
+    (4, 20, 6, 'zero_sum,strictly_competitive'): 'a84bbec03ac739a943bfa4dda2c3161b03574ddceb348a204f914f8d64648051',
+    (5, 20, 6, 'zero_sum,strictly_competitive'): '8cc21818010aba047bbdacea3de6e6adfb927e2036b8003eaa0e5aa2914709b7',
+    (6, 20, 6, 'zero_sum,strictly_competitive'): 'b0a682a451cb7415f6a072ec3bccdf5be7fe43a485afa50a1195c76aaf779a1c',
+    (7, 20, 6, 'zero_sum,strictly_competitive'): 'a6c76713416d584bbfa5a52d161b8b5f441effc90edfa9769ee4ea53038b145c',
+    (8, 20, 6, 'zero_sum,strictly_competitive'): '4801f5e3d774e05526685a5caea7e1fe1002b30cf3e29db21a4ddc4a39644146',
 }
 
 

@@ -113,6 +113,35 @@ class TestIsAspiration:
         assert not ok
 
 
+class TestPartnershipFloor:
+    """A partner's value is a floor in every class: the repeated pair below
+    can reach (3, 3), so granting b at least 1 leaves a up to 3."""
+
+    def instance(self):
+        row = ((F(0), F(3)),)  # a 1 x 2 repeated game, A = M
+        doctors = {"a": Doctor("a", F(1), ("s",)), "b": Doctor("b", F(1), ("t1", "t2"))}
+        return MatchingGameInstance(model="roommates", doctors=doctors, hospitals={},
+                                    games={("a", "b"): BimatrixGame(row, row, "repeated")})
+
+    def test_repeated_partner_value_is_a_floor(self):
+        inst = self.instance()
+        assert partnership_value(inst, "a", "b", F(1)) == F(3)
+        assert partnership_value(inst, "b", "a", F(1)) == F(3)
+        # Below her worst payoff the floor binds nothing; above her best, no value.
+        assert partnership_value(inst, "a", "b", F(-5)) == F(3)
+        assert partnership_value(inst, "a", "b", F(4)) is None
+        assert is_aspiration(inst, {"a": F(1), "b": F(1)}) == (False, "a")
+        assert is_aspiration(inst, {"a": F(3), "b": F(3)}) == (True, None)
+
+    def test_realize_refuses_the_profile_that_leaves_both_single(self, tmp_path, capsys):
+        inst_path, profile_path = tmp_path / "inst.json", tmp_path / "profile.json"
+        dump_json(serialize_instance(self.instance()), str(inst_path))
+        profile_path.write_text(json.dumps({"a": "1", "b": "1"}))
+        assert main(["roommates-realize", "--input", str(inst_path), "--profile",
+                     str(profile_path), "--output", str(tmp_path / "out.json")]) == 1
+        assert capsys.readouterr().err == "error: profile fails the max equation at doctor a\n"
+
+
 class TestSolveAspiration:
     def test_symmetric_zeros(self):
         inst = zero_sum_roommates(full_ranges(["a", "b", "c"], -2, 2),

@@ -19,8 +19,8 @@ from matchgames.core import (
 from matchgames.dac import run_dac
 from matchgames.errors import CapExceededError
 from matchgames.gen import generate_instance
+from matchgames.qcqp import max_g_point
 from matchgames.stability import (
-    _best_seat_value_above,
     _realise_coalition,
     check_individual_rationality,
     enumerate_core,
@@ -171,6 +171,13 @@ class TestCoalitions:
                     assert bilinear(x, game.doctor_matrix, y) > payoffs.doctor_payoffs[d] + eps
 
 
+def _seat_sup(game, f_floor):
+    """sup of the partner's payoff over profiles paying the doctor strictly
+    above ``f_floor``, or None when she cannot beat it."""
+    point = max_g_point(game, f_floor, strict=True)
+    return None if point is None else point.g
+
+
 def _unpruned_coalition_scan(inst, alloc, eps, max_size, cap):
     """The coalition scan without the size bound: every combination of every
     size is summed and compared.  Returns the witness, or "cap"."""
@@ -179,7 +186,7 @@ def _unpruned_coalition_scan(inst, alloc, eps, max_size, cap):
         eligible = []
         for d in inst.doctor_ids:
             if inst.has_game(d, h):
-                sup_g = _best_seat_value_above(inst.game_for(d, h), payoffs.doctor_payoffs[d] + eps)
+                sup_g = _seat_sup(inst.game_for(d, h), payoffs.doctor_payoffs[d] + eps)
                 if sup_g is not None:
                     eligible.append((d, sup_g))
         current = payoffs.hospital_payoffs[h]
@@ -263,14 +270,28 @@ class TestCoalitionBound:
         payoffs = evaluate_payoffs(inst, alloc)
         h = inst.hospital_ids[0]
         sups = sorted((g for d in inst.doctor_ids
-                       if (g := _best_seat_value_above(inst.game_for(d, h),
-                                                      payoffs.doctor_payoffs[d] + eps))
+                       if (g := _seat_sup(inst.game_for(d, h), payoffs.doctor_payoffs[d] + eps))
                        is not None), reverse=True)
         sizes = min(4, inst.hospitals[h].quota, len(sups))
         assert sizes >= 2
         assert all(sum(sups[:k]) <= payoffs.hospital_payoffs[h] + eps for k in range(1, sizes + 1))
         with pytest.raises(CapExceededError):
             find_blocking_coalition(inst, alloc, eps, max_coalition_size=4, cap=len(sups))
+
+    def test_a_doctor_at_her_best_payoff_is_no_candidate(self):
+        # d's floor, her payoff plus epsilon, is her best payoff at h: she
+        # cannot gain strictly, adds no combination, and so trips no cap.
+        a = ((F(0), F(4)),)
+        inst = MatchingGameInstance(
+            model="additive_separable",
+            doctors={"d": Doctor("d", F(7, 2), ("s",))},
+            hospitals={"h": Hospital("h", F(0), 1, ("t1", "t2"))},
+            games={("d", "h"): BimatrixGame(a, negate(a), "zero_sum")},
+        )
+        alloc = Allocation(matching={"d": None})
+        assert find_blocking_coalition(inst, alloc, F(1, 2), cap=0) is None
+        with pytest.raises(CapExceededError):
+            find_blocking_coalition(inst, alloc, F(1, 3), cap=0)
 
 
 class TestEnumerateCore:
