@@ -13,8 +13,9 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import gcd, lcm
 from operator import neg
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import (
     ClassTagViolationError,
@@ -127,11 +128,10 @@ def matrix_bounds(m: Matrix) -> Tuple[Fraction, Fraction]:
     extreme entry, as the builtin ``min`` and ``max`` do.
     """
     lo = hi = m[0][0]
-    lo_n = hi_n = lo.numerator
-    lo_d = hi_d = lo.denominator
+    lo_n, lo_d = hi_n, hi_d = lo.as_integer_ratio()
     for row in m:
         for v in row:
-            n, d = v.numerator, v.denominator
+            n, d = v.as_integer_ratio()
             if n * lo_d < lo_n * d:
                 lo, lo_n, lo_d = v, n, d
             elif n * hi_d > hi_n * d:
@@ -305,8 +305,7 @@ def _affine_bridge(a: Matrix, m: Matrix, a_min: Fraction, a_max: Fraction,
     return AffineTransform(ratio, shift, "hospital", a)
 
 
-@dataclass(frozen=True)
-class Frontier:
+class Frontier(NamedTuple):
     """Per-game data of the frontier queries, computed once per game object.
 
     ``transform`` bridges the one-shot classes onto a zero-sum image (the
@@ -321,6 +320,31 @@ class Frontier:
     transform: Optional[AffineTransform] = None
     z_min: Optional[Fraction] = None
     z_max: Optional[Fraction] = None
+
+
+def _zero_sum_frontier(a: Matrix, m: Matrix) -> Frontier:
+    """A zero-sum pair's frontier, built by one scan that checks M == -A
+    entry by entry and finds A's bounds as ``matrix_bounds`` does.
+
+    Normalised Fractions are equal iff numerators and denominators are, so
+    the check compares integers and builds Fractions only for an error.
+    """
+    lo = hi = a[0][0]
+    lo_m = hi_m = m[0][0]  # the M entries at A's extremes: M's bounds
+    lo_n, lo_d = hi_n, hi_d = lo.as_integer_ratio()
+    for i, (row_a, row_m) in enumerate(zip(a, m)):
+        for j, (value, other) in enumerate(zip(row_a, row_m)):
+            n, d = value.as_integer_ratio()
+            if other.as_integer_ratio() != (-n, d):
+                raise ClassTagViolationError(
+                    f"zero_sum game has M != -A at entry ({i},{j})",
+                    entry=(i, j, other, -value),
+                )
+            if n * lo_d < lo_n * d:
+                lo, lo_m, lo_n, lo_d = value, other, n, d
+            elif n * hi_d > hi_n * d:
+                hi, hi_m, hi_n, hi_d = value, other, n, d
+    return Frontier(lo, hi, hi_m, lo_m, IdentityTransform(_ONE, _ZERO, "doctor", a), lo, hi)
 
 
 @dataclass(frozen=True)
@@ -339,33 +363,22 @@ class BimatrixGame:
         if self.class_tag not in GAME_CLASSES:
             raise ClassTagViolationError(f"unknown game class {self.class_tag!r}")
         a, m = self.doctor_matrix, self.hospital_matrix
-        width = len(a[0])
-        if (len(a) != len(m) or any(len(row) != width for row in a)
-                or any(len(row) != width for row in m)):
+        if len(a) != len(m) or len({*map(len, a), *map(len, m)}) != 1:
             raise DimensionMismatchError("A and M must have identical shape")
-        if self.class_tag == ZERO_SUM:
-            # Normalised Fractions are equal iff numerators and denominators are.
-            for i, (row_a, row_m) in enumerate(zip(a, m)):
-                for j, (value, other) in enumerate(zip(row_a, row_m)):
-                    if (other.numerator != -value.numerator
-                            or other.denominator != value.denominator):
-                        raise ClassTagViolationError(
-                            f"zero_sum game has M != -A at entry ({i},{j})",
-                            entry=(i, j, other, -value),
-                        )
-        elif self.class_tag == STRICTLY_COMPETITIVE:
-            # -M must be an affine variant of A: building the bridge checks it.
+        if self.class_tag in (ZERO_SUM, STRICTLY_COMPETITIVE):
+            # Building the frontier checks the class: M == -A entry by entry
+            # for a zero-sum pair, the affine bridge for a strictly
+            # competitive one.
             self.frontier
 
     @cached_property
     def frontier(self) -> Frontier:
-        """Matrix bounds and affine bridge, computed on first use and kept."""
+        """Matrix bounds and affine bridge, computed once and kept: on
+        construction for the one-shot classes, whose check it is, and on
+        first use otherwise."""
         a, m = self.doctor_matrix, self.hospital_matrix
         if self.class_tag == ZERO_SUM:
-            # M == -A was checked entry by entry on construction.
-            a_min, a_max = matrix_bounds(a)
-            identity = IdentityTransform(_ONE, _ZERO, "doctor", a)
-            return Frontier(a_min, a_max, -a_max, -a_min, identity, a_min, a_max)
+            return _zero_sum_frontier(a, m)
         bounds = (*matrix_bounds(a), *matrix_bounds(m))
         if self.class_tag == REPEATED:
             return Frontier(*bounds)
@@ -374,6 +387,14 @@ class BimatrixGame:
             image_bounds = bounds[:2] if tr.direction == "hospital" else (-bounds[3], -bounds[2])
             return Frontier(*bounds, tr, *image_bounds)
         raise UnsupportedClassError(f"no exact frontier solver for class {self.class_tag}")
+
+    @cached_property
+    def punishment(self):
+        """``renegotiation.punishment_levels`` of the stage matrices: two
+        game values, solved on first read and kept, as games are immutable."""
+        from .renegotiation import punishment_levels  # renegotiation imports core
+
+        return punishment_levels(self.doctor_matrix, self.hospital_matrix)
 
     @cached_property
     def flipped(self) -> "BimatrixGame":
@@ -511,11 +532,12 @@ def validate_instance(instance: MatchingGameInstance, coalition_cap: int = 4096)
 def validate_mixed(weights: Sequence[Fraction], size: int, label: str = "strategy"):
     if len(weights) != size:
         raise DimensionMismatchError(f"{label} has {len(weights)} weights, expected {size}")
-    total = sum(weights, Fraction(0))
-    if total != 1:
-        raise MatchGamesError(f"{label} weights sum to {format_rational(total)}, not 1")
-    for w in weights:
-        if w < 0 or w > 1:
+    nums, den = _integer_weights(weights)
+    total = sum(nums)
+    if total != den:
+        raise MatchGamesError(f"{label} weights sum to {format_rational(Fraction(total, den))}, not 1")
+    for w, n in zip(weights, nums):
+        if n < 0 or n > den:
             raise MatchGamesError(f"{label} weight {format_rational(w)} outside [0, 1]")
 
 
@@ -523,19 +545,56 @@ def pure(index: int, size: int) -> Tuple[Fraction, ...]:
     return tuple(Fraction(1) if i == index else Fraction(0) for i in range(size))
 
 
+# The integer kernel.  A Fraction is stored normalised, so a sum of terms
+# c * p/q is computed exactly as one integer numerator over a common
+# multiple of the denominators read, and the single Fraction built at the
+# end (which reduces it) equals the Fraction-by-Fraction sum.
+
+
+def _integer_weights(weights: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """(numerators, den): the weights as integers over the lcm of their
+    denominators."""
+    ratios = [w.as_integer_ratio() for w in weights]
+    den = lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
+
+
+def _dot(row: Sequence[Fraction], weights: List[int], support: List[int],
+         num: int = 0, den: int = 1, scale: int = 1) -> Tuple[int, int]:
+    """num/den plus scale * sum(weights[j] * row[j] for j in support), as an
+    integer numerator over a common multiple of den and the denominators
+    read."""
+    for j in support:
+        p, q = row[j].as_integer_ratio()
+        if den % q:
+            k = q // gcd(den, q)
+            num *= k
+            den *= k
+        num += scale * weights[j] * p * (den // q)
+    return num, den
+
+
+def row_payoffs(matrix: Matrix, y: Sequence[Fraction]) -> List[Fraction]:
+    """Each pure row's exact payoff against the column mix y."""
+    ys, yd = _integer_weights(y)
+    support = [j for j, w in enumerate(ys) if w]
+    out = []
+    for row in matrix:
+        num, den = _dot(row, ys, support)
+        out.append(Fraction(num, den * yd))
+    return out
+
+
 def bilinear(x: Sequence[Fraction], matrix: Matrix, y: Sequence[Fraction]) -> Fraction:
-    """Exact x.A.y for mixed strategies x, y."""
-    total = Fraction(0)
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        row = matrix[i]
-        acc = Fraction(0)
-        for j, yj in enumerate(y):
-            if yj != 0:
-                acc += row[j] * yj
-        total += xi * acc
-    return total
+    """Exact x.A.y for mixed strategies x, y, on the integer kernel."""
+    xs, xd = _integer_weights(x)
+    ys, yd = _integer_weights(y)
+    support = [j for j, w in enumerate(ys) if w]
+    num, den = 0, 1
+    for i, xi in enumerate(xs):
+        if xi:
+            num, den = _dot(matrix[i], ys, support, num, den, xi)
+    return Fraction(num, den * xd * yd)
 
 
 @dataclass
@@ -602,6 +661,15 @@ class PayoffReport:
     hospital_payoffs: Dict[str, object]  # Fraction or NEG_INF
     seat_values: Dict[Tuple[str, str], Fraction] = field(default_factory=dict)
     members: Dict[str, List[str]] = field(default_factory=dict)
+
+
+def seat_floor(hospital: Hospital, members: Sequence[str],
+               seat_values: Dict[Tuple[str, str], Fraction]) -> Fraction:
+    """The seat value a newcomer must beat at ``hospital``: its baseline
+    while a seat is free, else its weakest seat's value."""
+    if len(members) < hospital.quota:
+        return hospital.irp
+    return min(seat_values[(hospital.id, d)] for d in members)
 
 
 def evaluate_payoffs(instance: MatchingGameInstance, allocation: Allocation) -> PayoffReport:

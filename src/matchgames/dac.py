@@ -429,10 +429,12 @@ def _bid_beats(bid_proposer, bid_incumbent) -> bool:
 
 
 def _default_iteration_cap(instance: MatchingGameInstance, epsilon: Fraction) -> int:
-    g_max = Fraction(0)
+    # The largest per-seat value of each hospital, then one spread above its
+    # baseline per hospital.
+    top: Dict[str, Fraction] = {}
     for (d, h), game in instance.games.items():
-        spread = game.frontier.m_max - instance.hospitals[h].irp
-        if spread > g_max:
-            g_max = spread
-    bound = g_max / epsilon
+        m_max = game.frontier.m_max
+        if h not in top or m_max > top[h]:
+            top[h] = m_max
+    bound = max([Fraction(0)] + [v - instance.hospitals[h].irp for h, v in top.items()]) / epsilon
     return int(bound) + 10 * (len(instance.doctors) + 1) + 100

@@ -44,7 +44,9 @@ from .core import (
     _pair_doctor_payoff,
     negate,
     pure,
+    row_payoffs,
     seat_contribution,
+    seat_floor,
     store_witness,
     transpose,
 )
@@ -121,13 +123,20 @@ class _PayoffLedger:
     from the installed profile.  In the roommates model the partner's value
     is her own doctor payoff.
 
+    Each agent's floor is kept with its payoff: a doctor's payoff plus
+    epsilon, which an outside partner must grant her, and a hospital's bar,
+    its weakest seat (its baseline while a seat is free) plus epsilon, which
+    an outside doctor must beat.  ``record`` refreshes the floors of the two
+    agents it moves.  A doctor's options are at hospitals she does not sit
+    at, so a bar reads all of a hospital's seats.
+
     Outside options are memoised.  An option of d at hospital k depends only
-    on the seat values at k (in the roommates model, on k's payoff), and an
-    option of hospital h for outside doctor k only on k's payoff.  ``record``
-    bumps a write counter per agent it touches, keyed by side so that a
-    doctor and a hospital sharing an id string stay apart, and an option is
-    repriced only when the counter of the agent it depends on has moved.
-    A shared ``payoffs`` report is copied, never written.
+    on k's bar (in the roommates model, on k's floor), and an option of
+    hospital h for outside doctor k only on k's floor.  ``record`` bumps a
+    write counter per agent it touches, keyed by side so that a doctor and a
+    hospital sharing an id string stay apart, and an option is repriced only
+    when the counter of the agent it depends on has moved.  A shared
+    ``payoffs`` report is copied, never written.
     """
 
     def __init__(self, instance: MatchingGameInstance, allocation: Allocation,
@@ -139,18 +148,27 @@ class _PayoffLedger:
         self.doctor_payoffs = dict(report.doctor_payoffs)
         self.seat_values = dict(report.seat_values)
         self.members = report.members
+        self.doctor_floors = {d: f + epsilon for d, f in self.doctor_payoffs.items()}
+        self.hospital_bars = {h: self._bar(h) for h in instance.hospitals}
         self._writes: Dict[Tuple[str, str], int] = {}
         self._doctor_priced: Dict[Tuple[str, str], Tuple[int, Optional[Fraction]]] = {}
         self._hospital_priced: Dict[Tuple[str, str], Tuple[int, Optional[Fraction]]] = {}
 
+    def _bar(self, h: str) -> Fraction:
+        return seat_floor(self.instance.hospitals[h], self.members.get(h, ()),
+                          self.seat_values) + self.epsilon
+
     def record(self, allocation: Allocation, d: str, partner: str):
-        self.doctor_payoffs[d] = _pair_doctor_payoff(self.instance, allocation, d, partner)
+        f = self.doctor_payoffs[d] = _pair_doctor_payoff(self.instance, allocation, d, partner)
+        self.doctor_floors[d] = f + self.epsilon
         value = seat_contribution(self.instance, allocation, d, partner)
         if self.roommates:
             self.doctor_payoffs[partner] = value
+            self.doctor_floors[partner] = value + self.epsilon
             moved = ((DOCTOR, d), (DOCTOR, partner))
         else:
             self.seat_values[(partner, d)] = value
+            self.hospital_bars[partner] = self._bar(partner)
             moved = ((DOCTOR, d), (HOSPITAL, partner))
         for agent in moved:
             self._writes[agent] = self._writes.get(agent, 0) + 1
@@ -196,25 +214,15 @@ class _PayoffLedger:
         return memo[1]
 
     def _doctor_option(self, d, k):
-        """d's best payoff at partner k, strictly beating k's bar by epsilon."""
-        instance, epsilon = self.instance, self.epsilon
-        if self.roommates:
-            threshold = self.doctor_payoffs[k] + epsilon
-        else:
-            hosp = instance.hospitals[k]
-            others = [m for m in self.members.get(k, ()) if m != d]
-            if len(others) < hosp.quota:
-                threshold = hosp.irp + epsilon
-            else:
-                threshold = min(self.seat_values[(k, m)] for m in others) + epsilon
-        point = max_f_point(instance.game_for(d, k), threshold, strict=True)
+        """d's best payoff at partner k, strictly beating k's bar."""
+        bar = self.doctor_floors[k] if self.roommates else self.hospital_bars[k]
+        point = max_f_point(self.instance.game_for(d, k), bar, strict=True)
         return None if point is None else point.f
 
     def _hospital_option(self, k, h):
         """h's best seat value with outside doctor k, granting k strictly more
-        than her payoff plus epsilon."""
-        point = max_g_point(self.instance.game_for(k, h), self.doctor_payoffs[k] + self.epsilon,
-                            strict=True)
+        than her floor."""
+        point = max_g_point(self.instance.game_for(k, h), self.doctor_floors[k], strict=True)
         return None if point is None else point.g
 
 
@@ -226,20 +234,15 @@ def constrained_best_response_doctor(a: Matrix, m: Matrix,
                                      y0: Tuple[Fraction, ...],
                                      g_res: Fraction, epsilon: Fraction):
     """max x.A.y0 over x in the simplex with x.M.y0 + epsilon >= g_res, or None."""
-    return _best_guarded_mix(_pure_payoffs(a, y0), _pure_payoffs(m, y0), g_res - epsilon)
+    return _best_guarded_mix(row_payoffs(a, y0), row_payoffs(m, y0), g_res - epsilon)
 
 
 def constrained_best_response_hospital(a: Matrix, m: Matrix,
                                        x0: Tuple[Fraction, ...],
                                        f_res: Fraction, epsilon: Fraction):
     """max x0.M.y over y in the simplex with x0.A.y + epsilon >= f_res, or None."""
-    return _best_guarded_mix(_pure_payoffs(transpose(m), x0),
-                             _pure_payoffs(transpose(a), x0), f_res - epsilon)
-
-
-def _pure_payoffs(a: Matrix, y: Tuple[Fraction, ...]) -> List[Fraction]:
-    """Each pure row's payoff against the column mix y."""
-    return [sum((v * w for v, w in zip(row, y) if w), Fraction(0)) for row in a]
+    return _best_guarded_mix(row_payoffs(transpose(m), x0),
+                             row_payoffs(transpose(a), x0), f_res - epsilon)
 
 
 def _best_guarded_mix(gain: List[Fraction], guard: List[Fraction], floor: Fraction):
@@ -261,15 +264,13 @@ def _best_guarded_mix(gain: List[Fraction], guard: List[Fraction], floor: Fracti
     return best
 
 
-def _deviation_fault(a: Matrix, m: Matrix, x, y, f_res: Fraction, g_res: Fraction,
-                     epsilon: Fraction) -> Optional[str]:
-    """Why one side of the profile (x, y) has a profitable constrained
-    deviation, or None when neither side has one."""
-    f_now = bilinear(x, a, y)
+def _deviation_fault(a: Matrix, m: Matrix, x, y, f_now: Fraction, g_now: Fraction,
+                     f_res: Fraction, g_res: Fraction, epsilon: Fraction) -> Optional[str]:
+    """Why one side of the profile (x, y), which pays (f_now, g_now), has a
+    profitable constrained deviation, or None when neither side has one."""
     best_d = constrained_best_response_doctor(a, m, y, g_res, epsilon)
     if best_d is not None and best_d > f_now + epsilon:
         return f"doctor deviation worth {best_d} > {f_now} + eps"
-    g_now = bilinear(x, m, y)
     best_h = constrained_best_response_hospital(a, m, x, f_res, epsilon)
     if best_h is not None and best_h > g_now + epsilon:
         return f"hospital deviation worth {best_h} > {g_now} + eps"
@@ -354,7 +355,8 @@ def _one_shot_cne(game: BimatrixGame, f_res: Fraction, g_res: Fraction,
             y, tag = pure(t, len(z[0])), HOSPITAL_BINDING
     if bilinear(x, z, y) != value:
         raise MatchGamesError("CNE construction missed its target value")
-    fault = _deviation_fault(game.doctor_matrix, game.hospital_matrix, x, y,
+    a, m = game.doctor_matrix, game.hospital_matrix
+    fault = _deviation_fault(a, m, x, y, bilinear(x, a, y), bilinear(x, m, y),
                              f_res, g_res, epsilon)
     if fault is not None:
         raise MatchGamesError(f"{game.class_tag} CNE: {fault}")
@@ -373,7 +375,7 @@ def _slide(a: Matrix, v: Fraction, y0, y_star):
     Ties go to the smallest row index.
     """
     best = None
-    for s, (a_s, b_s) in enumerate(zip(_pure_payoffs(a, y0), _pure_payoffs(a, y_star))):
+    for s, (a_s, b_s) in enumerate(zip(row_payoffs(a, y0), row_payoffs(a, y_star))):
         if a_s < v:
             continue  # starts below and ends below: never attains v
         if a_s == b_s:
@@ -424,12 +426,19 @@ def compute_cne_repeated(a: Matrix, m: Matrix, f_res: Fraction, g_res: Fraction,
     allows, with the safe side punished by grim minimaxing and the exposed
     side's deviations ignored.
     """
+    return _repeated_cne(BimatrixGame(a, m, REPEATED), f_res, g_res, epsilon)
+
+
+def _repeated_cne(game: BimatrixGame, f_res: Fraction, g_res: Fraction,
+                  epsilon: Fraction) -> CneResult:
+    """:func:`compute_cne_repeated` on a game object, whose punishment
+    levels are solved once and kept (``BimatrixGame.punishment``)."""
+    a, m = game.doctor_matrix, game.hospital_matrix
     try:
         _hull_lp(a, m, objective=("max_f",), f_floor=f_res - epsilon, g_floor=g_res - epsilon)
     except InfeasibleError:
         raise InfeasibleReservationsError("acceptable payoff set is empty")
-    alpha, beta, y_alpha, x_beta = punishment_levels(a, m)
-    game = BimatrixGame(a, m, REPEATED)
+    alpha, beta, y_alpha, x_beta = game.punishment
 
     try:
         lam, f, g = _uniform_point(a, m, max(alpha, f_res - epsilon), max(beta, g_res - epsilon))
@@ -495,7 +504,7 @@ def check_couple_is_cne(instance, allocation, d, partner, reservations: Reservat
         return False, f"doctor payoff {f_now} not feasible against reservation {f_res}"
     if g_now + epsilon < g_res:
         return False, f"hospital payoff {g_now} not feasible against reservation {g_res}"
-    fault = _deviation_fault(a, m, x, y, f_res, g_res, epsilon)
+    fault = _deviation_fault(a, m, x, y, f_now, g_now, f_res, g_res, epsilon)
     return fault is None, fault
 
 
@@ -507,7 +516,7 @@ def _check_repeated_cne(instance, allocation, d, partner, game, f_res, g_res, ep
         return False, "cycle average below the doctor's acceptable set"
     if g_bar + epsilon < g_res:
         return False, "cycle average below the hospital's acceptable set"
-    alpha, beta, _, _ = punishment_levels(a, m)
+    alpha, beta, _, _ = game.punishment
     pun = cycle.punishment
     if pun is None:
         return False, "repeated-pair profile lacks a punishment directive"
@@ -544,9 +553,7 @@ def compute_cne_for_pair(game: BimatrixGame, reservations: ReservationPair,
                          epsilon: Fraction) -> CneResult:
     f_res, g_res = reservations.doctor_reservation, reservations.hospital_reservation
     if game.class_tag == REPEATED:
-        return compute_cne_repeated(
-            game.doctor_matrix, game.hospital_matrix, f_res, g_res, epsilon
-        )
+        return _repeated_cne(game, f_res, g_res, epsilon)
     return _one_shot_cne(game, f_res, g_res, epsilon)
 
 

@@ -41,6 +41,7 @@ from .core import (
     PayoffReport,
     bilinear,
     evaluate_payoffs,
+    seat_floor,
 )
 from .errors import CapExceededError, MatchGamesError, UnsupportedClassError
 from .qcqp import achieve_value_zero_sum, max_f_point, max_g_point, simplex_grid
@@ -159,6 +160,8 @@ def _pair_block_profile(game: BimatrixGame, f_floor: Fraction, g_floor: Fraction
                     return x, y, None, grid_method(grid_mesh)
         return None
     fr = game.frontier
+    if f_floor >= fr.a_max or g_floor >= fr.m_max:
+        return None  # no profile pays that side above its floor
     tr = fr.transform
     if tr is not None:
         z_lo = tr.image_doctor_value(f_floor)
@@ -184,22 +187,6 @@ def _pair_block_profile(game: BimatrixGame, f_floor: Fraction, g_floor: Fraction
     return None
 
 
-def _pair_thresholds(instance, allocation, payoffs, d, partner):
-    """(doctor floor, partner floor) a blocking profile must strictly beat."""
-    f_floor = payoffs.doctor_payoffs[d]
-    if instance.model == ROOMMATES:
-        return f_floor, payoffs.doctor_payoffs[partner]
-    hosp = instance.hospitals[partner]
-    members = payoffs.members.get(partner, ())
-    if allocation.matching.get(d) == partner:
-        g_floor = payoffs.seat_values[(partner, d)]
-    elif len(members) >= hosp.quota:
-        g_floor = min(payoffs.seat_values[(partner, dd)] for dd in members)
-    else:
-        g_floor = hosp.irp
-    return f_floor, g_floor
-
-
 def find_blocking_pair(instance, allocation, epsilon: Fraction, grid_mesh: int = 8,
                        payoffs: Optional[PayoffReport] = None) -> Optional[BlockingPairWitness]:
     """First pair able to rematch with both sides gaining strictly more than epsilon."""
@@ -220,15 +207,27 @@ def find_blocking_pair(instance, allocation, epsilon: Fraction, grid_mesh: int =
             partner_gain=(new_g - current_g) if current_g is not NEG_INF else new_g,
             method=EXACT_TABLE,
         )
+    # What a blocking profile must strictly beat, taken once per agent: each
+    # doctor's floor, her payoff plus epsilon, and each partner's bar, a
+    # roommate's floor or a hospital's weakest seat (its baseline while a
+    # seat is free) plus epsilon.
+    floors = {d: f + epsilon for d, f in payoffs.doctor_payoffs.items()}
+    two_sided = instance.model != ROOMMATES
+    bars = {h: seat_floor(hosp, payoffs.members.get(h, ()), payoffs.seat_values) + epsilon
+            for h, hosp in instance.hospitals.items()} if two_sided else floors
     for d in instance.doctor_ids:
+        f_bar = floors[d]
+        mine = allocation.matching.get(d)
         for partner in instance.partner_options(d):
             # A matched pair is checked against itself too: a joint move that
-            # strictly improves both sides is a blocking deviation.
+            # strictly improves both sides is a blocking deviation, and the
+            # hospital's side of it is the pair's own seat.
             game = instance.game_for(d, partner)
-            f_floor, g_floor = _pair_thresholds(instance, allocation, payoffs, d, partner)
-            found = _pair_block_profile(
-                game, f_floor + epsilon, g_floor + epsilon, grid_mesh=grid_mesh
-            )
+            if two_sided and partner == mine:
+                g_bar = payoffs.seat_values[(partner, d)] + epsilon
+            else:
+                g_bar = bars[partner]
+            found = _pair_block_profile(game, f_bar, g_bar, grid_mesh=grid_mesh)
             if found is None:
                 continue
             x, y, lam, method = found
@@ -239,13 +238,13 @@ def find_blocking_pair(instance, allocation, epsilon: Fraction, grid_mesh: int =
                 f_new = bilinear(x, game.doctor_matrix, y)
                 g_new = bilinear(x, game.hospital_matrix, y)
             # Witness replay: the claimed strict gains must re-evaluate exactly.
-            if not (f_new > f_floor + epsilon and g_new > g_floor + epsilon):
+            if not (f_new > f_bar and g_new > g_bar):
                 raise MatchGamesError("blocking witness failed exact replay")
             return BlockingPairWitness(
                 doctor=d,
                 partner=partner,
                 doctor_gain=f_new - payoffs.doctor_payoffs[d],
-                partner_gain=g_new - g_floor,
+                partner_gain=g_new - (g_bar - epsilon),
                 method=method,
                 x=x,
                 y=y,
@@ -280,6 +279,7 @@ def find_blocking_coalition(instance, allocation, epsilon: Fraction,
     if instance.model != ADDITIVE_SEPARABLE:
         raise UnsupportedClassError("coalition scan applies to additive separable or enumerated models")
 
+    floors = {d: f + epsilon for d, f in payoffs.doctor_payoffs.items()}
     for h in instance.hospital_ids:
         hosp = instance.hospitals[h]
         current = payoffs.hospital_payoffs[h]
@@ -289,8 +289,7 @@ def find_blocking_coalition(instance, allocation, epsilon: Fraction,
                 continue
             # sup of h's seat value over profiles paying d strictly above
             # her floor; unattained sups still decide strict sums.
-            best = max_g_point(instance.game_for(d, h), payoffs.doctor_payoffs[d] + epsilon,
-                               strict=True)
+            best = max_g_point(instance.game_for(d, h), floors[d], strict=True)
             if best is not None:
                 eligible.append((d, best.g))
         max_size = min(max_coalition_size, hosp.quota, len(eligible))
@@ -320,16 +319,20 @@ def find_blocking_coalition(instance, allocation, epsilon: Fraction,
 
 
 def _realise_coalition(instance, payoffs, doctors, h, epsilon, threshold):
-    """Build explicit profiles backing the coalition's strict gains, or None."""
+    """Build explicit profiles backing the coalition's strict gains, or None.
+
+    Each member's game and floor (her payoff plus epsilon) are read once,
+    and the method label names the classes of the members' games.
+    """
+    games = [instance.game_for(d, h) for d in doctors]
+    floors = [payoffs.doctor_payoffs[d] + epsilon for d in doctors]
     # Shrink the per-doctor slack until the summed seat values clear the bar.
     for halvings in range(64):
         delta = Fraction(1, 2 ** halvings)
         profiles = {}
         total = Fraction(0)
         ok = True
-        for d in doctors:
-            game = instance.game_for(d, h)
-            floor = payoffs.doctor_payoffs[d] + epsilon
+        for d, game, floor in zip(doctors, games, floors):
             out = _profile_just_above(game, floor, delta)
             if out is None:
                 ok = False
@@ -341,7 +344,8 @@ def _realise_coalition(instance, payoffs, doctors, h, epsilon, threshold):
             witness = BlockingCoalitionWitness(
                 doctors=tuple(doctors),
                 hospital=h,
-                method=EXACT_INTERVAL,
+                method=_label((CLASS_METHODS.get(g.class_tag, EXACT_INTERVAL) for g in games),
+                              EXACT_INTERVAL),
                 hospital_gain=(total - threshold + epsilon) if threshold is not None else None,
             )
             witness.profiles = {d: (p[0], p[1]) for d, p in profiles.items()}
@@ -493,7 +497,10 @@ def full_report(instance, allocation, epsilon: Fraction,
     if coalition is not None:
         methods["coalition"] = coalition.method
     elif coalition_size:
-        methods["coalition"] = EXACT_TABLE if instance.model == GENERAL_ENUMERATED else EXACT_INTERVAL
+        # No witness: the scan priced every game of the instance.
+        methods["coalition"] = _label(
+            (CLASS_METHODS.get(g.class_tag, EXACT_INTERVAL) for g in instance.games.values()),
+            EXACT_TABLE if instance.model == GENERAL_ENUMERATED else EXACT_INTERVAL)
     if reneg_ok is not None:
         # A one-shot couple's CNE check is closed form; a repeated one's solves LPs.
         methods["renegotiation"] = _label(

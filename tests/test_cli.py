@@ -257,3 +257,32 @@ def test_renegotiation_label_names_the_classes_checked(tmp_path):
         "repeated": "exact_lp",
         "zero_sum,strictly_competitive,repeated": "exact_interval/exact_lp",
     }
+
+
+def test_coalition_label_names_the_classes_priced(tmp_path):
+    """A witness names its members' classes; with no witness, the label
+    names the classes of every game the scan priced."""
+    labels = {}
+    for seed, doctors, classes in ((3, 8, "zero_sum"), (3, 8, "repeated"),
+                                   (3, 8, "zero_sum,strictly_competitive,repeated"),
+                                   (4, 6, "zero_sum,strictly_competitive,repeated")):
+        inst_path, alloc_path, report_path = (tmp_path / f"{name}.json" for name in
+                                              ("inst", "alloc", "report"))
+        assert run(["gen", "--seed", str(seed), "--doctors", str(doctors), "--hospitals", "3",
+                    "--classes", classes, "--output", str(inst_path)]) == 0
+        common = ["--input", str(inst_path), "--epsilon", "1/2"]
+        assert run(["solve-dac", *common, "--output", str(alloc_path)]) == 0
+        run(["verify", *common, "--allocation", str(alloc_path), "--coalitions", "4",
+             "--output", str(report_path)])
+        report = json.loads(report_path.read_text())
+        witness = report.get("blocking_coalition")
+        labels[(seed, classes)] = (report["methods"]["coalition"],
+                                   witness and (witness["doctors"], witness["method"]))
+    mixed = "exact_interval/exact_lp"
+    assert labels == {
+        (3, "zero_sum"): ("exact_interval", None),
+        (3, "repeated"): ("exact_lp", None),
+        (3, "zero_sum,strictly_competitive,repeated"): (mixed, None),
+        # d4's game with h2 is repeated, d5's strictly competitive.
+        (4, "zero_sum,strictly_competitive,repeated"): (mixed, (["d4", "d5"], mixed)),
+    }

@@ -260,6 +260,13 @@ def test_zero_sum_check_agrees_with_fraction_reference():
         expected = _is_zero_sum_reference(a, m)
         assert _accepts(a, m, "zero_sum") == expected, (a, m)
         verdicts.add(expected)
+        if expected:
+            # The same scan finds A's bounds, and M's are their negations.
+            fr = BimatrixGame(a, m, "zero_sum").frontier
+            entries = [v for row in a for v in row]
+            assert (fr.a_min, fr.a_max) == (min(entries), max(entries))
+            assert (fr.m_min, fr.m_max) == (-max(entries), -min(entries))
+            assert (fr.z_min, fr.z_max) == (fr.a_min, fr.a_max)
     assert verdicts == {True, False}
 
 
@@ -293,6 +300,10 @@ def test_strictly_competitive_check_agrees_with_fraction_reference():
      "zero_sum game has M != -A at entry (0,1)", (0, 1, F(-1, 3), F(-1, 2))),
     (((F(-1), F(1, 2)), (F(-2, 3), F(5, 3))),  # same denominator, wrong sign
      "zero_sum game has M != -A at entry (0,1)", (0, 1, F(1, 2), F(-1, 2))),
+    (((F(-1), F(-1, 2)), (F(-2, 3), F(-5, 3))),  # a sign fault at the last entry
+     "zero_sum game has M != -A at entry (1,1)", (1, 1, F(-5, 3), F(5, 3))),
+    (((F(-1), F(-1, 2)), (F(2, 3), F(5, 3))),  # a sign fault at a fractional entry
+     "zero_sum game has M != -A at entry (1,0)", (1, 0, F(2, 3), F(-2, 3))),
 ])
 def test_zero_sum_violation_message_is_pinned(m, message, entry):
     a = ((F(1), F(1, 2)), (F(2, 3), F(-5, 3)))
@@ -457,3 +468,106 @@ def test_store_witness_writes_what_the_readers_read():
     assert evaluate_payoffs(inst, alloc).seat_values == {("h", "d"): F(1)}
     store_witness(inst, alloc, "d", "h", PairOutcome(F(1), F(1), x=(F(1),), y=(F(1),)))
     assert alloc.cycles == {}
+
+
+# ---------------------------------------------------------------------------
+# The integer payoff kernel, against Fraction-loop references
+
+
+def _bilinear_reference(x, matrix, y):
+    total = F(0)
+    for i, xi in enumerate(x):
+        if xi == 0:
+            continue
+        row = matrix[i]
+        acc = F(0)
+        for j, yj in enumerate(y):
+            if yj != 0:
+                acc += row[j] * yj
+        total += xi * acc
+    return total
+
+
+def _row_payoffs_reference(matrix, y):
+    return [sum((v * w for v, w in zip(row, y) if w), F(0)) for row in matrix]
+
+
+def _validate_mixed_reference(weights, size, label="strategy"):
+    if len(weights) != size:
+        raise DimensionMismatchError(f"{label} has {len(weights)} weights, expected {size}")
+    total = sum(weights, F(0))
+    if total != 1:
+        raise MatchGamesError(f"{label} weights sum to {format_rational(total)}, not 1")
+    for w in weights:
+        if w < 0 or w > 1:
+            raise MatchGamesError(f"{label} weight {format_rational(w)} outside [0, 1]")
+
+
+def _outcome(check, *args):
+    """(error type, message) of a validation, or None when it passes."""
+    try:
+        check(*args)
+    except MatchGamesError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _random_mix(rng, size):
+    """A mixed strategy with denominators up to 12: pure, with zero weights,
+    or spread over its whole support."""
+    kind = rng.random()
+    if kind < 0.2:
+        return core.pure(rng.randrange(size), size)
+    raw = [F(rng.randint(0, 12), rng.randint(1, 12)) for _ in range(size)]
+    if kind < 0.6:
+        raw[rng.randrange(size)] = F(0)
+    if sum(raw) == 0:
+        raw[rng.randrange(size)] = F(1)
+    total = sum(raw)
+    return tuple(w / total for w in raw)
+
+
+def _kernel_matrix(rng, rows, cols):
+    """Negative and fractional entries with denominators 1 to 12."""
+    return tuple(tuple(F(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(cols))
+                 for _ in range(rows))
+
+
+def test_integer_kernel_equals_the_fraction_loops():
+    rng = random.Random(2025)
+    shapes = set()
+    for _ in range(1200):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        shapes.add((rows, cols))
+        a = _kernel_matrix(rng, rows, cols)
+        x, y = _random_mix(rng, rows), _random_mix(rng, cols)
+        got = core.bilinear(x, a, y)
+        assert type(got) is F and got == _bilinear_reference(x, a, y), (x, a, y)
+        assert core.row_payoffs(a, y) == _row_payoffs_reference(a, y)
+        assert core.row_payoffs(core.transpose(a), x) == _row_payoffs_reference(core.transpose(a), x)
+        assert _outcome(core.validate_mixed, x, rows) is None
+    assert len(shapes) == 16
+
+
+def test_validate_mixed_messages_are_unchanged():
+    rng = random.Random(2026)
+    seen = set()
+    for _ in range(1200):
+        size = rng.randint(1, 4)
+        weights = list(_random_mix(rng, size))
+        kind = rng.randrange(5)
+        if kind == 1:  # a sum other than 1
+            weights[rng.randrange(size)] += F(rng.choice((-1, 1)), rng.randint(1, 12))
+        elif kind == 2 and size > 1:  # sums to 1, one weight negative, one above 1
+            i, j = rng.sample(range(size), 2)
+            shift = F(rng.randint(1, 12), rng.randint(1, 12)) + 1
+            weights[i] += shift
+            weights[j] -= shift
+        elif kind == 3:  # the wrong length
+            weights.append(F(0))
+        label = rng.choice(("strategy", "doctor d1 strategy"))
+        expected = _outcome(_validate_mixed_reference, tuple(weights), size, label)
+        assert _outcome(core.validate_mixed, tuple(weights), size, label) == expected
+        seen.add(None if expected is None else
+                 next(k for k in ("sum to", "outside", "expected") if k in expected[1]))
+    assert seen == {None, "sum to", "outside", "expected"}

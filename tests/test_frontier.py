@@ -412,6 +412,60 @@ def test_ledger_reprices_only_options_of_moved_agents(monkeypatch):
     assert got == reservation_payoffs(inst, alloc, "a", "h", eps)
 
 
+def test_ledger_record_refreshes_the_floors_it_moves():
+    # Doctor b moves from the bottom to the top of her game with k.  Her
+    # floor and k's bar are refreshed, so hospital h's option with outside
+    # doctor b and doctor a's option at k both read the new values.
+    eps = F(1, 2)
+
+    def zero_sum(*row):
+        a = (tuple(F(v) for v in row),)
+        return BimatrixGame(a, negate(a), "zero_sum")
+
+    inst = MatchingGameInstance(
+        model="additive_separable",
+        doctors={d: Doctor(d, F(-9), ("s",)) for d in "ab"},
+        hospitals={h: Hospital(h, F(-10), 1, ("t1", "t2")) for h in "hk"},
+        games={("a", "h"): zero_sum(-3, 3), ("a", "k"): zero_sum(-4, 4),
+               ("b", "h"): zero_sum(-2, 5), ("b", "k"): zero_sum(-1, 6)},
+    )
+    alloc = Allocation(matching={"a": "h", "b": "k"},
+                       doctor_strategies={"a": (F(1),), "b": (F(1),)},
+                       hospital_strategies={("h", "a"): (F(1), F(0)),
+                                            ("k", "b"): (F(1), F(0))})
+    ledger = renegotiation._PayoffLedger(inst, alloc, eps)
+    assert ledger.reservations("a", "h") == ReservationPair(F(-3, 2), F(1, 2))
+
+    alloc.hospital_strategies[("k", "b")] = (F(0), F(1))  # b: -1 -> 6, k's seat: 1 -> -6
+    ledger.record(alloc, "b", "k")
+    assert (ledger.doctor_floors["b"], ledger.hospital_bars["k"]) == (F(13, 2), F(-11, 2))
+    # a reaches her best payoff 4 at k; no profile of (b, h) grants b above 13/2.
+    assert ledger.reservations("a", "h") == ReservationPair(F(4), F(-10))
+    assert ledger.reservations("a", "h") == reservation_payoffs(inst, alloc, "a", "h", eps)
+
+    # Roommates: a record moves both partners' floors, and doctor c's option
+    # with a reads a's new floor.
+    game = zero_sum(-3, 3)
+    column = ((F(-1),), (F(1),))
+    rm = MatchingGameInstance(
+        model="roommates", hospitals={},
+        doctors={"a": Doctor("a", F(-9), ("s",)), "b": Doctor("b", F(-9), ("t1", "t2")),
+                 "c": Doctor("c", F(-9), ("t1", "t2")), "e": Doctor("e", F(-9), ("u",))},
+        games={("a", "b"): game, ("a", "c"): game,
+               ("c", "e"): BimatrixGame(column, negate(column), "zero_sum")},
+    )
+    pairs = Allocation(matching={"a": "b", "b": "a", "c": "e", "e": "c"},
+                       doctor_strategies={"a": (F(1),), "b": (F(1), F(0)),
+                                          "c": (F(1), F(0)), "e": (F(1),)})
+    ledger = renegotiation._PayoffLedger(rm, pairs, eps)
+    assert ledger.reservations("c", "e").doctor_reservation == F(5, 2)
+    pairs.doctor_strategies["b"] = (F(0), F(1))  # a: -3 -> 3, b: 3 -> -3
+    ledger.record(pairs, "a", "b")
+    assert (ledger.doctor_floors["a"], ledger.doctor_floors["b"]) == (F(7, 2), F(-5, 2))
+    assert ledger.reservations("c", "e").doctor_reservation == F(-9)
+    assert ledger.reservations("c", "e") == reservation_payoffs(rm, pairs, "c", "e", eps)
+
+
 def _count_ledger_queries(monkeypatch):
     """Record the name of every frontier query the ledger makes."""
     calls = []

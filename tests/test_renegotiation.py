@@ -592,10 +592,10 @@ def test_market_renegotiation_witnesses_are_pinned(market, tmp_path):
 # epsilon 1/2.  Every one holds repeated couples, so these pin the repeated
 # class's witnesses, cycles and frontier queries end to end.
 PINNED_REPEATED_MARKET_DIGESTS = {
-    3: 'cec7c4ba6a34b19fcec1b2290a0d68ee66c9a93e53a30e9a825ae5620c67d243',
-    6: 'ccd92b4b61e783ad1fbeabc000e9bf5b9c218cba9a0b139d8ae221945dedac35',
-    8: '0c8bdb5770ea12f8aba6e3191af5ff928c1970026d65aa1df09f793c0a3db016',
-    10: '84da71355d7bfce4f75a1dfa1f209d77040c4e1608d0f4ae504842ec20da3589',
+    3: 'cfc600066b58b27e397bc1a2bc594d92c1ef9b07c524af7c97e886a0b9e1bb3f',
+    6: 'b82251e43eaa032a6fd71e89d8f5d90fb78da20d862f9818617452b1142a7b66',
+    8: 'cbf515d7126161a471d62efe5e6731451065b1a218de6a85bb3e593bad6ff294',
+    10: '15b50584cc1ecba275c43420cf6fc7896b069c59c6d45b91731586ec90386ca4',
 }
 
 
@@ -644,3 +644,29 @@ def test_pinned_markets_take_both_game_value_paths(monkeypatch, tmp_path):
         _market_documents(tmp_path, *market)
     assert {lp_solves for _, _, lp_solves in paths} == {0, 2}
     assert any(lp_solves == 2 and 1 in (rows, cols) for rows, cols, lp_solves in paths)
+
+
+def test_punishment_levels_are_solved_once_per_repeated_game(monkeypatch, tmp_path):
+    """On the pinned three-class markets, one renegotiate solves each
+    repeated game's two punishment game values once: the CNE checks and
+    constructions of the sweep and the closing certificate share them."""
+    import matchgames.renegotiation as renegotiation_module
+    from matchgames.core import load_instance
+
+    value = renegotiation_module.game_value
+    for seed in sorted(PINNED_REPEATED_MARKET_DIGESTS):
+        inst, alloc, reneg = (tmp_path / f"{name}{seed}.json" for name in ("inst", "alloc", "reneg"))
+        assert main(["gen", "--seed", str(seed), "--doctors", "8", "--hospitals", "3", "--classes",
+                     "zero_sum,strictly_competitive,repeated", "--output", str(inst)]) == 0
+        common = ["--input", str(inst), "--epsilon", "1/2"]
+        assert main(["solve-dac", *common, "--output", str(alloc)]) == 0
+        calls = []
+        monkeypatch.setattr(renegotiation_module, "game_value",
+                            lambda a: calls.append(a) or value(a))
+        assert main(["renegotiate", *common, "--allocation", str(alloc),
+                     "--output", str(reneg)]) == 0
+        monkeypatch.undo()
+        repeated = [g for g in load_instance(str(inst)).games.values() if g.class_tag == "repeated"]
+        per_game = [sum(a in (g.doctor_matrix, negate(g.hospital_matrix)) for a in calls)
+                    for g in repeated]
+        assert max(per_game) == 2 and all(n in (0, 2) for n in per_game), per_game

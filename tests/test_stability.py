@@ -392,3 +392,157 @@ class TestReport:
         )
         ok, witness = check_individual_rationality(inst2, alloc, F(1, 10))
         assert not ok
+
+
+# ---------------------------------------------------------------------------
+# Per-agent floors against per-pair reference scans
+
+
+def _pair_floor_reference(inst, alloc, payoffs, d, partner):
+    """(doctor floor, partner floor) of one pair, recomputed from the
+    payoffs for that pair alone."""
+    f_floor = payoffs.doctor_payoffs[d]
+    if inst.model == "roommates":
+        return f_floor, payoffs.doctor_payoffs[partner]
+    hosp = inst.hospitals[partner]
+    members = payoffs.members.get(partner, ())
+    if alloc.matching.get(d) == partner:
+        return f_floor, payoffs.seat_values[(partner, d)]
+    if len(members) >= hosp.quota:
+        return f_floor, min(payoffs.seat_values[(partner, m)] for m in members)
+    return f_floor, hosp.irp
+
+
+def _reference_blocking_pair(inst, alloc, eps):
+    from matchgames.stability import BlockingPairWitness, _pair_block_profile
+
+    payoffs = evaluate_payoffs(inst, alloc)
+    for d in inst.doctor_ids:
+        for partner in inst.partner_options(d):
+            game = inst.game_for(d, partner)
+            f_floor, g_floor = _pair_floor_reference(inst, alloc, payoffs, d, partner)
+            found = _pair_block_profile(game, f_floor + eps, g_floor + eps)
+            if found is None:
+                continue
+            x, y, lam, method = found
+            if lam is not None:
+                f_new = sum(game.doctor_matrix[s][t] * w for (s, t), w in lam.items())
+                g_new = sum(game.hospital_matrix[s][t] * w for (s, t), w in lam.items())
+            else:
+                f_new = bilinear(x, game.doctor_matrix, y)
+                g_new = bilinear(x, game.hospital_matrix, y)
+            assert f_new > f_floor + eps and g_new > g_floor + eps
+            return BlockingPairWitness(d, partner, f_new - f_floor, g_new - g_floor, method,
+                                       x, y, lam)
+    return None
+
+
+def _reference_renegotiation_check(inst, alloc, eps):
+    """Each couple's reservations priced pair by pair, with no ledger."""
+    from matchgames.qcqp import max_f_point
+    from matchgames.renegotiation import ReservationPair, check_couple_is_cne
+
+    payoffs = evaluate_payoffs(inst, alloc)
+    roommates = inst.model == "roommates"
+
+    def outside(d, exclude):
+        best = inst.doctors[d].irp
+        for k in inst.partner_options(d):
+            if k == exclude:
+                continue
+            if roommates:
+                bar = payoffs.doctor_payoffs[k]
+            else:
+                hosp = inst.hospitals[k]
+                others = [m for m in payoffs.members.get(k, ()) if m != d]
+                bar = (hosp.irp if len(others) < hosp.quota
+                       else min(payoffs.seat_values[(k, m)] for m in others))
+            point = max_f_point(inst.game_for(d, k), bar + eps, strict=True)
+            if point is not None and point.f > best:
+                best = point.f
+        return best
+
+    for d, p in alloc.matched_pairs():
+        if roommates and d > p:
+            continue
+        if roommates:
+            g_res = outside(p, d)
+        else:
+            g_res = inst.hospitals[p].irp
+            for k in inst.doctor_ids:
+                if k in payoffs.members.get(p, ()) or not inst.has_game(k, p):
+                    continue
+                point = max_g_point(inst.game_for(k, p), payoffs.doctor_payoffs[k] + eps,
+                                    strict=True)
+                if point is not None and point.g > g_res:
+                    g_res = point.g
+        ok, witness = check_couple_is_cne(inst, alloc, d, p, ReservationPair(outside(d, p), g_res),
+                                          eps)
+        if not ok:
+            return False, f"couple ({d},{p}): {witness}"
+    return True, None
+
+
+def _scrambled_roommates(inst, rng):
+    """A random pairing with pure strategies."""
+    alloc = Allocation(matching={d: None for d in inst.doctor_ids})
+    free = list(inst.doctor_ids)
+    rng.shuffle(free)
+    while len(free) >= 2 and rng.random() < 0.8:
+        a, b = free.pop(), free.pop()
+        alloc.matching[a], alloc.matching[b] = b, a
+    for d, p in alloc.matching.items():
+        if p is not None:
+            size = len(inst.doctors[d].strategies)
+            alloc.doctor_strategies[d] = pure(rng.randrange(size), size)
+    return alloc
+
+
+def _floor_cases():
+    """(instance, allocation, epsilon): DAC and renegotiation outputs of
+    zero-sum, mixed and roommates instances, and scrambled allocations,
+    many of them over quota."""
+    from matchgames.renegotiation import run_renegotiation
+    from matchgames.roommates import realize_aspiration, solve_aspiration_zero_sum
+
+    cases = []
+    for seed, classes in ((3, ["zero_sum"]), (4, ["zero_sum", "strictly_competitive"]),
+                          (5, ["zero_sum", "strictly_competitive", "repeated"])):
+        inst = generate_instance(seed=seed, n_doctors=12, n_hospitals=4, max_quota=3,
+                                 classes=classes)
+        for eps in (F(1, 2), F(1, 10)):
+            alloc, _ = run_dac(inst, eps)
+            cases.append((inst, alloc, eps))
+            cases.append((inst, run_renegotiation(inst, alloc, eps).allocation, eps))
+        rng = random.Random(f"floors-{seed}")
+        for _ in range(4 if "repeated" not in classes else 0):  # pure profiles only
+            cases.append((inst, _scrambled_allocation(inst, rng), F(1, rng.choice((1, 2, 10)))))
+    for seed in range(1, 4):
+        inst = generate_instance(seed=seed, model="roommates", n_doctors=8)
+        realized = realize_aspiration(inst, solve_aspiration_zero_sum(inst))
+        if isinstance(realized, Allocation):
+            cases.append((inst, realized, F(1, 2)))
+            cases.append((inst, run_renegotiation(inst, realized, F(1, 2)).allocation, F(1, 2)))
+        rng = random.Random(f"floors-roommates-{seed}")
+        for _ in range(3):
+            cases.append((inst, _scrambled_roommates(inst, rng), F(1, rng.choice((1, 2, 10)))))
+    return cases
+
+
+def test_per_agent_floors_give_the_per_pair_witnesses():
+    from matchgames.stability import verify_renegotiation_proof
+
+    seen = set()
+    for inst, alloc, eps in _floor_cases():
+        pair = find_blocking_pair(inst, alloc, eps)
+        assert pair == _reference_blocking_pair(inst, alloc, eps)
+        if inst.model == "additive_separable":
+            coalition = _pruned_coalition_scan(inst, alloc, eps, 4, 1 << 16)
+            assert coalition == _unpruned_coalition_scan(inst, alloc, eps, 4, 1 << 16)
+            seen.add(("coalition", coalition is None))
+        verdict = verify_renegotiation_proof(inst, alloc, eps)
+        assert verdict == _reference_renegotiation_check(inst, alloc, eps)
+        seen |= {(inst.model, pair is None), ("renegotiation", verdict[0])}
+    assert seen == {("additive_separable", True), ("additive_separable", False),
+                    ("roommates", True), ("roommates", False), ("coalition", True),
+                    ("coalition", False), ("renegotiation", True), ("renegotiation", False)}
