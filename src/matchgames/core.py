@@ -127,6 +127,11 @@ def matrix_bounds(m: Matrix) -> Tuple[Fraction, Fraction]:
     Fractions exactly (denominators are positive), and keeps the first
     extreme entry, as the builtin ``min`` and ``max`` do.
     """
+    return _ratio_bounds(m)[:2]
+
+
+def _ratio_bounds(m: Matrix):
+    """``matrix_bounds`` and the (numerator, denominator) pairs of both."""
     lo = hi = m[0][0]
     lo_n, lo_d = hi_n, hi_d = lo.as_integer_ratio()
     for row in m:
@@ -136,7 +141,7 @@ def matrix_bounds(m: Matrix) -> Tuple[Fraction, Fraction]:
                 lo, lo_n, lo_d = v, n, d
             elif n * hi_d > hi_n * d:
                 hi, hi_n, hi_d = v, n, d
-    return lo, hi
+    return lo, hi, (lo_n, lo_d), (hi_n, hi_d)
 
 
 def matrix_min(m: Matrix) -> Fraction:
@@ -269,48 +274,36 @@ class IdentityTransform(AffineTransform):
 
 def affine_transform(a: Matrix, m: Matrix) -> AffineTransform:
     """Compute the ratio-<=-1 affine bridge for a strictly competitive pair."""
-    return _affine_bridge(a, m, *matrix_bounds(a), *matrix_bounds(m))
+    return _strictly_competitive_frontier(a, m).transform
 
 
-def _affine_bridge(a: Matrix, m: Matrix, a_min: Fraction, a_max: Fraction,
-                   m_min: Fraction, m_max: Fraction) -> AffineTransform:
-    """``affine_transform`` given the bounds of A and M, which a game's
-    frontier already holds, so building it scans each matrix once.
+class Segment(NamedTuple):
+    """A one-shot pair's payoff set in integers: the segment from
+    (a_min, m_max) to (a_max, m_min) on the line r * g == p - q * f.
 
-    The ranges of A and B = -M, the ratio and the shift are worked out on
-    integer numerators and denominators (denominators stay positive, so
-    comparing cross products orders them); the only Fractions built are
-    ratio and shift.  Neither direction builds B: the check runs on M.
+    Each bound is a (numerator, denominator) pair with a positive
+    denominator, and q, r > 0, so every question about the segment is a
+    comparison of integer cross products.  A zero-sum pair's line is
+    (p, q, r) == (0, 1, 1); a constant pair's segment is one point.
     """
-    p1, q1, p2, q2 = a_min.numerator, a_min.denominator, a_max.numerator, a_max.denominator
-    p3, q3, p4, q4 = m_min.numerator, m_min.denominator, m_max.numerator, m_max.denominator
-    an, ad = p2 * q1 - p1 * q2, q1 * q2  # range of A
-    bn, bd = p4 * q3 - p3 * q4, q3 * q4  # range of B, which is the range of M
-    if an == 0 and bn == 0:
-        return AffineTransform(_ONE, a[0][0] + m[0][0], "doctor", m)
-    if an == 0 or bn == 0:
-        _reject_one_sided_constant(a, m)
-    if an * bd <= bn * ad:
-        # ratio = a_range / b_range; shift = a_min - b_min * ratio, b_min = -m_max.
-        rn, rd = an * bd, ad * bn
-        ratio = Fraction(rn, rd)
-        shift = Fraction(p1 * q4 * rd + p4 * q1 * rn, q1 * q4 * rd)
-        _verify_affine(a, m, ratio, shift, False, True)  # A == ratio * (-M) + shift
-        return AffineTransform(ratio, shift, "doctor", m)
-    # ratio = b_range / a_range; shift = b_min - a_min * ratio.
-    rn, rd = bn * ad, bd * an
-    ratio = Fraction(rn, rd)
-    shift = Fraction(-(p4 * q1 * rd + p1 * q4 * rn), q1 * q4 * rd)
-    _verify_affine(m, a, ratio, shift, True)  # -M == ratio * A + shift
-    return AffineTransform(ratio, shift, "hospital", a)
+
+    a_min: Tuple[int, int]
+    a_max: Tuple[int, int]
+    m_min: Tuple[int, int]
+    m_max: Tuple[int, int]
+    p: int
+    q: int
+    r: int
 
 
 class Frontier(NamedTuple):
     """Per-game data of the frontier queries, computed once per game object.
 
-    ``transform`` bridges the one-shot classes onto a zero-sum image (the
-    identity for zero-sum pairs) whose entries span [z_min, z_max]; repeated
-    games have none, their frontier being the hull of the stage payoffs.
+    ``segment`` is a one-shot pair's payoff set in integers, which the value
+    queries read.  ``transform`` bridges the one-shot classes onto a
+    zero-sum image (the identity for zero-sum pairs) whose entries span
+    [z_min, z_max]; witness and CNE builders read it.  Repeated games have
+    neither, their frontier being the hull of the stage payoffs.
     """
 
     a_min: Fraction
@@ -320,6 +313,52 @@ class Frontier(NamedTuple):
     transform: Optional[AffineTransform] = None
     z_min: Optional[Fraction] = None
     z_max: Optional[Fraction] = None
+    segment: Optional[Segment] = None
+
+
+def _strictly_competitive_frontier(a: Matrix, m: Matrix) -> Frontier:
+    """A strictly competitive pair's frontier: the bounds of A and M, the
+    verified ratio-<=-1 affine bridge and the integer segment, from one
+    bounds scan of each matrix and one check of the bridge.
+
+    The ranges of A and B = -M, the ratio, the shift and the segment's line
+    are worked out on integer numerators and denominators (denominators
+    stay positive, so comparing cross products orders them); the only
+    Fractions built are ratio, shift and, in the doctor direction, the
+    image bounds.  Neither direction builds B: the check runs on M.
+    """
+    a_min, a_max, (p1, q1), (p2, q2) = _ratio_bounds(a)
+    m_min, m_max, (p3, q3), (p4, q4) = _ratio_bounds(m)
+    an, ad = p2 * q1 - p1 * q2, q1 * q2  # range of A
+    bn, bd = p4 * q3 - p3 * q4, q3 * q4  # range of B, which is the range of M
+    if an == 0 and bn == 0:
+        # One point (a, m) on the line g == a + m - f.
+        tr = AffineTransform(_ONE, a[0][0] + m[0][0], "doctor", m)
+        line = (p1 * q4 + p4 * q1, q1 * q4, q1 * q4)
+    else:
+        if an == 0 or bn == 0:
+            _reject_one_sided_constant(a, m)
+        if an * bd <= bn * ad:
+            # ratio = a_range / b_range; shift = a_min - b_min * ratio, b_min = -m_max.
+            rn, rd = an * bd, ad * bn
+            ratio = Fraction(rn, rd)
+            shift = Fraction(p1 * q4 * rd + p4 * q1 * rn, q1 * q4 * rd)
+            _verify_affine(a, m, ratio, shift, False, True)  # A == ratio * (-M) + shift
+            tr = AffineTransform(ratio, shift, "doctor", m)
+        else:
+            # ratio = b_range / a_range; shift = b_min - a_min * ratio.
+            rn, rd = bn * ad, bd * an
+            ratio = Fraction(rn, rd)
+            shift = Fraction(-(p4 * q1 * rd + p1 * q4 * rn), q1 * q4 * rd)
+            _verify_affine(m, a, ratio, shift, True)  # -M == ratio * A + shift
+            tr = AffineTransform(ratio, shift, "hospital", a)
+        # The line through (a_min, m_max) with slope -(M range) / (A range).
+        line = (p4 * q3 * an + p1 * q2 * bn, bn * ad, an * bd)
+    k = gcd(*line)
+    seg = Segment((p1, q1), (p2, q2), (p3, q3), (p4, q4), *(v // k for v in line))
+    if tr.direction == "hospital":
+        return Frontier(a_min, a_max, m_min, m_max, tr, a_min, a_max, seg)
+    return Frontier(a_min, a_max, m_min, m_max, tr, -m_max, -m_min, seg)
 
 
 def _zero_sum_frontier(a: Matrix, m: Matrix) -> Frontier:
@@ -344,7 +383,8 @@ def _zero_sum_frontier(a: Matrix, m: Matrix) -> Frontier:
                 lo, lo_m, lo_n, lo_d = value, other, n, d
             elif n * hi_d > hi_n * d:
                 hi, hi_m, hi_n, hi_d = value, other, n, d
-    return Frontier(lo, hi, hi_m, lo_m, IdentityTransform(_ONE, _ZERO, "doctor", a), lo, hi)
+    seg = Segment((lo_n, lo_d), (hi_n, hi_d), (-hi_n, hi_d), (-lo_n, lo_d), 0, 1, 1)
+    return Frontier(lo, hi, hi_m, lo_m, IdentityTransform(_ONE, _ZERO, "doctor", a), lo, hi, seg)
 
 
 @dataclass(frozen=True)
@@ -365,28 +405,24 @@ class BimatrixGame:
         a, m = self.doctor_matrix, self.hospital_matrix
         if len(a) != len(m) or len({*map(len, a), *map(len, m)}) != 1:
             raise DimensionMismatchError("A and M must have identical shape")
-        if self.class_tag in (ZERO_SUM, STRICTLY_COMPETITIVE):
-            # Building the frontier checks the class: M == -A entry by entry
-            # for a zero-sum pair, the affine bridge for a strictly
-            # competitive one.
-            self.frontier
+        # Building a one-shot frontier checks the class: M == -A entry by
+        # entry for a zero-sum pair, the affine bridge for a strictly
+        # competitive one.  It goes straight into the instance dict, which
+        # attribute lookup reads before the ``frontier`` descriptor, so no
+        # read of it goes through the descriptor or its lock.
+        if self.class_tag == ZERO_SUM:
+            self.__dict__["frontier"] = _zero_sum_frontier(a, m)
+        elif self.class_tag == STRICTLY_COMPETITIVE:
+            self.__dict__["frontier"] = _strictly_competitive_frontier(a, m)
 
     @cached_property
     def frontier(self) -> Frontier:
-        """Matrix bounds and affine bridge, computed once and kept: on
-        construction for the one-shot classes, whose check it is, and on
-        first use otherwise."""
-        a, m = self.doctor_matrix, self.hospital_matrix
-        if self.class_tag == ZERO_SUM:
-            return _zero_sum_frontier(a, m)
-        bounds = (*matrix_bounds(a), *matrix_bounds(m))
-        if self.class_tag == REPEATED:
-            return Frontier(*bounds)
-        if self.class_tag == STRICTLY_COMPETITIVE:
-            tr = _affine_bridge(a, m, *bounds)
-            image_bounds = bounds[:2] if tr.direction == "hospital" else (-bounds[3], -bounds[2])
-            return Frontier(*bounds, tr, *image_bounds)
-        raise UnsupportedClassError(f"no exact frontier solver for class {self.class_tag}")
+        """Matrix bounds, integer segment and affine bridge, computed once
+        and kept: on construction for the one-shot classes, whose check it
+        is, and on first use for the repeated class."""
+        if self.class_tag != REPEATED:
+            raise UnsupportedClassError(f"no exact frontier solver for class {self.class_tag}")
+        return Frontier(*matrix_bounds(self.doctor_matrix), *matrix_bounds(self.hospital_matrix))
 
     @cached_property
     def punishment(self):

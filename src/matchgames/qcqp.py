@@ -184,12 +184,14 @@ def distribution_to_cycle(lam: LambdaDistribution, a: Matrix, m: Matrix) -> Cycl
 # ledger and CNE audits, the stability oracles and roommates, is asked here.
 # Each query first prices the option by value alone from the game's cached
 # frontier (``BimatrixGame.frontier``), then, only when the caller asks for
-# it, builds a witness profile realising that value.  Zero-sum pairs are the
-# identity case of the affine bridge, so the one-shot classes share one
-# interval computation; repeated pairs query the payoff hull by LP.  On a
-# one-shot pair's image the doctor's payoff rises with the value z and the
-# partner's falls, so z_max pays (a_max, m_min), z_min pays (a_min, m_max),
-# and a floor that binds is paid exactly.
+# it, builds a witness profile realising that value.  A one-shot pair's
+# payoff set is one segment, from (a_min, m_max) to (a_max, m_min) on the
+# line r * g == p - q * f (``core.Segment``), kept in integers: its queries
+# compare integer cross products against the endpoints and build at most
+# one Fraction per answer, and a floor that binds is paid exactly.  Repeated
+# pairs query the payoff hull by LP.  A one-shot witness hits the value z
+# on the zero-sum image of the affine bridge, which is the doctor's payoff
+# f, or -g in the bridge direction "doctor" (where the image is -M).
 
 
 @dataclass
@@ -206,13 +208,11 @@ class PairOutcome:
 class FrontierPoint(NamedTuple):
     """A frontier query's exact payoffs, before any witness is built.
 
-    ``z`` is the zero-sum image value that a one-shot witness must hit;
     ``lam`` is the hull distribution that a repeated-pair cycle realises.
     """
 
     f: Fraction
     g: Fraction
-    z: Optional[Fraction] = None
     lam: Optional[LambdaDistribution] = None
 
 
@@ -220,56 +220,76 @@ def max_f_point(game: BimatrixGame, theta: Fraction,
                 strict: bool = False) -> Optional[FrontierPoint]:
     """Value of :func:`max_f_given_g_floor` without a witness profile."""
     fr = game.frontier
-    tr = fr.transform
-    if tr is None:
+    seg = fr.segment
+    if seg is None:
         if theta > fr.m_max or (strict and theta == fr.m_max):
             return None
         lam, (f, g) = _hull_lp(game.doctor_matrix, game.hospital_matrix,
                                objective=("max_f",), g_floor=theta)
-        return FrontierPoint(f, g, lam=lam)
-    c = -tr.image_hospital_value(theta)
-    if c < fr.z_min or (strict and c == fr.z_min):
+        return FrontierPoint(f, g, lam)
+    tn, td = theta.as_integer_ratio()
+    _, _, (lo_n, lo_d), (hi_n, hi_d), p, q, r = seg
+    over = tn * hi_d - hi_n * td  # the sign of theta - m_max
+    if over > 0 or (strict and over == 0):
         return None
-    if c >= fr.z_max:  # a slack floor: the doctor's best payoff
-        return FrontierPoint(fr.a_max, fr.m_min, fr.z_max)
-    return FrontierPoint(tr.original_doctor_value(c), theta, c)
+    if tn * lo_d <= lo_n * td:  # a slack floor: the doctor's best payoff
+        return FrontierPoint(fr.a_max, fr.m_min)
+    return FrontierPoint(Fraction(p * td - r * tn, q * td), theta)
 
 
 def max_g_point(game: BimatrixGame, beta: Fraction,
                 strict: bool = False) -> Optional[FrontierPoint]:
     """Value of :func:`max_g_given_f_floor` without a witness profile."""
     fr = game.frontier
-    tr = fr.transform
-    if tr is None:
+    seg = fr.segment
+    if seg is None:
         if beta > fr.a_max or (strict and beta == fr.a_max):
             return None
         lam, (f, g) = _hull_lp(game.doctor_matrix, game.hospital_matrix,
                                objective=("max_g",), f_floor=beta)
-        return FrontierPoint(f, g, lam=lam)
-    b = tr.image_doctor_value(beta)
-    if b > fr.z_max or (strict and b == fr.z_max):
+        return FrontierPoint(f, g, lam)
+    bn, bd = beta.as_integer_ratio()
+    (lo_n, lo_d), (hi_n, hi_d), _, _, p, q, r = seg
+    over = bn * hi_d - hi_n * bd  # the sign of beta - a_max
+    if over > 0 or (strict and over == 0):
         return None
-    if b <= fr.z_min:  # a slack floor: the partner's best payoff
-        return FrontierPoint(fr.a_min, fr.m_max, fr.z_min)
-    return FrontierPoint(beta, tr.original_hospital_value(-b), b)
+    if bn * lo_d <= lo_n * bd:  # a slack floor: the partner's best payoff
+        return FrontierPoint(fr.a_min, fr.m_max)
+    return FrontierPoint(beta, Fraction(p * bd - q * bn, r * bd))
 
 
 def exact_point(game: BimatrixGame, f: Fraction, g: Fraction) -> Optional[FrontierPoint]:
     """The point paying the doctor exactly ``f`` and the partner exactly
     ``g``, or None when no profile of ``game`` does."""
-    fr = game.frontier
-    tr = fr.transform
-    if tr is None:
+    seg = game.frontier.segment
+    if seg is None:
         try:
             lam, _ = _hull_lp(game.doctor_matrix, game.hospital_matrix,
                               objective=("max_f",), f_exact=f, g_exact=g)
         except InfeasibleError:
             return None
-        return FrontierPoint(f, g, lam=lam)
-    z = tr.image_doctor_value(f)
-    if fr.z_min <= z <= fr.z_max and tr.original_hospital_value(-z) == g:
-        return FrontierPoint(f, g, z)
+        return FrontierPoint(f, g, lam)
+    fn, fd = f.as_integer_ratio()
+    gn, gd = g.as_integer_ratio()
+    (lo_n, lo_d), (hi_n, hi_d), _, _, p, q, r = seg
+    if lo_n * fd <= fn * lo_d and fn * hi_d <= hi_n * fd and r * gn * fd == (p * fd - q * fn) * gd:
+        return FrontierPoint(f, g)
     return None
+
+
+def pays_above(game: BimatrixGame, f_floor: Fraction, g_floor: Fraction) -> bool:
+    """Whether some profile of a one-shot ``game`` pays the doctor more than
+    ``f_floor`` and the partner more than ``g_floor``.
+
+    Such a profile pays f in (f_floor, f_cap), where the line pays exactly
+    g_floor at f_cap; that interval meets [a_min, a_max] iff f_floor < a_max,
+    g_floor < m_max (so f_cap > a_min) and f_floor < f_cap.
+    """
+    fn, fd = f_floor.as_integer_ratio()
+    gn, gd = g_floor.as_integer_ratio()
+    _, (af_n, af_d), _, (mg_n, mg_d), p, q, r = game.frontier.segment
+    return (fn * af_d < af_n * fd and gn * mg_d < mg_n * gd
+            and q * fn * gd + r * gn * fd < p * fd * gd)
 
 
 def frontier_witness(game: BimatrixGame, point: FrontierPoint) -> PairOutcome:
@@ -277,7 +297,9 @@ def frontier_witness(game: BimatrixGame, point: FrontierPoint) -> PairOutcome:
     if point.lam is not None:
         cycle = distribution_to_cycle(point.lam, game.doctor_matrix, game.hospital_matrix)
         return PairOutcome(f=point.f, g=point.g, cycle=cycle)
-    x, y, _ = achieve_value_zero_sum(game.frontier.transform.image, point.z)
+    tr = game.frontier.transform
+    z = -point.g if tr.direction == "doctor" else point.f
+    x, y, _ = achieve_value_zero_sum(tr.image, z)
     return PairOutcome(f=point.f, g=point.g, x=x, y=y)
 
 

@@ -34,7 +34,7 @@ from .errors import (
     NotAnAspirationError,
     UnsupportedClassError,
 )
-from .qcqp import exact_point, frontier_witness, max_f_point
+from .qcqp import FrontierPoint, exact_point, frontier_witness, max_f_point
 
 PayoffProfile = Dict[str, Fraction]
 
@@ -67,9 +67,17 @@ def demand_set(instance: MatchingGameInstance, profile: PayoffProfile, d: str) -
 
 @dataclass
 class DemandGraph:
+    """Mutual demand between doctors: an edge per pair, keyed by its stored
+    (sorted) ids, holding the frontier point that pays both members exactly
+    their profile values."""
+
     vertices: List[str]
-    edges: Set[Tuple[str, str]]
+    points: Dict[Tuple[str, str], FrontierPoint]
     singleton_ok: Dict[str, bool]
+
+    @property
+    def edges(self):
+        return self.points.keys()
 
     def neighbours(self, d: str) -> List[str]:
         out = [b for (a, b) in self.edges if a == d] + [a for (a, b) in self.edges if b == d]
@@ -77,13 +85,19 @@ class DemandGraph:
 
 
 def build_demand_graph(instance: MatchingGameInstance, profile: PayoffProfile) -> DemandGraph:
-    edges = set()
-    for d in instance.doctor_ids:
-        for other in demand_set(instance, profile, d):
-            edges.add(tuple(sorted((d, other))))
-    # Demand symmetry: membership is mutual by construction of the frontier.
+    """The demand graph of a roommates profile.
+
+    Demand is mutual: a pair's exact point pays both members their values
+    whichever member asks, so each pair is asked once, in its stored
+    orientation, and the point is kept to build the pair's witness.
+    """
+    points = {}
+    for (a, b), game in instance.games.items():
+        point = exact_point(game, profile[a], profile[b])
+        if point is not None:
+            points[(a, b)] = point
     singleton_ok = {d: profile[d] == instance.doctors[d].irp for d in instance.doctor_ids}
-    return DemandGraph(vertices=list(instance.doctor_ids), edges=edges, singleton_ok=singleton_ok)
+    return DemandGraph(vertices=list(instance.doctor_ids), points=points, singleton_ok=singleton_ok)
 
 
 def is_aspiration(instance: MatchingGameInstance, profile: PayoffProfile):
@@ -404,7 +418,10 @@ def realize_aspiration(instance: MatchingGameInstance, profile: PayoffProfile):
     for a, b in matching:
         allocation.matching[a] = b
         allocation.matching[b] = a
-        _realize_pair(instance, allocation, a, b, profile)
+        # (a, b) is a demand-graph edge, in stored order, whose exact point
+        # pays both their values.
+        witness = frontier_witness(instance.games[(a, b)], graph.points[(a, b)])
+        store_witness(instance, allocation, a, b, witness)
     return allocation
 
 
@@ -454,10 +471,3 @@ def _component_of(graph: DemandGraph, start: str):
                 seen.add(u)
                 frontier.append(u)
     return seen
-
-
-def _realize_pair(instance, allocation, a, b, profile):
-    game = instance.game_for(a, b)
-    # (a, b) is a demand-graph edge, so the exact point exists.
-    point = exact_point(game, profile[a], profile[b])
-    store_witness(instance, allocation, a, b, frontier_witness(game, point))

@@ -1,21 +1,22 @@
 """Stability oracles: blocking pairs, coalitions, core enumeration.
 
-Zero-sum and strictly competitive pairs are audited through exact
-attainable-interval tests on the game's zero-sum image, repeated pairs
-through exact LPs over the feasible payoff hull, and the enumerated model
-through direct table scans.  Grid methods are tagged approximate and any
-witness they produce is replayed exactly before being reported.
+Zero-sum and strictly competitive pairs are audited through exact tests on
+the pair's payoff segment, in integers, repeated pairs through exact LPs
+over the feasible payoff hull, and the enumerated model through direct
+table scans.  Grid methods are tagged approximate and any witness they
+produce is replayed exactly before being reported.
 
 The oracles share two pieces with the solvers: the frontier queries of
-``qcqp`` (``max_f_point`` and ``max_g_point``, over the cached affine bridge
-``BimatrixGame.frontier`` for the one-shot classes, where a zero-sum pair's
-bridge is the identity, and over the hull LP for the repeated class) and the
-profile builder ``qcqp.achieve_value_zero_sum``.  Sharing the bridge is
-sound because ``core._verify_affine`` checks it entry by entry when it is
-built, so every image value maps back to payoffs the original matrices
-attain.  Every blocking-pair witness is replayed in the original matrices
-before it is reported, and the renegotiation check delegates to the CNE
-characterisation in ``renegotiation``.
+``qcqp`` (``max_f_point``, ``max_g_point`` and ``pays_above``, over the
+integer segment that ``BimatrixGame.frontier`` holds for the one-shot
+classes and over the hull LP for the repeated class) and the profile builder
+``qcqp.achieve_value_zero_sum``, which hits values on the zero-sum image of
+the cached affine bridge (the identity for a zero-sum pair).  Sharing them
+is sound because ``core._verify_affine`` checks the bridge entry by entry
+when it is built, so the segment's points and every image value are payoffs
+the original matrices attain.  Every blocking-pair witness is replayed in
+the original matrices before it is reported, and the renegotiation check
+delegates to the CNE characterisation in ``renegotiation``.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .core import (
     seat_floor,
 )
 from .errors import CapExceededError, MatchGamesError, UnsupportedClassError
-from .qcqp import achieve_value_zero_sum, max_f_point, max_g_point, simplex_grid
+from .qcqp import achieve_value_zero_sum, max_f_point, max_g_point, pays_above, simplex_grid
 
 EXACT_INTERVAL = "exact_interval"
 EXACT_LP = "exact_lp"
@@ -77,6 +78,9 @@ class BlockingCoalitionWitness:
     method: str
     profiles: Dict[str, Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]] = field(default_factory=dict)
     hospital_gain: Optional[Fraction] = None
+    # Per repeated-class member: the hull distribution her cycle realises
+    # (her ``profiles`` entry is then (None, None)).
+    cycle_distributions: Dict[str, dict] = field(default_factory=dict)
 
 
 @dataclass
@@ -160,17 +164,19 @@ def _pair_block_profile(game: BimatrixGame, f_floor: Fraction, g_floor: Fraction
                     return x, y, None, grid_method(grid_mesh)
         return None
     fr = game.frontier
-    if f_floor >= fr.a_max or g_floor >= fr.m_max:
-        return None  # no profile pays that side above its floor
-    tr = fr.transform
-    if tr is not None:
+    if fr.segment is not None:
+        if not pays_above(game, f_floor, g_floor):
+            return None
+        # A block exists: its profile hits a point of the open interval on
+        # the zero-sum image.
+        tr = fr.transform
         z_lo = tr.image_doctor_value(f_floor)
         z_hi = -tr.image_hospital_value(g_floor)
         point = _open_interval_point(z_lo, z_hi, fr.z_min, fr.z_max)
-        if point is None:
-            return None
         x, y, _ = achieve_value_zero_sum(tr.image, point)
         return x, y, None, EXACT_INTERVAL
+    if f_floor >= fr.a_max or g_floor >= fr.m_max:
+        return None  # no profile pays that side above its floor
     best_f = max_f_point(game, g_floor)
     if best_f is None or best_f.f <= f_floor:
         return None
@@ -329,7 +335,7 @@ def _realise_coalition(instance, payoffs, doctors, h, epsilon, threshold):
     # Shrink the per-doctor slack until the summed seat values clear the bar.
     for halvings in range(64):
         delta = Fraction(1, 2 ** halvings)
-        profiles = {}
+        profiles, lams = {}, {}
         total = Fraction(0)
         ok = True
         for d, game, floor in zip(doctors, games, floors):
@@ -338,18 +344,20 @@ def _realise_coalition(instance, payoffs, doctors, h, epsilon, threshold):
                 ok = False
                 break
             f_val, g_val, x, y, lam = out
-            profiles[d] = (x, y, lam)
+            profiles[d] = (x, y)
+            if lam is not None:
+                lams[d] = lam
             total += g_val
         if ok and (threshold is None or total > threshold):
-            witness = BlockingCoalitionWitness(
+            return BlockingCoalitionWitness(
                 doctors=tuple(doctors),
                 hospital=h,
                 method=_label((CLASS_METHODS.get(g.class_tag, EXACT_INTERVAL) for g in games),
                               EXACT_INTERVAL),
+                profiles=profiles,
                 hospital_gain=(total - threshold + epsilon) if threshold is not None else None,
+                cycle_distributions=lams,
             )
-            witness.profiles = {d: (p[0], p[1]) for d, p in profiles.items()}
-            return witness
     return None
 
 

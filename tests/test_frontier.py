@@ -175,6 +175,145 @@ class TestValueQueries:
             max_f_point(game, F(0))
 
 
+# ---------------------------------------------------------------------------
+# The one-shot queries through the affine bridge, in Fraction arithmetic on
+# the zero-sum image: the reference for the integer segment.  Each returns
+# (f, g, z), z being the image value a witness hits.
+
+
+def _ref_max_f(fr, theta, strict):
+    tr = fr.transform
+    c = -tr.image_hospital_value(theta)
+    if c < fr.z_min or (strict and c == fr.z_min):
+        return None
+    if c >= fr.z_max:
+        return fr.a_max, fr.m_min, fr.z_max
+    return tr.original_doctor_value(c), theta, c
+
+
+def _ref_max_g(fr, beta, strict):
+    tr = fr.transform
+    b = tr.image_doctor_value(beta)
+    if b > fr.z_max or (strict and b == fr.z_max):
+        return None
+    if b <= fr.z_min:
+        return fr.a_min, fr.m_max, fr.z_min
+    return beta, tr.original_hospital_value(-b), b
+
+
+def _ref_exact(fr, f, g):
+    tr = fr.transform
+    z = tr.image_doctor_value(f)
+    if fr.z_min <= z <= fr.z_max and tr.original_hospital_value(-z) == g:
+        return f, g, z
+    return None
+
+
+def _ref_pays_above(fr, f_floor, g_floor):
+    if f_floor >= fr.a_max or g_floor >= fr.m_max:
+        return False
+    tr = fr.transform
+    z_lo, z_hi = tr.image_doctor_value(f_floor), -tr.image_hospital_value(g_floor)
+    return stability._open_interval_point(z_lo, z_hi, fr.z_min, fr.z_max) is not None
+
+
+def _one_shot_games(rng):
+    """Random zero-sum and strictly competitive games of both bridge
+    directions, and constant games of both classes."""
+    games = []
+    for game_class in ("zero_sum", "strictly_competitive"):
+        for _ in range(60):
+            games.append(random_game(rng, rng.randint(1, 4), rng.randint(1, 4), game_class,
+                                     max_denominator=rng.choice((1, 3))))
+        for _ in range(6):
+            rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+            a_value = F(rng.randint(-6, 6), rng.randint(1, 3))
+            m_value = -a_value if game_class == "zero_sum" else F(rng.randint(-6, 6), 2)
+            games.append(BimatrixGame(((a_value,) * cols,) * rows, ((m_value,) * cols,) * rows,
+                                      game_class))
+    return games
+
+
+def _segment_is_integer(seg):
+    return all(type(v) is int for v in (*seg.a_min, *seg.a_max, *seg.m_min, *seg.m_max,
+                                         seg.p, seg.q, seg.r))
+
+
+class TestIntegerSegment:
+    """The integer segment answers each one-shot question as the bridge does."""
+
+    def _assert_same_point(self, game, point, expected):
+        assert (point is None) == (expected is None), (game, expected)
+        if point is None:
+            return
+        f, g, z = expected
+        assert (point.f, point.g) == (f, g)
+        # The witness hits the reference's image value, so it is the same profile.
+        outcome = frontier_witness(game, point)
+        x, y, _ = qcqp.achieve_value_zero_sum(game.frontier.transform.image, z)
+        assert (outcome.x, outcome.y) == (x, y)
+
+    def test_queries_equal_the_bridge_reference(self):
+        rng = random.Random("integer-segment")
+        seen = set()
+        for game in _one_shot_games(rng):
+            fr = game.frontier
+            tr = fr.transform
+            seen.add("constant" if fr.a_min == fr.a_max else f"{game.class_tag}/{tr.direction}")
+            f_floors = _floors(rng, fr.a_min, fr.a_max)
+            g_floors = _floors(rng, fr.m_min, fr.m_max)
+            for strict in (False, True):
+                for theta in g_floors:
+                    self._assert_same_point(game, max_f_point(game, theta, strict),
+                                            _ref_max_f(fr, theta, strict))
+                for beta in f_floors:
+                    self._assert_same_point(game, max_g_point(game, beta, strict),
+                                            _ref_max_g(fr, beta, strict))
+            # Points on the line, inside and outside the segment, and off it.
+            on_line = [(f, tr.original_hospital_value(-tr.image_doctor_value(f))) for f in f_floors]
+            off_line = [(f, g + F(1, 7)) for f, g in on_line] + [(f, g) for f in f_floors[:4]
+                                                                 for g in g_floors[:4]]
+            for f, g in on_line + off_line:
+                self._assert_same_point(game, exact_point(game, f, g), _ref_exact(fr, f, g))
+            for f_floor in f_floors:
+                for g_floor in g_floors:
+                    assert (qcqp.pays_above(game, f_floor, g_floor)
+                            == _ref_pays_above(fr, f_floor, g_floor)), (game, f_floor, g_floor)
+        assert seen == {"constant", "zero_sum/doctor", "strictly_competitive/doctor",
+                        "strictly_competitive/hospital"}
+
+    def test_block_profiles_pay_above_both_floors(self):
+        rng = random.Random("segment-blocks")
+        blocked = 0
+        for game in _one_shot_games(rng):
+            fr = game.frontier
+            for f_floor in _floors(rng, fr.a_min, fr.a_max):
+                for g_floor in _floors(rng, fr.m_min, fr.m_max):
+                    found = _pair_block_profile(game, f_floor, g_floor)
+                    assert (found is not None) == _ref_pays_above(fr, f_floor, g_floor)
+                    if found is not None:
+                        blocked += 1
+                        x, y, _, _ = found
+                        assert bilinear(x, game.doctor_matrix, y) > f_floor
+                        assert bilinear(x, game.hospital_matrix, y) > g_floor
+        assert blocked
+
+    def test_one_shot_frontiers_are_set_on_construction(self):
+        rng = random.Random("frontier-on-construction")
+        for game_class in ("zero_sum", "strictly_competitive"):
+            game = random_game(rng, 2, 3, game_class)
+            assert "frontier" in vars(game)
+            assert _segment_is_integer(vars(game)["frontier"].segment)
+            assert "frontier" in vars(game.flipped)
+        repeated = random_game(rng, 2, 3, "repeated")
+        assert "frontier" not in vars(repeated)
+        assert repeated.frontier.segment is None and "frontier" in vars(repeated)
+        general = BimatrixGame(((F(1), F(0)),), ((F(0), F(1)),), "general")
+        assert "frontier" not in vars(general)
+        with pytest.raises(UnsupportedClassError, match="no exact frontier solver"):
+            general.frontier
+
+
 class TestParseRational:
     def test_memoised_literals_parse_exactly(self):
         assert parse_rational("3/6") == F(1, 2)

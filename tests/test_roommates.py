@@ -259,6 +259,25 @@ class TestRepeatedPairs:
         assert payoffs.doctor_payoffs == profile
 
 
+    def test_realize_solves_each_hull_lp_once(self, monkeypatch):
+        # Two LPs for the max equation (one per side), one exact point for
+        # the pair's demand edge, reused for its cycle.
+        from matchgames import qcqp
+
+        calls = []
+        hull_lp = qcqp._hull_lp
+        monkeypatch.setattr(qcqp, "_hull_lp",
+                            lambda *args, **kw: calls.append(kw) or hull_lp(*args, **kw))
+        doctors = {d: Doctor(d, F(0), ("c", "b")) for d in ("a", "b")}
+        inst = MatchingGameInstance(
+            model="roommates", doctors=doctors, hospitals={},
+            games={("a", "b"): BimatrixGame(PD_A, PD_M, "repeated")},
+        )
+        alloc = realize_aspiration(inst, {"a": F(2), "b": F(2)})
+        assert alloc.cycles[("a", "b")].cycle == ((0, 0),)
+        assert len(calls) == 3
+        assert [kw.get("f_exact") for kw in calls] == [None, None, F(2)]
+
     # Profile -> sha256 of the roommates-realize document of the repeated
     # prisoners' dilemma pair above.
     PINNED_REALIZE_DIGESTS = {

@@ -546,3 +546,40 @@ def test_per_agent_floors_give_the_per_pair_witnesses():
     assert seen == {("additive_separable", True), ("additive_separable", False),
                     ("roommates", True), ("roommates", False), ("coalition", True),
                     ("coalition", False), ("renegotiation", True), ("renegotiation", False)}
+
+
+def test_repeated_coalition_member_keeps_her_hull_distribution(tmp_path):
+    """A repeated-class member's witness is a hull distribution; it replays
+    to the payoffs the coalition claims, with the one-shot member's profile."""
+    from matchgames.cli import main
+    from matchgames.core import load_allocation, load_instance
+
+    inst_path, alloc_path = tmp_path / "inst.json", tmp_path / "alloc.json"
+    assert main(["gen", "--seed", "4", "--doctors", "6", "--hospitals", "3", "--classes",
+                 "zero_sum,strictly_competitive,repeated", "--output", str(inst_path)]) == 0
+    assert main(["solve-dac", "--input", str(inst_path), "--epsilon", "1/2",
+                 "--output", str(alloc_path)]) == 0
+    inst = load_instance(str(inst_path))
+    alloc = load_allocation(str(alloc_path))
+    eps = F(1, 2)
+    witness = find_blocking_coalition(inst, alloc, eps, max_coalition_size=4)
+    assert (witness.doctors, witness.hospital) == (("d4", "d5"), "h2")
+    assert inst.game_for("d4", "h2").class_tag == "repeated"
+    assert witness.profiles["d4"] == (None, None)
+    assert set(witness.cycle_distributions) == {"d4"}
+    payoffs = evaluate_payoffs(inst, alloc)
+    total = F(0)
+    for d in witness.doctors:
+        game = inst.game_for(d, witness.hospital)
+        a, m = game.doctor_matrix, game.hospital_matrix
+        lam = witness.cycle_distributions.get(d)
+        if lam is not None:
+            assert sum(lam.values()) == 1
+            f = sum(a[s][t] * w for (s, t), w in lam.items())
+            g = sum(m[s][t] * w for (s, t), w in lam.items())
+        else:
+            x, y = witness.profiles[d]
+            f, g = bilinear(x, a, y), bilinear(x, m, y)
+        assert f > payoffs.doctor_payoffs[d] + eps
+        total += g
+    assert total - payoffs.hospital_payoffs[witness.hospital] == witness.hospital_gain
