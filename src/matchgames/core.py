@@ -387,6 +387,34 @@ def _zero_sum_frontier(a: Matrix, m: Matrix) -> Frontier:
     return Frontier(lo, hi, hi_m, lo_m, IdentityTransform(_ONE, _ZERO, "doctor", a), lo, hi, seg)
 
 
+def _flipped_frontier(fr: Frontier, a: Matrix, m: Matrix) -> Frontier:
+    """The frontier that the validated constructor builds for the flipped
+    game (doctor matrix ``a``, the stored M transposed, and hospital matrix
+    ``m``, the stored A transposed), read off the stored frontier ``fr``.
+
+    The bounds of A and M swap places and the line r * g == p - q * f
+    becomes q * g == p - r * f, already divided by its gcd.  The bridge
+    keeps its ratio; it turns around unless the ranges of A and M are equal
+    (ratio 1, constant pairs included), where the constructor picks the
+    direction "doctor" both ways, and its shift then keeps its sign.
+    """
+    seg = fr.segment
+    seg = Segment(seg.m_min, seg.m_max, seg.a_min, seg.a_max, seg.p, seg.r, seg.q)
+    tr = fr.transform
+    if isinstance(tr, IdentityTransform):
+        tr = IdentityTransform(_ONE, _ZERO, "doctor", a)
+    elif tr.direction == "doctor" and tr.ratio != 1:
+        # A == ratio * (-M) + shift reads -m == ratio * a - shift.
+        tr = AffineTransform(tr.ratio, -tr.shift, "hospital", a)
+    else:
+        # -M == ratio * A + shift reads a == ratio * (-m) - shift; at ratio 1
+        # A == -M + shift reads a == -m + shift.
+        shift = tr.shift if tr.direction == "doctor" else -tr.shift
+        tr = AffineTransform(tr.ratio, shift, "doctor", m)
+    z = (fr.m_min, fr.m_max) if tr.direction == "hospital" else (-fr.a_max, -fr.a_min)
+    return Frontier(fr.m_min, fr.m_max, fr.a_min, fr.a_max, tr, *z, seg)
+
+
 @dataclass(frozen=True)
 class BimatrixGame:
     """A two-player game: doctor matrix A, hospital matrix M, class tag.
@@ -425,6 +453,12 @@ class BimatrixGame:
         return Frontier(*matrix_bounds(self.doctor_matrix), *matrix_bounds(self.hospital_matrix))
 
     @cached_property
+    def hull_answers(self) -> dict:
+        """A repeated game's hull-query answers, keyed by (objective,
+        floor) and filled by ``qcqp``; kept, as games are immutable."""
+        return {}
+
+    @cached_property
     def punishment(self):
         """``renegotiation.punishment_levels`` of the stage matrices: two
         game values, solved on first read and kept, as games are immutable."""
@@ -436,12 +470,17 @@ class BimatrixGame:
     def flipped(self) -> "BimatrixGame":
         """The game seen from the column player: both matrices transposed and
         their roles swapped.  Built once per game, so the view keeps its own
-        cached frontier."""
-        return BimatrixGame(
-            doctor_matrix=transpose(self.hospital_matrix),
-            hospital_matrix=transpose(self.doctor_matrix),
-            class_tag=self.class_tag,
-        )
+        cached frontier.  The view is not checked again: a one-shot view's
+        frontier is the stored one seen from the other side
+        (:func:`_flipped_frontier`)."""
+        view = object.__new__(BimatrixGame)
+        view.__dict__.update(doctor_matrix=transpose(self.hospital_matrix),
+                             hospital_matrix=transpose(self.doctor_matrix),
+                             class_tag=self.class_tag)
+        if self.class_tag in (ZERO_SUM, STRICTLY_COMPETITIVE):
+            view.__dict__["frontier"] = _flipped_frontier(
+                self.frontier, view.doctor_matrix, view.hospital_matrix)
+        return view
 
     @property
     def n_rows(self) -> int:

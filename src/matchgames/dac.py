@@ -8,21 +8,28 @@ it can concede while staying above its reservation (best option elsewhere),
 the higher bid wins, ties keep the incumbent, and the winner settles at the
 loser's bid.
 
-Options are repriced only when their hospital's seats move.  A doctor's
-option at hospital h is a function of the instance, epsilon and h's seats
-alone: whether h is full, its weakest seat value and that seat's doctor.
-``SeatBook`` counts the writes to each hospital's seats (direct
-``seats[(h, d)] = ...`` writes and ``del`` included), and ``DacState`` keeps
-each doctor's last option at h with the count it was priced under.
-``hospital_options`` (and through it ``reservation_value`` and
-``competition_bid``) calls ``qcqp.max_f_point`` again only for hospitals
-whose count moved since that doctor last looked.  A reused option is the
-value the same call would return on the unchanged seats, so the memo cannot
-change an answer.
+Options are repriced only when their hospital's seats move, and ranked
+once per state.  A doctor's option at hospital h is a function of the
+instance, epsilon and h's seats alone: whether h is full, its weakest seat
+value and that seat's doctor.  ``SeatBook`` counts the writes to each
+hospital's seats and to the whole book (direct ``seats[(h, d)] = ...``
+writes and ``del`` included).  ``DacState`` keeps each doctor's last option
+value at h, an integer ratio from ``qcqp.max_f_value``, with the count it
+was priced under, and her ranking with the book's total count: her best
+option and her best option at another hospital.  ``optimal_proposal`` reads
+the best, ``reservation_value`` (and through it ``competition_bid``) the
+best outside the contested hospital, so the proposer's bid reuses the
+ranking that chose her proposal.  A new ranking prices again only the
+hospitals whose count moved since that doctor last looked and compares
+values by integer cross products.  A reused option is the value the same
+call would return on the unchanged seats, so the memo cannot change an
+answer.
 
-Only what an answer reads is built.  A seat holds its ``FrontierPoint``, the
-exact payoffs of the seat, and ``DacState.to_allocation`` builds the witness
-profile of each final seat once; accepts and settlements price by value.
+Only what an answer reads is built.  A proposal builds the one
+``FrontierPoint`` it seats, and a reservation the one Fraction it bids
+from.  A seat holds its ``FrontierPoint``, the exact payoffs of the seat,
+and ``DacState.to_allocation`` builds the witness profile of each final
+seat once; accepts and settlements price by value.
 The trace keeps one typed record per event and renders its text lines only
 when ``DacTrace.events`` is read.
 """
@@ -37,6 +44,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 from .core import (
     ADDITIVE_SEPARABLE,
     Allocation,
+    BimatrixGame,
     MatchingGameInstance,
     format_rational,
     store_witness,
@@ -47,6 +55,7 @@ from .qcqp import (
     PairOutcome,
     frontier_witness,
     max_f_point,
+    max_f_value,
     max_g_point,
 )
 
@@ -128,15 +137,18 @@ class SeatBook(MutableMapping):
 
     Every write, including a direct ``seats[(h, d)] = seat`` or a
     ``del``, updates the hospital's member index, drops its cached weakest
-    seat and counts one more write to the hospital, so queries never rescan
-    the other hospitals' seats and option memos see which hospitals moved.
+    seat and counts one more write to the hospital (``write_counts[h]``,
+    absent until the first) and to the book (``total_writes``), so queries
+    never rescan the other hospitals' seats and option memos see whether
+    and which hospitals moved.
     """
 
     def __init__(self, seats=()):
         self._seats: Dict[Tuple[str, str], Seat] = {}
         self._by_hospital: Dict[str, Dict[str, Seat]] = {}
         self._weakest: Dict[str, Tuple[Fraction, str]] = {}
-        self._writes: Dict[str, int] = {}
+        self.write_counts: Dict[str, int] = {}
+        self.total_writes = 0
         self.update(seats)
 
     def __getitem__(self, key):
@@ -156,11 +168,8 @@ class SeatBook(MutableMapping):
 
     def _touch(self, h: str):
         self._weakest.pop(h, None)
-        self._writes[h] = self._writes.get(h, 0) + 1
-
-    def writes(self, h: str) -> int:
-        """How many writes h's seats have had."""
-        return self._writes.get(h, 0)
+        self.write_counts[h] = self.write_counts.get(h, 0) + 1
+        self.total_writes += 1
 
     def __iter__(self):
         return iter(self._seats)
@@ -182,6 +191,9 @@ class SeatBook(MutableMapping):
 
 
 Option = Tuple[Fraction, int, str, Optional[str], FrontierPoint]
+# An option's value as an integer ratio (numerator, positive denominator),
+# with its hospital; ``qcqp.max_f_value`` answers in this form.
+Ranked = Tuple[int, int, str]
 
 
 @dataclass
@@ -189,11 +201,15 @@ class DacState:
     """One DAC run's seats and matching.
 
     Instance, epsilon and the seat book stay the same objects for the
-    state's life.  ``priced[d][h]`` is (index of h, write count of h's seats
-    when last priced, doctor d's option at h or None when h is out of
-    reach), for every h that d has a game with; the count is -1 until d
-    first prices h.  ``bars[h]`` is (write count, threshold, displaced) of
-    :meth:`bar`.
+    state's life.  ``priced[d][h]`` is (index of h, the game of d and h,
+    write count of h's seats when last priced, the value of doctor d's
+    option at h as an integer ratio, or None when h is out of reach), for
+    every h that d has a game with, in hospital index order; the count is
+    -1 until d first prices h.
+    ``ranked[d]`` is (the seat book's total write count when ranked, d's
+    best option, her best option at another hospital), each a
+    :data:`Ranked` or None.  ``bars[h]`` is (write count, threshold,
+    displaced) of :meth:`bar`.
     """
 
     instance: MatchingGameInstance
@@ -202,7 +218,9 @@ class DacState:
     seats: SeatBook = field(default_factory=SeatBook)
     unmatched: List[str] = field(default_factory=list)
     trace: DacTrace = field(default_factory=DacTrace)
-    priced: Dict[str, Dict[str, Tuple[int, int, Optional[Option]]]] = field(
+    priced: Dict[str, Dict[str, Tuple[int, BimatrixGame, int, Optional[Tuple[int, int]]]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    ranked: Dict[str, Tuple[int, Optional[Ranked], Optional[Ranked]]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     bars: Dict[str, Tuple[int, Fraction, str]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -233,7 +251,7 @@ class DacState:
         displaces that seat's doctor; otherwise the baseline plus epsilon
         takes a free seat.  Computed once per write to h's seats.
         """
-        now = self.seats.writes(h)
+        now = self.seats.write_counts.get(h, 0)
         held = self.bars.get(h)
         if held is None or held[0] != now:
             if self.is_full(h):
@@ -254,36 +272,67 @@ class DacState:
         return allocation
 
 
-def hospital_options(state: DacState, d: str, exclude: Tuple[str, ...] = ()) -> List[Option]:
-    """Feasible (value, hospital_index, hospital, displaced, point) options.
+def _ranked(state: DacState, d: str) -> Tuple[Optional[Ranked], Optional[Ranked]]:
+    """Doctor d's best option and her best option at another hospital.
 
-    Options are priced by value only.  Each option is repriced only when its
-    hospital's seats have been written since d last looked.
+    Ranked once per seat-book state: the pair is reused until some seat is
+    written.  A new ranking reprices only the hospitals whose seats were
+    written since d last looked, and compares values as integer ratios.
+    Equal values go to the lowest hospital index.
     """
+    seats = state.seats
+    total = seats.total_writes
+    held = state.ranked.get(d)
+    if held is not None and held[0] == total:
+        return held[1], held[2]
     priced = state.priced.get(d)
     if priced is None:
         instance = state.instance
-        priced = state.priced[d] = {h: (idx, -1, None)
+        priced = state.priced[d] = {h: (idx, instance.game_for(d, h), -1, None)
                                     for idx, h in enumerate(instance.hospital_ids)
                                     if instance.has_game(d, h)}
-    writes = state.seats.writes
-    options = []
-    for h, (idx, priced_at, option) in priced.items():
-        if h in exclude:
-            continue
-        now = writes(h)
+    writes = seats.write_counts.get
+    best = second = None
+    for h, (idx, game, priced_at, value) in priced.items():
+        now = writes(h, 0)
         if priced_at != now:
-            option = _price_option(state, d, idx, h)
-            priced[h] = (idx, now, option)
-        if option is not None:
-            options.append(option)
+            value = max_f_value(game, state.bar(h)[0])
+            priced[h] = (idx, game, now, value)
+        if value is None:
+            continue
+        n, q = value
+        if best is None or n * best[1] > best[0] * q:
+            best, second = (n, q, h), best
+        elif second is None or n * second[1] > second[0] * q:
+            second = (n, q, h)
+    state.ranked[d] = (total, best, second)
+    return best, second
+
+
+def _beats(option: Optional[Ranked], value: Fraction) -> bool:
+    """Whether a ranked option is worth strictly more than ``value``."""
+    if option is None:
+        return False
+    vn, vd = value.as_integer_ratio()
+    return option[0] * vd > vn * option[1]
+
+
+def hospital_options(state: DacState, d: str, exclude: Tuple[str, ...] = ()) -> List[Option]:
+    """Feasible (value, hospital_index, hospital, displaced, point) options,
+    in hospital index order.
+
+    A view over the ranking's memo: it reprices what moved, then builds
+    each option's point at its hospital's bar.
+    """
+    _ranked(state, d)
+    options = []
+    for h, (idx, game, _, value) in state.priced[d].items():
+        if value is None or h in exclude:
+            continue
+        threshold, displaced = state.bar(h)
+        point = max_f_point(game, threshold)
+        options.append((point.f, idx, h, displaced, point))
     return options
-
-
-def _price_option(state: DacState, d: str, idx: int, h: str) -> Optional[Option]:
-    threshold, displaced = state.bar(h)
-    point = max_f_point(state.instance.game_for(d, h), threshold)
-    return None if point is None else (point.f, idx, h, displaced, point)
 
 
 def optimal_proposal(state: DacState, d: str) -> Proposal:
@@ -291,22 +340,24 @@ def optimal_proposal(state: DacState, d: str) -> Proposal:
 
     The unmatched option always competes; a hospital is chosen only when it
     beats the doctor's IRP strictly.  Value ties across hospitals go to the
-    lowest hospital index.
+    lowest hospital index.  Only the chosen option's point is built.
     """
     irp = state.instance.doctors[d].irp
-    options = hospital_options(state, d)
-    if options:
-        # max keeps the first of equal values: the lowest hospital index.
-        value, _, h, displaced, point = max(options, key=lambda opt: opt[0])
-        if value > irp:
-            return Proposal(hospital=h, displaced=displaced, doctor_value=value, point=point)
+    best, _ = _ranked(state, d)
+    if _beats(best, irp):
+        h = best[2]
+        threshold, displaced = state.bar(h)
+        point = max_f_point(state.instance.game_for(d, h), threshold)
+        return Proposal(hospital=h, displaced=displaced, doctor_value=point.f, point=point)
     return Proposal(hospital=None, displaced=None, doctor_value=irp)
 
 
 def reservation_value(state: DacState, d: str, h: str) -> Fraction:
     """Best value d can secure outside hospital h (including staying single)."""
     irp = state.instance.doctors[d].irp
-    return max([irp] + [opt[0] for opt in hospital_options(state, d, exclude=(h,))])
+    best, second = _ranked(state, d)
+    outside = second if best is not None and best[2] == h else best
+    return Fraction(outside[0], outside[1]) if _beats(outside, irp) else irp
 
 
 def competition_bid(state: DacState, d: str, h: str):

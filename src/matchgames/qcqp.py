@@ -187,9 +187,14 @@ def distribution_to_cycle(lam: LambdaDistribution, a: Matrix, m: Matrix) -> Cycl
 # it, builds a witness profile realising that value.  A one-shot pair's
 # payoff set is one segment, from (a_min, m_max) to (a_max, m_min) on the
 # line r * g == p - q * f (``core.Segment``), kept in integers: its queries
-# compare integer cross products against the endpoints and build at most
-# one Fraction per answer, and a floor that binds is paid exactly.  Repeated
-# pairs query the payoff hull by LP.  A one-shot witness hits the value z
+# compare integer cross products against the endpoints, and a floor that
+# binds is paid exactly.  The value queries ``max_f_value`` and
+# ``max_g_value`` return the answer as an integer (numerator, denominator)
+# pair and build no Fraction, so callers that rank many options compare
+# them as integer ratios; the point queries build on them and make at most
+# one Fraction per answer.  Repeated pairs query the payoff hull by LP; each
+# answer is kept on the game, so a value query and the point query that
+# follows it share one LP.  A one-shot witness hits the value z
 # on the zero-sum image of the affine bridge, which is the doctor's payoff
 # f, or -g in the bridge direction "doctor" (where the image is -M).
 
@@ -216,46 +221,97 @@ class FrontierPoint(NamedTuple):
     lam: Optional[LambdaDistribution] = None
 
 
-def max_f_point(game: BimatrixGame, theta: Fraction,
-                strict: bool = False) -> Optional[FrontierPoint]:
-    """Value of :func:`max_f_given_g_floor` without a witness profile."""
-    fr = game.frontier
-    seg = fr.segment
+def max_f_value(game: BimatrixGame, theta: Fraction,
+                strict: bool = False) -> Optional[Tuple[int, int]]:
+    """The doctor payoff of :func:`max_f_point` as a (numerator,
+    denominator) pair with a positive denominator, not always in lowest
+    terms, or None when the floor is out of reach.
+
+    A one-shot game answers on its integer segment and builds no Fraction;
+    a slack floor's answer is the segment's own ``a_max`` pair.
+    """
+    seg = game.frontier.segment
     if seg is None:
-        if theta > fr.m_max or (strict and theta == fr.m_max):
-            return None
-        lam, (f, g) = _hull_lp(game.doctor_matrix, game.hospital_matrix,
-                               objective=("max_f",), g_floor=theta)
-        return FrontierPoint(f, g, lam)
+        point = _hull_point(game, "max_f", theta, strict)
+        return None if point is None else point.f.as_integer_ratio()
     tn, td = theta.as_integer_ratio()
-    _, _, (lo_n, lo_d), (hi_n, hi_d), p, q, r = seg
+    _, a_max, (lo_n, lo_d), (hi_n, hi_d), p, q, r = seg
     over = tn * hi_d - hi_n * td  # the sign of theta - m_max
     if over > 0 or (strict and over == 0):
         return None
     if tn * lo_d <= lo_n * td:  # a slack floor: the doctor's best payoff
+        return a_max
+    return p * td - r * tn, q * td
+
+
+def max_g_value(game: BimatrixGame, beta: Fraction,
+                strict: bool = False) -> Optional[Tuple[int, int]]:
+    """The partner payoff of :func:`max_g_point` as :func:`max_f_value`
+    gives the doctor's; a slack floor's answer is the segment's ``m_max``."""
+    seg = game.frontier.segment
+    if seg is None:
+        point = _hull_point(game, "max_g", beta, strict)
+        return None if point is None else point.g.as_integer_ratio()
+    bn, bd = beta.as_integer_ratio()
+    (lo_n, lo_d), (hi_n, hi_d), _, m_max, p, q, r = seg
+    over = bn * hi_d - hi_n * bd  # the sign of beta - a_max
+    if over > 0 or (strict and over == 0):
+        return None
+    if bn * lo_d <= lo_n * bd:  # a slack floor: the partner's best payoff
+        return m_max
+    return p * bd - q * bn, r * bd
+
+
+def max_f_point(game: BimatrixGame, theta: Fraction,
+                strict: bool = False) -> Optional[FrontierPoint]:
+    """Value of :func:`max_f_given_g_floor` without a witness profile."""
+    fr = game.frontier
+    if fr.segment is None:
+        return _hull_point(game, "max_f", theta, strict)
+    value = max_f_value(game, theta, strict)
+    if value is None:
+        return None
+    if value is fr.segment.a_max:  # a slack floor, answered by the stored pair
         return FrontierPoint(fr.a_max, fr.m_min)
-    return FrontierPoint(Fraction(p * td - r * tn, q * td), theta)
+    return FrontierPoint(Fraction(*value), theta)
 
 
 def max_g_point(game: BimatrixGame, beta: Fraction,
                 strict: bool = False) -> Optional[FrontierPoint]:
     """Value of :func:`max_g_given_f_floor` without a witness profile."""
     fr = game.frontier
-    seg = fr.segment
-    if seg is None:
-        if beta > fr.a_max or (strict and beta == fr.a_max):
-            return None
-        lam, (f, g) = _hull_lp(game.doctor_matrix, game.hospital_matrix,
-                               objective=("max_g",), f_floor=beta)
-        return FrontierPoint(f, g, lam)
-    bn, bd = beta.as_integer_ratio()
-    (lo_n, lo_d), (hi_n, hi_d), _, _, p, q, r = seg
-    over = bn * hi_d - hi_n * bd  # the sign of beta - a_max
-    if over > 0 or (strict and over == 0):
+    if fr.segment is None:
+        return _hull_point(game, "max_g", beta, strict)
+    value = max_g_value(game, beta, strict)
+    if value is None:
         return None
-    if bn * lo_d <= lo_n * bd:  # a slack floor: the partner's best payoff
+    if value is fr.segment.m_max:  # a slack floor, answered by the stored pair
         return FrontierPoint(fr.a_min, fr.m_max)
-    return FrontierPoint(beta, Fraction(p * bd - q * bn, r * bd))
+    return FrontierPoint(beta, Fraction(*value))
+
+
+def _hull_point(game: BimatrixGame, objective: str, floor: Fraction,
+                strict: bool) -> Optional[FrontierPoint]:
+    """:func:`max_f_point` ("max_f", a floor on g) or :func:`max_g_point`
+    ("max_g", a floor on f) of a repeated game, on its payoff hull.
+
+    Each LP answer is kept on the game by (objective, floor)
+    (``BimatrixGame.hull_answers``), so a value query and the point query
+    that follows it, such as a DAC proposal's, share one LP.  Callers only
+    read the point's distribution.
+    """
+    fr = game.frontier
+    top = fr.m_max if objective == "max_f" else fr.a_max
+    if floor > top or (strict and floor == top):
+        return None
+    answers = game.hull_answers
+    point = answers.get((objective, floor))
+    if point is None:
+        side = {"g_floor": floor} if objective == "max_f" else {"f_floor": floor}
+        lam, (f, g) = _hull_lp(game.doctor_matrix, game.hospital_matrix,
+                               objective=(objective,), **side)
+        point = answers[(objective, floor)] = FrontierPoint(f, g, lam)
+    return point
 
 
 def exact_point(game: BimatrixGame, f: Fraction, g: Fraction) -> Optional[FrontierPoint]:

@@ -65,7 +65,9 @@ from .qcqp import (
     _hull_lp,
     exact_point,
     max_f_point,
+    max_f_value,
     max_g_point,
+    max_g_value,
 )
 
 SADDLE_VALUE = "saddle_value"
@@ -130,13 +132,20 @@ class _PayoffLedger:
     agents it moves.  A doctor's options are at hospitals she does not sit
     at, so a bar reads all of a hospital's seats.
 
-    Outside options are memoised.  An option of d at hospital k depends only
-    on k's bar (in the roommates model, on k's floor), and an option of
-    hospital h for outside doctor k only on k's floor.  ``record`` bumps a
-    write counter per agent it touches, keyed by side so that a doctor and a
-    hospital sharing an id string stay apart, and an option is repriced only
-    when the counter of the agent it depends on has moved.  A shared
-    ``payoffs`` report is copied, never written.
+    Outside options are ranked once and compared as integer ratios
+    (``qcqp.max_f_value`` and ``max_g_value``); only the best value becomes
+    a Fraction.  Each agent's candidate list, with the game and the last
+    value of every option, is built on first use.  An option of d at
+    partner k depends only on k's bar (in the roommates model, on k's
+    floor), and an option of hospital h with outside doctor k only on k's
+    floor.  ``record`` bumps a write counter per agent it touches, keyed by
+    side so that a doctor and a hospital sharing an id string stay apart,
+    and an option is repriced only when the counter of the agent it depends
+    on has moved.  A hospital's whole reservation is kept too: it reads
+    only the floors of doctors outside h, and as the matching is fixed,
+    every record at another hospital moves one of them while a record at h
+    moves only h's members, so the answer is reused until a record happens
+    elsewhere.  A shared ``payoffs`` report is copied, never written.
     """
 
     def __init__(self, instance: MatchingGameInstance, allocation: Allocation,
@@ -151,8 +160,13 @@ class _PayoffLedger:
         self.doctor_floors = {d: f + epsilon for d, f in self.doctor_payoffs.items()}
         self.hospital_bars = {h: self._bar(h) for h in instance.hospitals}
         self._writes: Dict[Tuple[str, str], int] = {}
-        self._doctor_priced: Dict[Tuple[str, str], Tuple[int, Optional[Fraction]]] = {}
-        self._hospital_priced: Dict[Tuple[str, str], Tuple[int, Optional[Fraction]]] = {}
+        self._records = 0
+        # Agent -> [partner, agent the option depends on, game, write count
+        # when priced, value as an integer ratio or None], one per option.
+        self._doctor_options: Dict[str, List[list]] = {}
+        self._hospital_options: Dict[str, List[list]] = {}
+        # Hospital -> (records at other hospitals when ranked, reservation).
+        self._hospital_reservations: Dict[str, Tuple[int, Fraction]] = {}
 
     def _bar(self, h: str) -> Fraction:
         return seat_floor(self.instance.hospitals[h], self.members.get(h, ()),
@@ -172,6 +186,7 @@ class _PayoffLedger:
             moved = ((DOCTOR, d), (HOSPITAL, partner))
         for agent in moved:
             self._writes[agent] = self._writes.get(agent, 0) + 1
+        self._records += 1
 
     def pair_payoffs(self, couples) -> Dict[Tuple[str, str], Tuple[Fraction, Fraction]]:
         return {(d, p): (self.doctor_payoffs[d], self._partner_value(d, p)) for d, p in couples}
@@ -183,47 +198,58 @@ class _PayoffLedger:
         doctor_res = self._doctor_outside_value(d, partner)
         if self.roommates:
             return ReservationPair(doctor_res, self._doctor_outside_value(partner, d))
-        instance, h = self.instance, partner
-        best = instance.hospitals[h].irp
-        members = self.members.get(h, ())
-        for k in instance.doctor_ids:
-            if k in members or not instance.has_game(k, h):
-                continue
-            g = self._memo(self._hospital_priced, (k, h), (DOCTOR, k), self._hospital_option)
-            if g is not None and g > best:
-                best = g
-        return ReservationPair(doctor_res, best)
+        return ReservationPair(doctor_res, self._hospital_reservation(partner))
 
     def _doctor_outside_value(self, d, exclude):
-        best = self.instance.doctors[d].irp
-        side = DOCTOR if self.roommates else HOSPITAL
-        for k in self.instance.partner_options(d):
-            if k == exclude:
-                continue
-            f = self._memo(self._doctor_priced, (d, k), (side, k), self._doctor_option)
-            if f is not None and f > best:
-                best = f
+        """d's best payoff at a partner other than ``exclude``, strictly
+        beating the partner's bar (in the roommates model, her floor), or
+        d's IRP when no option pays more."""
+        options = self._doctor_options.get(d)
+        if options is None:
+            side = DOCTOR if self.roommates else HOSPITAL
+            options = self._doctor_options[d] = [
+                [k, (side, k), self.instance.game_for(d, k), -1, None]
+                for k in self.instance.partner_options(d)]
+        bars = self.doctor_floors if self.roommates else self.hospital_bars
+        return self._best(self.instance.doctors[d].irp, options, exclude, bars, max_f_value)
+
+    def _hospital_reservation(self, h):
+        """h's best seat value with an outside doctor, granting her strictly
+        more than her floor, or h's baseline when no option pays more."""
+        stamp = self._records - self._writes.get((HOSPITAL, h), 0)
+        held = self._hospital_reservations.get(h)
+        if held is not None and held[0] == stamp:
+            return held[1]
+        options = self._hospital_options.get(h)
+        if options is None:
+            instance, members = self.instance, self.members.get(h, ())
+            options = self._hospital_options[h] = [
+                [k, (DOCTOR, k), instance.game_for(k, h), -1, None]
+                for k in instance.doctor_ids if k not in members and instance.has_game(k, h)]
+        best = self._best(self.instance.hospitals[h].irp, options, None,
+                          self.doctor_floors, max_g_value)
+        self._hospital_reservations[h] = (stamp, best)
         return best
 
-    def _memo(self, priced, key, agent, price):
-        """``price(*key)``, reused while the agent it depends on is unwritten."""
-        now = self._writes.get(agent, 0)
-        memo = priced.get(key)
-        if memo is None or memo[0] != now:
-            memo = priced[key] = (now, price(*key))
-        return memo[1]
-
-    def _doctor_option(self, d, k):
-        """d's best payoff at partner k, strictly beating k's bar."""
-        bar = self.doctor_floors[k] if self.roommates else self.hospital_bars[k]
-        point = max_f_point(self.instance.game_for(d, k), bar, strict=True)
-        return None if point is None else point.f
-
-    def _hospital_option(self, k, h):
-        """h's best seat value with outside doctor k, granting k strictly more
-        than her floor."""
-        point = max_g_point(self.instance.game_for(k, h), self.doctor_floors[k], strict=True)
-        return None if point is None else point.g
+    def _best(self, base, options, exclude, floors, query):
+        """The largest of ``base`` and the options' values other than
+        ``exclude``'s, each ``query(game, floors[partner], strict=True)`` and
+        reused while the agent it depends on is unwritten."""
+        writes = self._writes
+        bn, bd = base.as_integer_ratio()
+        best = None
+        for option in options:
+            k, agent, game, priced_at, value = option
+            if k == exclude:
+                continue
+            now = writes.get(agent, 0)
+            if priced_at != now:
+                value = option[4] = query(game, floors[k], True)
+                option[3] = now
+            if value is not None and value[0] * bd > bn * value[1]:
+                bn, bd = value
+                best = value
+        return base if best is None else Fraction(bn, bd)
 
 
 # ---------------------------------------------------------------------------

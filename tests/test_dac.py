@@ -21,6 +21,7 @@ from matchgames import dac
 from matchgames.dac import (
     DacState,
     FREE_SEAT,
+    Proposal,
     competition_bid,
     hospital_options,
     optimal_proposal,
@@ -30,7 +31,7 @@ from matchgames.dac import (
 )
 from matchgames.errors import EpsilonNotPositiveError
 from matchgames.gen import generate_instance
-from matchgames.qcqp import PairOutcome, max_f_given_g_floor, max_f_point
+from matchgames.qcqp import PairOutcome, max_f_given_g_floor, max_f_point, max_f_value
 from matchgames.stability import check_individual_rationality, find_blocking_pair
 
 from fixtures import multi_auction_instance
@@ -272,22 +273,64 @@ def test_memoised_runs_match_pinned_digests(seed):
     assert _dac_digest(mixed, eps) == PINNED_MIXED_20X6[seed]
 
 
-def _fresh_options(state, d, exclude=()):
+def _fresh_options(state, d, exclude=(), price=max_f_point):
     """Every option priced anew from the raw seats, with no index or memo."""
     inst, eps = state.instance, state.epsilon
+    seats = {}
+    for (h, dd), seat in state.seats.items():
+        seats.setdefault(h, []).append((seat.g, dd))
     options = []
     for idx, h in enumerate(inst.hospital_ids):
         if h in exclude or not inst.has_game(d, h):
             continue
-        held = sorted((o.g, dd) for (hh, dd), o in state.seats.items() if hh == h)
+        held = sorted(seats.get(h, ()))
         if len(held) >= inst.hospitals[h].quota:
             threshold, displaced = held[0][0] + eps, held[0][1]
         else:
             threshold, displaced = inst.hospitals[h].irp + eps, FREE_SEAT
-        point = max_f_point(inst.game_for(d, h), threshold)
+        point = price(inst.game_for(d, h), threshold)
         if point is not None:
             options.append((point.f, idx, h, displaced, point))
     return options
+
+
+def _fresh_answers(state, price=max_f_point):
+    """Each doctor's proposal and reservations (by hospital) from the fresh scan."""
+    inst = state.instance
+    answers = {}
+    for d in inst.doctor_ids:
+        fresh = _fresh_options(state, d, price=price)
+        irp = inst.doctors[d].irp
+        proposal = Proposal(hospital=None, displaced=None, doctor_value=irp)
+        if fresh:
+            value, _, h, displaced, point = max(fresh, key=lambda opt: opt[0])
+            if value > irp:
+                proposal = Proposal(hospital=h, displaced=displaced, doctor_value=value,
+                                    point=point)
+        by_value = sorted(fresh, key=lambda opt: opt[0], reverse=True)
+        reservations = {h: max(irp, next((opt[0] for opt in by_value if opt[2] != h), irp))
+                        for h in inst.hospital_ids if inst.has_game(d, h)}
+        answers[d] = proposal, reservations
+    return answers
+
+
+def _assert_options_fresh(state, price=max_f_point, scans=None):
+    """Proposals and reservations equal the fresh scan.
+
+    ``scans`` may keep the fresh answers of each seat content seen, as the
+    scan reads nothing else of the state.
+    """
+    content = tuple((key, seat.f, seat.g) for key, seat in state.seats.items())
+    if scans is None:
+        answers = _fresh_answers(state, price)
+    elif content in scans:
+        answers = scans[content]
+    else:
+        answers = scans[content] = _fresh_answers(state, price)
+    for d, (proposal, reservations) in answers.items():
+        assert optimal_proposal(state, d) == proposal
+        for h, value in reservations.items():
+            assert reservation_value(state, d, h) == value
 
 
 def test_direct_seat_writes_reprice_options(monkeypatch):
@@ -299,24 +342,23 @@ def test_direct_seat_writes_reprice_options(monkeypatch):
 
     def counting(game, theta):
         priced.append(theta)
-        return max_f_point(game, theta)
+        return max_f_value(game, theta)
 
-    monkeypatch.setattr(dac, "max_f_point", counting)
+    monkeypatch.setattr(dac, "max_f_value", counting)
 
     def agree():
+        _assert_options_fresh(state)
         for d in inst.doctor_ids:
             assert hospital_options(state, d) == _fresh_options(state, d)
-            for h in inst.hospital_ids:
-                expected = max([inst.doctors[d].irp]
-                               + [o[0] for o in _fresh_options(state, d, exclude=(h,))])
-                assert reservation_value(state, d, h) == expected
 
     agree()
     # A seat some doctor could take at the free-seat baseline.
     h, holder, first = next(
         (h, d, seat) for h in inst.hospital_ids for d in inst.doctor_ids
         if (seat := max_f_given_g_floor(inst.game_for(d, h), inst.hospitals[h].irp + eps)))
-    for seat in (first, PairOutcome(f=first.f - 1, g=first.g + 1)):
+    # Direct writes that raise h's bar, then lower it below the first seat's.
+    for seat in (first, PairOutcome(f=first.f - 1, g=first.g + 1),
+                 PairOutcome(f=first.f + 1, g=first.g - 1)):
         priced.clear()
         state.seats[(h, holder)] = seat  # a direct write: h is now full
         agree()
@@ -324,6 +366,42 @@ def test_direct_seat_writes_reprice_options(monkeypatch):
         assert len(priced) == sum(inst.has_game(d, h) for d in inst.doctor_ids)
     del state.seats[(h, holder)]
     agree()
+
+
+@pytest.mark.parametrize("size, classes", [
+    ((40, 10), ["zero_sum"]),
+    ((20, 6), ["zero_sum", "strictly_competitive", "repeated"]),
+])
+def test_ranked_options_equal_a_fresh_scan_after_every_event(monkeypatch, size, classes):
+    eps = F(1, 2)
+    inst = generate_instance(seed=3, n_doctors=size[0], n_hospitals=size[1], classes=classes)
+    expected = serialize_allocation(run_dac(inst, eps)[0])
+    # A hull LP answers the same (game, floor) the same way, so the fresh
+    # scan may reuse its answers; its seats and bars are read afresh.
+    answers = {}
+
+    def price(game, theta):
+        key = (id(game), theta)
+        if key not in answers:
+            answers[key] = max_f_point(game, theta)
+        return answers[key]
+
+    states, scans = [], {}
+    post_init, log = DacState.__post_init__, dac.DacTrace.log
+
+    def capture(self):
+        post_init(self)
+        states.append(self)
+
+    def checking(self, kind, *fields):
+        log(self, kind, *fields)
+        _assert_options_fresh(states[-1], price, scans)
+
+    monkeypatch.setattr(DacState, "__post_init__", capture)
+    monkeypatch.setattr(dac.DacTrace, "log", checking)
+    allocation, trace = run_dac(inst, eps)
+    assert trace.competitions > 0
+    assert serialize_allocation(allocation) == expected
 
 
 def _reference_one_to_one_dac(instance, eps):

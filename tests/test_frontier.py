@@ -32,8 +32,10 @@ from matchgames.qcqp import (
     frontier_witness,
     max_f_given_g_floor,
     max_f_point,
+    max_f_value,
     max_g_given_f_floor,
     max_g_point,
+    max_g_value,
 )
 from matchgames.renegotiation import (
     ReservationPair,
@@ -91,6 +93,58 @@ class TestValueQueries:
                     assert (point is None) == (outcome is None)
                     if point is not None:
                         assert (point.f, point.g) == (outcome.f, outcome.g)
+
+    @pytest.mark.parametrize("game_class", ("one_shot", "repeated"))
+    def test_integer_values_equal_the_points(self, game_class):
+        rng = random.Random(f"integer-values-{game_class}")
+        if game_class == "repeated":
+            games = [random_game(rng, rng.randint(1, 4), rng.randint(1, 4), "repeated",
+                                 max_denominator=2) for _ in range(12)]
+        else:
+            games = _one_shot_games(rng)
+
+        def same(value, point, coordinate):
+            assert (value is None) == (point is None)
+            if value is not None:
+                n, d = value
+                assert type(n) is int and type(d) is int and d > 0
+                assert F(n, d) == coordinate(point)
+
+        for game in games:
+            fr = game.frontier
+            for strict in (False, True):
+                for theta in _floors(rng, fr.m_min, fr.m_max):
+                    same(max_f_value(game, theta, strict), max_f_point(game, theta, strict),
+                         lambda point: point.f)
+                for beta in _floors(rng, fr.a_min, fr.a_max):
+                    same(max_g_value(game, beta, strict), max_g_point(game, beta, strict),
+                         lambda point: point.g)
+
+    def test_repeated_queries_solve_each_hull_lp_once(self, monkeypatch):
+        # A value query and the point query at the same floor share one LP,
+        # and the kept answer is the LP's.
+        rng = random.Random("hull-answers")
+        calls = []
+        hull_lp = qcqp._hull_lp
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return hull_lp(*args, **kwargs)
+
+        monkeypatch.setattr(qcqp, "_hull_lp", counting)
+        for _ in range(6):
+            game = random_game(rng, rng.randint(2, 3), rng.randint(2, 3), "repeated",
+                               max_denominator=2)
+            a, m, fr = game.doctor_matrix, game.hospital_matrix, game.frontier
+            theta, beta = (fr.m_min + fr.m_max) / 2, (fr.a_min + fr.a_max) / 2
+            calls.clear()
+            f_value, g_value = max_f_value(game, theta), max_g_value(game, beta, strict=True)
+            f_point, g_point = max_f_point(game, theta, strict=True), max_g_point(game, beta)
+            assert len(calls) == 2
+            lam, (f, g) = hull_lp(a, m, ("max_f",), g_floor=theta)
+            assert f_point == (f, g, lam) and F(*f_value) == f
+            lam, (f, g) = hull_lp(a, m, ("max_g",), f_floor=beta)
+            assert g_point == (f, g, lam) and F(*g_value) == g
 
     @pytest.mark.parametrize("game_class", CLASSES)
     def test_exact_point_matches_a_reference(self, game_class):
@@ -375,6 +429,39 @@ def test_sweep_reservations_match_fresh_computation(monkeypatch, classes):
         result.allocation.matched_pairs(), key=lambda dp: (dp[1], dp[0]))
 
 
+def _renegotiation_inputs(kind):
+    eps = F(1, 2)
+    if kind == "roommates":
+        for seed in range(1, 4):
+            inst = generate_instance(seed=seed, model="roommates", n_doctors=8)
+            realized = realize_aspiration(inst, solve_aspiration_zero_sum(inst))
+            if isinstance(realized, Allocation):
+                yield inst, realized, eps
+        return
+    size, classes = {"zero_sum": ((40, 10), ["zero_sum"]),
+                     "mixed": ((20, 6), ["zero_sum", "strictly_competitive"])}[kind]
+    for seed in range(3):
+        inst = generate_instance(seed=seed, n_doctors=size[0], n_hospitals=size[1],
+                                 classes=classes)
+        yield inst, run_dac(inst, eps)[0], eps
+
+
+@pytest.mark.parametrize("kind", ["zero_sum", "mixed", "roommates"])
+def test_ledger_reservations_equal_fresh_ones_in_every_sweep(monkeypatch, kind):
+    check = renegotiation.check_couple_is_cne
+    seen, moved = [], []
+
+    def audited(instance, current, d, partner, reservations, epsilon):
+        assert reservations == reservation_payoffs(instance, current, d, partner, epsilon)
+        seen.append((d, partner))
+        return check(instance, current, d, partner, reservations, epsilon)
+
+    monkeypatch.setattr(renegotiation, "check_couple_is_cne", audited)
+    for inst, allocation, eps in _renegotiation_inputs(kind):
+        moved.append(run_renegotiation(inst, allocation, eps).sweeps)
+    assert seen and moved and all(moved)
+
+
 @pytest.mark.parametrize("n", [10, 12])
 def test_roommates_generation_past_nine_doctors(n):
     inst = generate_instance(seed=3, model="roommates", n_doctors=n,
@@ -446,17 +533,67 @@ def test_roommates_flipped_view_is_built_once():
 def test_roommates_solve_and_realize_build_one_view_per_game(monkeypatch):
     inst = generate_instance(seed=2, model="roommates", n_doctors=9,
                              classes=["zero_sum", "strictly_competitive"])
-    built = []
+    built, flipped = [], []
     original_init = core.BimatrixGame.__post_init__
+    original_flip = core._flipped_frontier
 
     def counting(self):
         built.append(self)
         original_init(self)
 
+    def flipping(fr, a, m):
+        flipped.append(fr)
+        return original_flip(fr, a, m)
+
     monkeypatch.setattr(core.BimatrixGame, "__post_init__", counting)
+    monkeypatch.setattr(core, "_flipped_frontier", flipping)
     profile = solve_aspiration_zero_sum(inst)
     realize_aspiration(inst, profile)
-    assert 0 < len(built) <= len(inst.games)
+    # Views are read off the stored frontiers, never validated again.
+    assert built == []
+    assert 0 < len(flipped) <= len(inst.games)
+
+
+def test_flipped_views_equal_the_validated_constructor():
+    rng = random.Random("flipped-views")
+    seen = set()
+    games = [game for _ in range(4) for game in _one_shot_games(rng)]
+    assert len(games) >= 400
+    for game in games:
+        a, m = game.doctor_matrix, game.hospital_matrix
+        view = game.flipped
+        validated = BimatrixGame(core.transpose(m), core.transpose(a), game.class_tag)
+        assert (view.doctor_matrix, view.hospital_matrix) == (
+            validated.doctor_matrix, validated.hospital_matrix)
+        assert view.frontier == validated.frontier, game
+        assert view.flipped.frontier == game.frontier
+        tr = game.frontier.transform
+        seen.add("constant" if game.frontier.a_min == game.frontier.a_max
+                 else "ratio 1" if tr.ratio == 1 and game.class_tag != "zero_sum"
+                 else f"{game.class_tag}/{tr.direction}")
+    assert seen == {"constant", "ratio 1", "zero_sum/doctor", "strictly_competitive/doctor",
+                    "strictly_competitive/hospital"}
+
+
+def test_flipped_views_verify_no_bridge_again(monkeypatch):
+    # Loading verifies each non-constant strictly competitive bridge once;
+    # the solve's flipped views add no second pass.
+    passes = []
+    verify = core._verify_affine
+
+    def counting(*args, **kwargs):
+        passes.append(args)
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(core, "_verify_affine", counting)
+    inst = generate_instance(seed=2, model="roommates", n_doctors=9,
+                             classes=["zero_sum", "strictly_competitive"])
+    bridges = sum(game.class_tag == "strictly_competitive"
+                  and game.frontier.a_min != game.frontier.a_max
+                  for game in inst.games.values())
+    assert len(passes) == bridges == 21
+    solve_aspiration_zero_sum(inst)
+    assert len(passes) == 21
 
 
 def _count_seat_reads(monkeypatch):
@@ -546,7 +683,7 @@ def test_ledger_reprices_only_options_of_moved_agents(monkeypatch):
     # with doctor b (her payoff moved) are priced again; c's is reused.
     calls = _count_ledger_queries(monkeypatch)
     got = ledger.reservations("a", "h")
-    assert sorted(calls) == ["max_f_point", "max_g_point"]
+    assert sorted(calls) == ["max_f_value", "max_g_value"]
     monkeypatch.undo()
     assert got == reservation_payoffs(inst, alloc, "a", "h", eps)
 
@@ -615,6 +752,6 @@ def _count_ledger_queries(monkeypatch):
             return query(game, value, strict)
         return wrapped
 
-    for name in ("max_f_point", "max_g_point"):
+    for name in ("max_f_value", "max_g_value"):
         monkeypatch.setattr(renegotiation, name, counting(name, getattr(renegotiation, name)))
     return calls
