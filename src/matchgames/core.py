@@ -9,10 +9,11 @@ convention everywhere: a zero-sum pair has ``M == -A`` entrywise).
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, lcm
 from operator import neg
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -75,8 +76,8 @@ Matrix = Tuple[Tuple[Fraction, ...], ...]
 
 def parse_rational(value: Union[int, str, Fraction]) -> Fraction:
     """Parse an exact rational from an int, a Fraction, or a "p/q" string."""
-    if isinstance(value, str):  # documents hold strings: the cached path first
-        return _parse_rational_text(value)
+    if isinstance(value, str):  # documents hold strings: the literal table first
+        return (_LITERALS.get(value) or _read_literal(value))[0]
     if isinstance(value, bool):
         raise MalformedRationalError(f"not a rational literal: {value!r}")
     if isinstance(value, (int, Fraction)):
@@ -84,11 +85,21 @@ def parse_rational(value: Union[int, str, Fraction]) -> Fraction:
     raise MalformedRationalError(f"not a rational literal: {value!r}")
 
 
-@lru_cache(maxsize=4096)
-def _parse_rational_text(value: str) -> Fraction:
-    # Instances repeat a few distinct literals thousands of times.  Fractions
-    # are immutable, so the parsed value is shared; malformed literals raise
-    # on every call because lru_cache stores no exceptions.
+# The literal table.  Instances repeat a few distinct literals thousands of
+# times, so each text is parsed once: ``_LITERALS`` maps it to (its value,
+# the value's negation).  Both are shared by value: a text's pair is that of
+# its canonical form ("2/4" and " 1/2 " read "1/2"'s), and a new value takes
+# its objects from its negation's pair, so the negation of "7" is the object
+# "-7" reads.  Fractions are immutable, so sharing is safe.  The table is
+# emptied when it fills, which bounds it; malformed literals are never
+# entered, so they raise on every read.
+_LITERAL_CAP = 4096
+_LITERALS: Dict[str, Tuple[Fraction, Fraction]] = {}
+_literal = _LITERALS.__getitem__  # the table in C; emptied in place, never rebound
+
+
+def _read_literal(value: str) -> Tuple[Fraction, Fraction]:
+    """Parse a str literal and enter it in the table."""
     text = value.strip()
     try:
         frac = Fraction(text)
@@ -98,7 +109,28 @@ def _parse_rational_text(value: str) -> Fraction:
         raise MalformedRationalError(
             f"rational literals must be integers or p/q strings, got {value!r}"
         )
-    return frac
+    if len(_LITERALS) >= _LITERAL_CAP - 1:  # room for the text and its canonical form
+        _LITERALS.clear()
+    canonical = format_rational(frac)
+    pair = _LITERALS.get(canonical)
+    if pair is None:
+        other = _LITERALS.get(format_rational(-frac))
+        if other is not None:
+            pair = other[1], other[0]
+        else:
+            pair = frac, (-frac if frac else frac)
+        _LITERALS[canonical] = pair
+    _LITERALS[value] = pair
+    return pair
+
+
+def _read_entry(value) -> Tuple[Fraction, Fraction]:
+    """A document entry's (value, negation): a str through the table, any
+    other entry through ``parse_rational``, which raises for it as always."""
+    if isinstance(value, str):
+        return _LITERALS.get(value) or _read_literal(value)
+    frac = parse_rational(value)
+    return frac, -frac
 
 
 def format_rational(value: Fraction) -> str:
@@ -130,18 +162,26 @@ def matrix_bounds(m: Matrix) -> Tuple[Fraction, Fraction]:
     return _ratio_bounds(m)[:2]
 
 
-def _ratio_bounds(m: Matrix):
-    """``matrix_bounds`` and the (numerator, denominator) pairs of both."""
-    lo = hi = m[0][0]
-    lo_n, lo_d = hi_n, hi_d = lo.as_integer_ratio()
-    for row in m:
-        for v in row:
+def _locate_bounds(m: Matrix):
+    """(lo_i, lo_j, lo_n, lo_d, hi_i, hi_j, hi_n, hi_d): a matrix's first
+    minimum and first maximum in row-major order, as (numerator,
+    denominator) pairs with their places."""
+    lo_n, lo_d = hi_n, hi_d = m[0][0].as_integer_ratio()
+    lo_i = lo_j = hi_i = hi_j = 0
+    for i, row in enumerate(m):
+        for j, v in enumerate(row):
             n, d = v.as_integer_ratio()
             if n * lo_d < lo_n * d:
-                lo, lo_n, lo_d = v, n, d
+                lo_n, lo_d, lo_i, lo_j = n, d, i, j
             elif n * hi_d > hi_n * d:
-                hi, hi_n, hi_d = v, n, d
-    return lo, hi, (lo_n, lo_d), (hi_n, hi_d)
+                hi_n, hi_d, hi_i, hi_j = n, d, i, j
+    return lo_i, lo_j, lo_n, lo_d, hi_i, hi_j, hi_n, hi_d
+
+
+def _ratio_bounds(m: Matrix):
+    """``matrix_bounds`` and the (numerator, denominator) pairs of both."""
+    lo_i, lo_j, lo_n, lo_d, hi_i, hi_j, hi_n, hi_d = _locate_bounds(m)
+    return m[lo_i][lo_j], m[hi_i][hi_j], (lo_n, lo_d), (hi_n, hi_d)
 
 
 def matrix_min(m: Matrix) -> Fraction:
@@ -361,16 +401,15 @@ def _strictly_competitive_frontier(a: Matrix, m: Matrix) -> Frontier:
     return Frontier(a_min, a_max, m_min, m_max, tr, -m_max, -m_min, seg)
 
 
-def _zero_sum_frontier(a: Matrix, m: Matrix) -> Frontier:
-    """A zero-sum pair's frontier, built by one scan that checks M == -A
-    entry by entry and finds A's bounds as ``matrix_bounds`` does.
+def _zero_sum_bounds(a: Matrix, m: Matrix):
+    """Check M == -A entry by entry, raising at the first entry that fails,
+    and locate A's bounds (as ``_locate_bounds`` does) in the same scan.
 
     Normalised Fractions are equal iff numerators and denominators are, so
     the check compares integers and builds Fractions only for an error.
     """
-    lo = hi = a[0][0]
-    lo_m = hi_m = m[0][0]  # the M entries at A's extremes: M's bounds
-    lo_n, lo_d = hi_n, hi_d = lo.as_integer_ratio()
+    lo_n, lo_d = hi_n, hi_d = a[0][0].as_integer_ratio()
+    lo_i = lo_j = hi_i = hi_j = 0
     for i, (row_a, row_m) in enumerate(zip(a, m)):
         for j, (value, other) in enumerate(zip(row_a, row_m)):
             n, d = value.as_integer_ratio()
@@ -380,11 +419,21 @@ def _zero_sum_frontier(a: Matrix, m: Matrix) -> Frontier:
                     entry=(i, j, other, -value),
                 )
             if n * lo_d < lo_n * d:
-                lo, lo_m, lo_n, lo_d = value, other, n, d
+                lo_n, lo_d, lo_i, lo_j = n, d, i, j
             elif n * hi_d > hi_n * d:
-                hi, hi_m, hi_n, hi_d = value, other, n, d
+                hi_n, hi_d, hi_i, hi_j = n, d, i, j
+    return lo_i, lo_j, lo_n, lo_d, hi_i, hi_j, hi_n, hi_d
+
+
+def _zero_sum_frontier(a: Matrix, m: Matrix, bounds) -> Frontier:
+    """A checked zero-sum pair's frontier from A's located bounds: A's
+    bounds as ``matrix_bounds`` finds them, and M's, the M entries at the
+    same places."""
+    lo_i, lo_j, lo_n, lo_d, hi_i, hi_j, hi_n, hi_d = bounds
+    lo, hi = a[lo_i][lo_j], a[hi_i][hi_j]
     seg = Segment((lo_n, lo_d), (hi_n, hi_d), (-hi_n, hi_d), (-lo_n, lo_d), 0, 1, 1)
-    return Frontier(lo, hi, hi_m, lo_m, IdentityTransform(_ONE, _ZERO, "doctor", a), lo, hi, seg)
+    return Frontier(lo, hi, m[hi_i][hi_j], m[lo_i][lo_j],
+                    IdentityTransform(_ONE, _ZERO, "doctor", a), lo, hi, seg)
 
 
 def _flipped_frontier(fr: Frontier, a: Matrix, m: Matrix) -> Frontier:
@@ -428,20 +477,7 @@ class BimatrixGame:
     class_tag: str
 
     def __post_init__(self):
-        if self.class_tag not in GAME_CLASSES:
-            raise ClassTagViolationError(f"unknown game class {self.class_tag!r}")
-        a, m = self.doctor_matrix, self.hospital_matrix
-        if len(a) != len(m) or len({*map(len, a), *map(len, m)}) != 1:
-            raise DimensionMismatchError("A and M must have identical shape")
-        # Building a one-shot frontier checks the class: M == -A entry by
-        # entry for a zero-sum pair, the affine bridge for a strictly
-        # competitive one.  It goes straight into the instance dict, which
-        # attribute lookup reads before the ``frontier`` descriptor, so no
-        # read of it goes through the descriptor or its lock.
-        if self.class_tag == ZERO_SUM:
-            self.__dict__["frontier"] = _zero_sum_frontier(a, m)
-        elif self.class_tag == STRICTLY_COMPETITIVE:
-            self.__dict__["frontier"] = _strictly_competitive_frontier(a, m)
+        _check_game(self)
 
     @cached_property
     def frontier(self) -> Frontier:
@@ -489,6 +525,35 @@ class BimatrixGame:
     @property
     def n_cols(self) -> int:
         return len(self.doctor_matrix[0])
+
+
+def _check_game(game: BimatrixGame, negated_a: Optional[Matrix] = None):
+    """A game's checks, for the constructor and the loader alike: its class
+    tag, its shape and its class, whose check is building a one-shot
+    frontier.
+
+    A zero-sum pair is checked entry by entry in the scan that finds A's
+    bounds or, when the loader passes -A, by comparing M with it as tuples
+    (exact, and by identity for the literal table's shared values); on a
+    mismatch the entry-by-entry scan names the fault.  A strictly
+    competitive pair's check is its bridge's.  The frontier goes straight
+    into the instance dict, which attribute lookup reads before the
+    ``frontier`` descriptor, so no read of it goes through the descriptor
+    or its lock.
+    """
+    tag, a, m = game.class_tag, game.doctor_matrix, game.hospital_matrix
+    if tag not in GAME_CLASSES:
+        raise ClassTagViolationError(f"unknown game class {tag!r}")
+    if len(a) != len(m) or len({*map(len, a), *map(len, m)}) != 1:
+        raise DimensionMismatchError("A and M must have identical shape")
+    if tag == ZERO_SUM:
+        if negated_a is None or m != negated_a:
+            bounds = _zero_sum_bounds(a, m)  # raises on a mismatch
+        else:
+            bounds = _locate_bounds(a)
+        game.__dict__["frontier"] = _zero_sum_frontier(a, m, bounds)
+    elif tag == STRICTLY_COMPETITIVE:
+        game.__dict__["frontier"] = _strictly_competitive_frontier(a, m)
 
 
 @dataclass(frozen=True)
@@ -895,7 +960,48 @@ def _evaluate_enumerated(instance, allocation):
 
 
 def load_instance(source: Union[str, dict]) -> MatchingGameInstance:
-    """Load and validate an instance from a JSON document (path or dict)."""
+    """Load and validate an instance from a JSON document (path or dict).
+
+    Each game is built in one pass over its document rows, with every check
+    the constructor makes (:func:`_check_game`).  Each row maps through the
+    literal table (see :func:`_read_literal`) to its values and their
+    negations in one pass (:func:`_read_matrix`), so a zero-sum pair's
+    check compares M with -A as tuples instead of entry by entry.
+
+    The cyclic garbage collector is paused for the load and left as it was
+    found, error or not.  The objects built hold no reference cycles, so a
+    collection during the load could free nothing; it would only traverse
+    the young games again and again as they are built.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _load_instance(source)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _read_matrix(rows):
+    """(matrix, -matrix) of a document matrix, its shape checked and its
+    entries read as ``parse_matrix`` reads them: each row is mapped
+    through the literal table in one pass, or entry by entry (raising as
+    ``parse_rational`` does) on a miss or a non-str entry."""
+    if not rows or not all(rows):
+        raise DimensionMismatchError("matrices must have at least one row and column")
+    width = len(rows[0])
+    pairs = []
+    for row in rows:
+        if len(row) != width:
+            raise DimensionMismatchError("ragged matrix rows")
+        try:
+            pairs.append(tuple(zip(*map(_literal, row))))
+        except (KeyError, TypeError):
+            pairs.append(tuple(zip(*map(_read_entry, row))))
+    return tuple(zip(*pairs))
+
+
+def _load_instance(source: Union[str, dict]) -> MatchingGameInstance:
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -935,11 +1041,11 @@ def load_instance(source: Union[str, dict]) -> MatchingGameInstance:
         else:
             other = str(entry["hospital"])
             key = (d, other)
-        games[key] = BimatrixGame(
-            doctor_matrix=parse_matrix(entry["A"]),
-            hospital_matrix=parse_matrix(entry["M"]),
-            class_tag=str(entry["class"]),
-        )
+        a, negated_a = _read_matrix(entry["A"])
+        m = _read_matrix(entry["M"])[0]
+        game = games[key] = object.__new__(BimatrixGame)
+        game.__dict__.update(doctor_matrix=a, hospital_matrix=m, class_tag=str(entry["class"]))
+        _check_game(game, negated_a)
 
     coalition_doctor_payoffs = {}
     coalition_hospital_payoffs = {}

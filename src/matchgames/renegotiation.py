@@ -640,11 +640,18 @@ def run_renegotiation(instance: MatchingGameInstance, allocation: Allocation,
         max_sweeps = 4 * int(spread / epsilon) + 100
     ledger = _PayoffLedger(instance, current, epsilon, payoffs)
     previous = ledger.pair_payoffs(couples)
+    # Couple -> the reservations of its last passing check.  The check reads
+    # only the couple's profile, its reservations and epsilon, and only the
+    # couple's own record changes its profile, so while the couple has no
+    # record and its reservations are equal, the check would pass again.
+    passed: Dict[Tuple[str, str], ReservationPair] = {}
     sweeps = 0
     for _ in range(max_sweeps):
-        for d, partner in couples:
+        for couple in couples:
+            d, partner = couple
             reservations = ledger.reservations(d, partner)
-            game = instance.game_for(d, partner)
+            if passed.get(couple) == reservations:
+                continue
             still_fine, _ = check_couple_is_cne(
                 instance, current, d, partner, reservations, epsilon
             )
@@ -652,7 +659,9 @@ def run_renegotiation(instance: MatchingGameInstance, allocation: Allocation,
                 # Keeping the incumbent profile is itself a choice from the
                 # CNE set; moving only under a real objection stops couples
                 # from chasing each other's sub-epsilon reservation wiggles.
+                passed[couple] = reservations
                 continue
+            game = instance.game_for(d, partner)
             try:
                 cne = select_process_cne(game, reservations, epsilon)
             except InfeasibleReservationsError:
@@ -661,6 +670,7 @@ def run_renegotiation(instance: MatchingGameInstance, allocation: Allocation,
                 continue
             store_witness(instance, current, d, partner, cne)
             ledger.record(current, d, partner)
+            passed.pop(couple, None)
         now = ledger.pair_payoffs(couples)
         if on_sweep is not None:
             on_sweep(_copy_allocation(current))

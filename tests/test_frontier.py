@@ -414,17 +414,24 @@ def test_sweep_reservations_match_fresh_computation(monkeypatch, classes):
     inst = generate_instance(seed=11, n_doctors=6, n_hospitals=3, max_strategies=3,
                              max_quota=2, classes=classes)
     allocation, _ = run_dac(inst, eps)
-    seen = []
-    check = renegotiation.check_couple_is_cne
+    seen, copies = [], []
+    copy, reservations = renegotiation._copy_allocation, renegotiation._PayoffLedger.reservations
 
-    def audited(instance, current, d, partner, reservations, epsilon):
-        assert reservations == reservation_payoffs(instance, current, d, partner, epsilon)
+    def audited(ledger, d, partner):
+        # Every reservation the sweep reads, checked or not, against a fresh
+        # ledger (``reservation_payoffs``); the sweep's allocation is its
+        # first copy.
+        answer = reservations(ledger, d, partner)
+        fresh = renegotiation._PayoffLedger(inst, copies[0], eps)
+        assert answer == reservations(fresh, d, partner)
         seen.append((d, partner))
-        return check(instance, current, d, partner, reservations, epsilon)
+        return answer
 
-    monkeypatch.setattr(renegotiation, "check_couple_is_cne", audited)
+    monkeypatch.setattr(renegotiation, "_copy_allocation",
+                        lambda a: copies.append(copy(a)) or copies[-1])
+    monkeypatch.setattr(renegotiation._PayoffLedger, "reservations", audited)
     result = run_renegotiation(inst, allocation, eps)
-    # The last sweep changes nothing, so its audits ran on the final allocation.
+    # The last sweep changes nothing, so its reads saw the final allocation.
     assert seen[-len(result.allocation.matched_pairs()):] == sorted(
         result.allocation.matched_pairs(), key=lambda dp: (dp[1], dp[0]))
 

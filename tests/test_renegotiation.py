@@ -30,6 +30,7 @@ from matchgames.renegotiation import (
     reservation_payoffs,
     run_renegotiation,
 )
+from matchgames.roommates import realize_aspiration, solve_aspiration_zero_sum
 from matchgames.stability import find_blocking_pair, verify_renegotiation_proof
 from matchgames.core import matrix_max, matrix_min
 
@@ -670,3 +671,93 @@ def test_punishment_levels_are_solved_once_per_repeated_game(monkeypatch, tmp_pa
         per_game = [sum(a in (g.doctor_matrix, negate(g.hospital_matrix)) for a in calls)
                     for g in repeated]
         assert max(per_game) == 2 and all(n in (0, 2) for n in per_game), per_game
+
+
+def _sweep_inputs():
+    eps = F(1, 2)
+    for seed in range(2):
+        inst = generate_instance(seed=seed, n_doctors=40, n_hospitals=10)
+        yield inst, run_dac(inst, eps)[0], eps
+    for classes in (["zero_sum", "strictly_competitive"], ["repeated"]):
+        inst = generate_instance(seed=11, n_doctors=12, n_hospitals=4, classes=classes)
+        yield inst, run_dac(inst, eps)[0], eps
+    inst = generate_instance(seed=1, model="roommates", n_doctors=8)
+    realized = realize_aspiration(inst, solve_aspiration_zero_sum(inst))
+    assert isinstance(realized, Allocation)
+    yield inst, realized, eps
+
+
+def test_sweep_skips_only_checks_that_would_pass(monkeypatch):
+    # Every reservation read is followed by a check or skips it; a fresh
+    # check at the read must pass wherever the sweep skipped.
+    from matchgames import renegotiation
+
+    check = renegotiation.check_couple_is_cne
+    reservations = renegotiation._PayoffLedger.reservations
+    copy = renegotiation._copy_allocation
+    copies, reads, checked = [], [], set()
+
+    def read(ledger, d, partner):
+        answer = reservations(ledger, d, partner)
+        verdict = check(ledger.instance, copies[-1], d, partner, answer, ledger.epsilon)
+        reads.append(verdict)
+        return answer
+
+    def counted(instance, current, d, partner, res, epsilon):
+        checked.add(len(reads) - 1)
+        return check(instance, current, d, partner, res, epsilon)
+
+    monkeypatch.setattr(renegotiation, "_copy_allocation",
+                        lambda a: copies.append(copy(a)) or copies[-1])
+    monkeypatch.setattr(renegotiation._PayoffLedger, "reservations", read)
+    monkeypatch.setattr(renegotiation, "check_couple_is_cne", counted)
+    for inst, allocation, eps in _sweep_inputs():
+        copies.clear()
+        run_renegotiation(inst, allocation, eps)
+    skipped = [verdict for i, verdict in enumerate(reads) if i not in checked]
+    assert skipped and checked
+    assert all(verdict == (True, None) for verdict in skipped)
+
+
+def test_a_new_profile_is_checked_again_at_reservations_it_passed_before(monkeypatch):
+    # (a, h) passes at r1, fails at r2 and takes a new profile, then meets
+    # r1 again: that pass belonged to the old profile, so it is checked.
+    from matchgames import renegotiation, stability
+    from matchgames.renegotiation import CneResult, ReservationPair
+
+    a = ((F(1), F(0)), (F(0), F(1)))
+    inst = MatchingGameInstance(
+        model="additive_separable",
+        doctors={d: Doctor(d, F(-9), ("s", "t")) for d in ("a", "b")},
+        hospitals={h: Hospital(h, F(-9), 1, ("u", "v")) for h in ("h", "k")},
+        games={(d, h): BimatrixGame(a, negate(a), "zero_sum") for d in ("a", "b") for h in ("h", "k")},
+    )
+    allocation = Allocation(matching={"a": "h", "b": "k"},
+                            doctor_strategies={"a": pure(0, 2), "b": pure(0, 2)},
+                            hospital_strategies={("h", "a"): pure(0, 2), ("k", "b"): pure(0, 2)})
+    r1, r2 = ReservationPair(F(0), F(-1)), ReservationPair(F(1, 2), F(-1))
+    # Per couple and sweep: (reservations read, verdict of a check).
+    script = {("a", "h"): [(r1, True), (r2, False), (r1, True)],
+              ("b", "k"): [(r2, False), (r1, True), (r1, True)]}
+    reads, checks = {couple: -1 for couple in script}, []
+
+    def reservations(ledger, d, partner):
+        reads[(d, partner)] += 1
+        return script[(d, partner)][reads[(d, partner)]][0]
+
+    def check(instance, current, d, partner, res, epsilon):
+        checks.append(((d, partner), reads[(d, partner)]))
+        return script[(d, partner)][reads[(d, partner)]][1], None
+
+    def select(game, res, epsilon):  # a profile paying the doctor 0, not 1
+        return CneResult(pure(1, 2), pure(0, 2), None, F(0), F(0), "scripted")
+
+    monkeypatch.setattr(stability, "find_blocking_pair", lambda *args, **kwargs: None)
+    monkeypatch.setattr(renegotiation._PayoffLedger, "reservations", reservations)
+    monkeypatch.setattr(renegotiation, "check_couple_is_cne", check)
+    monkeypatch.setattr(renegotiation, "select_process_cne", select)
+    assert run_renegotiation(inst, allocation, F(1, 2)).sweeps == 2
+    # (b, k) passed at r1 in sweep 2 with the profile it still holds, so
+    # its third read is not checked.
+    assert checks == [(("a", "h"), 0), (("b", "k"), 0), (("a", "h"), 1), (("b", "k"), 1),
+                      (("a", "h"), 2)]
