@@ -212,111 +212,6 @@ def _reject_one_sided_constant(a: Matrix, m: Matrix):
                 )
 
 
-def _verify_affine(left: Matrix, right: Matrix, ratio: Fraction, shift: Fraction,
-                   negate_left: bool = False, negate_right: bool = False):
-    """Check left == ratio * right + shift entrywise, with -left for
-    ``negate_left`` and -right for ``negate_right``.
-
-    With value = n/d, right entry = p/q, ratio = rn/rd and shift = sn/sd the
-    test is n * q * rd * sd == d * (rn * sd * p + sn * rd * q): integer
-    products, exact, with no Fraction built unless an entry fails.
-    """
-    rn, rd, sn, sd = ratio.numerator, ratio.denominator, shift.numerator, shift.denominator
-    scale, coef, offset = rd * sd, rn * sd, sn * rd
-    if negate_left:
-        scale = -scale
-    if negate_right:
-        coef = -coef
-    for i, (row, right_row) in enumerate(zip(left, right)):
-        for j, (value, r) in enumerate(zip(row, right_row)):
-            q = r.denominator
-            if value.numerator * q * scale != value.denominator * (coef * r.numerator + offset * q):
-                found = -value if negate_left else value
-                expected = ratio * (-r if negate_right else r) + shift
-                raise NotStrictlyCompetitiveError(
-                    f"no affine variant: entry ({i},{j}) is {found}, expected {expected}",
-                    entry=(i, j, found, expected),
-                )
-
-
-@dataclass(frozen=True)
-class AffineTransform:
-    """Affine bridge between a strictly competitive pair and its zero-sum image.
-
-    With B := -M, exactly one orientation has ratio <= 1:
-
-    * direction "doctor":   A == ratio * B + shift * U; image matrix is B and
-      the doctor's payoffs are the rescaled ones.
-    * direction "hospital": B == ratio * A + shift * U; image matrix is A and
-      the hospital's payoffs are the rescaled ones (M-payoff ==
-      ratio * (-A-payoff) - shift).
-
-    ``source`` is M in the doctor direction and A in the hospital direction.
-    ``image`` is built from it on first read: pricing by value needs only
-    ratio and shift, and only profile builders (witnesses, CNEs, the
-    stability oracle, roommates realization) read the image's entries.
-    """
-
-    ratio: Fraction
-    shift: Fraction
-    direction: str
-    source: Matrix
-
-    @cached_property
-    def image(self) -> Matrix:
-        return negate(self.source) if self.direction == "doctor" else self.source
-
-    def image_doctor_value(self, f: Fraction) -> Fraction:
-        if self.direction == "doctor":
-            return (f - self.shift) / self.ratio
-        return f
-
-    def original_doctor_value(self, z: Fraction) -> Fraction:
-        if self.direction == "doctor":
-            return self.ratio * z + self.shift
-        return z
-
-    def image_hospital_value(self, g: Fraction) -> Fraction:
-        if self.direction == "doctor":
-            return g
-        return (g + self.shift) / self.ratio
-
-    def original_hospital_value(self, ih: Fraction) -> Fraction:
-        if self.direction == "doctor":
-            return ih
-        return self.ratio * ih - self.shift
-
-
-_ONE, _ZERO = Fraction(1), Fraction(0)  # shared by the bridges of ratio 1
-
-
-@dataclass(frozen=True)
-class IdentityTransform(AffineTransform):
-    """The bridge of a zero-sum pair (ratio 1, shift 0, image A = source):
-    payoffs map to themselves, so the conversions cost no arithmetic."""
-
-    @property
-    def image(self) -> Matrix:
-        return self.source
-
-    def image_doctor_value(self, f: Fraction) -> Fraction:
-        return f
-
-    def original_doctor_value(self, z: Fraction) -> Fraction:
-        return z
-
-    def image_hospital_value(self, g: Fraction) -> Fraction:
-        return g
-
-    def original_hospital_value(self, ih: Fraction) -> Fraction:
-        return ih
-
-
-def affine_transform(a: Matrix, m: Matrix) -> AffineTransform:
-    """Compute the ratio-<=-1 affine bridge for a strictly competitive pair."""
-    return _strictly_competitive_frontier(a, m).transform
-
-
 class Segment(NamedTuple):
     """A one-shot pair's payoff set in integers: the segment from
     (a_min, m_max) to (a_max, m_min) on the line r * g == p - q * f.
@@ -339,33 +234,75 @@ class Segment(NamedTuple):
 class Frontier(NamedTuple):
     """Per-game data of the frontier queries, computed once per game object.
 
-    ``segment`` is a one-shot pair's payoff set in integers, which the value
-    queries read.  ``transform`` bridges the one-shot classes onto a
-    zero-sum image (the identity for zero-sum pairs) whose entries span
-    [z_min, z_max]; witness and CNE builders read it.  Repeated games have
-    neither, their frontier being the hull of the stage payoffs.
+    ``segment`` is a one-shot pair's payoff set in integers.  Every frontier
+    question reads it, and witnesses are built on A itself; only the CNE
+    construction works on a zero-sum image, through a bridge it derives from
+    the segment (:func:`frontier_bridge`).  Repeated games have no segment,
+    their frontier being the hull of the stage payoffs.
     """
 
     a_min: Fraction
     a_max: Fraction
     m_min: Fraction
     m_max: Fraction
-    transform: Optional[AffineTransform] = None
-    z_min: Optional[Fraction] = None
-    z_max: Optional[Fraction] = None
     segment: Optional[Segment] = None
 
 
-def _strictly_competitive_frontier(a: Matrix, m: Matrix) -> Frontier:
-    """A strictly competitive pair's frontier: the bounds of A and M, the
-    verified ratio-<=-1 affine bridge and the integer segment, from one
-    bounds scan of each matrix and one check of the bridge.
+class AffineTransform(NamedTuple):
+    """The affine bridge between a one-shot pair and its zero-sum image.
 
-    The ranges of A and B = -M, the ratio, the shift and the segment's line
-    are worked out on integer numerators and denominators (denominators
-    stay positive, so comparing cross products orders them); the only
-    Fractions built are ratio, shift and, in the doctor direction, the
-    image bounds.  Neither direction builds B: the check runs on M.
+    With B := -M, exactly one orientation has ratio <= 1:
+
+    * direction "doctor":   A == ratio * B + shift; the image is B (or A,
+      equal to it, for a pair with M == -A) and the doctor's payoffs are the
+      rescaled ones.
+    * direction "hospital": B == ratio * A + shift; the image is A and the
+      hospital's payoffs are the rescaled ones.
+    """
+
+    ratio: Fraction
+    shift: Fraction
+    direction: str
+    image: Matrix
+
+
+def frontier_bridge(fr: Frontier, a: Matrix, m: Matrix) -> AffineTransform:
+    """The ratio-<=-1 bridge of the one-shot pair (a, m), read off its
+    validated frontier ``fr``.
+
+    The segment's line r * g == p - q * f passes through (a_min, m_max), so
+    it reads A == (r/q) * B + a_min + (r/q) * m_max and, the other way
+    round, B == (q/r) * A - m_max - (q/r) * a_min; the direction "doctor"
+    is the one with r <= q.
+    """
+    *_, p, q, r = fr.segment
+    if r > q:
+        ratio = Fraction(q, r)
+        return AffineTransform(ratio, -fr.m_max - ratio * fr.a_min, "hospital", a)
+    ratio = Fraction(r, q)
+    return AffineTransform(ratio, fr.a_min + ratio * fr.m_max, "doctor",
+                           a if (p, q, r) == (0, 1, 1) else negate(m))
+
+
+def affine_transform(a: Matrix, m: Matrix) -> AffineTransform:
+    """Check that (a, m) is strictly competitive and compute its
+    ratio-<=-1 affine bridge."""
+    return frontier_bridge(_strictly_competitive_frontier(a, m), a, m)
+
+
+def _strictly_competitive_frontier(a: Matrix, m: Matrix) -> Frontier:
+    """A strictly competitive pair's frontier: the bounds of A and M and the
+    integer segment, from one bounds scan of each matrix and one check that
+    every entry's payoffs (A[i][j], M[i][j]) lie on the segment's line.
+
+    The ranges of A and B = -M and the line are worked out on integer
+    numerators and denominators (denominators stay positive, so comparing
+    cross products orders them), and each entry's test is an integer
+    identity, so a valid pair builds no Fraction.  An entry is on the line
+    exactly when it satisfies the pair's affine relation
+    (:func:`frontier_bridge`), and the error for the first entry off it
+    names that relation's two sides: A's entry against ratio * B + shift
+    when r <= q, B's against ratio * A + shift otherwise.
     """
     a_min, a_max, (p1, q1), (p2, q2) = _ratio_bounds(a)
     m_min, m_max, (p3, q3), (p4, q4) = _ratio_bounds(m)
@@ -373,32 +310,29 @@ def _strictly_competitive_frontier(a: Matrix, m: Matrix) -> Frontier:
     bn, bd = p4 * q3 - p3 * q4, q3 * q4  # range of B, which is the range of M
     if an == 0 and bn == 0:
         # One point (a, m) on the line g == a + m - f.
-        tr = AffineTransform(_ONE, a[0][0] + m[0][0], "doctor", m)
         line = (p1 * q4 + p4 * q1, q1 * q4, q1 * q4)
     else:
         if an == 0 or bn == 0:
             _reject_one_sided_constant(a, m)
-        if an * bd <= bn * ad:
-            # ratio = a_range / b_range; shift = a_min - b_min * ratio, b_min = -m_max.
-            rn, rd = an * bd, ad * bn
-            ratio = Fraction(rn, rd)
-            shift = Fraction(p1 * q4 * rd + p4 * q1 * rn, q1 * q4 * rd)
-            _verify_affine(a, m, ratio, shift, False, True)  # A == ratio * (-M) + shift
-            tr = AffineTransform(ratio, shift, "doctor", m)
-        else:
-            # ratio = b_range / a_range; shift = b_min - a_min * ratio.
-            rn, rd = bn * ad, bd * an
-            ratio = Fraction(rn, rd)
-            shift = Fraction(-(p4 * q1 * rd + p1 * q4 * rn), q1 * q4 * rd)
-            _verify_affine(m, a, ratio, shift, True)  # -M == ratio * A + shift
-            tr = AffineTransform(ratio, shift, "hospital", a)
         # The line through (a_min, m_max) with slope -(M range) / (A range).
         line = (p4 * q3 * an + p1 * q2 * bn, bn * ad, an * bd)
     k = gcd(*line)
-    seg = Segment((p1, q1), (p2, q2), (p3, q3), (p4, q4), *(v // k for v in line))
-    if tr.direction == "hospital":
-        return Frontier(a_min, a_max, m_min, m_max, tr, a_min, a_max, seg)
-    return Frontier(a_min, a_max, m_min, m_max, tr, -m_max, -m_min, seg)
+    p, q, r = line[0] // k, line[1] // k, line[2] // k
+    for i, (row_a, row_m) in enumerate(zip(a, m)):
+        for j, (f, g) in enumerate(zip(row_a, row_m)):
+            fn, fd = f.as_integer_ratio()
+            gn, gd = g.as_integer_ratio()
+            if r * gn * fd + q * fn * gd != p * fd * gd:
+                if r <= q:  # A == ratio * B + shift, with B's entry -g
+                    found, expected = f, Fraction(p * gd - r * gn, q * gd)
+                else:  # B == ratio * A + shift
+                    found, expected = -g, Fraction(q * fn - p * fd, r * fd)
+                raise NotStrictlyCompetitiveError(
+                    f"no affine variant: entry ({i},{j}) is {found}, expected {expected}",
+                    entry=(i, j, found, expected),
+                )
+    seg = Segment((p1, q1), (p2, q2), (p3, q3), (p4, q4), p, q, r)
+    return Frontier(a_min, a_max, m_min, m_max, seg)
 
 
 def _zero_sum_bounds(a: Matrix, m: Matrix):
@@ -432,36 +366,19 @@ def _zero_sum_frontier(a: Matrix, m: Matrix, bounds) -> Frontier:
     lo_i, lo_j, lo_n, lo_d, hi_i, hi_j, hi_n, hi_d = bounds
     lo, hi = a[lo_i][lo_j], a[hi_i][hi_j]
     seg = Segment((lo_n, lo_d), (hi_n, hi_d), (-hi_n, hi_d), (-lo_n, lo_d), 0, 1, 1)
-    return Frontier(lo, hi, m[hi_i][hi_j], m[lo_i][lo_j],
-                    IdentityTransform(_ONE, _ZERO, "doctor", a), lo, hi, seg)
+    return Frontier(lo, hi, m[hi_i][hi_j], m[lo_i][lo_j], seg)
 
 
-def _flipped_frontier(fr: Frontier, a: Matrix, m: Matrix) -> Frontier:
+def _flipped_frontier(fr: Frontier) -> Frontier:
     """The frontier that the validated constructor builds for the flipped
-    game (doctor matrix ``a``, the stored M transposed, and hospital matrix
-    ``m``, the stored A transposed), read off the stored frontier ``fr``.
-
-    The bounds of A and M swap places and the line r * g == p - q * f
-    becomes q * g == p - r * f, already divided by its gcd.  The bridge
-    keeps its ratio; it turns around unless the ranges of A and M are equal
-    (ratio 1, constant pairs included), where the constructor picks the
-    direction "doctor" both ways, and its shift then keeps its sign.
+    game (the stored M transposed as doctor matrix, the stored A transposed
+    as hospital matrix), read off the stored frontier ``fr``: the bounds of
+    A and M swap places and the line r * g == p - q * f becomes
+    q * g == p - r * f, already divided by its gcd.
     """
     seg = fr.segment
-    seg = Segment(seg.m_min, seg.m_max, seg.a_min, seg.a_max, seg.p, seg.r, seg.q)
-    tr = fr.transform
-    if isinstance(tr, IdentityTransform):
-        tr = IdentityTransform(_ONE, _ZERO, "doctor", a)
-    elif tr.direction == "doctor" and tr.ratio != 1:
-        # A == ratio * (-M) + shift reads -m == ratio * a - shift.
-        tr = AffineTransform(tr.ratio, -tr.shift, "hospital", a)
-    else:
-        # -M == ratio * A + shift reads a == ratio * (-m) - shift; at ratio 1
-        # A == -M + shift reads a == -m + shift.
-        shift = tr.shift if tr.direction == "doctor" else -tr.shift
-        tr = AffineTransform(tr.ratio, shift, "doctor", m)
-    z = (fr.m_min, fr.m_max) if tr.direction == "hospital" else (-fr.a_max, -fr.a_min)
-    return Frontier(fr.m_min, fr.m_max, fr.a_min, fr.a_max, tr, *z, seg)
+    return Frontier(fr.m_min, fr.m_max, fr.a_min, fr.a_max,
+                    Segment(seg.m_min, seg.m_max, seg.a_min, seg.a_max, seg.p, seg.r, seg.q))
 
 
 @dataclass(frozen=True)
@@ -481,9 +398,9 @@ class BimatrixGame:
 
     @cached_property
     def frontier(self) -> Frontier:
-        """Matrix bounds, integer segment and affine bridge, computed once
-        and kept: on construction for the one-shot classes, whose check it
-        is, and on first use for the repeated class."""
+        """Matrix bounds and, for the one-shot classes, the integer segment,
+        computed once and kept: on construction for the one-shot classes,
+        whose check it is, and on first use for the repeated class."""
         if self.class_tag != REPEATED:
             raise UnsupportedClassError(f"no exact frontier solver for class {self.class_tag}")
         return Frontier(*matrix_bounds(self.doctor_matrix), *matrix_bounds(self.hospital_matrix))
@@ -514,8 +431,7 @@ class BimatrixGame:
                              hospital_matrix=transpose(self.doctor_matrix),
                              class_tag=self.class_tag)
         if self.class_tag in (ZERO_SUM, STRICTLY_COMPETITIVE):
-            view.__dict__["frontier"] = _flipped_frontier(
-                self.frontier, view.doctor_matrix, view.hospital_matrix)
+            view.__dict__["frontier"] = _flipped_frontier(self.frontier)
         return view
 
     @property
@@ -536,10 +452,10 @@ def _check_game(game: BimatrixGame, negated_a: Optional[Matrix] = None):
     bounds or, when the loader passes -A, by comparing M with it as tuples
     (exact, and by identity for the literal table's shared values); on a
     mismatch the entry-by-entry scan names the fault.  A strictly
-    competitive pair's check is its bridge's.  The frontier goes straight
-    into the instance dict, which attribute lookup reads before the
-    ``frontier`` descriptor, so no read of it goes through the descriptor
-    or its lock.
+    competitive pair is checked against its segment's line.  The frontier
+    goes straight into the instance dict, which attribute lookup reads
+    before the ``frontier`` descriptor, so no read of it goes through the
+    descriptor or its lock.
     """
     tag, a, m = game.class_tag, game.doctor_matrix, game.hospital_matrix
     if tag not in GAME_CLASSES:

@@ -8,8 +8,11 @@ The general problem is NP-hard, but each supported game class reduces it:
 * repeated (uniform) games: a linear program over joint distributions on
   S x T, realised exactly as a finite cycle of pure profiles via the lcm of
   the distribution's denominators;
-* strictly competitive: an affine change of payoff units onto a zero-sum
-  image with ratio <= 1, solved there and mapped back.
+* strictly competitive: -M is a positive affine image of A, so the payoffs
+  lie on one line, as a zero-sum pair's do; values are read off that
+  segment, and a witness is built on A as for a zero-sum pair, since its
+  construction only compares entries with the target and mixes two of them,
+  which a positive affine change of units leaves unchanged.
 
 A grid oracle (an exact scan over a rational grid, approximate by
 construction and never authoritative) cross-checks all of them in tests.
@@ -194,9 +197,8 @@ def distribution_to_cycle(lam: LambdaDistribution, a: Matrix, m: Matrix) -> Cycl
 # them as integer ratios; the point queries build on them and make at most
 # one Fraction per answer.  Repeated pairs query the payoff hull by LP; each
 # answer is kept on the game, so a value query and the point query that
-# follows it share one LP.  A one-shot witness hits the value z
-# on the zero-sum image of the affine bridge, which is the doctor's payoff
-# f, or -g in the bridge direction "doctor" (where the image is -M).
+# follows it share one LP.  A one-shot witness hits the doctor's payoff f
+# on A, by ``achieve_value_zero_sum``.
 
 
 @dataclass
@@ -353,9 +355,7 @@ def frontier_witness(game: BimatrixGame, point: FrontierPoint) -> PairOutcome:
     if point.lam is not None:
         cycle = distribution_to_cycle(point.lam, game.doctor_matrix, game.hospital_matrix)
         return PairOutcome(f=point.f, g=point.g, cycle=cycle)
-    tr = game.frontier.transform
-    z = -point.g if tr.direction == "doctor" else point.f
-    x, y, _ = achieve_value_zero_sum(tr.image, z)
+    x, y, _ = achieve_value_zero_sum(game.doctor_matrix, point.f)
     return PairOutcome(f=point.f, g=point.g, x=x, y=y)
 
 

@@ -16,8 +16,9 @@ Unit conventions, fixed once:
 The zero-sum CNE value is median{f_res - 2e, w, g_cap + 2e}; the returned
 profile survives both constrained best-response checks with slack e.  The
 2e-wide feasibility band is what makes the construction always exist.  Both
-one-shot classes run it on the pair's zero-sum image (the identity for a
-zero-sum pair) and audit the result in the original game.
+one-shot classes run it on the pair's zero-sum image (A itself for a
+zero-sum pair), through a bridge derived from the pair's segment for each
+CNE (``core.frontier_bridge``), and audit the result in the original game.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .core import (
     PayoffReport,
     bilinear,
     evaluate_payoffs,
+    frontier_bridge,
     _cycle_for,
     _pair_doctor_payoff,
     negate,
@@ -347,24 +349,26 @@ def _one_shot_cne(game: BimatrixGame, f_res: Fraction, g_res: Fraction,
     both one-shot classes take this one path; see the two public wrappers
     above for the value rule and the ``tight`` shift.
     """
+    a, m = game.doctor_matrix, game.hospital_matrix
     fr = game.frontier
-    tr = fr.transform
-    z = tr.image
-    f_img = tr.image_doctor_value(f_res)
-    g_img = tr.image_hospital_value(g_res)
-    correction = epsilon * (1 - tr.ratio) / tr.ratio
-    if tr.direction == "doctor":
-        f_img -= correction
+    ratio, shift, direction, z = frontier_bridge(fr, a, m)
+    correction = epsilon * (1 - ratio) / ratio
+    if direction == "doctor":
+        # z is -M; the doctor's payoffs f read (f - shift) / ratio on it.
+        f_img, g_img = (f_res - shift) / ratio - correction, g_res
+        z_min, z_max = -fr.m_max, -fr.m_min
     else:
-        g_img -= correction
+        # z is A; the hospital's payoffs g read (g + shift) / ratio on -z.
+        f_img, g_img = f_res, (g_res + shift) / ratio - correction
+        z_min, z_max = fr.a_min, fr.a_max
     if tight:
         f_img += epsilon
         g_img += epsilon
     lo = f_img - 2 * epsilon
     hi = -g_img + 2 * epsilon
-    if lo > hi or hi < fr.z_min or lo > fr.z_max:
+    if lo > hi or hi < z_min or lo > z_max:
         raise InfeasibleReservationsError(
-            f"reservation band [{lo}, {hi}] misses the attainable interval [{fr.z_min}, {fr.z_max}]"
+            f"reservation band [{lo}, {hi}] misses the attainable interval [{z_min}, {z_max}]"
         )
     w, x_star, y_star = game_value(z)
     if lo <= w <= hi:
@@ -381,13 +385,12 @@ def _one_shot_cne(game: BimatrixGame, f_res: Fraction, g_res: Fraction,
             y, tag = pure(t, len(z[0])), HOSPITAL_BINDING
     if bilinear(x, z, y) != value:
         raise MatchGamesError("CNE construction missed its target value")
-    a, m = game.doctor_matrix, game.hospital_matrix
-    fault = _deviation_fault(a, m, x, y, bilinear(x, a, y), bilinear(x, m, y),
-                             f_res, g_res, epsilon)
+    f_now, g_now = bilinear(x, a, y), bilinear(x, m, y)
+    fault = _deviation_fault(a, m, x, y, f_now, g_now, f_res, g_res, epsilon)
     if fault is not None:
         raise MatchGamesError(f"{game.class_tag} CNE: {fault}")
-    return CneResult(x=x, y=y, cycle=None, doctor_payoff=tr.original_doctor_value(value),
-                     hospital_payoff=tr.original_hospital_value(-value), case_tag=tag)
+    return CneResult(x=x, y=y, cycle=None, doctor_payoff=f_now, hospital_payoff=g_now,
+                     case_tag=tag)
 
 
 def _slide(a: Matrix, v: Fraction, y0, y_star):

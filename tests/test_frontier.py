@@ -1,6 +1,7 @@
 """Cached frontiers, witness-free value queries and the incremental indexes
 built on them (DAC seat book, renegotiation payoff ledger); the zero-sum class
-as the identity bridge of the one-shot frontier path."""
+as the identity bridge of the one-shot frontier path; the integer segment and
+the profiles built on A against the affine bridge's zero-sum image."""
 
 import random
 from fractions import Fraction as F
@@ -54,6 +55,18 @@ from matchgames.stability import (
     _pair_block_profile,
     find_blocking_pair,
     verify_renegotiation_proof,
+)
+
+from bridge_reference import (
+    bridge,
+    reference_bridge,
+    ref_exact,
+    ref_max_f,
+    ref_max_g,
+    ref_pair_block_profile,
+    ref_pays_above,
+    ref_profile_just_above,
+    ref_value_grid,
 )
 
 CLASSES = ("zero_sum", "strictly_competitive", "repeated")
@@ -230,45 +243,8 @@ class TestValueQueries:
 
 
 # ---------------------------------------------------------------------------
-# The one-shot queries through the affine bridge, in Fraction arithmetic on
-# the zero-sum image: the reference for the integer segment.  Each returns
-# (f, g, z), z being the image value a witness hits.
-
-
-def _ref_max_f(fr, theta, strict):
-    tr = fr.transform
-    c = -tr.image_hospital_value(theta)
-    if c < fr.z_min or (strict and c == fr.z_min):
-        return None
-    if c >= fr.z_max:
-        return fr.a_max, fr.m_min, fr.z_max
-    return tr.original_doctor_value(c), theta, c
-
-
-def _ref_max_g(fr, beta, strict):
-    tr = fr.transform
-    b = tr.image_doctor_value(beta)
-    if b > fr.z_max or (strict and b == fr.z_max):
-        return None
-    if b <= fr.z_min:
-        return fr.a_min, fr.m_max, fr.z_min
-    return beta, tr.original_hospital_value(-b), b
-
-
-def _ref_exact(fr, f, g):
-    tr = fr.transform
-    z = tr.image_doctor_value(f)
-    if fr.z_min <= z <= fr.z_max and tr.original_hospital_value(-z) == g:
-        return f, g, z
-    return None
-
-
-def _ref_pays_above(fr, f_floor, g_floor):
-    if f_floor >= fr.a_max or g_floor >= fr.m_max:
-        return False
-    tr = fr.transform
-    z_lo, z_hi = tr.image_doctor_value(f_floor), -tr.image_hospital_value(g_floor)
-    return stability._open_interval_point(z_lo, z_hi, fr.z_min, fr.z_max) is not None
+# The one-shot queries and profile builders against the affine bridge, in
+# Fraction arithmetic on the zero-sum image (``bridge_reference``).
 
 
 def _one_shot_games(rng):
@@ -304,47 +280,71 @@ class TestIntegerSegment:
         assert (point.f, point.g) == (f, g)
         # The witness hits the reference's image value, so it is the same profile.
         outcome = frontier_witness(game, point)
-        x, y, _ = qcqp.achieve_value_zero_sum(game.frontier.transform.image, z)
+        x, y, _ = qcqp.achieve_value_zero_sum(bridge(game).image, z)
         assert (outcome.x, outcome.y) == (x, y)
 
-    def test_queries_equal_the_bridge_reference(self):
+    def test_queries_equal_the_bridge_reference(self, monkeypatch):
         rng = random.Random("integer-segment")
         seen = set()
+        deltas = [F(1, 2 ** k) for k in range(7)]  # 1 down to 1/64
         for game in _one_shot_games(rng):
             fr = game.frontier
-            tr = fr.transform
-            seen.add("constant" if fr.a_min == fr.a_max else f"{game.class_tag}/{tr.direction}")
+            br = bridge(game)
+            seen.add("constant" if fr.a_min == fr.a_max else game.class_tag
+                     if game.class_tag == "zero_sum" else "ratio 1" if br.ratio == 1
+                     else br.direction)
             f_floors = _floors(rng, fr.a_min, fr.a_max)
             g_floors = _floors(rng, fr.m_min, fr.m_max)
             for strict in (False, True):
                 for theta in g_floors:
                     self._assert_same_point(game, max_f_point(game, theta, strict),
-                                            _ref_max_f(fr, theta, strict))
+                                            ref_max_f(br, theta, strict))
                 for beta in f_floors:
                     self._assert_same_point(game, max_g_point(game, beta, strict),
-                                            _ref_max_g(fr, beta, strict))
+                                            ref_max_g(br, beta, strict))
             # Points on the line, inside and outside the segment, and off it.
-            on_line = [(f, tr.original_hospital_value(-tr.image_doctor_value(f))) for f in f_floors]
+            on_line = [(f, br.original_hospital_value(-br.image_doctor_value(f))) for f in f_floors]
             off_line = [(f, g + F(1, 7)) for f, g in on_line] + [(f, g) for f in f_floors[:4]
                                                                  for g in g_floors[:4]]
             for f, g in on_line + off_line:
-                self._assert_same_point(game, exact_point(game, f, g), _ref_exact(fr, f, g))
+                self._assert_same_point(game, exact_point(game, f, g), ref_exact(br, f, g))
             for f_floor in f_floors:
                 for g_floor in g_floors:
                     assert (qcqp.pays_above(game, f_floor, g_floor)
-                            == _ref_pays_above(fr, f_floor, g_floor)), (game, f_floor, g_floor)
-        assert seen == {"constant", "zero_sum/doctor", "strictly_competitive/doctor",
-                        "strictly_competitive/hospital"}
+                            == ref_pays_above(br, f_floor, g_floor)), (game, f_floor, g_floor)
+                    assert (_pair_block_profile(game, f_floor, g_floor)
+                            == ref_pair_block_profile(game, f_floor, g_floor)), (game, f_floor)
+                for delta in deltas:
+                    assert (stability._profile_just_above(game, f_floor, delta)
+                            == ref_profile_just_above(game, f_floor, delta)), (game, f_floor)
+            assert stability._value_grid(game, 4) == ref_value_grid(game, 4)
+        assert seen == {"constant", "zero_sum", "ratio 1", "doctor", "hospital"}
+        # The grid search over whole roommates markets, and the same search
+        # on the image references.
+        hits = 0
+        for seed in range(8):
+            inst = generate_instance(seed=seed, model="roommates", n_doctors=4 + seed % 2,
+                                     classes=["zero_sum", "strictly_competitive"])
+            for tolerance in (F(0), F(1, 4)):
+                hit = stability.grid_stable_roommates_search(inst, mesh=4, tolerance=tolerance)
+                with monkeypatch.context() as patch:
+                    patch.setattr(stability, "_value_grid", ref_value_grid)
+                    patch.setattr(stability, "_pair_block_profile", ref_pair_block_profile)
+                    assert stability.grid_stable_roommates_search(
+                        inst, mesh=4, tolerance=tolerance) == hit, (seed, tolerance)
+                hits += hit is not None
+        assert 0 < hits < 16
 
     def test_block_profiles_pay_above_both_floors(self):
         rng = random.Random("segment-blocks")
         blocked = 0
         for game in _one_shot_games(rng):
             fr = game.frontier
+            br = bridge(game)
             for f_floor in _floors(rng, fr.a_min, fr.a_max):
                 for g_floor in _floors(rng, fr.m_min, fr.m_max):
                     found = _pair_block_profile(game, f_floor, g_floor)
-                    assert (found is not None) == _ref_pays_above(fr, f_floor, g_floor)
+                    assert (found is not None) == ref_pays_above(br, f_floor, g_floor)
                     if found is not None:
                         blocked += 1
                         x, y, _, _ = found
@@ -548,9 +548,9 @@ def test_roommates_solve_and_realize_build_one_view_per_game(monkeypatch):
         built.append(self)
         original_init(self)
 
-    def flipping(fr, a, m):
+    def flipping(fr):
         flipped.append(fr)
-        return original_flip(fr, a, m)
+        return original_flip(fr)
 
     monkeypatch.setattr(core.BimatrixGame, "__post_init__", counting)
     monkeypatch.setattr(core, "_flipped_frontier", flipping)
@@ -574,33 +574,40 @@ def test_flipped_views_equal_the_validated_constructor():
             validated.doctor_matrix, validated.hospital_matrix)
         assert view.frontier == validated.frontier, game
         assert view.flipped.frontier == game.frontier
-        tr = game.frontier.transform
+        # The bridge the CNE derives from the view is the view's own.
+        view_a, view_m = view.doctor_matrix, view.hospital_matrix
+        view_tr = core.frontier_bridge(view.frontier, view_a, view_m)
+        assert view_tr == core.affine_transform(view_a, view_m)
+        assert view_tr[:3] == reference_bridge(view_a, view_m)
+        _, _, _, _, _, q, r = game.frontier.segment
         seen.add("constant" if game.frontier.a_min == game.frontier.a_max
-                 else "ratio 1" if tr.ratio == 1 and game.class_tag != "zero_sum"
-                 else f"{game.class_tag}/{tr.direction}")
+                 else "ratio 1" if q == r and game.class_tag != "zero_sum"
+                 else f"{game.class_tag}/{'doctor' if r <= q else 'hospital'}")
     assert seen == {"constant", "ratio 1", "zero_sum/doctor", "strictly_competitive/doctor",
                     "strictly_competitive/hospital"}
 
 
 def test_flipped_views_verify_no_bridge_again(monkeypatch):
-    # Loading verifies each non-constant strictly competitive bridge once;
+    # Loading checks each strictly competitive pair against its line once;
     # the solve's flipped views add no second pass.
     passes = []
-    verify = core._verify_affine
+    verify = core._strictly_competitive_frontier
 
     def counting(*args, **kwargs):
         passes.append(args)
         return verify(*args, **kwargs)
 
-    monkeypatch.setattr(core, "_verify_affine", counting)
+    monkeypatch.setattr(core, "_strictly_competitive_frontier", counting)
     inst = generate_instance(seed=2, model="roommates", n_doctors=9,
                              classes=["zero_sum", "strictly_competitive"])
     bridges = sum(game.class_tag == "strictly_competitive"
                   and game.frontier.a_min != game.frontier.a_max
                   for game in inst.games.values())
-    assert len(passes) == bridges == 21
+    assert bridges == 21
+    checked = sum(game.class_tag == "strictly_competitive" for game in inst.games.values())
+    assert len(passes) == checked
     solve_aspiration_zero_sum(inst)
-    assert len(passes) == 21
+    assert len(passes) == checked
 
 
 def _count_seat_reads(monkeypatch):

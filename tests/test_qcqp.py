@@ -16,6 +16,7 @@ from matchgames.qcqp import (
     solve_qcqp_zero_sum,
 )
 
+from bridge_reference import Bridge, reference_bridge
 from fixtures import PD_A, PD_M
 
 
@@ -161,9 +162,11 @@ class TestAffine:
             scaled = tuple(tuple(ratio * v + shift for v in row) for row in core)
             m = negate(core)
             tr = affine_transform(scaled, m)
+            assert tuple(tr) == (*reference_bridge(scaled, m), tr.image)
+            br = Bridge(*tr)
             for row in scaled:
                 for v in row:
-                    assert tr.original_doctor_value(tr.image_doctor_value(v)) == v
+                    assert br.original_doctor_value(br.image_doctor_value(v)) == v
 
 
 class TestGridOracle:

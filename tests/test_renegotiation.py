@@ -34,6 +34,7 @@ from matchgames.roommates import realize_aspiration, solve_aspiration_zero_sum
 from matchgames.stability import find_blocking_pair, verify_renegotiation_proof
 from matchgames.core import matrix_max, matrix_min
 
+from bridge_reference import bridge
 from fixtures import PD_A, PD_M
 
 
@@ -447,12 +448,11 @@ def test_closed_form_best_responses_match_lp():
 
 def _binding_reservations(game):
     """(f_res, g_res) putting the doctor, then the hospital, on the binding side."""
-    fr = game.frontier
-    tr = fr.transform
-    w = game_value(tr.image)[0]
+    br = bridge(game)
+    w = game_value(br.image)[0]
     return [
-        (tr.original_doctor_value((w + fr.z_max) / 2), tr.original_hospital_value(-fr.z_max)),
-        (tr.original_doctor_value(fr.z_min), tr.original_hospital_value(-(w + fr.z_min) / 2)),
+        (br.original_doctor_value((w + br.z_max) / 2), br.original_hospital_value(-br.z_max)),
+        (br.original_doctor_value(br.z_min), br.original_hospital_value(-(w + br.z_min) / 2)),
     ]
 
 
