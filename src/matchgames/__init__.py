@@ -29,16 +29,12 @@ from .lp import LinearProgram, LpResult, game_value, solve_lp
 from .qcqp import (
     affine_transform,
     distribution_to_cycle,
-    solve_qcqp_grid_oracle,
     solve_qcqp_repeated,
-    solve_qcqp_zero_sum,
 )
 from .renegotiation import (
     CneResult,
     ReservationPair,
     compute_cne_repeated,
-    compute_cne_strictly_competitive,
-    compute_cne_zero_sum,
     punishment_levels,
     reservation_payoffs,
     run_renegotiation,
@@ -51,7 +47,6 @@ from .roommates import (
 )
 from .stability import (
     StabilityReport,
-    enumerate_core,
     find_blocking_coalition,
     find_blocking_pair,
     verify_renegotiation_proof,

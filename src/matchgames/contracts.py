@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .core import MatchingGameInstance, bilinear, format_rational, parse_rational
+from .core import MatchingGameInstance, bilinear, format_rational, parse_rational, read_quota
 from .errors import (
     EmptySetValueError,
     ForeignContractError,
@@ -89,23 +89,6 @@ class ContractModel:
 
     def contracts_of_hospital(self, h: str) -> List[str]:
         return sorted(cid for cid, c in self.contracts.items() if c.hospital == h)
-
-    def hospital_value(self, h: str, subset: FrozenSet[str]) -> Optional[Fraction]:
-        """Utility of a contract subset; None marks an inadmissible subset."""
-        doctors = [self.contracts[cid].doctor for cid in subset]
-        if len(doctors) != len(set(doctors)):
-            return None  # at most one contract per doctor
-        if h in self.hospital_tables:
-            return self.hospital_tables[h].get(frozenset(subset), None if subset else Fraction(0))
-        weights = self.hospital_additive.get(h, {})
-        if len(subset) > self.hospital_quotas.get(h, 1):
-            return None
-        total = Fraction(0)
-        for cid in subset:
-            if cid not in weights:
-                return None
-            total += weights[cid]
-        return total
 
 
 def choice_doctor(model: ContractModel, d: str, subset: Sequence[str]) -> Optional[str]:
@@ -430,7 +413,7 @@ def check_hm_stability(model: ContractModel, allocation: FrozenSet[str], cap: in
 
 
 # ---------------------------------------------------------------------------
-# Mappings between matching games and contract models
+# Matching games as contract models
 
 
 def game_to_contracts(instance: MatchingGameInstance, mesh: int) -> ContractModel:
@@ -463,36 +446,6 @@ def game_to_contracts(instance: MatchingGameInstance, mesh: int) -> ContractMode
     )
 
 
-def contracts_to_game_tables(model: ContractModel, disagreement: Fraction = Fraction(-1)):
-    """The reverse construction: strategy sets from contract names.
-
-    Doctors pick a contract they appear in, hospitals pick one per doctor;
-    agreeing on the same contract pays its utility, disagreeing pays the
-    disagreement value.  Returned as per-pair payoff tables keyed by
-    (doctor contract, hospital contract); no stability claims attached.
-    """
-    tables = {}
-    for d in model.doctors:
-        for h in model.hospitals:
-            d_moves = model.contracts_of_doctor(d)
-            h_moves = model.contracts_of_hospital(h)
-            if not d_moves or not h_moves:
-                continue
-            f_table = {}
-            g_table = {}
-            for cd in d_moves:
-                for ch in h_moves:
-                    if cd == ch:
-                        f_table[(cd, ch)] = model.doctor_utilities[(d, cd)]
-                        value = model.hospital_value(h, frozenset([cd]))
-                        g_table[(cd, ch)] = value if value is not None else disagreement
-                    else:
-                        f_table[(cd, ch)] = disagreement
-                        g_table[(cd, ch)] = disagreement
-            tables[(d, h)] = (d_moves, h_moves, f_table, g_table)
-    return tables
-
-
 # ---------------------------------------------------------------------------
 # Serialisation
 
@@ -516,11 +469,11 @@ def load_contract_model(doc: dict) -> ContractModel:
                 frozenset(key.split("+")) if key else frozenset(): parse_rational(v)
                 for key, v in entry["table"].items()
             }
-            quotas[h] = int(entry.get("quota", len(contracts)))
+            quotas[h] = read_quota(entry, h, default=len(contracts), floor=0)
             additive[h] = {}
         else:
             additive[h] = {str(cid): parse_rational(v) for cid, v in entry["weights"].items()}
-            quotas[h] = int(entry.get("quota", 1))
+            quotas[h] = read_quota(entry, h, default=1, floor=0)
     return ContractModel(
         contracts=contracts,
         doctor_utilities=doctor_utilities,

@@ -141,15 +141,8 @@ def format_rational(value: Fraction) -> str:
 
 
 def parse_matrix(rows: Sequence[Sequence[object]]) -> Matrix:
-    if not rows or any(not row for row in rows):
-        raise DimensionMismatchError("matrices must have at least one row and column")
-    width = len(rows[0])
-    out = []
-    for row in rows:
-        if len(row) != width:
-            raise DimensionMismatchError("ragged matrix rows")
-        out.append(tuple(map(parse_rational, row)))
-    return tuple(out)
+    """A document matrix, read and checked as :func:`load_instance` reads it."""
+    return _read_matrix(rows)[0]
 
 
 def matrix_bounds(m: Matrix) -> Tuple[Fraction, Fraction]:
@@ -182,10 +175,6 @@ def _ratio_bounds(m: Matrix):
     """``matrix_bounds`` and the (numerator, denominator) pairs of both."""
     lo_i, lo_j, lo_n, lo_d, hi_i, hi_j, hi_n, hi_d = _locate_bounds(m)
     return m[lo_i][lo_j], m[hi_i][hi_j], (lo_n, lo_d), (hi_n, hi_d)
-
-
-def matrix_min(m: Matrix) -> Fraction:
-    return matrix_bounds(m)[0]
 
 
 def matrix_max(m: Matrix) -> Fraction:
@@ -547,7 +536,11 @@ class MatchingGameInstance:
         return [h for h in self.hospitals if self.has_game(d, h)]
 
 
-def validate_instance(instance: MatchingGameInstance, coalition_cap: int = 4096):
+# The most coalition tables an enumerated instance may list.
+_COALITION_TABLE_CAP = 4096
+
+
+def validate_instance(instance: MatchingGameInstance):
     if instance.model not in MODEL_KINDS:
         raise MatchGamesError(f"unknown model kind {instance.model!r}")
     for h in instance.hospitals.values():
@@ -577,7 +570,7 @@ def validate_instance(instance: MatchingGameInstance, coalition_cap: int = 4096)
     if instance.model == GENERAL_ENUMERATED:
         n_tables = len(instance.coalition_hospital_payoffs)
         cap = (2 ** len(instance.doctors)) * max(1, len(instance.hospitals))
-        if n_tables > min(cap, coalition_cap):
+        if n_tables > min(cap, _COALITION_TABLE_CAP):
             raise MatchGamesError("coalition table exceeds the configured cap")
 
 
@@ -899,10 +892,9 @@ def load_instance(source: Union[str, dict]) -> MatchingGameInstance:
 
 
 def _read_matrix(rows):
-    """(matrix, -matrix) of a document matrix, its shape checked and its
-    entries read as ``parse_matrix`` reads them: each row is mapped
-    through the literal table in one pass, or entry by entry (raising as
-    ``parse_rational`` does) on a miss or a non-str entry."""
+    """(matrix, -matrix) of a document matrix, its shape checked: each row
+    is mapped through the literal table in one pass, or entry by entry
+    (raising as ``parse_rational`` does) on a miss or a non-str entry."""
     if not rows or not all(rows):
         raise DimensionMismatchError("matrices must have at least one row and column")
     width = len(rows[0])
@@ -915,6 +907,15 @@ def _read_matrix(rows):
         except (KeyError, TypeError):
             pairs.append(tuple(zip(*map(_read_entry, row))))
     return tuple(zip(*pairs))
+
+
+def read_quota(entry: dict, hospital, default: int, floor: int) -> int:
+    """A document hospital's quota: a JSON integer, not a bool, of at least
+    ``floor``, or ``default`` when the entry gives none."""
+    quota = entry.get("quota", default)
+    if type(quota) is not int or quota < floor:
+        raise QuotaOutOfRangeError(f"hospital {hospital} has quota {quota!r}")
+    return quota
 
 
 def _load_instance(source: Union[str, dict]) -> MatchingGameInstance:
@@ -936,9 +937,7 @@ def _load_instance(source: Union[str, dict]) -> MatchingGameInstance:
         )
     hospitals: Dict[str, Hospital] = {}
     for entry in doc.get("hospitals", []) if model != ROOMMATES else []:
-        quota = entry.get("quota", 1)
-        if not isinstance(quota, int) or quota < 1:
-            raise QuotaOutOfRangeError(f"hospital {entry.get('id')} has quota {quota!r}")
+        quota = read_quota(entry, entry.get("id"), default=1, floor=1)
         hospitals[str(entry["id"])] = Hospital(
             id=str(entry["id"]),
             irp=parse_rational(entry.get("irp", 0)),

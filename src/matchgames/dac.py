@@ -235,15 +235,6 @@ class DacState:
     def is_full(self, h: str) -> bool:
         return self.seats.occupied(h) >= self.instance.hospitals[h].quota
 
-    def seat_threshold(self, h: str) -> Fraction:
-        """Baseline while seats are free, else the weakest seat contribution."""
-        if not self.is_full(h):
-            return self.instance.hospitals[h].irp
-        return self.seats.weakest(h)[0]
-
-    def weakest_incumbent(self, h: str) -> str:
-        return self.seats.weakest(h)[1]
-
     def bar(self, h: str) -> Tuple[Fraction, str]:
         """(threshold, displaced) that a proposal to h must meet.
 

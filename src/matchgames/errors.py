@@ -18,7 +18,8 @@ class MalformedCycleError(MatchGamesError):
 
 
 class QuotaOutOfRangeError(MatchGamesError):
-    """A hospital quota is below 1."""
+    """A hospital quota is not a JSON integer, or is below its floor: 1 in
+    an instance, 0 in a contract model."""
 
 
 class ClassTagViolationError(MatchGamesError):

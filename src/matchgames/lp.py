@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .core import Matrix, pure
 from .errors import MatchGamesError
@@ -26,18 +26,15 @@ LE, EQ, GE = "<=", "==", ">="
 
 @dataclass
 class LinearProgram:
-    """max/min c.x subject to rows (coeffs, relation, rhs); x >= 0 by default.
-
-    Per-variable bounds: ``lower=None`` frees the variable (internally split
-    into a difference of two nonnegatives), a rational lower bound shifts it.
-    Upper bounds become extra constraint rows.
+    """max/min c.x subject to rows (coeffs, relation, rhs) and x >= 0,
+    except for the variables indexed in ``free``, which are unbounded
+    (internally split into a difference of two nonnegatives).
     """
 
     objective: Sequence[Fraction]
     sense: str = "max"
     constraints: List[Tuple[Sequence[Fraction], str, Fraction]] = field(default_factory=list)
-    lower_bounds: Optional[List[Optional[Fraction]]] = None
-    upper_bounds: Optional[List[Optional[Fraction]]] = None
+    free: FrozenSet[int] = frozenset()
 
     def add(self, coeffs: Sequence[Fraction], relation: str, rhs: Fraction):
         if len(coeffs) != len(self.objective):
@@ -56,68 +53,41 @@ class LpResult:
 
 def solve_lp(program: LinearProgram) -> LpResult:
     """Solve exactly; deterministic for a fixed instance."""
-    n = len(program.objective)
-    lowers = list(program.lower_bounds) if program.lower_bounds is not None else [Fraction(0)] * n
-    uppers = list(program.upper_bounds) if program.upper_bounds is not None else [None] * n
-    if len(lowers) != n or len(uppers) != n:
-        raise MatchGamesError("bounds length does not match variable count")
+    n, free = len(program.objective), program.free
+    if not all(0 <= i < n for i in free):
+        raise MatchGamesError("free variable index outside the variable count")
 
-    # Map original variables onto nonnegative internal ones.
-    # var i -> (kind, data): shifted x = z + lo, or free x = z+ - z-.
-    column_of: List[Tuple[str, int]] = []
+    # Original variable i is internal column base[i], less base[i] + 1 if free.
+    base: List[int] = []
     n_internal = 0
-    for lo in lowers:
-        if lo is None:
-            column_of.append(("free", n_internal))
-            n_internal += 2
-        else:
-            column_of.append(("shift", n_internal))
-            n_internal += 1
+    for i in range(n):
+        base.append(n_internal)
+        n_internal += 2 if i in free else 1
 
-    def expand(coeffs: Sequence[Fraction]) -> Tuple[List[Fraction], Fraction]:
-        """Rewrite a row over internal variables; returns (row, rhs_offset)."""
+    def expand(coeffs: Sequence[Fraction]) -> List[Fraction]:
+        """Rewrite a row over internal variables."""
         row = [Fraction(0)] * n_internal
-        offset = Fraction(0)
         for i, c in enumerate(coeffs):
             if c == 0:
                 continue
-            kind, base = column_of[i]
-            if kind == "shift":
-                row[base] += c
-                offset += c * lowers[i]
-            else:
-                row[base] += c
-                row[base + 1] -= c
-        return row, offset
+            row[base[i]] += c
+            if i in free:
+                row[base[i] + 1] -= c
+        return row
 
     sign = Fraction(1) if program.sense == "max" else Fraction(-1)
-    objective_row, objective_offset = expand([sign * c for c in program.objective])
-
-    rows: List[Tuple[List[Fraction], str, Fraction]] = []
-    for coeffs, relation, rhs in program.constraints:
-        row, offset = expand(coeffs)
-        rows.append((row, relation, Fraction(rhs) - offset))
-    for i, up in enumerate(uppers):
-        if up is None:
-            continue
-        coeffs = [Fraction(0)] * n
-        coeffs[i] = Fraction(1)
-        row, offset = expand(coeffs)
-        rows.append((row, LE, Fraction(up) - offset))
+    objective_row = expand([sign * c for c in program.objective])
+    rows = [(expand(coeffs), relation, Fraction(rhs))
+            for coeffs, relation, rhs in program.constraints]
 
     status, internal_solution, value = _simplex_standard(objective_row, rows)
     if status != OPTIMAL:
         return LpResult(status=status)
 
-    solution = []
-    for i in range(n):
-        kind, base = column_of[i]
-        if kind == "shift":
-            solution.append(internal_solution[base] + lowers[i])
-        else:
-            solution.append(internal_solution[base] - internal_solution[base + 1])
-    objective_value = sign * (value + objective_offset)
-    return LpResult(status=OPTIMAL, value=objective_value, solution=tuple(solution))
+    solution = tuple(
+        internal_solution[b] - internal_solution[b + 1] if i in free else internal_solution[b]
+        for i, b in enumerate(base))
+    return LpResult(status=OPTIMAL, value=sign * value, solution=solution)
 
 
 def _simplex_standard(objective: List[Fraction], rows):
@@ -258,8 +228,7 @@ def game_value(a: Matrix) -> Tuple[Fraction, Tuple[Fraction, ...], Tuple[Fractio
     lp = LinearProgram(
         objective=[Fraction(0)] * n_rows + [Fraction(1)],
         sense="max",
-        lower_bounds=[Fraction(0)] * n_rows + [None],
-        upper_bounds=[None] * (n_rows + 1),
+        free=frozenset([n_rows]),
     )
     for j in range(n_cols):
         lp.add([a[i][j] for i in range(n_rows)] + [Fraction(-1)], GE, Fraction(0))
@@ -274,8 +243,7 @@ def game_value(a: Matrix) -> Tuple[Fraction, Tuple[Fraction, ...], Tuple[Fractio
     lp2 = LinearProgram(
         objective=[Fraction(0)] * n_cols + [Fraction(1)],
         sense="min",
-        lower_bounds=[Fraction(0)] * n_cols + [None],
-        upper_bounds=[None] * (n_cols + 1),
+        free=frozenset([n_cols]),
     )
     for i in range(n_rows):
         lp2.add([a[i][j] for j in range(n_cols)] + [Fraction(-1)], LE, Fraction(0))

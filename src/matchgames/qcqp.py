@@ -14,8 +14,9 @@ The general problem is NP-hard, but each supported game class reduces it:
   construction only compares entries with the target and mixes two of them,
   which a positive affine change of units leaves unchanged.
 
-A grid oracle (an exact scan over a rational grid, approximate by
-construction and never authoritative) cross-checks all of them in tests.
+The grid oracle that cross-checks all of them (an exact scan over a rational
+grid, approximate by construction and never authoritative) lives in
+``tests/oracles.py``; ``simplex_grid`` here enumerates its grid points.
 """
 
 from __future__ import annotations
@@ -25,28 +26,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, NamedTuple, Optional, Tuple
 
-from .core import (  # AffineTransform and affine_transform are re-exported
-    AffineTransform,
+from .core import (  # affine_transform is re-exported
     BimatrixGame,
     CycleStrategy,
     Matrix,
     affine_transform,
-    bilinear,
-    matrix_bounds,
     matrix_max,
     pure,
 )
 from .errors import InfeasibleError, MatchGamesError
 from .lp import EQ, GE, OPTIMAL, LinearProgram, solve_lp
-
-
-@dataclass
-class QcqpSolution:
-    x: Tuple[Fraction, ...]
-    y: Tuple[Fraction, ...]
-    value: Fraction
-    support_note: str = ""
-    approximate: bool = False
 
 
 def _two_point_mix(lo_idx, hi_idx, lo_val, hi_val, target, size):
@@ -82,19 +71,6 @@ def achieve_value_zero_sum(a: Matrix, target: Fraction) -> Tuple[Tuple[Fraction,
             x = _two_point_mix(lo, hi, col[lo], col[hi], target, n_rows)
             return x, pure(t, n_cols), "pure_column"
     raise MatchGamesError("target outside the attainable payoff interval")
-
-
-def solve_qcqp_zero_sum(a: Matrix, c: Fraction) -> QcqpSolution:
-    """max{xAy | xAy <= c}: value min(c, max A), infeasible when c < min A."""
-    a_min, a_max = matrix_bounds(a)
-    if c < a_min:
-        raise InfeasibleError(
-            f"no profile satisfies xAy <= {c} when min A = {a_min}"
-        )
-    target = min(c, a_max)
-    x, y, note = achieve_value_zero_sum(a, target)
-    support = sum(1 for w in (y if note == "pure_row" else x) if w != 0)
-    return QcqpSolution(x=x, y=y, value=target, support_note=f"{note},support={support}")
 
 
 LambdaDistribution = Dict[Tuple[int, int], Fraction]
@@ -385,7 +361,7 @@ def max_g_given_f_floor(game: BimatrixGame, beta: Fraction,
 
 
 # ---------------------------------------------------------------------------
-# Grid oracle (approximate, never authoritative)
+# Rational grids (approximate scans, never authoritative)
 
 
 def simplex_grid(size: int, resolution: int):
@@ -404,25 +380,3 @@ def _compositions(total: int, parts: int):
     for head in range(total + 1):
         for tail in _compositions(total - head, parts - 1):
             yield (head,) + tail
-
-
-def solve_qcqp_grid_oracle(a: Matrix, m: Matrix, c: Fraction, grid_resolution: int) -> QcqpSolution:
-    """Best grid profile for max{xAy | xMy >= c}; approximate by construction.
-
-    Scans every pair of grid points in exact arithmetic; the first best
-    feasible pair in row-major grid order wins.
-    """
-    if grid_resolution < 1:
-        raise MatchGamesError("grid_resolution must be >= 1")
-    ys = list(simplex_grid(len(a[0]), grid_resolution))
-    best = None
-    for x in simplex_grid(len(a), grid_resolution):
-        for y in ys:
-            if bilinear(x, m, y) >= c:
-                fv = bilinear(x, a, y)
-                if best is None or fv > best[0]:
-                    best = (fv, x, y)
-    if best is None:
-        raise InfeasibleError("grid scan found no feasible profile")
-    fv, x, y = best
-    return QcqpSolution(x=x, y=y, value=fv, support_note="grid", approximate=True)

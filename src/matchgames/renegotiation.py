@@ -9,9 +9,9 @@ Unit conventions, fixed once:
 
 * ``reservation_payoffs`` returns the doctor value in doctor units and the
   hospital value in the hospital's own payoff units;
-* ``compute_cne_zero_sum`` takes the hospital reservation already negated
-  into a doctor-unit cap (the single negation happens at this boundary);
-* the strictly competitive and repeated solvers take hospital units.
+* every CNE solver takes the hospital reservation in hospital units; the
+  doctor-unit cap g_cap of the value rule below is a zero-sum pair's
+  reservation negated, so ``compute_cne_for_pair`` gets -g_cap.
 
 The zero-sum CNE value is median{f_res - 2e, w, g_cap + 2e}; the returned
 profile survives both constrained best-response checks with slack e.  The
@@ -30,8 +30,6 @@ from typing import Dict, List, Optional, Tuple
 from .core import (
     REPEATED,
     ROOMMATES,
-    STRICTLY_COMPETITIVE,
-    ZERO_SUM,
     Allocation,
     BimatrixGame,
     CyclePunishment,
@@ -309,45 +307,26 @@ def _deviation_fault(a: Matrix, m: Matrix, x, y, f_now: Fraction, g_now: Fractio
 # One-shot CNE: median construction on the zero-sum image
 
 
-def compute_cne_zero_sum(a: Matrix, f_res: Fraction, g_cap: Fraction,
-                         epsilon: Fraction) -> CneResult:
-    """CNE of a zero-sum pair; ``g_cap`` is the hospital reservation negated
-    into doctor units.
+def _one_shot_cne(game: BimatrixGame, f_res: Fraction, g_res: Fraction,
+                  epsilon: Fraction, tight: bool = False) -> CneResult:
+    """The median construction on the game's zero-sum image, audited in the game.
 
-    The value is median{f_res - 2e, w, g_cap + 2e}: the saddle when it fits
-    between the (2e-slackened) reservations, else the binding side's bound,
-    reached by sliding a payoff-preserving profile toward the saddle until
-    every pure row (column) sits on the safe side.
-    """
-    return _one_shot_cne(BimatrixGame(a, negate(a), ZERO_SUM), f_res, -g_cap, epsilon)
-
-
-def compute_cne_strictly_competitive(a: Matrix, m: Matrix, f_res: Fraction,
-                                     g_res: Fraction, epsilon: Fraction,
-                                     tight: bool = False) -> CneResult:
-    """CNE via the zero-sum image; reservations move with an epsilon correction.
-
-    The correction makes the image's constrained-deviation sets coincide with
-    the original ones, so an image CNE maps back unchanged (the deviation
-    audit runs in the original game).  ``g_res`` is in hospital units.
+    On the image the value is median{f_res - 2e, w, g_cap + 2e}, with w the
+    image's saddle value and g_cap the hospital reservation in image units,
+    negated: the saddle when it fits between the (2e-slackened)
+    reservations, else the binding side's bound, reached by sliding a
+    payoff-preserving profile toward the saddle until every pure row
+    (column) sits on the safe side.  The epsilon correction of the rescaled
+    side makes the image's constrained-deviation sets coincide with the
+    original ones, so an image CNE maps back unchanged (the deviation audit
+    runs in the original game).  A zero-sum pair's bridge is the identity
+    (ratio 1: no correction), so both one-shot classes take this one path.
 
     ``tight`` raises both image reservations by epsilon *in image units*
     (the rescaled side's epsilon is worth only ratio * epsilon in original
     units, so shifting before the transform under-protects when the ratio is
     small); the binding-side value then sits exactly on the one-epsilon
     original-unit boundary, which is what the renegotiation sweep needs.
-    """
-    game = BimatrixGame(a, m, STRICTLY_COMPETITIVE)
-    return _one_shot_cne(game, f_res, g_res, epsilon, tight)
-
-
-def _one_shot_cne(game: BimatrixGame, f_res: Fraction, g_res: Fraction,
-                  epsilon: Fraction, tight: bool = False) -> CneResult:
-    """The median construction on the game's zero-sum image, audited in the game.
-
-    A zero-sum pair's bridge is the identity (ratio 1: no correction), so
-    both one-shot classes take this one path; see the two public wrappers
-    above for the value rule and the ``tight`` shift.
     """
     a, m = game.doctor_matrix, game.hospital_matrix
     fr = game.frontier

@@ -1,4 +1,4 @@
-"""Stability oracles: blocking pairs, coalitions, core enumeration.
+"""Stability oracles: blocking pairs, blocking coalitions, renegotiation proofness.
 
 Zero-sum and strictly competitive pairs are audited through exact tests on
 the pair's payoff segment, in integers, repeated pairs through exact LPs
@@ -17,7 +17,9 @@ pays a point of the segment, the segment's points are payoffs the matrices
 attain, and a profile hitting a doctor payoff on A pays the partner the
 line's value there.  Every blocking-pair witness is replayed in the original
 matrices before it is reported, and the renegotiation check delegates to
-the CNE characterisation in ``renegotiation``.
+the CNE characterisation in ``renegotiation``.  The enumerated model's core
+enumeration, a reference oracle built on this module's coalition scan,
+lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .core import (
     ROOMMATES,
     STRICTLY_COMPETITIVE,
     ZERO_SUM,
-    Allocation,
     BimatrixGame,
     MatchingGameInstance,
     PayoffReport,
@@ -409,56 +410,6 @@ def _enumerated_blocking_coalition(instance, allocation, payoffs, epsilon, max_s
                 doctors=tuple(sorted(members)), hospital=h, method=EXACT_TABLE
             )
     return None
-
-
-# ---------------------------------------------------------------------------
-# Core enumeration for the enumerated model
-
-
-def enumerate_core(instance: MatchingGameInstance, cap: int = 10_000_000) -> List[Allocation]:
-    """All core stable full partitions of the enumerated model.
-
-    Every doctor is assigned to some hospital (the model's outcomes are
-    partitions of the doctor set among hospitals); quotas bound group sizes.
-    """
-    if instance.model != GENERAL_ENUMERATED:
-        raise UnsupportedClassError("core enumeration applies to the enumerated model")
-    doctors = instance.doctor_ids
-    hospitals = instance.hospital_ids
-    if len(doctors) > 10:
-        raise CapExceededError("core enumeration caps at 10 doctors")
-    if len(hospitals) ** len(doctors) > cap:
-        raise CapExceededError("assignment space exceeds the cap")
-
-    stable = []
-    def assign(idx, matching):
-        if idx == len(doctors):
-            allocation = Allocation(matching=dict(matching))
-            counts = {}
-            for d, h in matching.items():
-                counts[h] = counts.get(h, 0) + 1
-            if any(counts.get(h, 0) > instance.hospitals[h].quota for h in hospitals):
-                return
-            try:
-                payoffs = evaluate_payoffs(instance, allocation)
-            except MatchGamesError:
-                return  # missing table entry: assignment outside the model
-            ok, _ = check_individual_rationality(instance, allocation, Fraction(0), payoffs)
-            if not ok:
-                return
-            if _enumerated_blocking_coalition(
-                instance, allocation, payoffs, Fraction(0), max_size=len(doctors)
-            ) is None:
-                stable.append(allocation)
-            return
-        d = doctors[idx]
-        for h in hospitals:
-            matching[d] = h
-            assign(idx + 1, matching)
-        del matching[d]
-
-    assign(0, {})
-    return stable
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,112 @@
+"""Reference oracles that check the package from outside.
+
+Each oracle is written on the package's public names only, so the tests
+compare the solvers with code that does not share their private paths:
+
+* ``enumerate_core`` lists the core stable full partitions of an
+  enumerated model by trying every assignment of doctors to hospitals;
+* ``solve_qcqp_grid_oracle`` scans a rational grid of both sides' mixed
+  strategies for max{xAy | xMy >= c}, approximate by construction;
+* ``hospital_value`` is a contract model's hospital utility of a contract
+  set, read straight off its weights or table, which a choice by brute
+  force maximises.
+"""
+
+from fractions import Fraction
+
+from matchgames.core import GENERAL_ENUMERATED, Allocation, bilinear, evaluate_payoffs
+from matchgames.errors import (
+    CapExceededError,
+    InfeasibleError,
+    MatchGamesError,
+    UnsupportedClassError,
+)
+from matchgames.qcqp import simplex_grid
+from matchgames.stability import check_individual_rationality, find_blocking_coalition
+
+
+def enumerate_core(instance, cap=10_000_000):
+    """All core stable full partitions of the enumerated model.
+
+    Every doctor is assigned to some hospital (the model's outcomes are
+    partitions of the doctor set among hospitals); quotas bound group sizes.
+    An assignment is in the core when it is individually rational and no
+    coalition of any size blocks it.
+    """
+    if instance.model != GENERAL_ENUMERATED:
+        raise UnsupportedClassError("core enumeration applies to the enumerated model")
+    doctors = instance.doctor_ids
+    hospitals = instance.hospital_ids
+    if len(doctors) > 10:
+        raise CapExceededError("core enumeration caps at 10 doctors")
+    if len(hospitals) ** len(doctors) > cap:
+        raise CapExceededError("assignment space exceeds the cap")
+
+    stable = []
+
+    def assign(idx, matching):
+        if idx == len(doctors):
+            allocation = Allocation(matching=dict(matching))
+            counts = {}
+            for h in matching.values():
+                counts[h] = counts.get(h, 0) + 1
+            if any(counts.get(h, 0) > instance.hospitals[h].quota for h in hospitals):
+                return
+            try:
+                payoffs = evaluate_payoffs(instance, allocation)
+            except MatchGamesError:
+                return  # missing table entry: assignment outside the model
+            ok, _ = check_individual_rationality(instance, allocation, Fraction(0), payoffs)
+            if ok and find_blocking_coalition(instance, allocation, Fraction(0),
+                                              max_coalition_size=len(doctors),
+                                              payoffs=payoffs) is None:
+                stable.append(allocation)
+            return
+        d = doctors[idx]
+        for h in hospitals:
+            matching[d] = h
+            assign(idx + 1, matching)
+        del matching[d]
+
+    assign(0, {})
+    return stable
+
+
+def solve_qcqp_grid_oracle(a, m, c, grid_resolution):
+    """(value, x, y) of the best grid profile for max{xAy | xMy >= c}.
+
+    Scans every pair of grid points in exact arithmetic; the first best
+    feasible pair in row-major grid order wins.
+    """
+    if grid_resolution < 1:
+        raise MatchGamesError("grid_resolution must be >= 1")
+    ys = list(simplex_grid(len(a[0]), grid_resolution))
+    best = None
+    for x in simplex_grid(len(a), grid_resolution):
+        for y in ys:
+            if bilinear(x, m, y) >= c:
+                value = bilinear(x, a, y)
+                if best is None or value > best[0]:
+                    best = (value, x, y)
+    if best is None:
+        raise InfeasibleError("grid scan found no feasible profile")
+    return best
+
+
+def hospital_value(model, h, subset):
+    """A contract model's utility for hospital ``h`` of a contract set;
+    None marks an inadmissible set."""
+    doctors = [model.contracts[cid].doctor for cid in subset]
+    if len(doctors) != len(set(doctors)):
+        return None  # at most one contract per doctor
+    if h in model.hospital_tables:
+        return model.hospital_tables[h].get(frozenset(subset), None if subset else Fraction(0))
+    weights = model.hospital_additive.get(h, {})
+    if len(subset) > model.hospital_quotas.get(h, 1):
+        return None
+    total = Fraction(0)
+    for cid in subset:
+        if cid not in weights:
+            return None
+        total += weights[cid]
+    return total

@@ -20,10 +20,11 @@ from matchgames.contracts import (
 )
 from matchgames.core import (
     Allocation,
+    BimatrixGame,
     bilinear,
     evaluate_payoffs,
+    matrix_bounds,
     matrix_max,
-    matrix_min,
     negate,
 )
 from matchgames.dac import run_dac
@@ -32,13 +33,13 @@ from matchgames.lp import game_value
 from matchgames.qcqp import (
     affine_transform,
     distribution_to_cycle,
+    max_f_given_g_floor,
     solve_qcqp_repeated,
-    solve_qcqp_zero_sum,
 )
 from matchgames.renegotiation import (
+    ReservationPair,
+    compute_cne_for_pair,
     compute_cne_repeated,
-    compute_cne_strictly_competitive,
-    compute_cne_zero_sum,
     constrained_best_response_doctor,
     constrained_best_response_hospital,
     punishment_levels,
@@ -53,7 +54,6 @@ from matchgames.roommates import (
 )
 from matchgames.stability import (
     check_individual_rationality,
-    enumerate_core,
     find_blocking_coalition,
     find_blocking_pair,
     grid_stable_roommates_search,
@@ -68,6 +68,7 @@ from fixtures import (
     multi_auction_instance,
     segregation_instance,
 )
+from oracles import enumerate_core
 
 EPS10 = F(1, 10)
 
@@ -100,16 +101,16 @@ def test_criterion_1_zero_sum_qcqp_exactness():
     for _ in range(500):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         a = random_matrix(rng, rows, cols, max_denominator=2)
-        lo, hi = matrix_min(a), matrix_max(a)
+        lo, hi = matrix_bounds(a)
         c = lo + (hi - lo) * F(rng.randint(0, 32), 32)
-        sol = solve_qcqp_zero_sum(a, c)
-        assert sol.value == min(c, hi)
-        assert bilinear(sol.x, a, sol.y) == sol.value  # constraint holds exactly
+        sol = max_f_given_g_floor(BimatrixGame(a, negate(a), "zero_sum"), -c)
+        assert sol.f == min(c, hi)
+        assert bilinear(sol.x, a, sol.y) == sol.f  # constraint holds exactly
         supports = sorted(sum(1 for w in v if w) for v in (sol.x, sol.y))
         assert supports[0] == 1 and supports[1] <= 2
         # cross-check against the LP-based uniform-game solver on M = -A
         _, (f_lp, _) = solve_qcqp_repeated(a, negate(a), -c)
-        assert f_lp == sol.value
+        assert f_lp == sol.f
     print("ACCEPTANCE 1 zero-sum QCQP exactness (500 draws): PASS")
 
 
@@ -169,14 +170,15 @@ def test_criterion_6_median_cne_formula():
     while done < 500:
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         a = random_matrix(rng, rows, cols, max_denominator=2)
-        lo, hi = matrix_min(a), matrix_max(a)
+        lo, hi = matrix_bounds(a)
         eps = F(1, rng.choice((10, 4)))
         f_res = lo + (hi - lo) * F(rng.randint(0, 16), 16)
         g_cap = lo + (hi - lo) * F(rng.randint(0, 16), 16)
         if f_res - 2 * eps > g_cap + 2 * eps:
             continue  # infeasible reservations: not part of the criterion
         w, _, _ = game_value(a)
-        cne = compute_cne_zero_sum(a, f_res, g_cap, eps)
+        game = BimatrixGame(a, negate(a), "zero_sum")
+        cne = compute_cne_for_pair(game, ReservationPair(f_res, -g_cap), eps)
         assert cne.doctor_payoff == sorted([f_res - 2 * eps, w, g_cap + 2 * eps])[1]
         best_d = constrained_best_response_doctor(a, negate(a), cne.y, -g_cap, eps)
         assert best_d is None or best_d <= cne.doctor_payoff + eps
@@ -264,10 +266,12 @@ def test_criterion_9_strictly_competitive_transfer():
             for v in row:
                 assert br.original_doctor_value(br.image_doctor_value(v)) == v
         eps = EPS10
-        f_res = matrix_min(a) + (matrix_max(a) - matrix_min(a)) * F(rng.randint(0, 8), 8)
-        g_res = matrix_min(m) + (matrix_max(m) - matrix_min(m)) * F(rng.randint(0, 8), 8)
+        (a_lo, a_hi), (m_lo, m_hi) = matrix_bounds(a), matrix_bounds(m)
+        f_res = a_lo + (a_hi - a_lo) * F(rng.randint(0, 8), 8)
+        g_res = m_lo + (m_hi - m_lo) * F(rng.randint(0, 8), 8)
+        game = BimatrixGame(a, m, "strictly_competitive")
         try:
-            cne = compute_cne_strictly_competitive(a, m, f_res, g_res, eps)
+            cne = compute_cne_for_pair(game, ReservationPair(f_res, g_res), eps)
         except Exception:
             continue
         f_now = bilinear(cne.x, a, cne.y)

@@ -17,7 +17,6 @@ from matchgames.contracts import (
     check_substitutability,
     choice_doctor,
     choice_hospital,
-    contracts_to_game_tables,
     game_to_contracts,
     is_individually_rational,
     is_pairwise_stable,
@@ -28,11 +27,14 @@ from matchgames.errors import (
     EmptySetValueError,
     ForeignContractError,
     MalformedContractModelError,
+    QuotaOutOfRangeError,
     ScanCapExceededError,
     UndeclaredHospitalError,
     UnknownContractError,
 )
 from matchgames.gen import generate_instance
+
+from oracles import hospital_value
 
 
 def additive_model(weights, utilities, quotas):
@@ -330,7 +332,7 @@ def _choice_by_scan(model, h, own):
     ordered = sorted(own)
     for size in range(1, len(ordered) + 1):
         for combo in combinations(ordered, size):
-            value = model.hospital_value(h, frozenset(combo))
+            value = hospital_value(model, h, frozenset(combo))
             if value is None:
                 continue
             if value > best[0] or (value == best[0] and best[1] and tuple(sorted(combo)) < tuple(sorted(best[1]))):
@@ -570,18 +572,6 @@ class TestGameMapping:
         witness = find_blocking_pair(inst, alloc, F(21, 2))
         assert witness is None
 
-    def test_reverse_constructor_shapes(self):
-        m = additive_model(None, {
-            "x": ("d1", "h1", 2, 3),
-            "y": ("d1", "h2", 1, 1),
-            "z": ("d2", "h1", 1, 2),
-        }, {"h1": 1, "h2": 1})
-        tables = contracts_to_game_tables(m, disagreement=F(-1))
-        d_moves, h_moves, f_table, g_table = tables[("d1", "h1")]
-        assert f_table[("x", "x")] == F(2)
-        assert g_table[("x", "x")] == F(3)
-        assert f_table[("y", "x")] == F(-1)
-
 
 # ---------------------------------------------------------------------------
 # Model validation and pinned audit documents
@@ -623,6 +613,23 @@ def _foreign_weight(doc):
     doc["hospitals"]["h1"]["weights"]["c3"] = "1"
 
 
+# A quota is a JSON integer of at least 0: none of these is coerced into one.
+def _fractional_quota(doc):
+    doc["hospitals"]["h1"]["quota"] = 2.7
+
+
+def _string_quota(doc):
+    doc["hospitals"]["h1"]["quota"] = "2"
+
+
+def _bool_table_quota(doc):
+    doc["hospitals"]["h2"]["quota"] = True
+
+
+def _negative_quota(doc):
+    doc["hospitals"]["h1"]["quota"] = -1
+
+
 class TestMalformedModels:
     def test_the_base_document_loads(self, tmp_path):
         path = tmp_path / "model.json"
@@ -635,6 +642,10 @@ class TestMalformedModels:
         (_undeclared_hospital, UndeclaredHospitalError),
         (_foreign_table_key, ForeignContractError),
         (_foreign_weight, ForeignContractError),
+        (_fractional_quota, QuotaOutOfRangeError),
+        (_string_quota, QuotaOutOfRangeError),
+        (_bool_table_quota, QuotaOutOfRangeError),
+        (_negative_quota, QuotaOutOfRangeError),
     ])
     def test_named_error_and_cli_exit_1(self, corrupt, error, tmp_path, capsys):
         doc = _small_model_doc()
@@ -665,8 +676,8 @@ class TestEmptySetValue:
 
     def test_zero_empty_set_value_is_accepted(self):
         model = load_contract_model(_empty_set_doc("0"))
-        assert model.hospital_value("h1", frozenset()) == 0
-        assert model.hospital_value("h1", frozenset({"c1"})) == 3
+        assert hospital_value(model, "h1", frozenset()) == 0
+        assert hospital_value(model, "h1", frozenset({"c1"})) == 3
 
     @pytest.mark.parametrize("value, code", [("5", 1), ("-1/2", 1), ("0", 0)])
     def test_contracts_da_exit_code(self, value, code, tmp_path, capsys):

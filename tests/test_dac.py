@@ -97,7 +97,7 @@ class TestOptimalProposal:
         state.unmatched = ["d3"]
         state.seats[("h1", "d1")] = PairOutcome(f=F(-5), g=F(5), x=(F(1),), y=None)
         state.seats[("h1", "d2")] = PairOutcome(f=F(-3), g=F(3), x=(F(1),), y=None)
-        assert state.seat_threshold("h1") == F(3)
+        assert state.bar("h1") == (F(4), "d2")
         proposal = optimal_proposal(state, "d3")
         assert proposal.displaced == "d2"
         assert proposal.point.g >= F(4)

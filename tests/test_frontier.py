@@ -20,7 +20,7 @@ from matchgames.core import (
     negate,
     parse_rational,
 )
-from matchgames.dac import DacState, run_dac
+from matchgames.dac import FREE_SEAT, DacState, run_dac
 from matchgames.errors import (
     InfeasibleError,
     InfeasibleReservationsError,
@@ -228,8 +228,8 @@ class TestValueQueries:
                                max_denominator=3)
             a, m = game.doctor_matrix, game.hospital_matrix
             fr = game.frontier
-            assert (fr.a_min, fr.a_max) == (core.matrix_min(a), core.matrix_max(a))
-            assert (fr.m_min, fr.m_max) == (core.matrix_min(m), core.matrix_max(m))
+            assert (fr.a_min, fr.a_max) == core.matrix_bounds(a)
+            assert (fr.m_min, fr.m_max) == core.matrix_bounds(m)
 
     def test_frontier_is_computed_once_per_game(self):
         game = random_game(random.Random(1), 3, 3, "strictly_competitive")
@@ -402,10 +402,9 @@ def test_dac_seat_index_agrees_with_seats(monkeypatch):
         assert members == allocation.hospital_members(h)
         if len(members) >= hosp.quota:
             weakest = min((state.seats[(h, d)].g, d) for d in members)
-            assert state.seat_threshold(h) == weakest[0]
-            assert state.weakest_incumbent(h) == weakest[1]
+            assert state.bar(h) == (weakest[0] + eps, weakest[1])
         else:
-            assert state.seat_threshold(h) == hosp.irp
+            assert state.bar(h) == (hosp.irp + eps, FREE_SEAT)
 
 
 @pytest.mark.parametrize("classes", [["zero_sum", "strictly_competitive"], ["repeated"]])

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from matchgames import core
+from matchgames.errors import MatchGamesError
 from matchgames.lp import EQ, GE, LE, LinearProgram, game_value, solve_lp
 from matchgames.gen import random_matrix
 
@@ -40,17 +41,18 @@ def test_solution_satisfies_constraints_exactly():
 
 
 def test_equality_and_free_variables():
-    lp = LinearProgram(
-        objective=[F(2), F(-1)],
-        sense="min",
-        lower_bounds=[None, F(0)],
-        upper_bounds=[None, F(5)],
-    )
+    lp = LinearProgram(objective=[F(2), F(-1)], sense="min", free=frozenset([0]))
+    lp.add([F(0), F(1)], LE, F(5))
     lp.add([F(1), F(1)], EQ, F(4))
     lp.add([F(1), F(0)], GE, F(-10))
     result = solve_lp(lp)
     assert result.value == -7
     assert result.solution == (F(-1), F(5))
+
+
+def test_free_index_outside_the_variables_raises():
+    with pytest.raises(MatchGamesError):
+        solve_lp(LinearProgram(objective=[F(1)], free=frozenset([1])))
 
 
 def test_game_value_matching_pennies():
@@ -96,12 +98,12 @@ def _two_lp_game_value(a):
     built here on ``solve_lp`` alone."""
     n_rows, n_cols = len(a), len(a[0])
     row_lp = LinearProgram(objective=[F(0)] * n_rows + [F(1)], sense="max",
-                           lower_bounds=[F(0)] * n_rows + [None])
+                           free=frozenset([n_rows]))
     for j in range(n_cols):
         row_lp.add([a[i][j] for i in range(n_rows)] + [F(-1)], GE, F(0))
     row_lp.add([F(1)] * n_rows + [F(0)], EQ, F(1))
     col_lp = LinearProgram(objective=[F(0)] * n_cols + [F(1)], sense="min",
-                           lower_bounds=[F(0)] * n_cols + [None])
+                           free=frozenset([n_cols]))
     for i in range(n_rows):
         col_lp.add([a[i][j] for j in range(n_cols)] + [F(-1)], LE, F(0))
     col_lp.add([F(1)] * n_cols + [F(0)], EQ, F(1))

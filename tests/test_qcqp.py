@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from matchgames.core import BimatrixGame, bilinear, matrix_max, matrix_min, negate
+from matchgames.core import BimatrixGame, bilinear, matrix_bounds, negate
 from matchgames.errors import InfeasibleError, NotStrictlyCompetitiveError
 from matchgames.gen import random_matrix
 from matchgames.qcqp import (
@@ -11,49 +11,53 @@ from matchgames.qcqp import (
     distribution_to_cycle,
     max_f_given_g_floor,
     max_g_given_f_floor,
-    solve_qcqp_grid_oracle,
     solve_qcqp_repeated,
-    solve_qcqp_zero_sum,
 )
 
 from bridge_reference import Bridge, reference_bridge
 from fixtures import PD_A, PD_M
+from oracles import solve_qcqp_grid_oracle
+
+
+def _max_f_below(a, c):
+    """max{xAy | xAy <= c}: the frontier query on the zero-sum pair (A, -A)
+    with the partner's floor -c."""
+    return max_f_given_g_floor(BimatrixGame(a, negate(a), "zero_sum"), -c)
 
 
 class TestZeroSum:
     def test_singleton_clips_to_max(self):
-        sol = solve_qcqp_zero_sum(((F(2),),), F(5))
-        assert sol.value == 2
+        sol = _max_f_below(((F(2),),), F(5))
+        assert sol.f == 2
         assert sol.x == (F(1),) and sol.y == (F(1),)
 
     def test_matching_pennies_mix(self):
         a = ((F(1), F(-1)), (F(-1), F(1)))
-        sol = solve_qcqp_zero_sum(a, F(0))
+        sol = _max_f_below(a, F(0))
         assert sol.x == (F(1), F(0))
         assert sol.y == (F(1, 2), F(1, 2))
-        assert sol.value == 0
+        assert sol.f == 0
 
     def test_two_point_mix_weights(self):
         a = ((F(0), F(4)), (F(2), F(2)))
-        sol = solve_qcqp_zero_sum(a, F(3))
+        sol = _max_f_below(a, F(3))
         assert sol.x == (F(1), F(0))
         assert sol.y == (F(1, 4), F(3, 4))
         assert bilinear(sol.x, a, sol.y) == 3
 
     def test_infeasible_below_min(self):
-        with pytest.raises(InfeasibleError):
-            solve_qcqp_zero_sum(((F(0), F(4)), (F(2), F(2))), F(-5))
+        assert _max_f_below(((F(0), F(4)), (F(2), F(2))), F(-5)) is None
 
     def test_random_value_support_property(self):
         rng = random.Random(99)
         for _ in range(200):
             rows, cols = rng.randint(1, 6), rng.randint(1, 6)
             a = random_matrix(rng, rows, cols, max_denominator=2)
-            lo, hi = matrix_min(a), matrix_max(a)
+            lo, hi = matrix_bounds(a)
             c = lo + (hi - lo) * F(rng.randint(0, 16), 16)
-            sol = solve_qcqp_zero_sum(a, c)
-            assert sol.value == min(c, hi)
-            assert bilinear(sol.x, a, sol.y) == sol.value
+            sol = _max_f_below(a, c)
+            assert sol.f == min(c, hi)
+            assert bilinear(sol.x, a, sol.y) == sol.f
             x_support = sum(1 for w in sol.x if w)
             y_support = sum(1 for w in sol.y if w)
             assert min(x_support, y_support) == 1
@@ -82,7 +86,7 @@ class TestRepeated:
         for _ in range(20):
             a = random_matrix(rng, 2, 2)
             m = random_matrix(rng, 2, 2)
-            c = matrix_min(m)
+            c = matrix_bounds(m)[0]
             lam, (f, g) = solve_qcqp_repeated(a, m, c)
             cells = [(s, t) for s in range(2) for t in range(2)]
             best = None
@@ -122,7 +126,8 @@ class TestCycles:
         for _ in range(25):
             a = random_matrix(rng, 3, 2, max_denominator=3)
             m = random_matrix(rng, 3, 2, max_denominator=3)
-            c = matrix_min(m) + (matrix_max(m) - matrix_min(m)) / 2
+            lo, hi = matrix_bounds(m)
+            c = lo + (hi - lo) / 2
             lam, (f, g) = solve_qcqp_repeated(a, m, c)
             cycle = distribution_to_cycle(lam, a, m)
             assert cycle.average_payoffs(a, m) == (f, g)
@@ -172,13 +177,12 @@ class TestAffine:
 class TestGridOracle:
     def test_grid_close_to_exact_zero_sum(self):
         a = ((F(1), F(-1)), (F(-1), F(1)))
-        sol = solve_qcqp_grid_oracle(a, negate(a), F(0), 8)
-        assert sol.approximate
-        assert abs(sol.value - 0) <= F(1, 8)
+        value, _, _ = solve_qcqp_grid_oracle(a, negate(a), F(0), 8)
+        assert abs(value - 0) <= F(1, 8)
 
     def test_one_by_one_exact(self):
-        sol = solve_qcqp_grid_oracle(((F(3),),), ((F(2),),), F(1), 4)
-        assert sol.value == 3
+        value, _, _ = solve_qcqp_grid_oracle(((F(3),),), ((F(2),),), F(1), 4)
+        assert value == 3
 
     def test_infeasible(self):
         with pytest.raises(InfeasibleError):
@@ -188,10 +192,11 @@ class TestGridOracle:
         rng = random.Random(31)
         for _ in range(10):
             a = random_matrix(rng, 2, 3)
-            c = matrix_min(a) + (matrix_max(a) - matrix_min(a)) / 3
-            exact = solve_qcqp_zero_sum(a, c)
-            grid = solve_qcqp_grid_oracle(a, negate(a), -c, 6)
-            assert grid.value <= exact.value
+            lo, hi = matrix_bounds(a)
+            c = lo + (hi - lo) / 3
+            exact = _max_f_below(a, c)
+            grid_value, _, _ = solve_qcqp_grid_oracle(a, negate(a), -c, 6)
+            assert grid_value <= exact.f
 
 
 class TestFrontier:

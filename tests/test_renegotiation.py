@@ -20,10 +20,10 @@ from matchgames.gen import generate_instance, random_game, random_matrix
 from matchgames.lp import GE, OPTIMAL, LinearProgram, game_value, solve_lp
 from matchgames.dac import run_dac
 from matchgames.renegotiation import (
+    ReservationPair,
     _one_shot_cne,
+    compute_cne_for_pair,
     compute_cne_repeated,
-    compute_cne_strictly_competitive,
-    compute_cne_zero_sum,
     constrained_best_response_doctor,
     constrained_best_response_hospital,
     punishment_levels,
@@ -32,7 +32,7 @@ from matchgames.renegotiation import (
 )
 from matchgames.roommates import realize_aspiration, solve_aspiration_zero_sum
 from matchgames.stability import find_blocking_pair, verify_renegotiation_proof
-from matchgames.core import matrix_max, matrix_min
+from matchgames.core import matrix_bounds
 
 from bridge_reference import bridge
 from fixtures import PD_A, PD_M
@@ -107,30 +107,34 @@ class TestReservations:
         assert res.hospital_reservation == F(-2)
 
 
+def _zero_sum_pair(a):
+    return BimatrixGame(a, negate(a), "zero_sum")
+
+
+PENNIES = ((F(1), F(-1)), (F(-1), F(1)))
+
+
 class TestZeroSumCne:
+    # A zero-sum pair's doctor-unit cap g_cap is the hospital reservation -g_cap.
     def test_saddle_case(self):
-        a = ((F(1), F(-1)), (F(-1), F(1)))
-        cne = compute_cne_zero_sum(a, F(-1), F(1), F(1, 10))
+        cne = compute_cne_for_pair(_zero_sum_pair(PENNIES), ReservationPair(F(-1), F(-1)), F(1, 10))
         assert cne.case_tag == "saddle_value"
         assert cne.doctor_payoff == 0
         assert cne.x == (F(1, 2), F(1, 2)) and cne.y == (F(1, 2), F(1, 2))
 
     def test_doctor_binding_case(self):
-        a = ((F(1), F(-1)), (F(-1), F(1)))
-        cne = compute_cne_zero_sum(a, F(1, 2), F(1), F(1, 10))
+        cne = compute_cne_for_pair(_zero_sum_pair(PENNIES), ReservationPair(F(1, 2), F(-1)), F(1, 10))
         assert cne.case_tag == "doctor_binding"
         assert cne.doctor_payoff == F(1, 2) - F(2, 10)
 
     def test_hospital_binding_case(self):
-        a = ((F(1), F(-1)), (F(-1), F(1)))
-        cne = compute_cne_zero_sum(a, F(-1), F(-1, 2), F(1, 10))
+        cne = compute_cne_for_pair(_zero_sum_pair(PENNIES), ReservationPair(F(-1), F(1, 2)), F(1, 10))
         assert cne.case_tag == "hospital_binding"
         assert cne.doctor_payoff == F(-1, 2) + F(2, 10)
 
     def test_infeasible_band(self):
-        a = ((F(1), F(-1)), (F(-1), F(1)))
         with pytest.raises(InfeasibleReservationsError):
-            compute_cne_zero_sum(a, F(5), F(10), F(1, 10))
+            compute_cne_for_pair(_zero_sum_pair(PENNIES), ReservationPair(F(5), F(-10)), F(1, 10))
 
     def test_median_formula_and_deviations_random(self):
         rng = random.Random(61)
@@ -138,14 +142,14 @@ class TestZeroSumCne:
         while checked < 120:
             rows, cols = rng.randint(1, 6), rng.randint(1, 6)
             a = random_matrix(rng, rows, cols, max_denominator=2)
-            lo, hi = matrix_min(a), matrix_max(a)
+            lo, hi = matrix_bounds(a)
             eps = F(1, rng.choice((10, 4)))
             f_res = lo + (hi - lo) * F(rng.randint(0, 8), 8)
             g_cap = lo + (hi - lo) * F(rng.randint(0, 8), 8)
             if f_res - 2 * eps > g_cap + 2 * eps:
                 continue
             w, _, _ = game_value(a)
-            cne = compute_cne_zero_sum(a, f_res, g_cap, eps)
+            cne = compute_cne_for_pair(_zero_sum_pair(a), ReservationPair(f_res, -g_cap), eps)
             assert cne.doctor_payoff == sorted([f_res - 2 * eps, w, g_cap + 2 * eps])[1]
             # explicit constrained best-response audits
             best_d = constrained_best_response_doctor(a, negate(a), cne.y, -g_cap, eps)
@@ -161,7 +165,8 @@ class TestStrictlyCompetitiveCne:
         # The doctor's tight side binds: value f_res - 2*eps = 13/5.
         a = ((F(5), F(1)), (F(1), F(3)))
         m = negate(((F(2), F(0)), (F(0), F(1))))
-        cne = compute_cne_strictly_competitive(a, m, F(3), F(-3, 2), F(1, 5))
+        game = BimatrixGame(a, m, "strictly_competitive")
+        cne = compute_cne_for_pair(game, ReservationPair(F(3), F(-3, 2)), F(1, 5))
         assert cne.case_tag == "doctor_binding"
         assert cne.doctor_payoff == F(13, 5)
         assert cne.hospital_payoff == bilinear(cne.x, m, cne.y)
@@ -169,14 +174,16 @@ class TestStrictlyCompetitiveCne:
     def test_constant_game_any_profile(self):
         a = ((F(3), F(3)),)
         m = ((F(-1), F(-1)),)
-        cne = compute_cne_strictly_competitive(a, m, F(3), F(-1), F(1, 10))
+        game = BimatrixGame(a, m, "strictly_competitive")
+        cne = compute_cne_for_pair(game, ReservationPair(F(3), F(-1)), F(1, 10))
         assert cne.doctor_payoff == 3 and cne.hospital_payoff == -1
 
     def test_infeasible_transformed_reservations(self):
         a = ((F(5), F(1)), (F(1), F(3)))
         m = negate(((F(2), F(0)), (F(0), F(1))))
+        game = BimatrixGame(a, m, "strictly_competitive")
         with pytest.raises(InfeasibleReservationsError):
-            compute_cne_strictly_competitive(a, m, F(100), F(-3, 2), F(1, 5))
+            compute_cne_for_pair(game, ReservationPair(F(100), F(-3, 2)), F(1, 5))
 
     def test_random_transfer_deviations_in_original_game(self):
         rng = random.Random(77)
@@ -190,13 +197,13 @@ class TestStrictlyCompetitiveCne:
                 a, m = scaled, negate(core)
             else:
                 a, m = core, negate(scaled)
-            lo_f, hi_f = matrix_min(a), matrix_max(a)
-            lo_g, hi_g = matrix_min(m), matrix_max(m)
+            (lo_f, hi_f), (lo_g, hi_g) = matrix_bounds(a), matrix_bounds(m)
             eps = F(1, 10)
             f_res = lo_f + (hi_f - lo_f) * F(rng.randint(0, 4), 4)
             g_res = lo_g + (hi_g - lo_g) * F(rng.randint(0, 4), 4)
+            game = BimatrixGame(a, m, "strictly_competitive")
             try:
-                cne = compute_cne_strictly_competitive(a, m, f_res, g_res, eps)
+                cne = compute_cne_for_pair(game, ReservationPair(f_res, g_res), eps)
             except InfeasibleReservationsError:
                 continue
             f_now = bilinear(cne.x, a, cne.y)

@@ -23,7 +23,6 @@ from matchgames.qcqp import max_g_point
 from matchgames.stability import (
     _realise_coalition,
     check_individual_rationality,
-    enumerate_core,
     find_blocking_coalition,
     find_blocking_pair,
     full_report,
@@ -35,6 +34,7 @@ from fixtures import (
     roommates_as_general_instance,
     segregation_instance,
 )
+from oracles import enumerate_core
 
 
 def two_hospital_instance():
