@@ -37,8 +37,7 @@ def _emit(doc: dict, path):
     if path:
         core.dump_json(doc, path)
     else:
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        core.write_json(doc, sys.stdout)
 
 
 def _witness_doc(witness):

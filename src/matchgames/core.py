@@ -13,7 +13,8 @@ import gc
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
+from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
 from operator import neg
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -90,9 +91,12 @@ def parse_rational(value: Union[int, str, Fraction]) -> Fraction:
 # the value's negation).  Both are shared by value: a text's pair is that of
 # its canonical form ("2/4" and " 1/2 " read "1/2"'s), and a new value takes
 # its objects from its negation's pair, so the negation of "7" is the object
-# "-7" reads.  Fractions are immutable, so sharing is safe.  The table is
-# emptied when it fills, which bounds it; malformed literals are never
-# entered, so they raise on every read.
+# "-7" reads.  The generator's draws go through the same table, as the
+# texts "p/q" of their (numerator, denominator) pairs (:func:`rational_pair`);
+# str keys alone keep its lookups on the dict's fast path for str keys.
+# Fractions are immutable, so sharing is safe.  The table is emptied when it
+# fills, which bounds it; malformed literals are never entered, so they
+# raise on every read.
 _LITERAL_CAP = 4096
 _LITERALS: Dict[str, Tuple[Fraction, Fraction]] = {}
 _literal = _LITERALS.__getitem__  # the table in C; emptied in place, never rebound
@@ -122,6 +126,14 @@ def _read_literal(value: str) -> Tuple[Fraction, Fraction]:
         _LITERALS[canonical] = pair
     _LITERALS[value] = pair
     return pair
+
+
+def rational_pair(num: int, den: int) -> Tuple[Fraction, Fraction]:
+    """(num/den, its negation) for den > 0, read from the literal table as
+    the text "num/den", so equal draws, and a loaded document's equal
+    literals, share one Fraction; no Fraction is built on a hit."""
+    text = f"{num}/{den}"
+    return _LITERALS.get(text) or _read_literal(text)
 
 
 def _read_entry(value) -> Tuple[Fraction, Fraction]:
@@ -461,6 +473,19 @@ def _check_game(game: BimatrixGame, negated_a: Optional[Matrix] = None):
         game.__dict__["frontier"] = _strictly_competitive_frontier(a, m)
 
 
+def build_game(a: Matrix, m: Matrix, class_tag: str,
+               negated_a: Optional[Matrix] = None) -> BimatrixGame:
+    """A game with every check the constructor makes (:func:`_check_game`),
+    built without the dataclass machinery.  A caller that has -A at hand
+    (the loader and the generator read it from the literal table) passes it
+    as ``negated_a``, and a zero-sum pair is then checked by one tuple
+    comparison."""
+    game = object.__new__(BimatrixGame)
+    game.__dict__.update(doctor_matrix=a, hospital_matrix=m, class_tag=class_tag)
+    _check_game(game, negated_a)
+    return game
+
+
 @dataclass(frozen=True)
 class Doctor:
     id: str
@@ -544,8 +569,7 @@ def validate_instance(instance: MatchingGameInstance):
     if instance.model not in MODEL_KINDS:
         raise MatchGamesError(f"unknown model kind {instance.model!r}")
     for h in instance.hospitals.values():
-        if h.quota < 1:
-            raise QuotaOutOfRangeError(f"hospital {h.id} has quota {h.quota} < 1")
+        check_quota(h.quota, h.id)
     if instance.model == ROOMMATES and instance.hospitals:
         raise MatchGamesError("roommates instances carry no hospital list")
     for key, game in instance.games.items():
@@ -868,27 +892,22 @@ def _evaluate_enumerated(instance, allocation):
 # Serialisation
 
 
-def load_instance(source: Union[str, dict]) -> MatchingGameInstance:
-    """Load and validate an instance from a JSON document (path or dict).
-
-    Each game is built in one pass over its document rows, with every check
-    the constructor makes (:func:`_check_game`).  Each row maps through the
-    literal table (see :func:`_read_literal`) to its values and their
-    negations in one pass (:func:`_read_matrix`), so a zero-sum pair's
-    check compares M with -A as tuples instead of entry by entry.
-
-    The cyclic garbage collector is paused for the load and left as it was
-    found, error or not.  The objects built hold no reference cycles, so a
-    collection during the load could free nothing; it would only traverse
-    the young games again and again as they are built.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _load_instance(source)
-    finally:
-        if enabled:
-            gc.enable()
+def gc_paused(build):
+    """``build`` with the cyclic garbage collector paused for each call and
+    left as it was found, error or not.  For the builders of instances and
+    documents: what they build holds no reference cycles, so a collection
+    during the build could free nothing; it would only traverse the objects
+    built so far again and again as they grow."""
+    @wraps(build)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
 
 
 def _read_matrix(rows):
@@ -909,16 +928,30 @@ def _read_matrix(rows):
     return tuple(zip(*pairs))
 
 
-def read_quota(entry: dict, hospital, default: int, floor: int) -> int:
-    """A document hospital's quota: a JSON integer, not a bool, of at least
-    ``floor``, or ``default`` when the entry gives none."""
-    quota = entry.get("quota", default)
+def check_quota(quota, hospital, floor: int = 1) -> int:
+    """``quota`` if it is an int, not a bool, of at least ``floor``; else
+    raise.  Documents and instances built in code are held to one rule."""
     if type(quota) is not int or quota < floor:
         raise QuotaOutOfRangeError(f"hospital {hospital} has quota {quota!r}")
     return quota
 
 
-def _load_instance(source: Union[str, dict]) -> MatchingGameInstance:
+def read_quota(entry: dict, hospital, default: int, floor: int) -> int:
+    """A document hospital's quota (:func:`check_quota`), or ``default``
+    when the entry gives none."""
+    return check_quota(entry.get("quota", default), hospital, floor)
+
+
+@gc_paused
+def load_instance(source: Union[str, dict]) -> MatchingGameInstance:
+    """Load and validate an instance from a JSON document (path or dict).
+
+    Each game is built in one pass over its document rows, with every check
+    the constructor makes (:func:`build_game`).  Each row maps through the
+    literal table (see :func:`_read_literal`) to its values and their
+    negations in one pass (:func:`_read_matrix`), so a zero-sum pair's
+    check compares M with -A as tuples instead of entry by entry.
+    """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -958,9 +991,7 @@ def _load_instance(source: Union[str, dict]) -> MatchingGameInstance:
             key = (d, other)
         a, negated_a = _read_matrix(entry["A"])
         m = _read_matrix(entry["M"])[0]
-        game = games[key] = object.__new__(BimatrixGame)
-        game.__dict__.update(doctor_matrix=a, hospital_matrix=m, class_tag=str(entry["class"]))
-        _check_game(game, negated_a)
+        games[key] = build_game(a, m, str(entry["class"]), negated_a)
 
     coalition_doctor_payoffs = {}
     coalition_hospital_payoffs = {}
@@ -981,6 +1012,7 @@ def _load_instance(source: Union[str, dict]) -> MatchingGameInstance:
     )
 
 
+@gc_paused
 def serialize_instance(instance: MatchingGameInstance) -> dict:
     doc = {
         "model": instance.model,
@@ -1104,8 +1136,129 @@ def _parse_cycle(steps, key: str) -> Tuple[Tuple[int, int], ...]:
     raise MalformedCycleError(f"cycle {key} is not a list of [row, column] integer pairs")
 
 
+# The document writer.  Every document is written as exactly the bytes of
+# ``json.dumps(doc, indent=2, sort_keys=True) + "\n"``, without the stdlib's
+# pure-Python indenting encoder and its one write per token: strings are
+# escaped by the C ``encode_basestring_ascii``, a row of strings is one join,
+# and the document goes out one piece per item of the top-level container,
+# or of a top-level list, so no more than one such item is held as text.
+
+
+class _Unwritable(Exception):
+    """A value the writer leaves to the stdlib: a float, a non-str key, a
+    type JSON has no form for, and so on."""
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def _sorted_keys(doc: dict, nl: str) -> Tuple[list, list]:
+    """(sorted keys, each key's text up to its value); non-str keys, which
+    the stdlib converts or rejects, are left to it."""
+    try:
+        keys = sorted(doc)
+        return keys, [f"{nl}{_quote(k)}: " for k in keys]
+    except TypeError:
+        raise _Unwritable from None
+
+
+def _encode(value, nl: str) -> str:
+    """``value``'s text at the nesting whose line break and indent is ``nl``."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = nl + "  "
+        sep = "," + inner
+        try:  # a row of strings, or a matrix of them, quoted in C
+            if type(value[0]) is str:
+                body = sep.join(map(_quote, value))
+            else:
+                body = sep.join([_str_row(row, inner) for row in value])
+        except TypeError:
+            body = sep.join([_encode(v, inner) for v in value])
+        return f"[{inner}{body}{nl}]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = nl + "  "
+        keys, heads = _sorted_keys(value, inner)
+        body = ",".join([head + (_quote(v) if type(v) is str else _encode(v, inner))
+                         for head, v in zip(heads, map(value.__getitem__, keys))])
+        return f"{{{body}{nl}}}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is int:
+        return int.__repr__(value)
+    raise _Unwritable
+
+
+def _str_row(row, nl: str) -> str:
+    """A non-empty row of strings' text at ``nl``; TypeError for any other
+    value."""
+    if (type(row) is not list and type(row) is not tuple) or not row:
+        raise TypeError
+    inner = nl + "  "
+    return f"[{inner}{f',{inner}'.join(map(_quote, row))}{nl}]"
+
+
+def _pieces(value, nl: str, depth: int):
+    """``value``'s text in pieces: a non-empty container less than ``depth``
+    levels down one item at a time, anything deeper whole."""
+    kind = type(value)
+    if not depth or kind not in _CONTAINERS or not value:
+        yield _encode(value, nl)
+        return
+    inner = nl + "  "
+    if kind is dict:
+        keys, heads = _sorted_keys(value, inner)
+        items = zip(heads, map(value.__getitem__, keys))
+        opener, closer = "{", nl + "}"
+    else:
+        items = ((inner, v) for v in value)
+        opener, closer = "[", nl + "]"
+    sep = opener
+    for head, item in items:
+        if depth > 1 and type(item) in _CONTAINERS and item:
+            yield sep + head
+            yield from _pieces(item, inner, depth - 1)
+        else:
+            yield sep + head + _encode(item, inner)
+        sep = ","
+    yield closer
+
+
+def write_json(doc, fh):
+    """Write ``doc`` to the text stream ``fh`` as exactly the bytes of
+    ``json.dumps(doc, indent=2, sort_keys=True) + "\n"``.
+
+    A value the writer does not know, or a nesting too deep for it, sends
+    the whole document to the stdlib encoder, whose output then continues
+    after the text already written: that text is the same prefix of it.
+    So the stdlib also raises as it would for the document.
+    """
+    written = 0
+    try:
+        for piece in _pieces(doc, "\n", 2):
+            fh.write(piece)
+            written += len(piece)
+    except (_Unwritable, RecursionError):
+        for chunk in json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc):
+            if written >= len(chunk):
+                written -= len(chunk)
+            else:
+                fh.write(chunk[written:])
+                written = 0
+    fh.write("\n")
+
+
 def dump_json(doc: dict, path: str):
-    """Write a canonical JSON document (sorted keys, stable separators)."""
+    """Write a canonical JSON document (:func:`write_json`) to ``path``."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        write_json(doc, fh)

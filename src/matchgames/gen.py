@@ -1,10 +1,17 @@
-"""Seeded random instance generation for property suites and the CLI."""
+"""Seeded random instance generation for property suites and the CLI.
+
+Every drawn rational is read, with its negation, from the literal table
+(:func:`core.rational_pair`), so equal draws share one Fraction and a
+zero-sum game's M is the table's negations of its A, checked as the loader
+checks a document's.  The random calls and their order are fixed: a seed's
+instance, and so its document, never changes.
+"""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .core import (
     ADDITIVE_SEPARABLE,
@@ -15,24 +22,42 @@ from .core import (
     BimatrixGame,
     Doctor,
     Hospital,
+    Matrix,
     MatchingGameInstance,
+    build_game,
+    gc_paused,
     negate,
+    rational_pair,
     transpose,
 )
 
 
+def random_pair(rng: random.Random, lo: int = -10, hi: int = 10,
+                max_denominator: int = 1) -> Tuple[Fraction, Fraction]:
+    """A drawn rational in [lo, hi] and its negation."""
+    den = rng.randint(1, max_denominator)
+    return rational_pair(rng.randint(lo * den, hi * den), den)
+
+
 def random_rational(rng: random.Random, lo: int = -10, hi: int = 10,
                     max_denominator: int = 1) -> Fraction:
-    den = rng.randint(1, max_denominator)
-    num = rng.randint(lo * den, hi * den)
-    return Fraction(num, den)
+    return random_pair(rng, lo, hi, max_denominator)[0]
 
 
-def random_matrix(rng, rows, cols, lo=-10, hi=10, max_denominator=1):
-    return tuple(
-        tuple(random_rational(rng, lo, hi, max_denominator) for _ in range(cols))
+def random_matrices(rng, rows, cols, lo=-10, hi=10,
+                    max_denominator=1) -> Tuple[Matrix, Matrix]:
+    """A drawn matrix and its negation.  Entries are drawn row by row as
+    (value, negation) pairs, and each row is split in two, as the loader
+    splits a document row."""
+    rows_of_pairs = [
+        tuple(zip(*[random_pair(rng, lo, hi, max_denominator) for _ in range(cols)]))
         for _ in range(rows)
-    )
+    ]
+    return tuple(zip(*rows_of_pairs))
+
+
+def random_matrix(rng, rows, cols, lo=-10, hi=10, max_denominator=1) -> Matrix:
+    return random_matrices(rng, rows, cols, lo, hi, max_denominator)[0]
 
 
 def random_game(rng: random.Random, rows: int, cols: int, game_class: str,
@@ -43,9 +68,9 @@ def random_game(rng: random.Random, rows: int, cols: int, game_class: str,
     ratio at most 1, and a shift, applied to a randomly chosen side, so the
     load-time affine check holds by construction.
     """
-    core = random_matrix(rng, rows, cols, max_denominator=max_denominator)
+    core, negated = random_matrices(rng, rows, cols, max_denominator=max_denominator)
     if game_class == ZERO_SUM:
-        return BimatrixGame(core, negate(core), ZERO_SUM)
+        return build_game(core, negated, ZERO_SUM, negated)
     if game_class == REPEATED:
         other = random_matrix(rng, rows, cols, max_denominator=max_denominator)
         return BimatrixGame(core, other, REPEATED)
@@ -55,12 +80,13 @@ def random_game(rng: random.Random, rows: int, cols: int, game_class: str,
         scaled = tuple(tuple(ratio * v + shift for v in row) for row in core)
         if rng.random() < 0.5:
             # doctor side rescaled: A = ratio * core + shift, M = -core
-            return BimatrixGame(scaled, negate(core), STRICTLY_COMPETITIVE)
+            return BimatrixGame(scaled, negated, STRICTLY_COMPETITIVE)
         # hospital side rescaled: A = core, -M = ratio * core + shift
         return BimatrixGame(core, negate(scaled), STRICTLY_COMPETITIVE)
     raise ValueError(f"unsupported class {game_class!r}")
 
 
+@gc_paused
 def generate_instance(seed: int, model: str = ADDITIVE_SEPARABLE,
                       n_doctors: int = 4, n_hospitals: int = 2,
                       max_strategies: int = 3, max_quota: int = 2,

@@ -28,6 +28,7 @@ from matchgames.core import (
     negate,
 )
 from matchgames.dac import run_dac
+from matchgames.errors import InfeasibleReservationsError
 from matchgames.gen import generate_instance, random_matrix
 from matchgames.lp import game_value
 from matchgames.qcqp import (
@@ -272,7 +273,7 @@ def test_criterion_9_strictly_competitive_transfer():
         game = BimatrixGame(a, m, "strictly_competitive")
         try:
             cne = compute_cne_for_pair(game, ReservationPair(f_res, g_res), eps)
-        except Exception:
+        except InfeasibleReservationsError:
             continue
         f_now = bilinear(cne.x, a, cne.y)
         g_now = bilinear(cne.x, m, cne.y)

@@ -86,6 +86,17 @@ def test_quota_true_rejected():
         load_instance(doc)
 
 
+@pytest.mark.parametrize("quota", [True, 2.0, 0])
+def test_constructed_quota_held_to_the_document_rule(quota):
+    # The loader refuses these quotas in a document; an instance built in
+    # code is refused as well, so no instance serializes to a document the
+    # loader rejects.
+    hospital = Hospital("h", F(0), quota, ("t",))
+    with pytest.raises(QuotaOutOfRangeError):
+        MatchingGameInstance(model="additive_separable", doctors={}, hospitals={"h": hospital},
+                             games={})
+
+
 def test_zero_sum_tag_violation_names_entry():
     doc = zero_sum_doc()
     doc["games"][0]["M"][0][1] = "5"  # entry (0,1) breaks M == -A
