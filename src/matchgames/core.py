@@ -57,18 +57,6 @@ class NegInfinity:
     def __repr__(self):
         return "-inf"
 
-    def __lt__(self, other):
-        return not isinstance(other, NegInfinity)
-
-    def __gt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return True
-
-    def __ge__(self, other):
-        return isinstance(other, NegInfinity)
-
 
 NEG_INF = NegInfinity()
 
@@ -336,35 +324,10 @@ def _strictly_competitive_frontier(a: Matrix, m: Matrix) -> Frontier:
     return Frontier(a_min, a_max, m_min, m_max, seg)
 
 
-def _zero_sum_bounds(a: Matrix, m: Matrix):
-    """Check M == -A entry by entry, raising at the first entry that fails,
-    and locate A's bounds (as ``_locate_bounds`` does) in the same scan.
-
-    Normalised Fractions are equal iff numerators and denominators are, so
-    the check compares integers and builds Fractions only for an error.
-    """
-    lo_n, lo_d = hi_n, hi_d = a[0][0].as_integer_ratio()
-    lo_i = lo_j = hi_i = hi_j = 0
-    for i, (row_a, row_m) in enumerate(zip(a, m)):
-        for j, (value, other) in enumerate(zip(row_a, row_m)):
-            n, d = value.as_integer_ratio()
-            if other.as_integer_ratio() != (-n, d):
-                raise ClassTagViolationError(
-                    f"zero_sum game has M != -A at entry ({i},{j})",
-                    entry=(i, j, other, -value),
-                )
-            if n * lo_d < lo_n * d:
-                lo_n, lo_d, lo_i, lo_j = n, d, i, j
-            elif n * hi_d > hi_n * d:
-                hi_n, hi_d, hi_i, hi_j = n, d, i, j
-    return lo_i, lo_j, lo_n, lo_d, hi_i, hi_j, hi_n, hi_d
-
-
-def _zero_sum_frontier(a: Matrix, m: Matrix, bounds) -> Frontier:
-    """A checked zero-sum pair's frontier from A's located bounds: A's
-    bounds as ``matrix_bounds`` finds them, and M's, the M entries at the
-    same places."""
-    lo_i, lo_j, lo_n, lo_d, hi_i, hi_j, hi_n, hi_d = bounds
+def _zero_sum_frontier(a: Matrix, m: Matrix) -> Frontier:
+    """A checked zero-sum pair's frontier: A's bounds as ``matrix_bounds``
+    finds them, and M's, the M entries at the same places."""
+    lo_i, lo_j, lo_n, lo_d, hi_i, hi_j, hi_n, hi_d = _locate_bounds(a)
     lo, hi = a[lo_i][lo_j], a[hi_i][hi_j]
     seg = Segment((lo_n, lo_d), (hi_n, hi_d), (-hi_n, hi_d), (-lo_n, lo_d), 0, 1, 1)
     return Frontier(lo, hi, m[hi_i][hi_j], m[lo_i][lo_j], seg)
@@ -449,14 +412,13 @@ def _check_game(game: BimatrixGame, negated_a: Optional[Matrix] = None):
     tag, its shape and its class, whose check is building a one-shot
     frontier.
 
-    A zero-sum pair is checked entry by entry in the scan that finds A's
-    bounds or, when the loader passes -A, by comparing M with it as tuples
-    (exact, and by identity for the literal table's shared values); on a
-    mismatch the entry-by-entry scan names the fault.  A strictly
-    competitive pair is checked against its segment's line.  The frontier
-    goes straight into the instance dict, which attribute lookup reads
-    before the ``frontier`` descriptor, so no read of it goes through the
-    descriptor or its lock.
+    A zero-sum pair is checked by comparing M with -A as tuples (exact, and
+    by identity for the literal table's shared values when the loader or
+    the generator passes -A as ``negated_a``); only a mismatch is then
+    located, to name its entry.  A strictly competitive pair is checked
+    against its segment's line.  The frontier goes straight into the
+    instance dict, which attribute lookup reads before the ``frontier``
+    descriptor, so no read of it goes through the descriptor or its lock.
     """
     tag, a, m = game.class_tag, game.doctor_matrix, game.hospital_matrix
     if tag not in GAME_CLASSES:
@@ -464,11 +426,13 @@ def _check_game(game: BimatrixGame, negated_a: Optional[Matrix] = None):
     if len(a) != len(m) or len({*map(len, a), *map(len, m)}) != 1:
         raise DimensionMismatchError("A and M must have identical shape")
     if tag == ZERO_SUM:
-        if negated_a is None or m != negated_a:
-            bounds = _zero_sum_bounds(a, m)  # raises on a mismatch
-        else:
-            bounds = _locate_bounds(a)
-        game.__dict__["frontier"] = _zero_sum_frontier(a, m, bounds)
+        if m != (negate(a) if negated_a is None else negated_a):
+            for i, (row_a, row_m) in enumerate(zip(a, m)):
+                for j, (value, other) in enumerate(zip(row_a, row_m)):
+                    if other != -value:
+                        raise ClassTagViolationError(f"zero_sum game has M != -A at entry ({i},{j})",
+                                                     entry=(i, j, other, -value))
+        game.__dict__["frontier"] = _zero_sum_frontier(a, m)
     elif tag == STRICTLY_COMPETITIVE:
         game.__dict__["frontier"] = _strictly_competitive_frontier(a, m)
 

@@ -15,19 +15,22 @@ them is sound because the frontier's construction checks, entry by entry,
 that every (A[i][j], M[i][j]) lies on the segment's line: so every profile
 pays a point of the segment, the segment's points are payoffs the matrices
 attain, and a profile hitting a doctor payoff on A pays the partner the
-line's value there.  Every blocking-pair witness is replayed in the original
-matrices before it is reported, and the renegotiation check delegates to
-the CNE characterisation in ``renegotiation``.  The enumerated model's core
-enumeration, a reference oracle built on this module's coalition scan,
-lives in ``tests/oracles.py``.
+line's value there.  A blocking coalition at an additive hospital is
+decided by sorting its doctors' frontier suprema, with no enumeration of
+coalitions and no cap, and each member of a witness is realised by the pair
+oracle's block profile.  Every blocking-pair and coalition witness is
+replayed in the original matrices before it is reported, and the
+renegotiation check delegates to the CNE characterisation in
+``renegotiation``.  The enumerated model's core enumeration, a reference
+oracle built on this module's coalition scan, lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, combinations
-from math import comb
 from typing import Dict, List, Optional, Tuple
 
 from .core import (
@@ -46,7 +49,7 @@ from .core import (
     evaluate_payoffs,
     seat_floor,
 )
-from .errors import CapExceededError, MatchGamesError, UnsupportedClassError
+from .errors import MatchGamesError, UnsupportedClassError
 from .qcqp import achieve_value_zero_sum, max_f_point, max_g_point, pays_above, simplex_grid
 
 EXACT_INTERVAL = "exact_interval"
@@ -196,6 +199,15 @@ def _pair_block_profile(game: BimatrixGame, f_floor: Fraction, g_floor: Fraction
     return None
 
 
+def _replayed_payoffs(game: BimatrixGame, x, y, lam):
+    """A pair witness's (doctor, partner) payoffs: ``lam``'s, or (x, y)'s."""
+    a, m = game.doctor_matrix, game.hospital_matrix
+    if lam is not None:
+        return (sum(a[s][t] * w for (s, t), w in lam.items()),
+                sum(m[s][t] * w for (s, t), w in lam.items()))
+    return bilinear(x, a, y), bilinear(x, m, y)
+
+
 def find_blocking_pair(instance, allocation, epsilon: Fraction, grid_mesh: int = 8,
                        payoffs: Optional[PayoffReport] = None) -> Optional[BlockingPairWitness]:
     """First pair able to rematch with both sides gaining strictly more than epsilon."""
@@ -240,12 +252,7 @@ def find_blocking_pair(instance, allocation, epsilon: Fraction, grid_mesh: int =
             if found is None:
                 continue
             x, y, lam, method = found
-            if lam is not None:
-                f_new = sum(game.doctor_matrix[s][t] * w for (s, t), w in lam.items())
-                g_new = sum(game.hospital_matrix[s][t] * w for (s, t), w in lam.items())
-            else:
-                f_new = bilinear(x, game.doctor_matrix, y)
-                g_new = bilinear(x, game.hospital_matrix, y)
+            f_new, g_new = _replayed_payoffs(game, x, y, lam)
             # Witness replay: the claimed strict gains must re-evaluate exactly.
             if not (f_new > f_bar and g_new > g_bar):
                 raise MatchGamesError("blocking witness failed exact replay")
@@ -268,17 +275,17 @@ def find_blocking_pair(instance, allocation, epsilon: Fraction, grid_mesh: int =
 
 def find_blocking_coalition(instance, allocation, epsilon: Fraction,
                             max_coalition_size: int = 5,
-                            cap: int = 1 << 16,
                             payoffs: Optional[PayoffReport] = None,
                             ) -> Optional[BlockingCoalitionWitness]:
-    """Exhaustive scan for a coalition (I, h) all of whose members gain > epsilon.
+    """The first coalition (I, h) of at most ``max_coalition_size`` doctors
+    all of whose members gain > epsilon, or None.
 
-    Additive separability reduces the scan to per-doctor frontier suprema;
-    the enumerated model scans its explicit tables.  A coalition size whose
-    ``size`` largest suprema cannot beat the hospital's current payoff plus
-    epsilon holds no candidate and is skipped; its ``comb(n, size)``
-    coalitions still count against ``cap``, so the cap and the first witness
-    in scan order are those of the full scan.
+    Additive separability reduces the question to per-doctor frontier
+    suprema: a size holds a blocker at h iff its largest suprema sum above
+    h's payoff plus epsilon, and the witness is the first team of the first
+    such size in ``itertools.combinations`` order (:func:`_first_team`); an
+    over-quota hospital's first eligible doctor blocks it alone.  The
+    enumerated model scans its explicit tables.
     """
     payoffs = payoffs or evaluate_payoffs(instance, allocation)
     if instance.model == GENERAL_ENUMERATED:
@@ -290,7 +297,6 @@ def find_blocking_coalition(instance, allocation, epsilon: Fraction,
 
     floors = {d: f + epsilon for d, f in payoffs.doctor_payoffs.items()}
     for h in instance.hospital_ids:
-        hosp = instance.hospitals[h]
         current = payoffs.hospital_payoffs[h]
         eligible = []
         for d in instance.doctor_ids:
@@ -301,92 +307,81 @@ def find_blocking_coalition(instance, allocation, epsilon: Fraction,
             best = max_g_point(instance.game_for(d, h), floors[d], strict=True)
             if best is not None:
                 eligible.append((d, best.g))
-        max_size = min(max_coalition_size, hosp.quota, len(eligible))
-        threshold = current + epsilon if current is not NEG_INF else None
-        # bests[size]: the largest total any coalition of that size can reach.
-        sups = sorted((g for _, g in eligible), reverse=True)
-        bests = list(accumulate(sups, initial=Fraction(0)))
-        count = 0
-        for size in range(1, max_size + 1):
-            if threshold is not None and bests[size] <= threshold:
-                count += comb(len(eligible), size)
-                if count > cap:
-                    raise CapExceededError("coalition scan exceeded its cap")
-                continue
-            for combo in combinations(eligible, size):
-                count += 1
-                if count > cap:
-                    raise CapExceededError("coalition scan exceeded its cap")
-                total = sum((g for _, g in combo), Fraction(0))
-                if threshold is None or total > threshold:
-                    witness = _realise_coalition(
-                        instance, payoffs, [d for d, _ in combo], h, epsilon, threshold
-                    )
-                    if witness is not None:
-                        return witness
-    return None
-
-
-def _realise_coalition(instance, payoffs, doctors, h, epsilon, threshold):
-    """Build explicit profiles backing the coalition's strict gains, or None.
-
-    Each member's game and floor (her payoff plus epsilon) are read once,
-    and the method label names the classes of the members' games.
-    """
-    games = [instance.game_for(d, h) for d in doctors]
-    floors = [payoffs.doctor_payoffs[d] + epsilon for d in doctors]
-    # Shrink the per-doctor slack until the summed seat values clear the bar.
-    for halvings in range(64):
-        delta = Fraction(1, 2 ** halvings)
-        profiles, lams = {}, {}
-        total = Fraction(0)
-        ok = True
-        for d, game, floor in zip(doctors, games, floors):
-            out = _profile_just_above(game, floor, delta)
-            if out is None:
-                ok = False
-                break
-            f_val, g_val, x, y, lam = out
-            profiles[d] = (x, y)
-            if lam is not None:
-                lams[d] = lam
-            total += g_val
-        if ok and (threshold is None or total > threshold):
-            return BlockingCoalitionWitness(
-                doctors=tuple(doctors),
-                hospital=h,
-                method=_label((CLASS_METHODS.get(g.class_tag, EXACT_INTERVAL) for g in games),
-                              EXACT_INTERVAL),
-                profiles=profiles,
-                hospital_gain=(total - threshold + epsilon) if threshold is not None else None,
-                cycle_distributions=lams,
-            )
-    return None
-
-
-def _profile_just_above(game, f_floor, delta):
-    """A profile with doctor payoff in (f_floor, f_floor + delta], partner payoff maximal.
-
-    On a one-shot segment ``delta`` counts in the units of the pair's
-    zero-sum image (``core.frontier_bridge``): r/q doctor units when r < q.
-    """
-    fr = game.frontier
-    if fr.segment is not None:
-        a, m = game.doctor_matrix, game.hospital_matrix
-        if fr.a_max <= f_floor:
-            return None
-        if fr.a_min > f_floor:
-            target = fr.a_min
+        max_size = min(max_coalition_size, instance.hospitals[h].quota, len(eligible))
+        if current is NEG_INF:
+            team = [0] if max_size > 0 else []
         else:
-            p, q, r = fr.segment[4:]
-            step = delta * r / q if r < q else delta
-            target = min(f_floor + step, (f_floor + fr.a_max) / 2)
-        x, y, _ = achieve_value_zero_sum(a, target)
-        return bilinear(x, a, y), bilinear(x, m, y), x, y, None
-    point = max_g_point(game, f_floor + delta)
-    if point is None or point.f <= f_floor:
-        return None
-    return point.f, point.g, None, None, point.lam
+            sups = [g for _, g in eligible]
+            # bests[size]: the largest total any coalition of that size can reach.
+            bests = list(accumulate(sorted(sups, reverse=True), initial=Fraction(0)))
+            size = next((s for s in range(1, max_size + 1) if bests[s] > current + epsilon), 0)
+            team = _first_team(sups, size, current + epsilon)
+        if team:
+            return _realise_coalition(instance, floors, [eligible[i] for i in team], h, current, epsilon)
+    return None
+
+
+def _first_team(sups, size, bar):
+    """The first index tuple of ``size`` sups, in ``itertools.combinations``
+    order, that sums above ``bar``, when some tuple does (none for size 0).
+
+    Each slot takes the smallest index whose sup, plus the sups picked, plus
+    the largest sups after it that can fill the remaining slots, clears the
+    bar: O(n * size^2) in all.
+    """
+    team, picked = [], 0
+    for rest in range(size - 1, -1, -1):
+        start = team[-1] + 1 if team else 0
+        # after[k]: the sum of the ``rest`` largest sups past index start + k,
+        # or None when fewer follow it.
+        after, top = [], []
+        for value in reversed(sups[start:]):
+            after.append(sum(top) if len(top) == rest else None)
+            insort(top, value)
+            if len(top) > rest:
+                del top[0]
+        after.reverse()
+        i = next(start + k for k, tail in enumerate(after)
+                 if tail is not None and picked + sups[start + k] + tail > bar)
+        team.append(i)
+        picked += sups[i]
+    return team
+
+
+def _realise_coalition(instance, floors, team, h, current, epsilon):
+    """The witness of ``team``, its (doctor, sup) pairs at h, replayed exactly.
+
+    Each member's profile, from the pair oracle, pays her above her floor and
+    h above her sup less an equal share of the team's margin over h's bar
+    (its payoff plus epsilon; 1 when h is over quota), so the seat values
+    sum above the bar.
+    """
+    bar = None if current is NEG_INF else current + epsilon
+    margin = 1 if bar is None else sum(sup for _, sup in team) - bar
+    profiles, lams, methods, total, below = {}, {}, set(), Fraction(0), False
+    for d, sup in team:
+        game = instance.game_for(d, h)
+        found = _pair_block_profile(game, floors[d], sup - margin / len(team))
+        if found is None:
+            raise MatchGamesError(f"no profile realises coalition member {d} at {h}")
+        x, y, lam, method = found
+        f, g = _replayed_payoffs(game, x, y, lam)
+        below |= not f > floors[d]
+        profiles[d] = (x, y)
+        if lam is not None:
+            lams[d] = lam
+        methods.add(method)
+        total += g
+    if below or (bar is not None and not total > bar):
+        raise MatchGamesError("coalition witness failed exact replay")
+    return BlockingCoalitionWitness(
+        doctors=tuple(d for d, _ in team),
+        hospital=h,
+        method=_label(methods, EXACT_INTERVAL),
+        profiles=profiles,
+        hospital_gain=None if bar is None else total - current,
+        cycle_distributions=lams,
+    )
 
 
 def _enumerated_blocking_coalition(instance, allocation, payoffs, epsilon, max_size):

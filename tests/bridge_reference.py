@@ -14,7 +14,6 @@ the image value.
 from fractions import Fraction as F
 
 from matchgames import qcqp, stability
-from matchgames.core import bilinear
 
 
 def reference_bridge(a, m):
@@ -119,19 +118,6 @@ def ref_pair_block_profile(game, f_floor, g_floor):
         return None
     x, y, _ = qcqp.achieve_value_zero_sum(br.image, point)
     return x, y, None, stability.EXACT_INTERVAL
-
-
-def ref_profile_just_above(game, f_floor, delta):
-    """``stability._profile_just_above`` of a one-shot game, on the image,
-    with ``delta`` in image units."""
-    br = bridge(game)
-    z_floor = br.image_doctor_value(f_floor)
-    if br.z_max <= z_floor:
-        return None
-    target = br.z_min if br.z_min > z_floor else min(z_floor + delta, (z_floor + br.z_max) / 2)
-    x, y, _ = qcqp.achieve_value_zero_sum(br.image, target)
-    a, m = game.doctor_matrix, game.hospital_matrix
-    return bilinear(x, a, y), bilinear(x, m, y), x, y, None
 
 
 def ref_value_grid(game, mesh):

@@ -65,7 +65,6 @@ from bridge_reference import (
     ref_max_g,
     ref_pair_block_profile,
     ref_pays_above,
-    ref_profile_just_above,
     ref_value_grid,
 )
 
@@ -286,7 +285,6 @@ class TestIntegerSegment:
     def test_queries_equal_the_bridge_reference(self, monkeypatch):
         rng = random.Random("integer-segment")
         seen = set()
-        deltas = [F(1, 2 ** k) for k in range(7)]  # 1 down to 1/64
         for game in _one_shot_games(rng):
             fr = game.frontier
             br = bridge(game)
@@ -314,9 +312,6 @@ class TestIntegerSegment:
                             == ref_pays_above(br, f_floor, g_floor)), (game, f_floor, g_floor)
                     assert (_pair_block_profile(game, f_floor, g_floor)
                             == ref_pair_block_profile(game, f_floor, g_floor)), (game, f_floor)
-                for delta in deltas:
-                    assert (stability._profile_just_above(game, f_floor, delta)
-                            == ref_profile_just_above(game, f_floor, delta)), (game, f_floor)
             assert stability._value_grid(game, 4) == ref_value_grid(game, 4)
         assert seen == {"constant", "zero_sum", "ratio 1", "doctor", "hospital"}
         # The grid search over whole roommates markets, and the same search

@@ -143,13 +143,13 @@ def test_zero_sum_hospital_matrix_is_the_tables_negations(den):
 
 
 def test_generated_zero_sum_game_is_checked_by_tuple_comparison(monkeypatch):
-    # The generator hands -A to the check, so the entry-by-entry scan that
-    # a constructor call would make never runs on a valid zero-sum game.
+    # The generator hands -A to the check, so the check builds no negation
+    # of its own, as a constructor call would.
     import random
 
-    def scan(a, m):
-        raise AssertionError("entry-by-entry zero-sum scan")
+    def negation(m):
+        raise AssertionError("the check negated A")
 
-    monkeypatch.setattr(core, "_zero_sum_bounds", scan)
+    monkeypatch.setattr(core, "negate", negation)
     game = random_game(random.Random(1), 3, 3, core.ZERO_SUM, max_denominator=2)
     assert game.frontier.segment.p == 0

@@ -21,7 +21,7 @@ from matchgames.errors import CapExceededError
 from matchgames.gen import generate_instance
 from matchgames.qcqp import max_g_point
 from matchgames.stability import (
-    _realise_coalition,
+    _first_team,
     check_individual_rationality,
     find_blocking_coalition,
     find_blocking_pair,
@@ -178,9 +178,10 @@ def _seat_sup(game, f_floor):
     return None if point is None else point.g
 
 
-def _unpruned_coalition_scan(inst, alloc, eps, max_size, cap):
+def _unpruned_coalition_scan(inst, alloc, eps, max_size):
     """The coalition scan without the size bound: every combination of every
-    size is summed and compared.  Returns the witness, or "cap"."""
+    size is summed and compared.  Returns the first blocking (doctors,
+    hospital), or None."""
     payoffs = evaluate_payoffs(inst, alloc)
     for h in inst.hospital_ids:
         eligible = []
@@ -190,26 +191,49 @@ def _unpruned_coalition_scan(inst, alloc, eps, max_size, cap):
                 if sup_g is not None:
                     eligible.append((d, sup_g))
         current = payoffs.hospital_payoffs[h]
-        threshold = None if current is NEG_INF else current + eps
-        count = 0
         for size in range(1, min(max_size, inst.hospitals[h].quota, len(eligible)) + 1):
             for combo in combinations(eligible, size):
-                count += 1
-                if count > cap:
-                    return "cap"
-                if threshold is None or sum(g for _, g in combo) > threshold:
-                    witness = _realise_coalition(inst, payoffs, [d for d, _ in combo], h, eps,
-                                                 threshold)
-                    if witness is not None:
-                        return witness
+                if current is NEG_INF or sum(g for _, g in combo) > current + eps:
+                    return tuple(d for d, _ in combo), h
     return None
 
 
-def _pruned_coalition_scan(inst, alloc, eps, max_size, cap):
-    try:
-        return find_blocking_coalition(inst, alloc, eps, max_coalition_size=max_size, cap=cap)
-    except CapExceededError:
-        return "cap"
+def _assert_replays(inst, alloc, eps, witness):
+    """Every member's profile (or hull distribution) pays her above her
+    payoff plus eps, and the seat values sum above the hospital's payoff
+    plus eps, by the claimed gain."""
+    payoffs = evaluate_payoffs(inst, alloc)
+    total = F(0)
+    for d in witness.doctors:
+        game = inst.game_for(d, witness.hospital)
+        a, m = game.doctor_matrix, game.hospital_matrix
+        lam = witness.cycle_distributions.get(d)
+        if lam is not None:
+            assert witness.profiles[d] == (None, None) and sum(lam.values()) == 1
+            f = sum(a[s][t] * w for (s, t), w in lam.items())
+            g = sum(m[s][t] * w for (s, t), w in lam.items())
+        else:
+            x, y = witness.profiles[d]
+            f, g = bilinear(x, a, y), bilinear(x, m, y)
+        assert f > payoffs.doctor_payoffs[d] + eps
+        total += g
+    current = payoffs.hospital_payoffs[witness.hospital]
+    if current is NEG_INF:
+        assert witness.hospital_gain is None
+    else:
+        assert total > current + eps
+        assert witness.hospital_gain == total - current
+
+
+def _coalition_as_unpruned_scan(inst, alloc, eps, max_size=4):
+    """The coalition found, after checking that it is the unpruned scan's
+    first team and that it replays exactly."""
+    witness = find_blocking_coalition(inst, alloc, eps, max_coalition_size=max_size)
+    expected = _unpruned_coalition_scan(inst, alloc, eps, max_size)
+    assert (None if witness is None else (witness.doctors, witness.hospital)) == expected
+    if witness is not None:
+        _assert_replays(inst, alloc, eps, witness)
+    return witness
 
 
 def _scrambled_allocation(inst, rng):
@@ -232,9 +256,8 @@ class TestCoalitionBound:
         inst = generate_instance(seed=1696459287, n_doctors=20, n_hospitals=6,
                                  classes=["zero_sum", "strictly_competitive", "repeated"])
         alloc, _ = run_dac(inst, eps)
-        witness = find_blocking_coalition(inst, alloc, eps, max_coalition_size=4)
+        witness = _coalition_as_unpruned_scan(inst, alloc, eps)
         assert (witness.doctors, witness.hospital) == (("d12", "d17"), "h3")
-        assert witness == _unpruned_coalition_scan(inst, alloc, eps, 4, 1 << 16)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_dac_outputs_match_unpruned_scan(self, seed):
@@ -243,9 +266,7 @@ class TestCoalitionBound:
                                  classes=classes)
         for eps in (F(1, 2), F(1, 10)):
             alloc, _ = run_dac(inst, eps)
-            for cap in (1, 7, 2000, 1 << 16):
-                assert (_pruned_coalition_scan(inst, alloc, eps, 4, cap)
-                        == _unpruned_coalition_scan(inst, alloc, eps, 4, cap))
+            _coalition_as_unpruned_scan(inst, alloc, eps)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_scrambled_allocations_match_unpruned_scan(self, seed):
@@ -255,32 +276,35 @@ class TestCoalitionBound:
         for _ in range(4):
             alloc = _scrambled_allocation(inst, rng)
             eps = F(1, rng.choice((1, 2, 10)))
-            for cap in (3, 40, 1 << 16):
-                assert (_pruned_coalition_scan(inst, alloc, eps, 4, cap)
-                        == _unpruned_coalition_scan(inst, alloc, eps, 4, cap))
+            _coalition_as_unpruned_scan(inst, alloc, eps)
 
-    def test_cap_counts_pruned_sizes(self):
+    def test_a_market_of_many_combinations_answers(self):
+        # Sizes up to 4 over 36 doctors hold more than 2^16 combinations at a
+        # hospital; the answer is read from the sorted sups alone.
         eps = F(1, 2)
-        inst = generate_instance(seed=3, n_doctors=20, n_hospitals=6, max_quota=4,
+        inst = generate_instance(seed=5, n_doctors=36, n_hospitals=6, max_quota=4,
                                  classes=["zero_sum", "strictly_competitive"])
         alloc, _ = run_dac(inst, eps)
-        assert find_blocking_coalition(inst, alloc, eps, max_coalition_size=4) is None
-        # At the first hospital no size holds a candidate: every size is
-        # skipped, and its combinations alone must trip a small cap.
-        payoffs = evaluate_payoffs(inst, alloc)
-        h = inst.hospital_ids[0]
-        sups = sorted((g for d in inst.doctor_ids
-                       if (g := _seat_sup(inst.game_for(d, h), payoffs.doctor_payoffs[d] + eps))
-                       is not None), reverse=True)
-        sizes = min(4, inst.hospitals[h].quota, len(sups))
-        assert sizes >= 2
-        assert all(sum(sups[:k]) <= payoffs.hospital_payoffs[h] + eps for k in range(1, sizes + 1))
-        with pytest.raises(CapExceededError):
-            find_blocking_coalition(inst, alloc, eps, max_coalition_size=4, cap=len(sups))
+        assert _coalition_as_unpruned_scan(inst, alloc, eps) is None
+
+    def test_first_team_is_the_first_clearing_combination(self):
+        rng = random.Random("first-team")
+        checked = 0
+        while checked < 10_000:
+            n = rng.randint(1, 7)
+            sups = [F(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))) for _ in range(n)]
+            size = rng.randint(1, min(4, n))
+            bar = F(rng.randint(-12, 12), rng.choice((1, 2, 4)))
+            first = next((team for team in combinations(range(n), size)
+                          if sum(sups[i] for i in team) > bar), None)
+            if first is not None:
+                assert tuple(_first_team(sups, size, bar)) == first, (sups, size, bar)
+                checked += 1
 
     def test_a_doctor_at_her_best_payoff_is_no_candidate(self):
-        # d's floor, her payoff plus epsilon, is her best payoff at h: she
-        # cannot gain strictly, adds no combination, and so trips no cap.
+        # At epsilon 1/2 d's floor, her payoff plus epsilon, is her best
+        # payoff at h: she cannot gain strictly and is no candidate.  At 1/3
+        # she is one, but what she can pay h does not clear its bar.
         a = ((F(0), F(4)),)
         inst = MatchingGameInstance(
             model="additive_separable",
@@ -289,9 +313,8 @@ class TestCoalitionBound:
             games={("d", "h"): BimatrixGame(a, negate(a), "zero_sum")},
         )
         alloc = Allocation(matching={"d": None})
-        assert find_blocking_coalition(inst, alloc, F(1, 2), cap=0) is None
-        with pytest.raises(CapExceededError):
-            find_blocking_coalition(inst, alloc, F(1, 3), cap=0)
+        assert find_blocking_coalition(inst, alloc, F(1, 2)) is None
+        assert find_blocking_coalition(inst, alloc, F(1, 3)) is None
 
 
 class TestEnumerateCore:
@@ -537,8 +560,7 @@ def test_per_agent_floors_give_the_per_pair_witnesses():
         pair = find_blocking_pair(inst, alloc, eps)
         assert pair == _reference_blocking_pair(inst, alloc, eps)
         if inst.model == "additive_separable":
-            coalition = _pruned_coalition_scan(inst, alloc, eps, 4, 1 << 16)
-            assert coalition == _unpruned_coalition_scan(inst, alloc, eps, 4, 1 << 16)
+            coalition = _coalition_as_unpruned_scan(inst, alloc, eps)
             seen.add(("coalition", coalition is None))
         verdict = verify_renegotiation_proof(inst, alloc, eps)
         assert verdict == _reference_renegotiation_check(inst, alloc, eps)
