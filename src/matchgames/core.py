@@ -995,14 +995,23 @@ def serialize_instance(instance: MatchingGameInstance) -> dict:
             }
             for h in instance.hospitals.values()
         ]
+    # An instance's matrices share a few dozen distinct Fraction objects (the
+    # literal table's), so each object is formatted once per call.  Ids are
+    # stable keys here: the instance holds every object until the call ends.
+    texts = {}
+
+    def text(value):
+        out = texts[id(value)] = format_rational(value)
+        return out
+
     games = []
     for (d, other), game in sorted(instance.games.items()):
         entry = {
             "doctor": d,
             "doctor2" if instance.model == ROOMMATES else "hospital": other,
             "class": game.class_tag,
-            "A": [[format_rational(v) for v in row] for row in game.doctor_matrix],
-            "M": [[format_rational(v) for v in row] for row in game.hospital_matrix],
+            "A": [[texts.get(id(v)) or text(v) for v in row] for row in game.doctor_matrix],
+            "M": [[texts.get(id(v)) or text(v) for v in row] for row in game.hospital_matrix],
         }
         games.append(entry)
     doc["games"] = games

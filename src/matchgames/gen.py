@@ -34,9 +34,17 @@ from .core import (
 
 def random_pair(rng: random.Random, lo: int = -10, hi: int = 10,
                 max_denominator: int = 1) -> Tuple[Fraction, Fraction]:
-    """A drawn rational in [lo, hi] and its negation."""
-    den = rng.randint(1, max_denominator)
-    return rational_pair(rng.randint(lo * den, hi * den), den)
+    """A drawn rational in [lo, hi] and its negation.
+
+    Both draws are ``randint``'s, made as ``randrange`` makes them for a
+    unit step on Python 3.10-3.13, ``a + rng._randbelow(b - a + 1)``, so
+    the stream is the same without their frames; an empty range raises
+    here, as ``randint`` would, since ``_randbelow`` would never return.
+    """
+    if max_denominator < 1 or hi < lo:
+        raise ValueError(f"empty draw range: [{lo}, {hi}], denominators up to {max_denominator}")
+    den = 1 + rng._randbelow(max_denominator)
+    return rational_pair(lo * den + rng._randbelow((hi - lo) * den + 1), den)
 
 
 def random_rational(rng: random.Random, lo: int = -10, hi: int = 10,

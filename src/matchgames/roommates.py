@@ -17,7 +17,7 @@ the queries of ``qcqp``, which answer it for each game class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -26,6 +26,7 @@ from .core import (
     STRICTLY_COMPETITIVE,
     ZERO_SUM,
     Allocation,
+    BimatrixGame,
     MatchingGameInstance,
     store_witness,
 )
@@ -34,7 +35,7 @@ from .errors import (
     NotAnAspirationError,
     UnsupportedClassError,
 )
-from .qcqp import FrontierPoint, exact_point, frontier_witness, max_f_point
+from .qcqp import FrontierPoint, exact_point, frontier_witness, max_f_point, max_f_value
 
 PayoffProfile = Dict[str, Fraction]
 
@@ -69,19 +70,32 @@ def demand_set(instance: MatchingGameInstance, profile: PayoffProfile, d: str) -
 class DemandGraph:
     """Mutual demand between doctors: an edge per pair, keyed by its stored
     (sorted) ids, holding the frontier point that pays both members exactly
-    their profile values."""
+    their profile values.  Each doctor's sorted neighbours are listed once,
+    on construction."""
 
     vertices: List[str]
     points: Dict[Tuple[str, str], FrontierPoint]
     singleton_ok: Dict[str, bool]
+    adjacency: Dict[str, List[str]] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.adjacency = {d: [] for d in self.vertices}
+        for a, b in self.points:
+            self.adjacency[a].append(b)
+            self.adjacency[b].append(a)
+        for out in self.adjacency.values():
+            out.sort()
 
     @property
     def edges(self):
         return self.points.keys()
 
     def neighbours(self, d: str) -> List[str]:
-        out = [b for (a, b) in self.edges if a == d] + [a for (a, b) in self.edges if b == d]
-        return sorted(out)
+        return self.adjacency[d]
+
+    def must_match(self) -> List[str]:
+        """Doctors above their IRP, who cannot stay single."""
+        return [d for d in self.vertices if not self.singleton_ok[d]]
 
 
 def build_demand_graph(instance: MatchingGameInstance, profile: PayoffProfile) -> DemandGraph:
@@ -102,23 +116,68 @@ def build_demand_graph(instance: MatchingGameInstance, profile: PayoffProfile) -
 
 def is_aspiration(instance: MatchingGameInstance, profile: PayoffProfile):
     """Check the per-doctor max equation; returns (verdict, witness doctor)."""
-    for d in instance.doctor_ids:
-        if profile[d] != _aspiration_rhs(instance, profile, d):
-            return False, d
-    return True, None
+    witness = _untight_doctor(_partner_table(instance), profile)
+    return witness is None, witness
 
 
 # ---------------------------------------------------------------------------
 # Aspiration solving (zero-sum / strictly competitive instances)
 
 
-def _aspiration_rhs(instance, profile, d):
-    best = instance.doctors[d].irp
-    for other in instance.partner_options(d):
-        u = partnership_value(instance, d, other, profile[other])
-        if u is not None and u > best:
-            best = u
-    return best
+PartnerTable = List[Tuple[str, Fraction, List[Tuple[str, BimatrixGame]]]]
+
+
+def _partner_table(instance: MatchingGameInstance) -> PartnerTable:
+    """One row per doctor, in ``doctor_ids`` order: the doctor, her IRP, and
+    her partners, each with the pair's game oriented to her.
+
+    Built once per public call and passed down, never kept on the instance,
+    whose games a caller may change between calls.
+    """
+    partners = {d: [] for d in instance.doctor_ids}
+    for (a, b), game in instance.games.items():
+        partners[a].append((b, game))
+        partners[b].append((a, game.flipped))
+    return [(d, instance.doctors[d].irp, partners[d]) for d in instance.doctor_ids]
+
+
+def _aspiration_rhs(partners, profile, irp):
+    """The right side of a doctor's max equation: her best partnership value
+    over ``partners``, or her IRP when none beats it.
+
+    Values are compared as the integer (numerator, denominator) pairs of
+    :func:`qcqp.max_f_value`, by cross products; a Fraction is built only
+    for a value that beats the IRP, and the IRP object is returned as is.
+    """
+    bn, bd = irp.as_integer_ratio()
+    best = None
+    for other, game in partners:
+        value = max_f_value(game, profile[other])
+        if value is not None and value[0] * bd > bn * value[1]:
+            bn, bd = best = value
+    return irp if best is None else Fraction(bn, bd)
+
+
+def _untight_doctor(table, profile) -> Optional[str]:
+    """The first doctor whose value differs from her max equation's right
+    side, or None when the profile is an aspiration."""
+    for d, irp, partners in table:
+        if profile[d] != _aspiration_rhs(partners, profile, irp):
+            return d
+    return None
+
+
+def _sweep_pass(table, profile) -> bool:
+    """One Gauss-Seidel pass of the max equation; True when some value
+    changed.  A pass that changes nothing read the final profile throughout,
+    so it certifies the max equation at every doctor."""
+    changed = False
+    for d, irp, partners in table:
+        target = _aspiration_rhs(partners, profile, irp)
+        if target != profile[d]:
+            profile[d] = target
+            changed = True
+    return changed
 
 
 def solve_aspiration_zero_sum(instance: MatchingGameInstance,
@@ -143,14 +202,15 @@ def solve_aspiration_zero_sum(instance: MatchingGameInstance,
         raise UnsupportedClassError(
             "closed-form aspiration solving needs zero-sum or strictly competitive pairs only"
         )
-    profile = _sweep_aspiration(instance, max_sweeps)
+    table = _partner_table(instance)
+    profile = _sweep_aspiration(table, max_sweeps)
     if profile is not None:
-        candidate = realize_aspiration(instance, profile)
-        if not isinstance(candidate, UnrealizableReport):
+        graph = build_demand_graph(instance, profile)
+        if _cover_matching(graph, graph.must_match()) is not None:
             return profile
     zero_sum_only = classes <= {ZERO_SUM}
     if zero_sum_only:
-        stable = _stable_profile_search(instance)
+        stable = _stable_profile_search(instance, table)
         if stable is not None:
             return stable
     if profile is not None:
@@ -170,36 +230,42 @@ def solve_aspiration_zero_sum(instance: MatchingGameInstance,
     )
 
 
-def _sweep_aspiration(instance, max_sweeps):
-    profile = {d: instance.doctors[d].irp for d in instance.doctor_ids}
+def _sweep_aspiration(table, max_sweeps):
+    profile = {d: irp for d, irp, _ in table}
     seen = {}
     states = []
     for sweep in range(max_sweeps):
-        changed = False
-        for d in instance.doctor_ids:
-            target = _aspiration_rhs(instance, profile, d)
-            if target != profile[d]:
-                profile[d] = target
-                changed = True
-        if not changed:
-            ok, _ = is_aspiration(instance, profile)
-            if ok:
-                return dict(profile)
-            break
-        key = tuple(profile[d] for d in instance.doctor_ids)
+        if not _sweep_pass(table, profile):
+            return dict(profile)
+        key = tuple(profile.values())
         if key in seen:
             break
         seen[key] = sweep
         states.append(dict(profile))
+    return _cycle_restart(table, states)
 
-    for candidate in _cycle_restart_candidates(instance, states):
-        ok, _ = is_aspiration(instance, candidate)
-        if ok:
-            return candidate
+
+def _cycle_restart(table, states):
+    """An aspiration re-swept from points harvested from a non-converging
+    sweep (the tail's means, then its lows, then its highs), or None."""
+    if not states:
+        return None
+    tail = states[-min(len(states), 8):]
+    doctors = [d for d, _, _ in table]
+    mids = {d: sum((s[d] for s in tail), Fraction(0)) / len(tail) for d in doctors}
+    lows = {d: min(s[d] for s in tail) for d in doctors}
+    highs = {d: max(s[d] for s in tail) for d in doctors}
+    for base in (mids, lows, highs):
+        profile = dict(base)
+        # Fifty passes settle or fail fast; a 51st that changes nothing
+        # certifies the fiftieth's result.
+        for _ in range(51):
+            if not _sweep_pass(table, profile):
+                return profile
     return None
 
 
-def _stable_profile_search(instance) -> Optional[PayoffProfile]:
+def _stable_profile_search(instance, table) -> Optional[PayoffProfile]:
     """Exact search for a stable payoff profile of a zero-sum roommates instance.
 
     Each matched pair contributes one share variable (its earlier member's
@@ -212,171 +278,177 @@ def _stable_profile_search(instance) -> Optional[PayoffProfile]:
     value, and the rank of its negation is ``top - i``.  The set holds every
     IRP and every stored game's bounds with their negations, hence also the
     bounds of flipped views, and ranking preserves order, so each blocking
-    test gives the verdict it gives on the values.  A share domain is a bit
-    mask over ranks.  The mask of a pair (a, b) against a single s holds the
-    shares v at which neither a at v nor b at -v blocks with s; a pair's
-    domain is its interval mask ANDed with its masks against every single.
+    test gives the verdict it gives on the values.  A doctor's blocking set
+    against a fixed partner value is downward closed in her own share: she
+    blocks exactly below a threshold rank (:func:`_thresholds`).  So the
+    shares of a pair (a, b) at which neither a at v nor b at -v blocks with
+    a single s form an interval, and a pair's domain, its attainable
+    interval cut by one such interval per single, is an interval of ranks
+    (lo, hi), each cut one max and one min.
 
     Doctors are decided in ``doctor_ids`` order, the head first single, then
     paired with each later doctor in turn, which visits matchings in the
     order of :func:`~matchgames.stability.all_matchings`.  A new single must
     not block with an earlier one and narrows every placed pair's domain; a
     new pair starts from its interval and is narrowed by the singles so far.
-    A branch is cut as soon as a domain is empty, which drops only matchings
-    with no stable share assignment.  The matchings that survive are visited
-    in enumeration order, each with the domains an enumeration would compute,
+    A branch is cut as soon as a domain is empty, or a new pair has no
+    shares compatible with some placed pair's
+    (:meth:`_LevelSearch.compatible`), which drops only matchings with no
+    stable share assignment.  The matchings that survive are visited in
+    enumeration order, each with the domains an enumeration would compute,
     and shares are assigned in the same order, so the first profile found is
     the one the full enumeration finds first.  (A blocking pair already fails
     the aspiration equation tested at each leaf, so blocking tests only
-    prune; but domain sizes set the assignment order, so the masks must be
+    prune; but domain sizes set the assignment order, so the domains must be
     exactly the enumeration's.)
     """
-    return _LevelSearch(instance).place(instance.doctor_ids, [], [])
+    return _LevelSearch(instance, table).place(instance.doctor_ids, [], [])
+
+
+def _thresholds(lo, hi, top):
+    """The thresholds of a doctor whose payoff in a pair spans ranks
+    [lo, hi], indexed by the partner's rank r: she, at rank x, blocks with
+    the partner exactly when x < the r-th entry.
+
+    With cap = top - r, the most the partner's share leaves her, they block
+    when the open interval (x, cap) meets [lo, hi]: with c = min(cap, hi),
+    when max(x, lo) < c, or max(x, lo) == c and x < c < cap.  Both need
+    x < c; the first then holds iff lo < c, the second iff lo == c < cap.
+    So the threshold is c when lo < c or lo == c < cap, and 0 otherwise:
+    hi while cap > hi; at cap == hi, hi if lo < hi; then cap itself down to
+    lo + 1, and 0 below.
+    """
+    return ((hi,) * (top - hi) + (hi if lo < hi else 0,)
+            + tuple(range(hi - 1, lo, -1)) + (0,) * min(lo + 1, hi))
 
 
 class _LevelSearch:
-    """Rank tables and masks of one stable-profile search.
+    """Rank tables of one stable-profile search.
 
-    ``free(u, s)`` is memoised per (doctor, single); the mask of a pair
-    (a, b) against s is a's mask at v ANDed with b's at -v.
+    ``below[u][w][r]`` is the threshold (:func:`_thresholds`) of u against
+    w at rank r, 0 for every r when u and w have no game; ``bounds`` holds
+    the rank bounds of u's payoff in the game oriented to u.
     """
 
-    def __init__(self, instance):
-        self.instance = instance
-        critical = {Fraction(0)}
-        for d in instance.doctor_ids:
-            critical.update((instance.doctors[d].irp, -instance.doctors[d].irp))
+    def __init__(self, instance, table):
+        self.table = table
+        # Critical values are collected as integer ratios, which hash in C;
+        # Fractions are built once per distinct value.
+        critical = {(0, 1)}
+        values = [irp for _, irp, _ in table]
         for game in instance.games.values():
-            lo, hi = game.frontier.a_min, game.frontier.a_max
-            critical.update((lo, -lo, hi, -hi))
-        self.levels = sorted(critical)
-        rank = {v: i for i, v in enumerate(self.levels)}
-        self.top = len(self.levels) - 1
-        self.irp = {d: rank[instance.doctors[d].irp] for d in instance.doctor_ids}
-        # (u, v) -> rank bounds of u's payoff in the game oriented to u; absent
-        # when u and v have no game.
+            values += (game.frontier.a_min, game.frontier.a_max)
+        for value in values:
+            n, d = value.as_integer_ratio()
+            critical.update(((n, d), (-n, d)))
+        self.levels = sorted(Fraction(n, d) for n, d in critical)
+        rank = {v.as_integer_ratio(): i for i, v in enumerate(self.levels)}
+        self.top = top = len(self.levels) - 1
+        self.irp = {d: rank[irp.as_integer_ratio()] for d, irp, _ in table}
+        no_game = (0,) * (top + 1)
+        self.below = {u: dict.fromkeys(self.irp, no_game) for u in self.irp}
         self.bounds = {}
-        for d in instance.doctor_ids:
-            for other in instance.partner_options(d):
-                fr = instance.game_for(d, other).frontier
-                self.bounds[d, other] = (rank[fr.a_min], rank[fr.a_max])
-        self._free = {}
-
-    def blocks(self, u, f_u, v, f_v):
-        """Do u at rank ``f_u`` and v at rank ``f_v`` block together?"""
-        bounds = self.bounds.get((u, v))
-        if bounds is None:
-            return False
-        lo, hi = bounds
-        # They block when the open interval (f_u, -f_v) meets u's [lo, hi].
-        left = max(f_u, lo)
-        right = min(self.top - f_v, hi)
-        return left < right or (left == right and f_u < left < self.top - f_v)
-
-    def free(self, u, s):
-        """Masks of the ranks v at which u at v, and u at -v, does not block
-        with the single s."""
-        masks = self._free.get((u, s))
-        if masks is None:
-            at, at_neg = 0, 0
-            for v in range(self.top + 1):
-                if not self.blocks(u, v, s, self.irp[s]):
-                    at |= 1 << v
-                    at_neg |= 1 << (self.top - v)
-            masks = self._free[u, s] = (at, at_neg)
-        return masks
-
-    def pair_mask(self, a, b, s):
-        """Shares of a (b takes the negation) at which neither blocks with s."""
-        return self.free(a, s)[0] & self.free(b, s)[1]
-
-    def interval(self, a, b):
-        """Shares of a inside the pair's attainable interval and both IRPs;
-        0 when a and b have no game."""
-        bounds = self.bounds.get((a, b))
-        if bounds is None:
-            return 0
-        lo = max(bounds[0], self.irp[a])
-        hi = min(bounds[1], self.top - self.irp[b])
-        return (1 << (hi + 1)) - (1 << lo) if lo <= hi else 0
+        for u, _, partners in table:
+            for w, game in partners:
+                lo, hi = self.bounds[u, w] = (rank[game.frontier.a_min.as_integer_ratio()],
+                                              rank[game.frontier.a_max.as_integer_ratio()])
+                self.below[u][w] = _thresholds(lo, hi, top)
 
     def place(self, undecided, singles, pairs):
-        """Decide ``undecided`` in order; ``pairs`` holds (a, b, domain)."""
+        """Decide ``undecided`` in order; ``pairs`` holds (a, b, lo, hi), the
+        rank interval of a's share."""
         if not undecided:
             # Smallest domains first; the sort is stable, so ties keep the
             # order in which the pairs were placed.
-            domains = sorted(pairs, key=lambda item: item[2].bit_count())
+            domains = sorted(pairs, key=lambda item: item[3] - item[2])
             return self.assign(domains, {d: self.irp[d] for d in singles}, [])
         head, rest = undecided[0], undecided[1:]
-        if not any(self.blocks(head, self.irp[head], s, self.irp[s]) for s in singles):
+        top, irp, below = self.top, self.irp, self.below
+        r = irp[head]
+        if all(r >= below[head][s][irp[s]] for s in singles):
             narrowed = []
-            for a, b, domain in pairs:
-                domain &= self.pair_mask(a, b, head)
-                if not domain:
+            for a, b, lo, hi in pairs:
+                lo = max(lo, below[a][head][r])
+                hi = min(hi, top - below[b][head][r])
+                if lo > hi:
                     break
-                narrowed.append((a, b, domain))
+                narrowed.append((a, b, lo, hi))
             else:
                 hit = self.place(rest, singles + [head], narrowed)
                 if hit is not None:
                     return hit
         for i, partner in enumerate(rest):
-            domain = self.interval(head, partner)
+            bounds = self.bounds.get((head, partner))
+            if bounds is None:
+                continue
+            lo = max(bounds[0], r)
+            hi = min(bounds[1], top - irp[partner])
             for s in singles:
-                if not domain:
+                if lo > hi:
                     break
-                domain &= self.pair_mask(head, partner, s)
-            if domain:
-                hit = self.place(rest[:i] + rest[i + 1:], singles, pairs + [(head, partner, domain)])
+                rs = irp[s]
+                lo = max(lo, below[head][s][rs])
+                hi = min(hi, top - below[partner][s][rs])
+            pair = (head, partner, lo, hi)
+            if lo <= hi and all(self.compatible(pair, other) for other in pairs):
+                hit = self.place(rest[:i] + rest[i + 1:], singles, pairs + [pair])
                 if hit is not None:
                     return hit
         return None
 
+    def compatible(self, new, old):
+        """Whether the pairs ``new`` and ``old``, each (a, b, lo, hi), have
+        shares inside their intervals at which no member of one blocks with
+        a member of the other.
+
+        Blocking is symmetric between zero-sum partners, so testing the old
+        pair's members against the new pair's covers both sides.  Domains
+        only narrow as the search goes on, so a matching holding two
+        incompatible pairs has no stable share assignment, and cutting it
+        leaves the first profile found unchanged.
+        """
+        a, b, lo, hi = new
+        c, d, lo2, hi2 = old
+        top = self.top
+        c_a, c_b = self.below[c][a], self.below[c][b]
+        d_a, d_b = self.below[d][a], self.below[d][b]
+        for v in range(lo, hi + 1):
+            w = top - v
+            if max(lo2, c_a[v], c_b[w]) <= min(hi2, top - d_a[v], top - d_b[w]):
+                return True
+        return False
+
     def assign(self, domains, values, placed):
         """Give each pair in ``domains`` a share, smallest rank first, such
-        that no two placed pairs block; ``values`` holds ranks."""
+        that no two placed pairs block; ``values`` holds ranks.  The shares
+        at which neither member blocks with a placed doctor are the domain
+        cut by one threshold per placed doctor and member, so they are tried
+        with no blocking test."""
         if not domains:
             # Stability alone can leave boundary slack (a doctor could match a
             # zero-gain partner for strictly more); insist on the tight equation.
             profile = {d: self.levels[r] for d, r in values.items()}
-            ok, _ = is_aspiration(self.instance, profile)
-            return profile if ok else None
-        a, b, domain = domains[0]
-        while domain:
-            low = domain & -domain
-            domain ^= low
-            values[a] = v = low.bit_length() - 1
-            values[b] = self.top - v
-            if not any(self.blocks(u, values[u], w, values[w])
-                       for u in (a, b) for w in placed):
-                hit = self.assign(domains[1:], values, placed + [a, b])
-                if hit is not None:
-                    return hit
+            return profile if _untight_doctor(self.table, profile) is None else None
+        a, b, lo, hi = domains[0]
+        top, below_a, below_b = self.top, self.below[a], self.below[b]
+        for w in placed:
+            r = values[w]
+            t = below_a[w][r]
+            if t > lo:
+                lo = t
+            t = top - below_b[w][r]
+            if t < hi:
+                hi = t
+        if lo > hi:
+            return None
+        for v in range(lo, hi + 1):
+            values[a] = v
+            values[b] = top - v
+            hit = self.assign(domains[1:], values, placed + [a, b])
+            if hit is not None:
+                return hit
         del values[a], values[b]
         return None
-
-
-def _cycle_restart_candidates(instance, states):
-    """Fixed-point candidates harvested from a non-converging sweep."""
-    if not states:
-        return
-    tail = states[-min(len(states), 8):]
-    doctors = instance.doctor_ids
-    mids = {d: sum((s[d] for s in tail), Fraction(0)) / len(tail) for d in doctors}
-    lows = {d: min(s[d] for s in tail) for d in doctors}
-    highs = {d: max(s[d] for s in tail) for d in doctors}
-    for base in (mids, lows, highs):
-        profile = dict(base)
-        # Re-sweep from the harvested point; a few passes settle or fail fast.
-        for _ in range(50):
-            changed = False
-            for d in doctors:
-                target = _aspiration_rhs(instance, profile, d)
-                if target != profile[d]:
-                    profile[d] = target
-                    changed = True
-            if not changed:
-                break
-        yield profile
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +473,11 @@ def realize_aspiration(instance: MatchingGameInstance, profile: PayoffProfile):
     UnrealizableReport naming an exposed doctor (odd components are the
     classical obstruction).
     """
-    ok, witness = is_aspiration(instance, profile)
-    if not ok:
+    witness = _untight_doctor(_partner_table(instance), profile)
+    if witness is not None:
         raise NotAnAspirationError(f"profile fails the max equation at doctor {witness}")
     graph = build_demand_graph(instance, profile)
-    must_match = [d for d in graph.vertices if not graph.singleton_ok[d]]
+    must_match = graph.must_match()
     matching = _cover_matching(graph, must_match)
     if matching is None:
         exposed, component = _exposed_witness(graph, must_match)

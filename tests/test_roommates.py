@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction as F
@@ -13,6 +14,7 @@ from matchgames.core import (
     MatchingGameInstance,
     dump_json,
     evaluate_payoffs,
+    format_rational,
     negate,
     serialize_instance,
 )
@@ -21,7 +23,10 @@ from matchgames.gen import generate_instance
 from matchgames.roommates import (
     UnrealizableReport,
     _LevelSearch,
+    _aspiration_rhs,
+    _partner_table,
     _stable_profile_search,
+    _thresholds,
     build_demand_graph,
     demand_set,
     is_aspiration,
@@ -111,6 +116,23 @@ class TestIsAspiration:
         assert partnership_value(inst, "a", "b", F(1)) == F(7, 3)
         ok, _ = is_aspiration(inst, {"a": F(1), "b": F(1)})
         assert not ok
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_integer_max_equation_equals_the_fraction_maximum(self, seed):
+        # Both orientations: every doctor reads her stored games and the
+        # flipped views of the others, against random profiles.
+        rng = random.Random(seed)
+        inst = generate_instance(seed=seed, model="roommates", n_doctors=6, max_denominator=3,
+                                 classes=["zero_sum", "strictly_competitive"])
+        assert {g.class_tag for g in inst.games.values()} == {"zero_sum", "strictly_competitive"}
+        table = _partner_table(inst)
+        for _ in range(20):
+            profile = {d: F(rng.randint(-36, 36), rng.randint(1, 3)) for d in inst.doctor_ids}
+            for d, irp, partners in table:
+                values = [partnership_value(inst, d, other, profile[other])
+                          for other in inst.doctor_ids if other != d]
+                expected = max([irp] + [v for v in values if v is not None])
+                assert _aspiration_rhs(partners, profile, irp) == expected
 
 
 class TestPartnershipFloor:
@@ -443,6 +465,26 @@ PINNED_N12 = {
 }
 
 
+# sha256 of solve_aspiration_zero_sum's answers, one line per instance
+# (n = 4-9, seeds 0-19, every SEARCH_VARIANTS setting): the profile in
+# insertion order, or the error's class name.
+PINNED_SOLVE_DIGEST = "f4ddf4f7ed57535adbc5ba0a6b42bd739e8e14e9a7550a63341ba15b3bc13648"
+
+# The solver's profiles (all zeros, in insertion order) on generator seeds
+# whose sweep does not realize, so the search decides them; computed with
+# the search that tested every share rank one by one.
+PINNED_LARGE = {
+    (14, 2): ["d4", "d5", "d1", "d6", "d10", "d13", "d11", "d14", "d7", "d8", "d9", "d12",
+              "d2", "d3"],
+    (20, 1): ["d6", "d10", "d8", "d11", "d13", "d14", "d1", "d2", "d16", "d17", "d15", "d18",
+              "d3", "d4", "d19", "d20", "d9", "d12", "d5", "d7"],
+    (20, 2): ["d17", "d18", "d15", "d16", "d5", "d6", "d19", "d20", "d2", "d4", "d11", "d14",
+              "d1", "d3", "d10", "d13", "d7", "d8", "d9", "d12"],
+    (20, 3): ["d3", "d11", "d1", "d2", "d4", "d7", "d5", "d6", "d8", "d9", "d10", "d13",
+              "d12", "d14", "d19", "d20", "d15", "d16", "d17", "d18"],
+}
+
+
 class TestStableProfileSearch:
     def test_equals_the_enumeration_search(self):
         cases = [(n, k) for n in range(4, 9) for k in range(4)] + [(9, 0), (10, 0)]
@@ -452,7 +494,7 @@ class TestStableProfileSearch:
                 inst = generate_instance(seed=1000 * n + k, model="roommates",
                                          n_doctors=n, **kwargs)
                 expected = _enumeration_search(inst)
-                got = _stable_profile_search(inst)
+                got = _stable_profile_search(inst, _partner_table(inst))
                 assert got == expected, (n, k, variant)
                 if expected is None:
                     missing += 1
@@ -464,31 +506,89 @@ class TestStableProfileSearch:
         assert missing >= 10 and nonzero >= 20
 
     def test_rank_verdicts_equal_value_verdicts(self):
+        # u at level i blocks with s at level j exactly below u's threshold
+        # against s at j, so every blocking set is downward closed.
         for variant, kwargs in enumerate(SEARCH_VARIANTS):
             inst = generate_instance(seed=77, model="roommates", n_doctors=5, **kwargs)
-            search = _LevelSearch(inst)
+            search = _LevelSearch(inst, _partner_table(inst))
             levels = search.levels
             assert [-v for v in reversed(levels)] == levels
             for u in inst.doctor_ids:
                 for s in inst.doctor_ids:
                     if s == u:
                         continue
-                    for i, x in enumerate(levels):
-                        for j, y in enumerate(levels):
-                            assert search.blocks(u, i, s, j) == _blocks(inst, {u: x, s: y}, u, s)
-                    at, at_neg = search.free(u, s)
-                    single = {s: inst.doctors[s].irp}
-                    for i, x in enumerate(levels):
-                        assert (at >> i & 1) == (not _blocks(inst, {u: x, **single}, u, s))
-                        assert (at_neg >> i & 1) == (not _blocks(inst, {u: -x, **single}, u, s))
+                    for j, y in enumerate(levels):
+                        threshold = search.below[u][s][j]
+                        for i, x in enumerate(levels):
+                            assert (i < threshold) == _blocks(inst, {u: x, s: y}, u, s)
+                            # Zero-sum blocking is symmetric, as the search's
+                            # pair-against-pair cut assumes.
+                            assert (i < threshold) == (j < search.below[s][u][i])
+
+    def test_compatible_pairs_equal_a_share_by_share_scan(self):
+        # Two pairs are compatible when some shares, each in its interval,
+        # leave no member of one blocking with a member of the other.
+        rng = random.Random(5)
+        for variant, kwargs in enumerate(SEARCH_VARIANTS):
+            inst = generate_instance(seed=78, model="roommates", n_doctors=4, **kwargs)
+            search = _LevelSearch(inst, _partner_table(inst))
+            levels, top = search.levels, search.top
+            seen = set()
+            for a, b, c, d in itertools.permutations(inst.doctor_ids):
+                for _ in range(6):
+                    lo, hi = sorted(rng.choices(range(top + 1), k=2))
+                    lo2, hi2 = sorted(rng.choices(range(top + 1), k=2))
+                    expected = any(
+                        not any(_blocks(inst, {a: levels[v], b: levels[top - v],
+                                               c: levels[v2], d: levels[top - v2]}, u, w)
+                                for u in (a, b) for w in (c, d))
+                        for v in range(lo, hi + 1) for v2 in range(lo2, hi2 + 1))
+                    got = search.compatible((a, b, lo, hi), (c, d, lo2, hi2))
+                    assert got == expected, (variant, a, b, c, d, lo, hi, lo2, hi2)
+                    seen.add(got)
+            assert seen == {True, False}
+
+    def test_thresholds_equal_the_blocking_rule(self):
+        # A doctor at rank x, spanning ranks [lo, hi], blocks with a partner
+        # at rank r when some payoff in [lo, hi] lies strictly between x and
+        # top - r; with integer ends, some half-integer point then does.
+        for top in range(8):
+            for lo in range(top + 1):
+                for hi in range(lo, top + 1):
+                    row = _thresholds(lo, hi, top)
+                    assert len(row) == top + 1
+                    for r in range(top + 1):
+                        for x in range(top + 1):
+                            blocks = any(2 * x < y < 2 * (top - r) for y in range(2 * lo, 2 * hi + 1))
+                            assert (x < row[r]) == blocks, (lo, hi, top, r, x)
 
     @pytest.mark.parametrize("seed", sorted(PINNED_N12))
     def test_pinned_profiles_at_twelve(self, seed):
         inst = generate_instance(seed=seed, model="roommates", n_doctors=12)
-        got = _stable_profile_search(inst)
+        got = _stable_profile_search(inst, _partner_table(inst))
         assert list(got.items()) == [(d, F(0)) for d in PINNED_N12[seed]]
 
-    @pytest.mark.parametrize("n,seed", [(14, 1), (14, 2), (16, 1), (16, 2)])
+    def test_solver_answers_are_pinned(self):
+        digest = hashlib.sha256()
+        for n in range(4, 10):
+            for seed in range(20):
+                for variant, kwargs in enumerate(SEARCH_VARIANTS):
+                    inst = generate_instance(seed=seed, model="roommates", n_doctors=n, **kwargs)
+                    try:
+                        profile = solve_aspiration_zero_sum(inst)
+                        line = " ".join(f"{d}={format_rational(v)}" for d, v in profile.items())
+                    except MatchGamesError as exc:
+                        line = type(exc).__name__
+                    digest.update(f"{n} {seed} {variant} {line}\n".encode())
+        assert digest.hexdigest() == PINNED_SOLVE_DIGEST
+
+    @pytest.mark.parametrize("n,seed", sorted(PINNED_LARGE))
+    def test_pinned_large_profiles(self, n, seed):
+        inst = generate_instance(seed=seed, model="roommates", n_doctors=n)
+        got = solve_aspiration_zero_sum(inst)
+        assert list(got.items()) == [(d, F(0)) for d in PINNED_LARGE[n, seed]]
+
+    @pytest.mark.parametrize("n,seed", [(14, 1), (14, 2), (16, 1), (16, 2), (20, 1), (20, 2), (20, 3)])
     def test_solves_and_realizes_large_instances(self, n, seed):
         inst = generate_instance(seed=seed, model="roommates", n_doctors=n)
         profile = solve_aspiration_zero_sum(inst)
