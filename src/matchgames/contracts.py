@@ -1,16 +1,27 @@
 """Matching with contracts: choice functions, deferred acceptance, audits.
 
 Contracts are bilateral (one doctor, one hospital each).  Hospitals either
-carry additive per-contract weights with a quota, or an explicit utility
-table over subsets (the table form is what lets tests build substitutability
-violators).  Utilities, not primitive choice rules, are the ground truth, so
-the irrelevance of rejected contracts holds by construction for the additive
-form; tables can break anything.
+carry additive per-contract weights, or an explicit utility table over
+subsets (the table form is what lets tests build substitutability
+violators); either way a quota bounds the contracts kept.  Utilities, not
+primitive choice rules, are the ground truth: every choice maximises one
+total order over admissible subsets, so the irrelevance of rejected
+contracts (IRC) holds by construction, while tables can break
+substitutability.
+
+The audits stay exhaustive.  Each reads a hospital's choice table (the
+choice out of every subset of its n contracts, as bit masks) through its
+bit planes, n ints of 2^n bits: after the O(n 2^n) pass that builds the
+table and its planes, substitutability and IRC are O(n^2) word operations,
+and a witness is located by the subset-by-subset visit order only when an
+audit fails.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -183,14 +194,17 @@ def _table_ranking(model: ContractModel, h: str, own: Sequence[str]) -> List[int
     """The bit masks of the table hospital's admissible subsets of ``own``
     worth more than 0, least preferred first.
 
-    The scan's tie-break makes its preference a total order: higher value
-    first, and among equal values the smaller sorted id tuple.  Every subset
-    worth 0 or less loses to the empty set, so only these can be chosen.
+    A subset is admissible when the table values it, it holds at most
+    ``quota`` contracts and at most one per doctor.  The scan's tie-break
+    makes its preference a total order: higher value first, and among equal
+    values the smaller sorted id tuple.  Every subset worth 0 or less loses
+    to the empty set, so only these can be chosen.
     """
     index = {cid: 1 << i for i, cid in enumerate(own)}
+    quota = model.hospital_quotas.get(h, len(model.contracts))
     entries = []
     for key, value in model.hospital_tables[h].items():
-        if value <= 0 or not key or not all(cid in index for cid in key):
+        if value <= 0 or not key or len(key) > quota or not all(cid in index for cid in key):
             continue
         if len({model.contracts[cid].doctor for cid in key}) < len(key):
             continue  # at most one contract per doctor
@@ -284,64 +298,150 @@ def _choice_table(model: ContractModel, h: str, own: Sequence[str]) -> List[int]
     return table
 
 
-ChoiceTables = Dict[str, List[int]]
+# Bit planes.  Plane i of a hospital's choice table is an int of 2^n bits
+# whose bit m is set when contract i is in table[m].  For b = 1 << k,
+# ``plane >> b`` holds at bit m the plane's bit at m + b, which is m | b
+# for every m without contract k: one shift reads the choice out of every
+# subset with contract k added.  The audits combine planes with O(n^2) word
+# operations and read the table itself only to rebuild a witness.
+
+# _BIT_DIGITS[i] maps a byte to b"1" when its bit i is set, else to b"0".
+_BIT_DIGITS = [bytes(48 + (v >> i & 1) for v in range(256)) for i in range(8)]
 
 
-def _shared_table(model: ContractModel, h: str, own: Sequence[str],
-                  tables: Optional[ChoiceTables]) -> List[int]:
-    """``h``'s choice table, taken from ``tables`` or built and stored there.
+def _planes(table: Sequence[int], n: int) -> List[int]:
+    """The n bit planes of a choice table over n contracts.
 
-    ``tables`` (hospital -> table) belongs to one model: it lets the audits
-    of one command share a table per hospital, and it must not outlive a
-    change to the model.  Each audit asks only after its own cap check, so a
-    cap trip builds no table."""
-    if tables is None:
-        return _choice_table(model, h, own)
-    if h not in tables:
-        tables[h] = _choice_table(model, h, own)
-    return tables[h]
+    The entries are packed as fixed-width little-endian ints, so byte
+    column j (byte j of every entry) holds bits 8j to 8j + 7 of each.  A
+    column is reversed once, entry 0 last; one translate then spells bit i
+    of every entry as binary digits, entry 0 the lowest, which parse as the
+    plane.  Each plane costs a few C-level passes over 2^n bytes.
+    """
+    entries = array("B" if n <= 8 else "H" if n <= 16 else "Q", table)
+    if sys.byteorder == "big":
+        entries.byteswap()
+    raw, width = entries.tobytes(), entries.itemsize
+    columns = [raw[j::width][::-1] for j in range((n + 7) // 8)]
+    return [int(columns[i >> 3].translate(_BIT_DIGITS[i & 7]), 2) for i in range(n)]
+
+
+@lru_cache(maxsize=None)
+def _holders(n: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """(has, lacks) over the subsets of n contracts: has[i] sets bit m when
+    the subset m holds contract i, and lacks[i] when it does not."""
+    full = (1 << (1 << n)) - 1
+    has = tuple(full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+                for i in range(n))
+    return has, tuple(full ^ h for h in has)
+
+
+def _first_visited(found: int, n: int) -> int:
+    """The first subset mask in ``_visit_order(n)`` whose bit is set in ``found``."""
+    return next(m for m in _visit_order(n) if found >> m & 1)
+
+
+def _substitutability_on_planes(own: Sequence[str], table: Sequence[int],
+                               planes: Sequence[int]):
+    """The substitutability audit of one choice table and its planes.
+
+    A subset m violates when some contract i in m is rejected there but
+    chosen out of m | b for some contract k outside m, b = 1 << k: the
+    union over k and i of has[i] & ~plane[i] & (plane[i] >> b) & lacks[k].
+    (For i = k the term is empty, as has[k] & lacks[k] is.)  The witness is
+    rebuilt at the first violating subset in visit order.
+    """
+    n = len(own)
+    has, lacks = _holders(n)
+    rejected = [h & ~p for h, p in zip(has, planes)]
+    found = 0
+    for k, lack in enumerate(lacks):
+        b = 1 << k
+        regained = 0
+        for r, p in zip(rejected, planes):
+            regained |= r & (p >> b)
+        found |= regained & lack
+    if not found:
+        return True, None
+    mask = _first_visited(found, n)
+    bits = [1 << i for i in range(n)]
+    regained = 0
+    for b in bits:  # a bit already in mask adds table[mask], which holds no rejected bit
+        regained |= table[mask | b]
+    regained &= mask & ~table[mask]
+    x = regained & -regained
+    x_new = next(b for b in bits if not mask & b and table[mask | b] & x)
+    return False, (_ids(own, mask), own[x.bit_length() - 1], own[x_new.bit_length() - 1])
+
+
+def _irc_on_planes(own: Sequence[str], table: Sequence[int], planes: Sequence[int]):
+    """The IRC audit of one choice table and its planes.
+
+    A subset m violates when adding some contract k outside it, b = 1 << k,
+    changes the choice though k is not chosen: the union over k of
+    OR_j((plane[j] >> b) ^ plane[j]) & ~(plane[k] >> b) & lacks[k].  The
+    witness is the first violating subset in visit order, with the first
+    such k.
+    """
+    n = len(own)
+    _, lacks = _holders(n)
+    found = 0
+    for k, lack in enumerate(lacks):
+        b = 1 << k
+        changed = 0
+        for p in planes:
+            changed |= (p >> b) ^ p
+        found |= changed & lack & ~(planes[k] >> b)
+    if not found:
+        return True, None
+    mask = _first_visited(found, n)
+    chosen = table[mask]
+    z = next(b for b in (1 << i for i in range(n))
+             if not mask & b and table[mask | b] != chosen and not table[mask | b] & b)
+    return False, (_ids(own, mask), own[z.bit_length() - 1])
+
+
+# hospital -> (choice table, its bit planes)
+ChoiceTables = Dict[str, Tuple[List[int], List[int]]]
+
+
+def _shared_choices(model: ContractModel, h: str, own: Sequence[str],
+                    tables: Optional[ChoiceTables]) -> Tuple[List[int], List[int]]:
+    """``h``'s choice table and its planes, taken from ``tables`` or built
+    and stored there.
+
+    ``tables`` belongs to one model: it lets the audits of one command
+    share one table and one set of planes per hospital, and it must not
+    outlive a change to the model.  Each audit asks only after its own cap
+    check, so a cap trip builds nothing."""
+    if tables is not None and h in tables:
+        return tables[h]
+    table = _choice_table(model, h, own)
+    choices = table, _planes(table, len(own))
+    if tables is not None:
+        tables[h] = choices
+    return choices
+
+
+def _own_within_cap(model: ContractModel, h: str, cap: int) -> List[str]:
+    own = model.contracts_of_hospital(h)
+    if len(own) > cap:
+        raise ScanCapExceededError(f"{len(own)} contracts at {h} exceed the scan cap {cap}")
+    return own
 
 
 def check_substitutability(model: ContractModel, h: str, cap: int = 12,
                            tables: Optional[ChoiceTables] = None):
     """Exhaustive: a rejected contract must stay rejected as the pool grows."""
-    own = model.contracts_of_hospital(h)
-    if len(own) > cap:
-        raise ScanCapExceededError(f"{len(own)} contracts at {h} exceed the scan cap {cap}")
-    table = _shared_table(model, h, own, tables)
-    bits = [1 << i for i in range(len(own))]
-    for mask in _visit_order(len(own)):
-        rejected = mask & ~table[mask]
-        if not rejected:
-            continue
-        regained = 0
-        for b in bits:  # a bit already in mask adds table[mask], which holds no rejected bit
-            regained |= table[mask | b]
-        regained &= rejected
-        if regained:
-            x = regained & -regained
-            x_new = next(b for b in bits if not mask & b and table[mask | b] & x)
-            return False, (_ids(own, mask), own[x.bit_length() - 1], own[x_new.bit_length() - 1])
-    return True, None
+    own = _own_within_cap(model, h, cap)
+    return _substitutability_on_planes(own, *_shared_choices(model, h, own, tables))
 
 
 def check_irc(model: ContractModel, h: str, cap: int = 12,
               tables: Optional[ChoiceTables] = None):
     """Exhaustive: dropping a contract the hospital rejects changes nothing."""
-    own = model.contracts_of_hospital(h)
-    if len(own) > cap:
-        raise ScanCapExceededError(f"{len(own)} contracts at {h} exceed the scan cap {cap}")
-    table = _shared_table(model, h, own, tables)
-    bits = [1 << i for i in range(len(own))]
-    for mask in _visit_order(len(own)):
-        chosen = table[mask]
-        for b in bits:
-            if mask & b:
-                continue
-            with_z = table[mask | b]
-            if with_z != chosen and not with_z & b:
-                return False, (_ids(own, mask), own[b.bit_length() - 1])
-    return True, None
+    own = _own_within_cap(model, h, cap)
+    return _irc_on_planes(own, *_shared_choices(model, h, own, tables))
 
 
 def is_individually_rational(model: ContractModel, allocation: FrozenSet[str]) -> bool:
@@ -392,7 +492,7 @@ def check_hm_stability(model: ContractModel, allocation: FrozenSet[str], cap: in
         return False, "individual rationality fails"
     for h in model.hospitals:
         own = model.contracts_of_hospital(h)
-        table = _shared_table(model, h, own, tables)
+        table, _ = _shared_choices(model, h, own, tables)
         current = sum(1 << i for i, cid in enumerate(own) if cid in allocation)
         kept = table[current]
         for mask in _visit_order(len(own)):

@@ -285,7 +285,9 @@ def find_blocking_coalition(instance, allocation, epsilon: Fraction,
     h's payoff plus epsilon, and the witness is the first team of the first
     such size in ``itertools.combinations`` order (:func:`_first_team`); an
     over-quota hospital's first eligible doctor blocks it alone.  The
-    enumerated model scans its explicit tables.
+    enumerated model scans its explicit tables.  A pair of a class without an
+    exact frontier (``general``) is refused with ``UnsupportedClassError``
+    before any pair is priced.
     """
     payoffs = payoffs or evaluate_payoffs(instance, allocation)
     if instance.model == GENERAL_ENUMERATED:
@@ -294,6 +296,11 @@ def find_blocking_coalition(instance, allocation, epsilon: Fraction,
         )
     if instance.model != ADDITIVE_SEPARABLE:
         raise UnsupportedClassError("coalition scan applies to additive separable or enumerated models")
+    for (d, h), game in sorted(instance.games.items()):
+        if game.class_tag not in CLASS_METHODS:
+            raise UnsupportedClassError(
+                f"coalition check: pair ({d}, {h}) has class {game.class_tag}, which has no"
+                f" exact frontier to price; coalitions need {', '.join(sorted(CLASS_METHODS))} pairs")
 
     floors = {d: f + epsilon for d, f in payoffs.doctor_payoffs.items()}
     for h in instance.hospital_ids:

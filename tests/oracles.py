@@ -9,10 +9,17 @@ compare the solvers with code that does not share their private paths:
   strategies for max{xAy | xMy >= c}, approximate by construction;
 * ``hospital_value`` is a contract model's hospital utility of a contract
   set, read straight off its weights or table, which a choice by brute
-  force maximises.
+  force maximises;
+* ``substitutability_by_masks`` and ``irc_by_masks`` audit one choice
+  table (the choice out of every subset, as bit masks indexed by the
+  subset's mask) by one Python scan of its subsets.  They are the
+  package's audits from before those moved to bit planes, kept as the
+  reference for the plane arithmetic; the tests check the table they read
+  against ``hospital_value`` separately.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from matchgames.core import GENERAL_ENUMERATED, Allocation, bilinear, evaluate_payoffs
 from matchgames.errors import (
@@ -100,6 +107,8 @@ def hospital_value(model, h, subset):
     if len(doctors) != len(set(doctors)):
         return None  # at most one contract per doctor
     if h in model.hospital_tables:
+        if len(subset) > model.hospital_quotas.get(h, len(model.contracts)):
+            return None
         return model.hospital_tables[h].get(frozenset(subset), None if subset else Fraction(0))
     weights = model.hospital_additive.get(h, {})
     if len(subset) > model.hospital_quotas.get(h, 1):
@@ -110,3 +119,48 @@ def hospital_value(model, h, subset):
             return None
         total += weights[cid]
     return total
+
+
+def _visit_order(n):
+    """Every subset mask of n contracts: by size, then lexicographically by
+    position."""
+    return [sum(1 << i for i in combo) for size in range(n + 1)
+            for combo in combinations(range(n), size)]
+
+
+def _ids(own, mask):
+    return tuple(cid for i, cid in enumerate(own) if mask >> i & 1)
+
+
+def substitutability_by_masks(own, table):
+    """(True, None), or (False, (subset, x, x_new)) at the first subset in
+    visit order whose rejected contract x is chosen once x_new joins."""
+    bits = [1 << i for i in range(len(own))]
+    for mask in _visit_order(len(own)):
+        rejected = mask & ~table[mask]
+        if not rejected:
+            continue
+        regained = 0
+        for b in bits:  # a bit already in mask adds table[mask], which holds no rejected bit
+            regained |= table[mask | b]
+        regained &= rejected
+        if regained:
+            x = regained & -regained
+            x_new = next(b for b in bits if not mask & b and table[mask | b] & x)
+            return False, (_ids(own, mask), own[x.bit_length() - 1], own[x_new.bit_length() - 1])
+    return True, None
+
+
+def irc_by_masks(own, table):
+    """(True, None), or (False, (subset, z)) at the first subset in visit
+    order whose choice changes when z joins though z is not chosen."""
+    bits = [1 << i for i in range(len(own))]
+    for mask in _visit_order(len(own)):
+        chosen = table[mask]
+        for b in bits:
+            if mask & b:
+                continue
+            with_z = table[mask | b]
+            if with_z != chosen and not with_z & b:
+                return False, (_ids(own, mask), own[b.bit_length() - 1])
+    return True, None

@@ -286,3 +286,33 @@ def test_coalition_label_names_the_classes_priced(tmp_path):
         # d4's game with h2 is repeated, d5's strictly competitive.
         (4, "zero_sum,strictly_competitive,repeated"): (mixed, (["d4", "d5"], mixed)),
     }
+
+
+def test_coalitions_refuse_a_general_pair(tmp_path, capsys):
+    """Plain verify answers a general pair by its grid; the coalition check
+    has no frontier to price it on and says so by name."""
+    from matchgames.core import (Allocation, BimatrixGame, Doctor, Hospital, MatchingGameInstance,
+                                 serialize_allocation, serialize_instance)
+
+    a = ((F(2), F(0)), (F(0), F(1)))
+    m = ((F(1), F(0)), (F(0), F(2)))
+    instance = MatchingGameInstance(
+        model="additive_separable",
+        doctors={"d1": Doctor("d1", F(0), ("s1", "s2"))},
+        hospitals={"h1": Hospital("h1", F(0), 1, ("t1", "t2"))},
+        games={("d1", "h1"): BimatrixGame(a, m, "general")},
+    )
+    allocation = Allocation(matching={"d1": "h1"}, doctor_strategies={"d1": (F(1), F(0))},
+                            hospital_strategies={("h1", "d1"): (F(1), F(0))})
+    inst_path, alloc_path, report_path = (tmp_path / f"{name}.json" for name in
+                                          ("inst", "alloc", "report"))
+    inst_path.write_text(json.dumps(serialize_instance(instance)))
+    alloc_path.write_text(json.dumps(serialize_allocation(allocation)))
+    common = ["verify", "--input", str(inst_path), "--allocation", str(alloc_path),
+              "--epsilon", "1/10"]
+    assert run([*common, "--output", str(report_path)]) == 0
+    assert json.loads(report_path.read_text())["methods"] == {"pair": "grid(1/8)"}
+    capsys.readouterr()
+    assert run([*common, "--coalitions", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: coalition check: pair (d1, h1) has class general"), err

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import chain, combinations
 
@@ -10,6 +11,10 @@ from matchgames import contracts
 from matchgames.cli import main
 from matchgames.contracts import (
     _choice_table,
+    _holders,
+    _irc_on_planes,
+    _planes,
+    _substitutability_on_planes,
     Contract,
     ContractModel,
     check_hm_stability,
@@ -34,7 +39,7 @@ from matchgames.errors import (
 )
 from matchgames.gen import generate_instance
 
-from oracles import hospital_value
+from oracles import hospital_value, irc_by_masks, substitutability_by_masks
 
 
 def additive_model(weights, utilities, quotas):
@@ -468,12 +473,15 @@ class TestSharedChoiceTables:
                 allocation = frozenset(sub)
                 assert (check_hm_stability(m, allocation, tables=tables)
                         == check_hm_stability(m, allocation))
-            for h, table in tables.items():
+            for h, (table, planes) in tables.items():
                 assert table == _choice_table(m, h, m.contracts_of_hospital(h))
+                assert planes == _planes(table, len(m.contracts_of_hospital(h)))
 
     def test_cap_trips_before_any_table_is_built(self, monkeypatch):
         built = []
         monkeypatch.setattr(contracts, "_choice_table",
+                            lambda *args: built.append(args) or [])
+        monkeypatch.setattr(contracts, "_planes",
                             lambda *args: built.append(args) or [])
         utilities = {f"c{i}": ("d%d" % i, "h1", 1, i) for i in range(5)}
         m = additive_model(None, utilities, {"h1": 3})
@@ -500,18 +508,150 @@ class TestSharedChoiceTables:
                 "h2": {"table": {"": "0", "c3": "0", "c4": "0", "c3+c4": "3"}},
             },
         }))
-        built = []
-        real = contracts._choice_table
+        built, planed = [], []
+        real, real_planes = contracts._choice_table, contracts._planes
         monkeypatch.setattr(contracts, "_choice_table",
                             lambda m, h, own: built.append(h) or real(m, h, own))
+        monkeypatch.setattr(contracts, "_planes",
+                            lambda table, n: planed.append(n) or real_planes(table, n))
         out_path = tmp_path / "out.json"
         assert main(["contracts-da", "--input", str(model_path), "--audit",
                      "--output", str(out_path)]) == 2
         assert sorted(built) == ["h1", "h2"]
+        assert planed == [2, 2]
         audit = json.loads(out_path.read_text())["audit"]
         assert audit["h1"] == {"substitutable": True, "irc": True}
         assert audit["h2"]["substitutability_witness"] == [["c3"], "c3", "c4"]
         assert audit["stability_witness"] == "('h2', ('c3', 'c4'))"
+
+
+def _one_hospital_additive_model(rng, n):
+    """n contracts at h1 from up to n doctors: zero, negative, missing and
+    fractional weights with ties, and a quota of 0-5."""
+    n_doctors = rng.randint(1, n)
+    contracts, utilities, weights = {}, {}, {}
+    for i in range(n):
+        cid, d = f"c{i:02d}", f"d{rng.randrange(n_doctors)}"
+        contracts[cid] = Contract(cid, d, "h1")
+        utilities[(d, cid)] = F(rng.randint(-1, 3))
+        if rng.random() < 0.85:
+            weights[cid] = F(rng.choice((-1, 0, 0, 1, 2, 2, 3)), rng.choice((1, 1, 2, 3)))
+    return ContractModel(contracts=contracts, doctor_utilities=utilities,
+                         hospital_additive={"h1": weights},
+                         hospital_quotas={"h1": rng.randint(0, 5)})
+
+
+def _one_hospital_table_model(rng, n):
+    """n contracts at h1, valued by a table with equal values, subsets worth
+    0 or less, missing keys and keys holding two contracts of one doctor;
+    the quota binds in about a third of the models."""
+    n_doctors = rng.randint(1, n)
+    contracts, utilities = {}, {}
+    for i in range(n):
+        cid, d = f"c{i}", f"d{rng.randrange(n_doctors)}"
+        contracts[cid] = Contract(cid, d, "h1")
+        utilities[(d, cid)] = F(rng.randint(-1, 3))
+    table = {frozenset(sub): F(rng.choice((-1, 0, 1, 2, 2, 3, 5)), rng.choice((1, 1, 2)))
+             for sub in _powerset(contracts) if sub and rng.random() < 0.8}
+    return ContractModel(contracts=contracts, doctor_utilities=utilities,
+                         hospital_additive={"h1": {}},
+                         hospital_quotas={"h1": rng.choice((n, n, rng.randint(0, n)))},
+                         hospital_tables={"h1": table})
+
+
+def _perturbed_choice_table(rng, n):
+    """A choice table over n contracts that no model need produce: the q
+    best of each subset by a random priority (substitutable and IRC), with
+    0-3 entries replaced by a random subset of their subset."""
+    priority = rng.sample(range(n), n)
+    q = rng.randint(0, n)
+    table = [sum(1 << i for i in [i for i in priority if m >> i & 1][:q]) for m in range(1 << n)]
+    for _ in range(rng.choice((0, 1, 1, 2, 3))):
+        m = rng.randrange(1 << n)
+        table[m] = rng.getrandbits(n) & m
+    return table
+
+
+class TestPlaneAudits:
+    def test_planes_and_holders(self):
+        rng = random.Random(31)
+        for n in list(range(13)) + [17]:
+            table = [rng.getrandbits(n) & m for m in range(1 << n)]
+            assert _planes(table, n) == [
+                int("".join("1" if c >> i & 1 else "0" for c in reversed(table)), 2)
+                for i in range(n)]
+        for n in range(9):
+            has, lacks = _holders(n)
+            assert has == tuple(sum(1 << m for m in range(1 << n) if m >> i & 1) for i in range(n))
+            assert lacks == tuple(sum(1 << m for m in range(1 << n) if not m >> i & 1)
+                                  for i in range(n))
+
+    def test_plane_audits_equal_the_mask_loops_on_models(self):
+        # A model's choice maximises a total order, which no rejected
+        # contract can change: IRC holds on every model, and only
+        # substitutability fails.
+        rng = random.Random(32)
+        verdicts, sizes = Counter(), Counter()
+        for trial in range(520):
+            if trial % 2:
+                m = _one_hospital_table_model(rng, rng.randint(1, 9))
+            else:
+                m = _one_hospital_additive_model(rng, rng.randint(1, 12))
+            own = m.contracts_of_hospital("h1")
+            table = _choice_table(m, "h1", own)
+            subs, irc = check_substitutability(m, "h1"), check_irc(m, "h1")
+            assert subs == substitutability_by_masks(own, table), own
+            assert irc == irc_by_masks(own, table) == (True, None), own
+            verdicts[trial % 2, subs[0]] += 1
+            sizes[len(own)] += 1
+        assert min(verdicts[kind, ok] for kind in (0, 1) for ok in (False, True)) >= 50, verdicts
+        assert sizes[12] >= 10
+
+    def test_plane_audits_equal_the_mask_loops_on_choice_tables(self):
+        rng = random.Random(33)
+        verdicts = Counter()
+        for trial in range(360):
+            n = 1 + trial % 12
+            own = [f"c{i:02d}" for i in range(n)]
+            table = _perturbed_choice_table(rng, n)
+            planes = _planes(table, n)
+            subs = _substitutability_on_planes(own, table, planes)
+            irc = _irc_on_planes(own, table, planes)
+            assert subs == substitutability_by_masks(own, table), (n, table)
+            assert irc == irc_by_masks(own, table), (n, table)
+            verdicts["subs", subs[0]] += 1
+            verdicts["irc", irc[0]] += 1
+        assert min(verdicts.values()) >= 50 and len(verdicts) == 4, verdicts
+
+
+class TestTableQuota:
+    def test_table_quota_bounds_the_choice_like_the_scan(self):
+        rng = random.Random(34)
+        bound = 0
+        for _ in range(120):
+            m = _one_hospital_table_model(rng, rng.randint(1, 6))
+            own = m.contracts_of_hospital("h1")
+            table = _choice_table(m, "h1", own)
+            bound += m.hospital_quotas["h1"] < len(own)
+            for subset in _powerset(own):
+                mask = sum(1 << own.index(c) for c in subset)
+                expected = _choice_by_scan(m, "h1", frozenset(subset))
+                assert len(expected) <= m.hospital_quotas["h1"]
+                assert frozenset(c for i, c in enumerate(own) if table[mask] >> i & 1) == expected
+        assert bound >= 20
+
+    def test_table_quota_is_kept_by_the_command(self, tmp_path):
+        model_path, out_path = tmp_path / "model.json", tmp_path / "out.json"
+        model_path.write_text(json.dumps({
+            "contracts": [{"id": "c1", "doctor": "d1", "hospital": "h1"},
+                          {"id": "c2", "doctor": "d2", "hospital": "h1"}],
+            "doctor_utilities": {"d1": {"c1": "1"}, "d2": {"c2": "1"}},
+            "hospitals": {"h1": {"table": {"c1": "1", "c2": "1", "c1+c2": "5"}, "quota": 1}},
+        }))
+        assert main(["contracts-da", "--input", str(model_path), "--audit",
+                     "--output", str(out_path)]) == 0
+        out = json.loads(out_path.read_text())
+        assert out["contracts"] == ["c1"] and out["audit"]["stable"]
 
 
 class TestPropOneEquivalence:
@@ -794,3 +934,36 @@ PINNED_AUDIT_DIGESTS = [
 
 def test_audit_documents_are_pinned(tmp_path):
     assert _audit_digests(tmp_path) == PINNED_AUDIT_DIGESTS
+
+
+def _twelve_contract_doc(rng):
+    """One table hospital with 12 contracts, two for each of six doctors:
+    per-contract weights plus pairwise bonuses, some keys left out and some
+    values forced equal."""
+    doctors = [f"d{i + 1}" for i in range(6)]
+    contracts = [{"id": f"{d}~{k}", "doctor": d, "hospital": "h1"} for d in doctors for k in range(2)]
+    utilities = {d: {f"{d}~{k}": str(rng.randint(-2, 8)) for k in range(2)} for d in doctors}
+    weight = {c["id"]: rng.randint(-3, 4) for c in contracts}
+    bonus = {(a, b): rng.choice((0, 0, rng.randint(2, 6)))
+             for i, a in enumerate(doctors) for b in doctors[i + 1:]}
+    table = {}
+    for subset in _powerset(c["id"] for c in contracts):
+        ds = [cid.split("~")[0] for cid in subset]
+        if not subset or len(set(ds)) < len(ds) or rng.random() < 0.15:
+            continue
+        value = sum(weight[cid] for cid in subset)
+        value += sum(bonus[(a, b)] for i, a in enumerate(ds) for b in ds[i + 1:])
+        table["+".join(subset)] = str(rng.choice((value, value, 3)))
+    return {"contracts": contracts, "doctor_utilities": utilities, "hospitals": {"h1": {"table": table}}}
+
+
+def test_twelve_contract_audit_document_is_pinned(tmp_path):
+    # At the default scan cap of 12; the digest was computed by the audits
+    # that scanned the choice table subset by subset.
+    model_path, out_path = tmp_path / "model.json", tmp_path / "audit.json"
+    model_path.write_text(json.dumps(_twelve_contract_doc(random.Random(2100)), indent=1, sort_keys=True))
+    code = main(["contracts-da", "--input", str(model_path), "--audit", "--output", str(out_path)])
+    assert (code, hashlib.sha256(out_path.read_bytes()).hexdigest()) == (
+        2, "212db81addf73b07a163a62366f91445efc3098c76e496c182f3ce44a4e6e1c7")
+    assert json.loads(out_path.read_text())["audit"]["h1"]["substitutability_witness"] == [
+        ["d2~1"], "d2~1", "d3~0"]

@@ -17,7 +17,7 @@ from matchgames.core import (
     pure,
 )
 from matchgames.dac import run_dac
-from matchgames.errors import CapExceededError
+from matchgames.errors import CapExceededError, UnsupportedClassError
 from matchgames.gen import generate_instance
 from matchgames.qcqp import max_g_point
 from matchgames.stability import (
@@ -111,6 +111,9 @@ class TestBlockingPair:
         # grid witnesses replay exactly
         assert bilinear(witness.x, a, witness.y) > F(0) + F(1, 10)
         assert bilinear(witness.x, m, witness.y) > F(0) + F(1, 10)
+        # the coalition check has no frontier to price the pair on
+        with pytest.raises(UnsupportedClassError, match=r"coalition check: pair \(d1, h1\) has class general"):
+            find_blocking_coalition(inst, alloc, F(1, 10), max_coalition_size=2)
 
 
 class TestCoalitions:
