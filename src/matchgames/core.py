@@ -177,10 +177,6 @@ def _ratio_bounds(m: Matrix):
     return m[lo_i][lo_j], m[hi_i][hi_j], (lo_n, lo_d), (hi_n, hi_d)
 
 
-def matrix_max(m: Matrix) -> Fraction:
-    return matrix_bounds(m)[1]
-
-
 def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m))
 
@@ -226,8 +222,8 @@ class Frontier(NamedTuple):
     ``segment`` is a one-shot pair's payoff set in integers.  Every frontier
     question reads it, and witnesses are built on A itself; only the CNE
     construction works on a zero-sum image, through a bridge it derives from
-    the segment (:func:`frontier_bridge`).  Repeated games have no segment,
-    their frontier being the hull of the stage payoffs.
+    the segment (:func:`frontier_bridge`).  Repeated games have no segment;
+    their payoff set is the polygon ``hull`` (:func:`payoff_hull`).
     """
 
     a_min: Fraction
@@ -235,6 +231,36 @@ class Frontier(NamedTuple):
     m_min: Fraction
     m_max: Fraction
     segment: Optional[Segment] = None
+    hull: Optional[tuple] = None  # vertices (f, g, cell), by payoff_hull
+
+
+def _cross(o, a, b):
+    """Twice the signed area of the payoff triangle o, a, b (> 0: a left turn)."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def payoff_hull(a: Matrix, m: Matrix) -> tuple:
+    """The vertices (f, g, cell) of conv{(A[s,t], M[s,t])} by Andrew's
+    monotone chain (1979): counter-clockwise from the least point, none
+    collinear, each with the first cell in row-major order that pays it.
+    A degenerate hull is one point or a segment's two ends."""
+    first = {}
+    for s, (row_a, row_m) in enumerate(zip(a, m)):
+        for t, point in enumerate(zip(row_a, row_m)):
+            first.setdefault(point, (s, t))
+    points = sorted(first)
+
+    def chain(seq):  # one half of the hull, without its last point
+        out = []
+        for p in seq:
+            while len(out) > 1 and _cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    if len(points) > 1:
+        points = chain(points) + chain(points[::-1])
+    return tuple((f, g, first[f, g]) for f, g in points)
 
 
 class AffineTransform(NamedTuple):
@@ -362,18 +388,14 @@ class BimatrixGame:
 
     @cached_property
     def frontier(self) -> Frontier:
-        """Matrix bounds and, for the one-shot classes, the integer segment,
-        computed once and kept: on construction for the one-shot classes,
-        whose check it is, and on first use for the repeated class."""
+        """Matrix bounds and the payoff set (a one-shot integer segment or a
+        repeated hull polygon), computed once and kept: on construction for
+        the one-shot classes, whose check it is, and on first use for the
+        repeated class."""
         if self.class_tag != REPEATED:
             raise UnsupportedClassError(f"no exact frontier solver for class {self.class_tag}")
-        return Frontier(*matrix_bounds(self.doctor_matrix), *matrix_bounds(self.hospital_matrix))
-
-    @cached_property
-    def hull_answers(self) -> dict:
-        """A repeated game's hull-query answers, keyed by (objective,
-        floor) and filled by ``qcqp``; kept, as games are immutable."""
-        return {}
+        a, m = self.doctor_matrix, self.hospital_matrix
+        return Frontier(*matrix_bounds(a), *matrix_bounds(m), hull=payoff_hull(a, m))
 
     @cached_property
     def punishment(self):

@@ -5,9 +5,10 @@ The general problem is NP-hard, but each supported game class reduces it:
 * zero-sum: value is min(c', max A) for the sign-normalised bound c', and a
   solution always exists with one side pure and the other of support <= 2,
   built from a straddling row or column by a one-line convex combination;
-* repeated (uniform) games: a linear program over joint distributions on
-  S x T, realised exactly as a finite cycle of pure profiles via the lcm of
-  the distribution's denominators;
+* repeated (uniform) games: joint distributions on S x T pay the convex
+  polygon of the stage payoff pairs; each answer is a lexicographic maximum
+  over the polygon clipped by floors or exact values, realised on at most
+  three cells and played as a cycle via the lcm of their denominators;
 * strictly competitive: -M is a positive affine image of A, so the payoffs
   lie on one line, as a zero-sum pair's do; values are read off that
   segment, and a witness is built on A as for a zero-sum pair, since its
@@ -24,18 +25,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from .core import (  # affine_transform is re-exported
+    REPEATED,
     BimatrixGame,
     CycleStrategy,
+    Frontier,
     Matrix,
+    _cross,
     affine_transform,
-    matrix_max,
     pure,
 )
 from .errors import InfeasibleError, MatchGamesError
-from .lp import EQ, GE, OPTIMAL, LinearProgram, solve_lp
 
 
 def _two_point_mix(lo_idx, hi_idx, lo_val, hi_val, target, size):
@@ -80,61 +83,14 @@ def solve_qcqp_repeated(a: Matrix, m: Matrix, c: Fraction):
     """max over joint distributions of the A-average subject to M-average >= c.
 
     Returns ``(lambda, (f, g))`` where ``lambda`` maps pure profiles to
-    weights.  Infeasible when c > max M.
+    weights; among the maximisers of f it takes the one with the largest g.
+    Infeasible when c > max M.
     """
-    m_max = matrix_max(m)
-    if c > m_max:
-        raise InfeasibleError(f"M-average >= {c} unattainable (max M = {m_max})")
-    lam, values = _hull_lp(a, m, objective=("max_f",), f_floor=None, g_floor=c)
-    return lam, values
-
-
-def _hull_lp(a: Matrix, m: Matrix, objective, f_floor=None, g_floor=None,
-             f_exact=None, g_exact=None):
-    """LP over joint distributions with the given side constraints.
-
-    ``objective`` is a tuple of passes applied lexicographically, each one of
-    "max_f", "max_g", "max_sum".  Returns (lambda, (f, g)) or raises
-    InfeasibleError.
-    """
-    n_rows, n_cols = len(a), len(a[0])
-    cells = [(s, t) for s in range(n_rows) for t in range(n_cols)]
-    n = len(cells)
-    a_coeffs = [a[s][t] for s, t in cells]
-    m_coeffs = [m[s][t] for s, t in cells]
-
-    constraints = [( [Fraction(1)] * n, EQ, Fraction(1) )]
-    if f_floor is not None:
-        constraints.append((a_coeffs, GE, f_floor))
-    if g_floor is not None:
-        constraints.append((m_coeffs, GE, g_floor))
-    if f_exact is not None:
-        constraints.append((a_coeffs, EQ, f_exact))
-    if g_exact is not None:
-        constraints.append((m_coeffs, EQ, g_exact))
-
-    extra: list = []
-    for pass_name in objective:
-        if pass_name == "max_f":
-            obj = a_coeffs
-        elif pass_name == "max_g":
-            obj = m_coeffs
-        elif pass_name == "max_sum":
-            obj = [fa + fm for fa, fm in zip(a_coeffs, m_coeffs)]
-        else:
-            raise MatchGamesError(f"unknown objective pass {pass_name!r}")
-        lp = LinearProgram(objective=obj, sense="max")
-        for row in constraints + extra:
-            lp.add(*row)
-        result = solve_lp(lp)
-        if result.status != OPTIMAL:
-            raise InfeasibleError("empty feasible payoff region")
-        extra.append((obj, EQ, result.value))
-    lam_list = result.solution
-    lam = {cell: w for cell, w in zip(cells, lam_list) if w != 0}
-    f_val = sum(a[s][t] * w for (s, t), w in lam.items())
-    g_val = sum(m[s][t] * w for (s, t), w in lam.items())
-    return lam, (Fraction(f_val), Fraction(g_val))
+    fr = BimatrixGame(a, m, REPEATED).frontier
+    point = hull_point(fr, by_f, g_floor=c)
+    if point is None:
+        raise InfeasibleError(f"M-average >= {c} unattainable (max M = {fr.m_max})")
+    return point.lam, (point.f, point.g)
 
 
 def distribution_to_cycle(lam: LambdaDistribution, a: Matrix, m: Matrix) -> CycleStrategy:
@@ -171,10 +127,10 @@ def distribution_to_cycle(lam: LambdaDistribution, a: Matrix, m: Matrix) -> Cycl
 # ``max_g_value`` return the answer as an integer (numerator, denominator)
 # pair and build no Fraction, so callers that rank many options compare
 # them as integer ratios; the point queries build on them and make at most
-# one Fraction per answer.  Repeated pairs query the payoff hull by LP; each
-# answer is kept on the game, so a value query and the point query that
-# follows it share one LP.  A one-shot witness hits the doctor's payoff f
-# on A, by ``achieve_value_zero_sum``.
+# one Fraction per answer.  A repeated pair's questions are each one
+# clip-and-pick on its polygon ``Frontier.hull`` (:func:`hull_point`).  A
+# one-shot witness hits the doctor's payoff f on A, by
+# ``achieve_value_zero_sum``; a repeated one cycles through the answer's cells.
 
 
 @dataclass
@@ -191,7 +147,8 @@ class PairOutcome:
 class FrontierPoint(NamedTuple):
     """A frontier query's exact payoffs, before any witness is built.
 
-    ``lam`` is the hull distribution that a repeated-pair cycle realises.
+    ``lam`` is the hull distribution, on at most three cells, that a
+    repeated-pair cycle realises.
     """
 
     f: Fraction
@@ -210,7 +167,7 @@ def max_f_value(game: BimatrixGame, theta: Fraction,
     """
     seg = game.frontier.segment
     if seg is None:
-        point = _hull_point(game, "max_f", theta, strict)
+        point = max_f_point(game, theta, strict)
         return None if point is None else point.f.as_integer_ratio()
     tn, td = theta.as_integer_ratio()
     _, a_max, (lo_n, lo_d), (hi_n, hi_d), p, q, r = seg
@@ -228,7 +185,7 @@ def max_g_value(game: BimatrixGame, beta: Fraction,
     gives the doctor's; a slack floor's answer is the segment's ``m_max``."""
     seg = game.frontier.segment
     if seg is None:
-        point = _hull_point(game, "max_g", beta, strict)
+        point = max_g_point(game, beta, strict)
         return None if point is None else point.g.as_integer_ratio()
     bn, bd = beta.as_integer_ratio()
     (lo_n, lo_d), (hi_n, hi_d), _, m_max, p, q, r = seg
@@ -244,8 +201,8 @@ def max_f_point(game: BimatrixGame, theta: Fraction,
                 strict: bool = False) -> Optional[FrontierPoint]:
     """Value of :func:`max_f_given_g_floor` without a witness profile."""
     fr = game.frontier
-    if fr.segment is None:
-        return _hull_point(game, "max_f", theta, strict)
+    if fr.segment is None:  # a strict floor at the top admits no point
+        return None if strict and theta == fr.m_max else hull_point(fr, by_f, g_floor=theta)
     value = max_f_value(game, theta, strict)
     if value is None:
         return None
@@ -259,7 +216,7 @@ def max_g_point(game: BimatrixGame, beta: Fraction,
     """Value of :func:`max_g_given_f_floor` without a witness profile."""
     fr = game.frontier
     if fr.segment is None:
-        return _hull_point(game, "max_g", beta, strict)
+        return None if strict and beta == fr.a_max else hull_point(fr, by_g, f_floor=beta)
     value = max_g_value(game, beta, strict)
     if value is None:
         return None
@@ -268,44 +225,79 @@ def max_g_point(game: BimatrixGame, beta: Fraction,
     return FrontierPoint(beta, Fraction(*value))
 
 
-def _hull_point(game: BimatrixGame, objective: str, floor: Fraction,
-                strict: bool) -> Optional[FrontierPoint]:
-    """:func:`max_f_point` ("max_f", a floor on g) or :func:`max_g_point`
-    ("max_g", a floor on f) of a repeated game, on its payoff hull.
+# Lexicographic keys of a payoff point (f, g) for :func:`hull_point`.
+by_f = itemgetter(0, 1)  # f, then g
+by_g = itemgetter(1, 0)  # g, then f
 
-    Each LP answer is kept on the game by (objective, floor)
-    (``BimatrixGame.hull_answers``), so a value query and the point query
-    that follows it, such as a DAC proposal's, share one LP.  Callers only
-    read the point's distribution.
-    """
-    fr = game.frontier
-    top = fr.m_max if objective == "max_f" else fr.a_max
-    if floor > top or (strict and floor == top):
+
+def by_sum(point):
+    """f + g, then f."""
+    return point[0] + point[1], point[0]
+
+
+def hull_point(fr: Frontier, key, f_floor=None, g_floor=None, f_exact=None,
+               g_exact=None) -> Optional[FrontierPoint]:
+    """The lexicographic maximum of ``key``, linear in each place and so
+    taken at a vertex, over a repeated game's payoff polygon clipped by the
+    floors and exact values given; None when the clipped polygon is empty.
+    Only the answer gets a distribution (:func:`_hull_distribution`)."""
+    poly = [v[:2] for v in fr.hull]
+    for axis, floor, exact in ((0, f_floor, f_exact), (1, g_floor, g_exact)):
+        if floor is not None:
+            poly = _clip(poly, axis, 1, floor)
+        if exact is not None:
+            poly = _clip(_clip(poly, axis, 1, exact), axis, -1, -exact)
+    if not poly:
         return None
-    answers = game.hull_answers
-    point = answers.get((objective, floor))
-    if point is None:
-        side = {"g_floor": floor} if objective == "max_f" else {"f_floor": floor}
-        lam, (f, g) = _hull_lp(game.doctor_matrix, game.hospital_matrix,
-                               objective=(objective,), **side)
-        point = answers[(objective, floor)] = FrontierPoint(f, g, lam)
-    return point
+    f, g = max(poly, key=key)
+    return FrontierPoint(f, g, _hull_distribution(fr.hull, (f, g)))
+
+
+def _clip(poly, axis, sign, bound):
+    """The part of a convex polygon (a vertex cycle, or a segment's two ends
+    or one point) where ``sign * point[axis] >= bound``, by Sutherland and
+    Hodgman: keep each vertex on that side and each edge's crossing."""
+    out = []
+    for prev, cur in zip(poly[-1:] + poly[:-1], poly):
+        dp, dc = sign * prev[axis] - bound, sign * cur[axis] - bound
+        if dp * dc < 0:
+            t = dp / (dp - dc)
+            out.append((prev[0] + t * (cur[0] - prev[0]), prev[1] + t * (cur[1] - prev[1])))
+        if dc >= 0:
+            out.append(cur)
+    return out
+
+
+def _hull_distribution(hull, p) -> LambdaDistribution:
+    """Weights on at most three vertices' cells that pay ``p``, a point of
+    the hull (Carathéodory in the plane): on the triangle of the fan from
+    vertex 0 that holds it, or on a degenerate hull's segment or point."""
+    v0, *rest = hull
+    if not rest:
+        return {v0[2]: Fraction(1)}
+    if len(rest) == 1:  # v0 + t * (v1 - v0), read on an axis where the ends differ
+        v1, axis = rest[0], int(rest[0][0] == v0[0])
+        t = (p[axis] - v0[axis]) / (v1[axis] - v0[axis])
+        weights = ((v0, 1 - t), (v1, t))
+    else:
+        for v1, v2 in zip(rest, rest[1:]):
+            if _cross(v0, v2, p) <= 0:  # p lies in the wedge from v0 between v1 and v2
+                break
+        area = _cross(v0, v1, v2)
+        weights = ((v0, _cross(v1, v2, p) / area), (v1, _cross(v2, v0, p) / area),
+                   (v2, _cross(v0, v1, p) / area))
+    return dict(sorted((v[2], w) for v, w in weights if w))  # cells in row-major order
 
 
 def exact_point(game: BimatrixGame, f: Fraction, g: Fraction) -> Optional[FrontierPoint]:
     """The point paying the doctor exactly ``f`` and the partner exactly
     ``g``, or None when no profile of ``game`` does."""
-    seg = game.frontier.segment
-    if seg is None:
-        try:
-            lam, _ = _hull_lp(game.doctor_matrix, game.hospital_matrix,
-                              objective=("max_f",), f_exact=f, g_exact=g)
-        except InfeasibleError:
-            return None
-        return FrontierPoint(f, g, lam)
+    fr = game.frontier
+    if fr.segment is None:
+        return hull_point(fr, by_f, f_exact=f, g_exact=g)
     fn, fd = f.as_integer_ratio()
     gn, gd = g.as_integer_ratio()
-    (lo_n, lo_d), (hi_n, hi_d), _, _, p, q, r = seg
+    (lo_n, lo_d), (hi_n, hi_d), _, _, p, q, r = fr.segment
     if lo_n * fd <= fn * lo_d and fn * hi_d <= hi_n * fd and r * gn * fd == (p * fd - q * fn) * gd:
         return FrontierPoint(f, g)
     return None

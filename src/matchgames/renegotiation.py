@@ -52,18 +52,19 @@ from .core import (
 )
 from .errors import (
     EpsilonNotPositiveError,
-    InfeasibleError,
     InfeasibleReservationsError,
     InputNotPairwiseStableError,
     MatchGamesError,
 )
 from .lp import game_value
 from .qcqp import (
-    FrontierPoint,
     achieve_value_zero_sum,
+    by_f,
+    by_g,
+    by_sum,
     distribution_to_cycle,
-    _hull_lp,
     exact_point,
+    hull_point,
     max_f_point,
     max_f_value,
     max_g_point,
@@ -415,13 +416,6 @@ def punishment_levels(a: Matrix, m: Matrix):
     return alpha, -neg_beta, y_alpha, x_beta
 
 
-def _uniform_point(a, m, f_floor, g_floor):
-    """Lexicographic max of f+g then f over the hull above the floors."""
-    lam, (f, g) = _hull_lp(a, m, objective=("max_sum", "max_f"),
-                           f_floor=f_floor, g_floor=g_floor)
-    return lam, f, g
-
-
 def compute_cne_repeated(a: Matrix, m: Matrix, f_res: Fraction, g_res: Fraction,
                          epsilon: Fraction) -> CneResult:
     """CNE of the uniform (infinitely repeated) game with stage matrices a, m.
@@ -441,44 +435,36 @@ def _repeated_cne(game: BimatrixGame, f_res: Fraction, g_res: Fraction,
                   epsilon: Fraction) -> CneResult:
     """:func:`compute_cne_repeated` on a game object, whose punishment
     levels are solved once and kept (``BimatrixGame.punishment``)."""
-    a, m = game.doctor_matrix, game.hospital_matrix
-    try:
-        _hull_lp(a, m, objective=("max_f",), f_floor=f_res - epsilon, g_floor=g_res - epsilon)
-    except InfeasibleError:
+    a, m, fr = game.doctor_matrix, game.hospital_matrix, game.frontier
+    floors = {"f_floor": f_res - epsilon, "g_floor": g_res - epsilon}
+    best_f = hull_point(fr, by_f, **floors)
+    if best_f is None:
         raise InfeasibleReservationsError("acceptable payoff set is empty")
     alpha, beta, y_alpha, x_beta = game.punishment
 
-    try:
-        lam, f, g = _uniform_point(a, m, max(alpha, f_res - epsilon), max(beta, g_res - epsilon))
-    except InfeasibleError:
-        lam = None
-    if lam is not None:
-        cycle = distribution_to_cycle(lam, a, m)
+    uniform = hull_point(fr, by_sum, f_floor=max(alpha, f_res - epsilon),
+                         g_floor=max(beta, g_res - epsilon))
+    if uniform is not None:
+        cycle = distribution_to_cycle(uniform.lam, a, m)
         cycle.punishment = CyclePunishment(
             punisher="both", doctor_strategy=x_beta, hospital_strategy=y_alpha
         )
-        return CneResult(x=None, y=None, cycle=cycle, doctor_payoff=f,
-                         hospital_payoff=g, case_tag=UNIFORM_EQUILIBRIUM)
+        return CneResult(x=None, y=None, cycle=cycle, doctor_payoff=uniform.f,
+                         hospital_payoff=uniform.g, case_tag=UNIFORM_EQUILIBRIUM)
 
     if f_res - epsilon >= alpha:
         # Doctor safe above her punishment level; hospital is the exposed side.
-        _, (_, g_bar) = _hull_lp(a, m, objective=("max_g",),
-                                 f_floor=f_res - epsilon, g_floor=g_res - epsilon)
-        lam, (f_bar, _) = _hull_lp(a, m, objective=("max_f",),
-                                   f_floor=f_res - epsilon, g_exact=g_bar)
-        point = exact_point(game, f_bar, g_bar + epsilon)
+        bar = hull_point(fr, by_g, **floors)
+        point = exact_point(game, bar.f, bar.g + epsilon)
         punishment = CyclePunishment(punisher="hospital", hospital_strategy=y_alpha)
     elif g_res - epsilon >= beta:
-        _, (f_bar, _) = _hull_lp(a, m, objective=("max_f",),
-                                 f_floor=f_res - epsilon, g_floor=g_res - epsilon)
-        lam, (_, g_bar) = _hull_lp(a, m, objective=("max_g",),
-                                   g_floor=g_res - epsilon, f_exact=f_bar)
-        point = exact_point(game, f_bar + epsilon, g_bar)
+        bar = best_f
+        point = exact_point(game, bar.f + epsilon, bar.g)
         punishment = CyclePunishment(punisher="doctor", doctor_strategy=x_beta)
     else:
         raise MatchGamesError("unreachable: both sides below punishment levels implies a uniform point")
     if point is None:  # the hull allows no epsilon bump
-        point = FrontierPoint(f_bar, g_bar, lam=lam)
+        point = bar
     cycle = distribution_to_cycle(point.lam, a, m)
     cycle.punishment = punishment
     return CneResult(x=None, y=None, cycle=cycle, doctor_payoff=point.f,

@@ -58,9 +58,9 @@ def demand_set(instance: MatchingGameInstance, profile: PayoffProfile, d: str) -
     A partner qualifies when some profile of the pair pays d exactly her
     value and the partner exactly hers (:func:`qcqp.exact_point`): an
     interval test on the zero-sum image for the one-shot classes, an exact
-    hull LP for the repeated class.  Partner values are floors in
-    :func:`partnership_value` but exact here, since a realized pair pays
-    both members their profile values.
+    clip of the hull polygon for the repeated class.  Partner values are
+    floors in :func:`partnership_value` but exact here, since a realized
+    pair pays both members their profile values.
     """
     return {other for other in instance.partner_options(d)
             if exact_point(instance.game_for(d, other), profile[d], profile[other]) is not None}

@@ -1,28 +1,28 @@
 """Stability oracles: blocking pairs, blocking coalitions, renegotiation proofness.
 
 Zero-sum and strictly competitive pairs are audited through exact tests on
-the pair's payoff segment, in integers, repeated pairs through exact LPs
-over the feasible payoff hull, and the enumerated model through direct
-table scans.  Grid methods are tagged approximate and any witness they
-produce is replayed exactly before being reported.
+the pair's payoff segment, in integers, repeated pairs through exact clips
+of the payoff polygon, and the enumerated model through direct table
+scans.  Grid methods are tagged approximate and any witness they produce is
+replayed exactly before being reported.
 
 The oracles share two pieces with the solvers: the frontier queries of
 ``qcqp`` (``max_f_point``, ``max_g_point`` and ``pays_above``, over the
-integer segment that ``BimatrixGame.frontier`` holds for the one-shot
-classes and over the hull LP for the repeated class) and the profile builder
-``qcqp.achieve_value_zero_sum``, which hits a doctor payoff on A.  Sharing
-them is sound because the frontier's construction checks, entry by entry,
-that every (A[i][j], M[i][j]) lies on the segment's line: so every profile
-pays a point of the segment, the segment's points are payoffs the matrices
-attain, and a profile hitting a doctor payoff on A pays the partner the
-line's value there.  A blocking coalition at an additive hospital is
-decided by sorting its doctors' frontier suprema, with no enumeration of
-coalitions and no cap, and each member of a witness is realised by the pair
-oracle's block profile.  Every blocking-pair and coalition witness is
-replayed in the original matrices before it is reported, and the
-renegotiation check delegates to the CNE characterisation in
-``renegotiation``.  The enumerated model's core enumeration, a reference
-oracle built on this module's coalition scan, lives in ``tests/oracles.py``.
+segment or the polygon that ``BimatrixGame.frontier`` holds) and the profile
+builder ``qcqp.achieve_value_zero_sum``, which hits a doctor payoff on A.
+Sharing them is sound because the frontier's construction checks, entry by
+entry, that every (A[i][j], M[i][j]) lies on the segment's line: so every
+profile pays a point of the segment, the segment's points are payoffs the
+matrices attain, and a profile hitting a doctor payoff on A pays the
+partner the line's value there.  A blocking coalition at an additive
+hospital is decided by sorting its doctors' frontier suprema, with no
+enumeration of coalitions and no cap, and each member of a witness is
+realised by the pair oracle's block profile.  Every blocking-pair and
+coalition witness is replayed in the original matrices before it is
+reported, and the renegotiation check delegates to the CNE
+characterisation in ``renegotiation``.  The enumerated model's core
+enumeration, a reference oracle built on this module's coalition scan,
+lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -53,11 +53,11 @@ from .errors import MatchGamesError, UnsupportedClassError
 from .qcqp import achieve_value_zero_sum, max_f_point, max_g_point, pays_above, simplex_grid
 
 EXACT_INTERVAL = "exact_interval"
-EXACT_LP = "exact_lp"
+EXACT_HULL = "exact_hull"
 EXACT_TABLE = "exact_table"
 
 # The exact method deciding a pair of each class.
-CLASS_METHODS = {ZERO_SUM: EXACT_INTERVAL, STRICTLY_COMPETITIVE: EXACT_INTERVAL, REPEATED: EXACT_LP}
+CLASS_METHODS = {ZERO_SUM: EXACT_INTERVAL, STRICTLY_COMPETITIVE: EXACT_INTERVAL, REPEATED: EXACT_HULL}
 
 
 def grid_method(mesh: int) -> str:
@@ -181,8 +181,6 @@ def _pair_block_profile(game: BimatrixGame, f_floor: Fraction, g_floor: Fraction
         point = _open_interval_point(f_floor, f_cap, fr.a_min, fr.a_max)
         x, y, _ = achieve_value_zero_sum(a, point)
         return x, y, None, EXACT_INTERVAL
-    if f_floor >= fr.a_max or g_floor >= fr.m_max:
-        return None  # no profile pays that side above its floor
     best_f = max_f_point(game, g_floor)
     if best_f is None or best_f.f <= f_floor:
         return None
@@ -195,7 +193,7 @@ def _pair_block_profile(game: BimatrixGame, f_floor: Fraction, g_floor: Fraction
     f_mid = sum(a[s][t] * w for (s, t), w in mix.items())
     g_mid = sum(m[s][t] * w for (s, t), w in mix.items())
     if f_mid > f_floor and g_mid > g_floor:
-        return None, None, mix, EXACT_LP
+        return None, None, mix, EXACT_HULL
     return None
 
 
@@ -469,7 +467,8 @@ def full_report(instance, allocation, epsilon: Fraction,
             (CLASS_METHODS.get(g.class_tag, EXACT_INTERVAL) for g in instance.games.values()),
             EXACT_TABLE if instance.model == GENERAL_ENUMERATED else EXACT_INTERVAL)
     if reneg_ok is not None:
-        # A one-shot couple's CNE check is closed form; a repeated one's solves LPs.
+        # A one-shot couple's CNE check is closed form; a repeated one's reads
+        # its hull polygon.
         methods["renegotiation"] = _label(
             (CLASS_METHODS.get(instance.game_for(d, p).class_tag, EXACT_INTERVAL)
              for d, p in allocation.matched_pairs()), EXACT_INTERVAL)

@@ -7,6 +7,9 @@ compare the solvers with code that does not share their private paths:
   enumerated model by trying every assignment of doctors to hospitals;
 * ``solve_qcqp_grid_oracle`` scans a rational grid of both sides' mixed
   strategies for max{xAy | xMy >= c}, approximate by construction;
+* ``hull_lp`` answers a repeated game's hull questions by exact simplex LPs
+  over the joint distributions on S x T, one lexicographic pass each; the
+  package answers them on its hull polygon instead;
 * ``hospital_value`` is a contract model's hospital utility of a contract
   set, read straight off its weights or table, which a choice by brute
   force maximises;
@@ -28,6 +31,7 @@ from matchgames.errors import (
     MatchGamesError,
     UnsupportedClassError,
 )
+from matchgames.lp import EQ, GE, OPTIMAL, LinearProgram, solve_lp
 from matchgames.qcqp import simplex_grid
 from matchgames.stability import check_individual_rationality, find_blocking_coalition
 
@@ -98,6 +102,37 @@ def solve_qcqp_grid_oracle(a, m, c, grid_resolution):
     if best is None:
         raise InfeasibleError("grid scan found no feasible profile")
     return best
+
+
+def hull_lp(a, m, objective, f_floor=None, g_floor=None, f_exact=None, g_exact=None):
+    """(lambda, (f, g)) of an LP over joint distributions on S x T with the
+    given side constraints on the A-average f and the M-average g.
+
+    ``objective`` is a tuple of passes, each "max_f", "max_g" or "max_sum"
+    (f + g), applied lexicographically: each pass fixes its optimum as an
+    equality for the next.  Raises InfeasibleError on an empty region.
+    """
+    cells = [(s, t) for s in range(len(a)) for t in range(len(a[0]))]
+    a_coeffs = [a[s][t] for s, t in cells]
+    m_coeffs = [m[s][t] for s, t in cells]
+    rows = [([Fraction(1)] * len(cells), EQ, Fraction(1))]
+    for coeffs, sense, bound in ((a_coeffs, GE, f_floor), (m_coeffs, GE, g_floor),
+                                 (a_coeffs, EQ, f_exact), (m_coeffs, EQ, g_exact)):
+        if bound is not None:
+            rows.append((coeffs, sense, bound))
+    passes = {"max_f": a_coeffs, "max_g": m_coeffs,
+              "max_sum": [fa + fm for fa, fm in zip(a_coeffs, m_coeffs)]}
+    for name in objective:
+        program = LinearProgram(objective=passes[name], sense="max")
+        for row in rows:
+            program.add(*row)
+        result = solve_lp(program)
+        if result.status != OPTIMAL:
+            raise InfeasibleError("empty feasible payoff region")
+        rows.append((passes[name], EQ, result.value))
+    lam = {cell: w for cell, w in zip(cells, result.solution) if w != 0}
+    return lam, (sum(a[s][t] * w for (s, t), w in lam.items()),
+                 sum(m[s][t] * w for (s, t), w in lam.items()))
 
 
 def hospital_value(model, h, subset):

@@ -24,7 +24,6 @@ from matchgames.core import (
     bilinear,
     evaluate_payoffs,
     matrix_bounds,
-    matrix_max,
     negate,
 )
 from matchgames.dac import run_dac
@@ -121,7 +120,7 @@ def test_criterion_2_dac_stability_and_iteration_bound():
         ok, witness = check_individual_rationality(inst, alloc, EPS10)
         assert ok, witness
         g_max = max(
-            matrix_max(g.hospital_matrix) - inst.hospitals[h].irp
+            matrix_bounds(g.hospital_matrix)[1] - inst.hospitals[h].irp
             for (d, h), g in inst.games.items()
         )
         assert trace.iterations <= g_max / EPS10

@@ -254,8 +254,8 @@ def test_renegotiation_label_names_the_classes_checked(tmp_path):
         labels[classes] = json.loads(report_path.read_text())["methods"]["renegotiation"]
     assert labels == {
         "zero_sum": "exact_interval",
-        "repeated": "exact_lp",
-        "zero_sum,strictly_competitive,repeated": "exact_interval/exact_lp",
+        "repeated": "exact_hull",
+        "zero_sum,strictly_competitive,repeated": "exact_hull/exact_interval",
     }
 
 
@@ -278,10 +278,10 @@ def test_coalition_label_names_the_classes_priced(tmp_path):
         witness = report.get("blocking_coalition")
         labels[(seed, classes)] = (report["methods"]["coalition"],
                                    witness and (witness["doctors"], witness["method"]))
-    mixed = "exact_interval/exact_lp"
+    mixed = "exact_hull/exact_interval"
     assert labels == {
         (3, "zero_sum"): ("exact_interval", None),
-        (3, "repeated"): ("exact_lp", None),
+        (3, "repeated"): ("exact_hull", None),
         (3, "zero_sum,strictly_competitive,repeated"): (mixed, None),
         # d4's game with h2 is repeated, d5's strictly competitive.
         (4, "zero_sum,strictly_competitive,repeated"): (mixed, (["d4", "d5"], mixed)),

@@ -13,7 +13,6 @@ from matchgames.core import (
     MatchingGameInstance,
     bilinear,
     evaluate_payoffs,
-    matrix_max,
     negate,
     serialize_allocation,
 )
@@ -250,16 +249,19 @@ def _dac_digest(instance, eps):
 
 
 # Digests of runs made before the option memos existed (full repricing on
-# every call, witness built for every proposal).
+# every call, witness built for every proposal).  The mixed runs at seeds 0,
+# 1, 2, 6, 8 and 10 were pinned again when repeated pairs moved to the hull
+# polygon, which breaks a tie in the doctor's payoff by the partner's; each
+# of those runs equals a fresh scan after every event.
 PINNED_ZERO_SUM_40X10 = [
     "d3c345f1fa438cf1", "4d730a7252f68c19", "a356d8a77d2957ad", "ec40301068c8d85e",
     "3b3b1e9c5fb9b220", "b86c6603839b5ae9", "9ed65ebec54fdb32", "8de525f3b0b821c3",
     "13673a45ddc6e4c1", "27ee8d94aef51e2a", "ec5cf9313d40d272", "06a38498f3d0c453",
 ]
 PINNED_MIXED_20X6 = [
-    "c90768ae66af1663", "ba062be91677da3c", "562076bd5ac36d55", "edc4c586a98fdab5",
-    "e17dfc055267c829", "3f696779397dd4b6", "6d14fc82262b3c97", "d90f9bf1d5f5e307",
-    "3ed996150c5a3c3a", "fe04b601c0c6e3e2", "74bcf06bbc73bc5c", "4a96c4bf1b405488",
+    "1cf62611699fd17f", "c14866a2d3869b8e", "9693f762a5ada511", "edc4c586a98fdab5",
+    "e17dfc055267c829", "3f696779397dd4b6", "7ff5dd434ebcbb1d", "d90f9bf1d5f5e307",
+    "83cd585a75e23347", "fe04b601c0c6e3e2", "9a604a1d0e569af6", "4a96c4bf1b405488",
 ]
 
 
@@ -376,8 +378,8 @@ def test_ranked_options_equal_a_fresh_scan_after_every_event(monkeypatch, size, 
     eps = F(1, 2)
     inst = generate_instance(seed=3, n_doctors=size[0], n_hospitals=size[1], classes=classes)
     expected = serialize_allocation(run_dac(inst, eps)[0])
-    # A hull LP answers the same (game, floor) the same way, so the fresh
-    # scan may reuse its answers; its seats and bars are read afresh.
+    # A hull query answers the same (game, floor) the same way, so the
+    # fresh scan may reuse its answers; its seats and bars are read afresh.
     answers = {}
 
     def price(game, theta):
@@ -565,12 +567,12 @@ def test_trace_records_are_typed_events():
 
 
 def test_iteration_cap_reads_the_frontier_bound():
-    from matchgames.core import matrix_max
+    from matchgames.core import matrix_bounds
 
     for seed in range(4):
         inst = generate_instance(seed=seed, n_doctors=10, n_hospitals=4,
                                  classes=["zero_sum", "strictly_competitive", "repeated"])
-        g_max = max([F(0)] + [matrix_max(g.hospital_matrix) - inst.hospitals[h].irp
+        g_max = max([F(0)] + [matrix_bounds(g.hospital_matrix)[1] - inst.hospitals[h].irp
                               for (d, h), g in inst.games.items()])
         expected = int(g_max / F(1, 2)) + 10 * (len(inst.doctors) + 1) + 100
         assert dac._default_iteration_cap(inst, F(1, 2)) == expected

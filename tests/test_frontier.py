@@ -57,6 +57,8 @@ from matchgames.stability import (
     verify_renegotiation_proof,
 )
 
+from fixtures import PD_A, PD_M
+from oracles import hull_lp
 from bridge_reference import (
     bridge,
     reference_bridge,
@@ -132,31 +134,36 @@ class TestValueQueries:
                     same(max_g_value(game, beta, strict), max_g_point(game, beta, strict),
                          lambda point: point.g)
 
-    def test_repeated_queries_solve_each_hull_lp_once(self, monkeypatch):
-        # A value query and the point query at the same floor share one LP,
-        # and the kept answer is the LP's.
-        rng = random.Random("hull-answers")
-        calls = []
-        hull_lp = qcqp._hull_lp
-
-        def counting(*args, **kwargs):
-            calls.append(kwargs)
-            return hull_lp(*args, **kwargs)
-
-        monkeypatch.setattr(qcqp, "_hull_lp", counting)
+    def test_a_repeated_game_builds_its_polygon_once(self, monkeypatch):
+        # Value, point and exact queries, CNEs and roommates realizations
+        # all read the polygon the game built on first use.
+        builds = []
+        payoff_hull = core.payoff_hull
+        monkeypatch.setattr(core, "payoff_hull",
+                            lambda a, m: builds.append((a, m)) or payoff_hull(a, m))
+        rng = random.Random("hull-once")
         for _ in range(6):
             game = random_game(rng, rng.randint(2, 3), rng.randint(2, 3), "repeated",
                                max_denominator=2)
-            a, m, fr = game.doctor_matrix, game.hospital_matrix, game.frontier
+            fr = game.frontier
             theta, beta = (fr.m_min + fr.m_max) / 2, (fr.a_min + fr.a_max) / 2
-            calls.clear()
-            f_value, g_value = max_f_value(game, theta), max_g_value(game, beta, strict=True)
-            f_point, g_point = max_f_point(game, theta, strict=True), max_g_point(game, beta)
-            assert len(calls) == 2
-            lam, (f, g) = hull_lp(a, m, ("max_f",), g_floor=theta)
-            assert f_point == (f, g, lam) and F(*f_value) == f
-            lam, (f, g) = hull_lp(a, m, ("max_g",), f_floor=beta)
-            assert g_point == (f, g, lam) and F(*g_value) == g
+            for strict in (False, True):
+                assert F(*max_f_value(game, theta, strict)) == max_f_point(game, theta, strict).f
+                assert F(*max_g_value(game, beta, strict)) == max_g_point(game, beta, strict).g
+            assert exact_point(game, fr.hull[0][0], fr.hull[0][1]) is not None
+            compute_cne_for_pair(game, ReservationPair(fr.a_min, fr.m_min), F(1, 2))
+        pd = BimatrixGame(PD_A, PD_M, "repeated")
+        inst = MatchingGameInstance(
+            model="roommates", doctors={d: Doctor(d, F(0), ("c", "b")) for d in ("a", "b")},
+            hospitals={}, games={("a", "b"): pd},
+        )
+        for _ in range(3):
+            alloc = realize_aspiration(inst, {"a": F(2), "b": F(2)})
+            assert alloc.cycles[("a", "b")].cycle == ((0, 0),)
+        # Six games, the pair, and the flipped view that its second member
+        # reads it through (a game of its own, kept on the pair): one
+        # polygon each.
+        assert len(builds) == 8 and "frontier" in pd.flipped.__dict__
 
     @pytest.mark.parametrize("game_class", CLASSES)
     def test_exact_point_matches_a_reference(self, game_class):
@@ -177,7 +184,7 @@ class TestValueQueries:
             for f, g in candidates:
                 if game_class == "repeated":
                     try:
-                        qcqp._hull_lp(a, m, ("max_f",), f_exact=f, g_exact=g)
+                        hull_lp(a, m, ("max_f",), f_exact=f, g_exact=g)
                         expected = True
                     except InfeasibleError:
                         expected = False
@@ -239,6 +246,92 @@ class TestValueQueries:
         game = BimatrixGame(a, a, "general")
         with pytest.raises(UnsupportedClassError, match="no exact frontier solver"):
             max_f_point(game, F(0))
+
+
+# ---------------------------------------------------------------------------
+# The repeated class's polygon against the reference LP (``oracles.hull_lp``).
+
+
+def _hull_games(rng):
+    """Repeated games of every shape the polygon meets: 1 x 1, single rows
+    and columns, cells drawn from two points (duplicates), cells on one
+    line (collinear), and free ones; entries have denominators 1-3."""
+    def value():
+        return F(rng.randint(-6, 6), rng.randint(1, 3))
+
+    games = []
+    for k in range(72):
+        rows, cols = rng.choice(((1, 1), (1, rng.randint(2, 4)), (rng.randint(2, 4), 1),
+                                 (rng.randint(2, 4), rng.randint(2, 4))))
+        if k % 3 == 0:
+            draw = lambda: (value(), value())
+        elif k % 3 == 1:
+            pool = [(value(), value()) for _ in range(2)]
+            draw = lambda: rng.choice(pool)
+        else:
+            (f0, g0), (df, dg) = (value(), value()), rng.choice(((1, 0), (0, 1), (1, -2), (2, 1)))
+            draw = lambda: (f0 + df * F(rng.randint(-4, 4), 2), g0 + dg * F(rng.randint(-4, 4), 2))
+        cells = [[draw() for _ in range(cols)] for _ in range(rows)]
+        games.append(BimatrixGame(tuple(tuple(f for f, _ in row) for row in cells),
+                                  tuple(tuple(g for _, g in row) for row in cells), "repeated"))
+    return games
+
+
+def _reference(a, m, passes, **sides):
+    """The reference LP's (f, g) after its lexicographic passes, or None."""
+    try:
+        return hull_lp(a, m, passes, **sides)[1]
+    except InfeasibleError:
+        return None
+
+
+class TestHullPolygon:
+    """Every hull answer is the reference LP's lexicographic optimum, and its
+    distribution (at most three cells) pays it exactly."""
+
+    @staticmethod
+    def _check(game, point, expected):
+        assert (None if point is None else (point.f, point.g)) == expected
+        if point is not None:
+            a, m = game.doctor_matrix, game.hospital_matrix
+            assert 0 < len(point.lam) <= 3 and all(w > 0 for w in point.lam.values())
+            assert sum(point.lam.values()) == 1
+            assert sum(a[s][t] * w for (s, t), w in point.lam.items()) == point.f
+            assert sum(m[s][t] * w for (s, t), w in point.lam.items()) == point.g
+
+    def test_answers_equal_the_reference_lp(self):
+        rng = random.Random("hull-polygon")
+        shapes = set()
+        for game in _hull_games(rng):
+            a, m, fr = game.doctor_matrix, game.hospital_matrix, game.frontier
+            shapes.add(min(len(fr.hull), 3))
+            assert len({(f, g) for f, g, _ in fr.hull}) == len(fr.hull)
+            f_floors, g_floors = _floors(rng, fr.a_min, fr.a_max), _floors(rng, fr.m_min, fr.m_max)
+            for theta in g_floors:
+                expected = _reference(a, m, ("max_f", "max_g"), g_floor=theta)
+                self._check(game, max_f_point(game, theta), expected)
+                self._check(game, max_f_point(game, theta, strict=True),
+                            None if theta >= fr.m_max else expected)
+            for beta in f_floors:
+                expected = _reference(a, m, ("max_g", "max_f"), f_floor=beta)
+                self._check(game, max_g_point(game, beta), expected)
+                self._check(game, max_g_point(game, beta, strict=True),
+                            None if beta >= fr.a_max else expected)
+            for beta, theta in zip(f_floors[2:], g_floors[3:] + g_floors[:1]):
+                floors = {"f_floor": beta, "g_floor": theta}
+                for key, passes in ((qcqp.by_f, ("max_f", "max_g")),
+                                    (qcqp.by_g, ("max_g", "max_f")),
+                                    (qcqp.by_sum, ("max_sum", "max_f"))):
+                    self._check(game, qcqp.hull_point(fr, key, **floors),
+                                _reference(a, m, passes, **floors))
+            cells = [(a[s][t], m[s][t]) for s in range(game.n_rows) for t in range(game.n_cols)]
+            probes = cells[:2] + [((f0 + f1) / 2, (g0 + g1) / 2)
+                                  for (f0, g0), (f1, g1) in zip(cells, cells[1:] + cells[:1])]
+            probes += list(zip(f_floors[:4], g_floors[4:]))
+            for f, g in probes:
+                expected = _reference(a, m, ("max_f",), f_exact=f, g_exact=g)
+                self._check(game, exact_point(game, f, g), expected and (f, g))
+        assert shapes == {1, 2, 3}
 
 
 # ---------------------------------------------------------------------------

@@ -598,12 +598,14 @@ def test_market_renegotiation_witnesses_are_pinned(market, tmp_path):
 # Generator seed of an 8 x 3 market mixing all three exact classes -> sha256
 # of its solve-dac, verify --coalitions 4 and renegotiate documents, at
 # epsilon 1/2.  Every one holds repeated couples, so these pin the repeated
-# class's witnesses, cycles and frontier queries end to end.
+# class's witnesses, cycles and frontier queries end to end.  The hull
+# polygon left every byte as the hull LP wrote it except the method label,
+# now "exact_hull".
 PINNED_REPEATED_MARKET_DIGESTS = {
-    3: 'cfc600066b58b27e397bc1a2bc594d92c1ef9b07c524af7c97e886a0b9e1bb3f',
-    6: 'b82251e43eaa032a6fd71e89d8f5d90fb78da20d862f9818617452b1142a7b66',
-    8: 'cbf515d7126161a471d62efe5e6731451065b1a218de6a85bb3e593bad6ff294',
-    10: '15b50584cc1ecba275c43420cf6fc7896b069c59c6d45b91731586ec90386ca4',
+    3: '236bfec854aaeacf342906ffe75e7006bdfb19eff210901a72f5344b51b038db',
+    6: 'eb0a9160167e1ecfb2a63ed3400feb059009c3b6e836842fcc57f1fbdc4f3e87',
+    8: '35456304292a0110064ccc3b0cfb35d10ed82e1390eda475cd1e98397945308d',
+    10: '6d49eb68f73bf1d135dc1a14210913ae0d8b05659082d6b69ace56a30d87d551',
 }
 
 
