@@ -57,7 +57,6 @@ from matchgames.stability import (
     verify_renegotiation_proof,
 )
 
-from fixtures import PD_A, PD_M
 from oracles import hull_lp
 from bridge_reference import (
     bridge,
@@ -134,9 +133,10 @@ class TestValueQueries:
                     same(max_g_value(game, beta, strict), max_g_point(game, beta, strict),
                          lambda point: point.g)
 
-    def test_a_repeated_game_builds_its_polygon_once(self, monkeypatch):
-        # Value, point and exact queries, CNEs and roommates realizations
-        # all read the polygon the game built on first use.
+    def test_repeated_queries_solve_each_hull_lp_once(self, monkeypatch):
+        # The hull questions are answered from one polygon per game: value,
+        # point and exact queries and CNEs all read the polygon the game
+        # built on first use, and the answers are the reference LP's.
         builds = []
         payoff_hull = core.payoff_hull
         monkeypatch.setattr(core, "payoff_hull",
@@ -145,25 +145,18 @@ class TestValueQueries:
         for _ in range(6):
             game = random_game(rng, rng.randint(2, 3), rng.randint(2, 3), "repeated",
                                max_denominator=2)
-            fr = game.frontier
+            a, m, fr = game.doctor_matrix, game.hospital_matrix, game.frontier
             theta, beta = (fr.m_min + fr.m_max) / 2, (fr.a_min + fr.a_max) / 2
             for strict in (False, True):
                 assert F(*max_f_value(game, theta, strict)) == max_f_point(game, theta, strict).f
                 assert F(*max_g_value(game, beta, strict)) == max_g_point(game, beta, strict).g
+            point = max_f_point(game, theta)
+            assert (point.f, point.g) == hull_lp(a, m, ("max_f", "max_g"), g_floor=theta)[1]
+            point = max_g_point(game, beta)
+            assert (point.f, point.g) == hull_lp(a, m, ("max_g", "max_f"), f_floor=beta)[1]
             assert exact_point(game, fr.hull[0][0], fr.hull[0][1]) is not None
             compute_cne_for_pair(game, ReservationPair(fr.a_min, fr.m_min), F(1, 2))
-        pd = BimatrixGame(PD_A, PD_M, "repeated")
-        inst = MatchingGameInstance(
-            model="roommates", doctors={d: Doctor(d, F(0), ("c", "b")) for d in ("a", "b")},
-            hospitals={}, games={("a", "b"): pd},
-        )
-        for _ in range(3):
-            alloc = realize_aspiration(inst, {"a": F(2), "b": F(2)})
-            assert alloc.cycles[("a", "b")].cycle == ((0, 0),)
-        # Six games, the pair, and the flipped view that its second member
-        # reads it through (a game of its own, kept on the pair): one
-        # polygon each.
-        assert len(builds) == 8 and "frontier" in pd.flipped.__dict__
+        assert len(builds) == 6
 
     @pytest.mark.parametrize("game_class", CLASSES)
     def test_exact_point_matches_a_reference(self, game_class):

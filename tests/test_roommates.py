@@ -280,6 +280,26 @@ class TestRepeatedPairs:
         payoffs = evaluate_payoffs(inst, alloc)
         assert payoffs.doctor_payoffs == profile
 
+    def test_realize_solves_each_hull_lp_once(self, monkeypatch):
+        # The max equation, the pair's demand edge and its cycle read one
+        # polygon per game: the pair's and the flipped view its second
+        # member reads it through, however often the profile is realized.
+        from matchgames import core
+
+        builds = []
+        payoff_hull = core.payoff_hull
+        monkeypatch.setattr(core, "payoff_hull",
+                            lambda a, m: builds.append((a, m)) or payoff_hull(a, m))
+        pd = BimatrixGame(PD_A, PD_M, "repeated")
+        doctors = {d: Doctor(d, F(0), ("c", "b")) for d in ("a", "b")}
+        inst = MatchingGameInstance(
+            model="roommates", doctors=doctors, hospitals={}, games={("a", "b"): pd},
+        )
+        for _ in range(3):
+            alloc = realize_aspiration(inst, {"a": F(2), "b": F(2)})
+            assert alloc.cycles[("a", "b")].cycle == ((0, 0),)
+        assert len(builds) == 2 and "frontier" in pd.flipped.__dict__
+
     # Profile -> sha256 of the roommates-realize document of the repeated
     # prisoners' dilemma pair above.
     PINNED_REALIZE_DIGESTS = {
