@@ -5,12 +5,18 @@ point never enters authoritative computations.  Matrices are stored as tuples
 of tuples, row index = doctor pure strategy, column index = hospital pure
 strategy.  Hospital matrices hold the hospital's *own* payoff (one sign
 convention everywhere: a zero-sum pair has ``M == -A`` entrywise).
+
+A matched couple's witness (a profile, or a repeated pair's cycle) lives by
+one rule of keys and orientation (:func:`_witness_slots`): :func:`store_witness`
+writes by it, and :func:`read_couple`, its one reader, checks the witness and
+the matching, orients it to the doctor's game and pays both sides at once.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, wraps
@@ -23,6 +29,7 @@ from .errors import (
     ClassTagViolationError,
     DimensionMismatchError,
     MalformedCycleError,
+    MalformedMatchingError,
     MalformedRationalError,
     MatchGamesError,
     NotStrictlyCompetitiveError,
@@ -646,14 +653,31 @@ def row_payoffs(matrix: Matrix, y: Sequence[Fraction]) -> List[Fraction]:
 
 def bilinear(x: Sequence[Fraction], matrix: Matrix, y: Sequence[Fraction]) -> Fraction:
     """Exact x.A.y for mixed strategies x, y, on the integer kernel."""
+    return _bilinears(x, (matrix,), y)[0]
+
+
+def _bilinears(x, matrices, y) -> List[Fraction]:
+    """x.A.y for each matrix A, with x and y scaled to integers once."""
     xs, xd = _integer_weights(x)
     ys, yd = _integer_weights(y)
     support = [j for j, w in enumerate(ys) if w]
-    num, den = 0, 1
+    sums = [(0, 1)] * len(matrices)
     for i, xi in enumerate(xs):
         if xi:
-            num, den = _dot(matrix[i], ys, support, num, den, xi)
-    return Fraction(num, den * xd * yd)
+            sums = [_dot(mat[i], ys, support, num, den, xi) for mat, (num, den) in zip(matrices, sums)]
+    return [Fraction(num, den * xd * yd) for num, den in sums]
+
+
+def witness_payoffs(a: Matrix, m: Matrix, x=None, y=None, cells=None,
+                    length: int = 1) -> Tuple[Fraction, Fraction]:
+    """(f, g), the row and the column side's payoffs of the profile (x, y), or
+    of ``cells``' weights by cell (s, t) over ``length`` (a hull distribution
+    over 1, a cycle's step counts over its length), each scaled to integers once."""
+    if cells is None:
+        return tuple(_bilinears(x, (a, m), y))
+    ws, wd = _integer_weights(list(cells.values()))
+    (fn, fd), (gn, gd) = (_dot([mat[s][t] for s, t in cells], ws, range(len(ws))) for mat in (a, m))
+    return Fraction(fn, fd * wd * length), Fraction(gn, gd * wd * length)
 
 
 @dataclass
@@ -679,10 +703,8 @@ class CycleStrategy:
     punishment: Optional[CyclePunishment] = None
 
     def average_payoffs(self, a: Matrix, m: Matrix) -> Tuple[Fraction, Fraction]:
-        n = len(self.cycle)
-        fa = sum((a[s][t] for s, t in self.cycle), Fraction(0))
-        fm = sum((m[s][t] for s, t in self.cycle), Fraction(0))
-        return fa / n, fm / n
+        """The long-run average payoffs, one weighted term per distinct step."""
+        return witness_payoffs(a, m, cells=Counter(self.cycle), length=len(self.cycle))
 
 
 @dataclass
@@ -714,12 +736,15 @@ class PayoffReport:
     doctor) to the value of every matched seat, seats at an over-quota
     hospital included, and ``members`` lists each hospital's doctors in id
     order.  Both stay empty for the roommates and enumerated models.
+    ``couples`` holds each matched couple as :func:`read_couple` read it, in
+    doctor id order, keyed (doctor, hospital) or by the sorted roommates pair.
     """
 
     doctor_payoffs: Dict[str, Fraction]
     hospital_payoffs: Dict[str, object]  # Fraction or NEG_INF
     seat_values: Dict[Tuple[str, str], Fraction] = field(default_factory=dict)
     members: Dict[str, List[str]] = field(default_factory=dict)
+    couples: Dict[Tuple[str, str], "Couple"] = field(default_factory=dict)
 
 
 def seat_floor(hospital: Hospital, members: Sequence[str],
@@ -732,28 +757,28 @@ def seat_floor(hospital: Hospital, members: Sequence[str],
 
 
 def evaluate_payoffs(instance: MatchingGameInstance, allocation: Allocation) -> PayoffReport:
-    """Exact per-agent payoffs of an allocation.
-
-    Unmatched agents receive their IRP.  Additive separable hospitals earn the
-    sum of per-seat contributions, or the -inf sentinel when over quota.
-    """
+    """Exact per-agent payoffs of an allocation: each matched couple read once
+    (:func:`read_couple`, a roommates pair in stored order) for both its
+    payoffs, unmatched agents at their IRP, and each additive separable
+    hospital the sum of its seats, or the -inf sentinel when over quota."""
     if instance.model == GENERAL_ENUMERATED:
         return _evaluate_enumerated(instance, allocation)
 
-    report = PayoffReport({}, {})
-    for d, doc in instance.doctors.items():
-        partner = allocation.matching.get(d)
-        if partner is None:
-            report.doctor_payoffs[d] = doc.irp
+    report = PayoffReport({d: doc.irp for d, doc in instance.doctors.items()}, {})
+    roommates = instance.model == ROOMMATES
+    for d, partner in allocation.matched_pairs():
+        key = instance.pair_key(d, partner)
+        if key in report.couples:  # a roommate read with her partner
             continue
-        report.doctor_payoffs[d] = _pair_doctor_payoff(instance, allocation, d, partner)
-
-    if instance.model == ROOMMATES:
+        couple = report.couples[key] = read_couple(instance, allocation, *key)
+        report.doctor_payoffs[key[0]] = couple.f
+        if roommates:
+            report.doctor_payoffs[key[1]] = couple.g
+        else:
+            report.members.setdefault(partner, []).append(d)
+            report.seat_values[(partner, d)] = couple.g
+    if roommates:
         return report
-
-    for d, h in allocation.matched_pairs():
-        report.members.setdefault(h, []).append(d)
-        report.seat_values[(h, d)] = seat_contribution(instance, allocation, d, h)
     for h, hosp in instance.hospitals.items():
         members = report.members.get(h)
         if not members:
@@ -766,85 +791,91 @@ def evaluate_payoffs(instance: MatchingGameInstance, allocation: Allocation) -> 
     return report
 
 
-def _profile_for(instance, allocation, d, partner):
-    game = instance.game_for(d, partner)
-    if game.class_tag == REPEATED:
-        return None
-    x = allocation.doctor_strategies[d]
+class Couple(NamedTuple):
+    """A matched couple's witness, a profile (x, y) or a cycle over ``game``,
+    which is ``game_for(d, partner)``, and its payoffs: f to d, g to the partner."""
+
+    game: BimatrixGame
+    x: Optional[Tuple[Fraction, ...]]
+    y: Optional[Tuple[Fraction, ...]]
+    cycle: Optional[CycleStrategy]
+    f: Fraction
+    g: Fraction
+
+
+def _witness_slots(instance, allocation, d, partner):
+    """Where couple (d, partner)'s witness lives: (its cycle's key, whether
+    the cycle runs over the partner's rows, the dict and key of the partner's
+    strategy; d's is ``doctor_strategies[d]``).  Two-sided keys are (h, d); a
+    roommates cycle is keyed by the sorted pair, over the smaller id's rows."""
     if instance.model == ROOMMATES:
-        y = allocation.doctor_strategies[partner]
-    else:
-        y = allocation.hospital_strategies[(partner, d)]
-    validate_mixed(x, game.n_rows, f"doctor {d} strategy")
-    validate_mixed(y, game.n_cols, f"partner {partner} strategy vs {d}")
-    return x, y
+        key = instance.pair_key(d, partner)
+        return key, key[0] != d, allocation.doctor_strategies, partner
+    return (partner, d), False, allocation.hospital_strategies, (partner, d)
 
 
-def _cycle_for(instance, allocation, d, partner):
-    """The couple's cycle over the profiles of ``game_for(d, partner)``.
-
-    The stored cycle is checked against the stored game: it must be
-    non-empty and every step a (row, column) index pair inside it.
-    """
-    key = instance.pair_key(d, partner)
-    roommates = instance.model == ROOMMATES
-    cycle = allocation.cycles.get(key if roommates else (partner, d))
-    if cycle is None:
-        pair = key if roommates else f"({d},{partner})"
-        raise MatchGamesError(f"repeated pair {pair} has no cycle strategy")
-    game = instance.games[key]
-    rows, cols = game.n_rows, game.n_cols
-    if not cycle.cycle:
-        raise MalformedCycleError(f"repeated pair ({d},{partner}) has an empty cycle")
-    for s, t in cycle.cycle:
-        if not (0 <= s < rows and 0 <= t < cols):
-            raise MalformedCycleError(
-                f"repeated pair ({d},{partner}) cycle step [{s}, {t}] is outside "
-                f"its {rows}x{cols} game")
-    if key[0] != d:
-        return CycleStrategy(tuple((t, s) for s, t in cycle.cycle), cycle.punishment)
-    return cycle
+def _transposed(cycle: CycleStrategy) -> CycleStrategy:
+    """The cycle over the transposed game: steps (t, s), punishing sides swapped."""
+    pun = cycle.punishment
+    if pun is not None:
+        side = {"doctor": "hospital", "hospital": "doctor"}.get(pun.punisher, pun.punisher)
+        pun = CyclePunishment(side, pun.hospital_strategy, pun.doctor_strategy, pun.trigger)
+    return CycleStrategy(tuple((t, s) for s, t in cycle.cycle), pun)
 
 
 def store_witness(instance, allocation, d, partner, witness):
-    """Store a couple's witness under the model's keys: a profile ``x``,
-    ``y`` or a ``cycle`` over ``game_for(d, partner)``, as a ``PairOutcome``
-    or a ``CneResult`` holds it.  The couple's entries of the other kind go.
-    In the roommates model ``d`` is the pair's smaller id, whose rows the
-    stored game and cycle use."""
-    roommates = instance.model == ROOMMATES
-    key = instance.pair_key(d, partner) if roommates else (partner, d)
-    partners = allocation.doctor_strategies if roommates else allocation.hospital_strategies
-    partner_key = partner if roommates else key
+    """Store a couple's witness (a ``PairOutcome`` or ``CneResult`` over ``game_for(d,
+    partner)``) where :func:`read_couple` reads it, dropping entries of the other kind."""
+    key, flipped, partners, partner_key = _witness_slots(instance, allocation, d, partner)
     if witness.cycle is None:
         allocation.doctor_strategies[d] = witness.x
         partners[partner_key] = witness.y
         allocation.cycles.pop(key, None)
         return
-    allocation.cycles[key] = witness.cycle
+    allocation.cycles[key] = _transposed(witness.cycle) if flipped else witness.cycle
     allocation.doctor_strategies.pop(d, None)
     partners.pop(partner_key, None)
 
 
-def _pair_doctor_payoff(instance, allocation, d, partner) -> Fraction:
-    game = instance.game_for(d, partner)
-    if game.class_tag == REPEATED:
-        cycle = _cycle_for(instance, allocation, d, partner)
-        f, _ = cycle.average_payoffs(game.doctor_matrix, game.hospital_matrix)
-        return f
-    x, y = _profile_for(instance, allocation, d, partner)
-    return bilinear(x, game.doctor_matrix, y)
-
-
-def seat_contribution(instance, allocation, d, h) -> Fraction:
-    """The hospital's per-seat value x_d M_{d,h} y_{d,h} for a matched doctor."""
-    game = instance.game_for(d, h)
-    if game.class_tag == REPEATED:
-        cycle = _cycle_for(instance, allocation, d, h)
-        _, g = cycle.average_payoffs(game.doctor_matrix, game.hospital_matrix)
-        return g
-    x, y = _profile_for(instance, allocation, d, h)
-    return bilinear(x, game.hospital_matrix, y)
+def read_couple(instance, allocation, d, partner) -> Couple:
+    """Couple (d, partner)'s witness, checked, oriented to ``game_for(d,
+    partner)`` and paid.  ``MalformedMatchingError`` if the pair has no game
+    or two roommates are matched one way only; a profile must hold probability
+    vectors of the game's sizes, a cycle steps inside it (``MalformedCycleError``)."""
+    game = instance.games.get(instance.pair_key(d, partner))
+    if game is None:
+        raise MalformedMatchingError(f"doctor {d} is matched to {partner}, but the pair has no game")
+    if instance.model == ROOMMATES:
+        there, back = allocation.matching.get(d), allocation.matching.get(partner)
+        if (there, back) != (partner, d):
+            raise MalformedMatchingError(
+                f"roommates {d} and {partner} are matched one way only: "
+                f"{d} -> {there or 'unmatched'}, {partner} -> {back or 'unmatched'}")
+    key, flipped, partners, partner_key = _witness_slots(instance, allocation, d, partner)
+    view = game.flipped if flipped else game
+    if game.class_tag != REPEATED:
+        x, y = allocation.doctor_strategies.get(d), partners.get(partner_key)
+        if x is None or y is None:
+            raise MatchGamesError(f"pair ({d},{partner}) has no strategy profile")
+        validate_mixed(x, view.n_rows, f"doctor {d} strategy")
+        validate_mixed(y, view.n_cols, f"partner {partner} strategy vs {d}")
+        return Couple(view, x, y, None, *witness_payoffs(view.doctor_matrix, view.hospital_matrix, x, y))
+    cycle = allocation.cycles.get(key)
+    if cycle is None:
+        pair = key if instance.model == ROOMMATES else f"({d},{partner})"
+        raise MatchGamesError(f"repeated pair {pair} has no cycle strategy")
+    if not cycle.cycle:
+        raise MalformedCycleError(f"repeated pair ({d},{partner}) has an empty cycle")
+    rows, cols = game.n_rows, game.n_cols
+    for s, t in dict.fromkeys(cycle.cycle):  # each distinct step, first ones first
+        if not (0 <= s < rows and 0 <= t < cols):
+            raise MalformedCycleError(
+                f"repeated pair ({d},{partner}) cycle step [{s}, {t}] is outside "
+                f"its {rows}x{cols} game")
+    f, g = cycle.average_payoffs(game.doctor_matrix, game.hospital_matrix)
+    if flipped:
+        cycle, f, g = _transposed(cycle), g, f
+    return Couple(view, None, None, cycle, f, g)
 
 
 def _evaluate_enumerated(instance, allocation):

@@ -379,8 +379,7 @@ def settle_competition(state: DacState, winner: str, loser_bid: Fraction,
     return point
 
 
-def run_dac(instance: MatchingGameInstance, epsilon: Fraction,
-            max_iterations: Optional[int] = None) -> Tuple[Allocation, DacTrace]:
+def run_dac(instance: MatchingGameInstance, epsilon: Fraction) -> Tuple[Allocation, DacTrace]:
     """Run deferred acceptance with competitions to an eps-pairwise stable allocation."""
     if epsilon <= 0:
         raise EpsilonNotPositiveError("epsilon must be strictly positive")
@@ -400,8 +399,7 @@ def run_dac(instance: MatchingGameInstance, epsilon: Fraction,
     for h, hosp in instance.hospitals.items():
         log("baseline", h, hosp.irp)
 
-    if max_iterations is None:
-        max_iterations = _default_iteration_cap(instance, epsilon)
+    max_iterations = _default_iteration_cap(instance, epsilon)
 
     doctor_order = {d: i for i, d in enumerate(instance.doctor_ids)}
     settled_out: set = set()

@@ -17,6 +17,10 @@ class MalformedCycleError(MatchGamesError):
     """A repeated pair's cycle is empty or steps outside its game's profiles."""
 
 
+class MalformedMatchingError(MatchGamesError):
+    """A matched pair has no game, or two roommates are matched one way only."""
+
+
 class QuotaOutOfRangeError(MatchGamesError):
     """A hospital quota is not a JSON integer, or is below its floor: 1 in
     an instance, 0 in a contract model."""

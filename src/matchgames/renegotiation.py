@@ -32,6 +32,7 @@ from .core import (
     ROOMMATES,
     Allocation,
     BimatrixGame,
+    Couple,
     CyclePunishment,
     CycleStrategy,
     MatchingGameInstance,
@@ -40,15 +41,14 @@ from .core import (
     bilinear,
     evaluate_payoffs,
     frontier_bridge,
-    _cycle_for,
-    _pair_doctor_payoff,
     negate,
     pure,
+    read_couple,
     row_payoffs,
-    seat_contribution,
     seat_floor,
     store_witness,
     transpose,
+    witness_payoffs,
 )
 from .errors import (
     EpsilonNotPositiveError,
@@ -157,6 +157,7 @@ class _PayoffLedger:
         report = payoffs or evaluate_payoffs(instance, allocation)
         self.doctor_payoffs = dict(report.doctor_payoffs)
         self.seat_values = dict(report.seat_values)
+        self.pairs = {key: (c.f, c.g) for key, c in report.couples.items()}  # couple -> (f, g)
         self.members = report.members
         self.doctor_floors = {d: f + epsilon for d, f in self.doctor_payoffs.items()}
         self.hospital_bars = {h: self._bar(h) for h in instance.hospitals}
@@ -174,9 +175,10 @@ class _PayoffLedger:
                           self.seat_values) + self.epsilon
 
     def record(self, allocation: Allocation, d: str, partner: str):
-        f = self.doctor_payoffs[d] = _pair_doctor_payoff(self.instance, allocation, d, partner)
+        couple = read_couple(self.instance, allocation, d, partner)
+        f, value = self.pairs[(d, partner)] = couple.f, couple.g
+        self.doctor_payoffs[d] = f
         self.doctor_floors[d] = f + self.epsilon
-        value = seat_contribution(self.instance, allocation, d, partner)
         if self.roommates:
             self.doctor_payoffs[partner] = value
             self.doctor_floors[partner] = value + self.epsilon
@@ -188,12 +190,6 @@ class _PayoffLedger:
         for agent in moved:
             self._writes[agent] = self._writes.get(agent, 0) + 1
         self._records += 1
-
-    def pair_payoffs(self, couples) -> Dict[Tuple[str, str], Tuple[Fraction, Fraction]]:
-        return {(d, p): (self.doctor_payoffs[d], self._partner_value(d, p)) for d, p in couples}
-
-    def _partner_value(self, d, partner):
-        return self.doctor_payoffs[partner] if self.roommates else self.seat_values[(partner, d)]
 
     def reservations(self, d: str, partner: str) -> ReservationPair:
         doctor_res = self._doctor_outside_value(d, partner)
@@ -365,7 +361,7 @@ def _one_shot_cne(game: BimatrixGame, f_res: Fraction, g_res: Fraction,
             y, tag = pure(t, len(z[0])), HOSPITAL_BINDING
     if bilinear(x, z, y) != value:
         raise MatchGamesError("CNE construction missed its target value")
-    f_now, g_now = bilinear(x, a, y), bilinear(x, m, y)
+    f_now, g_now = witness_payoffs(a, m, x, y)
     fault = _deviation_fault(a, m, x, y, f_now, g_now, f_res, g_res, epsilon)
     if fault is not None:
         raise MatchGamesError(f"{game.class_tag} CNE: {fault}")
@@ -478,58 +474,46 @@ def _repeated_cne(game: BimatrixGame, f_res: Fraction, g_res: Fraction,
 def check_couple_is_cne(instance, allocation, d, partner, reservations: ReservationPair,
                         epsilon: Fraction):
     """Does the couple's current profile survive the CNE characterisation?"""
-    game = instance.game_for(d, partner)
-    a, m = game.doctor_matrix, game.hospital_matrix
+    return cne_verdict(read_couple(instance, allocation, d, partner), reservations, epsilon)
+
+
+def cne_verdict(couple: Couple, reservations: ReservationPair, epsilon: Fraction):
+    """(passes, why not) of the CNE characterisation for a ``core.Couple``."""
     f_res, g_res = reservations.doctor_reservation, reservations.hospital_reservation
-
-    if game.class_tag == REPEATED:
-        return _check_repeated_cne(instance, allocation, d, partner, game,
-                                   f_res, g_res, epsilon)
-
-    if instance.model == ROOMMATES:
-        x = allocation.doctor_strategies[d]
-        y = allocation.doctor_strategies[partner]
-    else:
-        x = allocation.doctor_strategies[d]
-        y = allocation.hospital_strategies[(partner, d)]
-    f_now = bilinear(x, a, y)
-    g_now = bilinear(x, m, y)
+    if couple.cycle is not None:
+        return _check_repeated_cne(couple, f_res, g_res, epsilon)
+    game, f_now, g_now = couple.game, couple.f, couple.g
     if f_now + epsilon < f_res:
         return False, f"doctor payoff {f_now} not feasible against reservation {f_res}"
     if g_now + epsilon < g_res:
         return False, f"hospital payoff {g_now} not feasible against reservation {g_res}"
-    fault = _deviation_fault(a, m, x, y, f_now, g_now, f_res, g_res, epsilon)
+    fault = _deviation_fault(game.doctor_matrix, game.hospital_matrix, couple.x, couple.y,
+                             f_now, g_now, f_res, g_res, epsilon)
     return fault is None, fault
 
 
-def _check_repeated_cne(instance, allocation, d, partner, game, f_res, g_res, epsilon):
-    a, m = game.doctor_matrix, game.hospital_matrix
-    cycle = _cycle_for(instance, allocation, d, partner)
-    f_bar, g_bar = cycle.average_payoffs(a, m)
+def _check_repeated_cne(couple, f_res, g_res, epsilon):
+    game, f_bar, g_bar = couple.game, couple.f, couple.g
     if f_bar + epsilon < f_res:
         return False, "cycle average below the doctor's acceptable set"
     if g_bar + epsilon < g_res:
         return False, "cycle average below the hospital's acceptable set"
     alpha, beta, _, _ = game.punishment
-    pun = cycle.punishment
+    pun = couple.cycle.punishment
     if pun is None:
         return False, "repeated-pair profile lacks a punishment directive"
-    doctor_guarded = pun.punisher in ("hospital", "both")
-    hospital_guarded = pun.punisher in ("doctor", "both")
-    if doctor_guarded:
+    if pun.punisher in ("hospital", "both"):  # the doctor's deviations are punished
         if f_bar < alpha:
             return False, "cycle pays the doctor below her punishment level"
-    else:
-        # Doctor deviations unpunished: any f-gain > eps must break feasibility.
-        # The cycle's own average meets the floor, so the cap exists.
-        if max_f_point(game, g_res - epsilon).f > f_bar + epsilon:
-            return False, "doctor could gain within the hospital's acceptable set"
-    if hospital_guarded:
+    elif max_f_point(game, g_res - epsilon).f > f_bar + epsilon:
+        # Unpunished, any f-gain > eps must break feasibility; the cycle's
+        # own average meets the floor, so the cap exists.
+        return False, "doctor could gain within the hospital's acceptable set"
+    if pun.punisher in ("doctor", "both"):
         if g_bar < beta:
             return False, "cycle pays the hospital below its punishment level"
-    else:
-        if max_g_point(game, f_res - epsilon).g > g_bar + epsilon:
-            return False, "hospital could gain within the doctor's acceptable set"
+    elif max_g_point(game, f_res - epsilon).g > g_bar + epsilon:
+        return False, "hospital could gain within the doctor's acceptable set"
     return True, None
 
 
@@ -565,18 +549,17 @@ def select_process_cne(game: BimatrixGame, reservations: ReservationPair,
     corners) the plain median point is the fallback.  Repeated pairs already
     select inside the 1e acceptable set.
     """
+    f_res, g_res = reservations.doctor_reservation, reservations.hospital_reservation
     if game.class_tag == REPEATED:
-        return compute_cne_for_pair(game, reservations, epsilon)
+        return _repeated_cne(game, f_res, g_res, epsilon)
     try:
-        return _one_shot_cne(game, reservations.doctor_reservation,
-                             reservations.hospital_reservation, epsilon, tight=True)
+        return _one_shot_cne(game, f_res, g_res, epsilon, tight=True)
     except InfeasibleReservationsError:
-        return compute_cne_for_pair(game, reservations, epsilon)
+        return _one_shot_cne(game, f_res, g_res, epsilon)
 
 
 def run_renegotiation(instance: MatchingGameInstance, allocation: Allocation,
-                      epsilon: Fraction, max_sweeps: Optional[int] = None,
-                      on_sweep=None) -> RenegotiationResult:
+                      epsilon: Fraction, on_sweep=None) -> RenegotiationResult:
     """Replace every couple's profile with a CNE until payoffs fix.
 
     Sweeps are Gauss-Seidel style: each couple's reservations see the updates
@@ -597,17 +580,18 @@ def run_renegotiation(instance: MatchingGameInstance, allocation: Allocation,
         )
 
     current = _copy_allocation(allocation)
-    couples = _sweep_order(instance, current)
-    if max_sweeps is None:
-        # Reservations move by at least epsilon-scaled steps while a couple
-        # keeps changing, so payoff spreads over epsilon bound the sweeps.
-        spread = Fraction(0)
-        for d, partner in couples:
-            fr = instance.game_for(d, partner).frontier
-            spread = max(spread, fr.a_max - fr.a_min, fr.m_max - fr.m_min)
-        max_sweeps = 4 * int(spread / epsilon) + 100
+    couples = list(payoffs.couples)  # by doctor id; a two-sided market sweeps by hospital
+    if instance.model != ROOMMATES:
+        couples.sort(key=lambda dp: (dp[1], dp[0]))
+    # Reservations move by at least epsilon-scaled steps while a couple
+    # keeps changing, so payoff spreads over epsilon bound the sweeps.
+    spread = Fraction(0)
+    for couple in payoffs.couples.values():
+        fr = couple.game.frontier
+        spread = max(spread, fr.a_max - fr.a_min, fr.m_max - fr.m_min)
+    max_sweeps = 4 * int(spread / epsilon) + 100
     ledger = _PayoffLedger(instance, current, epsilon, payoffs)
-    previous = ledger.pair_payoffs(couples)
+    previous = dict(ledger.pairs)
     # Couple -> the reservations of its last passing check.  The check reads
     # only the couple's profile, its reservations and epsilon, and only the
     # couple's own record changes its profile, so while the couple has no
@@ -620,9 +604,7 @@ def run_renegotiation(instance: MatchingGameInstance, allocation: Allocation,
             reservations = ledger.reservations(d, partner)
             if passed.get(couple) == reservations:
                 continue
-            still_fine, _ = check_couple_is_cne(
-                instance, current, d, partner, reservations, epsilon
-            )
+            still_fine, _ = check_couple_is_cne(instance, current, d, partner, reservations, epsilon)
             if still_fine:
                 # Keeping the incumbent profile is itself a choice from the
                 # CNE set; moving only under a real objection stops couples
@@ -639,7 +621,7 @@ def run_renegotiation(instance: MatchingGameInstance, allocation: Allocation,
             store_witness(instance, current, d, partner, cne)
             ledger.record(current, d, partner)
             passed.pop(couple, None)
-        now = ledger.pair_payoffs(couples)
+        now = dict(ledger.pairs)
         if on_sweep is not None:
             on_sweep(_copy_allocation(current))
         if now == previous:
@@ -647,13 +629,6 @@ def run_renegotiation(instance: MatchingGameInstance, allocation: Allocation,
         previous = now
         sweeps += 1
     raise MatchGamesError("renegotiation did not converge within the sweep cap")
-
-
-def _sweep_order(instance, allocation):
-    pairs = allocation.matched_pairs()  # sorted by doctor id
-    if instance.model == ROOMMATES:
-        return [(d, partner) for d, partner in pairs if d < partner]
-    return sorted(pairs, key=lambda dp: (dp[1], dp[0]))
 
 
 def _copy_allocation(allocation: Allocation) -> Allocation:

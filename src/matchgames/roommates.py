@@ -180,8 +180,7 @@ def _sweep_pass(table, profile) -> bool:
     return changed
 
 
-def solve_aspiration_zero_sum(instance: MatchingGameInstance,
-                              max_sweeps: int = 500) -> PayoffProfile:
+def solve_aspiration_zero_sum(instance: MatchingGameInstance) -> PayoffProfile:
     """An aspiration realizable by a matching whenever the stable set is non-empty.
 
     Two stages.  A Gauss-Seidel sweep of the max equation from the IRPs finds
@@ -203,7 +202,7 @@ def solve_aspiration_zero_sum(instance: MatchingGameInstance,
             "closed-form aspiration solving needs zero-sum or strictly competitive pairs only"
         )
     table = _partner_table(instance)
-    profile = _sweep_aspiration(table, max_sweeps)
+    profile = _sweep_aspiration(table)
     if profile is not None:
         graph = build_demand_graph(instance, profile)
         if _cover_matching(graph, graph.must_match()) is not None:
@@ -230,11 +229,11 @@ def solve_aspiration_zero_sum(instance: MatchingGameInstance,
     )
 
 
-def _sweep_aspiration(table, max_sweeps):
+def _sweep_aspiration(table):
     profile = {d: irp for d, irp, _ in table}
     seen = {}
     states = []
-    for sweep in range(max_sweeps):
+    for sweep in range(500):  # a fixed cap; a repeated state ends the loop sooner
         if not _sweep_pass(table, profile):
             return dict(profile)
         key = tuple(profile.values())

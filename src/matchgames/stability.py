@@ -43,11 +43,11 @@ from .core import (
     STRICTLY_COMPETITIVE,
     ZERO_SUM,
     BimatrixGame,
-    MatchingGameInstance,
     PayoffReport,
     bilinear,
     evaluate_payoffs,
     seat_floor,
+    witness_payoffs,
 )
 from .errors import MatchGamesError, UnsupportedClassError
 from .qcqp import achieve_value_zero_sum, max_f_point, max_g_point, pays_above, simplex_grid
@@ -190,20 +190,10 @@ def _pair_block_profile(game: BimatrixGame, f_floor: Fraction, g_floor: Fraction
     mix = {}
     for cell, w in (*best_f.lam.items(), *best_g.lam.items()):
         mix[cell] = mix.get(cell, Fraction(0)) + w / 2
-    f_mid = sum(a[s][t] * w for (s, t), w in mix.items())
-    g_mid = sum(m[s][t] * w for (s, t), w in mix.items())
+    f_mid, g_mid = witness_payoffs(a, m, cells=mix)
     if f_mid > f_floor and g_mid > g_floor:
         return None, None, mix, EXACT_HULL
     return None
-
-
-def _replayed_payoffs(game: BimatrixGame, x, y, lam):
-    """A pair witness's (doctor, partner) payoffs: ``lam``'s, or (x, y)'s."""
-    a, m = game.doctor_matrix, game.hospital_matrix
-    if lam is not None:
-        return (sum(a[s][t] * w for (s, t), w in lam.items()),
-                sum(m[s][t] * w for (s, t), w in lam.items()))
-    return bilinear(x, a, y), bilinear(x, m, y)
 
 
 def find_blocking_pair(instance, allocation, epsilon: Fraction, grid_mesh: int = 8,
@@ -250,7 +240,7 @@ def find_blocking_pair(instance, allocation, epsilon: Fraction, grid_mesh: int =
             if found is None:
                 continue
             x, y, lam, method = found
-            f_new, g_new = _replayed_payoffs(game, x, y, lam)
+            f_new, g_new = witness_payoffs(game.doctor_matrix, game.hospital_matrix, x, y, lam)
             # Witness replay: the claimed strict gains must re-evaluate exactly.
             if not (f_new > f_bar and g_new > g_bar):
                 raise MatchGamesError("blocking witness failed exact replay")
@@ -370,7 +360,7 @@ def _realise_coalition(instance, floors, team, h, current, epsilon):
         if found is None:
             raise MatchGamesError(f"no profile realises coalition member {d} at {h}")
         x, y, lam, method = found
-        f, g = _replayed_payoffs(game, x, y, lam)
+        f, g = witness_payoffs(game.doctor_matrix, game.hospital_matrix, x, y, lam)
         below |= not f > floors[d]
         profiles[d] = (x, y)
         if lam is not None:
@@ -420,18 +410,16 @@ def verify_renegotiation_proof(instance, allocation, epsilon: Fraction,
                                payoffs: Optional[PayoffReport] = None):
     """Every couple must play a CNE for its freshly recomputed reservations.
 
-    The payoff ledger is read from the allocation once (or from ``payoffs``,
-    a report of this allocation); each couple's reservations are then what
-    ``reservation_payoffs`` would return.
+    Each couple is read once, by ``evaluate_payoffs`` (or taken from
+    ``payoffs``, its report of this allocation), for the ledger and its own
+    check; its reservations are what ``reservation_payoffs`` would return.
     """
-    from .renegotiation import _PayoffLedger, check_couple_is_cne
+    from .renegotiation import _PayoffLedger, cne_verdict
 
+    payoffs = payoffs or evaluate_payoffs(instance, allocation)
     ledger = _PayoffLedger(instance, allocation, epsilon, payoffs)
-    for d, partner in allocation.matched_pairs():
-        if instance.model == ROOMMATES and d > partner:
-            continue
-        reservations = ledger.reservations(d, partner)
-        ok, witness = check_couple_is_cne(instance, allocation, d, partner, reservations, epsilon)
+    for (d, partner), couple in payoffs.couples.items():
+        ok, witness = cne_verdict(couple, ledger.reservations(d, partner), epsilon)
         if not ok:
             return False, f"couple ({d},{partner}): {witness}"
     return True, None
@@ -470,8 +458,8 @@ def full_report(instance, allocation, epsilon: Fraction,
         # A one-shot couple's CNE check is closed form; a repeated one's reads
         # its hull polygon.
         methods["renegotiation"] = _label(
-            (CLASS_METHODS.get(instance.game_for(d, p).class_tag, EXACT_INTERVAL)
-             for d, p in allocation.matched_pairs()), EXACT_INTERVAL)
+            (CLASS_METHODS.get(c.game.class_tag, EXACT_INTERVAL) for c in payoffs.couples.values()),
+            EXACT_INTERVAL)
     return StabilityReport(
         individually_rational=ir_ok,
         ir_witness=ir_witness,

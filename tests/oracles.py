@@ -10,6 +10,9 @@ compare the solvers with code that does not share their private paths:
 * ``hull_lp`` answers a repeated game's hull questions by exact simplex LPs
   over the joint distributions on S x T, one lexicographic pass each; the
   package answers them on its hull polygon instead;
+* ``couple_payoffs`` pays a matched couple straight off an allocation's
+  entries: each side's ``bilinear`` form of the stored profile, or a
+  step-by-step Fraction sum over the stored cycle;
 * ``hospital_value`` is a contract model's hospital utility of a contract
   set, read straight off its weights or table, which a choice by brute
   force maximises;
@@ -24,7 +27,14 @@ compare the solvers with code that does not share their private paths:
 from fractions import Fraction
 from itertools import combinations
 
-from matchgames.core import GENERAL_ENUMERATED, Allocation, bilinear, evaluate_payoffs
+from matchgames.core import (
+    GENERAL_ENUMERATED,
+    REPEATED,
+    ROOMMATES,
+    Allocation,
+    bilinear,
+    evaluate_payoffs,
+)
 from matchgames.errors import (
     CapExceededError,
     InfeasibleError,
@@ -133,6 +143,30 @@ def hull_lp(a, m, objective, f_floor=None, g_floor=None, f_exact=None, g_exact=N
     lam = {cell: w for cell, w in zip(cells, result.solution) if w != 0}
     return lam, (sum(a[s][t] * w for (s, t), w in lam.items()),
                  sum(m[s][t] * w for (s, t), w in lam.items()))
+
+
+def couple_payoffs(instance, allocation, d, partner):
+    """(d's payoff, the partner's) of a matched couple, read off the
+    allocation's entries as documents store them: strategies under
+    ``doctor_strategies[d]`` and ``hospital_strategies[(h, d)]`` (a
+    roommate's under her own id), a cycle under ``cycles[(h, d)]`` or under
+    the sorted roommates pair, over the smaller id's rows."""
+    roommates = instance.model == ROOMMATES
+    stored = instance.games[(d, partner) if not roommates else tuple(sorted((d, partner)))]
+    a, m = stored.doctor_matrix, stored.hospital_matrix
+    if stored.class_tag != REPEATED:
+        x = allocation.doctor_strategies[d]
+        y = allocation.doctor_strategies[partner] if roommates else allocation.hospital_strategies[(partner, d)]
+        if roommates and d > partner:  # rows belong to the partner
+            return bilinear(y, m, x), bilinear(y, a, x)
+        return bilinear(x, a, y), bilinear(x, m, y)
+    steps = allocation.cycles[tuple(sorted((d, partner))) if roommates else (partner, d)].cycle
+    f = g = Fraction(0)
+    for s, t in steps:
+        f += a[s][t]
+        g += m[s][t]
+    f, g = f / len(steps), g / len(steps)
+    return (g, f) if roommates and d > partner else (f, g)
 
 
 def hospital_value(model, h, subset):

@@ -316,3 +316,69 @@ def test_coalitions_refuse_a_general_pair(tmp_path, capsys):
     assert run([*common, "--coalitions", "2"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: coalition check: pair (d1, h1) has class general"), err
+
+
+def _tampered_allocation(tmp_path, gen_args, solve, edit):
+    """(instance path, allocation path) of a generated instance whose solved
+    allocation document ``edit`` has changed."""
+    inst_path, alloc_path = tmp_path / "inst.json", tmp_path / "alloc.json"
+    assert run(["gen", *gen_args, "--output", str(inst_path)]) == 0
+    assert solve(inst_path, alloc_path) == 0
+    doc = json.loads(alloc_path.read_text())
+    edit(doc["matching"])
+    alloc_path.write_text(json.dumps(doc))
+    return inst_path, alloc_path
+
+
+def _realized_roommates(inst_path, alloc_path):
+    profile = alloc_path.with_name("profile.json")
+    assert run(["roommates-aspiration", "--input", str(inst_path), "--output", str(profile)]) == 0
+    return run(["roommates-realize", "--input", str(inst_path), "--profile", str(profile),
+                "--output", str(alloc_path)])
+
+
+def _dac(inst_path, alloc_path):
+    return run(["solve-dac", "--input", str(inst_path), "--epsilon", "1/10",
+                "--output", str(alloc_path)])
+
+
+def _one_sided(matching):
+    assert matching["d1"] == "d3" and matching["d3"] == "d1"
+    matching["d3"] = None
+
+
+def _no_game(matching):
+    assert "d1" in matching
+    matching["d1"] = "h9"
+
+
+@pytest.mark.parametrize("gen_args, solve, edit, message", [
+    (["--model", "roommates", "--doctors", "4", "--seed", "3"], _realized_roommates, _one_sided,
+     "error: roommates d1 and d3 are matched one way only: d1 -> d3, d3 -> unmatched\n"),
+    (["--seed", "5", "--doctors", "4", "--hospitals", "2"], _dac, _no_game,
+     "error: doctor d1 is matched to h9, but the pair has no game\n"),
+])
+@pytest.mark.parametrize("renegotiation", [False, True])
+def test_malformed_matchings_are_named_input_errors(tmp_path, capsys, gen_args, solve, edit,
+                                                    message, renegotiation):
+    inst_path, alloc_path = _tampered_allocation(tmp_path, gen_args, solve, edit)
+    capsys.readouterr()
+    verify = ["verify", "--input", str(inst_path), "--allocation", str(alloc_path),
+              "--epsilon", "1/10", "--output", str(tmp_path / "report.json")]
+    assert run(verify + ["--renegotiation"] * renegotiation) == 1
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_malformed_matchings_raise_the_named_error():
+    from matchgames.core import Allocation, evaluate_payoffs
+    from matchgames.errors import MalformedMatchingError
+    from matchgames.gen import generate_instance
+
+    inst = generate_instance(seed=3, model="roommates", n_doctors=4)
+    allocation = Allocation(matching={"d1": "d3", "d2": None, "d3": None, "d4": None})
+    with pytest.raises(MalformedMatchingError, match="d1 -> d3, d3 -> unmatched"):
+        evaluate_payoffs(inst, allocation)
+    allocation.matching = {"d1": None, "d3": "d1"}  # the one-sided entry is the larger id's
+    with pytest.raises(MalformedMatchingError, match="d1 -> unmatched, d3 -> d1"):
+        evaluate_payoffs(inst, allocation)

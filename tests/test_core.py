@@ -464,7 +464,7 @@ def test_ragged_game_matrices_are_rejected(a, m):
 
 
 def test_store_witness_writes_what_the_readers_read():
-    from matchgames.core import CycleStrategy, _cycle_for, store_witness
+    from matchgames.core import CycleStrategy, read_couple, store_witness
     from matchgames.qcqp import PairOutcome
 
     # Roommates: a cycle over the sorted pair's game, read back from either side.
@@ -478,7 +478,7 @@ def test_store_witness_writes_what_the_readers_read():
     steps = ((2, 0), (0, 1))  # (a's row, b's column)
     store_witness(inst, alloc, "a", "b", PairOutcome(F(0), F(0), cycle=CycleStrategy(steps)))
     assert alloc.cycles[("a", "b")].cycle == steps
-    assert _cycle_for(inst, alloc, "b", "a").cycle == ((0, 2), (1, 0))
+    assert read_couple(inst, alloc, "b", "a").cycle.cycle == ((0, 2), (1, 0))
     assert alloc.doctor_strategies == {}
 
     # Two-sided: a profile and a cycle replace each other under (h, d) keys.
@@ -601,3 +601,157 @@ def test_validate_mixed_messages_are_unchanged():
         seen.add(None if expected is None else
                  next(k for k in ("sum to", "outside", "expected") if k in expected[1]))
     assert seen == {None, "sum to", "outside", "expected"}
+
+
+def test_witness_payoffs_equal_both_bilinear_forms():
+    rng = random.Random(2027)
+    for _ in range(400):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        a, m = _kernel_matrix(rng, rows, cols), _kernel_matrix(rng, rows, cols)
+        x, y = _random_mix(rng, rows), _random_mix(rng, cols)
+        assert core.witness_payoffs(a, m, x, y) == (_bilinear_reference(x, a, y),
+                                                    _bilinear_reference(x, m, y))
+        cells = {(rng.randrange(rows), rng.randrange(cols)): F(rng.randint(1, 9), rng.randint(1, 9))
+                 for _ in range(rng.randint(1, 4))}
+        expected = tuple(sum((mat[s][t] * w for (s, t), w in cells.items()), F(0)) for mat in (a, m))
+        assert core.witness_payoffs(a, m, cells=cells) == expected
+
+
+# ---------------------------------------------------------------------------
+# Cycle averages and the couple reader
+
+
+def test_cycle_average_equals_the_step_by_step_sum():
+    rng = random.Random(2028)
+    lengths = set()
+    for _ in range(300):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        a, m = _kernel_matrix(rng, rows, cols), _kernel_matrix(rng, rows, cols)
+        # Few distinct cells over many steps, so cells repeat; or one step.
+        cells = [(rng.randrange(rows), rng.randrange(cols)) for _ in range(rng.randint(1, 3))]
+        steps = tuple(rng.choice(cells) for _ in range(rng.choice((1, rng.randint(2, 60)))))
+        lengths.add(min(len(steps), 2))
+        f = g = F(0)
+        for s, t in steps:
+            f += a[s][t]
+            g += m[s][t]
+        got = core.CycleStrategy(steps).average_payoffs(a, m)
+        assert got == (f / len(steps), g / len(steps))
+        assert all(type(v) is F for v in got)
+    assert lengths == {1, 2}
+
+
+def _couple_reading_cases():
+    """(instance, allocation) pairs of every kind the pipeline writes: DAC
+    and renegotiated two-sided allocations over all three exact classes,
+    realized roommates allocations, and roommates couples with cycles
+    stored from either member's side."""
+    from matchgames.dac import run_dac
+    from matchgames.gen import generate_instance
+    from matchgames.qcqp import frontier_witness, max_f_point
+    from matchgames.renegotiation import run_renegotiation
+    from matchgames.roommates import realize_aspiration, solve_aspiration_zero_sum
+
+    eps = F(1, 2)
+    for seed in (1, 3):
+        inst = generate_instance(seed=seed, n_doctors=8, n_hospitals=3,
+                                 classes=["zero_sum", "strictly_competitive", "repeated"])
+        allocation = run_dac(inst, eps)[0]
+        yield inst, allocation
+        yield inst, run_renegotiation(inst, allocation, eps).allocation
+    for seed in range(3):
+        inst = generate_instance(seed=seed, model="roommates", n_doctors=6,
+                                 classes=["zero_sum", "strictly_competitive"])
+        realized = realize_aspiration(inst, solve_aspiration_zero_sum(inst))
+        if isinstance(realized, Allocation):
+            yield inst, realized
+    rng = random.Random(5)
+    for seed in range(3):
+        inst = generate_instance(seed=seed, model="roommates", n_doctors=6,
+                                 classes=["repeated", "zero_sum"])
+        allocation = Allocation(matching=dict.fromkeys(inst.doctors))
+        ids = list(inst.doctors)
+        rng.shuffle(ids)
+        for d, partner in zip(ids[::2], ids[1::2]):
+            allocation.matching[d], allocation.matching[partner] = partner, d
+            game = inst.game_for(d, partner)
+            point = max_f_point(game, game.frontier.m_min)
+            core.store_witness(inst, allocation, d, partner, frontier_witness(game, point))
+        yield inst, allocation
+
+
+def test_read_couple_pays_what_each_side_reads_off_its_entries():
+    from oracles import couple_payoffs
+
+    seen = set()
+    for inst, allocation in _couple_reading_cases():
+        report = evaluate_payoffs(inst, allocation)
+        for d, partner in allocation.matched_pairs():
+            couple = core.read_couple(inst, allocation, d, partner)
+            assert couple.game is inst.game_for(d, partner)
+            assert (couple.f, couple.g) == couple_payoffs(inst, allocation, d, partner)
+            assert report.doctor_payoffs[d] == couple.f
+            if inst.model == "roommates":
+                assert report.doctor_payoffs[partner] == couple.g
+            else:
+                assert report.seat_values[(partner, d)] == couple.g
+            seen.add((inst.model, couple.game.class_tag, inst.pair_key(d, partner)[0] == d))
+        assert len(report.couples) == len({inst.pair_key(d, p) for d, p in allocation.matched_pairs()})
+    classes = ("zero_sum", "strictly_competitive", "repeated")
+    assert seen == ({("additive_separable", tag, True) for tag in classes}
+                    | {("roommates", tag, side) for tag in classes for side in (True, False)})
+
+
+def test_reader_validation_messages_are_unchanged():
+    from matchgames.errors import MalformedCycleError
+
+    one = ((F(1), F(0)), (F(0), F(1)))
+    inst = MatchingGameInstance(
+        model="additive_separable", doctors={"d1": Doctor("d1", F(0), ("s", "t"))},
+        hospitals={"h1": Hospital("h1", F(0), 1, ("u", "v"))},
+        games={("d1", "h1"): BimatrixGame(one, core.negate(one), "zero_sum")},
+    )
+    cases = [
+        ({"d1": (F(1), F(1))}, {("h1", "d1"): (F(1), F(0))},
+         "doctor d1 strategy weights sum to 2, not 1"),
+        ({"d1": (F(1), F(0))}, {("h1", "d1"): (F(1),)},
+         "partner h1 strategy vs d1 has 1 weights, expected 2"),
+    ]
+    for xs, ys, message in cases:
+        alloc = Allocation(matching={"d1": "h1"}, doctor_strategies=xs, hospital_strategies=ys)
+        with pytest.raises(MatchGamesError) as err:
+            core.read_couple(inst, alloc, "d1", "h1")
+        assert str(err.value) == message
+    inst.games[("d1", "h1")] = BimatrixGame(one, one, "repeated")
+    alloc = Allocation(matching={"d1": "h1"})
+    with pytest.raises(MatchGamesError, match=r"^repeated pair \(d1,h1\) has no cycle strategy$"):
+        evaluate_payoffs(inst, alloc)
+    alloc.cycles[("h1", "d1")] = core.CycleStrategy(())
+    with pytest.raises(MalformedCycleError, match=r"^repeated pair \(d1,h1\) has an empty cycle$"):
+        evaluate_payoffs(inst, alloc)
+    alloc.cycles[("h1", "d1")] = core.CycleStrategy(((0, 1), (2, 0), (3, 3)))
+    with pytest.raises(MalformedCycleError, match=r"cycle step \[2, 0\] is outside its 2x2 game$"):
+        evaluate_payoffs(inst, alloc)
+
+
+def test_a_roommates_cycle_reads_back_from_either_side():
+    rows = ((F(0), F(3)), (F(1), F(2)), (F(2), F(0)))  # a has 3 strategies, b 2
+    inst = MatchingGameInstance(
+        model="roommates", hospitals={},
+        doctors={"a": Doctor("a", F(0), ("s1", "s2", "s3")), "b": Doctor("b", F(0), ("t1", "t2"))},
+        games={("a", "b"): BimatrixGame(rows, ((F(5), F(1)), (F(2), F(4)), (F(3), F(6))), "repeated")},
+    )
+    punish = core.CyclePunishment("doctor", doctor_strategy=(F(1), F(0)))
+    from matchgames.qcqp import PairOutcome
+
+    alloc = Allocation(matching={"a": "b", "b": "a"})
+    # Stored from b's side: b's rows are the stored columns.
+    core.store_witness(inst, alloc, "b", "a",
+                       PairOutcome(F(0), F(0), cycle=core.CycleStrategy(((1, 2), (1, 0)), punish)))
+    stored = alloc.cycles[("a", "b")]
+    assert stored.cycle == ((2, 1), (0, 1))
+    assert (stored.punishment.punisher, stored.punishment.hospital_strategy) == ("hospital", (F(1), F(0)))
+    from_b = core.read_couple(inst, alloc, "b", "a")
+    assert from_b.cycle == core.CycleStrategy(((1, 2), (1, 0)), punish)
+    from_a = core.read_couple(inst, alloc, "a", "b")
+    assert (from_a.f, from_a.g) == (from_b.g, from_b.f) == (F(3, 2), F(7, 2))

@@ -690,18 +690,18 @@ def test_flipped_views_verify_no_bridge_again(monkeypatch):
     assert len(passes) == checked
 
 
-def _count_seat_reads(monkeypatch):
-    """Count seat_contribution calls under every module name bound to it."""
+def _count_couple_reads(monkeypatch):
+    """Count read_couple calls under every module name bound to it."""
     calls = []
-    seat_contribution = core.seat_contribution
+    read_couple = core.read_couple
 
     def counting(instance, allocation, d, h):
         calls.append((d, h))
-        return seat_contribution(instance, allocation, d, h)
+        return read_couple(instance, allocation, d, h)
 
     for module in (core, renegotiation, stability):
-        if getattr(module, "seat_contribution", None) is seat_contribution:
-            monkeypatch.setattr(module, "seat_contribution", counting)
+        if getattr(module, "read_couple", None) is read_couple:
+            monkeypatch.setattr(module, "read_couple", counting)
     return calls
 
 
@@ -717,7 +717,7 @@ def test_renegotiation_proof_check_reads_each_couple_once(monkeypatch):
     inst, allocation = _seeded_market(eps)
     final = run_renegotiation(inst, allocation, eps).allocation
     couples = final.matched_pairs()
-    calls = _count_seat_reads(monkeypatch)
+    calls = _count_couple_reads(monkeypatch)
     assert verify_renegotiation_proof(inst, final, eps) == (True, None)
     assert len(couples) > 4
     assert sorted(calls) == sorted(couples)
@@ -727,7 +727,7 @@ def test_blocking_pair_search_reads_each_seat_once(monkeypatch):
     eps = F(1, 2)
     inst, allocation = _seeded_market(eps)
     seats = allocation.matched_pairs()
-    calls = _count_seat_reads(monkeypatch)
+    calls = _count_couple_reads(monkeypatch)
     assert find_blocking_pair(inst, allocation, eps) is None
     assert len(seats) > 4
     assert sorted(calls) == sorted(seats)
