@@ -42,7 +42,10 @@ ZERO_SUM = "zero_sum"
 STRICTLY_COMPETITIVE = "strictly_competitive"
 REPEATED = "repeated"
 GENERAL = "general"
-GAME_CLASSES = (ZERO_SUM, STRICTLY_COMPETITIVE, REPEATED, GENERAL)
+# The classes with an exact frontier (a segment or a hull polygon): DAC and
+# the coalition check accept these only.
+FRONTIER_CLASSES = (ZERO_SUM, STRICTLY_COMPETITIVE, REPEATED)
+GAME_CLASSES = FRONTIER_CLASSES + (GENERAL,)
 
 # Model kinds.
 ADDITIVE_SEPARABLE = "additive_separable"
@@ -1117,40 +1120,74 @@ def serialize_allocation(allocation: Allocation) -> dict:
 
 
 def load_allocation(source: Union[str, dict]) -> Allocation:
+    """An allocation document's matching, strategies and cycles.  A field of
+    the wrong shape raises ``MalformedMatchingError`` (``MalformedCycleError``
+    inside ``cycles``), naming the field or key."""
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     else:
         doc = source
-    matching = {str(d): (str(p) if p is not None else None) for d, p in doc["matching"].items()}
+    doc = _object(doc, "the allocation document", MalformedMatchingError)
+    if "matching" not in doc:
+        raise MalformedMatchingError("the allocation document has no matching")
+    matching = {str(d): (str(p) if p is not None else None)
+                for d, p in _object(doc["matching"], "matching", MalformedMatchingError).items()}
     doctor_strategies = {
-        str(d): tuple(parse_rational(w) for w in ws)
-        for d, ws in doc.get("doctor_strategies", {}).items()
+        str(d): _strategy(ws, f"doctor_strategies {d}", MalformedMatchingError)
+        for d, ws in _object(doc.get("doctor_strategies", {}), "doctor_strategies",
+                             MalformedMatchingError).items()
     }
     hospital_strategies = {}
-    for key, ws in doc.get("hospital_strategies", {}).items():
-        h, d = key.split("|", 1)
-        hospital_strategies[(h, d)] = tuple(parse_rational(w) for w in ws)
+    for key, ws in _object(doc.get("hospital_strategies", {}), "hospital_strategies",
+                           MalformedMatchingError).items():
+        where = f"hospital_strategies {key}"
+        hospital_strategies[_pair_key(key, where, MalformedMatchingError)] = _strategy(
+            ws, where, MalformedMatchingError)
     cycles = {}
-    for key, entry in doc.get("cycles", {}).items():
-        h, d = key.split("|", 1)
+    for key, entry in _object(doc.get("cycles", {}), "cycles", MalformedCycleError).items():
+        where = f"cycle {key}"
+        entry = _object(entry, where, MalformedCycleError)
         punishment = None
         if "punishment" in entry:
-            p = entry["punishment"]
-            punishment = CyclePunishment(
-                punisher=p["punisher"],
-                doctor_strategy=tuple(parse_rational(w) for w in p["doctor_strategy"]) if "doctor_strategy" in p else None,
-                hospital_strategy=tuple(parse_rational(w) for w in p["hospital_strategy"]) if "hospital_strategy" in p else None,
-                trigger=p.get("trigger", "first_off_cycle_action"),
-            )
-        cycles[(h, d)] = CycleStrategy(cycle=_parse_cycle(entry["cycle"], key),
-                                       punishment=punishment)
+            punishment = _punishment(entry["punishment"], f"{where} punishment")
+        cycles[_pair_key(key, where, MalformedCycleError)] = CycleStrategy(
+            cycle=_parse_cycle(entry.get("cycle"), key), punishment=punishment)
     return Allocation(
         matching=matching,
         doctor_strategies=doctor_strategies,
         hospital_strategies=hospital_strategies,
         cycles=cycles,
     )
+
+
+def _object(value, where: str, error) -> dict:
+    if not isinstance(value, dict):
+        raise error(f"{where} is not a JSON object")
+    return value
+
+
+def _strategy(weights, where: str, error) -> Tuple[Fraction, ...]:
+    if not isinstance(weights, list):
+        raise error(f"{where} is not a list of rational literals")
+    return tuple(parse_rational(w) for w in weights)
+
+
+def _punishment(doc, where: str) -> CyclePunishment:
+    doc = _object(doc, where, MalformedCycleError)
+    if "punisher" not in doc:
+        raise MalformedCycleError(f"{where} has no punisher")
+    strategies = {side: _strategy(doc[side], f"{where} {side}", MalformedCycleError)
+                  for side in ("doctor_strategy", "hospital_strategy") if side in doc}
+    return CyclePunishment(punisher=doc["punisher"],
+                           trigger=doc.get("trigger", "first_off_cycle_action"), **strategies)
+
+
+def _pair_key(key: str, where: str, error) -> Tuple[str, str]:
+    first, bar, second = key.partition("|")
+    if not bar:
+        raise error(f"{where}: the key has no '|' between its two ids")
+    return first, second
 
 
 def _parse_cycle(steps, key: str) -> Tuple[Tuple[int, int], ...]:

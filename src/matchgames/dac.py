@@ -43,6 +43,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .core import (
     ADDITIVE_SEPARABLE,
+    FRONTIER_CLASSES,
     Allocation,
     BimatrixGame,
     MatchingGameInstance,
@@ -136,17 +137,16 @@ class SeatBook(MutableMapping):
     """Seats keyed by (hospital, doctor), indexed per hospital.
 
     Every write, including a direct ``seats[(h, d)] = seat`` or a
-    ``del``, updates the hospital's member index, drops its cached weakest
-    seat and counts one more write to the hospital (``write_counts[h]``,
-    absent until the first) and to the book (``total_writes``), so queries
-    never rescan the other hospitals' seats and option memos see whether
-    and which hospitals moved.
+    ``del``, updates the hospital's member index and counts one more write
+    to the hospital (``write_counts[h]``, absent until the first) and to the
+    book (``total_writes``), so queries never rescan the other hospitals'
+    seats and memos, such as :meth:`DacState.bar`'s, see whether and which
+    hospitals moved.
     """
 
     def __init__(self, seats=()):
         self._seats: Dict[Tuple[str, str], Seat] = {}
         self._by_hospital: Dict[str, Dict[str, Seat]] = {}
-        self._weakest: Dict[str, Tuple[Fraction, str]] = {}
         self.write_counts: Dict[str, int] = {}
         self.total_writes = 0
         self.update(seats)
@@ -167,7 +167,6 @@ class SeatBook(MutableMapping):
         self._touch(h)
 
     def _touch(self, h: str):
-        self._weakest.pop(h, None)
         self.write_counts[h] = self.write_counts.get(h, 0) + 1
         self.total_writes += 1
 
@@ -185,9 +184,7 @@ class SeatBook(MutableMapping):
 
     def weakest(self, h: str) -> Tuple[Fraction, str]:
         """(lowest seat value, its doctor); ties go to the lowest doctor id."""
-        if h not in self._weakest:
-            self._weakest[h] = min((o.g, d) for d, o in self._by_hospital[h].items())
-        return self._weakest[h]
+        return min((o.g, d) for d, o in self._by_hospital[h].items())
 
 
 Option = Tuple[Fraction, int, str, Optional[str], FrontierPoint]
@@ -386,7 +383,7 @@ def run_dac(instance: MatchingGameInstance, epsilon: Fraction) -> Tuple[Allocati
     if instance.model != ADDITIVE_SEPARABLE:
         raise MatchGamesError("run_dac requires an additive separable instance")
     for key, game in instance.games.items():
-        if game.class_tag not in ("zero_sum", "strictly_competitive", "repeated"):
+        if game.class_tag not in FRONTIER_CLASSES:
             raise UnsupportedClassError(f"pair {key} has unsupported class {game.class_tag}")
 
     state = DacState(
@@ -402,7 +399,6 @@ def run_dac(instance: MatchingGameInstance, epsilon: Fraction) -> Tuple[Allocati
     max_iterations = _default_iteration_cap(instance, epsilon)
 
     doctor_order = {d: i for i, d in enumerate(instance.doctor_ids)}
-    settled_out: set = set()
     while state.unmatched:
         if state.trace.loop_passes > max_iterations:
             raise MatchGamesError("iteration cap exceeded; monotonicity invariant broken")
@@ -414,7 +410,6 @@ def run_dac(instance: MatchingGameInstance, epsilon: Fraction) -> Tuple[Allocati
         if proposal.hospital is None:
             log("exit", d, proposal.doctor_value)
             state.unmatched.remove(d)
-            settled_out.add(d)
             continue
         h = proposal.hospital
         if proposal.displaced == FREE_SEAT:
@@ -428,8 +423,8 @@ def run_dac(instance: MatchingGameInstance, epsilon: Fraction) -> Tuple[Allocati
 
         incumbent = proposal.displaced
         state.trace.competitions += 1
-        beta_p, bid_p, _ = competition_bid(state, d, h)
-        beta_i, bid_i, _ = competition_bid(state, incumbent, h)
+        _, bid_p, _ = competition_bid(state, d, h)
+        _, bid_i, _ = competition_bid(state, incumbent, h)
         log("compete", h, d, bid_p, incumbent, bid_i)
         proposer_wins = _bid_beats(bid_p, bid_i)
         if proposer_wins:

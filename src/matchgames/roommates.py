@@ -5,7 +5,9 @@ when the pair can realise exactly her value (for her); an aspiration makes
 every doctor's value the best she can extract from her cheapest partner or
 her IRP.  Realizing an aspiration means matching mutual demanders so nobody
 above her IRP is left out, then constructing strategy profiles hitting the
-values exactly.
+values exactly.  A zero-sum instance is decided by an exact search for a
+stable profile; the Gauss-Seidel sweep of the max equation serves strictly
+competitive pairs, and the case the search certifies empty.
 
 Partnership values here are partial: bimatrix frontiers are bounded, so a
 partner demanding more than her best attainable value supports nothing, and
@@ -167,32 +169,18 @@ def _untight_doctor(table, profile) -> Optional[str]:
     return None
 
 
-def _sweep_pass(table, profile) -> bool:
-    """One Gauss-Seidel pass of the max equation; True when some value
-    changed.  A pass that changes nothing read the final profile throughout,
-    so it certifies the max equation at every doctor."""
-    changed = False
-    for d, irp, partners in table:
-        target = _aspiration_rhs(partners, profile, irp)
-        if target != profile[d]:
-            profile[d] = target
-            changed = True
-    return changed
-
-
 def solve_aspiration_zero_sum(instance: MatchingGameInstance) -> PayoffProfile:
-    """An aspiration realizable by a matching whenever the stable set is non-empty.
+    """An aspiration realizable by a matching whenever a stable profile exists.
 
-    Two stages.  A Gauss-Seidel sweep of the max equation from the IRPs finds
-    some aspiration fast, but it can land on an over-demanded one (a star of
-    demands on a single cheap doctor) even when balanced aspirations exist.
-    If the sweep's fixed point does not realize, an exact search over all
-    matchings and critical payoff levels looks for a stable profile; by the
-    equivalence of stable payoff profiles and realizable aspirations, finding
-    none certifies the sweep result was as good as any.  The search covers
-    zero-sum pairs only; with a strictly competitive pair the sweep's result
-    is returned unsearched, and when the sweep finds none either, the answer
-    is ``UnsupportedClassError`` rather than a claim that none exists.
+    On a zero-sum instance the exact search over matchings and critical
+    payoff levels (:func:`_stable_profile_search`) decides: its first stable
+    profile is the answer.  By the equivalence of stable payoff profiles and
+    realizable aspirations, finding none certifies that no aspiration
+    realizes; the Gauss-Seidel sweep of the max equation then supplies one,
+    which ``realize_aspiration`` reports as unrealizable.  The search covers
+    zero-sum pairs only, so with a strictly competitive pair the sweep's
+    fixed point is returned unsearched, and when the sweep finds none the
+    answer is ``UnsupportedClassError`` rather than a claim that none exists.
     """
     if instance.model != ROOMMATES:
         raise UnsupportedClassError("aspiration solving applies to roommates instances")
@@ -202,16 +190,12 @@ def solve_aspiration_zero_sum(instance: MatchingGameInstance) -> PayoffProfile:
             "closed-form aspiration solving needs zero-sum or strictly competitive pairs only"
         )
     table = _partner_table(instance)
-    profile = _sweep_aspiration(table)
-    if profile is not None:
-        graph = build_demand_graph(instance, profile)
-        if _cover_matching(graph, graph.must_match()) is not None:
-            return profile
     zero_sum_only = classes <= {ZERO_SUM}
     if zero_sum_only:
         stable = _stable_profile_search(instance, table)
         if stable is not None:
             return stable
+    profile = _sweep_aspiration(table)
     if profile is not None:
         return profile
     if not zero_sum_only:
@@ -229,38 +213,26 @@ def solve_aspiration_zero_sum(instance: MatchingGameInstance) -> PayoffProfile:
     )
 
 
-def _sweep_aspiration(table):
+def _sweep_aspiration(table) -> Optional[PayoffProfile]:
+    """The max equation's fixed point reached by Gauss-Seidel passes from the
+    IRPs, or None when a state repeats or 500 passes find none.  A pass that
+    changes nothing read the final profile throughout, so it certifies the
+    max equation at every doctor."""
     profile = {d: irp for d, irp, _ in table}
-    seen = {}
-    states = []
-    for sweep in range(500):  # a fixed cap; a repeated state ends the loop sooner
-        if not _sweep_pass(table, profile):
-            return dict(profile)
-        key = tuple(profile.values())
-        if key in seen:
-            break
-        seen[key] = sweep
-        states.append(dict(profile))
-    return _cycle_restart(table, states)
-
-
-def _cycle_restart(table, states):
-    """An aspiration re-swept from points harvested from a non-converging
-    sweep (the tail's means, then its lows, then its highs), or None."""
-    if not states:
-        return None
-    tail = states[-min(len(states), 8):]
-    doctors = [d for d, _, _ in table]
-    mids = {d: sum((s[d] for s in tail), Fraction(0)) / len(tail) for d in doctors}
-    lows = {d: min(s[d] for s in tail) for d in doctors}
-    highs = {d: max(s[d] for s in tail) for d in doctors}
-    for base in (mids, lows, highs):
-        profile = dict(base)
-        # Fifty passes settle or fail fast; a 51st that changes nothing
-        # certifies the fiftieth's result.
-        for _ in range(51):
-            if not _sweep_pass(table, profile):
-                return profile
+    seen = set()
+    for _ in range(500):
+        changed = False
+        for d, irp, partners in table:
+            target = _aspiration_rhs(partners, profile, irp)
+            if target != profile[d]:
+                profile[d] = target
+                changed = True
+        if not changed:
+            return profile
+        state = tuple(profile.values())
+        if state in seen:
+            return None
+        seen.add(state)
     return None
 
 

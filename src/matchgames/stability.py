@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .core import (
     ADDITIVE_SEPARABLE,
+    FRONTIER_CLASSES,
     GENERAL,
     GENERAL_ENUMERATED,
     NEG_INF,
@@ -56,7 +57,7 @@ EXACT_INTERVAL = "exact_interval"
 EXACT_HULL = "exact_hull"
 EXACT_TABLE = "exact_table"
 
-# The exact method deciding a pair of each class.
+# The exact method deciding a pair of each class in ``core.FRONTIER_CLASSES``.
 CLASS_METHODS = {ZERO_SUM: EXACT_INTERVAL, STRICTLY_COMPETITIVE: EXACT_INTERVAL, REPEATED: EXACT_HULL}
 
 
@@ -285,10 +286,10 @@ def find_blocking_coalition(instance, allocation, epsilon: Fraction,
     if instance.model != ADDITIVE_SEPARABLE:
         raise UnsupportedClassError("coalition scan applies to additive separable or enumerated models")
     for (d, h), game in sorted(instance.games.items()):
-        if game.class_tag not in CLASS_METHODS:
+        if game.class_tag not in FRONTIER_CLASSES:
             raise UnsupportedClassError(
                 f"coalition check: pair ({d}, {h}) has class {game.class_tag}, which has no"
-                f" exact frontier to price; coalitions need {', '.join(sorted(CLASS_METHODS))} pairs")
+                f" exact frontier to price; coalitions need {', '.join(sorted(FRONTIER_CLASSES))} pairs")
 
     floors = {d: f + epsilon for d, f in payoffs.doctor_payoffs.items()}
     for h in instance.hospital_ids:

@@ -240,6 +240,50 @@ def test_malformed_cycles_are_input_errors(tmp_path, capsys, cycle, message):
     assert not (tmp_path / "report.json").exists()
 
 
+def _drop_matching(doc):
+    del doc["matching"]
+
+
+def _list_matching(doc):
+    doc["matching"] = [1, 2]
+
+
+def _unkeyed_strategy(doc):
+    doc["hospital_strategies"] = {"h2d2": ["1", "0"]}
+
+
+def _unkeyed_cycle(doc):
+    doc["cycles"]["h2d2"] = doc["cycles"].pop("h2|d2")
+
+
+def _scalar_punishment(doc):
+    doc["cycles"]["h2|d2"]["punishment"] = {"punisher": "doctor", "doctor_strategy": 5}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop_matching, "error: the allocation document has no matching\n"),
+    (_list_matching, "error: matching is not a JSON object\n"),
+    (_unkeyed_strategy, "error: hospital_strategies h2d2: the key has no '|' between its two ids\n"),
+    (_unkeyed_cycle, "error: cycle h2d2: the key has no '|' between its two ids\n"),
+    (_scalar_punishment,
+     "error: cycle h2|d2 punishment doctor_strategy is not a list of rational literals\n"),
+])
+def test_malformed_allocation_documents_are_named_input_errors(tmp_path, capsys, edit, message):
+    inst_path, alloc_path = tmp_path / "inst.json", tmp_path / "alloc.json"
+    assert run(["gen", "--seed", "1", "--doctors", "3", "--hospitals", "2",
+                "--classes", "repeated", "--output", str(inst_path)]) == 0
+    common = ["--input", str(inst_path), "--epsilon", "1/2"]
+    assert run(["solve-dac", *common, "--output", str(alloc_path)]) == 0
+    doc = json.loads(alloc_path.read_text())
+    edit(doc)
+    alloc_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", *common, "--allocation", str(alloc_path),
+                "--output", str(tmp_path / "report.json")]) == 1
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_renegotiation_label_names_the_classes_checked(tmp_path):
     labels = {}
     for classes in ("zero_sum", "repeated", "zero_sum,strictly_competitive,repeated"):

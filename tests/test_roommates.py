@@ -26,6 +26,7 @@ from matchgames.roommates import (
     _aspiration_rhs,
     _partner_table,
     _stable_profile_search,
+    _sweep_aspiration,
     _thresholds,
     build_demand_graph,
     demand_set,
@@ -200,6 +201,31 @@ class TestSolveAspiration:
         with pytest.raises(MatchGamesError, match="no aspiration fixed point exists") as info:
             solve_aspiration_zero_sum(inst)
         assert not isinstance(info.value, UnsupportedClassError)
+
+    MIXED = ["zero_sum", "strictly_competitive"]
+
+    @pytest.mark.parametrize("n, seed, classes, outcome", [
+        (9, 123, None, MatchGamesError),
+        (9, 142, None, "search"),
+        (9, 189, MIXED, UnsupportedClassError),
+        (12, 93, MIXED, UnsupportedClassError),
+    ])
+    def test_sweep_cycles(self, n, seed, classes, outcome):
+        # Generated instances whose sweep repeats a state: the search's
+        # profile decides a zero-sum one when it finds one; otherwise the
+        # error names the class of failure.
+        inst = generate_instance(seed=seed, n_doctors=n, model="roommates",
+                                 **({} if classes is None else {"classes": classes}))
+        table = _partner_table(inst)
+        assert _sweep_aspiration(table) is None
+        if outcome == "search":
+            stable = _stable_profile_search(inst, table)
+            assert stable is not None
+            assert list(solve_aspiration_zero_sum(inst).items()) == list(stable.items())
+            return
+        with pytest.raises(MatchGamesError) as info:
+            solve_aspiration_zero_sum(inst)
+        assert type(info.value) is outcome
 
     def test_output_is_always_an_aspiration(self):
         for seed in range(20):
@@ -468,11 +494,10 @@ PINNED_N12 = {
 # sha256 of solve_aspiration_zero_sum's answers, one line per instance
 # (n = 4-9, seeds 0-19, every SEARCH_VARIANTS setting): the profile in
 # insertion order, or the error's class name.
-PINNED_SOLVE_DIGEST = "f4ddf4f7ed57535adbc5ba0a6b42bd739e8e14e9a7550a63341ba15b3bc13648"
+PINNED_SOLVE_DIGEST = "6db56d7b42bd727ceb89e9a2239b0b752ee491b213aed0c654bf71fe87fbd894"
 
-# The solver's profiles (all zeros, in insertion order) on generator seeds
-# whose sweep does not realize, so the search decides them; computed with
-# the search that tested every share rank one by one.
+# The solver's profiles (all zeros, in insertion order), which the search
+# decides; computed with the search that tested every share rank one by one.
 PINNED_LARGE = {
     (14, 2): ["d4", "d5", "d1", "d6", "d10", "d13", "d11", "d14", "d7", "d8", "d9", "d12",
               "d2", "d3"],
@@ -581,6 +606,35 @@ class TestStableProfileSearch:
                         line = type(exc).__name__
                     digest.update(f"{n} {seed} {variant} {line}\n".encode())
         assert digest.hexdigest() == PINNED_SOLVE_DIGEST
+
+    def test_solver_answers_equal_the_enumeration_search(self):
+        # The pinned grid: up to n = 8 the solver's answer is the reference
+        # enumeration's first profile, and where the reference finds none the
+        # answer does not realize; at n = 9 every realized answer is stable.
+        found = 0
+        for n in range(4, 10):
+            for seed in range(20):
+                for variant, kwargs in enumerate(SEARCH_VARIANTS):
+                    inst = generate_instance(seed=seed, model="roommates", n_doctors=n, **kwargs)
+                    try:
+                        profile = solve_aspiration_zero_sum(inst)
+                    except MatchGamesError:
+                        profile = None
+                    expected = _enumeration_search(inst) if n <= 8 else None
+                    if expected is not None:
+                        found += 1
+                        assert profile == expected, (n, seed, variant)
+                    if profile is None:
+                        assert expected is None, (n, seed, variant)
+                        continue
+                    alloc = realize_aspiration(inst, profile)
+                    if isinstance(alloc, UnrealizableReport):
+                        assert expected is None, (n, seed, variant)
+                        continue
+                    assert n == 9 or expected is not None, (n, seed, variant)
+                    assert evaluate_payoffs(inst, alloc).doctor_payoffs == profile
+                    assert find_blocking_pair(inst, alloc, F(0)) is None, (n, seed, variant)
+        assert found == 248
 
     @pytest.mark.parametrize("n,seed", sorted(PINNED_LARGE))
     def test_pinned_large_profiles(self, n, seed):

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from matchgames.core import (
+    FRONTIER_CLASSES,
     Allocation,
     BimatrixGame,
     Doctor,
@@ -21,6 +22,7 @@ from matchgames.errors import CapExceededError, UnsupportedClassError
 from matchgames.gen import generate_instance
 from matchgames.qcqp import max_g_point
 from matchgames.stability import (
+    CLASS_METHODS,
     _first_team,
     check_individual_rationality,
     find_blocking_coalition,
@@ -114,6 +116,12 @@ class TestBlockingPair:
         # the coalition check has no frontier to price the pair on
         with pytest.raises(UnsupportedClassError, match=r"coalition check: pair \(d1, h1\) has class general"):
             find_blocking_coalition(inst, alloc, F(1, 10), max_coalition_size=2)
+        # ... nor DAC a seat to sell
+        with pytest.raises(UnsupportedClassError, match=r"pair \('d1', 'h1'\) has unsupported class general"):
+            run_dac(inst, F(1, 10))
+
+    def test_class_methods_cover_the_frontier_classes(self):
+        assert tuple(CLASS_METHODS) == FRONTIER_CLASSES
 
 
 class TestCoalitions:
