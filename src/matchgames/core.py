@@ -416,6 +416,13 @@ class BimatrixGame:
         return punishment_levels(self.doctor_matrix, self.hospital_matrix)
 
     @cached_property
+    def integers(self):
+        """(A, M), each as its integer numerators over the lcm of its
+        entries' denominators, with that lcm: computed on first read and
+        kept, for the CNE deviation audits."""
+        return tuple(_integer_matrix(mat) for mat in (self.doctor_matrix, self.hospital_matrix))
+
+    @cached_property
     def flipped(self) -> "BimatrixGame":
         """The game seen from the column player: both matrices transposed and
         their roles swapped.  Built once per game, so the view keeps its own
@@ -626,6 +633,14 @@ def _integer_weights(weights: Sequence[Fraction]) -> Tuple[List[int], int]:
     ratios = [w.as_integer_ratio() for w in weights]
     den = lcm(*[d for _, d in ratios])
     return [n * (den // d) for n, d in ratios], den
+
+
+def _integer_matrix(matrix: Matrix) -> Tuple[List[List[int]], int]:
+    """(numerators, den): the entries as integers over the lcm of their
+    denominators."""
+    ratios = [[v.as_integer_ratio() for v in row] for row in matrix]
+    den = lcm(*[d for row in ratios for _, d in row])
+    return [[n * (den // d) for n, d in row] for row in ratios], den
 
 
 def _dot(row: Sequence[Fraction], weights: List[int], support: List[int],

@@ -45,6 +45,10 @@ class InfeasibleError(MatchGamesError):
     """A constrained optimisation problem has an empty feasible set."""
 
 
+class GameValueCertificateError(MatchGamesError):
+    """A zero-sum game value's answer fails its saddle-point certificate."""
+
+
 class InfeasibleReservationsError(MatchGamesError):
     """No profile satisfies both reservation constraints."""
 

@@ -1,9 +1,17 @@
-"""Exact rational linear programming via a two-phase simplex.
+"""Exact rational linear programming via a two-phase simplex, and zero-sum
+game values.
 
-Desk-scale problems only (tens of variables); everything runs on
-:class:`fractions.Fraction` and the optimum satisfies every constraint with
-exact equality checks.  Bland's rule makes the pivot sequence deterministic
-and cycle-free.
+Desk-scale problems only (tens of variables).  Each constraint row is scaled
+to integers, and the tableau is pivoted fraction-free (Edmonds 1967;
+Bareiss 1968): its entries are integers over one positive common
+denominator, the basis determinant, and every pivot divides exactly.  Only
+the answer is built in :class:`fractions.Fraction`.  Bland's rule makes the
+pivot sequence deterministic and cycle-free, and it is the sequence a
+Fraction tableau takes.
+
+A game value is a closed form when a 1 x 1 or 2 x 2 kernel certifies the
+game's unique optimum, and two LPs otherwise; every answer is then checked
+against the saddle property on integers.
 """
 
 from __future__ import annotations
@@ -14,8 +22,8 @@ from itertools import combinations
 from math import lcm
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from .core import Matrix, pure
-from .errors import MatchGamesError
+from .core import Matrix, _integer_matrix, _integer_weights, pure
+from .errors import GameValueCertificateError, MatchGamesError
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -64,23 +72,29 @@ def solve_lp(program: LinearProgram) -> LpResult:
         base.append(n_internal)
         n_internal += 2 if i in free else 1
 
-    def expand(coeffs: Sequence[Fraction]) -> List[Fraction]:
-        """Rewrite a row over internal variables."""
-        row = [Fraction(0)] * n_internal
-        for i, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            row[base[i]] += c
-            if i in free:
-                row[base[i] + 1] -= c
-        return row
+    def expand(coeffs: Sequence[Fraction], rhs=0) -> Tuple[List[int], int]:
+        """The row over internal variables followed by ``rhs``, as integer
+        numerators over the lcm of their denominators, and that lcm."""
+        ratios = [c.as_integer_ratio() for c in coeffs]
+        rn, rd = rhs.as_integer_ratio()
+        scale = lcm(rd, *(d for _, d in ratios))
+        row = [0] * (n_internal + 1)
+        for i, (p, q) in enumerate(ratios):
+            if p:
+                p *= scale // q
+                row[base[i]] += p
+                if i in free:
+                    row[base[i] + 1] -= p
+        row[-1] = rn * (scale // rd)
+        return row, scale
 
-    sign = Fraction(1) if program.sense == "max" else Fraction(-1)
-    objective_row = expand([sign * c for c in program.objective])
-    rows = [(expand(coeffs), relation, Fraction(rhs))
-            for coeffs, relation, rhs in program.constraints]
+    sign = {"max": 1, "min": -1}.get(program.sense)
+    if sign is None:
+        raise MatchGamesError(f"unknown sense {program.sense!r}: expected 'max' or 'min'")
+    objective, scale = expand([sign * c for c in program.objective])
+    rows = [(*expand(coeffs, rhs), relation) for coeffs, relation, rhs in program.constraints]
 
-    status, internal_solution, value = _simplex_standard(objective_row, rows)
+    status, internal_solution, value = _simplex_standard(objective[:-1], scale, rows)
     if status != OPTIMAL:
         return LpResult(status=status)
 
@@ -90,47 +104,59 @@ def solve_lp(program: LinearProgram) -> LpResult:
     return LpResult(status=OPTIMAL, value=sign * value, solution=solution)
 
 
-def _simplex_standard(objective: List[Fraction], rows):
-    """max objective.z s.t. rows, z >= 0, via two-phase tableau simplex."""
+def _simplex_standard(objective: List[int], scale: int, rows):
+    """max (objective / scale).z s.t. rows, z >= 0, by a two-phase tableau
+    simplex on integers.
+
+    Each row is (integer coefficients followed by the rhs, the positive
+    integer they were scaled by, relation): the rational row times it.  The
+    tableau is kept fraction-free (Edmonds; Bareiss): every stored entry is
+    d times the rational tableau's, with d > 0 the basis determinant's
+    absolute value, so a pivot on (r, c) with entry p > 0 sets each other
+    row to (p * row - row[c] * pivot row) / d, which divides exactly, and d
+    to p.  The cost row is kept the same way, over d times a fixed scale.
+
+    The pivots are those of the rational tableau: its reduced costs, ratios
+    and nonzero entries have the signs and order of these.  A row may be
+    scaled by a positive integer, and a slack or artificial column too, as
+    neither changes which column enters (Bland: the lowest one whose reduced
+    cost is positive), which row leaves (the least ratio, ties to the lower
+    basis index), or any original variable's value.
+    """
     n = len(objective)
     # Normalise to equalities with slack/surplus columns and nonnegative rhs.
-    slack_count = sum(1 for _, rel, _ in rows if rel != EQ)
+    slack_count = sum(1 for _, _, rel in rows if rel != EQ)
     m = len(rows)
     total = n + slack_count
-    table: List[List[Fraction]] = []
+    art_base = total
+    width = total + m
+    table: List[List[int]] = []
     slack_idx = 0
-    for row, rel, rhs in rows:
-        line = list(row) + [Fraction(0)] * slack_count + [Fraction(rhs)]
-        if rel == LE:
-            line[n + slack_idx] = Fraction(1)
-            slack_idx += 1
-        elif rel == GE:
-            line[n + slack_idx] = Fraction(-1)
+    for i, (row, _, rel) in enumerate(rows):
+        line = row[:-1] + [0] * (slack_count + m) + row[-1:]
+        if rel != EQ:
+            line[n + slack_idx] = 1 if rel == LE else -1
             slack_idx += 1
         if line[-1] < 0:
             line = [-v for v in line]
+        line[art_base + i] = 1
         table.append(line)
+    basis = list(range(art_base, width))
 
-    # Phase 1: artificial basis.
-    basis = []
-    art_base = total
-    for i in range(m):
-        table[i] = table[i][:-1] + [Fraction(0)] * m + [table[i][-1]]
-        table[i][art_base + i] = Fraction(1)
-        basis.append(art_base + i)
-    width = total + m
+    # Phase 1: max -(sum of artificials).  Row i, scaled by L_i, keeps a unit
+    # artificial, which is L_i times the rational one, so the objective
+    # weighs it 1/L_i.  The reduced costs on the artificial basis are then
+    # the rational column sums, stored over the lcm of the row scales.
+    common = lcm(*(row_scale for _, row_scale, _ in rows))
+    cost = [0] * (width + 1)
+    for line, (_, row_scale, _) in zip(table, rows):
+        weight = common // row_scale
+        cost = [c + weight * v for c, v in zip(cost, line)]
+    for j in range(art_base, width):
+        cost[j] = 0
 
-    # Phase-1 objective: max -(sum of artificials); reduced costs after
-    # pricing out the artificial basis are the column sums.
-    cost = [Fraction(0)] * (width + 1)
-    for i in range(m):
-        for j in range(width + 1):
-            cost[j] += table[i][j]
-    for j in range(m):
-        cost[art_base + j] = Fraction(0)
-
-    _pivot_until_optimal(table, cost, basis, width)
-    if -cost[-1] != 0:
+    d = _pivot_until_optimal(table, cost, basis, width, 1)
+    if cost[-1] != 0:
         return INFEASIBLE, None, None
 
     # Drive any artificial variables out of the basis.
@@ -139,71 +165,71 @@ def _simplex_standard(objective: List[Fraction], rows):
             pivot_col = next((j for j in range(total) if table[i][j] != 0), None)
             if pivot_col is None:
                 continue  # redundant row
-            _pivot(table, basis, i, pivot_col, width)
+            d = _pivot(table, basis, i, pivot_col, d)
 
-    # Phase 2 on the original columns.
-    cost = [Fraction(0)] * (width + 1)
-    for j in range(n):
-        cost[j] = objective[j]
+    # Phase 2 on the original columns; the artificial ones are dropped.
+    table[:] = [line[:total] + line[-1:] for line in table]
+    cost = [d * c for c in objective] + [0] * (total - n + 1)
     # Price out basic columns.
     for i, b in enumerate(basis):
-        if b < len(cost) - 1 and cost[b] != 0:
-            coef = cost[b]
-            for j in range(width + 1):
-                cost[j] -= coef * table[i][j]
-    blocked = set(range(art_base, width))
-    status = _pivot_until_optimal(table, cost, basis, width, blocked=blocked)
-    if status == UNBOUNDED:
+        if b < n and objective[b] != 0:
+            coef = objective[b]
+            cost = [c - coef * v for c, v in zip(cost, table[i])]
+    d = _pivot_until_optimal(table, cost, basis, total, d)
+    if d is None:
         return UNBOUNDED, None, None
 
-    solution = [Fraction(0)] * total
+    solution = [Fraction(0)] * n
     for i, b in enumerate(basis):
-        if b < total:
-            solution[b] = table[i][-1]
-    return OPTIMAL, solution, -cost[-1]
+        if b < n:
+            solution[b] = Fraction(table[i][-1], d)
+    return OPTIMAL, solution, Fraction(-cost[-1], d * scale)
 
 
-def _pivot_until_optimal(table, cost, basis, width, blocked=frozenset()):
+def _pivot_until_optimal(table, cost, basis, width, d):
+    """Pivot by Bland's rule until no reduced cost is positive; the final
+    determinant, or None when the entering column is unbounded."""
     while True:
-        pivot_col = None
-        for j in range(width):  # Bland: lowest eligible index enters
-            if j in blocked:
-                continue
-            if cost[j] > 0:
-                pivot_col = j
-                break
+        pivot_col = next((j for j in range(width) if cost[j] > 0), None)
         if pivot_col is None:
-            return OPTIMAL
+            return d
         pivot_row = None
-        best = None
         for i, line in enumerate(table):
-            if line[pivot_col] > 0:
-                ratio = line[-1] / line[pivot_col]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[pivot_row]):
-                    best = ratio
-                    pivot_row = i
+            v = line[pivot_col]
+            if v > 0:
+                if pivot_row is None:
+                    pivot_row, num, den = i, line[-1], v
+                    continue
+                # line[-1] / v against num / den, both denominators positive.
+                left, right = line[-1] * den, num * v
+                if left < right or (left == right and basis[i] < basis[pivot_row]):
+                    pivot_row, num, den = i, line[-1], v
         if pivot_row is None:
-            return UNBOUNDED
-        _pivot(table, basis, pivot_row, pivot_col, width)
-        coef = cost[pivot_col]
-        if coef != 0:
-            line = table[pivot_row]
-            for j in range(width + 1):
-                cost[j] -= coef * line[j]
+            return None
+        line = table[pivot_row]
+        p, f = line[pivot_col], cost[pivot_col]
+        cost[:] = [(p * a - f * b) // d for a, b in zip(cost, line)]
+        d = _pivot(table, basis, pivot_row, pivot_col, d)
 
 
-def _pivot(table, basis, row, col, width):
+def _pivot(table, basis, row, col, d):
+    """Pivot the fraction-free tableau on (row, col); returns the new d.  A
+    negative pivot entry negates its row first, which keeps d positive."""
     line = table[row]
-    inv = Fraction(1) / line[col]
-    if inv != 1:
-        table[row] = line = [v * inv for v in line]
+    p = line[col]
+    if p < 0:
+        table[row] = line = [-v for v in line]
+        p = -p
     for i, other in enumerate(table):
         if i == row:
             continue
-        factor = other[col]
-        if factor != 0:
-            table[i] = [a - factor * b for a, b in zip(other, line)]
+        f = other[col]
+        if f:
+            table[i] = [(p * a - f * b) // d for a, b in zip(other, line)]
+        elif p != d:
+            table[i] = [p * a // d for a in other]
     basis[row] = col
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +243,17 @@ def game_value(a: Matrix) -> Tuple[Fraction, Tuple[Fraction, ...], Tuple[Fractio
     (w, x*, y*) satisfying the saddle property min_t x*.A.t = w = max_s s.A.y*.
     A game whose unique optimum a 1 x 1 or 2 x 2 kernel certifies
     (:func:`_kernel_solution`) is answered in closed form; every other game
-    solves two LPs.
+    solves two LPs.  Either answer must pass :func:`_certify_saddle`.
     """
+    k, scale = _integer_matrix(a)
+    solved = _kernel_solution(a, k, scale) or _lp_solution(a)
+    _certify_saddle(k, scale, *solved)
+    return solved
+
+
+def _lp_solution(a: Matrix) -> tuple:
+    """(value, x*, y*) from the row player's LP and the column player's."""
     n_rows, n_cols = len(a), len(a[0])
-    solved = _kernel_solution(a)
-    if solved is not None:
-        return solved
 
     # Row side: max v s.t. sum_i x_i a[i][j] >= v for all j, x in simplex.
     lp = LinearProgram(
@@ -255,13 +286,32 @@ def game_value(a: Matrix) -> Tuple[Fraction, Tuple[Fraction, ...], Tuple[Fractio
     return value, x_star, y_star
 
 
-def _kernel_solution(a: Matrix) -> Optional[tuple]:
+def _certify_saddle(k, scale, w, x, y):
+    """Raise :class:`GameValueCertificateError` unless x and y are
+    probability vectors and max_s A_s.y = w = min_t x.A^t, for A the integer
+    matrix ``k`` over ``scale``.  Decided on integers, with no simplex or
+    kernel code: each side's payoffs are integer dot products over one
+    common denominator, compared with w by cross products."""
+    (xs, xd), (ys, yd) = _integer_weights(x), _integer_weights(y)
+    for name, nums, den, size in (("x*", xs, xd, len(k)), ("y*", ys, yd, len(k[0]))):
+        if len(nums) != size or min(nums) < 0 or sum(nums) != den:
+            raise GameValueCertificateError(f"game value strategy {name} is not a probability vector")
+    wn, wd = w.as_integer_ratio()
+    best_row = max(sum(v * q for v, q in zip(row, ys)) for row in k)
+    if best_row * wd != wn * scale * yd:
+        raise GameValueCertificateError(f"the best row against y* does not pay the game value {w}")
+    worst_col = min(sum(p * v for p, v in zip(xs, col)) for col in zip(*k))
+    if worst_col * wd != wn * scale * xd:
+        raise GameValueCertificateError(f"the best column against x* does not hold the game value {w}")
+
+
+def _kernel_solution(a: Matrix, k, scale: int) -> Optional[tuple]:
     """(value, x*, y*) when a square kernel of size 1 or 2 certifies the
     game's unique optimum, else None (Shapley and Snow, 1950).
 
-    The matrix is scaled to integers over the lcm L of its denominators.
-    Kernels are tried by size, then rows i1 < i2 and columns j1 < j2 in
-    lexicographic order.  A kernel (rows I, columns J) certifies when its
+    ``k`` is the matrix as integers over the lcm ``scale`` of its
+    denominators.  Kernels are tried by size, then rows i1 < i2 and columns
+    j1 < j2 in lexicographic order.  A kernel (rows I, columns J) certifies when its
     equalising strategies x on I and y on J are strictly positive and every
     row outside I pays strictly less than the kernel value v against y, and
     every column outside J strictly more against x:
@@ -278,9 +328,6 @@ def _kernel_solution(a: Matrix) -> Optional[tuple]:
     is its own certificate.  The search costs O(m^2 n^2 (m + n)).
     """
     n_rows, n_cols = len(a), len(a[0])
-    scale = lcm(*(v.denominator for row in a for v in row))
-    k = [[v.numerator * (scale // v.denominator) for v in row] for row in a]
-
     for i, row in enumerate(k):
         lo = min(row)
         if row.count(lo) != 1:

@@ -19,6 +19,14 @@ profile survives both constrained best-response checks with slack e.  The
 one-shot classes run it on the pair's zero-sum image (A itself for a
 zero-sum pair), through a bridge derived from the pair's segment for each
 CNE (``core.frontier_bridge``), and audit the result in the original game.
+
+The deviation audit (the construction's self-check, and ``cne_verdict`` in
+the sweep and in both certificates) runs on integers: the game's matrices
+and the profile's fixed mix are integer numerators over their
+denominators, each pure strategy's payoffs integer dot products, and the
+best constrained deviation is compared with the current payoff plus
+epsilon by cross products.  Only a failing audit builds a Fraction, for
+its message.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from .core import (
     MatchingGameInstance,
     Matrix,
     PayoffReport,
+    _integer_weights,
     bilinear,
     evaluate_payoffs,
     frontier_bridge,
@@ -253,51 +262,82 @@ class _PayoffLedger:
 # Constrained best responses (deviation audits)
 
 
-def constrained_best_response_doctor(a: Matrix, m: Matrix,
-                                     y0: Tuple[Fraction, ...],
-                                     g_res: Fraction, epsilon: Fraction):
-    """max x.A.y0 over x in the simplex with x.M.y0 + epsilon >= g_res, or None."""
-    return _best_guarded_mix(row_payoffs(a, y0), row_payoffs(m, y0), g_res - epsilon)
-
-
-def constrained_best_response_hospital(a: Matrix, m: Matrix,
-                                       x0: Tuple[Fraction, ...],
-                                       f_res: Fraction, epsilon: Fraction):
-    """max x0.M.y over y in the simplex with x0.A.y + epsilon >= f_res, or None."""
-    return _best_guarded_mix(row_payoffs(transpose(m), x0),
-                             row_payoffs(transpose(a), x0), f_res - epsilon)
-
-
-def _best_guarded_mix(gain: List[Fraction], guard: List[Fraction], floor: Fraction):
-    """max p.gain over distributions p with p.guard >= floor, or None if none.
-
-    A linear program over the simplex with one side constraint has an optimal
-    vertex of support at most 2: a feasible pure strategy, or a feasible and
-    an infeasible one mixed so that the side constraint holds with equality.
-    """
-    feasible = [i for i, g in enumerate(guard) if g >= floor]
-    if not feasible:
-        return None
-    best = max(gain[i] for i in feasible)
-    for i in feasible:
-        for j, g in enumerate(guard):
-            if g < floor and gain[j] > gain[i]:
-                t = (guard[i] - floor) / (guard[i] - g)
-                best = max(best, gain[i] + t * (gain[j] - gain[i]))
-    return best
-
-
-def _deviation_fault(a: Matrix, m: Matrix, x, y, f_now: Fraction, g_now: Fraction,
+def _deviation_fault(game: BimatrixGame, x, y, f_now: Fraction, g_now: Fraction,
                      f_res: Fraction, g_res: Fraction, epsilon: Fraction) -> Optional[str]:
     """Why one side of the profile (x, y), which pays (f_now, g_now), has a
-    profitable constrained deviation, or None when neither side has one."""
-    best_d = constrained_best_response_doctor(a, m, y, g_res, epsilon)
-    if best_d is not None and best_d > f_now + epsilon:
-        return f"doctor deviation worth {best_d} > {f_now} + eps"
-    best_h = constrained_best_response_hospital(a, m, x, f_res, epsilon)
-    if best_h is not None and best_h > g_now + epsilon:
-        return f"hospital deviation worth {best_h} > {g_now} + eps"
+    profitable constrained deviation, or None when neither side has one.
+
+    The doctor's deviations are the row mixes keeping the hospital's payoff
+    against y at g_res - epsilon or more, profitable when they pay more than
+    f_now + epsilon; the hospital's mirror them against x.  Both matrices
+    and the fixed mix are integers over their denominators
+    (``BimatrixGame.integers``, ``core._integer_weights``), so each pure
+    strategy's payoffs are integer dot products, and
+    :func:`_best_guarded_mix` compares them with the floor and the bar by
+    cross products.
+    """
+    (ka, la), (km, lm) = game.integers
+    en, ed = epsilon.as_integer_ratio()
+    ys, yd = _integer_weights(y)
+    support = [(j, w) for j, w in enumerate(ys) if w]
+    best = _best_guarded_mix([sum(row[j] * w for j, w in support) for row in ka], la * yd,
+                             [sum(row[j] * w for j, w in support) for row in km], lm * yd,
+                             _shifted(g_res, -en, ed), _shifted(f_now, en, ed))
+    if best is not None:
+        return f"doctor deviation worth {best} > {f_now} + eps"
+    xs, xd = _integer_weights(x)
+    rows = [(w, ka[i], km[i]) for i, w in enumerate(xs) if w]
+    columns = range(len(ka[0]))
+    best = _best_guarded_mix([sum(w * row_m[t] for w, _, row_m in rows) for t in columns], lm * xd,
+                             [sum(w * row_a[t] for w, row_a, _ in rows) for t in columns], la * xd,
+                             _shifted(f_res, -en, ed), _shifted(g_now, en, ed))
+    if best is not None:
+        return f"hospital deviation worth {best} > {g_now} + eps"
     return None
+
+
+def _shifted(value: Fraction, num: int, den: int) -> Tuple[int, int]:
+    """value + num / den as an integer ratio with a positive denominator,
+    not reduced."""
+    vn, vd = value.as_integer_ratio()
+    return vn * den + num * vd, vd * den
+
+
+def _best_guarded_mix(gain: List[int], gain_den: int, guard: List[int], guard_den: int,
+                      floor: Tuple[int, int], bar: Tuple[int, int]) -> Optional[Fraction]:
+    """max p.gain over distributions p with p.guard >= floor when it exceeds
+    ``bar``, else None.  gain and guard are integer numerators over the
+    positive gain_den and guard_den, floor and bar integer ratios with
+    positive denominators.
+
+    A linear program over the simplex with one side constraint has an
+    optimal vertex of support at most 2: a feasible pure strategy i, or a
+    feasible i and an infeasible j mixed so that the side constraint holds
+    with equality.  With h the guard's excess over the floor and e the
+    gain's over the bar, each scaled to an integer, that mix pays e_i +
+    h_i (e_j - e_i) / (h_i - h_j) over the bar, and it beats the bar exactly
+    when h_i e_j > h_j e_i.  The optimum becomes a Fraction only when it
+    beats the bar.
+    """
+    (fn, fd), (bn, bd) = floor, bar
+    fn *= guard_den
+    bn *= gain_den
+    h = [g * fd - fn for g in guard]
+    e = [g * bd - bn for g in gain]
+    feasible = [i for i, hi in enumerate(h) if hi >= 0]
+    if not any(e[i] > 0 for i in feasible):
+        lifts = [j for j, hj in enumerate(h) if hj < 0 and e[j] > 0]
+        if not any(h[i] * e[j] > h[j] * e[i] for j in lifts for i in feasible):
+            return None
+    num, den = max(e[i] for i in feasible), 1
+    for i in feasible:
+        for j, hj in enumerate(h):
+            if hj < 0 and e[j] > e[i]:
+                n, d = h[i] * e[j] - hj * e[i], h[i] - hj
+                if n * den > num * d:
+                    num, den = n, d
+    # bar + num / (den * gain_den * bd); bn is bar's numerator times gain_den.
+    return Fraction(bn * den + num, den * gain_den * bd)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +402,7 @@ def _one_shot_cne(game: BimatrixGame, f_res: Fraction, g_res: Fraction,
     if bilinear(x, z, y) != value:
         raise MatchGamesError("CNE construction missed its target value")
     f_now, g_now = witness_payoffs(a, m, x, y)
-    fault = _deviation_fault(a, m, x, y, f_now, g_now, f_res, g_res, epsilon)
+    fault = _deviation_fault(game, x, y, f_now, g_now, f_res, g_res, epsilon)
     if fault is not None:
         raise MatchGamesError(f"{game.class_tag} CNE: {fault}")
     return CneResult(x=x, y=y, cycle=None, doctor_payoff=f_now, hospital_payoff=g_now,
@@ -487,8 +527,7 @@ def cne_verdict(couple: Couple, reservations: ReservationPair, epsilon: Fraction
         return False, f"doctor payoff {f_now} not feasible against reservation {f_res}"
     if g_now + epsilon < g_res:
         return False, f"hospital payoff {g_now} not feasible against reservation {g_res}"
-    fault = _deviation_fault(game.doctor_matrix, game.hospital_matrix, couple.x, couple.y,
-                             f_now, g_now, f_res, g_res, epsilon)
+    fault = _deviation_fault(game, couple.x, couple.y, f_now, g_now, f_res, g_res, epsilon)
     return fault is None, fault
 
 

@@ -181,6 +181,7 @@ def solve_aspiration_zero_sum(instance: MatchingGameInstance) -> PayoffProfile:
     zero-sum pairs only, so with a strictly competitive pair the sweep's
     fixed point is returned unsearched, and when the sweep finds none the
     answer is ``UnsupportedClassError`` rather than a claim that none exists.
+    Either path's profile is keyed in ``doctor_ids`` order.
     """
     if instance.model != ROOMMATES:
         raise UnsupportedClassError("aspiration solving applies to roommates instances")
@@ -194,7 +195,7 @@ def solve_aspiration_zero_sum(instance: MatchingGameInstance) -> PayoffProfile:
     if zero_sum_only:
         stable = _stable_profile_search(instance, table)
         if stable is not None:
-            return stable
+            return {d: stable[d] for d in instance.doctor_ids}
     profile = _sweep_aspiration(table)
     if profile is not None:
         return profile

@@ -10,6 +10,14 @@ compare the solvers with code that does not share their private paths:
 * ``hull_lp`` answers a repeated game's hull questions by exact simplex LPs
   over the joint distributions on S x T, one lexicographic pass each; the
   package answers them on its hull polygon instead;
+* ``fraction_simplex_lp`` is the package's two-phase simplex as it ran on
+  Fraction tableaus (Bland's entering rule, ratio-test ties to the lower
+  basis index), the reference for the fraction-free integer tableau of
+  ``lp.solve_lp``, whose pivots must be the same;
+* ``constrained_best_response_doctor`` and ``_hospital`` are the closed-form
+  constrained best responses in Fractions (``best_guarded_mix``), and
+  ``deviation_fault`` the CNE deviation audit built on them, the reference
+  for the integer audit of ``renegotiation``;
 * ``couple_payoffs`` pays a matched couple straight off an allocation's
   entries: each side's ``bilinear`` form of the stored profile, or a
   step-by-step Fraction sum over the stored cycle;
@@ -34,6 +42,8 @@ from matchgames.core import (
     Allocation,
     bilinear,
     evaluate_payoffs,
+    row_payoffs,
+    transpose,
 )
 from matchgames.errors import (
     CapExceededError,
@@ -41,7 +51,17 @@ from matchgames.errors import (
     MatchGamesError,
     UnsupportedClassError,
 )
-from matchgames.lp import EQ, GE, OPTIMAL, LinearProgram, solve_lp
+from matchgames.lp import (
+    EQ,
+    GE,
+    INFEASIBLE,
+    LE,
+    OPTIMAL,
+    UNBOUNDED,
+    LinearProgram,
+    LpResult,
+    solve_lp,
+)
 from matchgames.qcqp import simplex_grid
 from matchgames.stability import check_individual_rationality, find_blocking_coalition
 
@@ -143,6 +163,204 @@ def hull_lp(a, m, objective, f_floor=None, g_floor=None, f_exact=None, g_exact=N
     lam = {cell: w for cell, w in zip(cells, result.solution) if w != 0}
     return lam, (sum(a[s][t] * w for (s, t), w in lam.items()),
                  sum(m[s][t] * w for (s, t), w in lam.items()))
+
+
+def fraction_simplex_lp(program):
+    """``solve_lp`` on a Fraction tableau: the same statuses, values and
+    solutions, by the same pivots."""
+    n, free = len(program.objective), program.free
+    if not all(0 <= i < n for i in free):
+        raise MatchGamesError("free variable index outside the variable count")
+
+    # Original variable i is internal column base[i], less base[i] + 1 if free.
+    base = []
+    n_internal = 0
+    for i in range(n):
+        base.append(n_internal)
+        n_internal += 2 if i in free else 1
+
+    def expand(coeffs):
+        """Rewrite a row over internal variables."""
+        row = [Fraction(0)] * n_internal
+        for i, c in enumerate(coeffs):
+            if c == 0:
+                continue
+            row[base[i]] += c
+            if i in free:
+                row[base[i] + 1] -= c
+        return row
+
+    sign = Fraction(1) if program.sense == "max" else Fraction(-1)
+    objective_row = expand([sign * c for c in program.objective])
+    rows = [(expand(coeffs), relation, Fraction(rhs))
+            for coeffs, relation, rhs in program.constraints]
+
+    status, internal_solution, value = _simplex_standard(objective_row, rows)
+    if status != OPTIMAL:
+        return LpResult(status=status)
+
+    solution = tuple(
+        internal_solution[b] - internal_solution[b + 1] if i in free else internal_solution[b]
+        for i, b in enumerate(base))
+    return LpResult(status=OPTIMAL, value=sign * value, solution=solution)
+
+
+def _simplex_standard(objective, rows):
+    """max objective.z s.t. rows, z >= 0, via two-phase tableau simplex."""
+    n = len(objective)
+    # Normalise to equalities with slack/surplus columns and nonnegative rhs.
+    slack_count = sum(1 for _, rel, _ in rows if rel != EQ)
+    m = len(rows)
+    total = n + slack_count
+    table = []
+    slack_idx = 0
+    for row, rel, rhs in rows:
+        line = list(row) + [Fraction(0)] * slack_count + [Fraction(rhs)]
+        if rel == LE:
+            line[n + slack_idx] = Fraction(1)
+            slack_idx += 1
+        elif rel == GE:
+            line[n + slack_idx] = Fraction(-1)
+            slack_idx += 1
+        if line[-1] < 0:
+            line = [-v for v in line]
+        table.append(line)
+
+    # Phase 1: artificial basis.
+    basis = []
+    art_base = total
+    for i in range(m):
+        table[i] = table[i][:-1] + [Fraction(0)] * m + [table[i][-1]]
+        table[i][art_base + i] = Fraction(1)
+        basis.append(art_base + i)
+    width = total + m
+
+    # Phase-1 objective: max -(sum of artificials); reduced costs after
+    # pricing out the artificial basis are the column sums.
+    cost = [Fraction(0)] * (width + 1)
+    for i in range(m):
+        for j in range(width + 1):
+            cost[j] += table[i][j]
+    for j in range(m):
+        cost[art_base + j] = Fraction(0)
+
+    _pivot_until_optimal(table, cost, basis, width)
+    if -cost[-1] != 0:
+        return INFEASIBLE, None, None
+
+    # Drive any artificial variables out of the basis.
+    for i in range(m):
+        if basis[i] >= art_base:
+            pivot_col = next((j for j in range(total) if table[i][j] != 0), None)
+            if pivot_col is None:
+                continue  # redundant row
+            _pivot(table, basis, i, pivot_col, width)
+
+    # Phase 2 on the original columns.
+    cost = [Fraction(0)] * (width + 1)
+    for j in range(n):
+        cost[j] = objective[j]
+    # Price out basic columns.
+    for i, b in enumerate(basis):
+        if b < len(cost) - 1 and cost[b] != 0:
+            coef = cost[b]
+            for j in range(width + 1):
+                cost[j] -= coef * table[i][j]
+    blocked = set(range(art_base, width))
+    status = _pivot_until_optimal(table, cost, basis, width, blocked=blocked)
+    if status == UNBOUNDED:
+        return UNBOUNDED, None, None
+
+    solution = [Fraction(0)] * total
+    for i, b in enumerate(basis):
+        if b < total:
+            solution[b] = table[i][-1]
+    return OPTIMAL, solution, -cost[-1]
+
+
+def _pivot_until_optimal(table, cost, basis, width, blocked=frozenset()):
+    while True:
+        pivot_col = None
+        for j in range(width):  # Bland: lowest eligible index enters
+            if j in blocked:
+                continue
+            if cost[j] > 0:
+                pivot_col = j
+                break
+        if pivot_col is None:
+            return OPTIMAL
+        pivot_row = None
+        best = None
+        for i, line in enumerate(table):
+            if line[pivot_col] > 0:
+                ratio = line[-1] / line[pivot_col]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[pivot_row]):
+                    best = ratio
+                    pivot_row = i
+        if pivot_row is None:
+            return UNBOUNDED
+        _pivot(table, basis, pivot_row, pivot_col, width)
+        coef = cost[pivot_col]
+        if coef != 0:
+            line = table[pivot_row]
+            for j in range(width + 1):
+                cost[j] -= coef * line[j]
+
+
+def _pivot(table, basis, row, col, width):
+    line = table[row]
+    inv = Fraction(1) / line[col]
+    if inv != 1:
+        table[row] = line = [v * inv for v in line]
+    for i, other in enumerate(table):
+        if i == row:
+            continue
+        factor = other[col]
+        if factor != 0:
+            table[i] = [a - factor * b for a, b in zip(other, line)]
+    basis[row] = col
+
+
+def constrained_best_response_doctor(a, m, y0, g_res, epsilon):
+    """max x.A.y0 over x in the simplex with x.M.y0 + epsilon >= g_res, or None."""
+    return best_guarded_mix(row_payoffs(a, y0), row_payoffs(m, y0), g_res - epsilon)
+
+
+def constrained_best_response_hospital(a, m, x0, f_res, epsilon):
+    """max x0.M.y over y in the simplex with x0.A.y + epsilon >= f_res, or None."""
+    return best_guarded_mix(row_payoffs(transpose(m), x0),
+                             row_payoffs(transpose(a), x0), f_res - epsilon)
+
+
+def best_guarded_mix(gain, guard, floor):
+    """max p.gain over distributions p with p.guard >= floor, or None if none.
+
+    A linear program over the simplex with one side constraint has an optimal
+    vertex of support at most 2: a feasible pure strategy, or a feasible and
+    an infeasible one mixed so that the side constraint holds with equality.
+    """
+    feasible = [i for i, g in enumerate(guard) if g >= floor]
+    if not feasible:
+        return None
+    best = max(gain[i] for i in feasible)
+    for i in feasible:
+        for j, g in enumerate(guard):
+            if g < floor and gain[j] > gain[i]:
+                t = (guard[i] - floor) / (guard[i] - g)
+                best = max(best, gain[i] + t * (gain[j] - gain[i]))
+    return best
+
+
+def deviation_fault(a, m, x, y, f_now, g_now, f_res, g_res, epsilon):
+    """Why one side of the profile (x, y), which pays (f_now, g_now), has a
+    profitable constrained deviation, or None when neither side has one."""
+    best_d = constrained_best_response_doctor(a, m, y, g_res, epsilon)
+    if best_d is not None and best_d > f_now + epsilon:
+        return f"doctor deviation worth {best_d} > {f_now} + eps"
+    best_h = constrained_best_response_hospital(a, m, x, f_res, epsilon)
+    if best_h is not None and best_h > g_now + epsilon:
+        return f"hospital deviation worth {best_h} > {g_now} + eps"
+    return None
 
 
 def couple_payoffs(instance, allocation, d, partner):

@@ -40,8 +40,6 @@ from matchgames.renegotiation import (
     ReservationPair,
     compute_cne_for_pair,
     compute_cne_repeated,
-    constrained_best_response_doctor,
-    constrained_best_response_hospital,
     punishment_levels,
     reservation_payoffs,
     run_renegotiation,
@@ -68,7 +66,11 @@ from fixtures import (
     multi_auction_instance,
     segregation_instance,
 )
-from oracles import enumerate_core
+from oracles import (
+    constrained_best_response_doctor,
+    constrained_best_response_hospital,
+    enumerate_core,
+)
 
 EPS10 = F(1, 10)
 

@@ -5,9 +5,11 @@ from itertools import combinations
 import pytest
 
 from matchgames import core
-from matchgames.errors import MatchGamesError
+from matchgames.errors import GameValueCertificateError, MatchGamesError
 from matchgames.lp import EQ, GE, LE, LinearProgram, game_value, solve_lp
 from matchgames.gen import random_matrix
+
+from oracles import fraction_simplex_lp
 
 
 def test_bounded_max():
@@ -53,6 +55,135 @@ def test_equality_and_free_variables():
 def test_free_index_outside_the_variables_raises():
     with pytest.raises(MatchGamesError):
         solve_lp(LinearProgram(objective=[F(1)], free=frozenset([1])))
+
+
+def test_unknown_sense_raises():
+    lp = LinearProgram(objective=[F(1)], sense="maximize")
+    lp.add([F(1)], LE, F(5))
+    with pytest.raises(MatchGamesError, match="'maximize'"):
+        solve_lp(lp)
+
+
+# ---------------------------------------------------------------------------
+# The integer tableau against the Fraction tableau
+
+
+def _same_answer(program):
+    got, want = solve_lp(program), fraction_simplex_lp(program)
+    assert (got.status, got.value, got.solution) == (want.status, want.value, want.solution)
+    return got.status
+
+
+def _random_program(rng):
+    """An LP of up to 5 variables and 6 rows: max or min, free variables,
+    every relation, and a third of the time every rhs 0 and a row repeated,
+    so that vertices are degenerate and ratio tests tie."""
+    n = rng.randint(1, 5)
+    den = rng.randint(1, 6)
+
+    def value():
+        return F(rng.randint(-4, 4), rng.randint(1, den))
+
+    program = LinearProgram(objective=[value() for _ in range(n)], sense=rng.choice(("max", "min")),
+                            free=frozenset(i for i in range(n) if rng.random() < 0.2))
+    degenerate = rng.random() < 1 / 3
+    for _ in range(rng.randint(0, 5)):
+        program.add([value() if rng.random() < 0.8 else F(0) for _ in range(n)],
+                    rng.choice((LE, LE, EQ, GE)), F(0) if degenerate else value())
+    if degenerate and program.constraints:
+        program.constraints.append(rng.choice(program.constraints))
+    return program
+
+
+def test_integer_tableau_equals_the_fraction_tableau():
+    rng = random.Random(2025)
+    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for _ in range(1500):
+        statuses[_same_answer(_random_program(rng))] += 1
+    assert min(statuses.values()) >= 300, statuses
+
+
+def test_degenerate_programs_with_ratio_ties():
+    # Beale's example, which cycles under the largest-coefficient rule:
+    # every ratio test at the degenerate origin ties at 0.
+    beale = LinearProgram(objective=[F(3, 4), F(-20), F(1, 2), F(-6)])
+    beale.add([F(1, 4), F(-8), F(-1), F(9)], LE, F(0))
+    beale.add([F(1, 2), F(-12), F(-1, 2), F(3)], LE, F(0))
+    beale.add([F(0), F(0), F(1), F(0)], LE, F(1))
+    assert _same_answer(beale) == "optimal"
+    assert solve_lp(beale).value == F(5, 4)
+    # Three rows through the vertex (1, 1): when y enters, the slacks of
+    # y <= 1 and x + y <= 2 tie at ratio 1, and the lower basis index leaves.
+    square = LinearProgram(objective=[F(1), F(1)])
+    for row, rhs in (([F(1), F(0)], 1), ([F(0), F(1)], 1), ([F(1), F(1)], 2)):
+        square.add(row, LE, F(rhs))
+    assert _same_answer(square) == "optimal"
+    assert solve_lp(square).solution == (F(1), F(1))
+    # A tied minimum of a 1 x 3 game: the simplex's pivots pick its answer.
+    assert game_value(((F(-1), F(-10), F(-10)),)) == (F(-10), (F(1),), (F(0), F(1), F(0)))
+
+
+def test_integer_tableau_on_the_mixed_market_games(monkeypatch, tmp_path):
+    """Every LP a seed-1 mixed-market benchmark pass solves: 52 generated
+    20 x 6 markets of zero-sum and strictly competitive pairs at eps 1/2,
+    each through solve-dac, verify, renegotiate and verify again, with the
+    generator seeds the benchmark draws for seed 1."""
+    import matchgames.lp as lp_module
+    from matchgames.cli import main
+
+    programs = []
+    solve = lp_module.solve_lp
+    monkeypatch.setattr(lp_module, "solve_lp", lambda program: programs.append(program) or solve(program))
+    seeds = random.Random("mixed-market:1")
+    inst, dac, reneg, report = (str(tmp_path / name) for name in ("i.json", "d.json", "r.json", "v.json"))
+    for _ in range(52):
+        assert main(["gen", "--seed", str(seeds.randrange(1 << 31)), "--doctors", "20", "--hospitals", "6",
+                     "--classes", "zero_sum,strictly_competitive", "--output", inst]) == 0
+        common = ["--input", inst, "--epsilon", "1/2"]
+        assert main(["solve-dac", *common, "--output", dac]) == 0
+        assert main(["verify", *common, "--allocation", dac, "--coalitions", "4", "--output", report]) in (0, 2)
+        assert main(["renegotiate", *common, "--allocation", dac, "--output", reneg]) == 0
+        assert main(["verify", *common, "--allocation", reneg, "--renegotiation", "--output", report]) == 0
+    monkeypatch.undo()
+    assert len(programs) == 64
+    for program in programs:
+        assert _same_answer(program) == "optimal"
+
+
+def test_game_value_certifies_the_kernel_and_the_lp(monkeypatch):
+    import matchgames.lp as lp_module
+
+    pennies = ((F(1), F(-1)), (F(-1), F(1)))
+    tied = ((F(2), F(2), F(3)),)  # a tied minimum: two LPs
+    kernel = lp_module._kernel_solution
+    monkeypatch.setattr(lp_module, "_kernel_solution",
+                        lambda a, k, scale: kernel(a, k, scale) and (F(1, 3), *kernel(a, k, scale)[1:]))
+    with pytest.raises(GameValueCertificateError, match="game value 1/3"):
+        game_value(pennies)
+    monkeypatch.undo()
+
+    solve = lp_module.solve_lp
+
+    def off_simplex(program):  # the column LP's y* leaves the simplex
+        result = solve(program)
+        if program.sense == "min":
+            result.solution = (F(3, 2), F(-1, 2)) + result.solution[2:]
+        return result
+
+    monkeypatch.setattr(lp_module, "solve_lp", off_simplex)
+    with pytest.raises(GameValueCertificateError, match="y\\* is not a probability vector"):
+        game_value(tied)
+    monkeypatch.undo()
+
+    def worse_row(program):  # the row LP's x* is feasible but not optimal
+        result = solve(program)
+        if program.sense == "max":
+            result.solution = (F(1), F(0))
+        return result
+
+    monkeypatch.setattr(lp_module, "solve_lp", worse_row)
+    with pytest.raises(GameValueCertificateError, match="best column against x\\*"):
+        game_value(((F(0), F(1)), (F(1), F(1))))
 
 
 def test_game_value_matching_pennies():

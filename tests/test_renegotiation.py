@@ -21,11 +21,10 @@ from matchgames.lp import GE, OPTIMAL, LinearProgram, game_value, solve_lp
 from matchgames.dac import run_dac
 from matchgames.renegotiation import (
     ReservationPair,
+    _deviation_fault,
     _one_shot_cne,
     compute_cne_for_pair,
     compute_cne_repeated,
-    constrained_best_response_doctor,
-    constrained_best_response_hospital,
     punishment_levels,
     reservation_payoffs,
     run_renegotiation,
@@ -36,6 +35,11 @@ from matchgames.core import matrix_bounds
 
 from bridge_reference import bridge
 from fixtures import PD_A, PD_M
+from oracles import (
+    constrained_best_response_doctor,
+    constrained_best_response_hospital,
+    deviation_fault,
+)
 
 
 class TestReservations:
@@ -447,6 +451,63 @@ def test_closed_form_best_responses_match_lp():
             want = _lp_best_response(gain, guard, floor)
             assert constrained_best_response_hospital(a, m, x0, floor + eps, eps) == want
             assert floor <= max(guard) or want is None
+
+
+def _audit_game(rng):
+    """A one-shot game of either class, 1 x n and n x 1 shapes included,
+    denominators 1-5, and payoffs drawn from {-1, 0, 1} a third of the time
+    so that rows, columns and guards tie."""
+    rows, cols = rng.choice(((1, rng.randint(1, 4)), (rng.randint(1, 4), 1),
+                             (rng.randint(2, 4), rng.randint(2, 4))))
+    den = rng.randint(1, 5)
+    span = 1 if rng.random() < 1 / 3 else 10
+    core = random_matrix(rng, rows, cols, lo=-span, hi=span, max_denominator=den)
+    if rng.random() < 0.5:
+        return BimatrixGame(core, negate(core), "zero_sum")
+    ratio, shift = F(rng.randint(1, 5), rng.randint(1, 5)), F(rng.randint(-3, 3), rng.randint(1, 5))
+    scaled = tuple(tuple(ratio * v + shift for v in row) for row in core)
+    if rng.random() < 0.5:
+        return BimatrixGame(scaled, negate(core), "strictly_competitive")
+    return BimatrixGame(core, negate(scaled), "strictly_competitive")
+
+
+def _audit_levels(rng, values, best, eps):
+    """Floors or current payoffs to audit at: a value exactly, the
+    reference's best exactly at the bar (best - eps pays exactly the bar),
+    just under it, and a random one."""
+    levels = [rng.choice(values), F(rng.randint(-12, 12), rng.randint(1, 5))]
+    if best is not None:
+        levels += [best - eps, best - eps - F(1, 97)]
+    return levels
+
+
+def test_integer_audit_equals_the_fraction_reference():
+    rng = random.Random(2510)
+    outcomes = {"doctor": 0, "hospital": 0, None: 0}
+    at_the_bar = mixes_at_the_bar = 0
+    for _ in range(400):
+        game = _audit_game(rng)
+        a, m = game.doctor_matrix, game.hospital_matrix
+        x, y = _random_mix(rng, len(a)), _random_mix(rng, len(a[0]))
+        eps = F(1, rng.choice((1, 2, 4, 10)))
+        # Floors exactly at a pure strategy's guard, and anywhere else.
+        doctor_guards = [bilinear(pure(i, len(a)), m, y) for i in range(len(a))]
+        hospital_guards = [bilinear(x, a, pure(j, len(a[0]))) for j in range(len(a[0]))]
+        g_res = rng.choice(doctor_guards + _guard_floors(rng, doctor_guards)) + eps
+        f_res = rng.choice(hospital_guards + _guard_floors(rng, hospital_guards)) + eps
+        best_d = constrained_best_response_doctor(a, m, y, g_res, eps)
+        best_h = constrained_best_response_hospital(a, m, x, f_res, eps)
+        doctor_gains = [bilinear(pure(i, len(a)), a, y) for i in range(len(a))]
+        hospital_gains = [bilinear(x, m, pure(j, len(a[0]))) for j in range(len(a[0]))]
+        for f_now in _audit_levels(rng, doctor_gains, best_d, eps):
+            for g_now in _audit_levels(rng, hospital_gains, best_h, eps):
+                want = deviation_fault(a, m, x, y, f_now, g_now, f_res, g_res, eps)
+                assert _deviation_fault(game, x, y, f_now, g_now, f_res, g_res, eps) == want
+                outcomes[want and want.split()[0]] += 1
+                at_the_bar += (best_d == f_now + eps) + (want is None and best_h == g_now + eps)
+                mixes_at_the_bar += best_d == f_now + eps and best_d not in doctor_gains
+    assert min(outcomes.values()) >= 1000 and at_the_bar >= 1000 and mixes_at_the_bar >= 50, (
+        outcomes, at_the_bar, mixes_at_the_bar)
 
 
 # ---------------------------------------------------------------------------

@@ -221,11 +221,24 @@ class TestSolveAspiration:
         if outcome == "search":
             stable = _stable_profile_search(inst, table)
             assert stable is not None
-            assert list(solve_aspiration_zero_sum(inst).items()) == list(stable.items())
+            got = solve_aspiration_zero_sum(inst)
+            assert got == stable and list(got) == inst.doctor_ids
             return
         with pytest.raises(MatchGamesError) as info:
             solve_aspiration_zero_sum(inst)
         assert type(info.value) is outcome
+
+    def test_profiles_are_keyed_in_doctor_ids_order(self):
+        # Seeds 0, 2, 3 and 4 are answered by the search, whose own order puts
+        # singles first; the sweep answers the strictly competitive ones.
+        for seed in range(5):
+            for classes in (["zero_sum"], ["zero_sum", "strictly_competitive"]):
+                inst = generate_instance(seed=seed, model="roommates", n_doctors=6, classes=classes)
+                try:
+                    profile = solve_aspiration_zero_sum(inst)
+                except MatchGamesError:
+                    continue
+                assert list(profile) == inst.doctor_ids
 
     def test_output_is_always_an_aspiration(self):
         for seed in range(20):
@@ -493,20 +506,20 @@ PINNED_N12 = {
 
 # sha256 of solve_aspiration_zero_sum's answers, one line per instance
 # (n = 4-9, seeds 0-19, every SEARCH_VARIANTS setting): the profile in
-# insertion order, or the error's class name.
-PINNED_SOLVE_DIGEST = "6db56d7b42bd727ceb89e9a2239b0b752ee491b213aed0c654bf71fe87fbd894"
+# doctor_ids order, or the error's class name.
+PINNED_SOLVE_DIGEST = "ef47c8c32031e773f2f7c510524e1364e8ab9f89e461b4080411fd0a2887f067"
 
-# The solver's profiles (all zeros, in insertion order), which the search
+# The solver's profiles (all zeros, in doctor_ids order), which the search
 # decides; computed with the search that tested every share rank one by one.
 PINNED_LARGE = {
-    (14, 2): ["d4", "d5", "d1", "d6", "d10", "d13", "d11", "d14", "d7", "d8", "d9", "d12",
-              "d2", "d3"],
-    (20, 1): ["d6", "d10", "d8", "d11", "d13", "d14", "d1", "d2", "d16", "d17", "d15", "d18",
-              "d3", "d4", "d19", "d20", "d9", "d12", "d5", "d7"],
-    (20, 2): ["d17", "d18", "d15", "d16", "d5", "d6", "d19", "d20", "d2", "d4", "d11", "d14",
-              "d1", "d3", "d10", "d13", "d7", "d8", "d9", "d12"],
-    (20, 3): ["d3", "d11", "d1", "d2", "d4", "d7", "d5", "d6", "d8", "d9", "d10", "d13",
-              "d12", "d14", "d19", "d20", "d15", "d16", "d17", "d18"],
+    (14, 2): ["d1", "d2", "d3", "d4", "d5", "d6", "d7", "d8", "d9", "d10", "d11", "d12",
+              "d13", "d14"],
+    (20, 1): ["d1", "d2", "d3", "d4", "d5", "d6", "d7", "d8", "d9", "d10", "d11", "d12",
+              "d13", "d14", "d15", "d16", "d17", "d18", "d19", "d20"],
+    (20, 2): ["d1", "d2", "d3", "d4", "d5", "d6", "d7", "d8", "d9", "d10", "d11", "d12",
+              "d13", "d14", "d15", "d16", "d17", "d18", "d19", "d20"],
+    (20, 3): ["d1", "d2", "d3", "d4", "d5", "d6", "d7", "d8", "d9", "d10", "d11", "d12",
+              "d13", "d14", "d15", "d16", "d17", "d18", "d19", "d20"],
 }
 
 
