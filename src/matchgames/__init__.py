@@ -25,7 +25,7 @@ from .core import (
     serialize_instance,
 )
 from .dac import run_dac
-from .lp import LinearProgram, LpResult, game_value, solve_lp
+from .lp import game_value
 from .qcqp import (
     affine_transform,
     distribution_to_cycle,

@@ -1,194 +1,83 @@
-"""Exact rational linear programming via a two-phase simplex, and zero-sum
-game values.
-
-Desk-scale problems only (tens of variables).  Each constraint row is scaled
-to integers, and the tableau is pivoted fraction-free (Edmonds 1967;
-Bareiss 1968): its entries are integers over one positive common
-denominator, the basis determinant, and every pivot divides exactly.  Only
-the answer is built in :class:`fractions.Fraction`.  Bland's rule makes the
-pivot sequence deterministic and cycle-free, and it is the sequence a
-Fraction tableau takes.
+"""Zero-sum game values: closed forms where a kernel certifies them, and
+one exact simplex tableau otherwise.
 
 A game value is a closed form when a 1 x 1 or 2 x 2 kernel certifies the
-game's unique optimum, and two LPs otherwise; every answer is then checked
-against the saddle property on integers.
+game's unique optimum.  Every other game is one LP (Dantzig, 1951): with
+the game as integers K over a scale, shifted to K' = K + (1 - min K) >= 1,
+max sum(q) s.t. K'q <= 1, q >= 0 starts feasible at the slack basis, y* is
+q / sum(q), x* is the dual (the slacks' reduced costs) over its sum, and
+the value is 1 / sum(q), shifted back.  The tableau is pivoted
+fraction-free (Edmonds 1967; Bareiss 1968): its entries are integers over
+one positive common denominator, the basis determinant, and every pivot
+divides exactly.  Only the answer is built in :class:`fractions.Fraction`.
+Bland's rule makes the pivot sequence deterministic and cycle-free, and it
+is the sequence a Fraction tableau takes.  Every answer, kernel or LP, is
+then checked against the saddle property on integers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .core import Matrix, _integer_matrix, _integer_weights, pure
 from .errors import GameValueCertificateError, MatchGamesError
 
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
-LE, EQ, GE = "<=", "==", ">="
+def game_value(a: Matrix) -> Tuple[Fraction, Tuple[Fraction, ...], Tuple[Fraction, ...]]:
+    """Value and optimal strategies of the zero-sum game on matrix ``a``.
 
-
-@dataclass
-class LinearProgram:
-    """max/min c.x subject to rows (coeffs, relation, rhs) and x >= 0,
-    except for the variables indexed in ``free``, which are unbounded
-    (internally split into a difference of two nonnegatives).
+    The row player maximises x.A.y, the column player minimises.  Returns
+    (w, x*, y*) satisfying the saddle property min_t x*.A.t = w = max_s s.A.y*.
+    A game whose unique optimum a 1 x 1 or 2 x 2 kernel certifies
+    (:func:`_kernel_solution`) is answered in closed form; every other game
+    solves one LP (:func:`solve_lp`).  Either answer must pass
+    :func:`_certify_saddle`.
     """
-
-    objective: Sequence[Fraction]
-    sense: str = "max"
-    constraints: List[Tuple[Sequence[Fraction], str, Fraction]] = field(default_factory=list)
-    free: FrozenSet[int] = frozenset()
-
-    def add(self, coeffs: Sequence[Fraction], relation: str, rhs: Fraction):
-        if len(coeffs) != len(self.objective):
-            raise MatchGamesError("constraint row length does not match variable count")
-        if relation not in (LE, EQ, GE):
-            raise MatchGamesError(f"unknown relation {relation!r}")
-        self.constraints.append((tuple(coeffs), relation, Fraction(rhs)))
+    k, scale = _integer_matrix(a)
+    solved = _kernel_solution(a, k, scale) or solve_lp(k, scale)
+    _certify_saddle(k, scale, *solved)
+    return solved
 
 
-@dataclass
-class LpResult:
-    status: str
-    value: Optional[Fraction] = None
-    solution: Optional[Tuple[Fraction, ...]] = None
+def solve_lp(k: List[List[int]], scale: int) -> tuple:
+    """(value, x*, y*) of the zero-sum game ``k`` / ``scale`` from one
+    tableau: max sum(q) s.t. K'q <= 1, q >= 0, for K' = k + shift >= 1.
 
-
-def solve_lp(program: LinearProgram) -> LpResult:
-    """Solve exactly; deterministic for a fixed instance."""
-    n, free = len(program.objective), program.free
-    if not all(0 <= i < n for i in free):
-        raise MatchGamesError("free variable index outside the variable count")
-
-    # Original variable i is internal column base[i], less base[i] + 1 if free.
-    base: List[int] = []
-    n_internal = 0
-    for i in range(n):
-        base.append(n_internal)
-        n_internal += 2 if i in free else 1
-
-    def expand(coeffs: Sequence[Fraction], rhs=0) -> Tuple[List[int], int]:
-        """The row over internal variables followed by ``rhs``, as integer
-        numerators over the lcm of their denominators, and that lcm."""
-        ratios = [c.as_integer_ratio() for c in coeffs]
-        rn, rd = rhs.as_integer_ratio()
-        scale = lcm(rd, *(d for _, d in ratios))
-        row = [0] * (n_internal + 1)
-        for i, (p, q) in enumerate(ratios):
-            if p:
-                p *= scale // q
-                row[base[i]] += p
-                if i in free:
-                    row[base[i] + 1] -= p
-        row[-1] = rn * (scale // rd)
-        return row, scale
-
-    sign = {"max": 1, "min": -1}.get(program.sense)
-    if sign is None:
-        raise MatchGamesError(f"unknown sense {program.sense!r}: expected 'max' or 'min'")
-    objective, scale = expand([sign * c for c in program.objective])
-    rows = [(*expand(coeffs, rhs), relation) for coeffs, relation, rhs in program.constraints]
-
-    status, internal_solution, value = _simplex_standard(objective[:-1], scale, rows)
-    if status != OPTIMAL:
-        return LpResult(status=status)
-
-    solution = tuple(
-        internal_solution[b] - internal_solution[b + 1] if i in free else internal_solution[b]
-        for i, b in enumerate(base))
-    return LpResult(status=OPTIMAL, value=sign * value, solution=solution)
-
-
-def _simplex_standard(objective: List[int], scale: int, rows):
-    """max (objective / scale).z s.t. rows, z >= 0, by a two-phase tableau
-    simplex on integers.
-
-    Each row is (integer coefficients followed by the rhs, the positive
-    integer they were scaled by, relation): the rational row times it.  The
-    tableau is kept fraction-free (Edmonds; Bareiss): every stored entry is
-    d times the rational tableau's, with d > 0 the basis determinant's
-    absolute value, so a pivot on (r, c) with entry p > 0 sets each other
-    row to (p * row - row[c] * pivot row) / d, which divides exactly, and d
-    to p.  The cost row is kept the same way, over d times a fixed scale.
-
-    The pivots are those of the rational tableau: its reduced costs, ratios
-    and nonzero entries have the signs and order of these.  A row may be
-    scaled by a positive integer, and a slack or artificial column too, as
-    neither changes which column enters (Bland: the lowest one whose reduced
-    cost is positive), which row leaves (the least ratio, ties to the lower
-    basis index), or any original variable's value.
+    Columns 0..n-1 are q and n..n+m-1 the slacks, whose basis starts
+    feasible with d = 1.  At the optimum the cost row holds -d times the
+    duals p on the slack columns and -d sum(q) = -d sum(p) at its end; so
+    y* = q / sum(q) and x* = p / sum(p) are entries over ``total`` =
+    d sum(q), and the value 1 / sum(q) - shift of k is (d - shift total) /
+    total.
     """
-    n = len(objective)
-    # Normalise to equalities with slack/surplus columns and nonnegative rhs.
-    slack_count = sum(1 for _, _, rel in rows if rel != EQ)
-    m = len(rows)
-    total = n + slack_count
-    art_base = total
-    width = total + m
-    table: List[List[int]] = []
-    slack_idx = 0
-    for i, (row, _, rel) in enumerate(rows):
-        line = row[:-1] + [0] * (slack_count + m) + row[-1:]
-        if rel != EQ:
-            line[n + slack_idx] = 1 if rel == LE else -1
-            slack_idx += 1
-        if line[-1] < 0:
-            line = [-v for v in line]
-        line[art_base + i] = 1
+    n_rows, n_cols = len(k), len(k[0])
+    shift = 1 - min(map(min, k))
+    width = n_cols + n_rows
+    table = []
+    for i, row in enumerate(k):
+        line = [v + shift for v in row] + [0] * (n_rows + 1)
+        line[n_cols + i] = line[-1] = 1
         table.append(line)
-    basis = list(range(art_base, width))
+    basis = list(range(n_cols, width))
+    cost = [1] * n_cols + [0] * (n_rows + 1)
+    d = _pivot_until_optimal(table, cost, basis)
 
-    # Phase 1: max -(sum of artificials).  Row i, scaled by L_i, keeps a unit
-    # artificial, which is L_i times the rational one, so the objective
-    # weighs it 1/L_i.  The reduced costs on the artificial basis are then
-    # the rational column sums, stored over the lcm of the row scales.
-    common = lcm(*(row_scale for _, row_scale, _ in rows))
-    cost = [0] * (width + 1)
-    for line, (_, row_scale, _) in zip(table, rows):
-        weight = common // row_scale
-        cost = [c + weight * v for c, v in zip(cost, line)]
-    for j in range(art_base, width):
-        cost[j] = 0
-
-    d = _pivot_until_optimal(table, cost, basis, width, 1)
-    if cost[-1] != 0:
-        return INFEASIBLE, None, None
-
-    # Drive any artificial variables out of the basis.
-    for i in range(m):
-        if basis[i] >= art_base:
-            pivot_col = next((j for j in range(total) if table[i][j] != 0), None)
-            if pivot_col is None:
-                continue  # redundant row
-            d = _pivot(table, basis, i, pivot_col, d)
-
-    # Phase 2 on the original columns; the artificial ones are dropped.
-    table[:] = [line[:total] + line[-1:] for line in table]
-    cost = [d * c for c in objective] + [0] * (total - n + 1)
-    # Price out basic columns.
+    total = -cost[-1]
+    y = [Fraction(0)] * n_cols
     for i, b in enumerate(basis):
-        if b < n and objective[b] != 0:
-            coef = objective[b]
-            cost = [c - coef * v for c, v in zip(cost, table[i])]
-    d = _pivot_until_optimal(table, cost, basis, total, d)
-    if d is None:
-        return UNBOUNDED, None, None
-
-    solution = [Fraction(0)] * n
-    for i, b in enumerate(basis):
-        if b < n:
-            solution[b] = Fraction(table[i][-1], d)
-    return OPTIMAL, solution, Fraction(-cost[-1], d * scale)
+        if b < n_cols:
+            y[b] = Fraction(table[i][-1], total)
+    x = tuple(Fraction(-c, total) for c in cost[n_cols:width])
+    return Fraction(d - shift * total, total * scale), x, tuple(y)
 
 
-def _pivot_until_optimal(table, cost, basis, width, d):
-    """Pivot by Bland's rule until no reduced cost is positive; the final
-    determinant, or None when the entering column is unbounded."""
+def _pivot_until_optimal(table, cost, basis):
+    """Pivot by Bland's rule from determinant 1 until no reduced cost is
+    positive; the final determinant.  The cost row is kept fraction-free
+    with the table."""
+    width, d = len(cost) - 1, 1
     while True:
         pivot_col = next((j for j in range(width) if cost[j] > 0), None)
         if pivot_col is None:
@@ -205,7 +94,8 @@ def _pivot_until_optimal(table, cost, basis, width, d):
                 if left < right or (left == right and basis[i] < basis[pivot_row]):
                     pivot_row, num, den = i, line[-1], v
         if pivot_row is None:
-            return None
+            # Unreachable: K' > 0 bounds every q_j by 1, so the LP is bounded.
+            raise MatchGamesError("the game LP is unbounded, although every entry of K' is positive")
         line = table[pivot_row]
         p, f = line[pivot_col], cost[pivot_col]
         cost[:] = [(p * a - f * b) // d for a, b in zip(cost, line)]
@@ -213,13 +103,11 @@ def _pivot_until_optimal(table, cost, basis, width, d):
 
 
 def _pivot(table, basis, row, col, d):
-    """Pivot the fraction-free tableau on (row, col); returns the new d.  A
-    negative pivot entry negates its row first, which keeps d positive."""
+    """Pivot the fraction-free tableau on (row, col), whose entry p is
+    positive: each other row becomes (p * row - row[col] * pivot row) / d,
+    an exact division.  Returns the new determinant p."""
     line = table[row]
     p = line[col]
-    if p < 0:
-        table[row] = line = [-v for v in line]
-        p = -p
     for i, other in enumerate(table):
         if i == row:
             continue
@@ -230,60 +118,6 @@ def _pivot(table, basis, row, col, d):
             table[i] = [p * a // d for a in other]
     basis[row] = col
     return p
-
-
-# ---------------------------------------------------------------------------
-# Zero-sum game values
-
-
-def game_value(a: Matrix) -> Tuple[Fraction, Tuple[Fraction, ...], Tuple[Fraction, ...]]:
-    """Value and optimal strategies of the zero-sum game on matrix ``a``.
-
-    The row player maximises x.A.y, the column player minimises.  Returns
-    (w, x*, y*) satisfying the saddle property min_t x*.A.t = w = max_s s.A.y*.
-    A game whose unique optimum a 1 x 1 or 2 x 2 kernel certifies
-    (:func:`_kernel_solution`) is answered in closed form; every other game
-    solves two LPs.  Either answer must pass :func:`_certify_saddle`.
-    """
-    k, scale = _integer_matrix(a)
-    solved = _kernel_solution(a, k, scale) or _lp_solution(a)
-    _certify_saddle(k, scale, *solved)
-    return solved
-
-
-def _lp_solution(a: Matrix) -> tuple:
-    """(value, x*, y*) from the row player's LP and the column player's."""
-    n_rows, n_cols = len(a), len(a[0])
-
-    # Row side: max v s.t. sum_i x_i a[i][j] >= v for all j, x in simplex.
-    lp = LinearProgram(
-        objective=[Fraction(0)] * n_rows + [Fraction(1)],
-        sense="max",
-        free=frozenset([n_rows]),
-    )
-    for j in range(n_cols):
-        lp.add([a[i][j] for i in range(n_rows)] + [Fraction(-1)], GE, Fraction(0))
-    lp.add([Fraction(1)] * n_rows + [Fraction(0)], EQ, Fraction(1))
-    row_result = solve_lp(lp)
-    if row_result.status != OPTIMAL:
-        raise MatchGamesError("game value LP must be solvable")
-    x_star = tuple(row_result.solution[:n_rows])
-    value = row_result.value
-
-    # Column side: min u s.t. sum_j y_j a[i][j] <= u for all i.
-    lp2 = LinearProgram(
-        objective=[Fraction(0)] * n_cols + [Fraction(1)],
-        sense="min",
-        free=frozenset([n_cols]),
-    )
-    for i in range(n_rows):
-        lp2.add([a[i][j] for j in range(n_cols)] + [Fraction(-1)], LE, Fraction(0))
-    lp2.add([Fraction(1)] * n_cols + [Fraction(0)], EQ, Fraction(1))
-    col_result = solve_lp(lp2)
-    if col_result.status != OPTIMAL or col_result.value != value:
-        raise MatchGamesError("primal and dual game values disagree")
-    y_star = tuple(col_result.solution[:n_cols])
-    return value, x_star, y_star
 
 
 def _certify_saddle(k, scale, w, x, y):

@@ -10,10 +10,15 @@ compare the solvers with code that does not share their private paths:
 * ``hull_lp`` answers a repeated game's hull questions by exact simplex LPs
   over the joint distributions on S x T, one lexicographic pass each; the
   package answers them on its hull polygon instead;
-* ``fraction_simplex_lp`` is the package's two-phase simplex as it ran on
-  Fraction tableaus (Bland's entering rule, ratio-test ties to the lower
-  basis index), the reference for the fraction-free integer tableau of
-  ``lp.solve_lp``, whose pivots must be the same;
+* ``fraction_simplex_lp`` solves a general ``LinearProgram`` (max or min,
+  ``<=``/``==``/``>=`` rows, free variables) by a two-phase Fraction
+  tableau simplex (Bland's entering rule, ratio-test ties to the lower
+  basis index), the package's LP before game values moved to one tableau;
+  its two LPs per game (``two_lp_game_value``) are the reference for game
+  values;
+* ``fraction_game_tableau`` is ``lp.solve_lp``'s one-tableau game LP on
+  Fractions, the reference for the fraction-free integer tableau, whose
+  pivots must be the same;
 * ``constrained_best_response_doctor`` and ``_hospital`` are the closed-form
   constrained best responses in Fractions (``best_guarded_mix``), and
   ``deviation_fault`` the CNE deviation audit built on them, the reference
@@ -32,8 +37,10 @@ compare the solvers with code that does not share their private paths:
   against ``hospital_value`` separately.
 """
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from matchgames.core import (
     GENERAL_ENUMERATED,
@@ -50,17 +57,6 @@ from matchgames.errors import (
     InfeasibleError,
     MatchGamesError,
     UnsupportedClassError,
-)
-from matchgames.lp import (
-    EQ,
-    GE,
-    INFEASIBLE,
-    LE,
-    OPTIMAL,
-    UNBOUNDED,
-    LinearProgram,
-    LpResult,
-    solve_lp,
 )
 from matchgames.qcqp import simplex_grid
 from matchgames.stability import check_individual_rationality, find_blocking_coalition
@@ -134,6 +130,40 @@ def solve_qcqp_grid_oracle(a, m, c, grid_resolution):
     return best
 
 
+OPTIMAL = "optimal"
+INFEASIBLE = "infeasible"
+UNBOUNDED = "unbounded"
+
+LE, EQ, GE = "<=", "==", ">="
+
+
+@dataclass
+class LinearProgram:
+    """max/min c.x subject to rows (coeffs, relation, rhs) and x >= 0,
+    except for the variables indexed in ``free``, which are unbounded
+    (internally split into a difference of two nonnegatives).
+    """
+
+    objective: list
+    sense: str = "max"
+    constraints: list = field(default_factory=list)
+    free: frozenset = frozenset()
+
+    def add(self, coeffs, relation, rhs):
+        if len(coeffs) != len(self.objective):
+            raise MatchGamesError("constraint row length does not match variable count")
+        if relation not in (LE, EQ, GE):
+            raise MatchGamesError(f"unknown relation {relation!r}")
+        self.constraints.append((tuple(coeffs), relation, Fraction(rhs)))
+
+
+@dataclass
+class LpResult:
+    status: str
+    value: Fraction = None
+    solution: tuple = None
+
+
 def hull_lp(a, m, objective, f_floor=None, g_floor=None, f_exact=None, g_exact=None):
     """(lambda, (f, g)) of an LP over joint distributions on S x T with the
     given side constraints on the A-average f and the M-average g.
@@ -156,7 +186,7 @@ def hull_lp(a, m, objective, f_floor=None, g_floor=None, f_exact=None, g_exact=N
         program = LinearProgram(objective=passes[name], sense="max")
         for row in rows:
             program.add(*row)
-        result = solve_lp(program)
+        result = fraction_simplex_lp(program)
         if result.status != OPTIMAL:
             raise InfeasibleError("empty feasible payoff region")
         rows.append((passes[name], EQ, result.value))
@@ -166,8 +196,8 @@ def hull_lp(a, m, objective, f_floor=None, g_floor=None, f_exact=None, g_exact=N
 
 
 def fraction_simplex_lp(program):
-    """``solve_lp`` on a Fraction tableau: the same statuses, values and
-    solutions, by the same pivots."""
+    """The program's status, and its optimal value and solution, by a
+    two-phase simplex on Fraction tableaus."""
     n, free = len(program.objective), program.free
     if not all(0 <= i < n for i in free):
         raise MatchGamesError("free variable index outside the variable count")
@@ -190,7 +220,9 @@ def fraction_simplex_lp(program):
                 row[base[i] + 1] -= c
         return row
 
-    sign = Fraction(1) if program.sense == "max" else Fraction(-1)
+    sign = {"max": Fraction(1), "min": Fraction(-1)}.get(program.sense)
+    if sign is None:
+        raise MatchGamesError(f"unknown sense {program.sense!r}: expected 'max' or 'min'")
     objective_row = expand([sign * c for c in program.objective])
     rows = [(expand(coeffs), relation, Fraction(rhs))
             for coeffs, relation, rhs in program.constraints]
@@ -203,6 +235,49 @@ def fraction_simplex_lp(program):
         internal_solution[b] - internal_solution[b + 1] if i in free else internal_solution[b]
         for i, b in enumerate(base))
     return LpResult(status=OPTIMAL, value=sign * value, solution=solution)
+
+
+def two_lp_game_value(a):
+    """(value, x*, y*) of the zero-sum game ``a`` from the row player's LP
+    (max v s.t. x.A >= v, x in the simplex) and the column player's (min u
+    s.t. A.y <= u, y in the simplex); their values must agree."""
+    n_rows, n_cols = len(a), len(a[0])
+    row_lp = LinearProgram(objective=[Fraction(0)] * n_rows + [Fraction(1)], sense="max",
+                           free=frozenset([n_rows]))
+    for j in range(n_cols):
+        row_lp.add([a[i][j] for i in range(n_rows)] + [Fraction(-1)], GE, Fraction(0))
+    row_lp.add([Fraction(1)] * n_rows + [Fraction(0)], EQ, Fraction(1))
+    col_lp = LinearProgram(objective=[Fraction(0)] * n_cols + [Fraction(1)], sense="min",
+                           free=frozenset([n_cols]))
+    for i in range(n_rows):
+        col_lp.add([a[i][j] for j in range(n_cols)] + [Fraction(-1)], LE, Fraction(0))
+    col_lp.add([Fraction(1)] * n_cols + [Fraction(0)], EQ, Fraction(1))
+    row, col = fraction_simplex_lp(row_lp), fraction_simplex_lp(col_lp)
+    assert row.status == col.status == OPTIMAL and row.value == col.value
+    return row.value, tuple(row.solution[:n_rows]), tuple(col.solution[:n_cols])
+
+
+def fraction_game_tableau(a):
+    """(value, x*, y*) of the zero-sum game ``a`` from one Fraction tableau:
+    max sum(q) s.t. A'q <= 1, q >= 0, pivoted by Bland's rule from the slack
+    basis, for A' = A + 1/L - min A (L the lcm of the denominators), whose
+    least entry is 1/L.  A' is ``lp.solve_lp``'s integer K' over L, so the
+    pivots are the same.  y* is q / sum(q), x* the slacks' duals over
+    their sum, and the value 1 / sum(q) less the shift."""
+    n_rows, n_cols = len(a), len(a[0])
+    shift = Fraction(1, lcm(*(v.denominator for row in a for v in row))) - min(map(min, a))
+    table = [[v + shift for v in row] + [Fraction(int(t == i)) for t in range(n_rows)] + [Fraction(1)]
+             for i, row in enumerate(a)]
+    basis = list(range(n_cols, n_cols + n_rows))
+    cost = [Fraction(1)] * n_cols + [Fraction(0)] * (n_rows + 1)
+    assert _pivot_until_optimal(table, cost, basis, n_cols + n_rows) == OPTIMAL
+    total = -cost[-1]
+    y = [Fraction(0)] * n_cols
+    for i, b in enumerate(basis):
+        if b < n_cols:
+            y[b] = table[i][-1] / total
+    x = tuple(-c / total for c in cost[n_cols:n_cols + n_rows])
+    return 1 / total - shift, x, tuple(y)
 
 
 def _simplex_standard(objective, rows):

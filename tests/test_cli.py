@@ -62,13 +62,19 @@ def test_zero_epsilon_is_an_input_error(tmp_path):
                 "--output", str(tmp_path / "x.json")]) == 1
 
 
-def test_corrupted_allocation_fails_verification(tmp_path):
+def _corrupted_allocation(tmp_path):
+    """EX4's DAC output, hand-corrupted to pay seller a the bottom of the
+    price grid (price 0), which (a, beta) blocks."""
     alloc_path = tmp_path / "alloc.json"
-    run(["solve-dac", "--input", EX4, "--epsilon", "1/2", "--output", str(alloc_path)])
+    assert run(["solve-dac", "--input", EX4, "--epsilon", "1/2", "--output", str(alloc_path)]) == 0
     doc = json.loads(alloc_path.read_text())
-    # hand-corrupt: pay seller a the bottom of the grid (price 0)
     doc["hospital_strategies"]["alpha|a"] = ["1"] + ["0"] * 10
     alloc_path.write_text(json.dumps(doc))
+    return alloc_path
+
+
+def test_corrupted_allocation_fails_verification(tmp_path):
+    alloc_path = _corrupted_allocation(tmp_path)
     code = run(["verify", "--input", EX4, "--allocation", str(alloc_path),
                 "--epsilon", "1/2", "--output", str(tmp_path / "report.json")])
     assert code == 2
@@ -426,3 +432,30 @@ def test_malformed_matchings_raise_the_named_error():
     allocation.matching = {"d1": None, "d3": "d1"}  # the one-sided entry is the larger id's
     with pytest.raises(MalformedMatchingError, match="d1 -> unmatched, d3 -> d1"):
         evaluate_payoffs(inst, allocation)
+
+
+def test_renegotiating_a_blocked_allocation_is_an_input_error(tmp_path, capsys):
+    out_path = tmp_path / "reneg.json"
+    assert run(["renegotiate", "--input", EX4, "--allocation", str(_corrupted_allocation(tmp_path)),
+                "--epsilon", "1/2", "--output", str(out_path)]) == 1
+    assert capsys.readouterr().err == "error: input allocation is blocked by (a,beta)\n"
+    assert not out_path.exists()
+
+
+def test_solve_dac_oracle_witness_fails_verification(tmp_path, monkeypatch):
+    from matchgames import stability
+    monkeypatch.setattr(stability, "find_blocking_pair", lambda *args, **kwargs: "planted witness")
+    out_path = tmp_path / "alloc.json"
+    assert run(["solve-dac", "--input", EX4, "--epsilon", "1/2", "--output", str(out_path), "--oracle"]) == 2
+    assert json.loads(out_path.read_text())["matching"]
+
+
+def test_renegotiate_certificate_failure_fails_verification(tmp_path, monkeypatch, capsys):
+    from matchgames import stability
+    alloc_path, out_path = tmp_path / "alloc.json", tmp_path / "reneg.json"
+    assert run(["solve-dac", "--input", EX4, "--epsilon", "1/2", "--output", str(alloc_path)]) == 0
+    monkeypatch.setattr(stability, "verify_renegotiation_proof", lambda *args: (False, "planted witness"))
+    assert run(["renegotiate", "--input", EX4, "--allocation", str(alloc_path), "--epsilon", "1/2",
+                "--output", str(out_path)]) == 2
+    assert capsys.readouterr().err == "verification failed: planted witness\n"
+    assert "sweeps" in json.loads(out_path.read_text())

@@ -9,15 +9,19 @@ same error class, message and entry for every malformed document.
 
 import copy
 import gc
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from matchgames import core
+from matchgames.cli import main
 from matchgames.core import BimatrixGame, load_instance, parse_matrix, serialize_instance
 from matchgames.errors import MatchGamesError
 from matchgames.gen import generate_instance
+
+from fixtures import hedonic_instance
 
 ONE_SHOT = ["zero_sum", "strictly_competitive"]
 
@@ -95,6 +99,33 @@ def test_loaded_games_equal_the_validated_constructor():
                               for row in entry["A"] + entry["M"] for v in row)
     assert seen_classes == {"zero_sum", "strictly_competitive", "repeated"}
     assert seen_forms == {"int", "padded", "-0", "scaled", "text"}
+
+
+def test_an_enumerated_model_survives_its_document(tmp_path):
+    """The hedonic example written and read back keeps every coalition
+    table, and ``verify`` on the document decides pairs by the table."""
+    inst = hedonic_instance()
+    path = tmp_path / "hedonic.json"
+    path.write_text(json.dumps(serialize_instance(inst)))
+    loaded = load_instance(str(path))
+    assert loaded.model == inst.model
+    assert loaded.coalition_doctor_payoffs == inst.coalition_doctor_payoffs
+    assert loaded.coalition_hospital_payoffs == inst.coalition_hospital_payoffs
+
+    def verify(matching):
+        alloc, report = tmp_path / "alloc.json", tmp_path / "report.json"
+        alloc.write_text(json.dumps({"matching": matching}))
+        code = main(["verify", "--input", str(path), "--allocation", str(alloc), "--epsilon", "1/2",
+                     "--coalitions", "3", "--output", str(report)])
+        return code, json.loads(report.read_text())
+
+    # All three at a pay doctor 1 -1, and alone she gets 0.
+    code, report = verify({"1": "a", "2": "a", "3": "a"})
+    assert code == 2
+    assert report["blocking_pair"] == {"doctor": "1", "partner": "a", "doctor_gain": "1",
+                                       "partner_gain": "0", "method": "exact_table"}
+    code, report = verify({"1": "a", "2": "a", "3": "b"})
+    assert code == 0 and report["blocking_pair"] is None
 
 
 def test_literals_share_one_object_per_value():

@@ -6,16 +6,19 @@ import pytest
 
 from matchgames import core
 from matchgames.errors import GameValueCertificateError, MatchGamesError
-from matchgames.lp import EQ, GE, LE, LinearProgram, game_value, solve_lp
+from matchgames.lp import _certify_saddle, game_value, solve_lp
 from matchgames.gen import random_matrix
 
-from oracles import fraction_simplex_lp
+from oracles import EQ, GE, LE, LinearProgram, fraction_game_tableau, fraction_simplex_lp, two_lp_game_value
+
+# ---------------------------------------------------------------------------
+# The reference LP (``oracles.fraction_simplex_lp``) on textbook programs
 
 
 def test_bounded_max():
     lp = LinearProgram(objective=[F(1)])
     lp.add([F(1)], LE, F(3))
-    result = solve_lp(lp)
+    result = fraction_simplex_lp(lp)
     assert result.status == "optimal"
     assert result.value == 3
     assert result.solution == (F(3),)
@@ -24,19 +27,19 @@ def test_bounded_max():
 def test_infeasible():
     lp = LinearProgram(objective=[F(1)])
     lp.add([F(1)], LE, F(-1))
-    assert solve_lp(lp).status == "infeasible"
+    assert fraction_simplex_lp(lp).status == "infeasible"
 
 
 def test_unbounded():
     lp = LinearProgram(objective=[F(1)])
-    assert solve_lp(lp).status == "unbounded"
+    assert fraction_simplex_lp(lp).status == "unbounded"
 
 
 def test_solution_satisfies_constraints_exactly():
     lp = LinearProgram(objective=[F(3), F(2)], sense="max")
     lp.add([F(1), F(1)], LE, F(4))
     lp.add([F(1), F(3)], LE, F(6))
-    result = solve_lp(lp)
+    result = fraction_simplex_lp(lp)
     x, y = result.solution
     assert x + y <= 4 and x + 3 * y <= 6
     assert 3 * x + 2 * y == result.value == 12
@@ -47,60 +50,46 @@ def test_equality_and_free_variables():
     lp.add([F(0), F(1)], LE, F(5))
     lp.add([F(1), F(1)], EQ, F(4))
     lp.add([F(1), F(0)], GE, F(-10))
-    result = solve_lp(lp)
+    result = fraction_simplex_lp(lp)
     assert result.value == -7
     assert result.solution == (F(-1), F(5))
 
 
 def test_free_index_outside_the_variables_raises():
     with pytest.raises(MatchGamesError):
-        solve_lp(LinearProgram(objective=[F(1)], free=frozenset([1])))
+        fraction_simplex_lp(LinearProgram(objective=[F(1)], free=frozenset([1])))
 
 
 def test_unknown_sense_raises():
     lp = LinearProgram(objective=[F(1)], sense="maximize")
     lp.add([F(1)], LE, F(5))
     with pytest.raises(MatchGamesError, match="'maximize'"):
-        solve_lp(lp)
+        fraction_simplex_lp(lp)
 
 
 # ---------------------------------------------------------------------------
-# The integer tableau against the Fraction tableau
+# The integer game tableau against the Fraction one
 
 
-def _same_answer(program):
-    got, want = solve_lp(program), fraction_simplex_lp(program)
-    assert (got.status, got.value, got.solution) == (want.status, want.value, want.solution)
-    return got.status
-
-
-def _random_program(rng):
-    """An LP of up to 5 variables and 6 rows: max or min, free variables,
-    every relation, and a third of the time every rhs 0 and a row repeated,
-    so that vertices are degenerate and ratio tests tie."""
-    n = rng.randint(1, 5)
-    den = rng.randint(1, 6)
-
-    def value():
-        return F(rng.randint(-4, 4), rng.randint(1, den))
-
-    program = LinearProgram(objective=[value() for _ in range(n)], sense=rng.choice(("max", "min")),
-                            free=frozenset(i for i in range(n) if rng.random() < 0.2))
-    degenerate = rng.random() < 1 / 3
-    for _ in range(rng.randint(0, 5)):
-        program.add([value() if rng.random() < 0.8 else F(0) for _ in range(n)],
-                    rng.choice((LE, LE, EQ, GE)), F(0) if degenerate else value())
-    if degenerate and program.constraints:
-        program.constraints.append(rng.choice(program.constraints))
-    return program
+def _same_answer(a):
+    """``solve_lp`` on the game ``a`` equals the Fraction game tableau and
+    passes the saddle certificate."""
+    k, scale = core._integer_matrix(a)
+    got = solve_lp(k, scale)
+    assert got == fraction_game_tableau(a), a
+    _certify_saddle(k, scale, *got)
+    return got
 
 
 def test_integer_tableau_equals_the_fraction_tableau():
+    """1,500 random games of up to 5 x 5, a kernel or not: all the
+    ``_random_game_matrix`` kinds, and random matrices whose entries have
+    denominators up to 6."""
     rng = random.Random(2025)
-    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
-    for _ in range(1500):
-        statuses[_same_answer(_random_program(rng))] += 1
-    assert min(statuses.values()) >= 300, statuses
+    for _ in range(1000):
+        _same_answer(_random_game_matrix(rng))
+    for _ in range(500):
+        _same_answer(random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), max_denominator=6))
 
 
 def test_degenerate_programs_with_ratio_ties():
@@ -110,51 +99,74 @@ def test_degenerate_programs_with_ratio_ties():
     beale.add([F(1, 4), F(-8), F(-1), F(9)], LE, F(0))
     beale.add([F(1, 2), F(-12), F(-1, 2), F(3)], LE, F(0))
     beale.add([F(0), F(0), F(1), F(0)], LE, F(1))
-    assert _same_answer(beale) == "optimal"
-    assert solve_lp(beale).value == F(5, 4)
+    assert fraction_simplex_lp(beale).value == F(5, 4)
     # Three rows through the vertex (1, 1): when y enters, the slacks of
     # y <= 1 and x + y <= 2 tie at ratio 1, and the lower basis index leaves.
     square = LinearProgram(objective=[F(1), F(1)])
     for row, rhs in (([F(1), F(0)], 1), ([F(0), F(1)], 1), ([F(1), F(1)], 2)):
         square.add(row, LE, F(rhs))
-    assert _same_answer(square) == "optimal"
-    assert solve_lp(square).solution == (F(1), F(1))
-    # A tied minimum of a 1 x 3 game: the simplex's pivots pick its answer.
+    assert fraction_simplex_lp(square).solution == (F(1), F(1))
+    # A tied minimum of a 1 x 3 game: q0 enters first and q1 replaces it;
+    # q2, tied with q1, is then left at reduced cost 0, so y* is the first
+    # tied column.
     assert game_value(((F(-1), F(-10), F(-10)),)) == (F(-10), (F(1),), (F(0), F(1), F(0)))
+    # Game tableaus whose ratio tests tie: equal rows, a constant game, a
+    # tied maximum of an n x 1 game and two copies of rock-paper-scissors.
+    rps = ((F(0), F(-1), F(1)), (F(1), F(0), F(-1)), (F(-1), F(1), F(0)))
+    for a in (((F(3), F(1)), (F(3), F(1))), ((F(2, 3),) * 3,) * 2, ((F(4),), (F(4),), (F(1),)),
+              rps + rps):
+        _same_answer(a)
 
 
-def test_integer_tableau_on_the_mixed_market_games(monkeypatch, tmp_path):
-    """Every LP a seed-1 mixed-market benchmark pass solves: 52 generated
-    20 x 6 markets of zero-sum and strictly competitive pairs at eps 1/2,
-    each through solve-dac, verify, renegotiate and verify again, with the
-    generator seeds the benchmark draws for seed 1."""
+def _benchmark_lp_games(monkeypatch, tmp_path, workload, units, gen_args):
+    """The game of every LP one seed-1 pass of a market workload solves:
+    ``units`` generated markets, each through solve-dac, verify, renegotiate
+    and verify again at eps 1/2, with the generator seeds the benchmark
+    draws for seed 1, as Fraction matrices."""
     import matchgames.lp as lp_module
     from matchgames.cli import main
 
-    programs = []
+    games = []
     solve = lp_module.solve_lp
-    monkeypatch.setattr(lp_module, "solve_lp", lambda program: programs.append(program) or solve(program))
-    seeds = random.Random("mixed-market:1")
+    monkeypatch.setattr(lp_module, "solve_lp", lambda k, scale: games.append(
+        tuple(tuple(F(v, scale) for v in row) for row in k)) or solve(k, scale))
+    seeds = random.Random(f"{workload}:1")
     inst, dac, reneg, report = (str(tmp_path / name) for name in ("i.json", "d.json", "r.json", "v.json"))
-    for _ in range(52):
-        assert main(["gen", "--seed", str(seeds.randrange(1 << 31)), "--doctors", "20", "--hospitals", "6",
-                     "--classes", "zero_sum,strictly_competitive", "--output", inst]) == 0
+    for _ in range(units):
+        assert main(["gen", "--seed", str(seeds.randrange(1 << 31)), *gen_args, "--output", inst]) == 0
         common = ["--input", inst, "--epsilon", "1/2"]
         assert main(["solve-dac", *common, "--output", dac]) == 0
         assert main(["verify", *common, "--allocation", dac, "--coalitions", "4", "--output", report]) in (0, 2)
         assert main(["renegotiate", *common, "--allocation", dac, "--output", reneg]) == 0
         assert main(["verify", *common, "--allocation", reneg, "--renegotiation", "--output", report]) == 0
     monkeypatch.undo()
-    assert len(programs) == 64
-    for program in programs:
-        assert _same_answer(program) == "optimal"
+    return games
+
+
+def test_integer_tableau_on_the_mixed_market_games(monkeypatch, tmp_path):
+    """All 32 LP games of a seed-1 mixed-market pass: 52 20 x 6 markets of
+    zero-sum and strictly competitive pairs."""
+    games = _benchmark_lp_games(monkeypatch, tmp_path, "mixed-market", 52, [
+        "--doctors", "20", "--hospitals", "6", "--classes", "zero_sum,strictly_competitive"])
+    assert len(games) == 32
+    for a in games:
+        assert _same_answer(a)[0] == two_lp_game_value(a)[0], a
+
+
+def test_integer_tableau_on_the_zs_market_games(monkeypatch, tmp_path):
+    """All 7 LP games of a seed-1 zs-market pass: 24 zero-sum 40 x 10
+    markets."""
+    games = _benchmark_lp_games(monkeypatch, tmp_path, "zs-market", 24, ["--doctors", "40", "--hospitals", "10"])
+    assert len(games) == 7
+    for a in games:
+        assert _same_answer(a)[0] == two_lp_game_value(a)[0], a
 
 
 def test_game_value_certifies_the_kernel_and_the_lp(monkeypatch):
     import matchgames.lp as lp_module
 
     pennies = ((F(1), F(-1)), (F(-1), F(1)))
-    tied = ((F(2), F(2), F(3)),)  # a tied minimum: two LPs
+    tied = ((F(2), F(2), F(3)),)  # a tied minimum: the LP
     kernel = lp_module._kernel_solution
     monkeypatch.setattr(lp_module, "_kernel_solution",
                         lambda a, k, scale: kernel(a, k, scale) and (F(1, 3), *kernel(a, k, scale)[1:]))
@@ -164,22 +176,18 @@ def test_game_value_certifies_the_kernel_and_the_lp(monkeypatch):
 
     solve = lp_module.solve_lp
 
-    def off_simplex(program):  # the column LP's y* leaves the simplex
-        result = solve(program)
-        if program.sense == "min":
-            result.solution = (F(3, 2), F(-1, 2)) + result.solution[2:]
-        return result
+    def off_simplex(k, scale):  # y* leaves the simplex
+        w, x, y = solve(k, scale)
+        return w, x, (F(3, 2), F(-1, 2)) + y[2:]
 
     monkeypatch.setattr(lp_module, "solve_lp", off_simplex)
     with pytest.raises(GameValueCertificateError, match="y\\* is not a probability vector"):
         game_value(tied)
     monkeypatch.undo()
 
-    def worse_row(program):  # the row LP's x* is feasible but not optimal
-        result = solve(program)
-        if program.sense == "max":
-            result.solution = (F(1), F(0))
-        return result
+    def worse_row(k, scale):  # x* is feasible but not optimal
+        w, _, y = solve(k, scale)
+        return w, (F(1), F(0)), y
 
     monkeypatch.setattr(lp_module, "solve_lp", worse_row)
     with pytest.raises(GameValueCertificateError, match="best column against x\\*"):
@@ -222,25 +230,6 @@ def test_saddle_inequalities_random():
 
 # ---------------------------------------------------------------------------
 # Strict saddle points in closed form, against the two-LP reference
-
-
-def _two_lp_game_value(a):
-    """The value and optimal strategies from the row LP and the column LP,
-    built here on ``solve_lp`` alone."""
-    n_rows, n_cols = len(a), len(a[0])
-    row_lp = LinearProgram(objective=[F(0)] * n_rows + [F(1)], sense="max",
-                           free=frozenset([n_rows]))
-    for j in range(n_cols):
-        row_lp.add([a[i][j] for i in range(n_rows)] + [F(-1)], GE, F(0))
-    row_lp.add([F(1)] * n_rows + [F(0)], EQ, F(1))
-    col_lp = LinearProgram(objective=[F(0)] * n_cols + [F(1)], sense="min",
-                           free=frozenset([n_cols]))
-    for i in range(n_rows):
-        col_lp.add([a[i][j] for j in range(n_cols)] + [F(-1)], LE, F(0))
-    col_lp.add([F(1)] * n_cols + [F(0)], EQ, F(1))
-    row, col = solve_lp(row_lp), solve_lp(col_lp)
-    assert row.value == col.value
-    return row.value, tuple(row.solution[:n_rows]), tuple(col.solution[:n_cols])
 
 
 def _reference_strict_saddle(a):
@@ -313,9 +302,9 @@ def _count_lp_solves(monkeypatch):
     calls = []
     solve = lp_module.solve_lp
 
-    def counting(program):
-        calls.append(program)
-        return solve(program)
+    def counting(k, scale):
+        calls.append(k)
+        return solve(k, scale)
 
     monkeypatch.setattr(lp_module, "solve_lp", counting)
     return calls
@@ -326,43 +315,45 @@ def test_game_value_equals_the_two_lp_reference(monkeypatch):
     strict = kernel = simplex = 0
     for _ in range(600):
         a = _random_game_matrix(rng)
-        expected = _two_lp_game_value(a)
+        expected = two_lp_game_value(a)
         calls = _count_lp_solves(monkeypatch)
-        assert game_value(a) == expected, a
+        got = game_value(a)
         monkeypatch.undo()
         certified = _reference_kernel(a)
         if certified is None:
-            assert len(calls) == 2, a
+            # Where optima are not unique, the one tableau may stop at
+            # another optimal pair than the two LPs: the values agree.
+            assert got[0] == expected[0] and len(calls) == 1, a
             simplex += 1
         else:
-            assert len(calls) == 0, a
-            assert expected == certified
+            assert got == expected == certified and len(calls) == 0, a
             if _reference_strict_saddle(a) is None:
                 kernel += 1
             else:
                 strict += 1
-    assert strict >= 150 and kernel >= 50 and simplex >= 150
+    assert strict >= 150 and kernel >= 50 and simplex >= 300
 
 
 @pytest.mark.parametrize("a, lp_solves", [
     (((F(1), F(2)), (F(0), F(3))), 0),             # strict saddle at (0, 0)
     (((F(5, 3), F(1, 3), F(2)),), 0),               # 1 x n with a unique minimum
     (((F(7),),), 0),                                # 1 x 1
-    (((F(1), F(1)), (F(0), F(0))), 2),              # saddle value 1, tied in its row
-    (((F(2), F(2), F(3)),), 2),                     # 1 x n with a tied minimum
-    (((F(4),), (F(4),), (F(1),)), 2),               # n x 1 with a tied maximum
-    (((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))), 2),  # constant
+    (((F(1), F(1)), (F(0), F(0))), 1),              # saddle value 1, tied in its row
+    (((F(2), F(2), F(3)),), 1),                     # 1 x n with a tied minimum
+    (((F(4),), (F(4),), (F(1),)), 1),               # n x 1 with a tied maximum
+    (((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))), 1),  # constant
     (((F(1), F(-1)), (F(-1), F(1))), 0),            # no pure saddle: a 2 x 2 kernel
-    (((F(3), F(1)), (F(3), F(1))), 2),              # d = 0, equal rows
+    (((F(3), F(1)), (F(3), F(1))), 1),              # d = 0, equal rows
     (((F(3), F(1)), (F(2), F(0))), 0),              # d = 0, a strict saddle at (0, 1)
-    (((F(1), F(-1)), (F(-1), F(1)), (F(2), F(-2))), 2),  # an outside row ties v
-    (((F(0), F(-1), F(1)), (F(1), F(0), F(-1)), (F(-1), F(1), F(0))), 2),  # completely mixed
+    (((F(1), F(-1)), (F(-1), F(1)), (F(2), F(-2))), 1),  # an outside row ties v
+    (((F(0), F(-1), F(1)), (F(1), F(0), F(-1)), (F(-1), F(1), F(0))), 1),  # completely mixed
 ])
 def test_strict_saddles_solve_no_lp(monkeypatch, a, lp_solves):
-    expected = _two_lp_game_value(a)
+    expected = two_lp_game_value(a)
     calls = _count_lp_solves(monkeypatch)
-    assert game_value(a) == expected
-    assert len(calls) == lp_solves == (0 if _reference_kernel(a) else 2)
+    got = game_value(a)
+    assert got == expected if lp_solves == 0 else got[0] == expected[0]
+    assert len(calls) == lp_solves == (0 if _reference_kernel(a) else 1)
 
 
 @pytest.mark.parametrize("a, answer", [
@@ -376,7 +367,7 @@ def test_strict_saddles_solve_no_lp(monkeypatch, a, lp_solves):
      (F(6, 5), (F(0), F(2, 5), F(3, 5)), (F(2, 5), F(3, 5)))),
 ])
 def test_two_by_two_kernels_are_closed_forms(monkeypatch, a, answer):
-    assert _two_lp_game_value(a) == answer
+    assert two_lp_game_value(a) == answer
     calls = _count_lp_solves(monkeypatch)
     assert game_value(a) == answer
     assert calls == []

@@ -17,7 +17,7 @@ from matchgames.core import (
 )
 from matchgames.errors import InfeasibleReservationsError, InputNotPairwiseStableError
 from matchgames.gen import generate_instance, random_game, random_matrix
-from matchgames.lp import GE, OPTIMAL, LinearProgram, game_value, solve_lp
+from matchgames.lp import game_value
 from matchgames.dac import run_dac
 from matchgames.renegotiation import (
     ReservationPair,
@@ -36,9 +36,14 @@ from matchgames.core import matrix_bounds
 from bridge_reference import bridge
 from fixtures import PD_A, PD_M
 from oracles import (
+    EQ,
+    GE,
+    OPTIMAL,
+    LinearProgram,
     constrained_best_response_doctor,
     constrained_best_response_hospital,
     deviation_fault,
+    fraction_simplex_lp,
 )
 
 
@@ -404,11 +409,11 @@ class TestRenegotiationProcess:
 
 
 def _lp_best_response(gain, guard, floor):
-    """max p.gain over the simplex with p.guard >= floor, by the simplex LP."""
+    """max p.gain over the simplex with p.guard >= floor, by the reference LP."""
     lp = LinearProgram(objective=list(gain))
-    lp.add([F(1)] * len(gain), "==", F(1))
+    lp.add([F(1)] * len(gain), EQ, F(1))
     lp.add(list(guard), GE, floor)
-    result = solve_lp(lp)
+    result = fraction_simplex_lp(lp)
     return result.value if result.status == OPTIMAL else None
 
 
@@ -583,9 +588,9 @@ PINNED_WITNESSES = [  # (seed, tight, case tag, x, y)
      (F(0), F(1))),
     # Seeds 134 and 219 tie at the largest slide step; the smallest index wins.
     (134, False, "doctor_binding", (F(0), F(0), F(1)),
-     (F(1161, 9830), F(0), F(461, 1966), F(3182, 4915))),
+     (F(1161, 9830), F(461, 1966), F(0), F(3182, 4915))),
     (134, True, "doctor_binding", (F(0), F(0), F(1)),
-     (F(52, 445), F(0), F(19, 89), F(298, 445))),
+     (F(52, 445), F(19, 89), F(0), F(298, 445))),
     (134, False, "hospital_binding", (F(53, 75), F(0), F(22, 75)),
      (F(0), F(1), F(0), F(0))),
     (134, True, "hospital_binding", (F(18, 25), F(0), F(7, 25)),
@@ -633,7 +638,7 @@ PINNED_MARKET_DIGESTS = {
     (5, 20, 6, 'zero_sum,strictly_competitive'): '8cc21818010aba047bbdacea3de6e6adfb927e2036b8003eaa0e5aa2914709b7',
     (6, 20, 6, 'zero_sum,strictly_competitive'): 'b0a682a451cb7415f6a072ec3bccdf5be7fe43a485afa50a1195c76aaf779a1c',
     (7, 20, 6, 'zero_sum,strictly_competitive'): 'a6c76713416d584bbfa5a52d161b8b5f441effc90edfa9769ee4ea53038b145c',
-    (8, 20, 6, 'zero_sum,strictly_competitive'): '4801f5e3d774e05526685a5caea7e1fe1002b30cf3e29db21a4ddc4a39644146',
+    (8, 20, 6, 'zero_sum,strictly_competitive'): '5717e79adc2b82ca826409a93bd9ae932d04f3034a0b5fec0a50bee948a1d2df',
 }
 
 
@@ -699,9 +704,9 @@ def test_pinned_markets_take_both_game_value_paths(monkeypatch, tmp_path):
     solves, paths = [], []
     solve, value = lp_module.solve_lp, lp_module.game_value
 
-    def counting_solve(program):
-        solves.append(program)
-        return solve(program)
+    def counting_solve(k, scale):
+        solves.append(k)
+        return solve(k, scale)
 
     def recording_value(a):
         before = len(solves)
@@ -713,8 +718,8 @@ def test_pinned_markets_take_both_game_value_paths(monkeypatch, tmp_path):
     monkeypatch.setattr(renegotiation_module, "game_value", recording_value)
     for market in ((1, 40, 10, "zero_sum"), (7, 20, 6, "zero_sum,strictly_competitive")):
         _market_documents(tmp_path, *market)
-    assert {lp_solves for _, _, lp_solves in paths} == {0, 2}
-    assert any(lp_solves == 2 and 1 in (rows, cols) for rows, cols, lp_solves in paths)
+    assert {lp_solves for _, _, lp_solves in paths} == {0, 1}
+    assert any(lp_solves == 1 and 1 in (rows, cols) for rows, cols, lp_solves in paths)
 
 
 def test_punishment_levels_are_solved_once_per_repeated_game(monkeypatch, tmp_path):
