@@ -7,6 +7,18 @@ Everything authoritative runs on exact rational arithmetic; independent
 brute-force oracles certify every solver output.
 """
 
+from .contracts import (
+    ChoiceRules,
+    ContractModel,
+    check_hm_stability,
+    check_irc,
+    check_substitutability,
+    choice_doctor,
+    choice_hospital,
+    is_individually_rational,
+    is_pairwise_stable,
+    run_da_contracts,
+)
 from .core import (
     Allocation,
     BimatrixGame,

@@ -171,12 +171,12 @@ def cmd_contracts_da(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     model = contracts_mod.load_contract_model(doc)
-    allocation = contracts_mod.run_da_contracts(model)
+    tables = contracts_mod.ChoiceRules(model)  # compiled once, read by DA and every audit
+    allocation = contracts_mod.run_da_contracts(model, tables=tables)
     out = contracts_mod.serialize_contract_allocation(model, allocation)
     status = EXIT_OK
     if args.audit:
         audit = {}
-        tables = {}  # one choice table per hospital, shared by the three audits
         for h in model.hospitals:
             subs_ok, subs_witness = contracts_mod.check_substitutability(
                 model, h, cap=args.scan_cap, tables=tables)
@@ -192,7 +192,7 @@ def cmd_contracts_da(args) -> int:
         stable, witness = contracts_mod.check_hm_stability(
             model, allocation, cap=args.scan_cap, tables=tables)
         audit["stable"] = stable
-        audit["pairwise_stable"] = contracts_mod.is_pairwise_stable(model, allocation)
+        audit["pairwise_stable"] = contracts_mod.is_pairwise_stable(model, allocation, tables=tables)
         if not stable:
             audit["stability_witness"] = str(witness)
             status = EXIT_VERIFY

@@ -9,12 +9,19 @@ total order over admissible subsets, so the irrelevance of rejected
 contracts (IRC) holds by construction, while tables can break
 substitutability.
 
-The audits stay exhaustive.  Each reads a hospital's choice table (the
-choice out of every subset of its n contracts, as bit masks) through its
-bit planes, n ints of 2^n bits: after the O(n 2^n) pass that builds the
-table and its planes, substitutability and IRC are O(n^2) word operations,
-and a witness is located by the subset-by-subset visit order only when an
-audit fails.
+A model's choice rules are compiled once (``ChoiceRules``) and every
+question of one command reads them: each doctor's acceptable contracts are
+ranked once, and each hospital's contracts get bit indices, so a choice is
+one greedy walk (additive) or one scan of a ranking (table) on bit masks.
+
+The audits stay exhaustive.  Each reads a hospital's choices out of every
+subset of its n contracts through its bit planes, n ints of 2^n bits.  An
+additive hospital's planes are built straight from its greedy walk, in
+O(n min(quota, n)) word operations and with no 2^n table; a table
+hospital's come from an O(n 2^n) subset DP over its ranking.
+Substitutability and IRC are then O(n^2) word operations, full stability
+reads its candidate blocking sets off the planes, and a witness is located
+by the subset-by-subset visit order only when an audit fails.
 """
 
 from __future__ import annotations
@@ -105,39 +112,19 @@ class ContractModel:
 def choice_doctor(model: ContractModel, d: str, subset: Sequence[str]) -> Optional[str]:
     """The doctor's favourite own contract in the subset, or None for the
     empty contract; ties break to the lexicographically smallest id."""
-    best = None
-    for cid in sorted(set(subset)):
-        contract = model.contracts.get(cid)
-        if contract is None or contract.doctor != d:
-            continue
-        u = model.doctor_utilities[(d, cid)]
-        if u < 0:
-            continue  # worse than staying unmatched
-        if best is None or u > best[0]:
-            best = (u, cid)
-    return best[1] if best else None
+    pool = set(subset)
+    return next((cid for cid in _preference(model, d, model.contracts_of_doctor(d)) if cid in pool),
+                None)
 
 
 def choice_hospital(model: ContractModel, h: str, subset: Sequence[str]) -> FrozenSet[str]:
     """The hospital's favourite admissible subset of its contracts in
     ``subset``; ties break to the lexicographically smallest sorted id tuple,
-    and the empty set wins at value 0.  One pool is chosen by the rules that
-    fill ``_choice_table``: one greedy walk for an additive hospital, the best
-    ranked admissible subset for a table hospital."""
-    own = sorted({cid for cid in subset if model.contracts[cid].hospital == h})
-    if h in model.hospital_tables:
-        ranked = _table_ranking(model, h, own)
-        return _decode(own, ranked[-1] if ranked else 0)
-    chosen = prior = 0
-    quota = model.hospital_quotas.get(h, 1)
-    for step in _walk_order(model, h, own):
-        chosen = _join(chosen, prior, step, quota)
-        prior |= step[0]
-    return _decode(own, chosen)
-
-
-def _decode(own: Sequence[str], mask: int) -> FrozenSet[str]:
-    return frozenset(_ids(own, mask))
+    and the empty set wins at value 0.  One pool is chosen by the compiled
+    rule that answers every audit: one greedy walk for an additive hospital,
+    the best ranked admissible subset for a table hospital."""
+    rule = _HospitalRule(model, h)
+    return frozenset(_ids(rule.own, rule[rule.mask(subset)]))
 
 
 def _ids(own: Sequence[str], mask: int) -> Tuple[str, ...]:
@@ -145,9 +132,36 @@ def _ids(own: Sequence[str], mask: int) -> Tuple[str, ...]:
     return tuple(cid for i, cid in enumerate(own) if mask >> i & 1)
 
 
-# Choice rules on bit masks.  ``own`` is a sorted list of one hospital's
-# contracts and bit i stands for ``own[i]``, so comparing two single bits
-# compares two ids.
+def _members(x: int) -> List[int]:
+    """The positions of the set bits of x, lowest first."""
+    digits = bin(x)[:1:-1]
+    found = []
+    i = digits.find("1")
+    while i >= 0:
+        found.append(i)
+        i = digits.find("1", i + 1)
+    return found
+
+
+def _integers(values: Sequence[Fraction]) -> List[int]:
+    """Exact rationals as integers over their common denominator, which
+    compare as the rationals do."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
+# Compiled choice rules.  A doctor's rule is the doctor's acceptable
+# contracts, ranked once.  A hospital's rule gives each of its contracts a bit (bit i stands
+# for own[i], own sorted, so comparing two single bits compares two ids) and
+# answers every choice on bit masks.
+
+
+def _preference(model: ContractModel, d: str, cids: Sequence[str]) -> List[str]:
+    """The doctor's acceptable contracts among ``cids``, best first: utility
+    descending, then id ascending.  A contract of negative utility is worse
+    than staying unmatched and is left out."""
+    utilities = _integers([model.doctor_utilities[(d, cid)] for cid in cids])
+    return [cid for _, cid in sorted((-u, cid) for u, cid in zip(utilities, cids) if u >= 0)]
 
 
 def _walk_order(model: ContractModel, h: str, own: Sequence[str]) -> List[Tuple[int, int, bool]]:
@@ -155,42 +169,23 @@ def _walk_order(model: ContractModel, h: str, own: Sequence[str]) -> List[Tuple[
     its greedy walk: highest weight first, smallest id among equal weights.
 
     Each step is ``(bit, rivals, positive)``: the contract's bit, the bits of
-    its doctor's contracts, and whether its weight is above 0.  Negative and
-    missing weights never enter a best subset, so they take no step; the
-    weights are compared as integers over their common denominator.
+    its doctor's contracts on the walk, and whether its weight is above 0.
+    Negative and missing weights never enter a best subset, so they take no
+    step; the weights are compared as integers over their common denominator.
     """
     weights = model.hospital_additive.get(h, {})
     offered = [(i, weights[cid]) for i, cid in enumerate(own)
                if cid in weights and weights[cid].numerator >= 0]
-    if not offered:
-        return []
-    scale = math.lcm(*(w.denominator for _, w in offered))
+    scaled = _integers([w for _, w in offered])
     rivals: Dict[str, int] = {}
     for i, _ in offered:
         d = model.contracts[own[i]].doctor
         rivals[d] = rivals.get(d, 0) | 1 << i
-    offered.sort(key=lambda e: (-e[1].numerator * (scale // e[1].denominator), e[0]))
-    return [(1 << i, rivals[model.contracts[own[i]].doctor], w.numerator > 0) for i, w in offered]
+    order = sorted(zip(scaled, (i for i, _ in offered)), key=lambda e: (-e[0], e[1]))
+    return [(1 << i, rivals[model.contracts[own[i]].doctor], w > 0) for w, i in order]
 
 
-def _join(chosen: int, prior: int, step: Tuple[int, int, bool], quota: int) -> int:
-    """The greedy's choice once its walk reaches one more contract.
-
-    ``chosen`` is the choice out of ``prior``, the contracts of the pool met
-    earlier on the walk.  The contract joins unless a contract of its
-    doctor was met before (that one is the doctor's best), the quota is
-    full, or it weighs 0 and its id does not sort below the largest id kept.  That last
-    rule is the scan's tie-break: a zero-weight contract keeps the value, and
-    one below the largest id kept makes the sorted id tuple smaller; with
-    nothing kept it cannot join, since the empty set wins at value 0.
-    """
-    bit, rivals, positive = step
-    if prior & rivals or chosen.bit_count() >= quota or not (positive or bit < chosen):
-        return chosen
-    return chosen | bit
-
-
-def _table_ranking(model: ContractModel, h: str, own: Sequence[str]) -> List[int]:
+def _table_ranking(model: ContractModel, h: str, own: Sequence[str], quota: int) -> List[int]:
     """The bit masks of the table hospital's admissible subsets of ``own``
     worth more than 0, least preferred first.
 
@@ -198,23 +193,157 @@ def _table_ranking(model: ContractModel, h: str, own: Sequence[str]) -> List[int
     ``quota`` contracts and at most one per doctor.  The scan's tie-break
     makes its preference a total order: higher value first, and among equal
     values the smaller sorted id tuple.  Every subset worth 0 or less loses
-    to the empty set, so only these can be chosen.
+    to the empty set, so only these can be chosen.  The values are compared
+    as integers over their common denominator.
     """
     index = {cid: 1 << i for i, cid in enumerate(own)}
-    quota = model.hospital_quotas.get(h, len(model.contracts))
     entries = []
     for key, value in model.hospital_tables[h].items():
-        if value <= 0 or not key or len(key) > quota or not all(cid in index for cid in key):
+        if value.numerator <= 0 or not key or len(key) > quota:
             continue
         if len({model.contracts[cid].doctor for cid in key}) < len(key):
             continue  # at most one contract per doctor
         entries.append((value, sorted(key), sum(index[cid] for cid in key)))
     entries.sort(key=lambda e: e[1], reverse=True)
-    entries.sort(key=lambda e: e[0])
-    return [mask for _, _, mask in entries]
+    ranked = sorted(zip(_integers([value for value, _, _ in entries]), range(len(entries))))
+    return [entries[k][2] for _, k in ranked]
 
 
-def run_da_contracts(model: ContractModel) -> FrozenSet[str]:
+class _HospitalRule:
+    """One hospital's choice rule, compiled from the model once.
+
+    ``rule[mask]`` is the choice out of the contracts named by ``mask``; so a
+    rule reads like a choice table, though it stores none.  An additive
+    hospital answers by its greedy walk, a table hospital by scanning its
+    ranking from the top.  ``planes()`` builds the rule's bit planes on first
+    use (see below).
+    """
+
+    def __init__(self, model: ContractModel, h: str):
+        self.own = model.contracts_of_hospital(h)
+        self.bit = {cid: 1 << i for i, cid in enumerate(self.own)}
+        if h in model.hospital_tables:
+            self.quota = model.hospital_quotas.get(h, len(model.contracts))
+            self.walk = None
+            self.ranked = _table_ranking(model, h, self.own, self.quota)
+        else:
+            self.quota = model.hospital_quotas.get(h, 1)
+            self.walk = _walk_order(model, h, self.own)
+            self.ranked = None
+        self._planes: Optional[List[int]] = None
+
+    def mask(self, cids) -> int:
+        """The bits of this hospital's contracts among ``cids``."""
+        mask = 0
+        for cid in cids:
+            mask |= self.bit.get(cid, 0)
+        return mask
+
+    def __getitem__(self, mask: int) -> int:
+        """The choice out of ``mask``.
+
+        The greedy keeps each contract it meets unless a contract of its
+        doctor was met before (that one is the doctor's best), the quota is
+        full, or it weighs 0 and its id does not sort below the largest id
+        kept.  That last rule is the scan's tie-break: a zero-weight contract
+        keeps the value, and one below the largest id kept makes the sorted
+        id tuple smaller; with nothing kept it cannot join, since the empty
+        set wins at value 0.  Contracts off the walk are never kept.
+        """
+        if self.walk is None:
+            return next((r for r in reversed(self.ranked) if not r & ~mask), 0)
+        chosen = met = 0
+        for bit, rivals, positive in self.walk:
+            if not mask & bit:
+                continue
+            if not (met & rivals or chosen.bit_count() >= self.quota
+                    or not (positive or bit < chosen)):
+                chosen |= bit
+            met |= bit
+        return chosen
+
+    def planes(self) -> List[int]:
+        if self._planes is None:
+            n = len(self.own)
+            if self.walk is None:
+                self._planes = _planes(_table_choices(self.ranked, n), n)
+            else:
+                self._planes = _walk_planes(self.walk, self.quota, n)
+        return self._planes
+
+
+class ChoiceRules:
+    """Every choice rule of one model, compiled once and shared by the
+    questions of one command (deferred acceptance, individual rationality,
+    pairwise and full stability, substitutability and IRC), which take it as
+    their ``tables`` argument.
+
+    Each doctor's acceptable contracts are ranked once; each hospital's rule
+    is compiled when first asked, and its planes when an audit first needs
+    them.  The rules must not outlive a change to the model.
+    """
+
+    def __init__(self, model: ContractModel):
+        self.model = model
+        mine: Dict[str, List[str]] = {}
+        for cid in sorted(model.contracts):
+            mine.setdefault(model.contracts[cid].doctor, []).append(cid)
+        # doctor -> acceptable contracts, best first (doctors in sorted order)
+        self.preferences = {d: _preference(model, d, mine[d]) for d in sorted(mine)}
+        # contract -> its place in its doctor's preference; unacceptable ones are absent
+        self.rank = {cid: r for ranked in self.preferences.values() for r, cid in enumerate(ranked)}
+        self._hospitals: Dict[str, _HospitalRule] = {}
+        self._rational: Dict[FrozenSet[str], bool] = {}
+
+    def hospital(self, h: str) -> _HospitalRule:
+        rule = self._hospitals.get(h)
+        if rule is None:
+            rule = self._hospitals[h] = _HospitalRule(self.model, h)
+        return rule
+
+    def masks(self, allocation) -> Dict[str, int]:
+        """hospital -> the bits of its contracts in ``allocation``."""
+        masks: Dict[str, int] = {}
+        for cid in allocation:
+            h = self.model.contracts[cid].hospital
+            masks[h] = masks.get(h, 0) | self.hospital(h).bit[cid]
+        return masks
+
+    def held(self, allocation) -> Dict[str, int]:
+        """doctor -> the rank of the doctor's contract in an individually
+        rational allocation, which gives each doctor one acceptable contract
+        at most."""
+        return {self.model.contracts[cid].doctor: self.rank[cid] for cid in allocation}
+
+    def doctors_choose(self, cids, held: Dict[str, int]) -> bool:
+        """Whether each of ``cids`` is its doctor's choice out of itself and
+        the contract the doctor holds (``held`` as above)."""
+        for cid in cids:
+            rank = self.rank.get(cid)
+            if rank is None or rank > held.get(self.model.contracts[cid].doctor, rank):
+                return False
+        return True
+
+    def individually_rational(self, allocation) -> bool:
+        allocation = frozenset(allocation)
+        known = self._rational.get(allocation)
+        if known is None:
+            known = self._rational[allocation] = self._rational_now(allocation)
+        return known
+
+    def _rational_now(self, allocation: FrozenSet[str]) -> bool:
+        doctors = [self.model.contracts[cid].doctor for cid in allocation]
+        if len(set(doctors)) < len(doctors) or not all(cid in self.rank for cid in allocation):
+            return False
+        masks = self.masks(allocation)
+        return all(self.hospital(h)[mask] == mask for h, mask in masks.items())
+
+
+def _rules(model: ContractModel, tables: Optional[ChoiceRules]) -> ChoiceRules:
+    return tables if tables is not None else ChoiceRules(model)
+
+
+def run_da_contracts(model: ContractModel, tables: Optional[ChoiceRules] = None) -> FrozenSet[str]:
     """Doctor-proposing deferred acceptance over contracts.
 
     Unmatched doctors offer their best not-yet-rejected contract; the named
@@ -224,29 +353,32 @@ def run_da_contracts(model: ContractModel) -> FrozenSet[str]:
     the output pairwise stable (and, with IRC, fully stable); a hospital
     with complementarities can come to want a contract it rejected earlier,
     and then even pairwise stability can fail -- the audits report why.
+
+    A doctor offers contracts in preference order and each rejection is of
+    an offered one, so the doctor's rejected contracts are a prefix of the
+    preference: ``rejected[d]`` is its length.
     """
-    accepted: set = set()
-    rejected: set = set()
+    rules = _rules(model, tables)
+    rejected = dict.fromkeys(rules.preferences, 0)
+    held: Dict[str, int] = {}  # hospital -> bits of the contracts it holds
+    matched = set()
     while True:
-        matched = {model.contracts[cid].doctor for cid in accepted}
-        proposer = None
-        offer = None
-        for d in model.doctors:
-            if d in matched:
-                continue
-            available = [cid for cid in model.contracts_of_doctor(d) if cid not in rejected]
-            pick = choice_doctor(model, d, available)
-            if pick is not None:
-                proposer, offer = d, pick
-                break
+        proposer = next((d for d, ranked in rules.preferences.items()
+                         if d not in matched and rejected[d] < len(ranked)), None)
         if proposer is None:
-            return frozenset(accepted)
+            break
+        offer = rules.preferences[proposer][rejected[proposer]]
         h = model.contracts[offer].hospital
-        pool = {cid for cid in accepted if model.contracts[cid].hospital == h} | {offer}
-        keep = choice_hospital(model, h, sorted(accepted | {offer}))
-        dropped = pool - keep
-        accepted = (accepted - dropped) | keep
-        rejected |= dropped
+        rule = rules.hospital(h)
+        pool = held.get(h, 0) | rule.bit[offer]
+        held[h] = keep = rule[pool]
+        for cid in _ids(rule.own, pool & ~keep):
+            d = model.contracts[cid].doctor
+            rejected[d] += 1
+            matched.discard(d)
+        if keep & rule.bit[offer]:
+            matched.add(proposer)
+    return frozenset(cid for h, mask in held.items() for cid in _ids(rules.hospital(h).own, mask))
 
 
 # ---------------------------------------------------------------------------
@@ -261,49 +393,30 @@ def _visit_order(n: int) -> Tuple[int, ...]:
     return tuple(sum(combo) for size in range(n + 1) for combo in combinations(bits, size))
 
 
-def _choice_table(model: ContractModel, h: str, own: Sequence[str]) -> List[int]:
-    """The hospital's choice out of every subset of its own contracts ``own``
-    (sorted), as bit masks indexed by the subset's bit mask.
+def _table_choices(ranked: Sequence[int], n: int) -> List[int]:
+    """A table hospital's choice out of every subset of its n contracts, as
+    bit masks indexed by the subset's bit mask.
 
-    An additive hospital's table grows one walk step at a time: the subsets
-    whose last contract on the walk is x are x added to each subset of the
-    contracts before it, and each choice is one ``_join`` on that subset's.
-    Contracts off the walk change no choice.  A table hospital's choice out
-    of S is the best ranked admissible subset of S, which the subset DP
-    best[S] = max(rank of S, best[S - {x}] for x in S) finds; it runs one
-    bit at a time, in O(n 2^n) steps.
+    The choice out of S is the best ranked admissible subset of S, which the
+    subset DP best[S] = max(rank of S, best[S - {x}] for x in S) finds; it
+    runs one bit at a time, in O(n 2^n) steps.
     """
-    n = len(own)
-    if h in model.hospital_tables:
-        ranked = [0] + _table_ranking(model, h, own)
-        best = [0] * (1 << n)
-        for rank, mask in enumerate(ranked):
-            best[mask] = rank
-        for i in range(n):
-            keep = ~(1 << i)
-            best = [max(rank, best[m & keep]) for m, rank in enumerate(best)]
-        return [ranked[rank] for rank in best]
-    table = [0] * (1 << n)
-    quota = model.hospital_quotas.get(h, 1)
-    order = _walk_order(model, h, own)
-    walked = [0]
-    for step in order:
-        bit = step[0]
-        for sub in walked:
-            table[sub | bit] = _join(table[sub], sub, step, quota)
-        walked += [sub | bit for sub in walked]
-    offered = sum(step[0] for step in order)
-    if offered != (1 << n) - 1:
-        table = [table[m & offered] for m in range(1 << n)]
-    return table
+    ranked = [0] + list(ranked)
+    best = [0] * (1 << n)
+    for rank, mask in enumerate(ranked):
+        best[mask] = rank
+    for i in range(n):
+        keep = ~(1 << i)
+        best = [max(rank, best[m & keep]) for m, rank in enumerate(best)]
+    return [ranked[rank] for rank in best]
 
 
 # Bit planes.  Plane i of a hospital's choice table is an int of 2^n bits
-# whose bit m is set when contract i is in table[m].  For b = 1 << k,
-# ``plane >> b`` holds at bit m the plane's bit at m + b, which is m | b
-# for every m without contract k: one shift reads the choice out of every
-# subset with contract k added.  The audits combine planes with O(n^2) word
-# operations and read the table itself only to rebuild a witness.
+# whose bit m is set when contract i is in the choice out of subset m.  For
+# b = 1 << k, ``plane >> b`` holds at bit m the plane's bit at m + b, which
+# is m | b for every m without contract k: one shift reads the choice out of
+# every subset with contract k added.  The audits combine planes with O(n^2)
+# word operations and ask the rule itself only to rebuild a witness.
 
 # _BIT_DIGITS[i] maps a byte to b"1" when its bit i is set, else to b"0".
 _BIT_DIGITS = [bytes(48 + (v >> i & 1) for v in range(256)) for i in range(8)]
@@ -336,14 +449,55 @@ def _holders(n: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     return has, tuple(full ^ h for h in has)
 
 
+def _walk_planes(walk: Sequence[Tuple[int, int, bool]], quota: int, n: int) -> List[int]:
+    """The n bit planes of an additive hospital's choices, built straight
+    from its greedy walk with no table.
+
+    The walk decides contract k, for every subset at once, from the planes
+    of the contracts walked before it: the subsets m holding k that lack
+    every rival of k walked earlier and whose choice so far is below the
+    quota take k, and a zero-weight k also needs a kept contract above it,
+    the OR of the planes at higher positions.  at_least[j] holds the subsets
+    whose choice so far keeps j contracts or more; it is updated top down,
+    min(quota, steps) word operations per step.
+    """
+    has, lacks = _holders(n)
+    planes = [0] * n
+    at_least = [(1 << (1 << n)) - 1] + [0] * min(quota, len(walk))
+    fills = quota < len(at_least)  # else the walk is too short to reach the quota
+    walked = 0
+    for bit, rivals, positive in walk:
+        k = bit.bit_length() - 1
+        join = has[k] & ~at_least[quota] if fills else has[k]
+        for r in _members(walked & rivals):
+            join &= lacks[r]
+        if not positive:
+            above = 0
+            for p in planes[k + 1:]:
+                above |= p
+            join &= above
+        planes[k] = join
+        for j in range(len(at_least) - 1, 0, -1):
+            at_least[j] |= at_least[j - 1] & join
+        walked |= bit
+    return planes
+
+
+def _visit_key(mask: int) -> Tuple[int, List[int]]:
+    """The sort key of a subset mask in the audits' visit order: its size,
+    then its positions."""
+    return mask.bit_count(), _members(mask)
+
+
 def _first_visited(found: int, n: int) -> int:
     """The first subset mask in ``_visit_order(n)`` whose bit is set in ``found``."""
     return next(m for m in _visit_order(n) if found >> m & 1)
 
 
-def _substitutability_on_planes(own: Sequence[str], table: Sequence[int],
-                               planes: Sequence[int]):
-    """The substitutability audit of one choice table and its planes.
+def _substitutability_on_planes(own: Sequence[str], table, planes: Sequence[int]):
+    """The substitutability audit of one hospital's choices: its planes, and
+    ``table``, the choice out of each subset mask (a list, or a compiled
+    rule), which only a witness reads.
 
     A subset m violates when some contract i in m is rejected there but
     chosen out of m | b for some contract k outside m, b = 1 << k: the
@@ -374,8 +528,9 @@ def _substitutability_on_planes(own: Sequence[str], table: Sequence[int],
     return False, (_ids(own, mask), own[x.bit_length() - 1], own[x_new.bit_length() - 1])
 
 
-def _irc_on_planes(own: Sequence[str], table: Sequence[int], planes: Sequence[int]):
-    """The IRC audit of one choice table and its planes.
+def _irc_on_planes(own: Sequence[str], table, planes: Sequence[int]):
+    """The IRC audit of one hospital's choices, read as in
+    ``_substitutability_on_planes``.
 
     A subset m violates when adding some contract k outside it, b = 1 << k,
     changes the choice though k is not chosen: the union over k of
@@ -401,113 +556,88 @@ def _irc_on_planes(own: Sequence[str], table: Sequence[int], planes: Sequence[in
     return False, (_ids(own, mask), own[z.bit_length() - 1])
 
 
-# hospital -> (choice table, its bit planes)
-ChoiceTables = Dict[str, Tuple[List[int], List[int]]]
-
-
-def _shared_choices(model: ContractModel, h: str, own: Sequence[str],
-                    tables: Optional[ChoiceTables]) -> Tuple[List[int], List[int]]:
-    """``h``'s choice table and its planes, taken from ``tables`` or built
-    and stored there.
-
-    ``tables`` belongs to one model: it lets the audits of one command
-    share one table and one set of planes per hospital, and it must not
-    outlive a change to the model.  Each audit asks only after its own cap
-    check, so a cap trip builds nothing."""
-    if tables is not None and h in tables:
-        return tables[h]
-    table = _choice_table(model, h, own)
-    choices = table, _planes(table, len(own))
-    if tables is not None:
-        tables[h] = choices
-    return choices
-
-
-def _own_within_cap(model: ContractModel, h: str, cap: int) -> List[str]:
-    own = model.contracts_of_hospital(h)
-    if len(own) > cap:
-        raise ScanCapExceededError(f"{len(own)} contracts at {h} exceed the scan cap {cap}")
-    return own
+def _audited_rule(model: ContractModel, h: str, cap: int,
+                  tables: Optional[ChoiceRules]) -> _HospitalRule:
+    """``h``'s compiled rule, if its contracts are within the scan cap; the
+    planes are built only after this check, so a cap trip builds none."""
+    rule = tables.hospital(h) if tables is not None else _HospitalRule(model, h)
+    if len(rule.own) > cap:
+        raise ScanCapExceededError(f"{len(rule.own)} contracts at {h} exceed the scan cap {cap}")
+    return rule
 
 
 def check_substitutability(model: ContractModel, h: str, cap: int = 12,
-                           tables: Optional[ChoiceTables] = None):
+                           tables: Optional[ChoiceRules] = None):
     """Exhaustive: a rejected contract must stay rejected as the pool grows."""
-    own = _own_within_cap(model, h, cap)
-    return _substitutability_on_planes(own, *_shared_choices(model, h, own, tables))
+    rule = _audited_rule(model, h, cap, tables)
+    return _substitutability_on_planes(rule.own, rule, rule.planes())
 
 
 def check_irc(model: ContractModel, h: str, cap: int = 12,
-              tables: Optional[ChoiceTables] = None):
+              tables: Optional[ChoiceRules] = None):
     """Exhaustive: dropping a contract the hospital rejects changes nothing."""
-    own = _own_within_cap(model, h, cap)
-    return _irc_on_planes(own, *_shared_choices(model, h, own, tables))
+    rule = _audited_rule(model, h, cap, tables)
+    return _irc_on_planes(rule.own, rule, rule.planes())
 
 
-def is_individually_rational(model: ContractModel, allocation: FrozenSet[str]) -> bool:
+def is_individually_rational(model: ContractModel, allocation: FrozenSet[str],
+                             tables: Optional[ChoiceRules] = None) -> bool:
     """Every doctor keeps her chosen contract; every hospital keeps its set."""
-    per_doctor: Dict[str, List[str]] = {}
-    for cid in allocation:
-        per_doctor.setdefault(model.contracts[cid].doctor, []).append(cid)
-    for d, owned in per_doctor.items():
-        if len(owned) > 1:
-            return False
-        if choice_doctor(model, d, owned) != owned[0]:
-            return False
-    for h in model.hospitals:
-        own = frozenset(cid for cid in allocation if model.contracts[cid].hospital == h)
-        if choice_hospital(model, h, sorted(own)) != own:
-            return False
-    return True
+    return _rules(model, tables).individually_rational(allocation)
 
 
-def is_pairwise_stable(model: ContractModel, allocation: FrozenSet[str]) -> bool:
+def is_pairwise_stable(model: ContractModel, allocation: FrozenSet[str],
+                       tables: Optional[ChoiceRules] = None) -> bool:
     """No single outside contract is wanted by both its doctor and hospital."""
-    if not is_individually_rational(model, allocation):
+    rules = _rules(model, tables)
+    if not is_individually_rational(model, allocation, rules):
         return False
+    held = rules.held(allocation)
+    masks = rules.masks(allocation)
     for cid, contract in sorted(model.contracts.items()):
-        if cid in allocation:
+        if cid in allocation or not rules.doctors_choose([cid], held):
             continue
-        d, h = contract.doctor, contract.hospital
-        mine = [c for c in allocation if model.contracts[c].doctor == d] + [cid]
-        if choice_doctor(model, d, mine) != cid:
-            continue
-        pool = sorted({c for c in allocation if model.contracts[c].hospital == h} | {cid})
-        if cid in choice_hospital(model, h, pool):
+        rule = rules.hospital(contract.hospital)
+        if rule[masks.get(contract.hospital, 0) | rule.bit[cid]] & rule.bit[cid]:
             return False
     return True
 
 
 def check_hm_stability(model: ContractModel, allocation: FrozenSet[str], cap: int = 12,
-                       tables: Optional[ChoiceTables] = None):
+                       tables: Optional[ChoiceRules] = None):
     """Full stability: individual rationality plus no blocking subset X''.
 
     Exhaustive over candidate subsets per hospital; a blocking X'' must be the
     hospital's choice out of allocation + X'' and every contract in it must be
     its doctor's choice there too.
+
+    The candidates are read off the planes.  X is the choice out of
+    current | X exactly when X = choice(M) for M = current | X, and such M
+    are the supersets of ``current`` whose contracts outside it are all
+    chosen: M in EQ = AND_{i in current} has[i] & AND_{i not in current}
+    ~(has[i] ^ plane[i]), one M for each X.  The candidates are visited in
+    visit order; a candidate holds at most one contract per doctor.
     """
     if len(model.contracts) > cap:
         raise ScanCapExceededError("contract set exceeds the stability scan cap")
-    if not is_individually_rational(model, allocation):
+    rules = _rules(model, tables)
+    if not is_individually_rational(model, allocation, rules):
         return False, "individual rationality fails"
+    held = rules.held(allocation)
+    masks = rules.masks(allocation)
     for h in model.hospitals:
-        own = model.contracts_of_hospital(h)
-        table, _ = _shared_choices(model, h, own, tables)
-        current = sum(1 << i for i, cid in enumerate(own) if cid in allocation)
-        kept = table[current]
-        for mask in _visit_order(len(own)):
-            if mask == kept or table[current | mask] != mask:
-                continue
-            block = _ids(own, mask)
-            pool = sorted(set(allocation).union(block))
-            good_for_doctors = True
-            for cid in block:
-                d = model.contracts[cid].doctor
-                mine = [c for c in pool if model.contracts[c].doctor == d]
-                if choice_doctor(model, d, mine) != cid:
-                    good_for_doctors = False
-                    break
-            if good_for_doctors:
+        rule = rules.hospital(h)
+        n = len(rule.own)
+        has, _ = _holders(n)
+        current = masks.get(h, 0)
+        eq = (1 << (1 << n)) - 1
+        for i, (holds, plane) in enumerate(zip(has, rule.planes())):
+            eq &= holds if current >> i & 1 else ~(holds ^ plane)
+        kept = rule[current]
+        candidates = [x for x in map(rule.__getitem__, _members(eq)) if x != kept]
+        for x in sorted(candidates, key=_visit_key):
+            block = _ids(rule.own, x)
+            if rules.doctors_choose(block, held):
                 return False, (h, block)
     return True, None
 

@@ -10,11 +10,12 @@ import pytest
 from matchgames import contracts
 from matchgames.cli import main
 from matchgames.contracts import (
-    _choice_table,
     _holders,
+    _ids,
     _irc_on_planes,
     _planes,
     _substitutability_on_planes,
+    ChoiceRules,
     Contract,
     ContractModel,
     check_hm_stability,
@@ -329,6 +330,14 @@ def _varied_table_model(rng):
     )
 
 
+def _choice_table(model, h, own):
+    """The compiled rule's choice out of every subset of ``own`` (h's
+    contracts, sorted), decoded from its bit planes: masks indexed by the
+    subset's mask."""
+    planes = contracts._HospitalRule(model, h).planes()
+    return [sum(1 << i for i, p in enumerate(planes) if p >> mask & 1) for mask in range(1 << len(own))]
+
+
 def _choice_by_scan(model, h, own):
     """The reference choice: brute force over every subset of ``own``, the
     first of a value kept unless a later one has a smaller sorted id tuple;
@@ -457,43 +466,47 @@ class TestChoiceAgainstScan:
         assert calls == []
 
 
-class TestSharedChoiceTables:
-    def test_shared_tables_give_the_same_audits(self):
+class TestSharedChoiceRules:
+    def test_shared_rules_give_the_same_answers(self):
         rng = random.Random(11)
         models = [_rich_additive_model(rng) for _ in range(30)]
         models += [_random_additive_model(rng) for _ in range(10)]
         models += [_random_table_model(rng) for _ in range(15)]
         for m in models:
-            tables = {}
+            tables = ChoiceRules(m)
+            assert run_da_contracts(m, tables=tables) == run_da_contracts(m)
             for h in m.hospitals:
                 assert check_substitutability(m, h, tables=tables) == check_substitutability(m, h)
                 assert check_irc(m, h, tables=tables) == check_irc(m, h)
-            assert set(tables) == set(m.hospitals)
             for sub in _powerset(m.contracts):
                 allocation = frozenset(sub)
                 assert (check_hm_stability(m, allocation, tables=tables)
                         == check_hm_stability(m, allocation))
-            for h, (table, planes) in tables.items():
-                assert table == _choice_table(m, h, m.contracts_of_hospital(h))
-                assert planes == _planes(table, len(m.contracts_of_hospital(h)))
+                assert (is_pairwise_stable(m, allocation, tables=tables)
+                        == is_pairwise_stable(m, allocation))
+            # one compiled structure per hospital, whose planes a fresh rule repeats
+            assert set(tables._hospitals) == set(m.hospitals)
+            for h, rule in tables._hospitals.items():
+                own = m.contracts_of_hospital(h)
+                assert rule.own == own
+                assert rule.planes() == _planes(_choice_table(m, h, own), len(own))
 
-    def test_cap_trips_before_any_table_is_built(self, monkeypatch):
+    def test_cap_trips_before_any_planes_are_built(self, monkeypatch):
         built = []
-        monkeypatch.setattr(contracts, "_choice_table",
-                            lambda *args: built.append(args) or [])
-        monkeypatch.setattr(contracts, "_planes",
-                            lambda *args: built.append(args) or [])
+        for name in ("_walk_planes", "_table_choices", "_planes"):
+            monkeypatch.setattr(contracts, name, lambda *args: built.append(args) or [])
         utilities = {f"c{i}": ("d%d" % i, "h1", 1, i) for i in range(5)}
-        m = additive_model(None, utilities, {"h1": 3})
-        tables = {}
-        for audit in (lambda: check_substitutability(m, "h1", cap=4, tables=tables),
-                      lambda: check_irc(m, "h1", cap=4, tables=tables),
-                      lambda: check_hm_stability(m, frozenset(), cap=4, tables=tables)):
-            with pytest.raises(ScanCapExceededError):
-                audit()
-        assert built == [] and tables == {}
+        for m in (additive_model(None, utilities, {"h1": 3}), complementarity_model()):
+            tables = ChoiceRules(m)
+            for audit in (lambda: check_substitutability(m, "h1", cap=1, tables=tables),
+                          lambda: check_irc(m, "h1", cap=1, tables=tables),
+                          lambda: check_hm_stability(m, frozenset(), cap=1, tables=tables)):
+                with pytest.raises(ScanCapExceededError):
+                    audit()
+            assert all(rule._planes is None for rule in tables._hospitals.values())
+        assert built == []
 
-    def test_audit_command_builds_one_table_per_hospital(self, tmp_path, monkeypatch):
+    def test_audit_command_compiles_one_rule_per_hospital(self, tmp_path, monkeypatch):
         model_path = tmp_path / "contracts.json"
         model_path.write_text(json.dumps({
             "contracts": [
@@ -508,21 +521,63 @@ class TestSharedChoiceTables:
                 "h2": {"table": {"": "0", "c3": "0", "c4": "0", "c3+c4": "3"}},
             },
         }))
-        built, planed = [], []
-        real, real_planes = contracts._choice_table, contracts._planes
-        monkeypatch.setattr(contracts, "_choice_table",
-                            lambda m, h, own: built.append(h) or real(m, h, own))
-        monkeypatch.setattr(contracts, "_planes",
-                            lambda table, n: planed.append(n) or real_planes(table, n))
+        compiled, built = [], []
+        real_rule = contracts._HospitalRule
+
+        class CountedRule(real_rule):
+            def __init__(self, model, h):
+                compiled.append(h)
+                super().__init__(model, h)
+
+        monkeypatch.setattr(contracts, "_HospitalRule", CountedRule)
+        for name in ("_walk_planes", "_table_choices", "_planes"):
+            real = getattr(contracts, name)
+            monkeypatch.setattr(contracts, name,
+                                lambda *args, name=name, real=real: built.append(name) or real(*args))
         out_path = tmp_path / "out.json"
         assert main(["contracts-da", "--input", str(model_path), "--audit",
                      "--output", str(out_path)]) == 2
-        assert sorted(built) == ["h1", "h2"]
-        assert planed == [2, 2]
+        assert sorted(compiled) == ["h1", "h2"]
+        # the additive h1 gets its planes from its walk; only the table h2 builds a choice list
+        assert sorted(built) == ["_planes", "_table_choices", "_walk_planes"]
         audit = json.loads(out_path.read_text())["audit"]
         assert audit["h1"] == {"substitutable": True, "irc": True}
         assert audit["h2"]["substitutability_witness"] == [["c3"], "c3", "c4"]
         assert audit["stability_witness"] == "('h2', ('c3', 'c4'))"
+
+    def test_audit_command_writes_the_irc_witness(self, tmp_path, monkeypatch):
+        # A model's choice maximises one total order, so no model violates
+        # IRC.  The table hospital h1 is given a planted rule that keeps a
+        # pool of one contract and rejects every larger pool: adding the
+        # rejected b to {a} changes the choice.  The scan reference, asked
+        # under the same rule, names the same first violation.
+        model_path, out_path = tmp_path / "model.json", tmp_path / "out.json"
+        model_path.write_text(json.dumps({
+            "contracts": [{"id": c, "doctor": f"d{c}", "hospital": "h1"} for c in "abc"],
+            "doctor_utilities": {f"d{c}": {c: "1"} for c in "abc"},
+            "hospitals": {"h1": {"table": {"a": "1", "b": "1", "c": "1", "a+b": "3"}}},
+        }))
+
+        class KeepsOne(contracts._HospitalRule):
+            def __getitem__(self, mask):
+                return mask if mask.bit_count() <= 1 else 0
+
+            def planes(self):
+                n = len(self.own)
+                return _planes([self[m] for m in range(1 << n)], n)
+
+        monkeypatch.setattr(contracts, "_HospitalRule", KeepsOne)
+        assert main(["contracts-da", "--input", str(model_path), "--audit",
+                     "--output", str(out_path)]) == 0
+        audit = json.loads(out_path.read_text())["audit"]
+
+        monkeypatch.setitem(globals(), "_choice_by_scan",
+                            lambda model, h, pool: frozenset(pool) if len(pool) <= 1 else frozenset())
+        ok, (subset, z) = _scan_irc(load_contract_model(json.loads(model_path.read_text())), "h1")
+        assert not ok
+        assert audit["h1"] == {"substitutable": True, "irc": False, "irc_witness": [list(subset), z]}
+        assert audit["h1"]["irc_witness"] == [["a"], "b"]
+        assert audit["stable"] and audit["pairwise_stable"]
 
 
 def _one_hospital_additive_model(rng, n):
@@ -622,6 +677,83 @@ class TestPlaneAudits:
             verdicts["subs", subs[0]] += 1
             verdicts["irc", irc[0]] += 1
         assert min(verdicts.values()) >= 50 and len(verdicts) == 4, verdicts
+
+
+def _tied_additive_model(rng, n):
+    """n contracts at h1 from up to n doctors, weighted from a palette heavy
+    in zeros and ties, some negative or missing."""
+    n_doctors = rng.randint(1, n)
+    contracts, utilities, weights = {}, {}, {}
+    for i in range(n):
+        cid, d = f"c{i}", f"d{rng.randrange(n_doctors)}"
+        contracts[cid] = Contract(cid, d, "h1")
+        utilities[(d, cid)] = F(rng.randint(-1, 3))
+        if rng.random() < 0.9:
+            weights[cid] = F(rng.choice((-1, 0, 0, 0, 1, 1, 2)), rng.choice((1, 1, 2)))
+    return ContractModel(contracts=contracts, doctor_utilities=utilities,
+                         hospital_additive={"h1": weights}, hospital_quotas={"h1": 1})
+
+
+class TestWalkPlanes:
+    def test_walk_planes_equal_the_scan_on_every_pool(self):
+        # Quota 0, 1, 2 and at or above n; zero-weight contracts that tie
+        # with each other, which join only below the largest id kept.
+        rng = random.Random(41)
+        quotas, zero_kept = Counter(), 0
+        for trial in range(120):
+            m = _tied_additive_model(rng, 1 + trial % 8)
+            own = m.contracts_of_hospital("h1")
+            n = len(own)
+            for q in (0, 1, 2, n, n + 3):
+                m.hospital_quotas["h1"] = q
+                rule = contracts._HospitalRule(m, "h1")
+                assert rule.walk is not None
+                table = _choice_table(m, "h1", own)
+                for mask in range(1 << n):
+                    pool = frozenset(c for i, c in enumerate(own) if mask >> i & 1)
+                    expected = _choice_by_scan(m, "h1", pool)
+                    assert frozenset(_ids(own, table[mask])) == expected, (own, q, pool)
+                    assert rule[mask] == table[mask]
+                    zero_kept += any(m.hospital_additive["h1"].get(c) == 0 for c in expected)
+                quotas["0" if q == 0 else ">=n" if q >= n else str(q)] += 1
+        assert min(quotas.values()) >= 80 and len(quotas) == 4, quotas
+        assert zero_kept >= 1000, zero_kept
+
+    def test_hm_on_planes_equals_the_scan_at_extreme_quotas(self):
+        rng = random.Random(42)
+        checks = Counter()
+        for trial in range(60):
+            m = _rich_additive_model(rng) if trial % 2 else _varied_table_model(rng)
+            for q in (0, len(m.contracts) + 1):
+                for h in m.hospital_quotas:
+                    m.hospital_quotas[h] = q
+                for sub in _powerset(m.contracts):
+                    allocation = frozenset(sub)
+                    verdict = check_hm_stability(m, allocation)
+                    assert verdict == _scan_hm_stability(m, allocation), (q, sorted(allocation))
+                    checks[q == 0, verdict[0]] += 1
+        assert min(checks.values()) >= 20 and len(checks) == 4, checks
+
+    def test_additive_audits_build_no_choice_list(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a 2^n choice list was built for an additive hospital")
+
+        rng = random.Random(43)
+        models = [_rich_additive_model(rng) for _ in range(40)]
+        expected = [(run_da_contracts(m),
+                     [(check_substitutability(m, h), check_irc(m, h)) for h in m.hospitals],
+                     [check_hm_stability(m, frozenset(sub)) for sub in _powerset(m.contracts)])
+                    for m in models]
+        monkeypatch.setattr(contracts, "_table_choices", refuse)
+        monkeypatch.setattr(contracts, "_planes", refuse)
+        for m, (da, audits, stability) in zip(models, expected):
+            tables = ChoiceRules(m)
+            assert run_da_contracts(m, tables=tables) == da
+            assert [(check_substitutability(m, h, tables=tables), check_irc(m, h, tables=tables))
+                    for h in m.hospitals] == audits
+            assert [check_hm_stability(m, frozenset(sub), tables=tables)
+                    for sub in _powerset(m.contracts)] == stability
+        assert any(not verdict[0] for _, _, stability in expected for verdict in stability)
 
 
 class TestTableQuota:

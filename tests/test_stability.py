@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -417,15 +418,49 @@ class TestReport:
         assert report.blocking_coalition is None
 
     def test_ir_detects_quota_breach(self):
-        inst2 = generate_instance(seed=0, n_doctors=3, n_hospitals=1,
-                                  max_strategies=2, max_quota=1, classes=["zero_sum"])
-        alloc = Allocation(
-            matching={d: "h1" for d in inst2.doctor_ids},
-            doctor_strategies={d: tuple([F(1)] + [F(0)] * (len(inst2.doctors[d].strategies) - 1)) for d in inst2.doctor_ids},
-            hospital_strategies={("h1", d): tuple([F(1)] + [F(0)] * (len(inst2.hospitals["h1"].strategies) - 1)) for d in inst2.doctor_ids},
-        )
+        # d2 and d3 share h1 (quota 1) at their first strategies, where each
+        # is above its IRP, and d1 stays unmatched: only the quota fails.
+        inst2, alloc = _one_hospital_allocation(["d2", "d3"])
+        assert inst2.hospitals["h1"].quota == 1
         ok, witness = check_individual_rationality(inst2, alloc, F(1, 10))
-        assert not ok
+        assert (ok, witness) == (False, "hospital h1 over quota")
+
+    def test_ir_detects_a_seat_below_the_baseline(self):
+        # d3 alone at h1 pays the hospital -7 for the seat, below its IRP -1.
+        inst2, alloc = _one_hospital_allocation(["d3"])
+        ok, witness = check_individual_rationality(inst2, alloc, F(1, 10))
+        assert (ok, witness) == (False, "hospital h1 seat d3 below the per-seat baseline")
+        ok, witness = check_individual_rationality(*_one_hospital_allocation(["d2"]), F(1, 10))
+        assert (ok, witness) == (True, None)
+
+    def test_ir_detects_an_enumerated_hospital_below_its_irp(self):
+        # Every coalition pays hospital a 0; with its IRP at 1 the coalition
+        # {1, 2}, which pays each doctor 1, leaves a below it.
+        inst = hedonic_instance()
+        inst.hospitals["a"] = replace(inst.hospitals["a"], irp=F(1))
+        alloc = Allocation(matching={"1": "a", "2": "a", "3": "b"},
+                           doctor_strategies={}, hospital_strategies={})
+        ok, witness = check_individual_rationality(inst, alloc, F(1, 2))
+        assert (ok, witness) == (False, "hospital a below IRP")
+        ok, _ = check_individual_rationality(inst, alloc, F(1))
+        assert ok
+
+
+def _one_hospital_allocation(members):
+    """Generated market seed 0 (three doctors, h1 of quota 1) with
+    ``members`` at h1, each pair at its first pure strategies."""
+    inst = generate_instance(seed=0, n_doctors=3, n_hospitals=1,
+                             max_strategies=2, max_quota=1, classes=["zero_sum"])
+
+    def first(n):
+        return tuple([F(1)] + [F(0)] * (n - 1))
+
+    alloc = Allocation(
+        matching={d: "h1" if d in members else None for d in inst.doctor_ids},
+        doctor_strategies={d: first(len(inst.doctors[d].strategies)) for d in members},
+        hospital_strategies={("h1", d): first(len(inst.hospitals["h1"].strategies)) for d in members},
+    )
+    return inst, alloc
 
 
 # ---------------------------------------------------------------------------
