@@ -88,20 +88,14 @@ _EVENT_TEXT = {
 
 
 class DacEvent(NamedTuple):
-    """One DAC event: its kind and its fields (ids, exact values, or None
-    for a bid that could not be made)."""
+    """One DAC event: its kind and its fields (ids and exact values)."""
 
     kind: str
     fields: tuple
 
     def text(self) -> str:
-        return _EVENT_TEXT[self.kind].format(*map(_field_text, self.fields))
-
-
-def _field_text(value) -> str:
-    if isinstance(value, str):
-        return value
-    return "none" if value is None else format_rational(value)
+        return _EVENT_TEXT[self.kind].format(
+            *(v if isinstance(v, str) else format_rational(v) for v in self.fields))
 
 
 @dataclass
@@ -111,8 +105,8 @@ class DacTrace:
     ``records`` holds one :class:`DacEvent` per event, in order; ``events``
     renders them as the text trace, one line per event, on each read.
     ``iterations`` counts seat-binding events (acceptances and competition
-    settlements), the quantity whose epsilon-sized payoff increases drive the
-    termination bound; ``loop_passes`` counts raw proposer turns.
+    settlements); ``loop_passes`` counts proposer turns, the quantity
+    :func:`run_dac` bounds.
     """
 
     records: List[DacEvent] = field(default_factory=list)
@@ -225,9 +219,6 @@ class DacState:
     def __post_init__(self):
         if not isinstance(self.seats, SeatBook):
             self.seats = SeatBook(self.seats)
-
-    def members(self, h: str) -> List[str]:
-        return self.seats.members(h)
 
     def is_full(self, h: str) -> bool:
         return self.seats.occupied(h) >= self.instance.hospitals[h].quota
@@ -353,14 +344,13 @@ def competition_bid(state: DacState, d: str, h: str):
 
     The bid is the most per-seat value d can hand to h while keeping her own
     payoff at or above the reservation.  Returns (reservation, bid, point);
-    the bid is priced by value alone, so the point carries no witness.
+    the bid is priced by value alone, so the point carries no witness.  In
+    a competition both sides have a point (see :func:`run_dac`).
     """
     beta = reservation_value(state, d, h)
     point = max_g_point(state.instance.game_for(d, h), beta)
     if point is None:
-        # The doctor cannot reach her reservation inside this game at all;
-        # she concedes nothing and effectively bids below any incumbent.
-        return beta, None, None
+        raise MatchGamesError("competitor cannot reach her reservation; auction invariant broken")
     return beta, point.g, point
 
 
@@ -377,7 +367,30 @@ def settle_competition(state: DacState, winner: str, loser_bid: Fraction,
 
 
 def run_dac(instance: MatchingGameInstance, epsilon: Fraction) -> Tuple[Allocation, DacTrace]:
-    """Run deferred acceptance with competitions to an eps-pairwise stable allocation."""
+    """Run deferred acceptance with competitions to an eps-pairwise stable allocation.
+
+    Let w be the weakest seat value of the contested hospital h.  Bars never
+    fall: a hospital fills at seats g >= irp_h + eps and never frees one, a
+    winning proposer settles at g >= bid_i >= w, a winning incumbent at
+    g >= bid_p >= w + eps.  Every seat pays its holder at least her
+    ``reservation_value``: she takes it at her best option, or wins it at
+    the most she can get above the losing bid, which her own bid's point
+    meets; and her reservation reads only other hospitals' bars, so it never
+    rises.  Hence both bids exist: the proposer's point at h's bar pays her
+    reservation with g >= w + eps, the incumbent's seat pays hers at g = w.
+
+    Let a seat's strength be its holder's bid, and P the sum over occupied
+    seats of (g - irp_h) + (strength - irp_h).  P starts at 0 and never
+    falls: strengths never fall as reservations never rise, an accept adds
+    two positive terms, and a competition adds eps or more.  A winning
+    incumbent's g rises from w by eps or more; a winning proposer turns
+    (w, bid_i) into (g, bid_p), a rise of at least (bid_i - w) +
+    (bid_p - bid_i) = bid_p - w >= eps.  Each term is at most spread_h =
+    max(0, max_d m_max(d, h) - irp_h), so P <= 2 sum_h q_h spread_h.  A
+    pass is an exit (once per doctor: an exited doctor never holds a seat),
+    an accept (once per seat) or a competition, so :func:`_iteration_bound`
+    counts every pass, and its raise is an invariant's.
+    """
     if epsilon <= 0:
         raise EpsilonNotPositiveError("epsilon must be strictly positive")
     if instance.model != ADDITIVE_SEPARABLE:
@@ -396,12 +409,12 @@ def run_dac(instance: MatchingGameInstance, epsilon: Fraction) -> Tuple[Allocati
     for h, hosp in instance.hospitals.items():
         log("baseline", h, hosp.irp)
 
-    max_iterations = _default_iteration_cap(instance, epsilon)
+    max_passes = _iteration_bound(instance, epsilon)
 
     doctor_order = {d: i for i, d in enumerate(instance.doctor_ids)}
     while state.unmatched:
-        if state.trace.loop_passes > max_iterations:
-            raise MatchGamesError("iteration cap exceeded; monotonicity invariant broken")
+        if state.trace.loop_passes >= max_passes:
+            raise MatchGamesError("iteration bound exceeded; monotonicity invariant broken")
         state.trace.loop_passes += 1
         d = min(state.unmatched, key=doctor_order.__getitem__)
         proposal = optimal_proposal(state, d)
@@ -426,17 +439,11 @@ def run_dac(instance: MatchingGameInstance, epsilon: Fraction) -> Tuple[Allocati
         _, bid_p, _ = competition_bid(state, d, h)
         _, bid_i, _ = competition_bid(state, incumbent, h)
         log("compete", h, d, bid_p, incumbent, bid_i)
-        proposer_wins = _bid_beats(bid_p, bid_i)
-        if proposer_wins:
+        if bid_p > bid_i:
             winner, loser, loser_bid = d, incumbent, bid_i
         else:
             winner, loser, loser_bid = incumbent, d, bid_p
-        if loser_bid is None:
-            # The loser could not bid at all; the winner keeps the pressure of
-            # the proposal threshold instead of an unbounded concession.
-            settled = proposal.point if winner == d else state.seats[(h, incumbent)]
-        else:
-            settled = settle_competition(state, winner, loser_bid, h)
+        settled = settle_competition(state, winner, loser_bid, h)
         log("settle", winner, h, settled.f, settled.g, loser if winner == d else "none")
         state.trace.iterations += 1
         if winner == d:
@@ -454,22 +461,12 @@ def run_dac(instance: MatchingGameInstance, epsilon: Fraction) -> Tuple[Allocati
     return allocation, state.trace
 
 
-def _bid_beats(bid_proposer, bid_incumbent) -> bool:
-    """Highest bid wins; the incumbent keeps her seat on ties or both-None."""
-    if bid_proposer is None:
-        return False
-    if bid_incumbent is None:
-        return True
-    return bid_proposer > bid_incumbent
-
-
-def _default_iteration_cap(instance: MatchingGameInstance, epsilon: Fraction) -> int:
-    # The largest per-seat value of each hospital, then one spread above its
-    # baseline per hospital.
-    top: Dict[str, Fraction] = {}
-    for (d, h), game in instance.games.items():
-        m_max = game.frontier.m_max
-        if h not in top or m_max > top[h]:
-            top[h] = m_max
-    bound = max([Fraction(0)] + [v - instance.hospitals[h].irp for h, v in top.items()]) / epsilon
-    return int(bound) + 10 * (len(instance.doctors) + 1) + 100
+def _iteration_bound(instance: MatchingGameInstance, epsilon: Fraction) -> int:
+    """n + sum_h q_h + floor(2 sum_h q_h spread_h / eps): see :func:`run_dac`."""
+    top: Dict[str, List[Fraction]] = {h: [] for h in instance.hospitals}
+    for (_, h), game in instance.games.items():
+        top[h].append(game.frontier.m_max)
+    room = sum(hosp.quota * max(0, max(top[h], default=hosp.irp) - hosp.irp)
+               for h, hosp in instance.hospitals.items())
+    seats = sum(hosp.quota for hosp in instance.hospitals.values())
+    return len(instance.doctors) + seats + int(2 * room / epsilon)

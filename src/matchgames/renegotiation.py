@@ -418,17 +418,17 @@ def _slide(a: Matrix, v: Fraction, y0, y_star):
     payoff is affine; the largest tau at which some row still attains v
     leaves every row at or below v, killing all deviations of the row side.
     Ties go to the smallest row index.
+
+    Every row pays at most the game value, below v, against y_star: z's
+    minimax columns when the doctor binds, z's maximin rows x* (the rows of
+    -z^T) when the hospital does.  So b_s < v <= a_s for each row kept, and
+    tau = (a_s - v) / (a_s - b_s) lies in [0, 1).
     """
     best = None
     for s, (a_s, b_s) in enumerate(zip(row_payoffs(a, y0), row_payoffs(a, y_star))):
         if a_s < v:
             continue  # starts below and ends below: never attains v
-        if a_s == b_s:
-            tau = Fraction(0) if a_s == v else None
-        else:
-            tau = (v - a_s) / (b_s - a_s)
-        if tau is None or tau < 0 or tau > 1:
-            continue
+        tau = (a_s - v) / (a_s - b_s)
         if best is None or tau > best[0]:
             best = (tau, s)
     if best is None:

@@ -28,9 +28,15 @@ from matchgames.dac import (
     run_dac,
     settle_competition,
 )
-from matchgames.errors import EpsilonNotPositiveError
+from matchgames.errors import EpsilonNotPositiveError, MatchGamesError
 from matchgames.gen import generate_instance
-from matchgames.qcqp import PairOutcome, max_f_given_g_floor, max_f_point, max_f_value
+from matchgames.qcqp import (
+    PairOutcome,
+    max_f_given_g_floor,
+    max_f_point,
+    max_f_value,
+    max_g_point,
+)
 from matchgames.stability import check_individual_rationality, find_blocking_pair
 
 from fixtures import multi_auction_instance
@@ -137,6 +143,11 @@ class TestRunDac:
         inst = one_hospital_instance([[1, -1], [-1, 1]])
         with pytest.raises(EpsilonNotPositiveError):
             run_dac(inst, F(0))
+
+    def test_requires_an_additive_separable_instance(self):
+        inst = generate_instance(seed=0, model="roommates", n_doctors=4)
+        with pytest.raises(MatchGamesError, match="additive separable"):
+            run_dac(inst, F(1, 2))
 
     def test_empty_doctor_set(self):
         inst = MatchingGameInstance(
@@ -333,6 +344,15 @@ def _assert_options_fresh(state, price=max_f_point, scans=None):
         assert optimal_proposal(state, d) == proposal
         for h, value in reservations.items():
             assert reservation_value(state, d, h) == value
+
+
+def test_a_plain_seat_dict_becomes_an_indexed_seat_book():
+    inst = one_hospital_instance([[-4, 4]])
+    state = DacState(instance=inst, epsilon=F(1, 2),
+                     seats={("h1", "d1"): PairOutcome(f=F(-1), g=F(1))})
+    assert isinstance(state.seats, dac.SeatBook)
+    assert state.seats.members("h1") == ["d1"]
+    assert state.bar("h1") == (F(3, 2), "d1")
 
 
 def test_direct_seat_writes_reprice_options(monkeypatch):
@@ -569,10 +589,81 @@ def test_trace_records_are_typed_events():
 def test_iteration_cap_reads_the_frontier_bound():
     from matchgames.core import matrix_bounds
 
+    eps = F(1, 2)
     for seed in range(4):
         inst = generate_instance(seed=seed, n_doctors=10, n_hospitals=4,
                                  classes=["zero_sum", "strictly_competitive", "repeated"])
-        g_max = max([F(0)] + [matrix_bounds(g.hospital_matrix)[1] - inst.hospitals[h].irp
-                              for (d, h), g in inst.games.items()])
-        expected = int(g_max / F(1, 2)) + 10 * (len(inst.doctors) + 1) + 100
-        assert dac._default_iteration_cap(inst, F(1, 2)) == expected
+        room = F(0)
+        for h, hosp in inst.hospitals.items():
+            spread = max([F(0)] + [matrix_bounds(g.hospital_matrix)[1] - hosp.irp
+                                   for (_, hh), g in inst.games.items() if hh == h])
+            room += hosp.quota * spread
+        seats = sum(hosp.quota for hosp in inst.hospitals.values())
+        expected = len(inst.doctors) + seats + int(2 * room / eps)
+        assert dac._iteration_bound(inst, eps) == expected
+
+
+# ---------------------------------------------------------------------------
+# The invariants behind the bound: every bid exists, and the potential P (the
+# sum over seats of g - irp_h plus the holder's bid - irp_h) never falls and
+# rises by eps or more at each competition.
+
+
+def _potential(state):
+    """P from the raw seats, each holder's reservation by the fresh scan."""
+    inst = state.instance
+    total = F(0)
+    for (h, d), seat in state.seats.items():
+        irp = inst.hospitals[h].irp
+        reservation = max([inst.doctors[d].irp]
+                          + [opt[0] for opt in _fresh_options(state, d, exclude=(h,))])
+        strength = max_g_point(inst.game_for(d, h), reservation).g
+        total += (seat.g - irp) + (strength - irp)
+    return total
+
+
+@pytest.mark.parametrize("eps", [F(1, 2), F(1, 10)])
+@pytest.mark.parametrize("classes", [
+    ["zero_sum"], ["zero_sum", "strictly_competitive"],
+    ["zero_sum", "strictly_competitive", "repeated"],
+])
+def test_bids_exist_and_each_competition_raises_the_potential(monkeypatch, classes, eps):
+    states, passes = [], []  # per pass: [P at its start, whether it competed]
+    post_init, log = DacState.__post_init__, dac.DacTrace.log
+
+    def capture(self):
+        post_init(self)
+        states.append(self)
+
+    def checking(self, kind, *fields):
+        log(self, kind, *fields)
+        if kind == "propose":
+            passes.append([_potential(states[-1]), False])
+        elif kind == "compete":
+            assert isinstance(fields[2], F) and isinstance(fields[4], F)
+            passes[-1][1] = True
+
+    monkeypatch.setattr(DacState, "__post_init__", capture)
+    monkeypatch.setattr(dac.DacTrace, "log", checking)
+    competitions = 0
+    for seed in range(4):
+        inst = generate_instance(seed=seed, n_doctors=10, n_hospitals=3, classes=classes)
+        states.clear()
+        passes.clear()
+        _, trace = run_dac(inst, eps)
+        passes.append([_potential(states[-1]), False])
+        for (before, competed), (after, _) in zip(passes, passes[1:]):
+            assert after - before >= (eps if competed else 0)
+        assert len(passes) == trace.loop_passes + 1
+        competitions += trace.competitions
+    assert competitions > 0
+
+
+@pytest.mark.parametrize("size, seed", [((100, 20), seed) for seed in range(10)]
+                         + [((200, 40), 0)])
+def test_run_dac_finishes_within_its_bound_at_a_tenth(size, seed):
+    eps = F(1, 10)
+    inst = generate_instance(seed=seed, n_doctors=size[0], n_hospitals=size[1])
+    allocation, trace = run_dac(inst, eps)
+    assert trace.loop_passes <= dac._iteration_bound(inst, eps)
+    assert find_blocking_pair(inst, allocation, eps) is None

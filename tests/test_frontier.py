@@ -479,7 +479,7 @@ def test_dac_seat_index_agrees_with_seats(monkeypatch):
     assert trace.competitions > 0 and any(state.is_full(h) for h in inst.hospitals)
     for h, hosp in inst.hospitals.items():
         members = [d for (hh, d) in sorted(state.seats) if hh == h]
-        assert state.members(h) == members
+        assert state.seats.members(h) == members
         assert members == allocation.hospital_members(h)
         if len(members) >= hosp.quota:
             weakest = min((state.seats[(h, d)].g, d) for d in members)
