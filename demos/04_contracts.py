@@ -1,7 +1,8 @@
 """Matching with contracts: deferred acceptance and the substitutes audits.
 
-Hospitals with additive per-contract values choose substitutably and the
-deferred-acceptance output is fully stable.  A hospital that values a PAIR
+Hospitals with positive additive per-contract values choose substitutably
+and the deferred-acceptance output is fully stable (a zero-weight contract
+can break substitutability).  A hospital that values a PAIR
 of contracts but neither alone violates substitutability: the algorithm's
 output is still pairwise stable, yet a blocking set exists, and the audit
 pins the violating triple.

@@ -658,8 +658,7 @@ def game_to_contracts(instance: MatchingGameInstance, mesh: int) -> ContractMode
     additive: Dict[str, Dict[str, Fraction]] = {h: {} for h in instance.hospitals}
     quotas = {h: hosp.quota for h, hosp in instance.hospitals.items()}
     for d in instance.doctor_ids:
-        for h in instance.partner_options(d):
-            game = instance.game_for(d, h)
+        for h, game in instance.pairs_of(d):
             xs = list(simplex_grid(game.n_rows, mesh))
             ys = list(simplex_grid(game.n_cols, mesh))
             for i, x in enumerate(xs):

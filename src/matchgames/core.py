@@ -152,7 +152,7 @@ def format_rational(value: Fraction) -> str:
 
 def parse_matrix(rows: Sequence[Sequence[object]]) -> Matrix:
     """A document matrix, read and checked as :func:`load_instance` reads it."""
-    return _read_matrix(rows)[0]
+    return _read_matrix(rows, False)[0]
 
 
 def matrix_bounds(m: Matrix) -> Tuple[Fraction, Fraction]:
@@ -557,11 +557,19 @@ class MatchingGameInstance:
             return game.flipped
         return game
 
-    def partner_options(self, d: str) -> List[str]:
-        """Agents on the other side that d has a game with."""
-        if self.model == ROOMMATES:
-            return [x for x in self.doctors if x != d and self.has_game(d, x)]
-        return [h for h in self.hospitals if self.has_game(d, h)]
+    def pairs_of(self, d: str) -> List[Tuple[str, BimatrixGame]]:
+        """(partner, ``game_for(d, partner)``) for every agent on the other side
+        that d has a game with, in partner order, read from ``games`` on each call."""
+        get = self.games.get
+        if self.model != ROOMMATES:
+            return [(h, game) for h in self.hospitals if (game := get((d, h))) is not None]
+        return [(k, game if d < k else game.flipped) for k in self.doctors
+                if k != d and (game := get((d, k) if d < k else (k, d))) is not None]
+
+    def pairs_at(self, h: str) -> List[Tuple[str, BimatrixGame]]:
+        """(doctor, game) for every doctor with a game at hospital h, in doctor order."""
+        get = self.games.get
+        return [(d, game) for d in self.doctors if (game := get((d, h))) is not None]
 
 
 # The most coalition tables an enumerated instance may list.
@@ -605,7 +613,8 @@ def validate_instance(instance: MatchingGameInstance):
 # Strategies and allocations
 
 
-def validate_mixed(weights: Sequence[Fraction], size: int, label: str = "strategy"):
+def validate_mixed(weights: Sequence[Fraction], size: int, label: str = "strategy") -> Tuple[List[int], int]:
+    """A probability vector of ``size`` weights, checked and scaled (:func:`_integer_weights`)."""
     if len(weights) != size:
         raise DimensionMismatchError(f"{label} has {len(weights)} weights, expected {size}")
     nums, den = _integer_weights(weights)
@@ -615,6 +624,7 @@ def validate_mixed(weights: Sequence[Fraction], size: int, label: str = "strateg
     for w, n in zip(weights, nums):
         if n < 0 or n > den:
             raise MatchGamesError(f"{label} weight {format_rational(w)} outside [0, 1]")
+    return nums, den
 
 
 def pure(index: int, size: int) -> Tuple[Fraction, ...]:
@@ -671,13 +681,13 @@ def row_payoffs(matrix: Matrix, y: Sequence[Fraction]) -> List[Fraction]:
 
 def bilinear(x: Sequence[Fraction], matrix: Matrix, y: Sequence[Fraction]) -> Fraction:
     """Exact x.A.y for mixed strategies x, y, on the integer kernel."""
-    return _bilinears(x, (matrix,), y)[0]
+    return _bilinears(_integer_weights(x), (matrix,), _integer_weights(y))[0]
 
 
 def _bilinears(x, matrices, y) -> List[Fraction]:
-    """x.A.y for each matrix A, with x and y scaled to integers once."""
-    xs, xd = _integer_weights(x)
-    ys, yd = _integer_weights(y)
+    """x.A.y for each matrix A, with x and y given scaled to integers
+    (:func:`_integer_weights`)."""
+    (xs, xd), (ys, yd) = x, y
     support = [j for j, w in enumerate(ys) if w]
     sums = [(0, 1)] * len(matrices)
     for i, xi in enumerate(xs):
@@ -692,7 +702,7 @@ def witness_payoffs(a: Matrix, m: Matrix, x=None, y=None, cells=None,
     of ``cells``' weights by cell (s, t) over ``length`` (a hull distribution
     over 1, a cycle's step counts over its length), each scaled to integers once."""
     if cells is None:
-        return tuple(_bilinears(x, (a, m), y))
+        return tuple(_bilinears(_integer_weights(x), (a, m), _integer_weights(y)))
     ws, wd = _integer_weights(list(cells.values()))
     (fn, fd), (gn, gd) = (_dot([mat[s][t] for s, t in cells], ws, range(len(ws))) for mat in (a, m))
     return Fraction(fn, fd * wd * length), Fraction(gn, gd * wd * length)
@@ -811,7 +821,8 @@ def evaluate_payoffs(instance: MatchingGameInstance, allocation: Allocation) -> 
 
 class Couple(NamedTuple):
     """A matched couple's witness, a profile (x, y) or a cycle over ``game``,
-    which is ``game_for(d, partner)``, and its payoffs: f to d, g to the partner."""
+    which is ``game_for(d, partner)``, its payoffs, f to d and g to the partner,
+    and a profile's mixes scaled to integers (:func:`_integer_weights`)."""
 
     game: BimatrixGame
     x: Optional[Tuple[Fraction, ...]]
@@ -819,6 +830,8 @@ class Couple(NamedTuple):
     cycle: Optional[CycleStrategy]
     f: Fraction
     g: Fraction
+    scaled_x: Optional[Tuple[List[int], int]] = None
+    scaled_y: Optional[Tuple[List[int], int]] = None
 
 
 def _witness_slots(instance, allocation, d, partner):
@@ -875,9 +888,10 @@ def read_couple(instance, allocation, d, partner) -> Couple:
         x, y = allocation.doctor_strategies.get(d), partners.get(partner_key)
         if x is None or y is None:
             raise MatchGamesError(f"pair ({d},{partner}) has no strategy profile")
-        validate_mixed(x, view.n_rows, f"doctor {d} strategy")
-        validate_mixed(y, view.n_cols, f"partner {partner} strategy vs {d}")
-        return Couple(view, x, y, None, *witness_payoffs(view.doctor_matrix, view.hospital_matrix, x, y))
+        xs = validate_mixed(x, view.n_rows, f"doctor {d} strategy")
+        ys = validate_mixed(y, view.n_cols, f"partner {partner} strategy vs {d}")
+        f, g = _bilinears(xs, (view.doctor_matrix, view.hospital_matrix), ys)
+        return Couple(view, x, y, None, f, g, xs, ys)
     cycle = allocation.cycles.get(key)
     if cycle is None:
         pair = key if instance.model == ROOMMATES else f"({d},{partner})"
@@ -945,22 +959,24 @@ def gc_paused(build):
     return paused
 
 
-def _read_matrix(rows):
-    """(matrix, -matrix) of a document matrix, its shape checked: each row
-    is mapped through the literal table in one pass, or entry by entry
-    (raising as ``parse_rational`` does) on a miss or a non-str entry."""
+def _read_matrix(rows, negations: bool):
+    """(matrix, -matrix) of a document matrix, its shape checked, or
+    (matrix, None) without ``negations``: each row is mapped through the
+    literal table in one pass, or entry by entry (raising as
+    ``parse_rational`` does) on a miss or a non-str entry."""
     if not rows or not all(rows):
         raise DimensionMismatchError("matrices must have at least one row and column")
     width = len(rows[0])
-    pairs = []
+    out = []
     for row in rows:
         if len(row) != width:
             raise DimensionMismatchError("ragged matrix rows")
         try:
-            pairs.append(tuple(zip(*map(_literal, row))))
+            pairs = [*map(_literal, row)]
         except (KeyError, TypeError):
-            pairs.append(tuple(zip(*map(_read_entry, row))))
-    return tuple(zip(*pairs))
+            pairs = [*map(_read_entry, row)]
+        out.append(tuple(zip(*pairs)) if negations else tuple([value for value, _ in pairs]))
+    return tuple(zip(*out)) if negations else (tuple(out), None)
 
 
 def check_quota(quota, hospital, floor: int = 1) -> int:
@@ -983,9 +999,10 @@ def load_instance(source: Union[str, dict]) -> MatchingGameInstance:
 
     Each game is built in one pass over its document rows, with every check
     the constructor makes (:func:`build_game`).  Each row maps through the
-    literal table (see :func:`_read_literal`) to its values and their
-    negations in one pass (:func:`_read_matrix`), so a zero-sum pair's
-    check compares M with -A as tuples instead of entry by entry.
+    literal table (see :func:`_read_literal`) in one pass
+    (:func:`_read_matrix`); a zero-sum A's row is read with its negations
+    too, so the pair's check compares M with -A as tuples instead of entry
+    by entry.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
@@ -1024,8 +1041,8 @@ def load_instance(source: Union[str, dict]) -> MatchingGameInstance:
         else:
             other = str(entry["hospital"])
             key = (d, other)
-        a, negated_a = _read_matrix(entry["A"])
-        m = _read_matrix(entry["M"])[0]
+        a, negated_a = _read_matrix(entry["A"], entry.get("class") == ZERO_SUM)
+        m = _read_matrix(entry["M"], False)[0]
         games[key] = build_game(a, m, str(entry["class"]), negated_a)
 
     coalition_doctor_payoffs = {}

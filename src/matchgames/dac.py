@@ -200,7 +200,7 @@ class DacState:
     ``ranked[d]`` is (the seat book's total write count when ranked, d's
     best option, her best option at another hospital), each a
     :data:`Ranked` or None.  ``bars[h]`` is (write count, threshold,
-    displaced) of :meth:`bar`.
+    displaced) of :meth:`bar`; ``index[h]`` is h's hospital index.
     """
 
     instance: MatchingGameInstance
@@ -215,10 +215,12 @@ class DacState:
         default_factory=dict, init=False, repr=False, compare=False)
     bars: Dict[str, Tuple[int, Fraction, str]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    index: Dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.seats, SeatBook):
             self.seats = SeatBook(self.seats)
+        self.index = {h: i for i, h in enumerate(self.instance.hospitals)}
 
     def is_full(self, h: str) -> bool:
         return self.seats.occupied(h) >= self.instance.hospitals[h].quota
@@ -266,10 +268,9 @@ def _ranked(state: DacState, d: str) -> Tuple[Optional[Ranked], Optional[Ranked]
         return held[1], held[2]
     priced = state.priced.get(d)
     if priced is None:
-        instance = state.instance
-        priced = state.priced[d] = {h: (idx, instance.game_for(d, h), -1, None)
-                                    for idx, h in enumerate(instance.hospital_ids)
-                                    if instance.has_game(d, h)}
+        index = state.index
+        priced = state.priced[d] = {h: (index[h], game, -1, None)
+                                    for h, game in state.instance.pairs_of(d)}
     writes = seats.write_counts.get
     best = second = None
     for h, (idx, game, priced_at, value) in priced.items():

@@ -46,8 +46,8 @@ from .core import (
     MatchingGameInstance,
     Matrix,
     PayoffReport,
+    _bilinears,
     _integer_weights,
-    bilinear,
     evaluate_payoffs,
     frontier_bridge,
     negate,
@@ -57,7 +57,6 @@ from .core import (
     seat_floor,
     store_witness,
     transpose,
-    witness_payoffs,
 )
 from .errors import (
     EpsilonNotPositiveError,
@@ -214,8 +213,7 @@ class _PayoffLedger:
         if options is None:
             side = DOCTOR if self.roommates else HOSPITAL
             options = self._doctor_options[d] = [
-                [k, (side, k), self.instance.game_for(d, k), -1, None]
-                for k in self.instance.partner_options(d)]
+                [k, (side, k), game, -1, None] for k, game in self.instance.pairs_of(d)]
         bars = self.doctor_floors if self.roommates else self.hospital_bars
         return self._best(self.instance.doctors[d].irp, options, exclude, bars, max_f_value)
 
@@ -228,10 +226,10 @@ class _PayoffLedger:
             return held[1]
         options = self._hospital_options.get(h)
         if options is None:
-            instance, members = self.instance, self.members.get(h, ())
+            members = self.members.get(h, ())
             options = self._hospital_options[h] = [
-                [k, (DOCTOR, k), instance.game_for(k, h), -1, None]
-                for k in instance.doctor_ids if k not in members and instance.has_game(k, h)]
+                [k, (DOCTOR, k), game, -1, None]
+                for k, game in self.instance.pairs_at(h) if k not in members]
         best = self._best(self.instance.hospitals[h].irp, options, None,
                           self.doctor_floors, max_g_value)
         self._hospital_reservations[h] = (stamp, best)
@@ -262,30 +260,31 @@ class _PayoffLedger:
 # Constrained best responses (deviation audits)
 
 
-def _deviation_fault(game: BimatrixGame, x, y, f_now: Fraction, g_now: Fraction,
+def _deviation_fault(game: BimatrixGame, scaled_x, scaled_y, f_now: Fraction, g_now: Fraction,
                      f_res: Fraction, g_res: Fraction, epsilon: Fraction) -> Optional[str]:
     """Why one side of the profile (x, y), which pays (f_now, g_now), has a
     profitable constrained deviation, or None when neither side has one.
+    x and y come scaled to integers, as ``core._integer_weights`` scales them.
 
     The doctor's deviations are the row mixes keeping the hospital's payoff
     against y at g_res - epsilon or more, profitable when they pay more than
     f_now + epsilon; the hospital's mirror them against x.  Both matrices
     and the fixed mix are integers over their denominators
-    (``BimatrixGame.integers``, ``core._integer_weights``), so each pure
+    (``BimatrixGame.integers``, ``scaled_x`` and ``scaled_y``), so each pure
     strategy's payoffs are integer dot products, and
     :func:`_best_guarded_mix` compares them with the floor and the bar by
     cross products.
     """
     (ka, la), (km, lm) = game.integers
     en, ed = epsilon.as_integer_ratio()
-    ys, yd = _integer_weights(y)
+    ys, yd = scaled_y
     support = [(j, w) for j, w in enumerate(ys) if w]
     best = _best_guarded_mix([sum(row[j] * w for j, w in support) for row in ka], la * yd,
                              [sum(row[j] * w for j, w in support) for row in km], lm * yd,
                              _shifted(g_res, -en, ed), _shifted(f_now, en, ed))
     if best is not None:
         return f"doctor deviation worth {best} > {f_now} + eps"
-    xs, xd = _integer_weights(x)
+    xs, xd = scaled_x
     rows = [(w, ka[i], km[i]) for i, w in enumerate(xs) if w]
     columns = range(len(ka[0]))
     best = _best_guarded_mix([sum(w * row_m[t] for w, _, row_m in rows) for t in columns], lm * xd,
@@ -399,10 +398,11 @@ def _one_shot_cne(game: BimatrixGame, f_res: Fraction, g_res: Fraction,
             # The hospital's columns are the rows of -z^T, to be held at -value.
             t, x = _slide(negate(transpose(z)), -value, x0, x_star)
             y, tag = pure(t, len(z[0])), HOSPITAL_BINDING
-    if bilinear(x, z, y) != value:
+    xs, ys = _integer_weights(x), _integer_weights(y)
+    reached, f_now, g_now = _bilinears(xs, (z, a, m), ys)
+    if reached != value:
         raise MatchGamesError("CNE construction missed its target value")
-    f_now, g_now = witness_payoffs(a, m, x, y)
-    fault = _deviation_fault(game, x, y, f_now, g_now, f_res, g_res, epsilon)
+    fault = _deviation_fault(game, xs, ys, f_now, g_now, f_res, g_res, epsilon)
     if fault is not None:
         raise MatchGamesError(f"{game.class_tag} CNE: {fault}")
     return CneResult(x=x, y=y, cycle=None, doctor_payoff=f_now, hospital_payoff=g_now,
@@ -527,7 +527,7 @@ def cne_verdict(couple: Couple, reservations: ReservationPair, epsilon: Fraction
         return False, f"doctor payoff {f_now} not feasible against reservation {f_res}"
     if g_now + epsilon < g_res:
         return False, f"hospital payoff {g_now} not feasible against reservation {g_res}"
-    fault = _deviation_fault(game, couple.x, couple.y, f_now, g_now, f_res, g_res, epsilon)
+    fault = _deviation_fault(game, couple.scaled_x, couple.scaled_y, f_now, g_now, f_res, g_res, epsilon)
     return fault is None, fault
 
 

@@ -64,8 +64,8 @@ def demand_set(instance: MatchingGameInstance, profile: PayoffProfile, d: str) -
     floors in :func:`partnership_value` but exact here, since a realized
     pair pays both members their profile values.
     """
-    return {other for other in instance.partner_options(d)
-            if exact_point(instance.game_for(d, other), profile[d], profile[other]) is not None}
+    return {other for other, game in instance.pairs_of(d)
+            if exact_point(game, profile[d], profile[other]) is not None}
 
 
 @dataclass

@@ -30,7 +30,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
 from .core import (
@@ -51,7 +51,7 @@ from .core import (
     witness_payoffs,
 )
 from .errors import MatchGamesError, UnsupportedClassError
-from .qcqp import achieve_value_zero_sum, max_f_point, max_g_point, pays_above, simplex_grid
+from .qcqp import achieve_value_zero_sum, max_f_point, max_g_point, max_g_value, pays_above, simplex_grid
 
 EXACT_INTERVAL = "exact_interval"
 EXACT_HULL = "exact_hull"
@@ -228,11 +228,10 @@ def find_blocking_pair(instance, allocation, epsilon: Fraction, grid_mesh: int =
     for d in instance.doctor_ids:
         f_bar = floors[d]
         mine = allocation.matching.get(d)
-        for partner in instance.partner_options(d):
+        for partner, game in instance.pairs_of(d):
             # A matched pair is checked against itself too: a joint move that
             # strictly improves both sides is a blocking deviation, and the
             # hospital's side of it is the pair's own seat.
-            game = instance.game_for(d, partner)
             if two_sided and partner == mine:
                 g_bar = payoffs.seat_values[(partner, d)] + epsilon
             else:
@@ -273,7 +272,8 @@ def find_blocking_coalition(instance, allocation, epsilon: Fraction,
     suprema: a size holds a blocker at h iff its largest suprema sum above
     h's payoff plus epsilon, and the witness is the first team of the first
     such size in ``itertools.combinations`` order (:func:`_first_team`); an
-    over-quota hospital's first eligible doctor blocks it alone.  The
+    over-quota hospital's first eligible doctor blocks it alone.  Suprema
+    stay integer ratios (``qcqp.max_g_value``) until a team exists.  The
     enumerated model scans its explicit tables.  A pair of a class without an
     exact frontier (``general``) is refused with ``UnsupportedClassError``
     before any pair is priced.
@@ -294,27 +294,39 @@ def find_blocking_coalition(instance, allocation, epsilon: Fraction,
     floors = {d: f + epsilon for d, f in payoffs.doctor_payoffs.items()}
     for h in instance.hospital_ids:
         current = payoffs.hospital_payoffs[h]
-        eligible = []
-        for d in instance.doctor_ids:
-            if not instance.has_game(d, h):
-                continue
-            # sup of h's seat value over profiles paying d strictly above
-            # her floor; unattained sups still decide strict sums.
-            best = max_g_point(instance.game_for(d, h), floors[d], strict=True)
-            if best is not None:
-                eligible.append((d, best.g))
+        # sup of h's seat value over profiles paying d strictly above her
+        # floor; unattained sups still decide strict sums.
+        eligible = [(d, sup) for d, game in instance.pairs_at(h)
+                    if (sup := max_g_value(game, floors[d], True)) is not None]
         max_size = min(max_coalition_size, instance.hospitals[h].quota, len(eligible))
         if current is NEG_INF:
             team = [0] if max_size > 0 else []
         else:
-            sups = [g for _, g in eligible]
-            # bests[size]: the largest total any coalition of that size can reach.
-            bests = list(accumulate(sorted(sups, reverse=True), initial=Fraction(0)))
-            size = next((s for s in range(1, max_size + 1) if bests[s] > current + epsilon), 0)
+            size = _team_size([sup for _, sup in eligible], max_size, current + epsilon)
+            sups = [Fraction(*sup) for _, sup in eligible] if size else []
             team = _first_team(sups, size, current + epsilon)
         if team:
-            return _realise_coalition(instance, floors, [eligible[i] for i in team], h, current, epsilon)
+            members = [(eligible[i][0], Fraction(*eligible[i][1])) for i in team]
+            return _realise_coalition(instance, floors, members, h, current, epsilon)
     return None
+
+
+def _team_size(sups, max_size, bar):
+    """The least size, up to ``max_size``, whose largest ``sups`` (integer
+    ratios, ranked by cross products) sum above ``bar``, or 0."""
+    top = []  # the largest sups, descending
+    for n, q in sups:
+        k = len(top)
+        while k and n * top[k - 1][1] > top[k - 1][0] * q:
+            k -= 1
+        if k < max_size:
+            top[k:] = [(n, q), *top[k:max_size - 1]]
+    total = Fraction(0)
+    for size, sup in enumerate(top, 1):
+        total += Fraction(*sup)
+        if total > bar:
+            return size
+    return 0
 
 
 def _first_team(sups, size, bar):

@@ -26,6 +26,12 @@ compare the solvers with code that does not share their private paths:
 * ``couple_payoffs`` pays a matched couple straight off an allocation's
   entries: each side's ``bilinear`` form of the stored profile, or a
   step-by-step Fraction sum over the stored cycle;
+* ``partner_options`` lists an agent's partners by one ``has_game`` lookup
+  per agent, the reference for the pair lists ``pairs_of`` and
+  ``pairs_at``;
+* ``sorted_sups_coalition`` is the coalition scan on Fraction suprema,
+  sorted and summed, with the team found by enumeration: the reference
+  for the scan on integer ratios;
 * ``hospital_value`` is a contract model's hospital utility of a contract
   set, read straight off its weights or table, which a choice by brute
   force maximises;
@@ -39,11 +45,12 @@ compare the solvers with code that does not share their private paths:
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import lcm
 
 from matchgames.core import (
     GENERAL_ENUMERATED,
+    NEG_INF,
     REPEATED,
     ROOMMATES,
     Allocation,
@@ -58,7 +65,7 @@ from matchgames.errors import (
     MatchGamesError,
     UnsupportedClassError,
 )
-from matchgames.qcqp import simplex_grid
+from matchgames.qcqp import max_g_point, simplex_grid
 from matchgames.stability import check_individual_rationality, find_blocking_coalition
 
 
@@ -460,6 +467,44 @@ def couple_payoffs(instance, allocation, d, partner):
         g += m[s][t]
     f, g = f / len(steps), g / len(steps)
     return (g, f) if roommates and d > partner else (f, g)
+
+
+def partner_options(instance, d):
+    """The agents on the other side that d has a game with, in the order of
+    the instance's id table, each found by a ``has_game`` lookup."""
+    if instance.model == ROOMMATES:
+        return [k for k in instance.doctors if k != d and instance.has_game(d, k)]
+    return [h for h in instance.hospitals if instance.has_game(d, h)]
+
+
+def sorted_sups_coalition(instance, payoffs, epsilon, max_size):
+    """(team, hospital) of the coalition scan, with team a list of (doctor,
+    sup) pairs, or None.  At each hospital in id order: every eligible
+    doctor's sup, a Fraction from ``max_g_point``; the first size whose
+    largest sups, sorted and summed, clear the hospital's payoff plus
+    epsilon; and that size's first clearing team in
+    ``itertools.combinations`` order.  An over-quota hospital's first
+    eligible doctor blocks it alone."""
+    floors = {d: f + epsilon for d, f in payoffs.doctor_payoffs.items()}
+    for h in instance.hospital_ids:
+        current = payoffs.hospital_payoffs[h]
+        eligible = []
+        for d in instance.doctor_ids:
+            if instance.has_game(d, h):
+                best = max_g_point(instance.game_for(d, h), floors[d], strict=True)
+                if best is not None:
+                    eligible.append((d, best.g))
+        top = min(max_size, instance.hospitals[h].quota, len(eligible))
+        if current is NEG_INF:
+            if top > 0:
+                return eligible[:1], h
+            continue
+        bests = list(accumulate(sorted((g for _, g in eligible), reverse=True), initial=Fraction(0)))
+        size = next((s for s in range(1, top + 1) if bests[s] > current + epsilon), 0)
+        if size:
+            return next(list(team) for team in combinations(eligible, size)
+                        if sum(g for _, g in team) > current + epsilon), h
+    return None
 
 
 def hospital_value(model, h, subset):

@@ -201,6 +201,15 @@ class TestAudits:
         assert check_substitutability(m, "h1") == (True, None)
         assert check_irc(m, "h1") == (True, None)
 
+    def test_a_zero_weight_contract_breaks_substitutability(self):
+        # Alone, d1's zero-weight contract a is rejected: a zero weight joins
+        # only below a kept doctor's id.  Next to d2's positive b it is
+        # chosen, so a larger pool regains what a smaller one rejected.
+        m = additive_model(None, {"a": ("d1", "h1", 1, 0), "b": ("d2", "h1", 1, 3)}, {"h1": 2})
+        assert choice_hospital(m, "h1", ["a"]) == frozenset()
+        assert choice_hospital(m, "h1", ["a", "b"]) == {"a", "b"}
+        assert check_substitutability(m, "h1") == (False, (("a",), "a", "b"))
+
     def test_single_contract_trivially_passes(self):
         m = additive_model(None, {"x": ("d1", "h1", 1, 1)}, {"h1": 1})
         assert check_substitutability(m, "h1") == (True, None)

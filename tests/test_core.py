@@ -755,3 +755,51 @@ def test_a_roommates_cycle_reads_back_from_either_side():
     assert from_b.cycle == core.CycleStrategy(((1, 2), (1, 0)), punish)
     from_a = core.read_couple(inst, alloc, "a", "b")
     assert (from_a.f, from_a.g) == (from_b.g, from_b.f) == (F(3, 2), F(7, 2))
+
+
+def _pair_list_cases():
+    """Two-sided markets with 12 hospitals ("h10" sorts before "h2" as a
+    string), roommates instances with 11 doctors, and each with games
+    removed, so some agents lack some partners."""
+    from matchgames.gen import generate_instance
+
+    classes = ["zero_sum", "strictly_competitive", "repeated"]
+    for seed in range(3):
+        yield generate_instance(seed=seed, n_doctors=4, n_hospitals=12, classes=classes)
+        yield generate_instance(seed=seed, model="roommates", n_doctors=11, classes=classes)
+    rng = random.Random("pair-lists")
+    for model in ("additive_separable", "roommates"):
+        inst = generate_instance(seed=7, model=model, n_doctors=11, n_hospitals=12)
+        for key in rng.sample(sorted(inst.games), 9):
+            del inst.games[key]
+        yield inst
+
+
+def test_pair_lists_equal_the_lookup_loops():
+    from oracles import partner_options
+
+    unsorted_orders = flipped_views = 0
+    for inst in _pair_list_cases():
+        for d in inst.doctor_ids:
+            expected = [(k, inst.game_for(d, k)) for k in partner_options(inst, d)]
+            got = inst.pairs_of(d)
+            assert [k for k, _ in got] == [k for k, _ in expected]
+            assert all(game is want for (_, game), (_, want) in zip(got, expected))
+            unsorted_orders += [k for k, _ in got] != sorted(k for k, _ in got)
+            flipped_views += sum(game is inst.games[(k, d)].flipped for k, game in got if k < d)
+        for h in inst.hospital_ids:
+            expected = [(d, inst.game_for(d, h)) for d in inst.doctor_ids if inst.has_game(d, h)]
+            got = inst.pairs_at(h)
+            assert [d for d, _ in got] == [d for d, _ in expected]
+            assert all(game is want for (_, game), (_, want) in zip(got, expected))
+    assert unsorted_orders and flipped_views
+
+
+def test_pair_lists_read_the_games_on_each_call():
+    from matchgames.gen import generate_instance
+
+    inst = generate_instance(seed=3, n_doctors=3, n_hospitals=3)
+    assert [h for h, _ in inst.pairs_of("d2")] == ["h1", "h2", "h3"]
+    del inst.games[("d2", "h2")]
+    assert [h for h, _ in inst.pairs_of("d2")] == ["h1", "h3"]
+    assert [d for d, _ in inst.pairs_at("h2")] == ["d1", "d3"]

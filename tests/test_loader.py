@@ -140,7 +140,7 @@ def test_literals_share_one_object_per_value():
     a, m = game.doctor_matrix, game.hospital_matrix
     assert a[0][1] is core.parse_rational("1/2")
     assert m[0][0] is core.parse_rational("-7") and a[1][0] is m[1][0]
-    _, negated_a = core._read_matrix(doc["games"][0]["A"])
+    _, negated_a = core._read_matrix(doc["games"][0]["A"], True)
     assert all(x is y for row_m, row in zip(m, negated_a) for x, y in zip(row_m, row))
 
 

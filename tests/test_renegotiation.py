@@ -11,6 +11,7 @@ from matchgames.core import (
     Doctor,
     Hospital,
     MatchingGameInstance,
+    _integer_weights,
     bilinear,
     negate,
     pure,
@@ -494,6 +495,7 @@ def test_integer_audit_equals_the_fraction_reference():
         game = _audit_game(rng)
         a, m = game.doctor_matrix, game.hospital_matrix
         x, y = _random_mix(rng, len(a)), _random_mix(rng, len(a[0]))
+        scaled_x, scaled_y = _integer_weights(x), _integer_weights(y)
         eps = F(1, rng.choice((1, 2, 4, 10)))
         # Floors exactly at a pure strategy's guard, and anywhere else.
         doctor_guards = [bilinear(pure(i, len(a)), m, y) for i in range(len(a))]
@@ -507,7 +509,7 @@ def test_integer_audit_equals_the_fraction_reference():
         for f_now in _audit_levels(rng, doctor_gains, best_d, eps):
             for g_now in _audit_levels(rng, hospital_gains, best_h, eps):
                 want = deviation_fault(a, m, x, y, f_now, g_now, f_res, g_res, eps)
-                assert _deviation_fault(game, x, y, f_now, g_now, f_res, g_res, eps) == want
+                assert _deviation_fault(game, scaled_x, scaled_y, f_now, g_now, f_res, g_res, eps) == want
                 outcomes[want and want.split()[0]] += 1
                 at_the_bar += (best_d == f_now + eps) + (want is None and best_h == g_now + eps)
                 mixes_at_the_bar += best_d == f_now + eps and best_d not in doctor_gains

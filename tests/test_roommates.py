@@ -600,6 +600,20 @@ class TestStableProfileSearch:
                             blocks = any(2 * x < y < 2 * (top - r) for y in range(2 * lo, 2 * hi + 1))
                             assert (x < row[r]) == blocks, (lo, hi, top, r, x)
 
+    def test_a_pair_without_a_game_is_skipped(self):
+        # With d1-d2's game removed the search never places that pair, and
+        # its answer is still the reference enumeration's first profile.
+        for seed in range(6):
+            inst = generate_instance(seed=seed, model="roommates", n_doctors=6)
+            del inst.games[("d1", "d2")]
+            expected = _enumeration_search(inst)
+            assert _stable_profile_search(inst, _partner_table(inst)) == expected
+            profile = solve_aspiration_zero_sum(inst)
+            assert is_aspiration(inst, profile) == (True, None)
+            if expected is not None:
+                assert profile == expected
+                assert isinstance(realize_aspiration(inst, profile), Allocation)
+
     @pytest.mark.parametrize("seed", sorted(PINNED_N12))
     def test_pinned_profiles_at_twelve(self, seed):
         inst = generate_instance(seed=seed, model="roommates", n_doctors=12)

@@ -37,7 +37,7 @@ from fixtures import (
     roommates_as_general_instance,
     segregation_instance,
 )
-from oracles import enumerate_core
+from oracles import enumerate_core, partner_options
 
 
 def two_hospital_instance():
@@ -487,7 +487,7 @@ def _reference_blocking_pair(inst, alloc, eps):
 
     payoffs = evaluate_payoffs(inst, alloc)
     for d in inst.doctor_ids:
-        for partner in inst.partner_options(d):
+        for partner in partner_options(inst, d):
             game = inst.game_for(d, partner)
             f_floor, g_floor = _pair_floor_reference(inst, alloc, payoffs, d, partner)
             found = _pair_block_profile(game, f_floor + eps, g_floor + eps)
@@ -516,7 +516,7 @@ def _reference_renegotiation_check(inst, alloc, eps):
 
     def outside(d, exclude):
         best = inst.doctors[d].irp
-        for k in inst.partner_options(d):
+        for k in partner_options(inst, d):
             if k == exclude:
                 continue
             if roommates:
@@ -651,3 +651,50 @@ def test_repeated_coalition_member_keeps_her_hull_distribution(tmp_path):
         assert f > payoffs.doctor_payoffs[d] + eps
         total += g
     assert total - payoffs.hospital_payoffs[witness.hospital] == witness.hospital_gain
+
+
+def _coalition_scan_cases():
+    """(instance, allocation, epsilon): DAC outputs of markets, some with
+    repeated pairs, and scrambled allocations with over-quota hospitals."""
+    cases = []
+    for seed in range(8):
+        classes = ["zero_sum", "strictly_competitive"] + (["repeated"] if seed % 2 else [])
+        inst = generate_instance(seed=seed, n_doctors=6 + seed, n_hospitals=3, max_quota=2 + seed % 3,
+                                 classes=classes)
+        for eps in (F(1, 2), F(1, 10)):
+            cases.append((inst, run_dac(inst, eps)[0], eps))
+        if "repeated" not in classes:  # pure profiles only
+            rng = random.Random(f"coalition-scan-{seed}")
+            for _ in range(3):
+                cases.append((inst, _scrambled_allocation(inst, rng), F(1, rng.choice((1, 2, 10)))))
+    # A repeated member, whose sup is a hull vertex, in a team of two.
+    inst = generate_instance(seed=4, n_doctors=6, n_hospitals=3,
+                             classes=["zero_sum", "strictly_competitive", "repeated"])
+    cases.append((inst, run_dac(inst, F(1, 2))[0], F(1, 2)))
+    return cases
+
+
+def test_coalition_scan_on_integer_ratios_equals_the_sorted_fraction_scan():
+    from matchgames.stability import _realise_coalition
+    from oracles import sorted_sups_coalition
+
+    seen = set()
+    for inst, alloc, eps in _coalition_scan_cases():
+        payoffs = evaluate_payoffs(inst, alloc)
+        witness = find_blocking_coalition(inst, alloc, eps, max_coalition_size=4, payoffs=payoffs)
+        found = sorted_sups_coalition(inst, payoffs, eps, 4)
+        if found is None:
+            assert witness is None
+            seen.add("none")
+            continue
+        team, h = found
+        current = payoffs.hospital_payoffs[h]
+        floors = {d: f + eps for d, f in payoffs.doctor_payoffs.items()}
+        assert witness == _realise_coalition(inst, floors, team, h, current, eps)
+        # A tie among the team's sups, or between its least sup and an outsider's.
+        ranked = sorted((sup for d in inst.doctor_ids
+                         if (sup := _seat_sup(inst.game_for(d, h), floors[d])) is not None),
+                        reverse=True)[:len(team) + 1]
+        seen |= {current is NEG_INF and "over quota", len(ranked) > len(set(ranked)) and "tied sups",
+                 len(team) == 2 and "size 2", bool(witness.cycle_distributions) and "hull sup"}
+    assert seen >= {"none", "over quota", "tied sups", "size 2", "hull sup"}, seen
