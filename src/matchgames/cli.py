@@ -317,6 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@core.gc_paused  # a command leaves no reference cycles: see core.gc_paused
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -76,7 +76,8 @@ Matrix = Tuple[Tuple[Fraction, ...], ...]
 def parse_rational(value: Union[int, str, Fraction]) -> Fraction:
     """Parse an exact rational from an int, a Fraction, or a "p/q" string."""
     if isinstance(value, str):  # documents hold strings: the literal table first
-        return (_LITERALS.get(value) or _read_literal(value))[0]
+        frac = _VALUES.get(value)
+        return _read_literal(value)[0] if frac is None else frac
     if isinstance(value, bool):
         raise MalformedRationalError(f"not a rational literal: {value!r}")
     if isinstance(value, (int, Fraction)):
@@ -85,23 +86,35 @@ def parse_rational(value: Union[int, str, Fraction]) -> Fraction:
 
 
 # The literal table.  Instances repeat a few distinct literals thousands of
-# times, so each text is parsed once: ``_LITERALS`` maps it to (its value,
-# the value's negation).  Both are shared by value: a text's pair is that of
-# its canonical form ("2/4" and " 1/2 " read "1/2"'s), and a new value takes
-# its objects from its negation's pair, so the negation of "7" is the object
-# "-7" reads.  The generator's draws go through the same table, as the
-# texts "p/q" of their (numerator, denominator) pairs (:func:`rational_pair`);
-# str keys alone keep its lookups on the dict's fast path for str keys.
-# Fractions are immutable, so sharing is safe.  The table is emptied when it
-# fills, which bounds it; malformed literals are never entered, so they
-# raise on every read.
+# times, so each text is parsed once: ``_VALUES`` maps it to its value and
+# ``_NEGATIONS`` to the value's negation, two dicts so that a row maps
+# through either in C.  Both are shared by value: a text takes the objects
+# of its canonical form ("2/4" and " 1/2 " read "1/2"'s), and a new value
+# takes its objects from its negation's entry, so the negation of "7" is
+# the object "-7" reads.  The generator's draws go through the same table,
+# as the texts "p/q" of their (numerator, denominator) pairs
+# (:func:`rational_pair`); str keys alone keep its lookups on the dict's
+# fast path for str keys.  Fractions are immutable, so sharing is safe.  The
+# table is emptied when it fills, which bounds it, and with it the zero-sum
+# frontier table (:func:`_zero_sum_frontier`); malformed literals are never
+# entered, so they raise on every read.
 _LITERAL_CAP = 4096
-_LITERALS: Dict[str, Tuple[Fraction, Fraction]] = {}
-_literal = _LITERALS.__getitem__  # the table in C; emptied in place, never rebound
+_VALUES: Dict[str, Fraction] = {}
+_NEGATIONS: Dict[str, Fraction] = {}
+_FRONTIERS: Dict[Tuple[int, int, int, int], "Frontier"] = {}
+# Their lookups, for ``map`` to call in C: the tables are emptied in place,
+# never rebound, so these stay bound to them.
+_value, _negation = _VALUES.__getitem__, _NEGATIONS.__getitem__
+
+
+def _empty_tables():
+    for table in (_VALUES, _NEGATIONS, _FRONTIERS):
+        table.clear()
 
 
 def _read_literal(value: str) -> Tuple[Fraction, Fraction]:
-    """Parse a str literal and enter it in the table."""
+    """Parse a str literal, enter it in the table, and return (its value,
+    the value's negation)."""
     text = value.strip()
     try:
         frac = Fraction(text)
@@ -111,18 +124,15 @@ def _read_literal(value: str) -> Tuple[Fraction, Fraction]:
         raise MalformedRationalError(
             f"rational literals must be integers or p/q strings, got {value!r}"
         )
-    if len(_LITERALS) >= _LITERAL_CAP - 1:  # room for the text and its canonical form
-        _LITERALS.clear()
+    if len(_VALUES) >= _LITERAL_CAP - 1:  # room for the text and its canonical form
+        _empty_tables()
     canonical = format_rational(frac)
-    pair = _LITERALS.get(canonical)
-    if pair is None:
-        other = _LITERALS.get(format_rational(-frac))
-        if other is not None:
-            pair = other[1], other[0]
-        else:
-            pair = frac, (-frac if frac else frac)
-        _LITERALS[canonical] = pair
-    _LITERALS[value] = pair
+    if canonical not in _VALUES:  # a new value: its negation's objects, if entered
+        other = format_rational(-frac)
+        _VALUES[canonical] = _NEGATIONS.get(other, frac)
+        _NEGATIONS[canonical] = _VALUES.get(other, -frac)  # for zero, other is canonical
+    pair = _VALUES[canonical], _NEGATIONS[canonical]
+    _VALUES[value], _NEGATIONS[value] = pair
     return pair
 
 
@@ -131,16 +141,9 @@ def rational_pair(num: int, den: int) -> Tuple[Fraction, Fraction]:
     the text "num/den", so equal draws, and a loaded document's equal
     literals, share one Fraction; no Fraction is built on a hit."""
     text = f"{num}/{den}"
-    return _LITERALS.get(text) or _read_literal(text)
-
-
-def _read_entry(value) -> Tuple[Fraction, Fraction]:
-    """A document entry's (value, negation): a str through the table, any
-    other entry through ``parse_rational``, which raises for it as always."""
-    if isinstance(value, str):
-        return _LITERALS.get(value) or _read_literal(value)
-    frac = parse_rational(value)
-    return frac, -frac
+    if text in _VALUES:
+        return _VALUES[text], _NEGATIONS[text]
+    return _read_literal(text)
 
 
 def format_rational(value: Fraction) -> str:
@@ -362,11 +365,20 @@ def _strictly_competitive_frontier(a: Matrix, m: Matrix) -> Frontier:
 
 def _zero_sum_frontier(a: Matrix, m: Matrix) -> Frontier:
     """A checked zero-sum pair's frontier: A's bounds as ``matrix_bounds``
-    finds them, and M's, the M entries at the same places."""
+    finds them, and M's, their negations.  It depends on A's bounds alone,
+    so one immutable ``Frontier`` per bounds, keyed by their integer ratios,
+    is kept in ``_FRONTIERS`` and shared by every game with those bounds;
+    the table is bounded and emptied with the literal table."""
     lo_i, lo_j, lo_n, lo_d, hi_i, hi_j, hi_n, hi_d = _locate_bounds(a)
-    lo, hi = a[lo_i][lo_j], a[hi_i][hi_j]
-    seg = Segment((lo_n, lo_d), (hi_n, hi_d), (-hi_n, hi_d), (-lo_n, lo_d), 0, 1, 1)
-    return Frontier(lo, hi, m[hi_i][hi_j], m[lo_i][lo_j], seg)
+    key = lo_n, lo_d, hi_n, hi_d
+    fr = _FRONTIERS.get(key)
+    if fr is None:
+        if len(_FRONTIERS) >= _LITERAL_CAP:
+            _empty_tables()
+        seg = Segment((lo_n, lo_d), (hi_n, hi_d), (-hi_n, hi_d), (-lo_n, lo_d), 0, 1, 1)
+        fr = _FRONTIERS[key] = Frontier(a[lo_i][lo_j], a[hi_i][hi_j], m[hi_i][hi_j],
+                                        m[lo_i][lo_j], seg)
+    return fr
 
 
 def _flipped_frontier(fr: Frontier) -> Frontier:
@@ -944,9 +956,11 @@ def _evaluate_enumerated(instance, allocation):
 def gc_paused(build):
     """``build`` with the cyclic garbage collector paused for each call and
     left as it was found, error or not.  For the builders of instances and
-    documents: what they build holds no reference cycles, so a collection
-    during the build could free nothing; it would only traverse the objects
-    built so far again and again as they grow."""
+    documents, and for ``cli.main`` around a whole command: what they build
+    holds no reference cycles, so a collection during the call could free
+    nothing; it would only traverse the objects built so far again and again
+    as they grow.  Garbage is freed by reference counts meanwhile, and the
+    tests hold every command to leaving no cycle behind."""
     @wraps(build)
     def paused(*args, **kwargs):
         enabled = gc.isenabled()
@@ -961,9 +975,11 @@ def gc_paused(build):
 
 def _read_matrix(rows, negations: bool):
     """(matrix, -matrix) of a document matrix, its shape checked, or
-    (matrix, None) without ``negations``: each row is mapped through the
-    literal table in one pass, or entry by entry (raising as
-    ``parse_rational`` does) on a miss or a non-str entry."""
+    (matrix, None) without ``negations``.  Each row maps through
+    ``_VALUES`` in C, and a zero-sum A's rows through ``_NEGATIONS`` too;
+    a row with a miss or a non-str entry is read entry by entry
+    (:func:`parse_rational`, which raises for a malformed entry), and then
+    -matrix is negated from the values."""
     if not rows or not all(rows):
         raise DimensionMismatchError("matrices must have at least one row and column")
     width = len(rows[0])
@@ -972,11 +988,15 @@ def _read_matrix(rows, negations: bool):
         if len(row) != width:
             raise DimensionMismatchError("ragged matrix rows")
         try:
-            pairs = [*map(_literal, row)]
+            out.append(tuple(map(_value, row)))
         except (KeyError, TypeError):
-            pairs = [*map(_read_entry, row)]
-        out.append(tuple(zip(*pairs)) if negations else tuple([value for value, _ in pairs]))
-    return tuple(zip(*out)) if negations else (tuple(out), None)
+            out.append(tuple(map(parse_rational, row)))
+    if not negations:
+        return tuple(out), None
+    try:
+        return tuple(out), tuple([tuple(map(_negation, row)) for row in rows])
+    except (KeyError, TypeError):  # a non-str entry, or a refill mid-matrix
+        return tuple(out), negate(out)
 
 
 def check_quota(quota, hospital, floor: int = 1) -> int:
@@ -999,10 +1019,11 @@ def load_instance(source: Union[str, dict]) -> MatchingGameInstance:
 
     Each game is built in one pass over its document rows, with every check
     the constructor makes (:func:`build_game`).  Each row maps through the
-    literal table (see :func:`_read_literal`) in one pass
-    (:func:`_read_matrix`); a zero-sum A's row is read with its negations
-    too, so the pair's check compares M with -A as tuples instead of entry
-    by entry.
+    literal table (see :func:`_read_literal`) in C (:func:`_read_matrix`);
+    a zero-sum A's rows are read with their negations too, so the pair's
+    check compares M with -A as tuples instead of entry by entry, and games
+    with equal bounds share one frontier (:func:`_zero_sum_frontier`).  The
+    collector stays paused for the load.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:

@@ -471,38 +471,38 @@ def realize_aspiration(instance: MatchingGameInstance, profile: PayoffProfile):
 
 def _cover_matching(graph: DemandGraph, must_match: List[str]):
     """Deterministic search for a matching covering ``must_match``; None if impossible."""
-    order = sorted(must_match)
+    return _cover(graph, sorted(must_match), 0, set(), [])
 
-    def rec(pending, used, acc):
-        if not pending:
-            return list(acc)
-        d = pending[0]
-        if d in used:
-            return rec(pending[1:], used, acc)
-        for partner in graph.neighbours(d):
-            if partner in used:
-                continue
-            acc.append(tuple(sorted((d, partner))))
-            hit = rec(pending[1:], used | {d, partner}, acc)
-            if hit is not None:
-                return hit
-            acc.pop()
-        return None
 
-    return rec(order, set(), [])
+def _cover(graph: DemandGraph, order: List[str], k: int, used, acc):
+    """The first cover of ``order[k:]`` that extends ``acc``, partners tried
+    in neighbour order; a module-level recursion, so no closure cycle."""
+    if k == len(order):
+        return list(acc)
+    d = order[k]
+    if d in used:
+        return _cover(graph, order, k + 1, used, acc)
+    for partner in graph.neighbours(d):
+        if partner in used:
+            continue
+        acc.append(tuple(sorted((d, partner))))
+        hit = _cover(graph, order, k + 1, used | {d, partner}, acc)
+        if hit is not None:
+            return hit
+        acc.pop()
+    return None
 
 
 def _exposed_witness(graph: DemandGraph, must_match: List[str]):
     # Components of the demand graph restricted to the must-match set explain
     # the failure: some component cannot internally pair all its members.
+    # One always does: the search is exhaustive and a cover is the union of
+    # per-component covers, so the loop returns.
     for d in sorted(must_match):
         component = _component_of(graph, d)
         hard = [v for v in component if not graph.singleton_ok[v]]
         if _cover_matching(graph, hard) is None:
             return d, tuple(sorted(component))
-    # Fall back to the first must-match doctor (isolated vertex case).
-    d = sorted(must_match)[0]
-    return d, tuple(sorted(_component_of(graph, d)))
 
 
 def _component_of(graph: DemandGraph, start: str):

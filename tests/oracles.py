@@ -40,7 +40,12 @@ compare the solvers with code that does not share their private paths:
   subset's mask) by one Python scan of its subsets.  They are the
   package's audits from before those moved to bit planes, kept as the
   reference for the plane arithmetic; the tests check the table they read
-  against ``hospital_value`` separately.
+  against ``hospital_value`` separately;
+* ``zero_sum_frontier`` builds a zero-sum game's frontier afresh from its
+  bounds, the reference for the loader's table of shared frontiers;
+* ``first_cover`` is the roommates cover search as a self-recursive
+  closure, the reference for the first matching ``_cover_matching``
+  returns.
 """
 
 from dataclasses import dataclass, field
@@ -54,8 +59,11 @@ from matchgames.core import (
     REPEATED,
     ROOMMATES,
     Allocation,
+    Frontier,
+    Segment,
     bilinear,
     evaluate_payoffs,
+    matrix_bounds,
     row_payoffs,
     transpose,
 )
@@ -475,6 +483,41 @@ def partner_options(instance, d):
     if instance.model == ROOMMATES:
         return [k for k in instance.doctors if k != d and instance.has_game(d, k)]
     return [h for h in instance.hospitals if instance.has_game(d, h)]
+
+
+def zero_sum_frontier(a):
+    """A zero-sum game's frontier for doctor matrix ``a``, built from its
+    bounds: A runs from a_min to a_max, M = -A the other way, on the line
+    g == -f."""
+    lo, hi = matrix_bounds(a)
+    (lo_n, lo_d), (hi_n, hi_d) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    return Frontier(lo, hi, -hi, -lo,
+                    Segment((lo_n, lo_d), (hi_n, hi_d), (-hi_n, hi_d), (-lo_n, lo_d), 0, 1, 1))
+
+
+def first_cover(graph, must_match):
+    """The first matching covering ``must_match`` by a depth-first search:
+    doctors in sorted order, partners in ``graph.neighbours`` order; None
+    when there is none."""
+    order = sorted(must_match)
+
+    def rec(pending, used, acc):
+        if not pending:
+            return list(acc)
+        d = pending[0]
+        if d in used:
+            return rec(pending[1:], used, acc)
+        for partner in graph.neighbours(d):
+            if partner in used:
+                continue
+            acc.append(tuple(sorted((d, partner))))
+            hit = rec(pending[1:], used | {d, partner}, acc)
+            if hit is not None:
+                return hit
+            acc.pop()
+        return None
+
+    return rec(order, set(), [])
 
 
 def sorted_sups_coalition(instance, payoffs, epsilon, max_size):

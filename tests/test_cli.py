@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 from fractions import Fraction as F
@@ -459,3 +460,103 @@ def test_renegotiate_certificate_failure_fails_verification(tmp_path, monkeypatc
                 "--output", str(out_path)]) == 2
     assert capsys.readouterr().err == "verification failed: planted witness\n"
     assert "sweeps" in json.loads(out_path.read_text())
+
+
+# ---------------------------------------------------------------------------
+# The collector: main pauses it for each command, and no command leaves a
+# reference cycle behind, so the pause holds back no garbage.
+
+
+@pytest.fixture(scope="module")
+def collector_inputs(tmp_path_factory):
+    """Each command's argv, on inputs written once: a three-class market, its
+    DAC and renegotiated allocations, a realizable and an unrealizable
+    roommates instance with their aspirations, a contract model and a game."""
+    d = tmp_path_factory.mktemp("collector")
+    p = {name: str(d / f"{name}.json") for name in (
+        "market", "dac", "reneg", "rm", "rm_asp", "odd", "odd_asp", "model", "game", "out")}
+    three = "zero_sum,strictly_competitive,repeated"
+    assert run(["gen", "--seed", "1", "--doctors", "12", "--hospitals", "4", "--classes", three,
+                "--output", p["market"]]) == 0
+    market = ["--input", p["market"], "--epsilon", "1/2"]
+    assert run(["solve-dac", *market, "--output", p["dac"]]) == 0
+    assert run(["renegotiate", *market, "--allocation", p["dac"], "--output", p["reneg"]]) == 0
+    for name, seed, n, strategies in (("rm", 13, 5, 4), ("odd", 2, 5, 3)):
+        assert run(["gen", "--model", "roommates", "--seed", str(seed), "--doctors", str(n),
+                    "--strategies", str(strategies), "--output", p[name]]) == 0
+        assert run(["roommates-aspiration", "--input", p[name], "--output", p[f"{name}_asp"]]) == 0
+    with open(p["model"], "w") as fh:
+        json.dump({"contracts": [{"id": f"c{k}", "doctor": f"d{k % 3}", "hospital": f"h{k % 2}"}
+                                 for k in range(6)],
+                   "doctor_utilities": {f"d{k % 3}": {f"c{j}": str(j) for j in range(k % 3, 6, 3)}
+                                        for k in range(3)},
+                   "hospitals": {f"h{k}": {"weights": {f"c{j}": str(j + 1) for j in range(k, 6, 2)},
+                                           "quota": 2} for k in range(2)}}, fh)
+    with open(p["game"], "w") as fh:
+        json.dump({"class": "zero_sum", "A": [["1", "-1"], ["-1", "1"]],
+                   "M": [["-1", "1"], ["1", "-1"]]}, fh)
+    out = ["--output", p["out"]]
+    return {
+        "gen": (["gen", "--seed", "2", "--doctors", "12", "--hospitals", "4", "--classes", three,
+                 *out], 0),
+        "solve-dac": (["solve-dac", *market, *out], 0),
+        "verify": (["verify", *market, "--allocation", p["dac"], "--coalitions", "3", *out], 0),
+        "renegotiate": (["renegotiate", *market, "--allocation", p["dac"], *out], 0),
+        "verify --renegotiation": (["verify", *market, "--allocation", p["reneg"],
+                                    "--renegotiation", *out], 0),
+        "roommates-aspiration": (["roommates-aspiration", "--input", p["rm"], *out], 0),
+        "roommates-realize": (["roommates-realize", "--input", p["rm"], "--profile", p["rm_asp"],
+                               *out], 0),
+        "roommates-realize unrealizable": (["roommates-realize", "--input", p["odd"],
+                                            "--profile", p["odd_asp"], *out], 2),
+        "contracts-da --audit": (["contracts-da", "--input", p["model"], "--audit", *out], 0),
+        "cne": (["cne", "--game", p["game"], "--f-res", "-1", "--g-res", "-1",
+                 "--epsilon", "1/10", *out], 0),
+    }
+
+
+@pytest.mark.parametrize("command", [
+    "gen", "solve-dac", "verify", "renegotiate", "verify --renegotiation",
+    "roommates-aspiration", "roommates-realize", "roommates-realize unrealizable",
+    "contracts-da --audit", "cne"])
+def test_a_command_leaves_no_reference_cycles(collector_inputs, command):
+    argv, code = collector_inputs[command]
+    assert run(argv) == code  # a first call fills the per-process caches
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert run(argv) == code
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("start_enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, start_enabled):
+    from matchgames import gen
+    states = []
+    generate = gen.generate_instance
+
+    def recording(*args, **kwargs):
+        states.append(gc.isenabled())
+        return generate(*args, **kwargs)
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("planted failure")
+
+    was = gc.isenabled()
+    (gc.enable if start_enabled else gc.disable)()
+    try:
+        monkeypatch.setattr(gen, "generate_instance", recording)
+        assert run(["gen", "--seed", "1", "--output", str(tmp_path / "g.json")]) == 0
+        assert gc.isenabled() is start_enabled and states == [False]
+        assert run(["solve-dac", "--input", str(tmp_path / "nope.json"), "--epsilon", "1/2"]) == 1
+        assert gc.isenabled() is start_enabled
+        monkeypatch.setattr(gen, "generate_instance", failing)
+        with pytest.raises(RuntimeError, match="planted failure"):
+            run(["gen", "--seed", "1", "--output", str(tmp_path / "g.json")])
+        assert gc.isenabled() is start_enabled
+    finally:
+        (gc.enable if was else gc.disable)()

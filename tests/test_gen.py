@@ -120,7 +120,7 @@ def _entries(instance):
 
 @pytest.mark.parametrize("den", [1, 3])
 def test_equal_draws_share_one_fraction(den):
-    core._LITERALS.clear()  # no refill empties the table during the test
+    core._empty_tables()  # no refill empties the table during the test
     instance = generate_instance(5, n_doctors=12, n_hospitals=4, max_denominator=den)
     values = [*_entries(instance), *(d.irp for d in instance.doctors.values()),
               *(h.irp for h in instance.hospitals.values())]
@@ -132,7 +132,7 @@ def test_equal_draws_share_one_fraction(den):
 
 @pytest.mark.parametrize("den", [1, 3])
 def test_zero_sum_hospital_matrix_is_the_tables_negations(den):
-    core._LITERALS.clear()
+    core._empty_tables()
     instance = generate_instance(6, n_doctors=8, n_hospitals=3, max_denominator=den)
     for game in instance.games.values():
         for row_a, row_m in zip(game.doctor_matrix, game.hospital_matrix):

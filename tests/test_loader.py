@@ -15,12 +15,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from matchgames import core
+from matchgames import core, qcqp
 from matchgames.cli import main
 from matchgames.core import BimatrixGame, load_instance, parse_matrix, serialize_instance
 from matchgames.errors import MatchGamesError
 from matchgames.gen import generate_instance
 
+import oracles
 from fixtures import hedonic_instance
 
 ONE_SHOT = ["zero_sum", "strictly_competitive"]
@@ -135,7 +136,7 @@ def test_literals_share_one_object_per_value():
            "games": [{"doctor": "d", "hospital": "h", "class": "zero_sum",
                       "A": [["7", "2/4"], ["-0", " 3 "]],
                       "M": [["-7", "-1/2"], ["0", "-3"]]}]}
-    core._LITERALS.clear()  # no refill empties the table during the test
+    core._empty_tables()  # no refill empties the table during the test
     game = load_instance(doc).games[("d", "h")]
     a, m = game.doctor_matrix, game.hospital_matrix
     assert a[0][1] is core.parse_rational("1/2")
@@ -213,17 +214,76 @@ def test_a_row_repeated_with_a_bool_is_still_rejected():
 
 def test_the_literal_table_stays_bounded(monkeypatch):
     monkeypatch.setattr(core, "_LITERAL_CAP", 8)
-    core._LITERALS.clear()
+    core._empty_tables()
     for k in range(50):
         assert core.parse_rational(f" {k}/7 ") == F(k, 7)
-        assert len(core._LITERALS) <= 8
+        assert len(core._VALUES) == len(core._NEGATIONS) <= 8
     # A load that fills the table mid-game still compares by value.
     doc = serialize_instance(generate_instance(seed=4, n_doctors=6, n_hospitals=3,
                                                max_denominator=5, classes=ONE_SHOT))
     inst = load_instance(doc)
     for entry in doc["games"]:
         assert inst.games[_game_key(doc, entry)].frontier == _reference(entry).frontier
-    core._LITERALS.clear()
+    core._empty_tables()
+
+
+# ---------------------------------------------------------------------------
+# The zero-sum frontier table
+
+
+def _zero_sum_games(inst):
+    return [g for g in inst.games.values() if g.class_tag == "zero_sum"]
+
+
+def test_zero_sum_games_with_equal_bounds_share_one_frontier():
+    core._empty_tables()  # no refill empties the table during the test
+    docs = [serialize_instance(generate_instance(seed=1, n_doctors=40, n_hospitals=10)),
+            serialize_instance(generate_instance(seed=2, n_doctors=20, n_hospitals=6,
+                                                 classes=ONE_SHOT))]
+    for doc in docs:
+        by_bounds, games = {}, _zero_sum_games(load_instance(doc))
+        for game in games:
+            fr = game.frontier
+            assert fr == oracles.zero_sum_frontier(game.doctor_matrix)
+            assert by_bounds.setdefault((fr.a_min, fr.a_max), fr) is fr
+        assert len(by_bounds) < len(games)  # some bounds met again
+        assert core._FRONTIERS.keys() >= {(*lo.as_integer_ratio(), *hi.as_integer_ratio())
+                                          for lo, hi in by_bounds}
+
+
+def test_the_frontier_table_stays_bounded(monkeypatch):
+    # At this cap the 21 integer literals -10..10 fit, and the bounds do not.
+    monkeypatch.setattr(core, "_LITERAL_CAP", 48)
+    core._empty_tables()
+    sizes = []
+    locate = core._locate_bounds
+
+    def recording(a):
+        sizes.append(len(core._FRONTIERS))
+        return locate(a)
+
+    monkeypatch.setattr(core, "_locate_bounds", recording)
+    doc = serialize_instance(generate_instance(seed=5, n_doctors=40, n_hospitals=10))
+    for _ in range(2):  # the second load meets a table filled by the first
+        inst = load_instance(doc)
+        for game in inst.games.values():
+            assert game.frontier == oracles.zero_sum_frontier(game.doctor_matrix)
+    refills = sum(after < before for before, after in zip(sizes, sizes[1:]))
+    assert max(sizes) == 48 and refills > 2
+    core._empty_tables()
+
+
+def test_a_slack_floor_is_answered_by_the_shared_frontiers_objects():
+    core._empty_tables()
+    doc = serialize_instance(generate_instance(seed=1, n_doctors=40, n_hospitals=10))
+    games = _zero_sum_games(load_instance(doc))
+    for game in games:
+        fr = game.frontier
+        low = min(fr.a_min, fr.m_min) - 1  # below either side's least payoff
+        f_point, g_point = qcqp.max_f_point(game, low), qcqp.max_g_point(game, low)
+        assert f_point.f is fr.a_max and f_point.g is fr.m_min
+        assert g_point.f is fr.a_min and g_point.g is fr.m_max
+    assert len({id(game.frontier) for game in games}) < len(games)
 
 
 # ---------------------------------------------------------------------------

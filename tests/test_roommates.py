@@ -21,7 +21,11 @@ from matchgames.core import (
 from matchgames.errors import MatchGamesError, NotAnAspirationError, UnsupportedClassError
 from matchgames.gen import generate_instance
 from matchgames.roommates import (
+    DemandGraph,
     UnrealizableReport,
+    _component_of,
+    _cover_matching,
+    _exposed_witness,
     _LevelSearch,
     _aspiration_rhs,
     _partner_table,
@@ -38,6 +42,7 @@ from matchgames.roommates import (
 from matchgames.stability import all_matchings, find_blocking_pair, grid_stable_roommates_search
 
 from fixtures import PD_A, PD_M
+from oracles import first_cover
 
 
 def zero_sum_roommates(ranges, irps):
@@ -272,6 +277,21 @@ class TestRealize:
         report = realize_aspiration(inst, profile)
         assert isinstance(report, UnrealizableReport)
         assert set(report.component) == {"a", "b", "c"}
+
+    def test_cover_search_finds_the_first_cover_and_names_a_failing_component(self):
+        rng = random.Random(30)
+        for _ in range(400):
+            ids = [f"v{k}" for k in range(rng.randint(1, 9))]
+            edges = {pair: None for pair in itertools.combinations(ids, 2) if rng.random() < 0.35}
+            singleton_ok = {v: rng.random() < 0.3 for v in ids}
+            graph = DemandGraph(ids, edges, singleton_ok)
+            must_match = graph.must_match()
+            cover = _cover_matching(graph, must_match)
+            assert cover == first_cover(graph, must_match)
+            if cover is None:
+                d, component = _exposed_witness(graph, must_match)
+                assert d in must_match and component == tuple(sorted(_component_of(graph, d)))
+                assert first_cover(graph, [v for v in component if not singleton_ok[v]]) is None
 
     def test_requires_an_aspiration(self):
         inst = zero_sum_roommates(full_ranges(["a", "b"], -2, 2), {"a": 0, "b": 0})
