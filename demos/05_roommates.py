@@ -32,7 +32,7 @@ for seed, label in ((13, "a solvable market"), (1, "a market with an empty stabl
     print("  aspiration:", {d: str(v) for d, v in sorted(profile.items())})
     print("  passes the aspiration equation:", is_aspiration(instance, profile)[0])
     graph = build_demand_graph(instance, profile)
-    print("  demand edges:", sorted(graph.edges))
+    print("  demand edges:", sorted(graph.points))
 
     result = realize_aspiration(instance, profile)
     if isinstance(result, UnrealizableReport):

@@ -26,7 +26,6 @@ by the subset-by-subset visit order only when an audit fails.
 
 from __future__ import annotations
 
-import math
 import sys
 from array import array
 from dataclasses import dataclass, field
@@ -35,7 +34,14 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .core import MatchingGameInstance, bilinear, format_rational, parse_rational, read_quota
+from .core import (
+    MatchingGameInstance,
+    _bilinears,
+    _integer_weights,
+    format_rational,
+    parse_rational,
+    read_quota,
+)
 from .errors import (
     EmptySetValueError,
     ForeignContractError,
@@ -143,13 +149,6 @@ def _members(x: int) -> List[int]:
     return found
 
 
-def _integers(values: Sequence[Fraction]) -> List[int]:
-    """Exact rationals as integers over their common denominator, which
-    compare as the rationals do."""
-    scale = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values]
-
-
 # Compiled choice rules.  A doctor's rule is the doctor's acceptable
 # contracts, ranked once.  A hospital's rule gives each of its contracts a bit (bit i stands
 # for own[i], own sorted, so comparing two single bits compares two ids) and
@@ -160,7 +159,7 @@ def _preference(model: ContractModel, d: str, cids: Sequence[str]) -> List[str]:
     """The doctor's acceptable contracts among ``cids``, best first: utility
     descending, then id ascending.  A contract of negative utility is worse
     than staying unmatched and is left out."""
-    utilities = _integers([model.doctor_utilities[(d, cid)] for cid in cids])
+    utilities = _integer_weights([model.doctor_utilities[(d, cid)] for cid in cids])[0]
     return [cid for _, cid in sorted((-u, cid) for u, cid in zip(utilities, cids) if u >= 0)]
 
 
@@ -176,7 +175,7 @@ def _walk_order(model: ContractModel, h: str, own: Sequence[str]) -> List[Tuple[
     weights = model.hospital_additive.get(h, {})
     offered = [(i, weights[cid]) for i, cid in enumerate(own)
                if cid in weights and weights[cid].numerator >= 0]
-    scaled = _integers([w for _, w in offered])
+    scaled = _integer_weights([w for _, w in offered])[0]
     rivals: Dict[str, int] = {}
     for i, _ in offered:
         d = model.contracts[own[i]].doctor
@@ -205,7 +204,7 @@ def _table_ranking(model: ContractModel, h: str, own: Sequence[str], quota: int)
             continue  # at most one contract per doctor
         entries.append((value, sorted(key), sum(index[cid] for cid in key)))
     entries.sort(key=lambda e: e[1], reverse=True)
-    ranked = sorted(zip(_integers([value for value, _, _ in entries]), range(len(entries))))
+    ranked = sorted(zip(_integer_weights([value for value, _, _ in entries])[0], range(len(entries))))
     return [entries[k][2] for _, k in ranked]
 
 
@@ -432,7 +431,7 @@ def _planes(table: Sequence[int], n: int) -> List[int]:
     plane.  Each plane costs a few C-level passes over 2^n bytes.
     """
     entries = array("B" if n <= 8 else "H" if n <= 16 else "Q", table)
-    if sys.byteorder == "big":
+    if sys.byteorder == "big":  # runs on big-endian hosts only
         entries.byteswap()
     raw, width = entries.tobytes(), entries.itemsize
     columns = [raw[j::width][::-1] for j in range((n + 7) // 8)]
@@ -659,14 +658,15 @@ def game_to_contracts(instance: MatchingGameInstance, mesh: int) -> ContractMode
     quotas = {h: hosp.quota for h, hosp in instance.hospitals.items()}
     for d in instance.doctor_ids:
         for h, game in instance.pairs_of(d):
-            xs = list(simplex_grid(game.n_rows, mesh))
-            ys = list(simplex_grid(game.n_cols, mesh))
+            xs = [_integer_weights(x) for x in simplex_grid(game.n_rows, mesh)]
+            ys = [_integer_weights(y) for y in simplex_grid(game.n_cols, mesh)]
             for i, x in enumerate(xs):
                 for j, y in enumerate(ys):
                     cid = f"{d}~{h}~{i}.{j}"
                     contracts[cid] = Contract(id=cid, doctor=d, hospital=h)
-                    doctor_utilities[(d, cid)] = bilinear(x, game.doctor_matrix, y) - instance.doctors[d].irp
-                    additive[h][cid] = bilinear(x, game.hospital_matrix, y) - instance.hospitals[h].irp
+                    f, g = _bilinears(x, game.scaled, y)
+                    doctor_utilities[(d, cid)] = f - instance.doctors[d].irp
+                    additive[h][cid] = g - instance.hospitals[h].irp
     return ContractModel(
         contracts=contracts,
         doctor_utilities=doctor_utilities,

@@ -1,10 +1,13 @@
 """Domain model: exact rationals, bimatrix games, matching-game instances.
 
-Everything numerical in this module is a :class:`fractions.Fraction`; floating
-point never enters authoritative computations.  Matrices are stored as tuples
-of tuples, row index = doctor pure strategy, column index = hospital pure
-strategy.  Hospital matrices hold the hospital's *own* payoff (one sign
-convention everywhere: a zero-sum pair has ``M == -A`` entrywise).
+Everything numerical in this module is exact; floating point never enters
+authoritative computations.  A game stores each of its matrices once, in its
+integer form (:data:`Scaled`): integer numerators over one positive
+denominator, the lcm of the entries' denominators.  Row index = doctor pure
+strategy, column index = hospital pure strategy.  Hospital matrices hold the
+hospital's *own* payoff (one sign convention everywhere: a zero-sum pair has
+``M == -A`` entrywise).  The Fraction matrices of the public API are views of
+the integer form, built on first read.
 
 A matched couple's witness (a profile, or a repeated pair's cycle) lives by
 one rule of keys and orientation (:func:`_witness_slots`): :func:`store_witness`
@@ -19,10 +22,11 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, wraps
+from functools import cached_property, lru_cache, wraps
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
-from operator import neg
+from operator import add, neg
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -71,13 +75,17 @@ class NegInfinity:
 NEG_INF = NegInfinity()
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
+# A matrix's integer form: (rows of numerators, den), each entry its
+# numerator over den, the lcm of the entries' denominators.  The form is
+# unique, so two matrices are equal exactly when their forms are.
+Scaled = Tuple[Tuple[Tuple[int, ...], ...], int]
 
 
 def parse_rational(value: Union[int, str, Fraction]) -> Fraction:
     """Parse an exact rational from an int, a Fraction, or a "p/q" string."""
     if isinstance(value, str):  # documents hold strings: the literal table first
         frac = _VALUES.get(value)
-        return _read_literal(value)[0] if frac is None else frac
+        return _read_literal(value) if frac is None else frac
     if isinstance(value, bool):
         raise MalformedRationalError(f"not a rational literal: {value!r}")
     if isinstance(value, (int, Fraction)):
@@ -86,35 +94,32 @@ def parse_rational(value: Union[int, str, Fraction]) -> Fraction:
 
 
 # The literal table.  Instances repeat a few distinct literals thousands of
-# times, so each text is parsed once: ``_VALUES`` maps it to its value and
-# ``_NEGATIONS`` to the value's negation, two dicts so that a row maps
-# through either in C.  Both are shared by value: a text takes the objects
-# of its canonical form ("2/4" and " 1/2 " read "1/2"'s), and a new value
-# takes its objects from its negation's entry, so the negation of "7" is
-# the object "-7" reads.  The generator's draws go through the same table,
-# as the texts "p/q" of their (numerator, denominator) pairs
-# (:func:`rational_pair`); str keys alone keep its lookups on the dict's
-# fast path for str keys.  Fractions are immutable, so sharing is safe.  The
-# table is emptied when it fills, which bounds it, and with it the zero-sum
-# frontier table (:func:`_zero_sum_frontier`); malformed literals are never
-# entered, so they raise on every read.
+# times, so each text is parsed once: ``_VALUES`` maps it to its value, which
+# a text shares with its canonical form ("2/4" and " 1/2 " read "1/2"'s
+# Fraction), ``_RATIOS`` to the value's (numerator, denominator), and
+# ``_INTEGERS`` an integer literal to its int, so that a matrix row maps to
+# its integer form in C (:func:`_read_matrix`).  Str keys alone keep lookups
+# on the dict's fast path for str keys, and keep True and 1.0 out, which
+# hash as 1 does.  The table is emptied when it fills, which bounds it, and
+# with it the zero-sum frontier table (:func:`_zero_sum_frontier`);
+# malformed literals are never entered, so they raise on every read.
 _LITERAL_CAP = 4096
 _VALUES: Dict[str, Fraction] = {}
-_NEGATIONS: Dict[str, Fraction] = {}
+_RATIOS: Dict[str, Tuple[int, int]] = {}
+_INTEGERS: Dict[str, int] = {}
 _FRONTIERS: Dict[Tuple[int, int, int, int], "Frontier"] = {}
 # Their lookups, for ``map`` to call in C: the tables are emptied in place,
 # never rebound, so these stay bound to them.
-_value, _negation = _VALUES.__getitem__, _NEGATIONS.__getitem__
+_ratio, _integer = _RATIOS.__getitem__, _INTEGERS.__getitem__
 
 
 def _empty_tables():
-    for table in (_VALUES, _NEGATIONS, _FRONTIERS):
+    for table in (_VALUES, _RATIOS, _INTEGERS, _FRONTIERS):
         table.clear()
 
 
-def _read_literal(value: str) -> Tuple[Fraction, Fraction]:
-    """Parse a str literal, enter it in the table, and return (its value,
-    the value's negation)."""
+def _read_literal(value: str) -> Fraction:
+    """Parse a str literal, enter it in the table, and return its value."""
     text = value.strip()
     try:
         frac = Fraction(text)
@@ -127,23 +132,11 @@ def _read_literal(value: str) -> Tuple[Fraction, Fraction]:
     if len(_VALUES) >= _LITERAL_CAP - 1:  # room for the text and its canonical form
         _empty_tables()
     canonical = format_rational(frac)
-    if canonical not in _VALUES:  # a new value: its negation's objects, if entered
-        other = format_rational(-frac)
-        _VALUES[canonical] = _NEGATIONS.get(other, frac)
-        _NEGATIONS[canonical] = _VALUES.get(other, -frac)  # for zero, other is canonical
-    pair = _VALUES[canonical], _NEGATIONS[canonical]
-    _VALUES[value], _NEGATIONS[value] = pair
-    return pair
-
-
-def rational_pair(num: int, den: int) -> Tuple[Fraction, Fraction]:
-    """(num/den, its negation) for den > 0, read from the literal table as
-    the text "num/den", so equal draws, and a loaded document's equal
-    literals, share one Fraction; no Fraction is built on a hit."""
-    text = f"{num}/{den}"
-    if text in _VALUES:
-        return _VALUES[text], _NEGATIONS[text]
-    return _read_literal(text)
+    frac = _VALUES[value] = _VALUES.setdefault(canonical, frac)
+    _RATIOS[value] = _RATIOS[canonical] = frac.numerator, frac.denominator
+    if frac.denominator == 1:
+        _INTEGERS[value] = _INTEGERS[canonical] = frac.numerator
+    return frac
 
 
 def format_rational(value: Fraction) -> str:
@@ -153,41 +146,56 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _fraction(n: int, d: int) -> Fraction:
+    """n/d, for d > 0, read from the literal table as the text "n/d", so
+    that no Fraction is built for a value the table holds."""
+    return parse_rational(f"{n}/{d}")
+
+
 def parse_matrix(rows: Sequence[Sequence[object]]) -> Matrix:
     """A document matrix, read and checked as :func:`load_instance` reads it."""
-    return _read_matrix(rows, False)[0]
+    return _fractions(_read_matrix(rows))
 
 
 def matrix_bounds(m: Matrix) -> Tuple[Fraction, Fraction]:
-    """(min, max) of a matrix in one scan.
-
-    Compares by integer cross-multiplication, which orders normalised
-    Fractions exactly (denominators are positive), and keeps the first
-    extreme entry, as the builtin ``min`` and ``max`` do.
-    """
-    return _ratio_bounds(m)[:2]
+    """(min, max) of a matrix's entries (Fractions, or an integer form's
+    numerators), each the first extreme entry in row-major order, as the
+    builtin ``min`` and ``max`` keep them."""
+    values = tuple(chain.from_iterable(m))
+    return min(values), max(values)
 
 
-def _locate_bounds(m: Matrix):
-    """(lo_i, lo_j, lo_n, lo_d, hi_i, hi_j, hi_n, hi_d): a matrix's first
-    minimum and first maximum in row-major order, as (numerator,
-    denominator) pairs with their places."""
-    lo_n, lo_d = hi_n, hi_d = m[0][0].as_integer_ratio()
-    lo_i = lo_j = hi_i = hi_j = 0
-    for i, row in enumerate(m):
-        for j, v in enumerate(row):
-            n, d = v.as_integer_ratio()
-            if n * lo_d < lo_n * d:
-                lo_n, lo_d, lo_i, lo_j = n, d, i, j
-            elif n * hi_d > hi_n * d:
-                hi_n, hi_d, hi_i, hi_j = n, d, i, j
-    return lo_i, lo_j, lo_n, lo_d, hi_i, hi_j, hi_n, hi_d
+def _scaled(ratios) -> Scaled:
+    """The integer form of a matrix given as rows of (numerator,
+    denominator) pairs with positive denominators."""
+    den = lcm(*[d for row in ratios for _, d in row])
+    return tuple([tuple([n * (den // d) for n, d in row]) for row in ratios]), den
 
 
-def _ratio_bounds(m: Matrix):
-    """``matrix_bounds`` and the (numerator, denominator) pairs of both."""
-    lo_i, lo_j, lo_n, lo_d, hi_i, hi_j, hi_n, hi_d = _locate_bounds(m)
-    return m[lo_i][lo_j], m[hi_i][hi_j], (lo_n, lo_d), (hi_n, hi_d)
+def _scaled_matrix(matrix) -> Scaled:
+    """The integer form of a matrix of Fractions or ints."""
+    return _scaled([[(v.numerator, v.denominator) for v in row] for row in matrix])
+
+
+def _fractions(scaled: Scaled) -> Matrix:
+    """The Fraction matrix of an integer form."""
+    rows, den = scaled
+    return tuple([tuple([_fraction(n, den) for n in row]) for row in rows])
+
+
+def _negated(scaled: Scaled) -> Scaled:
+    """The integer form of -matrix, negated in C."""
+    rows, den = scaled
+    return tuple([tuple(map(neg, row)) for row in rows]), den
+
+
+def _bounds(scaled: Scaled) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """A matrix's (min, max), each as a reduced (numerator, denominator)
+    pair, from its integer form."""
+    rows, den = scaled
+    lo, hi = matrix_bounds(rows)
+    k, l = gcd(lo, den), gcd(hi, den)
+    return (lo // k, den // k), (hi // l, den // l)
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -198,15 +206,16 @@ def negate(m: Matrix) -> Matrix:
     return tuple(tuple(map(neg, row)) for row in m)
 
 
-def _reject_one_sided_constant(a: Matrix, m: Matrix):
+def _reject_one_sided_constant(a: Scaled, m: Scaled):
     """Raise for a pair where one of A and B = -M is constant and the other
     is not; the error's entry holds B's value, negated from M's."""
-    for i, row in enumerate(a):
+    (ka, la), (km, lm) = a, m
+    for i, row in enumerate(ka):
         for j, value in enumerate(row):
-            if value != a[0][0] or m[i][j] != m[0][0]:
+            if value != ka[0][0] or km[i][j] != km[0][0]:
                 raise NotStrictlyCompetitiveError(
                     "one matrix is constant and the other is not",
-                    entry=(i, j, value, -m[i][j]),
+                    entry=(i, j, Fraction(value, la), Fraction(-km[i][j], lm)),
                 )
 
 
@@ -315,25 +324,25 @@ def frontier_bridge(fr: Frontier, a: Matrix, m: Matrix) -> AffineTransform:
 def affine_transform(a: Matrix, m: Matrix) -> AffineTransform:
     """Check that (a, m) is strictly competitive and compute its
     ratio-<=-1 affine bridge."""
-    return frontier_bridge(_strictly_competitive_frontier(a, m), a, m)
+    return frontier_bridge(_strictly_competitive_frontier(_scaled_matrix(a), _scaled_matrix(m)), a, m)
 
 
-def _strictly_competitive_frontier(a: Matrix, m: Matrix) -> Frontier:
-    """A strictly competitive pair's frontier: the bounds of A and M and the
-    integer segment, from one bounds scan of each matrix and one check that
-    every entry's payoffs (A[i][j], M[i][j]) lie on the segment's line.
+def _strictly_competitive_frontier(a: Scaled, m: Scaled) -> Frontier:
+    """A strictly competitive pair's frontier, from the integer forms of A
+    and M: the bounds of both, the integer segment, and one check that every
+    entry's payoffs (A[i][j], M[i][j]) lie on the segment's line.
 
-    The ranges of A and B = -M and the line are worked out on integer
-    numerators and denominators (denominators stay positive, so comparing
+    The ranges of A and B = -M and the line are worked out on reduced
+    (numerator, denominator) pairs (denominators stay positive, so comparing
     cross products orders them), and each entry's test is an integer
-    identity, so a valid pair builds no Fraction.  An entry is on the line
+    identity over the two forms' denominators.  An entry is on the line
     exactly when it satisfies the pair's affine relation
     (:func:`frontier_bridge`), and the error for the first entry off it
     names that relation's two sides: A's entry against ratio * B + shift
     when r <= q, B's against ratio * A + shift otherwise.
     """
-    a_min, a_max, (p1, q1), (p2, q2) = _ratio_bounds(a)
-    m_min, m_max, (p3, q3), (p4, q4) = _ratio_bounds(m)
+    (p1, q1), (p2, q2) = _bounds(a)
+    (p3, q3), (p4, q4) = _bounds(m)
     an, ad = p2 * q1 - p1 * q2, q1 * q2  # range of A
     bn, bd = p4 * q3 - p3 * q4, q3 * q4  # range of B, which is the range of M
     if an == 0 and bn == 0:
@@ -346,38 +355,40 @@ def _strictly_competitive_frontier(a: Matrix, m: Matrix) -> Frontier:
         line = (p4 * q3 * an + p1 * q2 * bn, bn * ad, an * bd)
     k = gcd(*line)
     p, q, r = line[0] // k, line[1] // k, line[2] // k
-    for i, (row_a, row_m) in enumerate(zip(a, m)):
+    (ka, la), (km, lm) = a, m
+    # (f, g) == (ka / la, km / lm) lies on r * g == p - q * f.
+    rg, qf, pc = r * la, q * lm, p * la * lm
+    for i, (row_a, row_m) in enumerate(zip(ka, km)):
         for j, (f, g) in enumerate(zip(row_a, row_m)):
-            fn, fd = f.as_integer_ratio()
-            gn, gd = g.as_integer_ratio()
-            if r * gn * fd + q * fn * gd != p * fd * gd:
+            if rg * g + qf * f != pc:
                 if r <= q:  # A == ratio * B + shift, with B's entry -g
-                    found, expected = f, Fraction(p * gd - r * gn, q * gd)
+                    found, expected = Fraction(f, la), Fraction(p * lm - r * g, q * lm)
                 else:  # B == ratio * A + shift
-                    found, expected = -g, Fraction(q * fn - p * fd, r * fd)
+                    found, expected = Fraction(-g, lm), Fraction(q * f - p * la, r * la)
                 raise NotStrictlyCompetitiveError(
                     f"no affine variant: entry ({i},{j}) is {found}, expected {expected}",
                     entry=(i, j, found, expected),
                 )
     seg = Segment((p1, q1), (p2, q2), (p3, q3), (p4, q4), p, q, r)
-    return Frontier(a_min, a_max, m_min, m_max, seg)
+    return Frontier(_fraction(p1, q1), _fraction(p2, q2), _fraction(p3, q3), _fraction(p4, q4), seg)
 
 
-def _zero_sum_frontier(a: Matrix, m: Matrix) -> Frontier:
-    """A checked zero-sum pair's frontier: A's bounds as ``matrix_bounds``
-    finds them, and M's, their negations.  It depends on A's bounds alone,
-    so one immutable ``Frontier`` per bounds, keyed by their integer ratios,
-    is kept in ``_FRONTIERS`` and shared by every game with those bounds;
-    the table is bounded and emptied with the literal table."""
-    lo_i, lo_j, lo_n, lo_d, hi_i, hi_j, hi_n, hi_d = _locate_bounds(a)
+def _zero_sum_frontier(a: Scaled) -> Frontier:
+    """A checked zero-sum pair's frontier, from A's integer form: A's
+    bounds, min and max over ints, and M's, their negations.  It depends on
+    A's bounds alone, so one immutable ``Frontier`` per bounds, keyed by
+    their reduced integer ratios, is kept in ``_FRONTIERS`` and shared by
+    every game with those bounds; the table is bounded and emptied with the
+    literal table."""
+    (lo_n, lo_d), (hi_n, hi_d) = _bounds(a)
     key = lo_n, lo_d, hi_n, hi_d
     fr = _FRONTIERS.get(key)
     if fr is None:
         if len(_FRONTIERS) >= _LITERAL_CAP:
             _empty_tables()
+        a_min, a_max = _fraction(lo_n, lo_d), _fraction(hi_n, hi_d)
         seg = Segment((lo_n, lo_d), (hi_n, hi_d), (-hi_n, hi_d), (-lo_n, lo_d), 0, 1, 1)
-        fr = _FRONTIERS[key] = Frontier(a[lo_i][lo_j], a[hi_i][hi_j], m[hi_i][hi_j],
-                                        m[lo_i][lo_j], seg)
+        fr = _FRONTIERS[key] = Frontier(a_min, a_max, -a_max, -a_min, seg)
     return fr
 
 
@@ -393,46 +404,60 @@ def _flipped_frontier(fr: Frontier) -> Frontier:
                     Segment(seg.m_min, seg.m_max, seg.a_min, seg.a_max, seg.p, seg.r, seg.q))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BimatrixGame:
     """A two-player game: doctor matrix A, hospital matrix M, class tag.
 
-    For ``repeated`` games A and M are the stage matrices and payoffs are
-    long-run averages of the uniform game.
+    ``scaled`` holds (A, M), each in its integer form, which every integer
+    consumer reads; ``doctor_matrix`` and ``hospital_matrix`` are A and M as
+    Fractions, built from it on first read (or kept as given to the
+    constructor).  For ``repeated`` games A and M are the stage matrices and
+    payoffs are long-run averages of the uniform game.
     """
 
-    doctor_matrix: Matrix
-    hospital_matrix: Matrix
+    scaled: Tuple[Scaled, Scaled]
     class_tag: str
 
-    def __post_init__(self):
+    def __init__(self, doctor_matrix: Matrix, hospital_matrix: Matrix, class_tag: str):
+        self.__dict__.update(doctor_matrix=doctor_matrix, hospital_matrix=hospital_matrix,
+                             scaled=(_scaled_matrix(doctor_matrix), _scaled_matrix(hospital_matrix)),
+                             class_tag=class_tag)
         _check_game(self)
+
+    @cached_property
+    def doctor_matrix(self) -> Matrix:
+        return _fractions(self.scaled[0])
+
+    @cached_property
+    def hospital_matrix(self) -> Matrix:
+        return _fractions(self.scaled[1])
 
     @cached_property
     def frontier(self) -> Frontier:
         """Matrix bounds and the payoff set (a one-shot integer segment or a
         repeated hull polygon), computed once and kept: on construction for
         the one-shot classes, whose check it is, and on first use for the
-        repeated class."""
+        repeated class, whose hull is found on the integer forms."""
         if self.class_tag != REPEATED:
             raise UnsupportedClassError(f"no exact frontier solver for class {self.class_tag}")
-        a, m = self.doctor_matrix, self.hospital_matrix
-        return Frontier(*matrix_bounds(a), *matrix_bounds(m), hull=payoff_hull(a, m))
+        (ka, la), (km, lm) = a, m = self.scaled
+        bounds = [_fraction(*pair) for pair in (*_bounds(a), *_bounds(m))]
+        return Frontier(*bounds, hull=tuple((Fraction(f, la), Fraction(g, lm), cell)
+                                            for f, g, cell in payoff_hull(ka, km)))
 
     @cached_property
     def punishment(self):
-        """``renegotiation.punishment_levels`` of the stage matrices: two
-        game values, solved on first read and kept, as games are immutable."""
-        from .renegotiation import punishment_levels  # renegotiation imports core
+        """The stage game's minimax levels (alpha, beta) and minimaxing
+        strategies: alpha = min_y max_x x.A.y with the hospital's punishing
+        y, beta the mirror image on the doctor's side against M.  Two game
+        values of the integer forms, solved on first read and kept, as games
+        are immutable."""
+        from .lp import game_value  # lp imports core
 
-        return punishment_levels(self.doctor_matrix, self.hospital_matrix)
-
-    @cached_property
-    def integers(self):
-        """(A, M), each as its integer numerators over the lcm of its
-        entries' denominators, with that lcm: computed on first read and
-        kept, for the CNE deviation audits."""
-        return tuple(_integer_matrix(mat) for mat in (self.doctor_matrix, self.hospital_matrix))
+        a, m = self.scaled
+        alpha, _, y_alpha = game_value(*a)
+        neg_beta, x_beta, _ = game_value(*_negated(m))
+        return alpha, -neg_beta, y_alpha, x_beta
 
     @cached_property
     def flipped(self) -> "BimatrixGame":
@@ -442,8 +467,8 @@ class BimatrixGame:
         frontier is the stored one seen from the other side
         (:func:`_flipped_frontier`)."""
         view = object.__new__(BimatrixGame)
-        view.__dict__.update(doctor_matrix=transpose(self.hospital_matrix),
-                             hospital_matrix=transpose(self.doctor_matrix),
+        (a, la), (m, lm) = self.scaled
+        view.__dict__.update(scaled=((tuple(zip(*m)), lm), (tuple(zip(*a)), la)),
                              class_tag=self.class_tag)
         if self.class_tag in (ZERO_SUM, STRICTLY_COMPETITIVE):
             view.__dict__["frontier"] = _flipped_frontier(self.frontier)
@@ -451,53 +476,52 @@ class BimatrixGame:
 
     @property
     def n_rows(self) -> int:
-        return len(self.doctor_matrix)
+        return len(self.scaled[0][0])
 
     @property
     def n_cols(self) -> int:
-        return len(self.doctor_matrix[0])
+        return len(self.scaled[0][0][0])
 
 
-def _check_game(game: BimatrixGame, negated_a: Optional[Matrix] = None):
-    """A game's checks, for the constructor and the loader alike: its class
-    tag, its shape and its class, whose check is building a one-shot
-    frontier.
+def _check_game(game: BimatrixGame):
+    """A game's checks, for the constructor and the loader alike, on its
+    integer forms: its class tag, its shape and its class, whose check is
+    building a one-shot frontier.
 
-    A zero-sum pair is checked by comparing M with -A as tuples (exact, and
-    by identity for the literal table's shared values when the loader or
-    the generator passes -A as ``negated_a``); only a mismatch is then
-    located, to name its entry.  A strictly competitive pair is checked
-    against its segment's line.  The frontier goes straight into the
-    instance dict, which attribute lookup reads before the ``frontier``
-    descriptor, so no read of it goes through the descriptor or its lock.
+    A zero-sum pair is checked in C on the forms, which are unique: M == -A
+    exactly when both have one denominator and every entry of A + M is 0;
+    only a mismatch is then located, to name its entry.  A
+    strictly competitive pair is checked against its segment's line.  The
+    frontier goes straight into the instance dict, which attribute lookup
+    reads before the ``frontier`` descriptor, so no read of it goes through
+    the descriptor or its lock.
     """
-    tag, a, m = game.class_tag, game.doctor_matrix, game.hospital_matrix
+    tag, (a, m) = game.class_tag, game.scaled
+    (ka, la), (km, lm) = a, m
     if tag not in GAME_CLASSES:
         raise ClassTagViolationError(f"unknown game class {tag!r}")
-    if len(a) != len(m) or len({*map(len, a), *map(len, m)}) != 1:
+    if len(ka) != len(km) or len({*map(len, ka), *map(len, km)}) != 1:
         raise DimensionMismatchError("A and M must have identical shape")
     if tag == ZERO_SUM:
-        if m != (negate(a) if negated_a is None else negated_a):
-            for i, (row_a, row_m) in enumerate(zip(a, m)):
+        if la != lm or any(map(add, chain.from_iterable(ka), chain.from_iterable(km))):
+            for i, (row_a, row_m) in enumerate(zip(ka, km)):
                 for j, (value, other) in enumerate(zip(row_a, row_m)):
-                    if other != -value:
-                        raise ClassTagViolationError(f"zero_sum game has M != -A at entry ({i},{j})",
-                                                     entry=(i, j, other, -value))
-        game.__dict__["frontier"] = _zero_sum_frontier(a, m)
+                    if other * la != -value * lm:
+                        raise ClassTagViolationError(
+                            f"zero_sum game has M != -A at entry ({i},{j})",
+                            entry=(i, j, Fraction(other, lm), Fraction(-value, la)))
+        game.__dict__["frontier"] = _zero_sum_frontier(a)
     elif tag == STRICTLY_COMPETITIVE:
         game.__dict__["frontier"] = _strictly_competitive_frontier(a, m)
 
 
-def build_game(a: Matrix, m: Matrix, class_tag: str,
-               negated_a: Optional[Matrix] = None) -> BimatrixGame:
-    """A game with every check the constructor makes (:func:`_check_game`),
-    built without the dataclass machinery.  A caller that has -A at hand
-    (the loader and the generator read it from the literal table) passes it
-    as ``negated_a``, and a zero-sum pair is then checked by one tuple
-    comparison."""
+def build_game(a: Scaled, m: Scaled, class_tag: str) -> BimatrixGame:
+    """A game from the integer forms of its matrices, with every check the
+    constructor makes (:func:`_check_game`), built without converting
+    Fractions; its Fraction matrices are built on first read."""
     game = object.__new__(BimatrixGame)
-    game.__dict__.update(doctor_matrix=a, hospital_matrix=m, class_tag=class_tag)
-    _check_game(game, negated_a)
+    game.__dict__.update(scaled=(a, m), class_tag=class_tag)
+    _check_game(game)
     return game
 
 
@@ -646,7 +670,9 @@ def pure(index: int, size: int) -> Tuple[Fraction, ...]:
 # The integer kernel.  A Fraction is stored normalised, so a sum of terms
 # c * p/q is computed exactly as one integer numerator over a common
 # multiple of the denominators read, and the single Fraction built at the
-# end (which reduces it) equals the Fraction-by-Fraction sum.
+# end (which reduces it) equals the Fraction-by-Fraction sum.  Matrices come
+# in their integer form, so a matrix term is an int over the form's
+# denominator.
 
 
 def _integer_weights(weights: Sequence[Fraction]) -> Tuple[List[int], int]:
@@ -657,67 +683,40 @@ def _integer_weights(weights: Sequence[Fraction]) -> Tuple[List[int], int]:
     return [n * (den // d) for n, d in ratios], den
 
 
-def _integer_matrix(matrix: Matrix) -> Tuple[List[List[int]], int]:
-    """(numerators, den): the entries as integers over the lcm of their
-    denominators."""
-    ratios = [[v.as_integer_ratio() for v in row] for row in matrix]
-    den = lcm(*[d for row in ratios for _, d in row])
-    return [[n * (den // d) for n, d in row] for row in ratios], den
-
-
-def _dot(row: Sequence[Fraction], weights: List[int], support: List[int],
-         num: int = 0, den: int = 1, scale: int = 1) -> Tuple[int, int]:
-    """num/den plus scale * sum(weights[j] * row[j] for j in support), as an
-    integer numerator over a common multiple of den and the denominators
-    read."""
-    for j in support:
-        p, q = row[j].as_integer_ratio()
-        if den % q:
-            k = q // gcd(den, q)
-            num *= k
-            den *= k
-        num += scale * weights[j] * p * (den // q)
-    return num, den
-
-
 def row_payoffs(matrix: Matrix, y: Sequence[Fraction]) -> List[Fraction]:
     """Each pure row's exact payoff against the column mix y."""
+    rows, den = _scaled_matrix(matrix)
     ys, yd = _integer_weights(y)
-    support = [j for j, w in enumerate(ys) if w]
-    out = []
-    for row in matrix:
-        num, den = _dot(row, ys, support)
-        out.append(Fraction(num, den * yd))
-    return out
+    support = [(j, w) for j, w in enumerate(ys) if w]
+    return [Fraction(sum(row[j] * w for j, w in support), den * yd) for row in rows]
 
 
 def bilinear(x: Sequence[Fraction], matrix: Matrix, y: Sequence[Fraction]) -> Fraction:
     """Exact x.A.y for mixed strategies x, y, on the integer kernel."""
-    return _bilinears(_integer_weights(x), (matrix,), _integer_weights(y))[0]
+    return _bilinears(_integer_weights(x), (_scaled_matrix(matrix),), _integer_weights(y))[0]
 
 
-def _bilinears(x, matrices, y) -> List[Fraction]:
-    """x.A.y for each matrix A, with x and y given scaled to integers
-    (:func:`_integer_weights`)."""
+def _bilinears(x, matrices: Sequence[Scaled], y) -> List[Fraction]:
+    """x.A.y for each matrix A, given in its integer form, with x and y
+    given scaled to integers (:func:`_integer_weights`)."""
     (xs, xd), (ys, yd) = x, y
-    support = [j for j, w in enumerate(ys) if w]
-    sums = [(0, 1)] * len(matrices)
-    for i, xi in enumerate(xs):
-        if xi:
-            sums = [_dot(mat[i], ys, support, num, den, xi) for mat, (num, den) in zip(matrices, sums)]
-    return [Fraction(num, den * xd * yd) for num, den in sums]
+    support = [(j, w) for j, w in enumerate(ys) if w]
+    rows = [(i, w) for i, w in enumerate(xs) if w]
+    return [Fraction(sum(xi * sum(k[i][j] * w for j, w in support) for i, xi in rows), den * xd * yd)
+            for k, den in matrices]
 
 
-def witness_payoffs(a: Matrix, m: Matrix, x=None, y=None, cells=None,
+def witness_payoffs(a: Scaled, m: Scaled, x=None, y=None, cells=None,
                     length: int = 1) -> Tuple[Fraction, Fraction]:
-    """(f, g), the row and the column side's payoffs of the profile (x, y), or
-    of ``cells``' weights by cell (s, t) over ``length`` (a hull distribution
-    over 1, a cycle's step counts over its length), each scaled to integers once."""
+    """(f, g), the row and the column side's payoffs on the integer forms a
+    and m of the profile (x, y), or of ``cells``' weights by cell (s, t)
+    over ``length`` (a hull distribution over 1, a cycle's step counts over
+    its length), each scaled to integers once."""
     if cells is None:
         return tuple(_bilinears(_integer_weights(x), (a, m), _integer_weights(y)))
     ws, wd = _integer_weights(list(cells.values()))
-    (fn, fd), (gn, gd) = (_dot([mat[s][t] for s, t in cells], ws, range(len(ws))) for mat in (a, m))
-    return Fraction(fn, fd * wd * length), Fraction(gn, gd * wd * length)
+    return tuple(Fraction(sum(k[s][t] * w for (s, t), w in zip(cells, ws)), den * wd * length)
+                 for k, den in (a, m))
 
 
 @dataclass
@@ -744,7 +743,8 @@ class CycleStrategy:
 
     def average_payoffs(self, a: Matrix, m: Matrix) -> Tuple[Fraction, Fraction]:
         """The long-run average payoffs, one weighted term per distinct step."""
-        return witness_payoffs(a, m, cells=Counter(self.cycle), length=len(self.cycle))
+        return witness_payoffs(_scaled_matrix(a), _scaled_matrix(m), cells=Counter(self.cycle),
+                               length=len(self.cycle))
 
 
 @dataclass
@@ -902,7 +902,7 @@ def read_couple(instance, allocation, d, partner) -> Couple:
             raise MatchGamesError(f"pair ({d},{partner}) has no strategy profile")
         xs = validate_mixed(x, view.n_rows, f"doctor {d} strategy")
         ys = validate_mixed(y, view.n_cols, f"partner {partner} strategy vs {d}")
-        f, g = _bilinears(xs, (view.doctor_matrix, view.hospital_matrix), ys)
+        f, g = _bilinears(xs, view.scaled, ys)
         return Couple(view, x, y, None, f, g, xs, ys)
     cycle = allocation.cycles.get(key)
     if cycle is None:
@@ -916,7 +916,7 @@ def read_couple(instance, allocation, d, partner) -> Couple:
             raise MalformedCycleError(
                 f"repeated pair ({d},{partner}) cycle step [{s}, {t}] is outside "
                 f"its {rows}x{cols} game")
-    f, g = cycle.average_payoffs(game.doctor_matrix, game.hospital_matrix)
+    f, g = witness_payoffs(*game.scaled, cells=Counter(cycle.cycle), length=len(cycle.cycle))
     if flipped:
         cycle, f, g = _transposed(cycle), g, f
     return Couple(view, None, None, cycle, f, g)
@@ -973,30 +973,31 @@ def gc_paused(build):
     return paused
 
 
-def _read_matrix(rows, negations: bool):
-    """(matrix, -matrix) of a document matrix, its shape checked, or
-    (matrix, None) without ``negations``.  Each row maps through
-    ``_VALUES`` in C, and a zero-sum A's rows through ``_NEGATIONS`` too;
-    a row with a miss or a non-str entry is read entry by entry
-    (:func:`parse_rational`, which raises for a malformed entry), and then
-    -matrix is negated from the values."""
+def _read_matrix(rows) -> Scaled:
+    """A document matrix's integer form, its shape checked.  Rows of integer
+    literals map through ``_INTEGERS`` in C.  Any other matrix's rows map
+    through ``_RATIOS`` in C to (numerator, denominator) pairs, a row with a
+    miss or a non-str entry entry by entry (:func:`parse_rational`, which
+    raises for a malformed entry), and are then scaled (:func:`_scaled`)."""
     if not rows or not all(rows):
         raise DimensionMismatchError("matrices must have at least one row and column")
+    try:
+        nums = tuple([tuple(map(_integer, row)) for row in rows])
+    except (KeyError, TypeError):
+        pass
+    else:
+        if len(set(map(len, nums))) == 1:
+            return nums, 1
     width = len(rows[0])
-    out = []
+    ratios = []
     for row in rows:
         if len(row) != width:
             raise DimensionMismatchError("ragged matrix rows")
         try:
-            out.append(tuple(map(_value, row)))
+            ratios.append(tuple(map(_ratio, row)))
         except (KeyError, TypeError):
-            out.append(tuple(map(parse_rational, row)))
-    if not negations:
-        return tuple(out), None
-    try:
-        return tuple(out), tuple([tuple(map(_negation, row)) for row in rows])
-    except (KeyError, TypeError):  # a non-str entry, or a refill mid-matrix
-        return tuple(out), negate(out)
+            ratios.append([(v.numerator, v.denominator) for v in map(parse_rational, row)])
+    return _scaled(ratios)
 
 
 def check_quota(quota, hospital, floor: int = 1) -> int:
@@ -1017,13 +1018,14 @@ def read_quota(entry: dict, hospital, default: int, floor: int) -> int:
 def load_instance(source: Union[str, dict]) -> MatchingGameInstance:
     """Load and validate an instance from a JSON document (path or dict).
 
-    Each game is built in one pass over its document rows, with every check
-    the constructor makes (:func:`build_game`).  Each row maps through the
-    literal table (see :func:`_read_literal`) in C (:func:`_read_matrix`);
-    a zero-sum A's rows are read with their negations too, so the pair's
-    check compares M with -A as tuples instead of entry by entry, and games
-    with equal bounds share one frontier (:func:`_zero_sum_frontier`).  The
-    collector stays paused for the load.
+    Each matrix is read straight into its integer form, a row of integer
+    literals mapped through the literal table (see :func:`_read_literal`) in
+    C (:func:`_read_matrix`), and each game is built from the two forms with
+    every check the constructor makes (:func:`build_game`): a zero-sum pair
+    sums A's and M's numerators in C, and games with equal bounds share one
+    frontier (:func:`_zero_sum_frontier`).  No Fraction matrix is
+    built; a game builds its own on first read.  The collector stays paused
+    for the load.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
@@ -1062,9 +1064,8 @@ def load_instance(source: Union[str, dict]) -> MatchingGameInstance:
         else:
             other = str(entry["hospital"])
             key = (d, other)
-        a, negated_a = _read_matrix(entry["A"], entry.get("class") == ZERO_SUM)
-        m = _read_matrix(entry["M"], False)[0]
-        games[key] = build_game(a, m, str(entry["class"]), negated_a)
+        games[key] = build_game(_read_matrix(entry["A"]), _read_matrix(entry["M"]),
+                                str(entry["class"]))
 
     coalition_doctor_payoffs = {}
     coalition_hospital_payoffs = {}
@@ -1104,23 +1105,14 @@ def serialize_instance(instance: MatchingGameInstance) -> dict:
             }
             for h in instance.hospitals.values()
         ]
-    # An instance's matrices share a few dozen distinct Fraction objects (the
-    # literal table's), so each object is formatted once per call.  Ids are
-    # stable keys here: the instance holds every object until the call ends.
-    texts = {}
-
-    def text(value):
-        out = texts[id(value)] = format_rational(value)
-        return out
-
     games = []
     for (d, other), game in sorted(instance.games.items()):
         entry = {
             "doctor": d,
             "doctor2" if instance.model == ROOMMATES else "hospital": other,
             "class": game.class_tag,
-            "A": [[texts.get(id(v)) or text(v) for v in row] for row in game.doctor_matrix],
-            "M": [[texts.get(id(v)) or text(v) for v in row] for row in game.hospital_matrix],
+            "A": _matrix_texts(game.scaled[0]),
+            "M": _matrix_texts(game.scaled[1]),
         }
         games.append(entry)
     doc["games"] = games
@@ -1142,6 +1134,18 @@ def serialize_instance(instance: MatchingGameInstance) -> dict:
             )
         doc["coalitions"] = coalitions
     return doc
+
+
+# An integer's text, one object per value, shared by a document's equal entries.
+_integer_text = lru_cache(maxsize=_LITERAL_CAP)(str)
+
+
+def _matrix_texts(scaled: Scaled) -> List[List[str]]:
+    """A matrix's document rows of canonical literals, from its integer form."""
+    rows, den = scaled
+    if den == 1:
+        return [list(map(_integer_text, row)) for row in rows]
+    return [[format_rational(Fraction(n, den)) for n in row] for row in rows]
 
 
 def serialize_allocation(allocation: Allocation) -> dict:

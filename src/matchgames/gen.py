@@ -1,17 +1,17 @@
 """Seeded random instance generation for property suites and the CLI.
 
-Every drawn rational is read, with its negation, from the literal table
-(:func:`core.rational_pair`), so equal draws share one Fraction and a
-zero-sum game's M is the table's negations of its A, checked as the loader
-checks a document's.  The random calls and their order are fixed: a seed's
-instance, and so its document, never changes.
+Every drawn rational is drawn as its text "num/den" and read as a document
+literal, so a drawn matrix goes straight into its integer form through the
+loader's reader; a game's other matrix is that form negated, or is drawn or
+rescaled and read the same way.  The random calls and their order are fixed:
+a seed's instance, and so its document, never changes.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .core import (
     ADDITIVE_SEPARABLE,
@@ -22,19 +22,17 @@ from .core import (
     BimatrixGame,
     Doctor,
     Hospital,
-    Matrix,
     MatchingGameInstance,
+    _negated,
+    _read_matrix,
     build_game,
     gc_paused,
-    negate,
-    rational_pair,
-    transpose,
+    parse_rational,
 )
 
 
-def random_pair(rng: random.Random, lo: int = -10, hi: int = 10,
-                max_denominator: int = 1) -> Tuple[Fraction, Fraction]:
-    """A drawn rational in [lo, hi] and its negation.
+def _draw(rng: random.Random, lo: int, hi: int, max_denominator: int) -> str:
+    """A drawn rational in [lo, hi], as its text "num/den".
 
     Both draws are ``randint``'s, made as ``randrange`` makes them for a
     unit step on Python 3.10-3.13, ``a + rng._randbelow(b - a + 1)``, so
@@ -44,28 +42,17 @@ def random_pair(rng: random.Random, lo: int = -10, hi: int = 10,
     if max_denominator < 1 or hi < lo:
         raise ValueError(f"empty draw range: [{lo}, {hi}], denominators up to {max_denominator}")
     den = 1 + rng._randbelow(max_denominator)
-    return rational_pair(lo * den + rng._randbelow((hi - lo) * den + 1), den)
+    return f"{lo * den + rng._randbelow((hi - lo) * den + 1)}/{den}"
+
+
+def _draw_rows(rng, rows, cols, lo=-10, hi=10, max_denominator=1) -> List[List[str]]:
+    """A drawn matrix as document rows of texts, drawn row by row."""
+    return [[_draw(rng, lo, hi, max_denominator) for _ in range(cols)] for _ in range(rows)]
 
 
 def random_rational(rng: random.Random, lo: int = -10, hi: int = 10,
                     max_denominator: int = 1) -> Fraction:
-    return random_pair(rng, lo, hi, max_denominator)[0]
-
-
-def random_matrices(rng, rows, cols, lo=-10, hi=10,
-                    max_denominator=1) -> Tuple[Matrix, Matrix]:
-    """A drawn matrix and its negation.  Entries are drawn row by row as
-    (value, negation) pairs, and each row is split in two, as the loader
-    splits a document row."""
-    rows_of_pairs = [
-        tuple(zip(*[random_pair(rng, lo, hi, max_denominator) for _ in range(cols)]))
-        for _ in range(rows)
-    ]
-    return tuple(zip(*rows_of_pairs))
-
-
-def random_matrix(rng, rows, cols, lo=-10, hi=10, max_denominator=1) -> Matrix:
-    return random_matrices(rng, rows, cols, lo, hi, max_denominator)[0]
+    return parse_rational(_draw(rng, lo, hi, max_denominator))
 
 
 def random_game(rng: random.Random, rows: int, cols: int, game_class: str,
@@ -76,21 +63,24 @@ def random_game(rng: random.Random, rows: int, cols: int, game_class: str,
     ratio at most 1, and a shift, applied to a randomly chosen side, so the
     load-time affine check holds by construction.
     """
-    core, negated = random_matrices(rng, rows, cols, max_denominator=max_denominator)
+    core = _read_matrix(_draw_rows(rng, rows, cols, max_denominator=max_denominator))
     if game_class == ZERO_SUM:
-        return build_game(core, negated, ZERO_SUM, negated)
+        return build_game(core, _negated(core), ZERO_SUM)
     if game_class == REPEATED:
-        other = random_matrix(rng, rows, cols, max_denominator=max_denominator)
-        return BimatrixGame(core, other, REPEATED)
+        other = _read_matrix(_draw_rows(rng, rows, cols, max_denominator=max_denominator))
+        return build_game(core, other, REPEATED)
     if game_class == STRICTLY_COMPETITIVE:
-        ratio = Fraction(rng.randint(1, 4), 4)
-        shift = random_rational(rng, -5, 5, max_denominator)
-        scaled = tuple(tuple(ratio * v + shift for v in row) for row in core)
+        rn, rd = Fraction(rng.randint(1, 4), 4).as_integer_ratio()
+        sn, sd = random_rational(rng, -5, 5, max_denominator).as_integer_ratio()
+        nums, den = core
+        # ratio * core + shift, each entry read as its literal "num/den"
+        scaled = _read_matrix([[f"{rn * sd * n + sn * rd * den}/{rd * sd * den}" for n in row]
+                               for row in nums])
         if rng.random() < 0.5:
             # doctor side rescaled: A = ratio * core + shift, M = -core
-            return BimatrixGame(scaled, negated, STRICTLY_COMPETITIVE)
+            return build_game(scaled, _negated(core), STRICTLY_COMPETITIVE)
         # hospital side rescaled: A = core, -M = ratio * core + shift
-        return BimatrixGame(core, negate(scaled), STRICTLY_COMPETITIVE)
+        return build_game(core, _negated(scaled), STRICTLY_COMPETITIVE)
     raise ValueError(f"unsupported class {game_class!r}")
 
 
@@ -129,10 +119,7 @@ def generate_instance(seed: int, model: str = ADDITIVE_SEPARABLE,
                 else:
                     # Ids compare as strings ("d10" < "d2"): store the pair
                     # under its sorted key, rows owned by the smaller id.
-                    games[(b, a)] = BimatrixGame(
-                        transpose(game.hospital_matrix), transpose(game.doctor_matrix),
-                        game.class_tag,
-                    )
+                    games[(b, a)] = game.flipped
         return MatchingGameInstance(model=ROOMMATES, doctors=doctors, hospitals={}, games=games)
 
     h_lo = irp_lo if hospital_irp_lo is None else hospital_irp_lo

@@ -21,12 +21,14 @@ from fractions import Fraction
 from itertools import combinations
 from typing import List, Optional, Tuple
 
-from .core import Matrix, _integer_matrix, _integer_weights, pure
+from .core import _integer_weights, pure
 from .errors import GameValueCertificateError, MatchGamesError
 
 
-def game_value(a: Matrix) -> Tuple[Fraction, Tuple[Fraction, ...], Tuple[Fraction, ...]]:
-    """Value and optimal strategies of the zero-sum game on matrix ``a``.
+def game_value(k: List[List[int]], scale: int) -> Tuple[Fraction, Tuple[Fraction, ...], Tuple[Fraction, ...]]:
+    """Value and optimal strategies of the zero-sum game on the matrix
+    ``k`` / ``scale``, a matrix's integer form as a game stores it
+    (``BimatrixGame.scaled``).
 
     The row player maximises x.A.y, the column player minimises.  Returns
     (w, x*, y*) satisfying the saddle property min_t x*.A.t = w = max_s s.A.y*.
@@ -35,8 +37,7 @@ def game_value(a: Matrix) -> Tuple[Fraction, Tuple[Fraction, ...], Tuple[Fractio
     solves one LP (:func:`solve_lp`).  Either answer must pass
     :func:`_certify_saddle`.
     """
-    k, scale = _integer_matrix(a)
-    solved = _kernel_solution(a, k, scale) or solve_lp(k, scale)
+    solved = _kernel_solution(k, scale) or solve_lp(k, scale)
     _certify_saddle(k, scale, *solved)
     return solved
 
@@ -139,7 +140,7 @@ def _certify_saddle(k, scale, w, x, y):
         raise GameValueCertificateError(f"the best column against x* does not hold the game value {w}")
 
 
-def _kernel_solution(a: Matrix, k, scale: int) -> Optional[tuple]:
+def _kernel_solution(k, scale: int) -> Optional[tuple]:
     """(value, x*, y*) when a square kernel of size 1 or 2 certifies the
     game's unique optimum, else None (Shapley and Snow, 1950).
 
@@ -161,14 +162,14 @@ def _kernel_solution(a: Matrix, k, scale: int) -> Optional[tuple]:
     determinant is d).  So the answer is exactly the simplex's, and the test
     is its own certificate.  The search costs O(m^2 n^2 (m + n)).
     """
-    n_rows, n_cols = len(a), len(a[0])
+    n_rows, n_cols = len(k), len(k[0])
     for i, row in enumerate(k):
         lo = min(row)
         if row.count(lo) != 1:
             continue
         j = row.index(lo)
         if all(other[j] < lo for s, other in enumerate(k) if s != i):
-            return a[i][j], pure(i, n_rows), pure(j, n_cols)
+            return Fraction(lo, scale), pure(i, n_rows), pure(j, n_cols)
 
     for i1, i2 in combinations(range(n_rows), 2):
         row1, row2 = k[i1], k[i2]

@@ -48,6 +48,7 @@ from .core import (
     PayoffReport,
     _bilinears,
     _integer_weights,
+    _negated,
     evaluate_payoffs,
     frontier_bridge,
     negate,
@@ -270,12 +271,12 @@ def _deviation_fault(game: BimatrixGame, scaled_x, scaled_y, f_now: Fraction, g_
     against y at g_res - epsilon or more, profitable when they pay more than
     f_now + epsilon; the hospital's mirror them against x.  Both matrices
     and the fixed mix are integers over their denominators
-    (``BimatrixGame.integers``, ``scaled_x`` and ``scaled_y``), so each pure
+    (``BimatrixGame.scaled``, ``scaled_x`` and ``scaled_y``), so each pure
     strategy's payoffs are integer dot products, and
     :func:`_best_guarded_mix` compares them with the floor and the bar by
     cross products.
     """
-    (ka, la), (km, lm) = game.integers
+    (ka, la), (km, lm) = game.scaled
     en, ed = epsilon.as_integer_ratio()
     ys, yd = scaled_y
     support = [(j, w) for j, w in enumerate(ys) if w]
@@ -367,6 +368,7 @@ def _one_shot_cne(game: BimatrixGame, f_res: Fraction, g_res: Fraction,
     a, m = game.doctor_matrix, game.hospital_matrix
     fr = game.frontier
     ratio, shift, direction, z = frontier_bridge(fr, a, m)
+    scaled_z = game.scaled[0] if z is a else _negated(game.scaled[1])
     correction = epsilon * (1 - ratio) / ratio
     if direction == "doctor":
         # z is -M; the doctor's payoffs f read (f - shift) / ratio on it.
@@ -385,7 +387,7 @@ def _one_shot_cne(game: BimatrixGame, f_res: Fraction, g_res: Fraction,
         raise InfeasibleReservationsError(
             f"reservation band [{lo}, {hi}] misses the attainable interval [{z_min}, {z_max}]"
         )
-    w, x_star, y_star = game_value(z)
+    w, x_star, y_star = game_value(*scaled_z)
     if lo <= w <= hi:
         x, y, tag, value = x_star, y_star, SADDLE_VALUE, w
     else:
@@ -399,7 +401,7 @@ def _one_shot_cne(game: BimatrixGame, f_res: Fraction, g_res: Fraction,
             t, x = _slide(negate(transpose(z)), -value, x0, x_star)
             y, tag = pure(t, len(z[0])), HOSPITAL_BINDING
     xs, ys = _integer_weights(x), _integer_weights(y)
-    reached, f_now, g_now = _bilinears(xs, (z, a, m), ys)
+    reached, f_now, g_now = _bilinears(xs, (scaled_z, *game.scaled), ys)
     if reached != value:
         raise MatchGamesError("CNE construction missed its target value")
     fault = _deviation_fault(game, xs, ys, f_now, g_now, f_res, g_res, epsilon)
@@ -442,14 +444,13 @@ def _slide(a: Matrix, v: Fraction, y0, y_star):
 
 
 def punishment_levels(a: Matrix, m: Matrix):
-    """Minimax levels (alpha, beta) and the minimaxing strategies.
+    """Minimax levels (alpha, beta) and the minimaxing strategies of the
+    stage matrices a and m (:attr:`BimatrixGame.punishment`).
 
     alpha = min_y max_x x.A.y with the hospital's punishing y; beta the
     mirror image on the doctor's side against M.
     """
-    alpha, _, y_alpha = game_value(a)
-    neg_beta, x_beta, _ = game_value(negate(m))
-    return alpha, -neg_beta, y_alpha, x_beta
+    return BimatrixGame(a, m, REPEATED).punishment
 
 
 def compute_cne_repeated(a: Matrix, m: Matrix, f_res: Fraction, g_res: Fraction,

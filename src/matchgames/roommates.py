@@ -88,10 +88,6 @@ class DemandGraph:
         for out in self.adjacency.values():
             out.sort()
 
-    @property
-    def edges(self):
-        return self.points.keys()
-
     def neighbours(self, d: str) -> List[str]:
         return self.adjacency[d]
 

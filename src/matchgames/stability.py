@@ -161,9 +161,9 @@ def _pair_block_profile(game: BimatrixGame, f_floor: Fraction, g_floor: Fraction
     Returns (x, y, cycle_lambda, method) or None when no such profile exists.
     Exact for the three structured classes, grid-based otherwise.
     """
-    a, m = game.doctor_matrix, game.hospital_matrix
     if game.class_tag == GENERAL:
         # Strategic pair: grid scan, exact arithmetic at every grid point.
+        a, m = game.doctor_matrix, game.hospital_matrix
         for x in simplex_grid(game.n_rows, grid_mesh):
             for y in simplex_grid(game.n_cols, grid_mesh):
                 if bilinear(x, a, y) > f_floor and bilinear(x, m, y) > g_floor:
@@ -180,7 +180,7 @@ def _pair_block_profile(game: BimatrixGame, f_floor: Fraction, g_floor: Fraction
         p, q, r = fr.segment[4:]
         f_cap = Fraction(p * gd - r * gn, q * gd)
         point = _open_interval_point(f_floor, f_cap, fr.a_min, fr.a_max)
-        x, y, _ = achieve_value_zero_sum(a, point)
+        x, y, _ = achieve_value_zero_sum(game.doctor_matrix, point)
         return x, y, None, EXACT_INTERVAL
     best_f = max_f_point(game, g_floor)
     if best_f is None or best_f.f <= f_floor:
@@ -191,7 +191,7 @@ def _pair_block_profile(game: BimatrixGame, f_floor: Fraction, g_floor: Fraction
     mix = {}
     for cell, w in (*best_f.lam.items(), *best_g.lam.items()):
         mix[cell] = mix.get(cell, Fraction(0)) + w / 2
-    f_mid, g_mid = witness_payoffs(a, m, cells=mix)
+    f_mid, g_mid = witness_payoffs(*game.scaled, cells=mix)
     if f_mid > f_floor and g_mid > g_floor:
         return None, None, mix, EXACT_HULL
     return None
@@ -240,7 +240,7 @@ def find_blocking_pair(instance, allocation, epsilon: Fraction, grid_mesh: int =
             if found is None:
                 continue
             x, y, lam, method = found
-            f_new, g_new = witness_payoffs(game.doctor_matrix, game.hospital_matrix, x, y, lam)
+            f_new, g_new = witness_payoffs(*game.scaled, x, y, lam)
             # Witness replay: the claimed strict gains must re-evaluate exactly.
             if not (f_new > f_bar and g_new > g_bar):
                 raise MatchGamesError("blocking witness failed exact replay")
@@ -373,7 +373,7 @@ def _realise_coalition(instance, floors, team, h, current, epsilon):
         if found is None:
             raise MatchGamesError(f"no profile realises coalition member {d} at {h}")
         x, y, lam, method = found
-        f, g = witness_payoffs(game.doctor_matrix, game.hospital_matrix, x, y, lam)
+        f, g = witness_payoffs(*game.scaled, x, y, lam)
         below |= not f > floors[d]
         profiles[d] = (x, y)
         if lam is not None:

@@ -13,9 +13,23 @@ from matchgames.core import (
     Doctor,
     Hospital,
     MatchingGameInstance,
+    _scaled_matrix,
+    parse_matrix,
 )
+from matchgames.gen import _draw_rows
+from matchgames.lp import game_value
 
 F = Fraction
+
+
+def game_value_of(a):
+    """``lp.game_value`` of a Fraction matrix, solved on its integer form."""
+    return game_value(*_scaled_matrix(a))
+
+
+def random_matrix(rng, rows, cols, lo=-10, hi=10, max_denominator=1):
+    """A matrix of Fractions drawn as the generator draws its matrices."""
+    return parse_matrix(_draw_rows(rng, rows, cols, lo, hi, max_denominator))
 
 
 def segregation_instance(n: int) -> MatchingGameInstance:

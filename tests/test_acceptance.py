@@ -28,8 +28,7 @@ from matchgames.core import (
 )
 from matchgames.dac import run_dac
 from matchgames.errors import InfeasibleReservationsError
-from matchgames.gen import generate_instance, random_matrix
-from matchgames.lp import game_value
+from matchgames.gen import generate_instance
 from matchgames.qcqp import (
     affine_transform,
     distribution_to_cycle,
@@ -60,6 +59,8 @@ from matchgames.stability import (
 
 from bridge_reference import Bridge, reference_bridge
 from fixtures import (
+    game_value_of,
+    random_matrix,
     PD_A,
     PD_M,
     hedonic_instance,
@@ -178,7 +179,7 @@ def test_criterion_6_median_cne_formula():
         g_cap = lo + (hi - lo) * F(rng.randint(0, 16), 16)
         if f_res - 2 * eps > g_cap + 2 * eps:
             continue  # infeasible reservations: not part of the criterion
-        w, _, _ = game_value(a)
+        w, _, _ = game_value_of(a)
         game = BimatrixGame(a, negate(a), "zero_sum")
         cne = compute_cne_for_pair(game, ReservationPair(f_res, -g_cap), eps)
         assert cne.doctor_payoff == sorted([f_res - 2 * eps, w, g_cap + 2 * eps])[1]
@@ -195,7 +196,7 @@ def test_criterion_7_renegotiation_convergence():
         bound = F(0)
         for d, h in alloc.matched_pairs():
             res = reservation_payoffs(inst, alloc, d, h, EPS10)
-            w, _, _ = game_value(inst.game_for(d, h).doctor_matrix)
+            w, _, _ = game_value_of(inst.game_for(d, h).doctor_matrix)
             bound = max(bound, res.doctor_reservation - w,
                         w - (-res.hospital_reservation))
         stable_flags = []

@@ -97,6 +97,47 @@ def test_constructed_quota_held_to_the_document_rule(quota):
                              games={})
 
 
+_ONE = BimatrixGame(((F(1),),), ((F(1),),), "repeated")
+
+
+def _instance_fields(model="additive_separable", hospitals=None, games=None, tables=None):
+    """The fields of a valid instance: doctor d and hospital h with one 1x1
+    game, or roommates a and b; any field may be replaced."""
+    roommates = model == "roommates"
+    ids = ("a", "b") if roommates else ("d",)
+    return dict(model=model, doctors={d: Doctor(d, F(0), ("s",)) for d in ids},
+                hospitals={"h": Hospital("h", F(0), 1, ("t",))} if hospitals is None else hospitals,
+                games={("a", "b") if roommates else ("d", "h"): _ONE} if games is None else games,
+                coalition_hospital_payoffs=tables or {})
+
+
+@pytest.mark.parametrize("fields, error, message", [
+    (_instance_fields(model="cooperative"), MatchGamesError, "unknown model kind 'cooperative'"),
+    (_instance_fields(hospitals={"h": Hospital("h", F(0), 0, ("t",))}), QuotaOutOfRangeError,
+     "hospital h has quota 0"),
+    (_instance_fields(model="roommates", hospitals={"h": Hospital("h", F(0), 1, ("t",))}),
+     MatchGamesError, "roommates instances carry no hospital list"),
+    (_instance_fields(games={("x", "h"): _ONE}), MatchGamesError,
+     "game references unknown doctor 'x'"),
+    (_instance_fields(model="roommates", hospitals={}, games={("a", "z"): _ONE}),
+     MatchGamesError, "game references unknown doctor 'z'"),
+    (_instance_fields(model="roommates", hospitals={}, games={("b", "a"): _ONE}),
+     MatchGamesError, "roommates games must be keyed by sorted doctor pair"),
+    (_instance_fields(games={("d", "h9"): _ONE}), MatchGamesError,
+     "game references unknown hospital 'h9'"),
+    (_instance_fields(games={("d", "h"): BimatrixGame(((F(1), F(2)),), ((F(1), F(2)),), "repeated")}),
+     DimensionMismatchError, "game ('d', 'h') is 1x2, expected 1x1"),
+    (_instance_fields(model="general", games={},
+                      tables={(frozenset(m), "h"): F(1) for m in ([], ["d"], ["e"])}),
+     MatchGamesError, "coalition table exceeds the configured cap"),
+], ids=["model", "quota", "roommates hospitals", "unknown doctor", "unknown second doctor",
+        "unsorted roommates key", "unknown hospital", "shape", "coalition table cap"])
+def test_an_instance_built_in_code_is_validated(fields, error, message):
+    with pytest.raises(MatchGamesError) as err:
+        MatchingGameInstance(**fields)
+    assert (type(err.value), str(err.value)) == (error, message)
+
+
 def test_zero_sum_tag_violation_names_entry():
     doc = zero_sum_doc()
     doc["games"][0]["M"][0][1] = "5"  # entry (0,1) breaks M == -A
@@ -445,10 +486,12 @@ def test_loading_a_strictly_competitive_market_builds_no_image(monkeypatch):
         directions.add("doctor" if r <= q else "hospital")
     assert negations == [] and directions == {"doctor", "hospital"}
     # The class check builds no Fraction either: no ratio, shift or bridge.
+    # (The Fraction views are built before the count starts.)
+    views = [(game.doctor_matrix, game.hospital_matrix) for game in inst.games.values()]
     built = []
     monkeypatch.setattr(core, "Fraction", lambda *args: built.append(args) or F(*args))
-    for game in inst.games.values():
-        BimatrixGame(game.doctor_matrix, game.hospital_matrix, "strictly_competitive")
+    for a, m in views:
+        BimatrixGame(a, m, "strictly_competitive")
     assert built == []
 
 
@@ -609,12 +652,13 @@ def test_witness_payoffs_equal_both_bilinear_forms():
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         a, m = _kernel_matrix(rng, rows, cols), _kernel_matrix(rng, rows, cols)
         x, y = _random_mix(rng, rows), _random_mix(rng, cols)
-        assert core.witness_payoffs(a, m, x, y) == (_bilinear_reference(x, a, y),
-                                                    _bilinear_reference(x, m, y))
+        forms = core._scaled_matrix(a), core._scaled_matrix(m)
+        assert core.witness_payoffs(*forms, x, y) == (_bilinear_reference(x, a, y),
+                                                      _bilinear_reference(x, m, y))
         cells = {(rng.randrange(rows), rng.randrange(cols)): F(rng.randint(1, 9), rng.randint(1, 9))
                  for _ in range(rng.randint(1, 4))}
         expected = tuple(sum((mat[s][t] * w for (s, t), w in cells.items()), F(0)) for mat in (a, m))
-        assert core.witness_payoffs(a, m, cells=cells) == expected
+        assert core.witness_payoffs(*forms, cells=cells) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -621,18 +621,18 @@ def test_roommates_solve_and_realize_build_one_view_per_game(monkeypatch):
     inst = generate_instance(seed=2, model="roommates", n_doctors=9,
                              classes=["zero_sum", "strictly_competitive"])
     built, flipped = [], []
-    original_init = core.BimatrixGame.__post_init__
+    original_check = core._check_game
     original_flip = core._flipped_frontier
 
-    def counting(self):
-        built.append(self)
-        original_init(self)
+    def counting(game):
+        built.append(game)
+        original_check(game)
 
     def flipping(fr):
         flipped.append(fr)
         return original_flip(fr)
 
-    monkeypatch.setattr(core.BimatrixGame, "__post_init__", counting)
+    monkeypatch.setattr(core, "_check_game", counting)
     monkeypatch.setattr(core, "_flipped_frontier", flipping)
     profile = solve_aspiration_zero_sum(inst)
     realize_aspiration(inst, profile)

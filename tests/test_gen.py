@@ -1,4 +1,5 @@
-"""The generator: pinned output bytes, and draws read from the literal table."""
+"""The generator: pinned output bytes, draws shared through the literal table,
+and zero-sum games drawn as integer forms."""
 
 import hashlib
 from itertools import chain
@@ -131,25 +132,26 @@ def test_equal_draws_share_one_fraction(den):
 
 
 @pytest.mark.parametrize("den", [1, 3])
-def test_zero_sum_hospital_matrix_is_the_tables_negations(den):
-    core._empty_tables()
+def test_zero_sum_hospital_form_is_the_negated_doctor_form(den):
     instance = generate_instance(6, n_doctors=8, n_hospitals=3, max_denominator=den)
+    dens = set()
     for game in instance.games.values():
-        for row_a, row_m in zip(game.doctor_matrix, game.hospital_matrix):
-            for a, m in zip(row_a, row_m):
-                assert m == -a
-                value, negation = core.rational_pair(*a.as_integer_ratio())
-                assert value is a and negation is m
+        (ka, la), (km, lm) = game.scaled
+        assert lm == la and km == tuple(tuple(-v for v in row) for row in ka)
+        assert game.hospital_matrix == core.negate(game.doctor_matrix)
+        dens.add(la)
+    assert (dens == {1}) == (den == 1)
 
 
 def test_generated_zero_sum_game_is_checked_by_tuple_comparison(monkeypatch):
-    # The generator hands -A to the check, so the check builds no negation
-    # of its own, as a constructor call would.
+    # The check compares the two integer forms in C, and negates neither A
+    # nor A's form.
     import random
 
     def negation(m):
         raise AssertionError("the check negated A")
 
     monkeypatch.setattr(core, "negate", negation)
+    monkeypatch.setattr(core, "_negated", negation)
     game = random_game(random.Random(1), 3, 3, core.ZERO_SUM, max_denominator=2)
     assert game.frontier.segment.p == 0

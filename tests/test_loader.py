@@ -10,6 +10,7 @@ same error class, message and entry for every malformed document.
 import copy
 import gc
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -18,7 +19,7 @@ import pytest
 from matchgames import core, qcqp
 from matchgames.cli import main
 from matchgames.core import BimatrixGame, load_instance, parse_matrix, serialize_instance
-from matchgames.errors import MatchGamesError
+from matchgames.errors import MalformedRationalError, MatchGamesError
 from matchgames.gen import generate_instance
 
 import oracles
@@ -138,11 +139,79 @@ def test_literals_share_one_object_per_value():
                       "M": [["-7", "-1/2"], ["0", "-3"]]}]}
     core._empty_tables()  # no refill empties the table during the test
     game = load_instance(doc).games[("d", "h")]
+    # Each matrix is read into its integer form over the lcm of its
+    # denominators, whatever form its literals take.
+    assert game.scaled == ((((14, 1), (0, 6)), 2), (((-14, -1), (0, -6)), 2))
+    assert game.doctor_matrix == ((F(7), F(1, 2)), (F(0), F(3)))
+    # The Fraction views read the table's objects.
     a, m = game.doctor_matrix, game.hospital_matrix
     assert a[0][1] is core.parse_rational("1/2")
     assert m[0][0] is core.parse_rational("-7") and a[1][0] is m[1][0]
-    _, negated_a = core._read_matrix(doc["games"][0]["A"], True)
-    assert all(x is y for row_m, row in zip(m, negated_a) for x, y in zip(row_m, row))
+    # The texts read share one Fraction per value with their canonical forms.
+    assert core.parse_rational("2/4") is core.parse_rational("1/2")
+    assert core.parse_rational(" 3 ") is core.parse_rational("3")
+    assert core.parse_rational("-0") is core.parse_rational("0")
+
+
+# Each literal as a matrix entry, with the value it reads or the error class
+# and message it raises: the integer form's fast paths may not widen or
+# narrow what a document may hold.
+LITERALS = [
+    ("7", F(7)),
+    (" 7 ", F(7)),
+    ("+7", F(7)),
+    ("2/4", F(1, 2)),
+    ("-0", F(0)),
+    ("7_000", F(7000)),
+    ("\u0663", F(3)),  # ARABIC-INDIC DIGIT THREE
+    (3, F(3)),
+    ("1.0", (MalformedRationalError,
+             "rational literals must be integers or p/q strings, got '1.0'")),
+    ("1e3", (MalformedRationalError,
+             "rational literals must be integers or p/q strings, got '1e3'")),
+    (True, (MalformedRationalError, "not a rational literal: True")),
+    (1.5, (MalformedRationalError, "not a rational literal: 1.5")),
+    ("1/0", (MalformedRationalError, "malformed rational literal: '1/0'")),
+    ("0x10", (MalformedRationalError, "malformed rational literal: '0x10'")),
+]
+
+
+@pytest.mark.parametrize("literal, expected", LITERALS, ids=[repr(lit) for lit, _ in LITERALS])
+def test_a_literal_reads_as_it_always_has(literal, expected):
+    doc = {"model": "additive_separable",
+           "doctors": [{"id": "d", "irp": "0", "strategies": ["s", "t"]}],
+           "hospitals": [{"id": "h", "irp": "0", "strategies": ["u", "v"]}],
+           "games": [{"doctor": "d", "hospital": "h", "class": "repeated",
+                      "A": [["1", "-1/3"], [literal, "1"]], "M": [[literal, "0"], ["2", "5"]]}]}
+    core._empty_tables()
+    # Twice: the second load finds every valid text in the literal table.
+    for _ in range(2):
+        if isinstance(expected, tuple):
+            with pytest.raises(MatchGamesError) as err:
+                load_instance(doc)
+            assert (type(err.value), str(err.value)) == expected
+            continue
+        game = load_instance(doc).games[("d", "h")]
+        assert game.doctor_matrix[1][0] == game.hospital_matrix[0][0] == expected
+        assert game.doctor_matrix == ((F(1), F(-1, 3)), (expected, F(1)))
+
+
+@pytest.mark.parametrize("den", [1, 3])
+def test_the_integer_form_over_its_denominator_is_the_fraction_view(den):
+    classes = ["zero_sum", "strictly_competitive", "repeated"]
+    docs = [json.loads(json.dumps(serialize_instance(generate_instance(
+                seed=seed, max_denominator=den, classes=classes, **spec))))
+            for seed, spec in enumerate([dict(n_doctors=12, n_hospitals=4),
+                                          dict(model="roommates", n_doctors=7)])]
+    dens = set()
+    for doc in docs:
+        for game in load_instance(doc).games.values():
+            for (rows, d), view in zip(game.scaled, (game.doctor_matrix, game.hospital_matrix)):
+                assert tuple(tuple(F(n, d) for n in row) for row in rows) == view
+                # The lcm of the entries' denominators, and no larger.
+                assert d == math.lcm(*(v.denominator for row in view for v in row))
+                dens.add(d)
+    assert len(dens) > 1 and any(d % 3 == 0 for d in dens) == (den == 3)
 
 
 def _base_game(cls):
@@ -217,7 +286,7 @@ def test_the_literal_table_stays_bounded(monkeypatch):
     core._empty_tables()
     for k in range(50):
         assert core.parse_rational(f" {k}/7 ") == F(k, 7)
-        assert len(core._VALUES) == len(core._NEGATIONS) <= 8
+        assert len(core._INTEGERS) <= len(core._RATIOS) == len(core._VALUES) <= 8
     # A load that fills the table mid-game still compares by value.
     doc = serialize_instance(generate_instance(seed=4, n_doctors=6, n_hospitals=3,
                                                max_denominator=5, classes=ONE_SHOT))
@@ -256,13 +325,13 @@ def test_the_frontier_table_stays_bounded(monkeypatch):
     monkeypatch.setattr(core, "_LITERAL_CAP", 48)
     core._empty_tables()
     sizes = []
-    locate = core._locate_bounds
+    frontier = core._zero_sum_frontier
 
     def recording(a):
         sizes.append(len(core._FRONTIERS))
-        return locate(a)
+        return frontier(a)
 
-    monkeypatch.setattr(core, "_locate_bounds", recording)
+    monkeypatch.setattr(core, "_zero_sum_frontier", recording)
     doc = serialize_instance(generate_instance(seed=5, n_doctors=40, n_hospitals=10))
     for _ in range(2):  # the second load meets a table filled by the first
         inst = load_instance(doc)

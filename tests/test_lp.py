@@ -6,9 +6,9 @@ import pytest
 
 from matchgames import core
 from matchgames.errors import GameValueCertificateError, MatchGamesError
-from matchgames.lp import _certify_saddle, game_value, solve_lp
-from matchgames.gen import random_matrix
+from matchgames.lp import _certify_saddle, solve_lp
 
+from fixtures import game_value_of, random_matrix
 from oracles import EQ, GE, LE, LinearProgram, fraction_game_tableau, fraction_simplex_lp, two_lp_game_value
 
 # ---------------------------------------------------------------------------
@@ -74,7 +74,7 @@ def test_unknown_sense_raises():
 def _same_answer(a):
     """``solve_lp`` on the game ``a`` equals the Fraction game tableau and
     passes the saddle certificate."""
-    k, scale = core._integer_matrix(a)
+    k, scale = core._scaled_matrix(a)
     got = solve_lp(k, scale)
     assert got == fraction_game_tableau(a), a
     _certify_saddle(k, scale, *got)
@@ -109,7 +109,7 @@ def test_degenerate_programs_with_ratio_ties():
     # A tied minimum of a 1 x 3 game: q0 enters first and q1 replaces it;
     # q2, tied with q1, is then left at reduced cost 0, so y* is the first
     # tied column.
-    assert game_value(((F(-1), F(-10), F(-10)),)) == (F(-10), (F(1),), (F(0), F(1), F(0)))
+    assert game_value_of(((F(-1), F(-10), F(-10)),)) == (F(-10), (F(1),), (F(0), F(1), F(0)))
     # Game tableaus whose ratio tests tie: equal rows, a constant game, a
     # tied maximum of an n x 1 game and two copies of rock-paper-scissors.
     rps = ((F(0), F(-1), F(1)), (F(1), F(0), F(-1)), (F(-1), F(1), F(0)))
@@ -169,9 +169,9 @@ def test_game_value_certifies_the_kernel_and_the_lp(monkeypatch):
     tied = ((F(2), F(2), F(3)),)  # a tied minimum: the LP
     kernel = lp_module._kernel_solution
     monkeypatch.setattr(lp_module, "_kernel_solution",
-                        lambda a, k, scale: kernel(a, k, scale) and (F(1, 3), *kernel(a, k, scale)[1:]))
+                        lambda k, scale: kernel(k, scale) and (F(1, 3), *kernel(k, scale)[1:]))
     with pytest.raises(GameValueCertificateError, match="game value 1/3"):
-        game_value(pennies)
+        game_value_of(pennies)
     monkeypatch.undo()
 
     solve = lp_module.solve_lp
@@ -182,7 +182,7 @@ def test_game_value_certifies_the_kernel_and_the_lp(monkeypatch):
 
     monkeypatch.setattr(lp_module, "solve_lp", off_simplex)
     with pytest.raises(GameValueCertificateError, match="y\\* is not a probability vector"):
-        game_value(tied)
+        game_value_of(tied)
     monkeypatch.undo()
 
     def worse_row(k, scale):  # x* is feasible but not optimal
@@ -191,18 +191,18 @@ def test_game_value_certifies_the_kernel_and_the_lp(monkeypatch):
 
     monkeypatch.setattr(lp_module, "solve_lp", worse_row)
     with pytest.raises(GameValueCertificateError, match="best column against x\\*"):
-        game_value(((F(0), F(1)), (F(1), F(1))))
+        game_value_of(((F(0), F(1)), (F(1), F(1))))
 
 
 def test_game_value_matching_pennies():
-    w, x, y = game_value(((F(1), F(-1)), (F(-1), F(1))))
+    w, x, y = game_value_of(((F(1), F(-1)), (F(-1), F(1))))
     assert w == 0
     assert x == (F(1, 2), F(1, 2))
     assert y == (F(1, 2), F(1, 2))
 
 
 def test_game_value_diagonal():
-    w, x, y = game_value(((F(2), F(0)), (F(0), F(1))))
+    w, x, y = game_value_of(((F(2), F(0)), (F(0), F(1))))
     assert w == F(2, 3)
     assert x == (F(1, 3), F(2, 3))
     # row payoffs against y* are exactly the value
@@ -212,7 +212,7 @@ def test_game_value_diagonal():
 
 
 def test_game_value_single_entry():
-    w, x, y = game_value(((F(7),),))
+    w, x, y = game_value_of(((F(7),),))
     assert w == 7 and x == (F(1),) and y == (F(1),)
 
 
@@ -221,7 +221,7 @@ def test_saddle_inequalities_random():
     for _ in range(40):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         a = random_matrix(rng, rows, cols, max_denominator=2)
-        w, x, y = game_value(a)
+        w, x, y = game_value_of(a)
         for j in range(cols):  # min_t x*.A.t == w
             assert sum(x[i] * a[i][j] for i in range(rows)) >= w
         for i in range(rows):  # max_s s.A.y* == w
@@ -317,7 +317,7 @@ def test_game_value_equals_the_two_lp_reference(monkeypatch):
         a = _random_game_matrix(rng)
         expected = two_lp_game_value(a)
         calls = _count_lp_solves(monkeypatch)
-        got = game_value(a)
+        got = game_value_of(a)
         monkeypatch.undo()
         certified = _reference_kernel(a)
         if certified is None:
@@ -351,7 +351,7 @@ def test_game_value_equals_the_two_lp_reference(monkeypatch):
 def test_strict_saddles_solve_no_lp(monkeypatch, a, lp_solves):
     expected = two_lp_game_value(a)
     calls = _count_lp_solves(monkeypatch)
-    got = game_value(a)
+    got = game_value_of(a)
     assert got == expected if lp_solves == 0 else got[0] == expected[0]
     assert len(calls) == lp_solves == (0 if _reference_kernel(a) else 1)
 
@@ -369,5 +369,5 @@ def test_strict_saddles_solve_no_lp(monkeypatch, a, lp_solves):
 def test_two_by_two_kernels_are_closed_forms(monkeypatch, a, answer):
     assert two_lp_game_value(a) == answer
     calls = _count_lp_solves(monkeypatch)
-    assert game_value(a) == answer
+    assert game_value_of(a) == answer
     assert calls == []

@@ -5,7 +5,6 @@ import pytest
 
 from matchgames.core import BimatrixGame, bilinear, matrix_bounds, negate
 from matchgames.errors import InfeasibleError, NotStrictlyCompetitiveError
-from matchgames.gen import random_matrix
 from matchgames.qcqp import (
     affine_transform,
     distribution_to_cycle,
@@ -15,7 +14,7 @@ from matchgames.qcqp import (
 )
 
 from bridge_reference import Bridge, reference_bridge
-from fixtures import PD_A, PD_M
+from fixtures import PD_A, PD_M, random_matrix
 from oracles import solve_qcqp_grid_oracle
 
 

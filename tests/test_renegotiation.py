@@ -17,8 +17,7 @@ from matchgames.core import (
     pure,
 )
 from matchgames.errors import InfeasibleReservationsError, InputNotPairwiseStableError
-from matchgames.gen import generate_instance, random_game, random_matrix
-from matchgames.lp import game_value
+from matchgames.gen import generate_instance, random_game
 from matchgames.dac import run_dac
 from matchgames.renegotiation import (
     ReservationPair,
@@ -35,7 +34,7 @@ from matchgames.stability import find_blocking_pair, verify_renegotiation_proof
 from matchgames.core import matrix_bounds
 
 from bridge_reference import bridge
-from fixtures import PD_A, PD_M
+from fixtures import PD_A, PD_M, game_value_of, random_matrix
 from oracles import (
     EQ,
     GE,
@@ -158,7 +157,7 @@ class TestZeroSumCne:
             g_cap = lo + (hi - lo) * F(rng.randint(0, 8), 8)
             if f_res - 2 * eps > g_cap + 2 * eps:
                 continue
-            w, _, _ = game_value(a)
+            w, _, _ = game_value_of(a)
             cne = compute_cne_for_pair(_zero_sum_pair(a), ReservationPair(f_res, -g_cap), eps)
             assert cne.doctor_payoff == sorted([f_res - 2 * eps, w, g_cap + 2 * eps])[1]
             # explicit constrained best-response audits
@@ -234,7 +233,7 @@ class TestPunishmentLevels:
     def test_zero_sum_levels_coincide_with_value(self):
         a = ((F(2), F(0)), (F(0), F(1)))
         alpha, beta, _, _ = punishment_levels(a, negate(a))
-        w, _, _ = game_value(a)
+        w, _, _ = game_value_of(a)
         assert alpha == w and beta == -w
 
     def test_constant_matrices(self):
@@ -398,7 +397,7 @@ class TestRenegotiationProcess:
             bound = F(0)
             for d, h in alloc.matched_pairs():
                 res = reservation_payoffs(inst, alloc, d, h, eps)
-                w, _, _ = game_value(inst.game_for(d, h).doctor_matrix)
+                w, _, _ = game_value_of(inst.game_for(d, h).doctor_matrix)
                 bound = max(bound, res.doctor_reservation - w,
                             w - (-res.hospital_reservation))
             result = run_renegotiation(inst, alloc, eps)
@@ -524,7 +523,7 @@ def test_integer_audit_equals_the_fraction_reference():
 def _binding_reservations(game):
     """(f_res, g_res) putting the doctor, then the hospital, on the binding side."""
     br = bridge(game)
-    w = game_value(br.image)[0]
+    w = game_value_of(br.image)[0]
     return [
         (br.original_doctor_value((w + br.z_max) / 2), br.original_hospital_value(-br.z_max)),
         (br.original_doctor_value(br.z_min), br.original_hospital_value(-(w + br.z_min) / 2)),
@@ -710,10 +709,10 @@ def test_pinned_markets_take_both_game_value_paths(monkeypatch, tmp_path):
         solves.append(k)
         return solve(k, scale)
 
-    def recording_value(a):
+    def recording_value(k, scale):
         before = len(solves)
-        result = value(a)
-        paths.append((len(a), len(a[0]), len(solves) - before))
+        result = value(k, scale)
+        paths.append((len(k), len(k[0]), len(solves) - before))
         return result
 
     monkeypatch.setattr(lp_module, "solve_lp", counting_solve)
@@ -728,10 +727,10 @@ def test_punishment_levels_are_solved_once_per_repeated_game(monkeypatch, tmp_pa
     """On the pinned three-class markets, one renegotiate solves each
     repeated game's two punishment game values once: the CNE checks and
     constructions of the sweep and the closing certificate share them."""
-    import matchgames.renegotiation as renegotiation_module
-    from matchgames.core import load_instance
+    import matchgames.lp as lp_module
+    from matchgames.core import _negated, load_instance
 
-    value = renegotiation_module.game_value
+    value = lp_module.game_value
     for seed in sorted(PINNED_REPEATED_MARKET_DIGESTS):
         inst, alloc, reneg = (tmp_path / f"{name}{seed}.json" for name in ("inst", "alloc", "reneg"))
         assert main(["gen", "--seed", str(seed), "--doctors", "8", "--hospitals", "3", "--classes",
@@ -739,13 +738,13 @@ def test_punishment_levels_are_solved_once_per_repeated_game(monkeypatch, tmp_pa
         common = ["--input", str(inst), "--epsilon", "1/2"]
         assert main(["solve-dac", *common, "--output", str(alloc)]) == 0
         calls = []
-        monkeypatch.setattr(renegotiation_module, "game_value",
-                            lambda a: calls.append(a) or value(a))
+        monkeypatch.setattr(lp_module, "game_value",
+                            lambda k, scale: calls.append((k, scale)) or value(k, scale))
         assert main(["renegotiate", *common, "--allocation", str(alloc),
                      "--output", str(reneg)]) == 0
         monkeypatch.undo()
         repeated = [g for g in load_instance(str(inst)).games.values() if g.class_tag == "repeated"]
-        per_game = [sum(a in (g.doctor_matrix, negate(g.hospital_matrix)) for a in calls)
+        per_game = [sum(a in (g.scaled[0], _negated(g.scaled[1])) for a in calls)
                     for g in repeated]
         assert max(per_game) == 2 and all(n in (0, 2) for n in per_game), per_game
 

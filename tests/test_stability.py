@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -629,6 +630,8 @@ def test_repeated_coalition_member_keeps_her_hull_distribution(tmp_path):
                  "--output", str(alloc_path)]) == 0
     inst = load_instance(str(inst_path))
     alloc = load_allocation(str(alloc_path))
+    # The document in memory reads as the document on disk.
+    assert load_allocation(json.loads(alloc_path.read_text())) == alloc
     eps = F(1, 2)
     witness = find_blocking_coalition(inst, alloc, eps, max_coalition_size=4)
     assert (witness.doctors, witness.hospital) == (("d4", "d5"), "h2")
