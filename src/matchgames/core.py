@@ -101,7 +101,7 @@ def parse_rational(value: Union[int, str, Fraction]) -> Fraction:
 # its integer form in C (:func:`_read_matrix`).  Str keys alone keep lookups
 # on the dict's fast path for str keys, and keep True and 1.0 out, which
 # hash as 1 does.  The table is emptied when it fills, which bounds it, and
-# with it the zero-sum frontier table (:func:`_zero_sum_frontier`);
+# with it the zero-sum frontier table (:func:`_set_up_game`);
 # malformed literals are never entered, so they raise on every read.
 _LITERAL_CAP = 4096
 _VALUES: Dict[str, Fraction] = {}
@@ -157,14 +157,6 @@ def parse_matrix(rows: Sequence[Sequence[object]]) -> Matrix:
     return _fractions(_read_matrix(rows))
 
 
-def matrix_bounds(m: Matrix) -> Tuple[Fraction, Fraction]:
-    """(min, max) of a matrix's entries (Fractions, or an integer form's
-    numerators), each the first extreme entry in row-major order, as the
-    builtin ``min`` and ``max`` keep them."""
-    values = tuple(chain.from_iterable(m))
-    return min(values), max(values)
-
-
 def _scaled(ratios) -> Scaled:
     """The integer form of a matrix given as rows of (numerator,
     denominator) pairs with positive denominators."""
@@ -189,21 +181,15 @@ def _negated(scaled: Scaled) -> Scaled:
     return tuple([tuple(map(neg, row)) for row in rows]), den
 
 
-def _bounds(scaled: Scaled) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-    """A matrix's (min, max), each as a reduced (numerator, denominator)
-    pair, from its integer form."""
-    rows, den = scaled
-    lo, hi = matrix_bounds(rows)
+def _bounds(flat: Tuple[int, ...], den: int) -> Tuple[int, int, int, int]:
+    """(min numerator, min denominator, max numerator, max denominator):
+    the bounds of an integer form with flattened numerators ``flat``, their
+    ``min`` and ``max``, each reduced by one ``gcd``."""
+    lo, hi = min(flat), max(flat)
+    if den == 1:
+        return lo, 1, hi, 1
     k, l = gcd(lo, den), gcd(hi, den)
-    return (lo // k, den // k), (hi // l, den // l)
-
-
-def transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m))
-
-
-def negate(m: Matrix) -> Matrix:
-    return tuple(tuple(map(neg, row)) for row in m)
+    return lo // k, den // k, hi // l, den // l
 
 
 def _reject_one_sided_constant(a: Scaled, m: Scaled):
@@ -295,22 +281,24 @@ class AffineTransform(NamedTuple):
       rescaled ones.
     * direction "hospital": B == ratio * A + shift; the image is A and the
       hospital's payoffs are the rescaled ones.
+
+    The image is given in its integer form.
     """
 
     ratio: Fraction
     shift: Fraction
     direction: str
-    image: Matrix
+    image: Scaled
 
 
-def frontier_bridge(fr: Frontier, a: Matrix, m: Matrix) -> AffineTransform:
-    """The ratio-<=-1 bridge of the one-shot pair (a, m), read off its
-    validated frontier ``fr``.
+def frontier_bridge(fr: Frontier, a: Scaled, m: Scaled) -> AffineTransform:
+    """The ratio-<=-1 bridge of the one-shot pair whose matrices have the
+    integer forms a and m, read off its validated frontier ``fr``.
 
     The segment's line r * g == p - q * f passes through (a_min, m_max), so
     it reads A == (r/q) * B + a_min + (r/q) * m_max and, the other way
     round, B == (q/r) * A - m_max - (q/r) * a_min; the direction "doctor"
-    is the one with r <= q.
+    is the one with r <= q.  The image is a itself, or m negated in C.
     """
     *_, p, q, r = fr.segment
     if r > q:
@@ -318,78 +306,14 @@ def frontier_bridge(fr: Frontier, a: Matrix, m: Matrix) -> AffineTransform:
         return AffineTransform(ratio, -fr.m_max - ratio * fr.a_min, "hospital", a)
     ratio = Fraction(r, q)
     return AffineTransform(ratio, fr.a_min + ratio * fr.m_max, "doctor",
-                           a if (p, q, r) == (0, 1, 1) else negate(m))
+                           a if (p, q, r) == (0, 1, 1) else _negated(m))
 
 
 def affine_transform(a: Matrix, m: Matrix) -> AffineTransform:
-    """Check that (a, m) is strictly competitive and compute its
-    ratio-<=-1 affine bridge."""
-    return frontier_bridge(_strictly_competitive_frontier(_scaled_matrix(a), _scaled_matrix(m)), a, m)
-
-
-def _strictly_competitive_frontier(a: Scaled, m: Scaled) -> Frontier:
-    """A strictly competitive pair's frontier, from the integer forms of A
-    and M: the bounds of both, the integer segment, and one check that every
-    entry's payoffs (A[i][j], M[i][j]) lie on the segment's line.
-
-    The ranges of A and B = -M and the line are worked out on reduced
-    (numerator, denominator) pairs (denominators stay positive, so comparing
-    cross products orders them), and each entry's test is an integer
-    identity over the two forms' denominators.  An entry is on the line
-    exactly when it satisfies the pair's affine relation
-    (:func:`frontier_bridge`), and the error for the first entry off it
-    names that relation's two sides: A's entry against ratio * B + shift
-    when r <= q, B's against ratio * A + shift otherwise.
-    """
-    (p1, q1), (p2, q2) = _bounds(a)
-    (p3, q3), (p4, q4) = _bounds(m)
-    an, ad = p2 * q1 - p1 * q2, q1 * q2  # range of A
-    bn, bd = p4 * q3 - p3 * q4, q3 * q4  # range of B, which is the range of M
-    if an == 0 and bn == 0:
-        # One point (a, m) on the line g == a + m - f.
-        line = (p1 * q4 + p4 * q1, q1 * q4, q1 * q4)
-    else:
-        if an == 0 or bn == 0:
-            _reject_one_sided_constant(a, m)
-        # The line through (a_min, m_max) with slope -(M range) / (A range).
-        line = (p4 * q3 * an + p1 * q2 * bn, bn * ad, an * bd)
-    k = gcd(*line)
-    p, q, r = line[0] // k, line[1] // k, line[2] // k
-    (ka, la), (km, lm) = a, m
-    # (f, g) == (ka / la, km / lm) lies on r * g == p - q * f.
-    rg, qf, pc = r * la, q * lm, p * la * lm
-    for i, (row_a, row_m) in enumerate(zip(ka, km)):
-        for j, (f, g) in enumerate(zip(row_a, row_m)):
-            if rg * g + qf * f != pc:
-                if r <= q:  # A == ratio * B + shift, with B's entry -g
-                    found, expected = Fraction(f, la), Fraction(p * lm - r * g, q * lm)
-                else:  # B == ratio * A + shift
-                    found, expected = Fraction(-g, lm), Fraction(q * f - p * la, r * la)
-                raise NotStrictlyCompetitiveError(
-                    f"no affine variant: entry ({i},{j}) is {found}, expected {expected}",
-                    entry=(i, j, found, expected),
-                )
-    seg = Segment((p1, q1), (p2, q2), (p3, q3), (p4, q4), p, q, r)
-    return Frontier(_fraction(p1, q1), _fraction(p2, q2), _fraction(p3, q3), _fraction(p4, q4), seg)
-
-
-def _zero_sum_frontier(a: Scaled) -> Frontier:
-    """A checked zero-sum pair's frontier, from A's integer form: A's
-    bounds, min and max over ints, and M's, their negations.  It depends on
-    A's bounds alone, so one immutable ``Frontier`` per bounds, keyed by
-    their reduced integer ratios, is kept in ``_FRONTIERS`` and shared by
-    every game with those bounds; the table is bounded and emptied with the
-    literal table."""
-    (lo_n, lo_d), (hi_n, hi_d) = _bounds(a)
-    key = lo_n, lo_d, hi_n, hi_d
-    fr = _FRONTIERS.get(key)
-    if fr is None:
-        if len(_FRONTIERS) >= _LITERAL_CAP:
-            _empty_tables()
-        a_min, a_max = _fraction(lo_n, lo_d), _fraction(hi_n, hi_d)
-        seg = Segment((lo_n, lo_d), (hi_n, hi_d), (-hi_n, hi_d), (-lo_n, lo_d), 0, 1, 1)
-        fr = _FRONTIERS[key] = Frontier(a_min, a_max, -a_max, -a_min, seg)
-    return fr
+    """Check that (a, m) is strictly competitive, as the constructor does,
+    and compute its ratio-<=-1 affine bridge."""
+    game = BimatrixGame(a, m, STRICTLY_COMPETITIVE)
+    return frontier_bridge(game.frontier, *game.scaled)
 
 
 def _flipped_frontier(fr: Frontier) -> Frontier:
@@ -412,17 +336,16 @@ class BimatrixGame:
     consumer reads; ``doctor_matrix`` and ``hospital_matrix`` are A and M as
     Fractions, built from it on first read (or kept as given to the
     constructor).  For ``repeated`` games A and M are the stage matrices and
-    payoffs are long-run averages of the uniform game.
+    payoffs are long-run averages of the uniform game.  Every game is set up
+    by :func:`_set_up_game`.
     """
 
     scaled: Tuple[Scaled, Scaled]
     class_tag: str
 
     def __init__(self, doctor_matrix: Matrix, hospital_matrix: Matrix, class_tag: str):
-        self.__dict__.update(doctor_matrix=doctor_matrix, hospital_matrix=hospital_matrix,
-                             scaled=(_scaled_matrix(doctor_matrix), _scaled_matrix(hospital_matrix)),
-                             class_tag=class_tag)
-        _check_game(self)
+        self.__dict__.update(doctor_matrix=doctor_matrix, hospital_matrix=hospital_matrix)
+        _set_up_game(self, _scaled_matrix(doctor_matrix), _scaled_matrix(hospital_matrix), class_tag)
 
     @cached_property
     def doctor_matrix(self) -> Matrix:
@@ -435,15 +358,17 @@ class BimatrixGame:
     @cached_property
     def frontier(self) -> Frontier:
         """Matrix bounds and the payoff set (a one-shot integer segment or a
-        repeated hull polygon), computed once and kept: on construction for
-        the one-shot classes, whose check it is, and on first use for the
+        repeated hull polygon), computed once and kept: on setup for the
+        one-shot classes, whose check it is, and on first use for the
         repeated class, whose hull is found on the integer forms."""
         if self.class_tag != REPEATED:
             raise UnsupportedClassError(f"no exact frontier solver for class {self.class_tag}")
-        (ka, la), (km, lm) = a, m = self.scaled
-        bounds = [_fraction(*pair) for pair in (*_bounds(a), *_bounds(m))]
-        return Frontier(*bounds, hull=tuple((Fraction(f, la), Fraction(g, lm), cell)
-                                            for f, g, cell in payoff_hull(ka, km)))
+        (ka, la), (km, lm) = self.scaled
+        a1, a2, a3, a4 = _bounds(tuple(chain.from_iterable(ka)), la)
+        m1, m2, m3, m4 = _bounds(tuple(chain.from_iterable(km)), lm)
+        return Frontier(_fraction(a1, a2), _fraction(a3, a4), _fraction(m1, m2), _fraction(m3, m4),
+                        hull=tuple((Fraction(f, la), Fraction(g, lm), cell)
+                                   for f, g, cell in payoff_hull(ka, km)))
 
     @cached_property
     def punishment(self):
@@ -463,7 +388,7 @@ class BimatrixGame:
     def flipped(self) -> "BimatrixGame":
         """The game seen from the column player: both matrices transposed and
         their roles swapped.  Built once per game, so the view keeps its own
-        cached frontier.  The view is not checked again: a one-shot view's
+        cached frontier.  The view is not set up again: a one-shot view's
         frontier is the stored one seen from the other side
         (:func:`_flipped_frontier`)."""
         view = object.__new__(BimatrixGame)
@@ -483,46 +408,92 @@ class BimatrixGame:
         return len(self.scaled[0][0][0])
 
 
-def _check_game(game: BimatrixGame):
-    """A game's checks, for the constructor and the loader alike, on its
-    integer forms: its class tag, its shape and its class, whose check is
-    building a one-shot frontier.
+def _set_up_game(game: BimatrixGame, a: Scaled, m: Scaled, class_tag: str) -> BimatrixGame:
+    """Set up ``game`` from the integer forms a and m of its matrices and
+    return it: the one setup of every game (constructor, :func:`build_game`,
+    generator and loader).  It checks the class tag, the shape and the
+    class; a one-shot class's check builds its frontier, which goes straight
+    into the instance dict, read before the ``frontier`` descriptor.
 
-    A zero-sum pair is checked in C on the forms, which are unique: M == -A
-    exactly when both have one denominator and every entry of A + M is 0;
-    only a mismatch is then located, to name its entry.  A
-    strictly competitive pair is checked against its segment's line.  The
-    frontier goes straight into the instance dict, which attribute lookup
-    reads before the ``frontier`` descriptor, so no read of it goes through
-    the descriptor or its lock.
+    Each check runs in C over the flattened numerators; only a mismatch is
+    scanned entry by entry, to name its entry.  The forms are unique, so
+    M == -A exactly when both have one denominator and every entry of A + M
+    is 0.  A zero-sum frontier depends on A's bounds alone, so one
+    ``Frontier`` per bounds is kept in the bounded ``_FRONTIERS`` and shared.
+
+    A strictly competitive pair's line r * g == p - q * f is worked out on
+    the reduced bounds (positive denominators, so cross products order
+    them); entry (ka / la, km / lm) is on it exactly when
+    r * la * km + q * lm * ka == p * la * lm.  The error for the first entry
+    off it names the affine relation's two sides (:func:`frontier_bridge`):
+    A's entry against ratio * B + shift when r <= q, else B's against
+    ratio * A + shift.
     """
-    tag, (a, m) = game.class_tag, game.scaled
     (ka, la), (km, lm) = a, m
-    if tag not in GAME_CLASSES:
-        raise ClassTagViolationError(f"unknown game class {tag!r}")
+    fields = game.__dict__
+    fields["scaled"], fields["class_tag"] = (a, m), class_tag
+    if class_tag not in GAME_CLASSES:
+        raise ClassTagViolationError(f"unknown game class {class_tag!r}")
     if len(ka) != len(km) or len({*map(len, ka), *map(len, km)}) != 1:
         raise DimensionMismatchError("A and M must have identical shape")
-    if tag == ZERO_SUM:
-        if la != lm or any(map(add, chain.from_iterable(ka), chain.from_iterable(km))):
+    if class_tag == ZERO_SUM:
+        flat = tuple(chain.from_iterable(ka))
+        if la != lm or any(map(add, flat, chain.from_iterable(km))):
             for i, (row_a, row_m) in enumerate(zip(ka, km)):
                 for j, (value, other) in enumerate(zip(row_a, row_m)):
                     if other * la != -value * lm:
                         raise ClassTagViolationError(
                             f"zero_sum game has M != -A at entry ({i},{j})",
                             entry=(i, j, Fraction(other, lm), Fraction(-value, la)))
-        game.__dict__["frontier"] = _zero_sum_frontier(a)
-    elif tag == STRICTLY_COMPETITIVE:
-        game.__dict__["frontier"] = _strictly_competitive_frontier(a, m)
+        key = _bounds(flat, la)
+        fr = _FRONTIERS.get(key)
+        if fr is None:
+            if len(_FRONTIERS) >= _LITERAL_CAP:
+                _empty_tables()
+            lo_n, lo_d, hi_n, hi_d = key
+            a_min, a_max = _fraction(lo_n, lo_d), _fraction(hi_n, hi_d)
+            seg = Segment((lo_n, lo_d), (hi_n, hi_d), (-hi_n, hi_d), (-lo_n, lo_d), 0, 1, 1)
+            fr = _FRONTIERS[key] = Frontier(a_min, a_max, -a_max, -a_min, seg)
+        fields["frontier"] = fr
+    elif class_tag == STRICTLY_COMPETITIVE:
+        flat_a, flat_m = tuple(chain.from_iterable(ka)), tuple(chain.from_iterable(km))
+        p1, q1, p2, q2 = _bounds(flat_a, la)
+        p3, q3, p4, q4 = _bounds(flat_m, lm)
+        an, ad = p2 * q1 - p1 * q2, q1 * q2  # range of A
+        bn, bd = p4 * q3 - p3 * q4, q3 * q4  # range of B, which is the range of M
+        if an == 0 and bn == 0:
+            # One point (a, m) on the line g == a + m - f.
+            line = (p1 * q4 + p4 * q1, q1 * q4, q1 * q4)
+        else:
+            if an == 0 or bn == 0:
+                _reject_one_sided_constant(a, m)
+            # The line through (a_min, m_max) with slope -(M range) / (A range).
+            line = (p4 * q3 * an + p1 * q2 * bn, bn * ad, an * bd)
+        k = gcd(*line)
+        p, q, r = line[0] // k, line[1] // k, line[2] // k
+        rg, qf, pc = r * la, q * lm, p * la * lm
+        if any(map(pc.__ne__, map(add, map(rg.__mul__, flat_m), map(qf.__mul__, flat_a)))):
+            for i, (row_a, row_m) in enumerate(zip(ka, km)):
+                for j, (f, g) in enumerate(zip(row_a, row_m)):
+                    if rg * g + qf * f != pc:
+                        if r <= q:  # A == ratio * B + shift, with B's entry -g
+                            found, expected = Fraction(f, la), Fraction(p * lm - r * g, q * lm)
+                        else:  # B == ratio * A + shift
+                            found, expected = Fraction(-g, lm), Fraction(q * f - p * la, r * la)
+                        raise NotStrictlyCompetitiveError(
+                            f"no affine variant: entry ({i},{j}) is {found}, expected {expected}",
+                            entry=(i, j, found, expected))
+        fields["frontier"] = Frontier(
+            _fraction(p1, q1), _fraction(p2, q2), _fraction(p3, q3), _fraction(p4, q4),
+            Segment((p1, q1), (p2, q2), (p3, q3), (p4, q4), p, q, r))
+    return game
 
 
 def build_game(a: Scaled, m: Scaled, class_tag: str) -> BimatrixGame:
-    """A game from the integer forms of its matrices, with every check the
-    constructor makes (:func:`_check_game`), built without converting
+    """A game from the integer forms of its matrices, set up as the
+    constructor sets one up (:func:`_set_up_game`), built without converting
     Fractions; its Fraction matrices are built on first read."""
-    game = object.__new__(BimatrixGame)
-    game.__dict__.update(scaled=(a, m), class_tag=class_tag)
-    _check_game(game)
-    return game
+    return _set_up_game(object.__new__(BimatrixGame), a, m, class_tag)
 
 
 @dataclass(frozen=True)
@@ -683,9 +654,10 @@ def _integer_weights(weights: Sequence[Fraction]) -> Tuple[List[int], int]:
     return [n * (den // d) for n, d in ratios], den
 
 
-def row_payoffs(matrix: Matrix, y: Sequence[Fraction]) -> List[Fraction]:
-    """Each pure row's exact payoff against the column mix y."""
-    rows, den = _scaled_matrix(matrix)
+def row_payoffs(scaled: Scaled, y: Sequence[Fraction]) -> List[Fraction]:
+    """Each pure row's exact payoff against the column mix y, on a matrix's
+    integer form."""
+    rows, den = scaled
     ys, yd = _integer_weights(y)
     support = [(j, w) for j, w in enumerate(ys) if w]
     return [Fraction(sum(row[j] * w for j, w in support), den * yd) for row in rows]
@@ -974,20 +946,27 @@ def gc_paused(build):
 
 
 def _read_matrix(rows) -> Scaled:
-    """A document matrix's integer form, its shape checked.  Rows of integer
-    literals map through ``_INTEGERS`` in C.  Any other matrix's rows map
+    """A document matrix's integer form, its shape checked.  A matrix whose
+    first entry is an integer literal is read row by row through
+    ``_INTEGERS`` in C; any other matrix, or one with a miss or a bad shape,
+    is read by :func:`_read_ratios`, with no integer attempt first."""
+    try:
+        if rows[0][0] in _INTEGERS:
+            nums = tuple([tuple(map(_integer, row)) for row in rows])
+            if len(set(map(len, nums))) == 1:
+                return nums, 1
+    except (KeyError, TypeError, IndexError):
+        pass
+    return _read_ratios(rows)
+
+
+def _read_ratios(rows) -> Scaled:
+    """A document matrix's integer form, its shape checked: its rows map
     through ``_RATIOS`` in C to (numerator, denominator) pairs, a row with a
     miss or a non-str entry entry by entry (:func:`parse_rational`, which
     raises for a malformed entry), and are then scaled (:func:`_scaled`)."""
     if not rows or not all(rows):
         raise DimensionMismatchError("matrices must have at least one row and column")
-    try:
-        nums = tuple([tuple(map(_integer, row)) for row in rows])
-    except (KeyError, TypeError):
-        pass
-    else:
-        if len(set(map(len, nums))) == 1:
-            return nums, 1
     width = len(rows[0])
     ratios = []
     for row in rows:
@@ -1018,14 +997,15 @@ def read_quota(entry: dict, hospital, default: int, floor: int) -> int:
 def load_instance(source: Union[str, dict]) -> MatchingGameInstance:
     """Load and validate an instance from a JSON document (path or dict).
 
-    Each matrix is read straight into its integer form, a row of integer
-    literals mapped through the literal table (see :func:`_read_literal`) in
-    C (:func:`_read_matrix`), and each game is built from the two forms with
-    every check the constructor makes (:func:`build_game`): a zero-sum pair
-    sums A's and M's numerators in C, and games with equal bounds share one
-    frontier (:func:`_zero_sum_frontier`).  No Fraction matrix is
-    built; a game builds its own on first read.  The collector stays paused
-    for the load.
+    Each matrix is read straight into its integer form, and each game is
+    set up from the two forms as the constructor sets one up
+    (:func:`_set_up_game`).  A game's two matrices of integer literals are
+    read inline, each row mapped through the literal table's ``_INTEGERS``
+    (see :func:`_read_literal`) in C; any other pair is read by
+    :func:`_read_matrix`, and a pair read inline whose setup fails is read
+    by it again, so that a matrix's own fault (an empty or ragged matrix) is
+    named as that reader names it.  No Fraction matrix is built; a game
+    builds its own on first read.  The collector stays paused for the load.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
@@ -1054,6 +1034,7 @@ def load_instance(source: Union[str, dict]) -> MatchingGameInstance:
         )
 
     games: Dict[Tuple[str, str], BimatrixGame] = {}
+    set_up, new = _set_up_game, object.__new__
     for entry in doc.get("games", []):
         d = str(entry["doctor"])
         if model == ROOMMATES:
@@ -1064,8 +1045,21 @@ def load_instance(source: Union[str, dict]) -> MatchingGameInstance:
         else:
             other = str(entry["hospital"])
             key = (d, other)
-        games[key] = build_game(_read_matrix(entry["A"]), _read_matrix(entry["M"]),
-                                str(entry["class"]))
+        rows_a, rows_m = entry["A"], entry["M"]
+        try:
+            a = tuple([tuple(map(_integer, row)) for row in rows_a])
+            m = tuple([tuple(map(_integer, row)) for row in rows_m])
+        except (KeyError, TypeError):
+            a = None
+        if a is not None and all(rows_a) and all(rows_m):
+            try:
+                games[key] = set_up(new(BimatrixGame), (a, 1), (m, 1), str(entry["class"]))
+                continue
+            except Exception:
+                _read_matrix(rows_a), _read_matrix(rows_m)
+                raise
+        games[key] = set_up(new(BimatrixGame), _read_matrix(rows_a), _read_matrix(rows_m),
+                            str(entry["class"]))
 
     coalition_doctor_payoffs = {}
     coalition_hospital_payoffs = {}

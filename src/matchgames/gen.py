@@ -25,6 +25,7 @@ from .core import (
     MatchingGameInstance,
     _negated,
     _read_matrix,
+    _read_ratios,
     build_game,
     gc_paused,
     parse_rational,
@@ -74,7 +75,7 @@ def random_game(rng: random.Random, rows: int, cols: int, game_class: str,
         sn, sd = random_rational(rng, -5, 5, max_denominator).as_integer_ratio()
         nums, den = core
         # ratio * core + shift, each entry read as its literal "num/den"
-        scaled = _read_matrix([[f"{rn * sd * n + sn * rd * den}/{rd * sd * den}" for n in row]
+        scaled = _read_ratios([[f"{rn * sd * n + sn * rd * den}/{rd * sd * den}" for n in row]
                                for row in nums])
         if rng.random() < 0.5:
             # doctor side rescaled: A = ratio * core + shift, M = -core

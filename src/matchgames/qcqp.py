@@ -34,6 +34,7 @@ from .core import (  # affine_transform is re-exported
     CycleStrategy,
     Frontier,
     Matrix,
+    Scaled,
     _cross,
     affine_transform,
     pure,
@@ -41,38 +42,41 @@ from .core import (  # affine_transform is re-exported
 from .errors import InfeasibleError, MatchGamesError
 
 
-def _two_point_mix(lo_idx, hi_idx, lo_val, hi_val, target, size):
-    """Mixed strategy on {lo_idx, hi_idx} hitting ``target`` between the values."""
-    if lo_val == hi_val:
-        return pure(lo_idx, size)
-    lam = (target - lo_val) / (hi_val - lo_val)  # weight on the high entry
-    weights = [Fraction(0)] * size
-    weights[lo_idx] += 1 - lam
-    weights[hi_idx] += lam
+def _two_point_mix(line, v: int, td: int):
+    """A mix of the numerators ``line`` (over one denominator) whose value,
+    in those numerators, is v / td: the first entry at or below it and the
+    first at or above it, mixed; None when no entry lies on one side."""
+    lo = next((i for i, e in enumerate(line) if e * td <= v), None)
+    hi = next((i for i, e in enumerate(line) if e * td >= v), None)
+    if lo is None or hi is None:
+        return None
+    if line[lo] == line[hi]:
+        return pure(lo, len(line))
+    lam = Fraction(v - line[lo] * td, (line[hi] - line[lo]) * td)  # weight on the high entry
+    weights = [Fraction(0)] * len(line)
+    weights[lo] += 1 - lam
+    weights[hi] += lam
     return tuple(weights)
 
 
-def achieve_value_zero_sum(a: Matrix, target: Fraction) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...], str]:
-    """Profile with x.A.y == target, one side pure, other support <= 2.
+def achieve_value_zero_sum(a: Scaled, target: Fraction) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...], str]:
+    """Profile with x.A.y == target, one side pure, other support <= 2, on
+    A's integer form.
 
     Requires min A <= target <= max A.  Prefers the pure-row construction and
-    scans indices in order, so the output is deterministic.
+    scans indices in order, so the output is deterministic.  An entry n of
+    the form compares with target = tn / td as n * td with tn * den.
     """
-    n_rows, n_cols = len(a), len(a[0])
-    for s in range(n_rows):
-        row = a[s]
-        lo = next((t for t in range(n_cols) if row[t] <= target), None)
-        hi = next((t for t in range(n_cols) if row[t] >= target), None)
-        if lo is not None and hi is not None:
-            y = _two_point_mix(lo, hi, row[lo], row[hi], target, n_cols)
-            return pure(s, n_rows), y, "pure_row"
-    for t in range(n_cols):
-        col = [a[s][t] for s in range(n_rows)]
-        lo = next((s for s in range(n_rows) if col[s] <= target), None)
-        hi = next((s for s in range(n_rows) if col[s] >= target), None)
-        if lo is not None and hi is not None:
-            x = _two_point_mix(lo, hi, col[lo], col[hi], target, n_rows)
-            return x, pure(t, n_cols), "pure_column"
+    rows, den = a
+    tn, td = target.as_integer_ratio()
+    for s, row in enumerate(rows):
+        y = _two_point_mix(row, tn * den, td)
+        if y is not None:
+            return pure(s, len(rows)), y, "pure_row"
+    for t, col in enumerate(zip(*rows)):
+        x = _two_point_mix(col, tn * den, td)
+        if x is not None:
+            return x, pure(t, len(rows[0])), "pure_column"
     raise MatchGamesError("target outside the attainable payoff interval")
 
 
@@ -323,7 +327,7 @@ def frontier_witness(game: BimatrixGame, point: FrontierPoint) -> PairOutcome:
     if point.lam is not None:
         cycle = distribution_to_cycle(point.lam, game.doctor_matrix, game.hospital_matrix)
         return PairOutcome(f=point.f, g=point.g, cycle=cycle)
-    x, y, _ = achieve_value_zero_sum(game.doctor_matrix, point.f)
+    x, y, _ = achieve_value_zero_sum(game.scaled[0], point.f)
     return PairOutcome(f=point.f, g=point.g, x=x, y=y)
 
 

@@ -46,18 +46,17 @@ from .core import (
     MatchingGameInstance,
     Matrix,
     PayoffReport,
+    Scaled,
     _bilinears,
     _integer_weights,
     _negated,
     evaluate_payoffs,
     frontier_bridge,
-    negate,
     pure,
     read_couple,
     row_payoffs,
     seat_floor,
     store_witness,
-    transpose,
 )
 from .errors import (
     EpsilonNotPositiveError,
@@ -365,10 +364,8 @@ def _one_shot_cne(game: BimatrixGame, f_res: Fraction, g_res: Fraction,
     small); the binding-side value then sits exactly on the one-epsilon
     original-unit boundary, which is what the renegotiation sweep needs.
     """
-    a, m = game.doctor_matrix, game.hospital_matrix
     fr = game.frontier
-    ratio, shift, direction, z = frontier_bridge(fr, a, m)
-    scaled_z = game.scaled[0] if z is a else _negated(game.scaled[1])
+    ratio, shift, direction, scaled_z = frontier_bridge(fr, *game.scaled)
     correction = epsilon * (1 - ratio) / ratio
     if direction == "doctor":
         # z is -M; the doctor's payoffs f read (f - shift) / ratio on it.
@@ -392,14 +389,15 @@ def _one_shot_cne(game: BimatrixGame, f_res: Fraction, g_res: Fraction,
         x, y, tag, value = x_star, y_star, SADDLE_VALUE, w
     else:
         value = lo if w < lo else hi
-        x0, y0, _ = achieve_value_zero_sum(z, value)
+        x0, y0, _ = achieve_value_zero_sum(scaled_z, value)
         if w < lo:
-            s, y = _slide(z, value, y0, y_star)
-            x, tag = pure(s, len(z)), DOCTOR_BINDING
+            s, y = _slide(scaled_z, value, y0, y_star)
+            x, tag = pure(s, game.n_rows), DOCTOR_BINDING
         else:
             # The hospital's columns are the rows of -z^T, to be held at -value.
-            t, x = _slide(negate(transpose(z)), -value, x0, x_star)
-            y, tag = pure(t, len(z[0])), HOSPITAL_BINDING
+            rows, den = scaled_z
+            t, x = _slide(_negated((tuple(zip(*rows)), den)), -value, x0, x_star)
+            y, tag = pure(t, game.n_cols), HOSPITAL_BINDING
     xs, ys = _integer_weights(x), _integer_weights(y)
     reached, f_now, g_now = _bilinears(xs, (scaled_z, *game.scaled), ys)
     if reached != value:
@@ -411,9 +409,10 @@ def _one_shot_cne(game: BimatrixGame, f_res: Fraction, g_res: Fraction,
                      case_tag=tag)
 
 
-def _slide(a: Matrix, v: Fraction, y0, y_star):
-    """A pure row s and a column mix y with every pure row paying at most v
-    against y, and row s exactly v.
+def _slide(a: Scaled, v: Fraction, y0, y_star):
+    """A pure row s and a column mix y with every pure row of the matrix
+    whose integer form is ``a`` paying at most v against y, and row s
+    exactly v.
 
     y0 is a column mix some row plays to value v; y_star a minimax mix, held
     below v by every row.  Along y_tau = (1-tau).y0 + tau.y*, each pure row's

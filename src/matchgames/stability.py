@@ -180,7 +180,7 @@ def _pair_block_profile(game: BimatrixGame, f_floor: Fraction, g_floor: Fraction
         p, q, r = fr.segment[4:]
         f_cap = Fraction(p * gd - r * gn, q * gd)
         point = _open_interval_point(f_floor, f_cap, fr.a_min, fr.a_max)
-        x, y, _ = achieve_value_zero_sum(game.doctor_matrix, point)
+        x, y, _ = achieve_value_zero_sum(game.scaled[0], point)
         return x, y, None, EXACT_INTERVAL
     best_f = max_f_point(game, g_floor)
     if best_f is None or best_f.f <= f_floor:

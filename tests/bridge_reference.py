@@ -14,6 +14,7 @@ the image value.
 from fractions import Fraction as F
 
 from matchgames import qcqp, stability
+from matchgames.core import _scaled_matrix
 
 
 def reference_bridge(a, m):
@@ -116,7 +117,7 @@ def ref_pair_block_profile(game, f_floor, g_floor):
     point = _image_block_point(br, f_floor, g_floor)
     if point is None:
         return None
-    x, y, _ = qcqp.achieve_value_zero_sum(br.image, point)
+    x, y, _ = qcqp.achieve_value_zero_sum(_scaled_matrix(br.image), point)
     return x, y, None, stability.EXACT_INTERVAL
 
 

@@ -22,6 +22,21 @@ from matchgames.lp import game_value
 F = Fraction
 
 
+def matrix_bounds(m):
+    """(min, max) of a matrix's entries, each the first extreme entry in
+    row-major order, as the builtin ``min`` and ``max`` keep them."""
+    values = [v for row in m for v in row]
+    return min(values), max(values)
+
+
+def transpose(m):
+    return tuple(zip(*m))
+
+
+def negate(m):
+    return tuple(tuple(-v for v in row) for row in m)
+
+
 def game_value_of(a):
     """``lp.game_value`` of a Fraction matrix, solved on its integer form."""
     return game_value(*_scaled_matrix(a))

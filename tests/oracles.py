@@ -63,9 +63,6 @@ from matchgames.core import (
     Segment,
     bilinear,
     evaluate_payoffs,
-    matrix_bounds,
-    row_payoffs,
-    transpose,
 )
 from matchgames.errors import (
     CapExceededError,
@@ -75,6 +72,8 @@ from matchgames.errors import (
 )
 from matchgames.qcqp import max_g_point, simplex_grid
 from matchgames.stability import check_individual_rationality, find_blocking_coalition
+
+from fixtures import matrix_bounds, transpose
 
 
 def enumerate_core(instance, cap=10_000_000):
@@ -409,6 +408,11 @@ def _pivot(table, basis, row, col, width):
         if factor != 0:
             table[i] = [a - factor * b for a, b in zip(other, line)]
     basis[row] = col
+
+
+def row_payoffs(matrix, y):
+    """Each pure row's payoff against the column mix y, Fraction by Fraction."""
+    return [sum((v * w for v, w in zip(row, y)), Fraction(0)) for row in matrix]
 
 
 def constrained_best_response_doctor(a, m, y0, g_res, epsilon):

@@ -23,8 +23,6 @@ from matchgames.core import (
     BimatrixGame,
     bilinear,
     evaluate_payoffs,
-    matrix_bounds,
-    negate,
 )
 from matchgames.dac import run_dac
 from matchgames.errors import InfeasibleReservationsError
@@ -60,6 +58,8 @@ from matchgames.stability import (
 from bridge_reference import Bridge, reference_bridge
 from fixtures import (
     game_value_of,
+    matrix_bounds,
+    negate,
     random_matrix,
     PD_A,
     PD_M,
@@ -263,8 +263,11 @@ def test_criterion_9_strictly_competitive_transfer():
         else:
             assert all(b[i][j] == tr.ratio * a[i][j] + tr.shift
                        for i in range(rows) for j in range(cols))
-        assert tuple(tr) == (*reference_bridge(a, m), tr.image)
-        br = Bridge(*tr)
+        assert tuple(tr[:3]) == reference_bridge(a, m)
+        rows, den = tr.image  # the image's integer form
+        image = tuple(tuple(F(n, den) for n in row) for row in rows)
+        assert image == (b if tr.direction == "doctor" else a)
+        br = Bridge(*tr[:3], image)
         for row in a:
             for v in row:
                 assert br.original_doctor_value(br.image_doctor_value(v)) == v

@@ -560,3 +560,26 @@ def test_main_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, start_e
         assert gc.isenabled() is start_enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+def test_the_market_commands_build_no_fraction_view(tmp_path, monkeypatch):
+    # Every witness builder of the four market commands reads a game's
+    # integer form: on a zero-sum and strictly competitive market none of
+    # them builds a game's Fraction matrices.
+    from matchgames import core
+
+    inst, dac, reneg, out = (str(tmp_path / name) for name in ("m.json", "dac.json", "reneg.json",
+                                                                "out.json"))
+    assert run(["gen", "--seed", "5", "--doctors", "20", "--hospitals", "6",
+                "--classes", "zero_sum,strictly_competitive", "--output", inst]) == 0
+    views = []
+    fractions = core._fractions
+    monkeypatch.setattr(core, "_fractions", lambda scaled: views.append(scaled) or fractions(scaled))
+    market = ["--input", inst, "--epsilon", "1/2"]
+    assert run(["solve-dac", *market, "--output", dac]) == 0
+    assert run(["verify", *market, "--allocation", dac, "--coalitions", "4", "--output", out]) == 0
+    assert run(["renegotiate", *market, "--allocation", dac, "--output", reneg]) == 0
+    assert run(["verify", *market, "--allocation", reneg, "--renegotiation", "--output", out]) == 0
+    with open(reneg) as fh:
+        couples = json.load(fh)["hospital_strategies"]
+    assert len(couples) == 10 and views == []

@@ -33,6 +33,7 @@ from matchgames.errors import (
     EmptySetValueError,
     ForeignContractError,
     MalformedContractModelError,
+    MatchGamesError,
     QuotaOutOfRangeError,
     ScanCapExceededError,
     UndeclaredHospitalError,
@@ -937,6 +938,15 @@ class TestMalformedModels:
         path.write_text(json.dumps(doc))
         assert main(["contracts-da", "--input", str(path), "--audit"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_a_model_built_in_code_names_unknown_and_unpaid_contracts():
+    contract = {"c1": Contract("c1", "d1", "h1")}
+    weights, quotas = {"h1": {"c1": F(1)}}, {"h1": 1}
+    with pytest.raises(UnknownContractError, match="^utility names unknown contract 'c9'$"):
+        ContractModel(contract, {("d1", "c1"): F(1), ("d1", "c9"): F(2)}, weights, quotas)
+    with pytest.raises(MatchGamesError, match="^contract c1 lacks a doctor utility$"):
+        ContractModel(contract, {("d2", "c1"): F(1)}, weights, quotas)
 
 
 def _empty_set_doc(value):

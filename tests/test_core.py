@@ -26,7 +26,7 @@ from matchgames.errors import (
 )
 
 from bridge_reference import reference_bridge
-from fixtures import hedonic_instance
+from fixtures import hedonic_instance, negate, transpose
 
 
 def test_parse_rational_forms():
@@ -228,17 +228,17 @@ def test_strictly_competitive_load_check():
 
 def test_strictly_competitive_bridge_is_verified_once(monkeypatch):
     calls = []
-    verify = core._strictly_competitive_frontier
+    set_up = core._set_up_game
 
     def counting(*args):
         calls.append(args)
-        return verify(*args)
+        return set_up(*args)
 
-    monkeypatch.setattr(core, "_strictly_competitive_frontier", counting)
+    monkeypatch.setattr(core, "_set_up_game", counting)
     a = ((F(5), F(1)), (F(1), F(3)))
     m = ((F(-2), F(0)), (F(0), F(-1)))
     game = BimatrixGame(a, m, "strictly_competitive")
-    tr = core.frontier_bridge(game.frontier, a, m)
+    tr = core.frontier_bridge(game.frontier, *game.scaled)
     assert (tr.ratio, tr.shift, tr.direction) == (F(1, 2), F(-1, 2), "hospital")
     assert game.frontier is game.frontier
     assert len(calls) == 1
@@ -269,9 +269,13 @@ def test_matrix_bounds_match_builtin_min_and_max():
     rng = random.Random(5)
     for _ in range(400):
         m = _fresh_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-        lo, hi = core.matrix_bounds(m)
+        rows, den = core._scaled_matrix(m)
+        lo_n, lo_d, hi_n, hi_d = core._bounds(tuple(v for row in rows for v in row), den)
         entries = [v for row in m for v in row]
-        assert lo is min(entries) and hi is max(entries)
+        assert (F(lo_n, lo_d), F(hi_n, hi_d)) == (min(entries), max(entries))
+        # Each bound is reduced, with a positive denominator.
+        assert (lo_n, lo_d) == min(entries).as_integer_ratio()
+        assert (hi_n, hi_d) == max(entries).as_integer_ratio()
 
 
 def _is_zero_sum_reference(a, m):
@@ -327,8 +331,9 @@ def test_zero_sum_check_agrees_with_fraction_reference():
             assert (fr.m_min, fr.m_max) == (-max(entries), -min(entries))
             # The line g == -f, and the identity bridge onto A itself.
             assert fr.segment[4:] == (0, 1, 1)
-            assert core.frontier_bridge(fr, a, m) == (1, 0, "doctor", a)
-            assert core.frontier_bridge(fr, a, m).image is a
+            forms = core._scaled_matrix(a), core._scaled_matrix(m)
+            assert core.frontier_bridge(fr, *forms) == (1, 0, "doctor", forms[0])
+            assert core.frontier_bridge(fr, *forms).image is forms[0]
     assert verdicts == {True, False}
 
 
@@ -447,14 +452,14 @@ def test_integer_bridge_equals_the_fraction_reference():
         tr = core.affine_transform(a, m)
         assert (tr.ratio, tr.shift, tr.direction) == expected, (a, m)
         game = BimatrixGame(a, m, "strictly_competitive")
-        game_tr = core.frontier_bridge(game.frontier, a, m)
+        game_tr = core.frontier_bridge(game.frontier, *game.scaled)
         assert game_tr == tr
         loaded = load_instance(_one_game_document(a, m)).games[("d", "h")]
-        assert core.frontier_bridge(loaded.frontier, a, m) == tr
+        assert core.frontier_bridge(loaded.frontier, *loaded.scaled) == tr
         if tr.direction == "doctor":
-            assert tr.image == core.negate(m)
+            assert tr.image == core._scaled_matrix(negate(m))
         else:
-            assert tr.image is a
+            assert tr.image == game.scaled[0] and game_tr.image is game.scaled[0]
         seen.add(tr.direction)
         if all(v == a[0][0] for row in a for v in row):
             seen.add("constant")
@@ -471,8 +476,8 @@ def test_loading_a_strictly_competitive_market_builds_no_image(monkeypatch):
     doc = serialize_instance(generate_instance(seed=2, n_doctors=20, n_hospitals=6,
                                                classes=["strictly_competitive"]))
     negations = []
-    negate = core.negate
-    monkeypatch.setattr(core, "negate", lambda m: negations.append(m) or negate(m))
+    negated = core._negated
+    monkeypatch.setattr(core, "_negated", lambda m: negations.append(m) or negated(m))
     inst = load_instance(doc)
     directions = set()
     for (d, h), game in inst.games.items():
@@ -616,8 +621,9 @@ def test_integer_kernel_equals_the_fraction_loops():
         x, y = _random_mix(rng, rows), _random_mix(rng, cols)
         got = core.bilinear(x, a, y)
         assert type(got) is F and got == _bilinear_reference(x, a, y), (x, a, y)
-        assert core.row_payoffs(a, y) == _row_payoffs_reference(a, y)
-        assert core.row_payoffs(core.transpose(a), x) == _row_payoffs_reference(core.transpose(a), x)
+        assert core.row_payoffs(core._scaled_matrix(a), y) == _row_payoffs_reference(a, y)
+        assert (core.row_payoffs(core._scaled_matrix(transpose(a)), x)
+                == _row_payoffs_reference(transpose(a), x))
         assert _outcome(core.validate_mixed, x, rows) is None
     assert len(shapes) == 16
 
@@ -753,7 +759,7 @@ def test_reader_validation_messages_are_unchanged():
     inst = MatchingGameInstance(
         model="additive_separable", doctors={"d1": Doctor("d1", F(0), ("s", "t"))},
         hospitals={"h1": Hospital("h1", F(0), 1, ("u", "v"))},
-        games={("d1", "h1"): BimatrixGame(one, core.negate(one), "zero_sum")},
+        games={("d1", "h1"): BimatrixGame(one, negate(one), "zero_sum")},
     )
     cases = [
         ({"d1": (F(1), F(1))}, {("h1", "d1"): (F(1), F(0))},
@@ -847,3 +853,23 @@ def test_pair_lists_read_the_games_on_each_call():
     del inst.games[("d2", "h2")]
     assert [h for h, _ in inst.pairs_of("d2")] == ["h1", "h3"]
     assert [d for d, _ in inst.pairs_at("h2")] == ["d1", "d3"]
+
+
+def test_enumerated_payoffs_of_unmatched_doctors_and_over_quota_hospitals():
+    doctors = {d: Doctor(d, F(-i), ()) for i, d in enumerate(("d1", "d2", "d3"), 1)}
+    hospitals = {"h": Hospital("h", F(5), 1, ()), "k": Hospital("k", F(1), 1, ())}
+    one, two = frozenset({"d1"}), frozenset({"d1", "d2"})
+    inst = MatchingGameInstance(
+        model=core.GENERAL_ENUMERATED, doctors=doctors, hospitals=hospitals, games={},
+        coalition_doctor_payoffs={("d1", one, "h"): F(4), ("d1", two, "h"): F(7),
+                                  ("d2", two, "h"): F(8)},
+        coalition_hospital_payoffs={(one, "h"): F(6), (two, "h"): F(9)})
+    # An unmatched doctor is paid her IRP, a hospital with no member its own.
+    report = evaluate_payoffs(inst, Allocation({"d1": "h", "d2": None, "d3": None}))
+    assert report.doctor_payoffs == {"d1": F(4), "d2": F(-2), "d3": F(-3)}
+    assert report.hospital_payoffs == {"h": F(6), "k": F(1)}
+    # Over its quota, a hospital is paid the -inf sentinel; its members
+    # still read their table entries.
+    report = evaluate_payoffs(inst, Allocation({"d1": "h", "d2": "h", "d3": None}))
+    assert report.doctor_payoffs == {"d1": F(7), "d2": F(8), "d3": F(-3)}
+    assert report.hospital_payoffs == {"h": core.NEG_INF, "k": F(1)}

@@ -13,7 +13,6 @@ from matchgames.core import (
     MatchingGameInstance,
     bilinear,
     evaluate_payoffs,
-    negate,
     serialize_allocation,
 )
 from matchgames import dac
@@ -39,7 +38,7 @@ from matchgames.qcqp import (
 )
 from matchgames.stability import check_individual_rationality, find_blocking_pair
 
-from fixtures import multi_auction_instance
+from fixtures import matrix_bounds, multi_auction_instance, negate
 
 
 def one_hospital_instance(a_rows, doctor_irp=F(-1), hospital_irp=F(0), quota=1):
@@ -587,8 +586,6 @@ def test_trace_records_are_typed_events():
 
 
 def test_iteration_cap_reads_the_frontier_bound():
-    from matchgames.core import matrix_bounds
-
     eps = F(1, 2)
     for seed in range(4):
         inst = generate_instance(seed=seed, n_doctors=10, n_hospitals=4,

@@ -17,7 +17,6 @@ from matchgames.core import (
     MatchingGameInstance,
     bilinear,
     evaluate_payoffs,
-    negate,
     parse_rational,
 )
 from matchgames.dac import FREE_SEAT, DacState, run_dac
@@ -57,6 +56,7 @@ from matchgames.stability import (
     verify_renegotiation_proof,
 )
 
+from fixtures import matrix_bounds, negate, transpose
 from oracles import hull_lp
 from bridge_reference import (
     bridge,
@@ -227,8 +227,8 @@ class TestValueQueries:
                                max_denominator=3)
             a, m = game.doctor_matrix, game.hospital_matrix
             fr = game.frontier
-            assert (fr.a_min, fr.a_max) == core.matrix_bounds(a)
-            assert (fr.m_min, fr.m_max) == core.matrix_bounds(m)
+            assert (fr.a_min, fr.a_max) == matrix_bounds(a)
+            assert (fr.m_min, fr.m_max) == matrix_bounds(m)
 
     def test_frontier_is_computed_once_per_game(self):
         game = random_game(random.Random(1), 3, 3, "strictly_competitive")
@@ -365,7 +365,7 @@ class TestIntegerSegment:
         assert (point.f, point.g) == (f, g)
         # The witness hits the reference's image value, so it is the same profile.
         outcome = frontier_witness(game, point)
-        x, y, _ = qcqp.achieve_value_zero_sum(bridge(game).image, z)
+        x, y, _ = qcqp.achieve_value_zero_sum(core._scaled_matrix(bridge(game).image), z)
         assert (outcome.x, outcome.y) == (x, y)
 
     def test_queries_equal_the_bridge_reference(self, monkeypatch):
@@ -621,18 +621,18 @@ def test_roommates_solve_and_realize_build_one_view_per_game(monkeypatch):
     inst = generate_instance(seed=2, model="roommates", n_doctors=9,
                              classes=["zero_sum", "strictly_competitive"])
     built, flipped = [], []
-    original_check = core._check_game
+    original_set_up = core._set_up_game
     original_flip = core._flipped_frontier
 
-    def counting(game):
+    def counting(game, *forms):
         built.append(game)
-        original_check(game)
+        return original_set_up(game, *forms)
 
     def flipping(fr):
         flipped.append(fr)
         return original_flip(fr)
 
-    monkeypatch.setattr(core, "_check_game", counting)
+    monkeypatch.setattr(core, "_set_up_game", counting)
     monkeypatch.setattr(core, "_flipped_frontier", flipping)
     profile = solve_aspiration_zero_sum(inst)
     realize_aspiration(inst, profile)
@@ -649,14 +649,14 @@ def test_flipped_views_equal_the_validated_constructor():
     for game in games:
         a, m = game.doctor_matrix, game.hospital_matrix
         view = game.flipped
-        validated = BimatrixGame(core.transpose(m), core.transpose(a), game.class_tag)
+        validated = BimatrixGame(transpose(m), transpose(a), game.class_tag)
         assert (view.doctor_matrix, view.hospital_matrix) == (
             validated.doctor_matrix, validated.hospital_matrix)
         assert view.frontier == validated.frontier, game
         assert view.flipped.frontier == game.frontier
         # The bridge the CNE derives from the view is the view's own.
         view_a, view_m = view.doctor_matrix, view.hospital_matrix
-        view_tr = core.frontier_bridge(view.frontier, view_a, view_m)
+        view_tr = core.frontier_bridge(view.frontier, *view.scaled)
         assert view_tr == core.affine_transform(view_a, view_m)
         assert view_tr[:3] == reference_bridge(view_a, view_m)
         _, _, _, _, _, q, r = game.frontier.segment
@@ -671,13 +671,14 @@ def test_flipped_views_verify_no_bridge_again(monkeypatch):
     # Loading checks each strictly competitive pair against its line once;
     # the solve's flipped views add no second pass.
     passes = []
-    verify = core._strictly_competitive_frontier
+    set_up = core._set_up_game
 
-    def counting(*args, **kwargs):
-        passes.append(args)
-        return verify(*args, **kwargs)
+    def counting(game, a, m, class_tag):
+        if class_tag == "strictly_competitive":
+            passes.append(game)
+        return set_up(game, a, m, class_tag)
 
-    monkeypatch.setattr(core, "_strictly_competitive_frontier", counting)
+    monkeypatch.setattr(core, "_set_up_game", counting)
     inst = generate_instance(seed=2, model="roommates", n_doctors=9,
                              classes=["zero_sum", "strictly_competitive"])
     bridges = sum(game.class_tag == "strictly_competitive"

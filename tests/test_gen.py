@@ -10,6 +10,8 @@ from matchgames import core
 from matchgames.cli import main
 from matchgames.gen import generate_instance, random_game
 
+from fixtures import negate
+
 # (model, classes, --den) -> sha256 of `gen --doctors 11 --hospitals 3` for
 # seeds 0-4.  Eleven doctors put "d10" before "d2" in the roommates model,
 # so its pairs stored under the swapped key are pinned too.
@@ -138,7 +140,7 @@ def test_zero_sum_hospital_form_is_the_negated_doctor_form(den):
     for game in instance.games.values():
         (ka, la), (km, lm) = game.scaled
         assert lm == la and km == tuple(tuple(-v for v in row) for row in ka)
-        assert game.hospital_matrix == core.negate(game.doctor_matrix)
+        assert game.hospital_matrix == negate(game.doctor_matrix)
         dens.add(la)
     assert (dens == {1}) == (den == 1)
 
@@ -151,7 +153,6 @@ def test_generated_zero_sum_game_is_checked_by_tuple_comparison(monkeypatch):
     def negation(m):
         raise AssertionError("the check negated A")
 
-    monkeypatch.setattr(core, "negate", negation)
     monkeypatch.setattr(core, "_negated", negation)
     game = random_game(random.Random(1), 3, 3, core.ZERO_SUM, max_denominator=2)
     assert game.frontier.segment.p == 0

@@ -88,10 +88,8 @@ def test_loaded_games_equal_the_validated_constructor():
             assert game.frontier == expected.frontier
             if game.class_tag in ONE_SHOT:
                 assert game.frontier.segment == expected.frontier.segment
-                a, m = game.doctor_matrix, game.hospital_matrix
-                tr = core.frontier_bridge(game.frontier, a, m)
-                ref = core.frontier_bridge(expected.frontier, expected.doctor_matrix,
-                                           expected.hospital_matrix)
+                tr = core.frontier_bridge(game.frontier, *game.scaled)
+                ref = core.frontier_bridge(expected.frontier, *expected.scaled)
                 assert (tr.ratio, tr.shift, tr.direction) == (ref.ratio, ref.shift, ref.direction)
                 assert tr.image == ref.image
             seen_classes.add(game.class_tag)
@@ -244,6 +242,17 @@ MALFORMED = {
     "malformed text": lambda g: _set(g, "M", 0, 1, "1/0"),
     "unknown class": lambda g: {**g, "class": "cooperative"},
     "shape": lambda g: {**g, "M": [["-1", "-1/2"]]},
+    # Integer pairs, read inline by the loader: the sign fault sits at the
+    # last entry, and the off-line entry breaks -M == A + 1 at (1, 0) (for
+    # zero_sum, its first entry is the fault).
+    "sign fault at the last entry": lambda g: {**g, "A": [["1", "2"], ["3", "4"]],
+                                               "M": [["-1", "-2"], ["-3", "4"]]},
+    "entry off the line": lambda g: {**g, "A": [["1", "2"], ["3", "4"]],
+                                     "M": [["-2", "-3"], ["-3", "-5"]]},
+    "ragged integer rows": lambda g: {**g, "A": [["1", "2"], ["3"]], "M": [["-1", "-2"], ["-3"]]},
+    "empty integer rows": lambda g: {**g, "A": [[]], "M": [[]]},
+    "empty integer rows of a repeated pair": lambda g: {**g, "class": "repeated", "A": [[]], "M": [[]]},
+    "fault at a fractional entry": lambda g: _set(g, "M", 0, 1, "1/2"),
 }
 
 
@@ -325,13 +334,13 @@ def test_the_frontier_table_stays_bounded(monkeypatch):
     monkeypatch.setattr(core, "_LITERAL_CAP", 48)
     core._empty_tables()
     sizes = []
-    frontier = core._zero_sum_frontier
+    set_up = core._set_up_game
 
-    def recording(a):
+    def recording(*args):
         sizes.append(len(core._FRONTIERS))
-        return frontier(a)
+        return set_up(*args)
 
-    monkeypatch.setattr(core, "_zero_sum_frontier", recording)
+    monkeypatch.setattr(core, "_set_up_game", recording)
     doc = serialize_instance(generate_instance(seed=5, n_doctors=40, n_hospitals=10))
     for _ in range(2):  # the second load meets a table filled by the first
         inst = load_instance(doc)
@@ -403,13 +412,13 @@ def test_load_leaves_the_collector_as_it_found_it(start_enabled):
 
 def test_the_collector_is_paused_during_the_load(monkeypatch):
     doc, states = _collector_documents()[2], []
-    check = core._check_game
+    set_up = core._set_up_game
 
-    def recording(game, *rows):
+    def recording(*args):
         states.append(gc.isenabled())
-        return check(game, *rows)
+        return set_up(*args)
 
-    monkeypatch.setattr(core, "_check_game", recording)
+    monkeypatch.setattr(core, "_set_up_game", recording)
     assert gc.isenabled()
     load_instance(doc)
     assert len(states) == len(doc["games"]) and not any(states)

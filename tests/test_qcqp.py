@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from matchgames.core import BimatrixGame, bilinear, matrix_bounds, negate
+from matchgames.core import BimatrixGame, bilinear
 from matchgames.errors import InfeasibleError, NotStrictlyCompetitiveError
 from matchgames.qcqp import (
     affine_transform,
@@ -14,7 +14,7 @@ from matchgames.qcqp import (
 )
 
 from bridge_reference import Bridge, reference_bridge
-from fixtures import PD_A, PD_M, random_matrix
+from fixtures import PD_A, PD_M, matrix_bounds, negate, random_matrix
 from oracles import solve_qcqp_grid_oracle
 
 
@@ -166,8 +166,11 @@ class TestAffine:
             scaled = tuple(tuple(ratio * v + shift for v in row) for row in core)
             m = negate(core)
             tr = affine_transform(scaled, m)
-            assert tuple(tr) == (*reference_bridge(scaled, m), tr.image)
-            br = Bridge(*tr)
+            assert tuple(tr[:3]) == reference_bridge(scaled, m)
+            rows, den = tr.image  # the image's integer form
+            image = tuple(tuple(F(n, den) for n in row) for row in rows)
+            assert image == (core if tr.direction == "doctor" else scaled)
+            br = Bridge(*tr[:3], image)
             for row in scaled:
                 for v in row:
                     assert br.original_doctor_value(br.image_doctor_value(v)) == v

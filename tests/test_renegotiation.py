@@ -8,12 +8,13 @@ from matchgames.cli import main
 from matchgames.core import (
     Allocation,
     BimatrixGame,
+    CyclePunishment,
+    CycleStrategy,
     Doctor,
     Hospital,
     MatchingGameInstance,
     _integer_weights,
     bilinear,
-    negate,
     pure,
 )
 from matchgames.errors import InfeasibleReservationsError, InputNotPairwiseStableError
@@ -23,6 +24,7 @@ from matchgames.renegotiation import (
     ReservationPair,
     _deviation_fault,
     _one_shot_cne,
+    check_couple_is_cne,
     compute_cne_for_pair,
     compute_cne_repeated,
     punishment_levels,
@@ -31,10 +33,9 @@ from matchgames.renegotiation import (
 )
 from matchgames.roommates import realize_aspiration, solve_aspiration_zero_sum
 from matchgames.stability import find_blocking_pair, verify_renegotiation_proof
-from matchgames.core import matrix_bounds
 
 from bridge_reference import bridge
-from fixtures import PD_A, PD_M, game_value_of, random_matrix
+from fixtures import PD_A, PD_M, game_value_of, matrix_bounds, negate, random_matrix
 from oracles import (
     EQ,
     GE,
@@ -837,3 +838,35 @@ def test_a_new_profile_is_checked_again_at_reservations_it_passed_before(monkeyp
     # its third read is not checked.
     assert checks == [(("a", "h"), 0), (("b", "k"), 0), (("a", "h"), 1), (("b", "k"), 1),
                       (("a", "h"), 2)]
+
+
+# ---------------------------------------------------------------------------
+# The repeated pair's CNE verdicts, one per branch
+
+
+def _repeated_couple_verdict(cycle, punisher, f_res, g_res):
+    """check_couple_is_cne on the repeated prisoner's dilemma (minimax
+    levels 0 and 0), a lone couple playing ``cycle`` at eps = 1/10."""
+    inst = MatchingGameInstance(
+        model="additive_separable",
+        doctors={"d": Doctor("d", F(-10), ("c", "x"))},
+        hospitals={"h": Hospital("h", F(-10), 1, ("c", "x"))},
+        games={("d", "h"): BimatrixGame(PD_A, PD_M, "repeated")})
+    punishment = None if punisher is None else CyclePunishment(punisher)
+    alloc = Allocation({"d": "h"}, cycles={("h", "d"): CycleStrategy(cycle, punishment)})
+    return check_couple_is_cne(inst, alloc, "d", "h", ReservationPair(F(f_res), F(g_res)), F(1, 10))
+
+
+@pytest.mark.parametrize("cycle, punisher, f_res, g_res, verdict", [
+    # (2, 2) mutual cooperation, (-1, 3) and (3, -1) one side exploited.
+    (((0, 0),), "both", 3, 0, "cycle average below the doctor's acceptable set"),
+    (((0, 0),), "both", 0, 3, "cycle average below the hospital's acceptable set"),
+    (((0, 0),), None, 0, 0, "repeated-pair profile lacks a punishment directive"),
+    (((0, 1),), "hospital", -2, 0, "cycle pays the doctor below her punishment level"),
+    (((1, 0),), "doctor", 0, -2, "cycle pays the hospital below its punishment level"),
+    (((0, 0),), "doctor", 0, 0, "doctor could gain within the hospital's acceptable set"),
+    (((0, 0),), "hospital", 0, 0, "hospital could gain within the doctor's acceptable set"),
+    (((0, 0), (0, 0), (1, 1)), "both", 0, 0, None),
+])
+def test_each_repeated_cne_verdict(cycle, punisher, f_res, g_res, verdict):
+    assert _repeated_couple_verdict(cycle, punisher, f_res, g_res) == (verdict is None, verdict)

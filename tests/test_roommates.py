@@ -15,7 +15,6 @@ from matchgames.core import (
     dump_json,
     evaluate_payoffs,
     format_rational,
-    negate,
     serialize_instance,
 )
 from matchgames.errors import MatchGamesError, NotAnAspirationError, UnsupportedClassError
@@ -41,7 +40,7 @@ from matchgames.roommates import (
 )
 from matchgames.stability import all_matchings, find_blocking_pair, grid_stable_roommates_search
 
-from fixtures import PD_A, PD_M
+from fixtures import PD_A, PD_M, negate
 from oracles import first_cover
 
 

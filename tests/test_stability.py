@@ -16,7 +16,6 @@ from matchgames.core import (
     NEG_INF,
     bilinear,
     evaluate_payoffs,
-    negate,
     pure,
 )
 from matchgames.dac import run_dac
@@ -34,6 +33,7 @@ from matchgames.stability import (
 
 from fixtures import (
     hedonic_instance,
+    negate,
     multi_auction_instance,
     roommates_as_general_instance,
     segregation_instance,
