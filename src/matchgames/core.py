@@ -186,8 +186,6 @@ def _bounds(flat: Tuple[int, ...], den: int) -> Tuple[int, int, int, int]:
     the bounds of an integer form with flattened numerators ``flat``, their
     ``min`` and ``max``, each reduced by one ``gcd``."""
     lo, hi = min(flat), max(flat)
-    if den == 1:
-        return lo, 1, hi, 1
     k, l = gcd(lo, den), gcd(hi, den)
     return lo // k, den // k, hi // l, den // l
 
@@ -282,13 +280,15 @@ class AffineTransform(NamedTuple):
     * direction "hospital": B == ratio * A + shift; the image is A and the
       hospital's payoffs are the rescaled ones.
 
-    The image is given in its integer form.
+    :func:`frontier_bridge` gives the image in its integer form, for the
+    package's witness builders; the public :func:`affine_transform` gives
+    it as Fractions.
     """
 
     ratio: Fraction
     shift: Fraction
     direction: str
-    image: Scaled
+    image: Union[Scaled, Matrix]
 
 
 def frontier_bridge(fr: Frontier, a: Scaled, m: Scaled) -> AffineTransform:
@@ -311,9 +311,11 @@ def frontier_bridge(fr: Frontier, a: Scaled, m: Scaled) -> AffineTransform:
 
 def affine_transform(a: Matrix, m: Matrix) -> AffineTransform:
     """Check that (a, m) is strictly competitive, as the constructor does,
-    and compute its ratio-<=-1 affine bridge."""
+    and compute its ratio-<=-1 affine bridge, with the image as Fractions
+    (A, or -M)."""
     game = BimatrixGame(a, m, STRICTLY_COMPETITIVE)
-    return frontier_bridge(game.frontier, *game.scaled)
+    tr = frontier_bridge(game.frontier, *game.scaled)
+    return tr._replace(image=_fractions(tr.image))
 
 
 def _flipped_frontier(fr: Frontier) -> Frontier:
@@ -997,15 +999,13 @@ def read_quota(entry: dict, hospital, default: int, floor: int) -> int:
 def load_instance(source: Union[str, dict]) -> MatchingGameInstance:
     """Load and validate an instance from a JSON document (path or dict).
 
-    Each matrix is read straight into its integer form, and each game is
-    set up from the two forms as the constructor sets one up
-    (:func:`_set_up_game`).  A game's two matrices of integer literals are
-    read inline, each row mapped through the literal table's ``_INTEGERS``
-    (see :func:`_read_literal`) in C; any other pair is read by
-    :func:`_read_matrix`, and a pair read inline whose setup fails is read
-    by it again, so that a matrix's own fault (an empty or ragged matrix) is
-    named as that reader names it.  No Fraction matrix is built; a game
-    builds its own on first read.  The collector stays paused for the load.
+    Each matrix is read straight into its integer form by
+    :func:`_read_matrix`, a matrix of integer literals row by row through
+    the literal table (see :func:`_read_literal`) in C, and each game is set
+    up from the two forms as the constructor sets one up
+    (:func:`build_game`, :func:`_set_up_game`).  No Fraction matrix is
+    built; a game builds its own on first read.  The collector stays paused
+    for the load.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
@@ -1034,7 +1034,6 @@ def load_instance(source: Union[str, dict]) -> MatchingGameInstance:
         )
 
     games: Dict[Tuple[str, str], BimatrixGame] = {}
-    set_up, new = _set_up_game, object.__new__
     for entry in doc.get("games", []):
         d = str(entry["doctor"])
         if model == ROOMMATES:
@@ -1045,21 +1044,8 @@ def load_instance(source: Union[str, dict]) -> MatchingGameInstance:
         else:
             other = str(entry["hospital"])
             key = (d, other)
-        rows_a, rows_m = entry["A"], entry["M"]
-        try:
-            a = tuple([tuple(map(_integer, row)) for row in rows_a])
-            m = tuple([tuple(map(_integer, row)) for row in rows_m])
-        except (KeyError, TypeError):
-            a = None
-        if a is not None and all(rows_a) and all(rows_m):
-            try:
-                games[key] = set_up(new(BimatrixGame), (a, 1), (m, 1), str(entry["class"]))
-                continue
-            except Exception:
-                _read_matrix(rows_a), _read_matrix(rows_m)
-                raise
-        games[key] = set_up(new(BimatrixGame), _read_matrix(rows_a), _read_matrix(rows_m),
-                            str(entry["class"]))
+        games[key] = build_game(_read_matrix(entry["A"]), _read_matrix(entry["M"]),
+                                str(entry["class"]))
 
     coalition_doctor_payoffs = {}
     coalition_hospital_payoffs = {}

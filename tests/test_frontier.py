@@ -657,7 +657,8 @@ def test_flipped_views_equal_the_validated_constructor():
         # The bridge the CNE derives from the view is the view's own.
         view_a, view_m = view.doctor_matrix, view.hospital_matrix
         view_tr = core.frontier_bridge(view.frontier, *view.scaled)
-        assert view_tr == core.affine_transform(view_a, view_m)
+        assert core.affine_transform(view_a, view_m) == view_tr._replace(
+            image=core._fractions(view_tr.image))
         assert view_tr[:3] == reference_bridge(view_a, view_m)
         _, _, _, _, _, q, r = game.frontier.segment
         seen.add("constant" if game.frontier.a_min == game.frontier.a_max

@@ -242,7 +242,7 @@ MALFORMED = {
     "malformed text": lambda g: _set(g, "M", 0, 1, "1/0"),
     "unknown class": lambda g: {**g, "class": "cooperative"},
     "shape": lambda g: {**g, "M": [["-1", "-1/2"]]},
-    # Integer pairs, read inline by the loader: the sign fault sits at the
+    # Integer pairs, read through the literal table: the sign fault sits at the
     # last entry, and the off-line entry breaks -M == A + 1 at (1, 0) (for
     # zero_sum, its first entry is the fault).
     "sign fault at the last entry": lambda g: {**g, "A": [["1", "2"], ["3", "4"]],
@@ -253,6 +253,8 @@ MALFORMED = {
     "empty integer rows": lambda g: {**g, "A": [[]], "M": [[]]},
     "empty integer rows of a repeated pair": lambda g: {**g, "class": "repeated", "A": [[]], "M": [[]]},
     "fault at a fractional entry": lambda g: _set(g, "M", 0, 1, "1/2"),
+    # A is read before M is looked up, so A's own fault is the one named.
+    "empty matrix and no M": lambda g: {k: v for k, v in g.items() if k != "M"} | {"A": []},
 }
 
 
