@@ -17,6 +17,7 @@ from fractions import Fraction
 from . import contracts as contracts_mod
 from . import core, dac, gen, renegotiation, roommates, stability
 from .errors import (
+    InfeasibleReservationsError,
     InputNotPairwiseStableError,
     MatchGamesError,
 )
@@ -123,9 +124,9 @@ def cmd_renegotiate(args) -> int:
     epsilon = _epsilon(args.epsilon)
     try:
         result = renegotiation.run_renegotiation(instance, allocation, epsilon)
-    except InputNotPairwiseStableError as exc:
+    except (InputNotPairwiseStableError, InfeasibleReservationsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_INPUT if isinstance(exc, InputNotPairwiseStableError) else EXIT_VERIFY
     doc = core.serialize_allocation(result.allocation)
     doc["sweeps"] = result.sweeps
     _emit(doc, args.output)

@@ -344,8 +344,9 @@ def _best_guarded_mix(gain: List[int], gain_den: int, guard: List[int], guard_de
 
 
 def _one_shot_cne(game: BimatrixGame, f_res: Fraction, g_res: Fraction,
-                  epsilon: Fraction, tight: bool = False) -> CneResult:
-    """The median construction on the game's zero-sum image, audited in the game.
+                  epsilon: Fraction, tight: bool = False) -> Optional[CneResult]:
+    """The median construction on the game's zero-sum image, audited in the
+    game; None when the reservation band misses the attainable values.
 
     On the image the value is median{f_res - 2e, w, g_cap + 2e}, with w the
     image's saddle value and g_cap the hospital reservation in image units,
@@ -381,9 +382,7 @@ def _one_shot_cne(game: BimatrixGame, f_res: Fraction, g_res: Fraction,
     lo = f_img - 2 * epsilon
     hi = -g_img + 2 * epsilon
     if lo > hi or hi < z_min or lo > z_max:
-        raise InfeasibleReservationsError(
-            f"reservation band [{lo}, {hi}] misses the attainable interval [{z_min}, {z_max}]"
-        )
+        return None
     w, x_star, y_star = game_value(*scaled_z)
     if lo <= w <= hi:
         x, y, tag, value = x_star, y_star, SADDLE_VALUE, w
@@ -464,18 +463,18 @@ def compute_cne_repeated(a: Matrix, m: Matrix, f_res: Fraction, g_res: Fraction,
     allows, with the safe side punished by grim minimaxing and the exposed
     side's deviations ignored.
     """
-    return _repeated_cne(BimatrixGame(a, m, REPEATED), f_res, g_res, epsilon)
+    return compute_cne_for_pair(BimatrixGame(a, m, REPEATED), ReservationPair(f_res, g_res), epsilon)
 
 
 def _repeated_cne(game: BimatrixGame, f_res: Fraction, g_res: Fraction,
-                  epsilon: Fraction) -> CneResult:
-    """:func:`compute_cne_repeated` on a game object, whose punishment
-    levels are solved once and kept (``BimatrixGame.punishment``)."""
+                  epsilon: Fraction) -> Optional[CneResult]:
+    """:func:`compute_cne_repeated` on a game object, whose punishment levels
+    are kept (``BimatrixGame.punishment``); None when no point is acceptable."""
     a, m, fr = game.doctor_matrix, game.hospital_matrix, game.frontier
     floors = {"f_floor": f_res - epsilon, "g_floor": g_res - epsilon}
     best_f = hull_point(fr, by_f, **floors)
     if best_f is None:
-        raise InfeasibleReservationsError("acceptable payoff set is empty")
+        return None
     alpha, beta, y_alpha, x_beta = game.punishment
 
     uniform = hull_point(fr, by_sum, f_floor=max(alpha, f_res - epsilon),
@@ -569,32 +568,27 @@ class RenegotiationResult:
 def compute_cne_for_pair(game: BimatrixGame, reservations: ReservationPair,
                          epsilon: Fraction) -> CneResult:
     f_res, g_res = reservations.doctor_reservation, reservations.hospital_reservation
-    if game.class_tag == REPEATED:
-        return _repeated_cne(game, f_res, g_res, epsilon)
-    return _one_shot_cne(game, f_res, g_res, epsilon)
+    solve = _repeated_cne if game.class_tag == REPEATED else _one_shot_cne
+    cne = solve(game, f_res, g_res, epsilon)
+    if cne is None:
+        raise InfeasibleReservationsError(
+            f"no acceptable payoff pair at reservations {f_res} (doctor) and {g_res} (hospital)")
+    return cne
 
 
 def select_process_cne(game: BimatrixGame, reservations: ReservationPair,
-                       epsilon: Fraction) -> CneResult:
-    """The CNE the renegotiation sweep installs for a couple.
-
-    For the one-shot classes the selection targets the tight feasibility
-    boundary (value at least f_res - e and at most e above the hospital's
-    negated reservation): such a profile is an e-CNE outright -- e-feasible
-    per the definition and immune to constrained deviations -- and, unlike
-    the 2e-wide median point, it cannot reopen an outside blocking pair.  It
-    is obtained by running the median construction with both reservations
-    raised by e in image units.  When the tight band is empty (free-seat floor
-    corners) the plain median point is the fallback.  Repeated pairs already
-    select inside the 1e acceptable set.
-    """
+                       epsilon: Fraction) -> Optional[CneResult]:
+    """The CNE the renegotiation sweep installs for a couple: one paying the
+    doctor f_res - e or more and the hospital g_res - e or more, or None when
+    no attainable payoff pair does.  A one-shot couple runs the median
+    construction with both reservations raised by e in image units; such a
+    profile is an e-CNE outright and, unlike the 2e-wide median point, it
+    cannot reopen an outside blocking pair.  A repeated couple selects
+    inside the same acceptable set."""
     f_res, g_res = reservations.doctor_reservation, reservations.hospital_reservation
     if game.class_tag == REPEATED:
         return _repeated_cne(game, f_res, g_res, epsilon)
-    try:
-        return _one_shot_cne(game, f_res, g_res, epsilon, tight=True)
-    except InfeasibleReservationsError:
-        return _one_shot_cne(game, f_res, g_res, epsilon)
+    return _one_shot_cne(game, f_res, g_res, epsilon, tight=True)
 
 
 def run_renegotiation(instance: MatchingGameInstance, allocation: Allocation,
@@ -606,6 +600,12 @@ def run_renegotiation(instance: MatchingGameInstance, allocation: Allocation,
     limit cycles: couples coupled through their reservations bounce between
     the even and odd states forever; in-place sweeps break the symmetry.)
     The returned sweep count excludes the final no-change detection sweep.
+
+    A failing couple with no acceptable payoff pair raises
+    ``InfeasibleReservationsError``; no couple is skipped.  So in a sweep that
+    changes no payoff pair, every couple passed its check against the final
+    reservations or installed a CNE built for them, and the allocation is
+    returned.  The sweep cap is a guess, not a proved bound.
     """
     from .stability import find_blocking_pair
 
@@ -622,8 +622,6 @@ def run_renegotiation(instance: MatchingGameInstance, allocation: Allocation,
     couples = list(payoffs.couples)  # by doctor id; a two-sided market sweeps by hospital
     if instance.model != ROOMMATES:
         couples.sort(key=lambda dp: (dp[1], dp[0]))
-    # Reservations move by at least epsilon-scaled steps while a couple
-    # keeps changing, so payoff spreads over epsilon bound the sweeps.
     spread = Fraction(0)
     for couple in payoffs.couples.values():
         fr = couple.game.frontier
@@ -650,13 +648,12 @@ def run_renegotiation(instance: MatchingGameInstance, allocation: Allocation,
                 # from chasing each other's sub-epsilon reservation wiggles.
                 passed[couple] = reservations
                 continue
-            game = instance.game_for(d, partner)
-            try:
-                cne = select_process_cne(game, reservations, epsilon)
-            except InfeasibleReservationsError:
-                # Mid-sweep states can transiently squeeze a couple's band
-                # empty; park the couple and let the others move first.
-                continue
+            cne = select_process_cne(instance.game_for(d, partner), reservations, epsilon)
+            if cne is None:
+                raise InfeasibleReservationsError(
+                    f"couple ({d},{partner}) in sweep {sweeps + 1}: no payoff pair within epsilon of"
+                    f" reservations {reservations.doctor_reservation} (doctor) and"
+                    f" {reservations.hospital_reservation} (hospital)")
             store_witness(instance, current, d, partner, cne)
             ledger.record(current, d, partner)
             passed.pop(couple, None)

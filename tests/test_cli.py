@@ -443,6 +443,23 @@ def test_renegotiating_a_blocked_allocation_is_an_input_error(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_a_couple_with_no_acceptable_payoff_pair_fails_renegotiation(tmp_path, capsys):
+    # The DAC output is pairwise stable (verify exits 0), but in the second
+    # sweep (d2,h1) has no payoff pair within epsilon of both reservations.
+    inst, alloc, out_path = tmp_path / "inst.json", tmp_path / "alloc.json", tmp_path / "reneg.json"
+    assert run(["gen", "--seed", "142", "--doctors", "6", "--hospitals", "6", "--quota", "3",
+                "--output", str(inst)]) == 0
+    common = ["--input", str(inst), "--epsilon", "1/2"]
+    assert run(["solve-dac", *common, "--output", str(alloc)]) == 0
+    assert run(["verify", *common, "--allocation", str(alloc), "--output", str(tmp_path / "v.json")]) == 0
+    capsys.readouterr()
+    assert run(["renegotiate", *common, "--allocation", str(alloc), "--output", str(out_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: couple (d2,h1) in sweep 2: no payoff pair within epsilon of reservations"
+        " 0 (doctor) and 3/2 (hospital)\n")
+    assert not out_path.exists()
+
+
 def test_solve_dac_oracle_witness_fails_verification(tmp_path, monkeypatch):
     from matchgames import stability
     monkeypatch.setattr(stability, "find_blocking_pair", lambda *args, **kwargs: "planted witness")

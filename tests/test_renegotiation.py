@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -17,7 +18,11 @@ from matchgames.core import (
     bilinear,
     pure,
 )
-from matchgames.errors import InfeasibleReservationsError, InputNotPairwiseStableError
+from matchgames.errors import (
+    EpsilonNotPositiveError,
+    InfeasibleReservationsError,
+    InputNotPairwiseStableError,
+)
 from matchgames.gen import generate_instance, random_game
 from matchgames.dac import run_dac
 from matchgames.renegotiation import (
@@ -356,21 +361,28 @@ class TestRenegotiationProcess:
             run_renegotiation(inst, alloc, F(1, 10))
 
     def test_pipeline_keeps_stability_every_sweep(self):
-        eps = F(1, 10)
-        for seed in (0, 5, 9):
-            inst = generate_instance(seed=seed, n_doctors=5, n_hospitals=3,
-                                     max_strategies=4, max_quota=2, classes=["zero_sum"])
-            alloc, _ = run_dac(inst, eps)
+        # Every sweep leaves the allocation pairwise stable, and each run
+        # ends renegotiation proof or raises the named error for a couple
+        # with no acceptable payoff pair.
+        runs = 0
+        for inst, alloc, eps in _pipeline_inputs():
             flags = []
-            result = run_renegotiation(
-                inst, alloc, eps,
-                on_sweep=lambda a, inst=inst: flags.append(
-                    find_blocking_pair(inst, a, eps) is None
-                ),
-            )
+            try:
+                result = run_renegotiation(
+                    inst, alloc, eps,
+                    on_sweep=lambda a, inst=inst, eps=eps: flags.append(
+                        find_blocking_pair(inst, a, eps) is None
+                    ),
+                )
+            except InfeasibleReservationsError as exc:
+                assert re.match(r"couple \(\w+,\w+\) in sweep \d+: ", str(exc)), exc
+                result = None
             assert all(flags)
-            ok, witness = verify_renegotiation_proof(inst, result.allocation, eps)
-            assert ok, witness
+            if result is not None:
+                ok, witness = verify_renegotiation_proof(inst, result.allocation, eps)
+                assert ok, witness
+            runs += 1
+        assert runs > 500
 
     def test_mixed_class_pipeline_with_small_ratios(self):
         # Strictly competitive pairs with ratio < 1/2 once leaked doctor
@@ -389,6 +401,29 @@ class TestRenegotiationProcess:
             assert ok, witness
             assert find_blocking_pair(inst, result.allocation, eps) is None
 
+    # Pairwise stable DAC outputs on which a sweep meets a failing couple
+    # with no payoff pair within epsilon of both reservations, a one-shot
+    # couple and a repeated one.  No allocation returned from there passes
+    # that couple's CNE check, so the sweep raises.  A zero epsilon is
+    # refused before any sweep.
+    @pytest.mark.parametrize("market, dac_eps, eps, error, message", [
+        (dict(seed=142, n_doctors=6, n_hospitals=6, max_quota=3), F(1, 2), F(1, 2),
+         InfeasibleReservationsError,
+         r"^couple \(d2,h1\) in sweep 2: .* reservations 0 \(doctor\) and 3/2 \(hospital\)$"),
+        (dict(seed=38, n_doctors=8, n_hospitals=5, max_quota=3,
+              classes=["zero_sum", "strictly_competitive", "repeated"], max_denominator=2,
+              hospital_irp_lo=1), F(1, 10), F(1, 10),
+         InfeasibleReservationsError,
+         r"^couple \(d1,h4\) in sweep 2: .* reservations -71/50 \(doctor\) and 11/10 \(hospital\)$"),
+        (dict(seed=142, n_doctors=6, n_hospitals=6, max_quota=3), F(1, 2), F(0),
+         EpsilonNotPositiveError, "epsilon must be strictly positive"),
+    ])
+    def test_named_errors_instead_of_uncertified_answers(self, market, dac_eps, eps, error, message):
+        inst = generate_instance(**market)
+        alloc, _ = run_dac(inst, dac_eps)
+        with pytest.raises(error, match=message):
+            run_renegotiation(inst, alloc, eps)
+
     def test_sweep_bound_on_zero_sum_runs(self):
         eps = F(1, 10)
         for seed in range(8):
@@ -403,6 +438,35 @@ class TestRenegotiationProcess:
                             w - (-res.hospital_reservation))
             result = run_renegotiation(inst, alloc, eps)
             assert result.sweeps <= max(bound / eps, 1)
+
+
+def _pipeline_inputs():
+    """DAC outputs of generated markets and realized roommates allocations,
+    each with the epsilon to renegotiate it at."""
+    eps = F(1, 10)
+    for seed in (0, 5, 9):
+        inst = generate_instance(seed=seed, n_doctors=5, n_hospitals=3,
+                                 max_strategies=4, max_quota=2, classes=["zero_sum"])
+        yield inst, run_dac(inst, eps)[0], eps
+    # The three class sets at both epsilons; at 6x6 with quota 3 seats are
+    # left free, and a positive hospital IRP floor makes free seats binding.
+    for classes in (["zero_sum"], ["zero_sum", "strictly_competitive"],
+                    ["zero_sum", "strictly_competitive", "repeated"]):
+        for eps in (F(1, 2), F(1, 10)):
+            for seed in range(20):
+                for doctors, hospitals, quota in ((5, 3, 2), (6, 6, 3)):
+                    for hospital_irp_lo in (None, 1):
+                        inst = generate_instance(seed=seed, n_doctors=doctors, n_hospitals=hospitals,
+                                                 max_quota=quota, classes=classes,
+                                                 hospital_irp_lo=hospital_irp_lo)
+                        yield inst, run_dac(inst, eps)[0], eps
+    for n, seeds in ((6, 12), (8, 12), (10, 8)):
+        for seed in range(seeds):
+            inst = generate_instance(seed=seed, model="roommates", n_doctors=n)
+            realized = realize_aspiration(inst, solve_aspiration_zero_sum(inst))
+            if isinstance(realized, Allocation):
+                yield inst, realized, F(1, 2)
+                yield inst, realized, F(1, 10)
 
 
 # ---------------------------------------------------------------------------
